@@ -148,10 +148,6 @@ class FpnCombiner:
         return out
 
 
-def fpn_combine(maps: list[Tensor], combiner: FpnCombiner) -> Tensor:
-    return combiner.forward(maps)
-
-
 class ImageStream:
     """Toy image backbone: residual groups plus pyramid combination; the
     combined map is the fusion input."""
@@ -222,7 +218,6 @@ class DetectorModel:
                 self.fusion_cfgs[p] = FusionConfig(
                     k=fusion_cfg.k, max_dist=fusion_cfg.max_dist,
                     use_geometric_feature=self.use_geo,
-                    use_knn_pooling=mode != "discrete",
                     input_dim=in_dim, output_dim=backbone.bev_groups[p].channels)
                 self.fusion_mlps[p] = FusionMlp(in_dim,
                                                 backbone.bev_groups[p].channels,

@@ -60,9 +60,6 @@ class DetectionBox:
     ignored: bool = False      # 'DontCare'-style label: matches count as neither TP nor FP
     height2d: float = 0.0      # image-space 2D box height, kitti3d variant only
 
-    def as_anchor(self) -> Anchor:
-        return Anchor(self.x, self.y, self.z, self.w, self.h, self.d, self.t)
-
 
 def make_anchors(grid: BevGrid, size: tuple[float, float, float],
                  z: float) -> list[Anchor]:

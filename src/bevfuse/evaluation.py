@@ -130,15 +130,17 @@ def evaluate_pr(frames, cfg: EvalConfig) -> PrCurve | None:
     return pr_curve(flags, num_gt, cfg.ap_points)
 
 
-def piecewise_range_ap(dets: list[DetectionBox], gts: list[DetectionBox],
+def piecewise_range_ap(frames: list[tuple[list[DetectionBox], list[DetectionBox]]],
                        cfg: EvalConfig) -> list[tuple[tuple[float, float], float | None]]:
-    """AP per forward-range bin; boxes bucket by center x, cross-bin matches
-    are disallowed."""
+    """AP per forward-range bin over (detections, ground truths) frames.
+
+    Boxes bucket by center x within their own frame, so matches never cross
+    a bin or a frame."""
     if not cfg.range_bins:
         raise ValueError("range_bins not configured")
     out = []
     for lo, hi in cfg.range_bins:
-        bd = [d for d in dets if lo <= d.x < hi]
-        bg = [g for g in gts if lo <= g.x < hi]
-        out.append(((lo, hi), evaluate_frames([(bd, bg)], cfg)))
+        binned = [([d for d in dets if lo <= d.x < hi], [g for g in gts if lo <= g.x < hi])
+                  for dets, gts in frames]
+        out.append(((lo, hi), evaluate_frames(binned, cfg)))
     return out

@@ -25,7 +25,6 @@ class FusionConfig:
     k: int = 1
     max_dist: float = 10.0
     use_geometric_feature: bool = True
-    use_knn_pooling: bool = True
     input_dim: int = 8          # D_i: image channels (+3 when geometric feature on)
     output_dim: int = 8         # D_o: BEV channels at the insertion point
 
@@ -102,25 +101,18 @@ def plan_fusion(cloud: PointCloud, cam: CalibratedCamera, grid: BevGrid,
                 cfg: FusionConfig, index: BevKdTree | None = None) -> FusionPlan:
     """Gather the <= k nearest in-range LIDAR points for every BEV pixel."""
     centers = grid.pixel_centers().reshape(-1, 2)         # (ny*nx) x 2
-    npix = centers.shape[0]
-    if len(cloud) == 0:
-        empty = np.zeros((0,))
-        return FusionPlan(empty.astype(np.intp), np.zeros((0, 2)), np.zeros((0, 3)),
-                          grid.ny, grid.nx)
     uv, valid = project_points(cloud, cam)
     index = index if index is not None else build_bev_index(cloud)
-    pix, uvs, offs = [], [], []
-    for i in range(npix):
-        for j in index.query(centers[i], cfg.k, cfg.max_dist):
-            if not valid[j] and not cfg.use_geometric_feature:
-                continue      # nothing to contribute without the offset input
-            pix.append(i)
-            uvs.append(uv[j] if valid[j] else _OFF_IMAGE)
-            # target pixel sits on the z=0 reference plane
-            offs.append(cloud.points[j] - np.array([centers[i, 0], centers[i, 1], 0.0]))
-    return FusionPlan(np.array(pix, dtype=np.intp),
-                      np.array(uvs).reshape(-1, 2),
-                      np.array(offs).reshape(-1, 3), grid.ny, grid.nx)
+    nb = index.query(centers, cfg.k, cfg.max_dist)       # npix x k, -1 padded
+    keep = nb >= 0
+    if not cfg.use_geometric_feature:
+        keep[keep] = valid[nb[keep]]    # nothing to contribute without the offset input
+    pix, rank = np.nonzero(keep)                          # pixel-major, then rank
+    j = nb[pix, rank]
+    pair_uv = np.where(valid[j, None], uv[j], _OFF_IMAGE)
+    # target pixel sits on the z=0 reference plane
+    target = np.column_stack([centers[pix], np.zeros(pix.size)])
+    return FusionPlan(pix, pair_uv, cloud.points[j] - target, grid.ny, grid.nx)
 
 
 def _check_dims(image_features: Tensor, cfg: FusionConfig, mlp: FusionMlp):

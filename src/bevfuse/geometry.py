@@ -159,6 +159,13 @@ def knn_bev(query, cloud: PointCloud, k: int, max_dist: float = np.inf) -> list[
     return [int(i) for i in order[:k] if d[i] <= max_dist]
 
 
+# (query, leaf) pairs merged at once; keeps each pairs x leaf temporary at 32 KB
+_MERGE_ROWS = 64
+# squared-distance prefilters are widened far beyond their rounding error, so
+# they never drop a point whose np.hypot distance would tie or win
+_SLACK = 1.0 + 1e-9
+
+
 class BevKdTree:
     """2D k-d tree over the (x, y) coordinates of a point cloud.
 
@@ -166,83 +173,120 @@ class BevKdTree:
     including the lower-index tie-break. Immutable after construction.
     """
 
-    __slots__ = ("xy", "_idx", "_split", "_left", "_right", "_leaf_size")
+    __slots__ = ("xy", "_axis", "_child", "_box", "_members", "_member_xy")
 
-    def __init__(self, cloud: PointCloud, leaf_size: int = 16):
+    def __init__(self, cloud: PointCloud, leaf_size: int = 64):
         self.xy = cloud.points[:, :2].copy()
-        self._leaf_size = leaf_size
         n = self.xy.shape[0]
-        # flat node arrays: each node is (axis, split value, child ids) or a leaf slice
-        self._idx = np.arange(n, dtype=np.intp)
-        self._split = []
-        self._left = []
-        self._right = []
+        # one row per node: split axis (-1 for a leaf), left and right child,
+        # a box (xmin, ymin, xmax, ymax) holding its points; and leaf points
+        rows, members = [], []
         if n:
-            self._build(0, n, 0)
+            box = [*self.xy.min(axis=0), *self.xy.max(axis=0)]
+            self._build(np.arange(n), box, 0, leaf_size, rows, members)
+        table = np.array(rows, dtype=np.float64).reshape(-1, 7)
+        self._axis = table[:, 0].astype(np.intp)
+        self._child = table[:, 1:3].astype(np.intp)
+        self._box = table[:, 3:]
+        # padded rows: index n (sorts after every point) and NaN coordinates
+        # (never selected) past a leaf's last point; inner nodes hold none
+        self._members = np.full((len(members), max(map(len, members), default=0)), n)
+        for node, seg in enumerate(members):
+            self._members[node, :len(seg)] = seg
+        self._member_xy = np.vstack([self.xy, [np.nan, np.nan]])[self._members]
 
-    def _build(self, lo: int, hi: int, depth: int) -> int:
-        node = len(self._split)
-        self._split.append(None)
-        self._left.append(-1)
-        self._right.append(-1)
-        if hi - lo <= self._leaf_size:
-            self._split[node] = ("leaf", lo, hi)
-            return node
-        axis = depth % 2
-        seg = self._idx[lo:hi]
-        mid = (hi - lo) // 2
-        part = np.argpartition(self.xy[seg, axis], mid)
-        self._idx[lo:hi] = seg[part]
-        split_val = self.xy[self._idx[lo + mid], axis]
-        self._split[node] = ("node", axis, split_val, lo + mid)
-        self._left[node] = self._build(lo, lo + mid, depth + 1)
-        self._right[node] = self._build(lo + mid, hi, depth + 1)
+    def _build(self, seg: np.ndarray, box: list, depth: int, leaf_size: int,
+               rows: list, members: list) -> int:
+        node = len(rows)
+        rows.append([-1, -1, -1, *box])
+        members.append(seg if len(seg) <= leaf_size else seg[:0])
+        if len(seg) > leaf_size:
+            axis, mid = depth % 2, len(seg) // 2
+            seg = seg[np.argpartition(self.xy[seg, axis], mid)]
+            # a child's box is its parent's cut at the split value
+            left_box, right_box = list(box), list(box)
+            left_box[axis + 2] = right_box[axis] = self.xy[seg[mid], axis]
+            left = self._build(seg[:mid], left_box, depth + 1, leaf_size, rows, members)
+            right = self._build(seg[mid:], right_box, depth + 1, leaf_size, rows, members)
+            rows[node][:3] = [axis, left, right]
         return node
 
-    def query(self, query, k: int, max_dist: float = np.inf) -> list[int]:
+    def query(self, query, k: int, max_dist: float = np.inf):
+        """The <= k nearest points to each (x, y) query, in ``knn_bev`` order.
+
+        A single query of shape (2,) returns a list of point indices. An
+        M x 2 batch returns an M x k intp array whose rows are padded with -1
+        past their last neighbour.
+        """
         if k < 1:
             raise ValueError("k must be >= 1")
-        if self.xy.shape[0] == 0:
-            return []
-        qx, qy = float(query[0]), float(query[1])
-        best: list[tuple[float, int]] = []     # kept sorted, worst last
-
-        def consider(span):
-            lo, hi = span
-            seg = self._idx[lo:hi]
-            d = np.hypot(self.xy[seg, 0] - qx, self.xy[seg, 1] - qy)
-            for dist, idx in zip(d, seg):
-                if dist > max_dist:
-                    continue
-                key = (dist, int(idx))
-                if len(best) < k:
-                    best.append(key)
-                    best.sort()
-                elif key < best[-1]:
-                    best[-1] = key
-                    best.sort()
-
-        def visit(node):
-            kind = self._split[node]
-            if kind[0] == "leaf":
-                consider(kind[1:])
-                return
-            _, axis, split_val, _ = kind
-            qv = qx if axis == 0 else qy
-            near, far = (self._left[node], self._right[node]) if qv < split_val \
-                else (self._right[node], self._left[node])
-            visit(near)
-            bound = best[-1][0] if len(best) == k else max_dist
-            # <= so equal-distance candidates across the plane can still win ties
-            if abs(qv - split_val) <= min(bound, max_dist):
-                visit(far)
-
-        visit(0)
-        return [idx for _, idx in best]
+        q = np.asarray(query, dtype=np.float64)
+        if q.ndim == 1:
+            return self.query_batch(q[:2], k, max_dist)[0]
+        return self._knn(q.reshape(-1, 2), k, max_dist)
 
     def query_batch(self, queries: np.ndarray, k: int,
                     max_dist: float = np.inf) -> list[list[int]]:
-        return [self.query(q, k, max_dist) for q in np.asarray(queries).reshape(-1, 2)]
+        return [row[row >= 0].tolist()
+                for row in self.query(np.reshape(queries, (-1, 2)), k, max_dist)]
+
+    def _knn(self, q: np.ndarray, k: int, max_dist: float) -> np.ndarray:
+        m, n = q.shape[0], self.xy.shape[0]
+        best_d = np.full((m, k), np.inf)
+        best_i = np.full((m, k), n, dtype=np.intp)
+        if n and m:
+            # descend every query to its own leaf, whose points seed its bound;
+            # the split value is the low edge of the right child's box
+            home = np.zeros(m, dtype=np.intp)
+            while (inner := self._axis[home] >= 0).any():
+                nodes, axis = home[inner], self._axis[home[inner]]
+                right = q[inner, axis] >= self._box[self._child[nodes, 1], axis]
+                home[inner] = self._child[nodes, right.astype(np.intp)]
+            self._merge(np.arange(m), home, q, k, max_dist, best_d, best_i)
+            # walk the tree level by level with every (query, node) pair whose
+            # box may still improve the query, and merge the other leaves reached
+            limit = np.minimum(best_d[:, -1], max_dist) ** 2 * _SLACK
+            qi, node = np.arange(m), np.zeros(m, dtype=np.intp)
+            pairs = []
+            while qi.size:
+                qa, box = q[qi], self._box[node]
+                gap = np.maximum(np.maximum(box[:, :2] - qa, qa - box[:, 2:]), 0.0)
+                # not >: ties survive, and a NaN from a non-finite point never prunes
+                near = ~((gap * gap).sum(axis=1) > limit[qi])
+                qi, node = qi[near], node[near]
+                leaf = self._axis[node] < 0
+                other = leaf & (home[qi] != node)
+                pairs.append((qi[other], node[other]))
+                qi, node = np.repeat(qi[~leaf], 2), self._child[node[~leaf]].ravel()
+            self._merge(*map(np.concatenate, zip(*pairs)), q, k, max_dist, best_d, best_i)
+        return np.where(best_i == n, -1, best_i)
+
+    def _merge(self, qi: np.ndarray, leaf: np.ndarray, q: np.ndarray, k: int,
+               max_dist: float, best_d: np.ndarray, best_i: np.ndarray):
+        """Fold the points of leaf ``leaf[p]`` into the k best of query
+        ``qi[p]``, for every pair p; a query meets each leaf at most once."""
+        for s in range(0, qi.size, _MERGE_ROWS):
+            a, lf = qi[s:s + _MERGE_ROWS], leaf[s:s + _MERGE_ROWS]
+            dx = self._member_xy[lf, :, 0] - q[a, 0, None]
+            dy = self._member_xy[lf, :, 1] - q[a, 1, None]
+            d2 = dx * dx + dy * dy
+            limit = np.minimum(best_d[a, -1], max_dist) ** 2 * _SLACK
+            if d2.shape[1] >= k:      # the leaf's k nearest bound the k best
+                limit = np.fmin(limit, np.partition(d2, k - 1, axis=1)[:, k - 1] * _SLACK)
+            r, c = np.nonzero(d2 <= limit[:, None])
+            d = np.hypot(dx[r, c], dy[r, c])      # the same values knn_bev sorts
+            hit = d <= max_dist
+            r, c, d = r[hit], c[hit], d[hit]
+            # sort old bests and new hits by (query, distance, index); keep k each
+            u, inv = np.unique(a, return_inverse=True)
+            rows = np.concatenate([np.repeat(np.arange(u.size), k), inv[r]])
+            cd = np.concatenate([best_d[u].ravel(), d])
+            ci = np.concatenate([best_i[u].ravel(), self._members[lf[r], c]])
+            order = np.lexsort((ci, cd, rows))
+            count = np.bincount(rows, minlength=u.size)
+            keep = order[np.arange(order.size) - np.repeat(np.cumsum(count) - count, count) < k]
+            best_d[u] = cd[keep].reshape(-1, k)
+            best_i[u] = ci[keep].reshape(-1, k)
 
 
 def build_bev_index(cloud: PointCloud) -> BevKdTree:
@@ -252,8 +296,3 @@ def build_bev_index(cloud: PointCloud) -> BevKdTree:
 def bilinear_sample(feature_map: Tensor, u: float, v: float) -> Tensor:
     """Bilinear blend of the 4 pixels around continuous (u, v); zero outside."""
     return _bilinear_many(feature_map, np.array([[u, v]])).reshape(feature_map.shape[0])
-
-
-def bilinear_sample_many(feature_map: Tensor, uv: np.ndarray) -> Tensor:
-    """Batched bilinear sampling, N x 2 pixel coordinates -> N x C features."""
-    return _bilinear_many(feature_map, uv)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -29,25 +29,3 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
 
-
-def check_grads(f: Callable[[], Tensor], params: Sequence[Tensor],
-                eps: float = 1e-5, rtol: float = 1e-4) -> dict[int, float]:
-    """Compare analytic grads of scalar ``f()`` against finite differences.
-
-    Returns {param position: max relative error}; raises AssertionError on
-    any error >= rtol.
-    """
-    for p in params:
-        p.grad = None
-    loss = f()
-    loss.backward()
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-                for p in params]
-    errors = {}
-    for i, p in enumerate(params):
-        num = numeric_grad(f, p, eps=eps)
-        err = max_rel_error(analytic[i], num)
-        errors[i] = err
-        if err >= rtol:
-            raise AssertionError(f"gradient check failed for param {i}: rel err {err:.3e}")
-    return errors

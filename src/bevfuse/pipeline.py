@@ -163,11 +163,8 @@ def evaluate_model(model: DetectorModel, cfg: ExperimentConfig,
         report["pr_curve"] = {"recall": [round(float(r), 6) for r in curve.recalls],
                               "precision": [round(float(p), 6) for p in curve.precisions]}
     if ecfg.range_bins:
-        all_dets = [d for ds, _ in frames for d in ds]
-        all_gts = [g for _, gs in frames for g in gs]
-        report["range_ap"] = [
-            {"bin": list(b), "ap": ap_} for b, ap_ in
-            piecewise_range_ap(all_dets, all_gts, ecfg)]
+        report["range_ap"] = [{"bin": list(b), "ap": ap_}
+                              for b, ap_ in piecewise_range_ap(frames, ecfg)]
     return report
 
 
@@ -446,7 +443,7 @@ def run_bench(repeats: int = 5, seed: int = 0) -> list[dict]:
         rows.append({"op": "knn_brute", "size": n,
                      "seconds": timeit(lambda: [knn_bev(q, cloud, 5) for q in queries])})
         rows.append({"op": "knn_index", "size": n,
-                     "seconds": timeit(lambda: index.query_batch(queries, 5))})
+                     "seconds": timeit(lambda: index.query(queries, 5))})
         grid = BevGrid((0, 70), (-40, 40), (-2, 2), 64, 64, 8)
         rows.append({"op": "voxelize", "size": n,
                      "seconds": timeit(lambda: voxelize(cloud, grid))})

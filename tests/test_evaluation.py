@@ -130,7 +130,7 @@ def test_piecewise_range_ap_buckets():
     cfg = EvalConfig(range_bins=[(0.0, 10.0), (10.0, 20.0)])
     gts = [_box(5, 0), _box(15, 0)]
     dets = [_box(5.1, 0, 0.9), _box(19.0, 0, 0.8)]
-    out = piecewise_range_ap(dets, gts, cfg)
+    out = piecewise_range_ap([(dets, gts)], cfg)
     assert out[0][0] == (0.0, 10.0)
     assert out[0][1] == pytest.approx(1.0)      # near bin: perfect
     assert out[1][1] == 0.0                     # far bin: det misses its gt
@@ -138,4 +138,4 @@ def test_piecewise_range_ap_buckets():
 
 def test_piecewise_range_requires_bins():
     with pytest.raises(ValueError):
-        piecewise_range_ap([], [], EvalConfig())
+        piecewise_range_ap([([], [])], EvalConfig())

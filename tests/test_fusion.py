@@ -60,6 +60,33 @@ def test_plan_is_reusable_and_matches_direct_forward():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("geo", [True, False])
+def test_plan_matches_per_pixel_knn_reference(geo):
+    rng = np.random.default_rng(4)
+    cam = make_forward_camera((12, 16), (4.0, 4.0))
+    # some points behind the camera or off-image: their projections are invalid
+    cloud = PointCloud(rng.uniform([-4, -6, 0], [10, 6, 2], (60, 3)))
+    grid = BevGrid((0.0, 10.0), (-5.0, 5.0), (0.0, 2.0), 8, 8, 1)
+    cfg = FusionConfig(k=3, max_dist=1.5, use_geometric_feature=geo,
+                       input_dim=7 if geo else 4, output_dim=5)
+    uv, valid = project_points(cloud, cam)
+    pix, uvs, offs = [], [], []
+    for i, (cx, cy) in enumerate(grid.pixel_centers().reshape(-1, 2)):
+        for j in knn_bev((cx, cy), cloud, cfg.k, cfg.max_dist):
+            if valid[j] or geo:
+                pix.append(i)
+                uvs.append(uv[j] if valid[j] else [-10.0, -10.0])
+                offs.append(cloud.points[j] - np.array([cx, cy, 0.0]))
+    # short neighbour lists occur, and off-image sentinels when geo is on
+    assert np.bincount(pix, minlength=grid.nx * grid.ny).min() < cfg.k
+    assert (np.array(uvs) == -10.0).any() == geo
+    plan = plan_fusion(cloud, cam, grid, cfg)
+    assert plan.pair_pixel.dtype == np.intp
+    assert np.array_equal(plan.pair_pixel, np.array(pix, dtype=np.intp))
+    assert np.array_equal(plan.pair_uv, np.array(uvs))
+    assert np.array_equal(plan.pair_offset, np.array(offs))
+
+
 def test_zeroed_output_layer_produces_zero_map():
     _, cam, cloud, grid, cfg, img, mlp = _setup(seed=1)
     mlp.zero_output_layer()
@@ -92,7 +119,7 @@ def test_nogeo_mode_drops_invalid_projections():
 def test_discrete_plan_maps_points_to_own_pixel():
     _, cam, cloud, grid, _, img, _ = _setup(n=25)
     cfg = FusionConfig(k=1, max_dist=1.0, use_geometric_feature=False,
-                       use_knn_pooling=False, input_dim=4, output_dim=5)
+                       input_dim=4, output_dim=5)
     plan = plan_discrete_fusion(cloud, cam, grid, cfg)
     uv, valid = project_points(cloud, cam)
     cx, cy, _ = grid.cell

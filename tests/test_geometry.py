@@ -120,6 +120,33 @@ def test_kdtree_duplicate_points_tie_break():
     assert tree.query(np.array([1.0, 1.0]), 3) == [0, 1, 2]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 120), st.booleans(), st.booleans(), st.integers(1, 12),
+       st.sampled_from([0.0, 1e-9, 0.5, 1.0, 2.5, np.inf]),
+       st.sampled_from([1, 2, 5, 64]), st.integers(0, 2 ** 31 - 1))
+def test_kdtree_batched_query_matches_knn_bev(n, lattice, with_nan, k, max_dist,
+                                              leaf_size, seed):
+    rng = np.random.default_rng(seed)
+    if lattice:     # integer points and queries: exact distance ties everywhere
+        xy = rng.integers(-4, 5, (n, 2)).astype(np.float64)
+        queries = rng.integers(-12, 13, (40, 2)).astype(np.float64)
+    else:
+        xy = rng.uniform(-5, 5, (n, 2))
+        queries = rng.uniform(-20, 20, (40, 2))     # many outside the cloud's box
+    if n:
+        xy = np.concatenate([xy, xy[rng.integers(0, n, n // 4)]])    # duplicates
+        if with_nan:    # knn_bev never returns a point with a NaN coordinate
+            xy[rng.integers(0, n), 0] = np.nan
+    cloud = PointCloud(np.column_stack([xy, rng.uniform(-1, 1, len(xy))]))
+    tree = BevKdTree(cloud, leaf_size=leaf_size)
+    nb = tree.query(queries, k, max_dist)
+    assert nb.shape == (len(queries), k) and nb.dtype == np.intp
+    for q, row in zip(queries, nb):
+        ref = knn_bev(q, cloud, k, max_dist)
+        assert row.tolist() == ref + [-1] * (k - len(ref))
+        assert tree.query(q, k, max_dist) == ref
+
+
 def test_kdtree_query_batch():
     rng = np.random.default_rng(2)
     cloud = _cloud(rng, 100)

@@ -1,11 +1,13 @@
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from bevfuse import pipeline
 from bevfuse.config import ExperimentConfig, load_config
-from bevfuse.detect import make_anchors
+from bevfuse.detect import DetectionBox, make_anchors
 from bevfuse.pipeline import (ABLATION_VARIANTS, NumericError, ablate_run,
                               build_model, build_scenes, detect_scene,
                               eval_run, evaluate_model, miniature_config,
@@ -97,6 +99,19 @@ def test_evaluate_model_report_fields(tmp_path):
     assert {"ap", "num_frames", "num_gt", "num_detections",
             "iou_threshold"} <= set(report)
     assert len(report["range_ap"]) == 2
+
+
+def test_range_ap_does_not_match_across_frames(monkeypatch):
+    cfg = _mini()
+    cfg.eval.range_bins = [(0.0, 16.0)]
+    box = DetectionBox(5.0, 0.0, 0.8, 4.0, 2.0, 1.6, 0.0, score=0.9)
+    # the ground truth sits in frame A, the only detection in frame B
+    preps = [SimpleNamespace(dets=[], sample=SimpleNamespace(gt_boxes=[box])),
+             SimpleNamespace(dets=[box], sample=SimpleNamespace(gt_boxes=[]))]
+    monkeypatch.setattr(pipeline, "detect_scene", lambda model, cfg, anchors, p: p.dets)
+    report = evaluate_model(None, cfg, [], preps)
+    assert report["ap"] == 0.0
+    assert report["range_ap"] == [{"bin": [0.0, 16.0], "ap": 0.0}]
 
 
 def test_ablate_run_covers_variants(tmp_path):
