@@ -1,35 +1,16 @@
 #!/usr/bin/env python3
 """Train every fusion variant on the occlusion-heavy dataset and print a
-comparison table (one row per variant and KNN setting)."""
+comparison table: ``bevfuse ablate`` with configs/ablation.yaml and
+runs/ablation as defaults. Other options (``--knn-grid``, ``--seed``, or a
+different ``--config`` / ``--out``) pass through to the command line."""
 
-import argparse
 import pathlib
 import sys
 
-from bevfuse.config import load_config
-from bevfuse.pipeline import ablate_run
+from bevfuse.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--config", default=str(ROOT / "configs" / "ablation.yaml"))
-    ap.add_argument("--out", default="runs/ablation")
-    ap.add_argument("--knn-grid", default=None,
-                    help="comma list of k:max_dist pairs, e.g. 1:10,3:2")
-    args = ap.parse_args()
-    grid = None
-    if args.knn_grid:
-        grid = [(int(k), float(d)) for k, d in
-                (p.split(":") for p in args.knn_grid.split(","))]
-    rows = ablate_run(load_config(args.config), args.out, knn_grid=grid)
-    print(f"{'variant':>18s} {'k':>3s} {'max_dist':>9s} {'AP':>7s}")
-    for r in rows:
-        ap_str = "  n/a" if r["ap"] is None else f"{r['ap']:7.4f}"
-        print(f"{r['variant']:>18s} {r['k']:>3d} {r['max_dist']:>9.1f} {ap_str}")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["ablate", "--config", str(ROOT / "configs" / "ablation.yaml"),
+                   "--out", "runs/ablation", *sys.argv[1:]]))

@@ -1,27 +1,16 @@
 #!/usr/bin/env python3
-"""Train the shipped overfit configuration and print the resulting metrics."""
+"""Train the shipped overfit configuration and print the resulting metrics:
+``bevfuse train`` with configs/overfit.yaml and runs/overfit as defaults.
+Other options (``--seed``, or a different ``--config`` / ``--out``) pass
+through to the command line."""
 
-import argparse
-import json
 import pathlib
 import sys
 
-from bevfuse.config import load_config
-from bevfuse.pipeline import train_run
+from bevfuse.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--config", default=str(ROOT / "configs" / "overfit.yaml"))
-    ap.add_argument("--out", default="runs/overfit")
-    args = ap.parse_args()
-    report = train_run(load_config(args.config), args.out)
-    print(json.dumps({k: report[k] for k in
-                      ("initial_loss", "final_loss", "ap")}, indent=2))
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["train", "--config", str(ROOT / "configs" / "overfit.yaml"),
+                   "--out", "runs/overfit", *sys.argv[1:]]))

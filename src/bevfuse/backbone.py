@@ -13,7 +13,7 @@ from .fusion import (FusionConfig, FusionMlp, FusionPlan, apply_fusion,
                      fuse_into_bev, plan_discrete_fusion, plan_fusion,
                      xavier_uniform)
 from .geometry import BevGrid, CalibratedCamera, PointCloud, build_bev_index
-from .tensor import Tensor
+from .tensor import InputError, Tensor
 
 MODES = ("continuous", "continuous_nogeo", "discrete", "bev_only")
 
@@ -47,12 +47,6 @@ class BackboneConfig:
                 raise ValueError(f"non-first {label} groups must have stride 2")
         if any(p >= len(self.bev_groups) for p in self.fusion_points):
             raise ValueError("fusion point beyond the last BEV group")
-
-
-@dataclass
-class FeaturePyramid:
-    scales: list[Tensor]         # per-group outputs, fine to coarse
-    combined: Tensor             # merged map at the reference (finest) scale
 
 
 class Conv2dLayer:
@@ -169,7 +163,8 @@ class ImageStream:
             out.update(g.parameters())
         return out
 
-    def forward(self, image_input: Tensor) -> FeaturePyramid:
+    def forward(self, image_input: Tensor) -> Tensor:
+        """The pyramid merged at the finest scale."""
         _, h, w = image_input.shape
         if h % self.cum_stride or w % self.cum_stride:
             raise ValueError(f"image dims {h}x{w} not divisible by stride {self.cum_stride}")
@@ -178,7 +173,7 @@ class ImageStream:
         for g in self.groups:
             x = g.forward(x)
             scales.append(x)
-        return FeaturePyramid(scales, self.combiner.forward(scales))
+        return self.combiner.forward(scales)
 
 
 @dataclass
@@ -260,18 +255,19 @@ class DetectorModel:
         missing = set(params) - set(values)
         extra = set(values) - set(params)
         if missing or extra:
-            raise ValueError(f"checkpoint mismatch: missing {sorted(missing)}, "
+            raise InputError(f"checkpoint mismatch: missing {sorted(missing)}, "
                              f"unexpected {sorted(extra)}")
         for name, p in params.items():
             if p.data.shape != values[name].shape:
-                raise ValueError(f"checkpoint shape mismatch for {name}")
+                raise InputError(f"checkpoint shape mismatch for {name}")
             p.data[:] = values[name]
 
     def make_plans(self, cloud: PointCloud, cam: CalibratedCamera) -> ScalePlans:
         """Precompute neighbor pairings for every fusion insertion point."""
         plans = {}
         if self.with_fusion:
-            index = build_bev_index(cloud)
+            # the discrete pairing never queries a k-d tree
+            index = build_bev_index(cloud) if self.mode != "discrete" else None
             for p in self.backbone.fusion_points:
                 scale_grid = self.grid.downsample(self.bev_cum_strides[p])
                 cfg = self.fusion_cfgs[p]
@@ -287,7 +283,7 @@ class DetectorModel:
         if self.with_fusion:
             if image_input is None or plans is None:
                 raise ValueError("fusion modes need the image input and plans")
-            image_combined = self.image_stream.forward(image_input).combined
+            image_combined = self.image_stream.forward(image_input)
         x = bev_input
         outs = []
         for gi, group in enumerate(self.bev_groups):

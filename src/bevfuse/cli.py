@@ -1,7 +1,8 @@
 """Command-line entry point: train / eval / ablate / gradcheck / bench /
 report, all driven by a YAML config.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Exit codes: 0 success, 2 configuration or input-file error, 3 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import sys
 from .config import ConfigError, ExperimentConfig, apply_env_overrides, \
     config_from_dict, load_config
 from .pipeline import NumericError
+from .tensor import InputError
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC = 0, 2, 3
 
@@ -137,8 +139,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, FileNotFoundError) as e:
-        print(f"config error: {e}", file=sys.stderr)
+    except (InputError, FileNotFoundError) as e:
+        print(f"input error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericError, FloatingPointError) as e:
         print(f"numeric error: {e}", file=sys.stderr)

@@ -17,12 +17,13 @@ from .evaluation import EvalConfig
 from .fusion import FusionConfig
 from .geometry import BevGrid
 from .losses import AssignmentConfig
+from .tensor import InputError
 
 CONFIG_VERSION = 1
 ENV_PREFIX = "BEVFUSE_"
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     pass
 
 

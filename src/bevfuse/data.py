@@ -10,9 +10,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import tensor as T
 from .detect import DetectionBox, rotated_iou_bev
 from .geometry import BevGrid, CalibratedCamera, PointCloud, project_points
-from .tensor import Tensor
+from .tensor import InputError, Tensor
 
 GENERATOR_VERSION = 1
 
@@ -20,11 +21,11 @@ CLASS_NAMES = ["Car", "Pedestrian", "Cyclist", "Van", "DontCare", "Misc"]
 IGNORED_CLASSES = ("Van", "DontCare")
 
 
-class GenerationError(RuntimeError):
+class GenerationError(InputError):
     pass
 
 
-class KittiParseError(ValueError):
+class KittiParseError(InputError):
     pass
 
 
@@ -218,7 +219,8 @@ def generate_dataset(cfg: SceneGenConfig, n_scenes: int) -> list[SceneSample]:
 
 # -- augmentation ---------------------------------------------------------------
 
-def augment(sample: SceneSample, cfg: AugmentationConfig, seed: int) -> SceneSample:
+def augment(sample: SceneSample, cfg: AugmentationConfig,
+            seed: int | list[int]) -> SceneSample:
     """Random similarity transform of the scene with the calibration updated so
     projections stay consistent, plus an image-space scale/translation."""
     rng = np.random.default_rng(seed)
@@ -256,26 +258,13 @@ def augment(sample: SceneSample, cfg: AugmentationConfig, seed: int) -> SceneSam
 
     # resample the feature map through the inverse image affine so the features
     # move together with the projections
-    fm = sample.image_feature_input.data
+    fm = sample.image_feature_input
     vs, us = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     src_u = (us - ((1 - img_s) * cu + img_tu)) / img_s
     src_v = (vs - ((1 - img_s) * cv + img_tv)) / img_s
-    warped = _bilinear_warp(fm, src_u, src_v)
-    return SceneSample(PointCloud(pts), Tensor(warped), cam, boxes,
-                       frame_id=sample.frame_id)
-
-
-def _bilinear_warp(fm: np.ndarray, src_u: np.ndarray, src_v: np.ndarray) -> np.ndarray:
-    c, h, w = fm.shape
-    inside = (src_u >= 0) & (src_u <= w - 1) & (src_v >= 0) & (src_v <= h - 1)
-    u = np.clip(src_u, 0, w - 1)
-    v = np.clip(src_v, 0, h - 1)
-    u0 = np.minimum(np.floor(u).astype(int), w - 2 if w > 1 else 0)
-    v0 = np.minimum(np.floor(v).astype(int), h - 2 if h > 1 else 0)
-    du, dv = u - u0, v - v0
-    out = (fm[:, v0, u0] * (1 - du) * (1 - dv) + fm[:, v0, u0 + 1] * du * (1 - dv) +
-           fm[:, v0 + 1, u0] * (1 - du) * dv + fm[:, v0 + 1, u0 + 1] * du * dv)
-    return out * inside
+    warped = T.bilinear_sample(fm, np.stack([src_u.ravel(), src_v.ravel()], axis=1))
+    return SceneSample(PointCloud(pts), Tensor(warped.data.T.reshape(fm.shape)), cam,
+                       boxes, frame_id=sample.frame_id)
 
 
 # -- KITTI format -----------------------------------------------------------------
@@ -297,7 +286,9 @@ def load_kitti_velodyne(path) -> PointCloud:
     return PointCloud(pts[:, :3], intensity=pts[:, 3])
 
 
-def load_kitti_calib(path, image_size: tuple[int, int] = (370, 1224)) -> CalibratedCamera:
+def _read_kitti_calib(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(projection P2 @ R0_rect @ Tr_velo_to_cam, R0_rect, Tr_velo_to_cam),
+    the last two padded to 4 x 4."""
     values = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -317,25 +308,23 @@ def load_kitti_calib(path, image_size: tuple[int, int] = (370, 1224)) -> Calibra
         tr = values["Tr_velo_to_cam"].reshape(3, 4)
     except KeyError as e:
         raise KittiParseError(f"{path}: missing calibration key {e}") from None
+    except ValueError as e:
+        raise KittiParseError(f"{path}: {e}") from None
     r0_4 = np.eye(4)
     r0_4[:3, :3] = r0
     tr_4 = np.eye(4)
     tr_4[:3, :4] = tr
-    return CalibratedCamera(p2 @ r0_4 @ tr_4, image_size)
+    return p2 @ r0_4 @ tr_4, r0_4, tr_4
 
 
-def _kitti_chain(calib_path):
-    values = {}
-    with open(calib_path) as f:
-        for line in f:
-            if ":" in line:
-                key, rest = line.split(":", 1)
-                values[key.strip()] = np.array([float(v) for v in rest.split()])
-    r0_4 = np.eye(4)
-    r0_4[:3, :3] = values["R0_rect"].reshape(3, 3)
-    tr_4 = np.eye(4)
-    tr_4[:3, :4] = values["Tr_velo_to_cam"].reshape(3, 4)
-    return r0_4, tr_4
+def load_kitti_calib(path, image_size: tuple[int, int] = (370, 1224)) -> CalibratedCamera:
+    return CalibratedCamera(_read_kitti_calib(path)[0], image_size)
+
+
+def _kitti_chain(calib_path) -> tuple[np.ndarray, np.ndarray]:
+    """(R0_rect, Tr_velo_to_cam) as 4 x 4; their product maps LIDAR to the
+    rectified camera frame."""
+    return _read_kitti_calib(calib_path)[1:]
 
 
 def parse_kitti_label_line(line: str, rect_to_velo: np.ndarray,
@@ -376,8 +365,8 @@ def load_kitti_frame(velodyne_path, calib_path, label_path,
     """Assemble a SceneSample from KITTI-format files. The image feature input
     is a zero map (no image decoding at desk scale)."""
     cloud = load_kitti_velodyne(velodyne_path)
-    cam = load_kitti_calib(calib_path, image_size)
-    r0_4, tr_4 = _kitti_chain(calib_path)
+    projection, r0_4, tr_4 = _read_kitti_calib(calib_path)
+    cam = CalibratedCamera(projection, image_size)
     boxes = load_kitti_labels(label_path, np.linalg.inv(r0_4 @ tr_4))
     h, w = image_size
     feat = Tensor(np.zeros((1, h, w)))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,3 +29,15 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
 
+
+def max_grad_error(f: Callable[[], Tensor], params: Sequence[Tensor]) -> float:
+    """Backpropagate the scalar ``f()`` once and return the worst relative
+    error of every parameter's analytic gradient against central differences."""
+    for p in params:
+        p.grad = None
+    f().backward()
+    worst = 0.0
+    for p in params:
+        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
+        worst = max(worst, max_rel_error(analytic, numeric_grad(f, p)))
+    return worst

@@ -49,13 +49,8 @@ class LossBreakdown:
     total: Tensor
     l_cls: float
     l_reg: float
-    alpha: float
     n: int
     n_pos: int
-
-    def record(self, step: int) -> dict:
-        return {"step": step, "L": float(self.total.data), "L_cls": self.l_cls,
-                "L_reg": self.l_reg, "N": self.n, "N_pos": self.n_pos}
 
 
 def assign_anchors(anchors: list[Anchor], gt_boxes: list[DetectionBox],
@@ -138,4 +133,4 @@ def total_loss(cls_scores: Tensor, cls_labels: np.ndarray,
     n_pos = reg_pred.shape[0] if reg_pred.ndim >= 1 and reg_pred.size else 0
     n = cls_scores.shape[0] if cls_scores.ndim >= 1 and cls_scores.size else 0
     return LossBreakdown(total=total, l_cls=float(l_cls.data),
-                         l_reg=float(l_reg.data), alpha=alpha, n=n, n_pos=n_pos)
+                         l_reg=float(l_reg.data), n=n, n_pos=n_pos)

@@ -18,7 +18,7 @@ from .data import (AugmentationConfig, SceneSample, augment, generate_dataset,
                    load_dataset, load_kitti_frame)
 from .detect import (NUM_REG, REG_INDICES, Anchor, DetectionBox, decode_detections,
                      encode_targets, make_anchors, nms)
-from .evaluation import evaluate_frames, evaluate_pr, piecewise_range_ap
+from .evaluation import evaluate_pr, piecewise_range_ap
 from .fusion import FusionConfig, FusionMlp, continuous_fusion_forward
 from .geometry import BevGrid, PointCloud, build_bev_index, knn_bev, voxelize
 from .losses import NEGATIVE, hard_negative_mining, total_loss
@@ -94,14 +94,6 @@ def _assign(cfg: ExperimentConfig, anchors, gts):
     return assign_anchors(anchors, gts, cfg.assignment())
 
 
-def _selectors(num_reg: int):
-    e_cls = np.zeros((1 + num_reg, 1))
-    e_cls[0, 0] = 1.0
-    e_reg = np.zeros((1 + num_reg, num_reg))
-    e_reg[1:, :] = np.eye(num_reg)
-    return Tensor(e_cls), Tensor(e_reg)
-
-
 def scene_loss(model: DetectorModel, cfg: ExperimentConfig, prep: PreparedScene,
                mining_rng: np.random.Generator,
                mined_override: np.ndarray | None = None):
@@ -109,7 +101,6 @@ def scene_loss(model: DetectorModel, cfg: ExperimentConfig, prep: PreparedScene,
     header = model.forward(prep.bev_input, prep.sample.image_feature_input,
                            prep.plans)
     flat = header.flat()
-    e_cls, e_reg = _selectors(header.num_reg)
     n_pos = prep.pos_idx.size
     if mined_override is not None:
         mined = mined_override
@@ -121,12 +112,13 @@ def scene_loss(model: DetectorModel, cfg: ExperimentConfig, prep: PreparedScene,
                                      mining_rng)
     selected = np.concatenate([prep.pos_idx, mined]).astype(np.intp)
     cls_labels = np.concatenate([np.ones(n_pos), np.zeros(mined.size)])
-    sel_rows = T.gather_rows(flat, selected)
-    logits = T.matmul(sel_rows, e_cls).reshape(selected.size)
-    cls_scores = logits.sigmoid()
+    # each anchor row is [logit, R regression cells]; select from the flat cells
+    width = 1 + header.num_reg
+    cells = flat.reshape(-1)
+    cls_scores = T.gather_rows(cells, selected * width).sigmoid()
     if n_pos:
-        pos_rows = T.gather_rows(flat, prep.pos_idx)
-        reg_pred = T.matmul(pos_rows, e_reg)
+        reg_pred = T.gather_rows(cells, prep.pos_idx[:, None] * width
+                                 + np.arange(1, width))
     else:
         reg_pred = Tensor.zeros((0, header.num_reg))
     return total_loss(cls_scores, cls_labels, reg_pred, prep.reg_targets,
@@ -148,7 +140,7 @@ def evaluate_model(model: DetectorModel, cfg: ExperimentConfig,
     frames = [(detect_scene(model, cfg, anchors, p), p.sample.gt_boxes)
               for p in preps]
     ecfg = cfg.eval.eval_config()
-    ap = evaluate_frames(frames, ecfg)
+    curve = evaluate_pr(frames, ecfg)
     report = {
         "iou_kind": ecfg.iou_kind,
         "iou_threshold": ecfg.iou_threshold,
@@ -156,9 +148,8 @@ def evaluate_model(model: DetectorModel, cfg: ExperimentConfig,
         "num_frames": len(frames),
         "num_gt": sum(len(g) for _, g in frames),
         "num_detections": sum(len(d) for d, _ in frames),
-        "ap": ap,
+        "ap": curve.ap if curve is not None else None,
     }
-    curve = evaluate_pr(frames, ecfg)
     if curve is not None:
         report["pr_curve"] = {"recall": [round(float(r), 6) for r in curve.recalls],
                               "precision": [round(float(p), 6) for p in curve.precisions]}
@@ -201,7 +192,7 @@ def train_run(cfg: ExperimentConfig, out_dir: str) -> dict:
             if cfg.data.augment is not None:
                 preps = [prepare_scene(model, cfg, anchors,
                                        augment(s, cfg.data.augment,
-                                               seed=hash((cfg.seed, step, i)) % 2 ** 32))
+                                               seed=[cfg.seed, step, i]))
                          for i, s in enumerate(scenes)]
             else:
                 preps = static_preps
@@ -301,18 +292,12 @@ def _jitter_biases(params: dict, rng: np.random.Generator):
 def run_gradcheck(rtol: float = 1e-4, seed: int = 0) -> list[tuple[str, float, bool]]:
     """Finite-difference checks for every registered differentiable op plus an
     end-to-end miniature model; returns (name, max rel err, passed) rows."""
-    from .gradcheck import max_rel_error, numeric_grad
+    from .gradcheck import max_grad_error
     rng = np.random.default_rng(seed)
     results = []
 
     def check(name, make_loss, params):
-        for p in params:
-            p.grad = None
-        make_loss().backward()
-        worst = 0.0
-        for p in params:
-            analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-            worst = max(worst, max_rel_error(analytic, numeric_grad(make_loss, p)))
+        worst = max_grad_error(make_loss, params)
         results.append((name, worst, worst < rtol))
 
     a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
@@ -383,7 +368,7 @@ def miniature_config() -> ExperimentConfig:
 
 
 def _miniature_model_check(rtol: float) -> tuple[str, float, bool]:
-    from .gradcheck import max_rel_error, numeric_grad
+    from .gradcheck import max_grad_error
     cfg = miniature_config()
     rng = np.random.default_rng(5)
     model = build_model(cfg, rng)
@@ -407,17 +392,8 @@ def _miniature_model_check(rtol: float) -> tuple[str, float, bool]:
     def loss():
         return scene_loss(model, cfg, prep, np.random.default_rng(1),
                           mined_override=mined).total
-    for p in params.values():
-        p.grad = None
-    loss().backward()
-    worst = 0.0
     # check a representative parameter subset (full sweep is minutes-slow)
-    for name in sorted(params):
-        p = params[name]
-        if p.size > 80:
-            continue
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        worst = max(worst, max_rel_error(analytic, numeric_grad(loss, p)))
+    worst = max_grad_error(loss, [p for _, p in sorted(params.items()) if p.size <= 80])
     return ("miniature_end_to_end", worst, worst < rtol)
 
 

@@ -7,6 +7,7 @@ after ``backward``. No broadcasting beyond scalar-tensor; reshape explicitly.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Callable, Iterable, Sequence
 
@@ -319,7 +320,8 @@ def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
 
 
 def gather_rows(t: Tensor, idx) -> Tensor:
-    """Select rows ``t[idx]`` from a 2D tensor; adjoint is scatter-add."""
+    """Select ``t[idx]`` along the first axis of ``t``; the result has shape
+    ``idx.shape + t.shape[1:]``. The adjoint is scatter-add."""
     idx = np.asarray(idx, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= t.shape[0]):
         raise IndexError("gather_rows index out of range")
@@ -508,6 +510,11 @@ _CKPT_MAGIC = b"BFCK"
 _CKPT_VERSION = 1
 
 
+class InputError(ValueError):
+    """A file or setting handed to the program is malformed: a checkpoint, a
+    config, a dataset file. The command line maps it to exit code 2."""
+
+
 def save_checkpoint(params: dict, path):
     with open(path, "wb") as f:
         f.write(_CKPT_MAGIC)
@@ -525,20 +532,34 @@ def save_checkpoint(params: dict, path):
 
 
 def load_checkpoint(path) -> dict:
+    """Parameters saved by ``save_checkpoint``; every length is checked
+    against the file size, so a damaged file raises InputError."""
     with open(path, "rb") as f:
-        if f.read(4) != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<B", f.read(1))
+        size = f.seek(0, 2)
+        f.seek(0)
+
+        def take(nbytes: int) -> bytes:
+            if f.tell() + nbytes > size:
+                raise InputError(f"{path}: checkpoint truncated at byte {size}")
+            return f.read(nbytes)
+
+        if take(4) != _CKPT_MAGIC:
+            raise InputError(f"{path}: not a checkpoint file")
+        (version,) = struct.unpack("<B", take(1))
         if version != _CKPT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<I", f.read(4))
+            raise InputError(f"{path}: unsupported checkpoint version {version}")
+        (count,) = struct.unpack("<I", take(4))
         out = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim)) if ndim else ()
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(shape)
-            out[name] = data.copy()
+            (nlen,) = struct.unpack("<H", take(2))
+            try:
+                name = take(nlen).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise InputError(f"{path}: bad parameter name: {e}") from None
+            (ndim,) = struct.unpack("<B", take(1))
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            data = take(8 * math.prod(shape))
+            out[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        if f.tell() != size:
+            raise InputError(f"{path}: {size - f.tell()} bytes after the last record")
         return out

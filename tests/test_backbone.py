@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bevfuse import backbone
 from bevfuse.backbone import (MODES, BackboneConfig, Conv2dLayer, DetectorModel,
                               FpnCombiner, GroupSpec, ImageStream,
                               ResidualBlock, ResidualGroup)
@@ -153,3 +154,18 @@ def test_discrete_mode_plans():
     plans = model.make_plans(scene.cloud, scene.cam)
     for p in plans.plans.values():
         assert (p.pair_offset == 0.0).all()
+
+
+@pytest.mark.parametrize("mode,builds", [("bev_only", 0), ("discrete", 0),
+                                         ("continuous_nogeo", 1), ("continuous", 1)])
+def test_make_plans_builds_index_only_for_knn_modes(monkeypatch, mode, builds):
+    cfg = miniature_config()
+    cfg.mode = mode
+    model = build_model(cfg)
+    scene = build_scenes(cfg)[0]
+    calls = []
+    build = backbone.build_bev_index
+    monkeypatch.setattr(backbone, "build_bev_index",
+                        lambda cloud: calls.append(1) or build(cloud))
+    model.make_plans(scene.cloud, scene.cam)
+    assert len(calls) == builds

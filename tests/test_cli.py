@@ -7,7 +7,8 @@ import yaml
 
 from bevfuse.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from bevfuse.config import config_to_dict
-from bevfuse.pipeline import miniature_config
+from bevfuse.pipeline import build_model, miniature_config
+from bevfuse.tensor import save_checkpoint
 
 
 def _write_mini_config(path, **overrides):
@@ -112,4 +113,40 @@ def test_bad_knn_grid_is_config_error(tmp_path):
     _write_mini_config(cfg_path)
     rc = main(["ablate", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
                "--knn-grid", "nonsense"])
+    assert rc == EXIT_CONFIG
+
+
+def _eval_damaged_checkpoint(tmp_path, damage):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg = _write_mini_config(cfg_path)
+    ckpt = tmp_path / "ckpt.bin"
+    save_checkpoint(build_model(cfg).parameters(), ckpt)
+    ckpt.write_bytes(damage(ckpt.read_bytes()))
+    return main(["eval", "--config", str(cfg_path), "--out", str(tmp_path / "e"),
+                 "--checkpoint", str(ckpt)])
+
+
+@pytest.mark.parametrize("cut", [2, 7, 200, -3])
+def test_truncated_checkpoint_is_config_error(tmp_path, cut):
+    assert _eval_damaged_checkpoint(tmp_path, lambda raw: raw[:cut]) == EXIT_CONFIG
+
+
+def test_bad_checkpoint_magic_is_config_error(tmp_path):
+    assert _eval_damaged_checkpoint(tmp_path, lambda raw: b"XXXX" + raw[4:]) == EXIT_CONFIG
+
+
+def test_malformed_calib_is_config_error(tmp_path):
+    (tmp_path / "f.bin").write_bytes(np.zeros((2, 4), dtype=np.float32).tobytes())
+    (tmp_path / "calib.txt").write_text("P2: 1 0 0 0 0 1 0 0 0 0 1 0\n"
+                                        "R0_rect: 1 0 0 0 1 0 0 0 1\n")
+    (tmp_path / "label.txt").write_text("")
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg = miniature_config()
+    cfg.data.source = "kitti"
+    cfg.data.kitti_frames = [{"velodyne": str(tmp_path / "f.bin"),
+                              "calib": str(tmp_path / "calib.txt"),
+                              "labels": str(tmp_path / "label.txt")}]
+    with open(cfg_path, "w") as f:
+        yaml.safe_dump(config_to_dict(cfg), f)
+    rc = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert rc == EXIT_CONFIG

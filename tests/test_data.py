@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from bevfuse.data import (CLASS_NAMES, IGNORED_CLASSES, AugmentationConfig,
-                          KittiParseError, SceneGenConfig, augment,
+                          KittiParseError, SceneGenConfig, _kitti_chain, augment,
                           generate_dataset, generate_scene, load_dataset,
-                          load_kitti_calib, load_kitti_labels,
+                          load_kitti_calib, load_kitti_frame, load_kitti_labels,
                           load_kitti_velodyne, make_forward_camera,
                           parse_kitti_label_line, save_dataset,
                           write_kitti_labels)
@@ -106,6 +106,54 @@ def test_augment_deterministic():
     assert a.gt_boxes[0].x == b.gt_boxes[0].x
 
 
+def test_augment_identity_image_transform_keeps_features():
+    scene = generate_scene(_cfg(seed=4))
+    out = augment(scene, AugmentationConfig(image_scale=(1.0, 1.0),
+                                            image_translate_px=0.0), seed=9)
+    assert out.image_feature_input.data.tobytes() == \
+        scene.image_feature_input.data.tobytes()
+
+
+def _bilinear_reference(fm, src_u, src_v):
+    """Loop-nest bilinear resampling; sources outside the map give zero."""
+    c, h, w = fm.shape
+    out = np.zeros((c, h, w))
+    for i in range(h):
+        for j in range(w):
+            u, v = src_u[i, j], src_v[i, j]
+            if not (0 <= u <= w - 1 and 0 <= v <= h - 1):
+                continue
+            u0, v0 = min(int(math.floor(u)), w - 2), min(int(math.floor(v)), h - 2)
+            du, dv = u - u0, v - v0
+            for ch in range(c):
+                out[ch, i, j] = ((1 - du) * (1 - dv) * fm[ch, v0, u0]
+                                 + du * (1 - dv) * fm[ch, v0, u0 + 1]
+                                 + (1 - du) * dv * fm[ch, v0 + 1, u0]
+                                 + du * dv * fm[ch, v0 + 1, u0 + 1])
+    return out
+
+
+@pytest.mark.parametrize("seed", [3, 9, 21])
+def test_augment_warp_matches_loop_reference(seed):
+    scene = generate_scene(_cfg(seed=4, image_shape=(2, 12, 20)))
+    cfg = AugmentationConfig(image_translate_px=4.0)
+    out = augment(scene, cfg, seed=seed)
+    # the image scale and shift are the last draws of augment's generator
+    rng = np.random.default_rng(seed)
+    rng.uniform(size=6)
+    img_s = rng.uniform(*cfg.image_scale)
+    img_tu, img_tv = rng.uniform(-cfg.image_translate_px, cfg.image_translate_px, 2)
+    c, h, w = scene.image_feature_input.shape
+    cu, cv = (w - 1) / 2.0, (h - 1) / 2.0
+    vs, us = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    src_u = (us - ((1 - img_s) * cu + img_tu)) / img_s
+    src_v = (vs - ((1 - img_s) * cv + img_tv)) / img_s
+    inside = (src_u >= 0) & (src_u <= w - 1) & (src_v >= 0) & (src_v <= h - 1)
+    assert inside.any() and not inside.all()
+    ref = _bilinear_reference(scene.image_feature_input.data, src_u, src_v)
+    np.testing.assert_allclose(out.image_feature_input.data, ref, rtol=0, atol=1e-12)
+
+
 def test_class_tables():
     assert CLASS_NAMES[0] == "Car"
     assert all(name in CLASS_NAMES for name in IGNORED_CLASSES)
@@ -195,6 +243,24 @@ def test_label_write_read_round_trip(kitti_dir, tmp_path):
         assert a.cls == b.cls and a.ignored == b.ignored
         for attr in ("x", "y", "z", "w", "h", "d", "t"):
             assert abs(getattr(a, attr) - getattr(b, attr)) < 1e-2
+
+
+@pytest.mark.parametrize("drop", ["P2", "R0_rect", "Tr_velo_to_cam"])
+def test_calib_missing_key_is_parse_error(kitti_dir, drop):
+    calib = kitti_dir / "000000.txt"
+    calib.write_text("".join(line + "\n" for line in CALIB_TEXT.splitlines()
+                             if not line.startswith(drop + ":")))
+    with pytest.raises(KittiParseError, match=drop):
+        _kitti_chain(calib)
+    with pytest.raises(KittiParseError, match=drop):
+        load_kitti_frame(kitti_dir / "000000.bin", calib, kitti_dir / "label_000000.txt")
+
+
+def test_calib_wrong_value_count_is_parse_error(kitti_dir):
+    calib = kitti_dir / "000000.txt"
+    calib.write_text(CALIB_TEXT.replace("R0_rect: 1 0 0 0 1 0 0 0 1", "R0_rect: 1 0 0"))
+    with pytest.raises(KittiParseError):
+        load_kitti_calib(calib)
 
 
 def test_parse_label_rejects_short_line():

@@ -119,8 +119,6 @@ def test_total_loss_breakdown_and_alpha():
     bd = total_loss(scores, labels, pred, target, alpha=2.0)
     assert bd.total.data == pytest.approx(bd.l_cls + 2.0 * bd.l_reg, abs=1e-12)
     assert bd.n == 2 and bd.n_pos == 1
-    rec = bd.record(step=7)
-    assert rec["step"] == 7 and rec["L"] == pytest.approx(float(bd.total.data))
 
 
 def test_total_loss_backward_flows():

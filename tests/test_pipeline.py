@@ -5,9 +5,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bevfuse import pipeline
+from bevfuse import evaluation, pipeline
+from bevfuse import tensor as T
 from bevfuse.config import ExperimentConfig, load_config
 from bevfuse.detect import DetectionBox, make_anchors
+from bevfuse.losses import hard_negative_mining, total_loss
 from bevfuse.pipeline import (ABLATION_VARIANTS, NumericError, ablate_run,
                               build_model, build_scenes, detect_scene,
                               eval_run, evaluate_model, miniature_config,
@@ -49,6 +51,68 @@ def test_scene_loss_finite_and_differentiable():
     bd.total.backward()
     grads = [p.grad for p in model.parameters().values() if p.grad is not None]
     assert grads
+
+
+def _one_hot_scene_loss(model, cfg, prep, mined):
+    """Reference header selection: gather rows, then multiply by one-hot
+    column selectors."""
+    header = model.forward(prep.bev_input, prep.sample.image_feature_input,
+                           prep.plans)
+    flat, r = header.flat(), header.num_reg
+    e_cls = np.zeros((1 + r, 1))
+    e_cls[0, 0] = 1.0
+    e_reg = np.zeros((1 + r, r))
+    e_reg[1:] = np.eye(r)
+    selected = np.concatenate([prep.pos_idx, mined]).astype(np.intp)
+    labels = np.concatenate([np.ones(prep.pos_idx.size), np.zeros(mined.size)])
+    logits = T.matmul(T.gather_rows(flat, selected), T.Tensor(e_cls))
+    reg = T.matmul(T.gather_rows(flat, prep.pos_idx), T.Tensor(e_reg))
+    return total_loss(logits.reshape(selected.size).sigmoid(), labels, reg,
+                      prep.reg_targets, alpha=cfg.loss.alpha).total
+
+
+@pytest.mark.parametrize("variant", ["bev", "kitti3d"])
+def test_scene_loss_matches_one_hot_selection_bitwise(variant):
+    cfg = _mini()
+    cfg.variant = variant
+    model = build_model(cfg)
+    anchors = make_anchors(model.output_grid, cfg.anchor.size, cfg.anchor.z)
+    prep = prepare_scene(model, cfg, anchors, build_scenes(cfg)[0])
+    assert prep.pos_idx.size > 0
+    params = model.parameters()
+    scores = np.random.default_rng(2).random(len(anchors))
+    mined = hard_negative_mining(prep.neg_idx, scores, 20, 0.5,
+                                 np.random.default_rng(3))
+
+    loss = scene_loss(model, cfg, prep, np.random.default_rng(0),
+                      mined_override=mined).total
+    loss.backward()
+    grads = {n: p.grad.copy() for n, p in params.items()}
+    for p in params.values():
+        p.grad = None
+    ref = _one_hot_scene_loss(model, cfg, prep, mined)
+    ref.backward()
+    assert loss.data.tobytes() == ref.data.tobytes()
+    for name, p in params.items():
+        assert grads[name].tobytes() == p.grad.tobytes(), name
+
+
+def test_evaluate_model_matches_each_frame_once(monkeypatch):
+    cfg = _mini()
+    box = DetectionBox(5.0, 0.0, 0.8, 4.0, 2.0, 1.6, 0.0, score=0.9)
+    preps = [SimpleNamespace(dets=[box], sample=SimpleNamespace(gt_boxes=[box]))
+             for _ in range(3)]
+    monkeypatch.setattr(pipeline, "detect_scene", lambda model, cfg, anchors, p: p.dets)
+    calls = []
+    match = evaluation.match_detections
+
+    def counting_match(*args):
+        calls.append(1)
+        return match(*args)
+    monkeypatch.setattr(evaluation, "match_detections", counting_match)
+    report = evaluate_model(None, cfg, [], preps)
+    assert report["ap"] == 1.0 and "pr_curve" in report
+    assert len(calls) == len(preps)
 
 
 def test_train_run_decreases_loss(tmp_path):
