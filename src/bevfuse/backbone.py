@@ -10,8 +10,7 @@ import numpy as np
 from . import tensor as T
 from .detect import DetectionHeader, HeaderOutput
 from .fusion import (FusionConfig, FusionMlp, FusionPlan, apply_fusion,
-                     fuse_into_bev, plan_discrete_fusion, plan_fusion,
-                     xavier_uniform)
+                     plan_discrete_fusion, plan_fusion, xavier_uniform)
 from .geometry import BevGrid, CalibratedCamera, PointCloud, build_bev_index
 from .tensor import InputError, Tensor
 
@@ -176,13 +175,6 @@ class ImageStream:
         return self.combiner.forward(scales)
 
 
-@dataclass
-class ScalePlans:
-    """Per-fusion-point pairing plans for a fixed scene (pure geometry)."""
-
-    plans: dict[int, FusionPlan]
-
-
 class DetectorModel:
     """Image stream + BEV stream bridged by fusion layers, plus the header."""
 
@@ -197,22 +189,19 @@ class DetectorModel:
         self.grid = grid
         self.backbone = backbone
         self.mode = mode
-        self.fusion_base = fusion_cfg
-        self.image_feat_channels = image_feat_channels
-        self.with_fusion = mode != "bev_only"
-        self.use_geo = mode == "continuous"
 
         self.image_stream = None
         self.fusion_mlps: dict[int, FusionMlp] = {}
         self.fusion_cfgs: dict[int, FusionConfig] = {}
-        if self.with_fusion:
+        if mode != "bev_only":
             self.image_stream = ImageStream(image_in_channels, backbone,
                                             image_feat_channels, rng)
-            in_dim = image_feat_channels + (3 if self.use_geo else 0)
+            use_geo = mode == "continuous"
+            in_dim = image_feat_channels + (3 if use_geo else 0)
             for p in backbone.fusion_points:
                 self.fusion_cfgs[p] = FusionConfig(
                     k=fusion_cfg.k, max_dist=fusion_cfg.max_dist,
-                    use_geometric_feature=self.use_geo,
+                    use_geometric_feature=use_geo,
                     input_dim=in_dim, output_dim=backbone.bev_groups[p].channels)
                 self.fusion_mlps[p] = FusionMlp(in_dim,
                                                 backbone.bev_groups[p].channels,
@@ -262,25 +251,24 @@ class DetectorModel:
                 raise InputError(f"checkpoint shape mismatch for {name}")
             p.data[:] = values[name]
 
-    def make_plans(self, cloud: PointCloud, cam: CalibratedCamera) -> ScalePlans:
+    def make_plans(self, cloud: PointCloud,
+                   cam: CalibratedCamera) -> dict[int, FusionPlan]:
         """Precompute neighbor pairings for every fusion insertion point."""
+        discrete = self.mode == "discrete"
+        # the discrete pairing never queries a k-d tree
+        index = build_bev_index(cloud) if self.fusion_cfgs and not discrete else None
         plans = {}
-        if self.with_fusion:
-            # the discrete pairing never queries a k-d tree
-            index = build_bev_index(cloud) if self.mode != "discrete" else None
-            for p in self.backbone.fusion_points:
-                scale_grid = self.grid.downsample(self.bev_cum_strides[p])
-                cfg = self.fusion_cfgs[p]
-                if self.mode == "discrete":
-                    plans[p] = plan_discrete_fusion(cloud, cam, scale_grid, cfg)
-                else:
-                    plans[p] = plan_fusion(cloud, cam, scale_grid, cfg, index)
-        return ScalePlans(plans)
+        for p, cfg in self.fusion_cfgs.items():
+            scale_grid = self.grid.downsample(self.bev_cum_strides[p])
+            if discrete:
+                plans[p] = plan_discrete_fusion(cloud, cam, scale_grid, cfg)
+            else:
+                plans[p] = plan_fusion(cloud, cam, scale_grid, cfg, index)
+        return plans
 
     def forward(self, bev_input: Tensor, image_input: Tensor | None,
-                plans: ScalePlans | None) -> HeaderOutput:
-        image_combined = None
-        if self.with_fusion:
+                plans: dict[int, FusionPlan] | None) -> HeaderOutput:
+        if self.image_stream is not None:
             if image_input is None or plans is None:
                 raise ValueError("fusion modes need the image input and plans")
             image_combined = self.image_stream.forward(image_input)
@@ -288,10 +276,9 @@ class DetectorModel:
         outs = []
         for gi, group in enumerate(self.bev_groups):
             x = group.forward(x)
-            if self.with_fusion and gi in self.fusion_cfgs:
-                fused = apply_fusion(image_combined, plans.plans[gi],
+            if gi in self.fusion_cfgs:
+                x = x + apply_fusion(image_combined, plans[gi],
                                      self.fusion_cfgs[gi], self.fusion_mlps[gi])
-                x = fuse_into_bev(x, fused)
             outs.append(x)
         final = self.bev_combiner.forward(outs[-self.num_combined:])
         return self.header.forward(final)

@@ -139,7 +139,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (InputError, FileNotFoundError) as e:
+    except (InputError, OSError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericError, FloatingPointError) as e:

@@ -6,13 +6,15 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import types
 from dataclasses import dataclass, field
-from typing import Any, get_type_hints
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .backbone import MODES, BackboneConfig, GroupSpec
+from .backbone import MODES, BackboneConfig
 from .data import AugmentationConfig, SceneGenConfig
+from .detect import NUM_REG
 from .evaluation import EvalConfig
 from .fusion import FusionConfig
 from .geometry import BevGrid
@@ -50,6 +52,10 @@ class LossConfig:
     center_norm: str = "anchor_coord"  # literal printed encoding; "diagonal" optional
     wrap_orientation: bool = False
 
+    def __post_init__(self):
+        if self.center_norm not in ("anchor_coord", "diagonal"):
+            raise ValueError(f"unknown center_norm {self.center_norm!r}")
+
 
 @dataclass
 class DataSection:
@@ -60,21 +66,11 @@ class DataSection:
     kitti_frames: list[dict] | None = None   # {velodyne, calib, labels} per frame
     augment: AugmentationConfig | None = None
 
-
-@dataclass
-class EvalSection:
-    iou_kind: str = "bev"
-    iou_threshold: float = 0.5
-    ap_points: int = 11
-    range_bins: list[tuple[float, float]] | None = None
-    ignore_classes: tuple[int, ...] = ()
-    score_threshold: float = 0.1
-    nms_iou: float = 0.1
-    nms_max_out: int = 50
-
-    def eval_config(self) -> EvalConfig:
-        return EvalConfig(self.iou_kind, self.iou_threshold, self.ap_points,
-                          self.range_bins, self.ignore_classes)
+    def __post_init__(self):
+        if self.source not in ("synthetic", "manifest", "kitti"):
+            raise ValueError(f"unknown data source {self.source!r}")
+        if self.n_scenes < 1:
+            raise ValueError("n_scenes must be >= 1")
 
 
 @dataclass
@@ -94,13 +90,15 @@ class ExperimentConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     optimizer: OptimConfig = field(default_factory=OptimConfig)
     data: DataSection = field(default_factory=DataSection)
-    eval: EvalSection = field(default_factory=EvalSection)
+    eval: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
         if self.config_version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config_version {self.config_version}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
+        if self.variant not in NUM_REG:
+            raise ConfigError(f"unknown variant {self.variant!r}")
 
     def assignment(self) -> AssignmentConfig:
         return self.assign if self.assign is not None \
@@ -109,24 +107,31 @@ class ExperimentConfig:
 
 # -- strict dict -> dataclass construction ------------------------------------
 
-_TUPLE_FIELDS = "size", "betas", "decay_milestones", "x_range", "y_range", \
-    "z_range", "object_count", "base_size", "image_shape", "focal", "scale_xy", \
-    "scale_z", "image_size", "fusion_points", "ignore_classes", "image_scale"
-
-
-def _coerce(value: Any, name: str, hint: Any, path: str) -> Any:
+def _coerce(value: Any, hint: Any, path: str) -> Any:
+    """Shape a parsed YAML value by its field's type hint: dataclasses from a
+    mapping or a positional list, tuples and lists element by element, and
+    ``X | None`` as ``X``."""
     if value is None:
         return None
-    if hint in (BevGrid,) or (dataclasses.is_dataclass(hint) and isinstance(value, dict)):
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, types.UnionType):
+        return _coerce(value, next(a for a in args if a is not type(None)), path)
+    if dataclasses.is_dataclass(hint):
+        if isinstance(value, (list, tuple)):
+            names = [f.name for f in dataclasses.fields(hint)]
+            if len(value) > len(names):
+                raise ConfigError(f"{path}: expected at most {len(names)} items, "
+                                  f"got {len(value)}")
+            value = dict(zip(names, value))
         return _from_dict(hint, value, path)
-    if name in ("bev_groups", "image_groups"):
-        return [GroupSpec(**g) if isinstance(g, dict) else
-                GroupSpec(*g) if isinstance(g, (list, tuple)) else g for g in value]
-    if name == "range_bins" and value is not None:
-        return [tuple(b) for b in value]
-    if name in _TUPLE_FIELDS and isinstance(value, list):
-        return tuple(value)
-    return value
+    if origin not in (tuple, list) or not isinstance(value, (list, tuple)):
+        return value
+    if origin is list or args[-1] is Ellipsis:
+        args = (args[0],) * len(value)
+    elif len(args) != len(value):
+        raise ConfigError(f"{path}: expected {len(args)} items, got {len(value)}")
+    return origin(_coerce(v, a, f"{path}[{i}]")
+                  for i, (v, a) in enumerate(zip(value, args)))
 
 
 def _from_dict(cls, d: dict, path: str = ""):
@@ -137,18 +142,8 @@ def _from_dict(cls, d: dict, path: str = ""):
     unknown = set(d) - names
     if unknown:
         raise ConfigError(f"{path or cls.__name__}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in d:
-            continue
-        sub = f"{path}.{f.name}" if path else f.name
-        hint = hints.get(f.name)
-        # unwrap Optional[X] / unions down to a dataclass when present
-        target = hint
-        if hasattr(hint, "__args__"):
-            dc = [a for a in hint.__args__ if dataclasses.is_dataclass(a)]
-            target = dc[0] if dc else hint
-        kwargs[f.name] = _coerce(d[f.name], f.name, target, sub)
+    kwargs = {name: _coerce(value, hints[name], f"{path}.{name}" if path else name)
+              for name, value in d.items()}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as e:
@@ -181,13 +176,20 @@ def apply_env_overrides(d: dict, environ=None) -> dict:
             node = node.setdefault(p, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"cannot override non-mapping key {'.'.join(parts)}")
-        node[parts[-1]] = yaml.safe_load(raw)
+        node[parts[-1]] = _parse_yaml(raw, key)
     return d
+
+
+def _parse_yaml(text, source: str) -> Any:
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as e:
+        raise ConfigError(f"{source}: malformed YAML: {e}") from None
 
 
 def load_config(path, environ=None) -> ExperimentConfig:
     with open(path) as f:
-        d = yaml.safe_load(f) or {}
+        d = _parse_yaml(f, str(path)) or {}
     return config_from_dict(apply_env_overrides(d, environ))
 
 

@@ -63,6 +63,8 @@ class SceneGenConfig:
             raise ValueError("x_range must start in front of the camera")
         if self.object_count[0] > self.object_count[1]:
             raise ValueError("invalid object_count range")
+        if self.ground_layout not in ("random", "grid"):
+            raise ValueError(f"unknown ground_layout {self.ground_layout!r}")
 
 
 @dataclass
@@ -184,13 +186,11 @@ def generate_scene(cfg: SceneGenConfig, seed: int | None = None,
                 np.linspace(cfg.x_range[0], cfg.x_range[1], side),
                 np.linspace(cfg.y_range[0], cfg.y_range[1], side))
             gx, gy = gx.ravel()[:cfg.ground_points], gy.ravel()[:cfg.ground_points]
-        elif cfg.ground_layout == "random":
+        else:
             # log-uniform x gives the 1/x census falloff of real returns
             gx = np.exp(rng.uniform(np.log(cfg.x_range[0]), np.log(cfg.x_range[1]),
                                     cfg.ground_points))
             gy = rng.uniform(cfg.y_range[0], cfg.y_range[1], cfg.ground_points)
-        else:
-            raise ValueError(f"unknown ground_layout {cfg.ground_layout!r}")
         gz = np.zeros(gx.shape)
         clouds.append(np.stack([gx, gy, gz], axis=1))
     for bi, box in enumerate(boxes):

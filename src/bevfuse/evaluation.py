@@ -17,12 +17,17 @@ class EvalConfig:
     ap_points: int = 11                      # 11 or 100 recall samples
     range_bins: list[tuple[float, float]] | None = None
     ignore_classes: tuple[int, ...] = ()
+    score_threshold: float = 0.1
+    nms_iou: float = 0.1
+    nms_max_out: int = 50
 
     def __post_init__(self):
         if self.iou_kind not in ("bev", "3d"):
             raise ValueError(f"unknown iou_kind {self.iou_kind!r}")
         if not 0.0 < self.iou_threshold < 1.0:
             raise ValueError("iou_threshold must be in (0, 1)")
+        if self.ap_points < 1:
+            raise ValueError("ap_points must be >= 1")
 
     def iou(self, a: DetectionBox, b: DetectionBox) -> float:
         return iou_3d(a, b) if self.iou_kind == "3d" else rotated_iou_bev(a, b)

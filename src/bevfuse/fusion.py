@@ -131,8 +131,6 @@ def apply_fusion(image_features: Tensor, plan: FusionPlan, cfg: FusionConfig,
     """Run the shared MLP over all (pixel, neighbor) pairs and sum per pixel."""
     _check_dims(image_features, cfg, mlp)
     npix = plan.ny * plan.nx
-    if plan.pair_pixel.size == 0:
-        return Tensor.zeros((cfg.output_dim, plan.ny, plan.nx))
     feats = T.bilinear_sample(image_features, plan.pair_uv)     # P x C
     if cfg.use_geometric_feature:
         feats = T.concat([feats, Tensor(plan.pair_offset)], axis=1)
@@ -143,20 +141,14 @@ def apply_fusion(image_features: Tensor, plan: FusionPlan, cfg: FusionConfig,
 
 def continuous_fusion_forward(image_features: Tensor, cloud: PointCloud,
                               cam: CalibratedCamera, grid: BevGrid,
-                              cfg: FusionConfig, mlp: FusionMlp,
-                              index: BevKdTree | None = None) -> Tensor:
+                              cfg: FusionConfig, mlp: FusionMlp) -> Tensor:
     """Dense BEV feature map h_i = sum_j MLP(concat[f_j, x_j - x_i])."""
-    _check_dims(image_features, cfg, mlp)
-    return apply_fusion(image_features, plan_fusion(cloud, cam, grid, cfg, index),
-                        cfg, mlp)
+    return apply_fusion(image_features, plan_fusion(cloud, cam, grid, cfg), cfg, mlp)
 
 
 def plan_discrete_fusion(cloud: PointCloud, cam: CalibratedCamera, grid: BevGrid,
                          cfg: FusionConfig) -> FusionPlan:
     """Ablation pairing: each point feeds only the BEV pixel it falls into."""
-    if len(cloud) == 0:
-        return FusionPlan(np.zeros((0,), dtype=np.intp), np.zeros((0, 2)),
-                          np.zeros((0, 3)), grid.ny, grid.nx)
     uv, valid = project_points(cloud, cam)
     cx, cy, _ = grid.cell
     ix = np.floor((cloud.points[:, 0] - grid.x_range[0]) / cx).astype(np.intp)
@@ -164,23 +156,6 @@ def plan_discrete_fusion(cloud: PointCloud, cam: CalibratedCamera, grid: BevGrid
     keep = (ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny) & valid
     pix = iy[keep] * grid.nx + ix[keep]
     return FusionPlan(pix, uv[keep], np.zeros((keep.sum(), 3)), grid.ny, grid.nx)
-
-
-def discrete_fusion_forward(image_features: Tensor, cloud: PointCloud,
-                            cam: CalibratedCamera, grid: BevGrid,
-                            cfg: FusionConfig, mlp: FusionMlp) -> Tensor:
-    """Matched-pixel-pair fusion without KNN pooling or geometric features."""
-    if cfg.use_geometric_feature:
-        raise FusionConfigError("discrete fusion carries no geometric feature")
-    plan = plan_discrete_fusion(cloud, cam, grid, cfg)
-    return apply_fusion(image_features, plan, cfg, mlp)
-
-
-def fuse_into_bev(bev_features: Tensor, fused: Tensor) -> Tensor:
-    """Element-wise summation of the fused map into the BEV stream."""
-    if bev_features.shape != fused.shape:
-        raise ValueError(f"shape mismatch: {bev_features.shape} vs {fused.shape}")
-    return bev_features + fused
 
 
 def parametric_continuous_conv(points: PointCloud, features: Tensor,

@@ -12,14 +12,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
-from .backbone import DetectorModel, ScalePlans
+from .backbone import DetectorModel
 from .config import ExperimentConfig
 from .data import (AugmentationConfig, SceneSample, augment, generate_dataset,
                    load_dataset, load_kitti_frame)
 from .detect import (NUM_REG, REG_INDICES, Anchor, DetectionBox, decode_detections,
                      encode_targets, make_anchors, nms)
 from .evaluation import evaluate_pr, piecewise_range_ap
-from .fusion import FusionConfig, FusionMlp, continuous_fusion_forward
+from .fusion import FusionConfig, FusionMlp, FusionPlan, continuous_fusion_forward
 from .geometry import BevGrid, PointCloud, build_bev_index, knn_bev, voxelize
 from .losses import NEGATIVE, hard_negative_mining, total_loss
 from .tensor import Adam, Tensor, save_checkpoint
@@ -55,7 +55,7 @@ def build_scenes(cfg: ExperimentConfig) -> list[SceneSample]:
 class PreparedScene:
     sample: SceneSample
     bev_input: Tensor
-    plans: ScalePlans
+    plans: dict[int, FusionPlan]
     pos_idx: np.ndarray
     neg_idx: np.ndarray
     reg_targets: np.ndarray         # n_pos x R
@@ -139,12 +139,11 @@ def evaluate_model(model: DetectorModel, cfg: ExperimentConfig,
                    anchors: list[Anchor], preps: list[PreparedScene]) -> dict:
     frames = [(detect_scene(model, cfg, anchors, p), p.sample.gt_boxes)
               for p in preps]
-    ecfg = cfg.eval.eval_config()
-    curve = evaluate_pr(frames, ecfg)
+    curve = evaluate_pr(frames, cfg.eval)
     report = {
-        "iou_kind": ecfg.iou_kind,
-        "iou_threshold": ecfg.iou_threshold,
-        "ap_points": ecfg.ap_points,
+        "iou_kind": cfg.eval.iou_kind,
+        "iou_threshold": cfg.eval.iou_threshold,
+        "ap_points": cfg.eval.ap_points,
         "num_frames": len(frames),
         "num_gt": sum(len(g) for _, g in frames),
         "num_detections": sum(len(d) for d, _ in frames),
@@ -153,9 +152,9 @@ def evaluate_model(model: DetectorModel, cfg: ExperimentConfig,
     if curve is not None:
         report["pr_curve"] = {"recall": [round(float(r), 6) for r in curve.recalls],
                               "precision": [round(float(p), 6) for p in curve.precisions]}
-    if ecfg.range_bins:
+    if cfg.eval.range_bins:
         report["range_ap"] = [{"bin": list(b), "ap": ap_}
-                              for b, ap_ in piecewise_range_ap(frames, ecfg)]
+                              for b, ap_ in piecewise_range_ap(frames, cfg.eval)]
     return report
 
 

@@ -152,7 +152,7 @@ def test_discrete_mode_plans():
     model = build_model(cfg)
     scene = build_scenes(cfg)[0]
     plans = model.make_plans(scene.cloud, scene.cam)
-    for p in plans.plans.values():
+    for p in plans.values():
         assert (p.pair_offset == 0.0).all()
 
 

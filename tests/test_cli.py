@@ -150,3 +150,41 @@ def test_malformed_calib_is_config_error(tmp_path):
         yaml.safe_dump(config_to_dict(cfg), f)
     rc = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert rc == EXIT_CONFIG
+
+
+def _train_exit(tmp_path, config=None):
+    if config is None:
+        config = tmp_path / "cfg.yaml"
+        _write_mini_config(config)
+    out = tmp_path / "o"
+    rc = main(["train", "--config", str(config), "--out", str(out)])
+    return rc, out.exists()
+
+
+def test_bad_eval_iou_kind_rejected_at_load(tmp_path, monkeypatch):
+    monkeypatch.setenv("BEVFUSE_EVAL__IOU_KIND", "foo")
+    assert _train_exit(tmp_path) == (EXIT_CONFIG, False)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("VARIANT", "psychic"), ("LOSS__CENTER_NORM", "sideways"),
+    ("DATA__SOURCE", "tape"), ("DATA__SYNTHETIC__GROUND_LAYOUT", "spiral"),
+    ("EVAL__AP_POINTS", "0"), ("DATA__N_SCENES", "0")])
+def test_bad_config_value_rejected_at_load(tmp_path, monkeypatch, key, value):
+    monkeypatch.setenv(f"BEVFUSE_{key}", value)
+    assert _train_exit(tmp_path) == (EXIT_CONFIG, False)
+
+
+def test_malformed_yaml_file_is_config_error(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("{\n")
+    assert _train_exit(tmp_path, bad) == (EXIT_CONFIG, False)
+
+
+def test_malformed_yaml_env_override_is_config_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("BEVFUSE_SEED", "{")
+    assert _train_exit(tmp_path) == (EXIT_CONFIG, False)
+
+
+def test_directory_as_config_is_config_error(tmp_path):
+    assert _train_exit(tmp_path, tmp_path) == (EXIT_CONFIG, False)

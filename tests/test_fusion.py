@@ -5,7 +5,6 @@ from bevfuse import tensor as T
 from bevfuse.data import make_forward_camera
 from bevfuse.fusion import (FusionConfig, FusionConfigError, FusionMlp,
                             apply_fusion, continuous_fusion_forward,
-                            discrete_fusion_forward, fuse_into_bev,
                             parametric_continuous_conv, plan_discrete_fusion,
                             plan_fusion)
 from bevfuse.geometry import (BevGrid, PointCloud, bilinear_sample,
@@ -102,6 +101,16 @@ def test_empty_cloud_gives_zero_map():
     np.testing.assert_array_equal(fused.data, 0.0)
 
 
+def test_empty_plan_gives_every_parameter_a_zero_grad():
+    _, cam, _, grid, cfg, img, mlp = _setup()
+    img = Tensor(img.data, requires_grad=True)
+    plan = plan_fusion(PointCloud(np.zeros((0, 3))), cam, grid, cfg)
+    apply_fusion(img, plan, cfg, mlp).sum().backward()
+    for p in [img, *mlp.parameters().values()]:
+        assert p.grad is not None
+        np.testing.assert_array_equal(p.grad, 0.0)
+
+
 def test_nogeo_mode_drops_invalid_projections():
     rng, cam, _, grid, _, img, _ = _setup()
     # one point behind the camera, one in front
@@ -133,14 +142,6 @@ def test_discrete_plan_maps_points_to_own_pixel():
     assert (plan.pair_offset == 0.0).all()
 
 
-def test_discrete_forward_rejects_geometric_feature():
-    rng, cam, cloud, grid, _, img, _ = _setup()
-    cfg = FusionConfig(k=1, max_dist=1.0, input_dim=7, output_dim=5)
-    mlp = FusionMlp(7, 5, rng)
-    with pytest.raises(FusionConfigError):
-        discrete_fusion_forward(img, cloud, cam, grid, cfg, mlp)
-
-
 def test_dim_mismatch_raises():
     rng, cam, cloud, grid, cfg, img, mlp = _setup()
     bad = FusionMlp(cfg.input_dim + 1, cfg.output_dim, rng)
@@ -156,15 +157,6 @@ def test_fusion_config_validation():
         FusionConfig(k=0)
     with pytest.raises(FusionConfigError):
         FusionConfig(input_dim=0)
-
-
-def test_fuse_into_bev_is_elementwise_sum():
-    rng = np.random.default_rng(4)
-    a, b = rng.standard_normal((3, 4, 4)), rng.standard_normal((3, 4, 4))
-    out = fuse_into_bev(Tensor(a), Tensor(b))
-    np.testing.assert_allclose(out.data, a + b)
-    with pytest.raises(ValueError):
-        fuse_into_bev(Tensor(a), Tensor(np.zeros((3, 4, 5))))
 
 
 def test_parametric_continuous_conv_weighted_sum():

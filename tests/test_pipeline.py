@@ -208,6 +208,27 @@ def test_augmentation_changes_training(tmp_path):
            (tmp_path / "aug" / "train_log.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("mode,scenes", [
+    ("continuous_nogeo", "augmented"), ("discrete", "augmented"),
+    ("continuous", "no_points"), ("continuous_nogeo", "no_points"),
+    ("discrete", "no_points")])
+def test_empty_fusion_plans_still_train(tmp_path, mode, scenes):
+    """A fusion level with no pairs in any scene still gives every parameter
+    a (zero) gradient, so Adam can step."""
+    from bevfuse.data import AugmentationConfig
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                   "overfit.yaml"), environ={})
+    cfg.mode = mode
+    cfg.optimizer.steps = 2
+    if scenes == "augmented":
+        cfg.data.augment = AugmentationConfig()
+    else:
+        cfg.data.synthetic.ground_points = 0
+        cfg.data.synthetic.occlusion_fraction = 1.0
+    report = train_run(cfg, tmp_path / "run")
+    assert np.isfinite(report["final_loss"])
+
+
 def test_resolved_config_round_trips(tmp_path):
     cfg = _mini(steps=1)
     train_run(cfg, tmp_path / "run")

@@ -22,6 +22,14 @@ def test_add_mul_backward():
     np.testing.assert_allclose(b.grad, 2 * s * a.data)
 
 
+def test_add_is_elementwise_sum_and_rejects_shape_mismatch():
+    rng = np.random.default_rng(4)
+    a, b = rng.standard_normal((3, 4, 4)), rng.standard_normal((3, 4, 4))
+    np.testing.assert_allclose((Tensor(a) + Tensor(b)).data, a + b)
+    with pytest.raises(ValueError):
+        Tensor(a) + Tensor(np.zeros((3, 4, 5)))
+
+
 def test_scalar_ops_and_div():
     a = Tensor(np.array([2.0, 4.0]), requires_grad=True)
     y = (a / 2.0 + 1.0) * 3.0 - 1.0
