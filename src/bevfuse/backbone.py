@@ -261,7 +261,7 @@ class DetectorModel:
         for p, cfg in self.fusion_cfgs.items():
             scale_grid = self.grid.downsample(self.bev_cum_strides[p])
             if discrete:
-                plans[p] = plan_discrete_fusion(cloud, cam, scale_grid, cfg)
+                plans[p] = plan_discrete_fusion(cloud, cam, scale_grid)
             else:
                 plans[p] = plan_fusion(cloud, cam, scale_grid, cfg, index)
         return plans

@@ -14,7 +14,7 @@ import sys
 from .config import ConfigError, ExperimentConfig, apply_env_overrides, \
     config_from_dict, load_config
 from .pipeline import NumericError
-from .tensor import InputError
+from .tensor import InputError, atomic_write
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC = 0, 2, 3
 
@@ -114,7 +114,7 @@ def _cmd_bench(args) -> int:
     for r in rows:
         print(f"{r['op']:>16s}  n={r['size']:>6d}  {r['seconds'] * 1e3:9.3f} ms")
     if args.out:
-        with open(args.out, "w") as f:
+        with atomic_write(args.out) as f:
             json.dump(rows, f, indent=2, sort_keys=True)
     return EXIT_OK
 

@@ -19,7 +19,7 @@ from .evaluation import EvalConfig
 from .fusion import FusionConfig
 from .geometry import BevGrid
 from .losses import AssignmentConfig
-from .tensor import InputError
+from .tensor import InputError, atomic_write
 
 CONFIG_VERSION = 1
 ENV_PREFIX = "BEVFUSE_"
@@ -194,5 +194,5 @@ def load_config(path, environ=None) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path):
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         yaml.safe_dump(config_to_dict(cfg), f, sort_keys=True)

@@ -119,48 +119,92 @@ def decode_targets(p: np.ndarray, anchor: Anchor,
 
 # -- rotated IoU --------------------------------------------------------------
 
+def _corners(box) -> list[tuple[float, float]]:
+    """Corners of the BEV rectangle as float pairs, counter-clockwise."""
+    c, s = math.cos(box.t), math.sin(box.t)
+    w, h = float(box.w), float(box.h)
+    ux, uy = c * w / 2.0, s * w / 2.0          # along heading
+    vx, vy = -s * h / 2.0, c * h / 2.0         # lateral
+    x, y = float(box.x), float(box.y)
+    return [(x + ux + vx, y + uy + vy), (x - ux + vx, y - uy + vy),
+            (x - ux - vx, y - uy - vy), (x + ux - vx, y + uy - vy)]
+
+
 def box_corners_bev(box) -> np.ndarray:
     """4 x 2 corner coordinates of the (possibly rotated) BEV rectangle,
     counter-clockwise."""
-    c, s = math.cos(box.t), math.sin(box.t)
-    u = np.array([c, s]) * box.w / 2.0       # along heading
-    v = np.array([-s, c]) * box.h / 2.0      # lateral
-    center = np.array([box.x, box.y])
-    return np.array([center + u + v, center - u + v, center - u - v, center + u - v])
+    return np.array(_corners(box))
 
 
 def _poly_area(poly: np.ndarray) -> float:
     if len(poly) < 3:
         return 0.0
+    # np.dot, not a Python sum: its summation order sets the last bits
     x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    x_next = np.concatenate((x[1:], x[:1]))      # np.roll(x, -1), without its overhead
+    y_next = np.concatenate((y[1:], y[:1]))
+    return 0.5 * abs(np.dot(x, y_next) - np.dot(y, x_next))
 
 
-def _clip_polygon(subject: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _clip_polygon(subject: list, a, b) -> list:
     """Sutherland-Hodgman step: keep the part of ``subject`` left of edge a->b."""
+    ax, ay = a
+    ex, ey = b[0] - ax, b[1] - ay
+    sides = [ex * (p[1] - ay) - ey * (p[0] - ax) for p in subject]
     out = []
-    n = len(subject)
-    edge = b - a
-    for i in range(n):
-        p, q = subject[i], subject[(i + 1) % n]
-        side_p = edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0])
-        side_q = edge[0] * (q[1] - a[1]) - edge[1] * (q[0] - a[0])
+    for i in range(len(subject)):
+        j = i + 1 - len(subject)                    # the next vertex, wrapping
+        p, q, side_p, side_q = subject[i], subject[j], sides[i], sides[j]
         if side_p >= 0:
             out.append(p)
         if (side_p > 0) != (side_q > 0) and side_p != side_q:
             frac = side_p / (side_p - side_q)
-            out.append(p + frac * (q - p))
-    return np.array(out) if out else np.zeros((0, 2))
+            out.append((p[0] + frac * (q[0] - p[0]), p[1] + frac * (q[1] - p[1])))
+    return out
+
+
+def _intersection_area(pa: list, pb: list) -> float:
+    poly = pa
+    for i in range(len(pb)):
+        if not poly:
+            return 0.0
+        poly = _clip_polygon(poly, pb[i], pb[i + 1 - len(pb)])
+    return _poly_area(np.array(poly))
 
 
 def polygon_intersection_area(pa: np.ndarray, pb: np.ndarray) -> float:
-    poly = pa
-    nb = len(pb)
-    for i in range(nb):
-        if len(poly) == 0:
-            return 0.0
-        poly = _clip_polygon(poly, pb[i], pb[(i + 1) % nb])
-    return _poly_area(poly)
+    """Area shared by two convex counter-clockwise polygons (k x 2 arrays)."""
+    return _intersection_area(np.asarray(pa, dtype=np.float64).tolist(),
+                              np.asarray(pb, dtype=np.float64).tolist())
+
+
+def may_overlap(a, b) -> np.ndarray:
+    """bool[len(a), len(b)], False only for pairs whose corners' axis-aligned
+    bounds lie apart: their ``rotated_iou_bev`` and ``iou_3d`` are exactly 0.0.
+
+    Half-extents are 0.5 (|cos t| w + |sin t| h) and 0.5 (|sin t| w + |cos t| h).
+    The bound is widened by 1e-9 relative to the coordinates and extents, far
+    above the rounding of the corners and of the clipping, so a touching pair
+    is never pruned. A NaN never prunes: a NaN centre coordinate takes its own
+    axis out of the test, a NaN size or angle takes both.
+    """
+    def fields(boxes):
+        f = np.array([(bx.x, bx.y, bx.w, bx.h, bx.t) for bx in boxes],
+                     dtype=np.float64).reshape(-1, 5)
+        c, s = np.abs(np.cos(f[:, 4])), np.abs(np.sin(f[:, 4]))
+        w, h = np.abs(f[:, 2]), np.abs(f[:, 3])
+        return f[:, 0], f[:, 1], 0.5 * (c * w + s * h), 0.5 * (s * w + c * h)
+
+    def apart(ca, ra, cb, rb):
+        reach = ra[:, None] + rb[None, :]
+        slack = 1e-9 * (np.abs(ca)[:, None] + np.abs(cb)[None, :] + reach)
+        return np.abs(ca[:, None] - cb[None, :]) - reach > slack
+
+    ax, ay, arx, ary = fields(a)
+    bx, by, brx, bry = fields(b)
+    sep_x = apart(ax, arx, bx, brx)
+    sep_y = apart(ay, ary, by, bry)
+    return ~(sep_x | sep_y)
 
 
 def rotated_iou_bev(a, b) -> float:
@@ -169,7 +213,7 @@ def rotated_iou_bev(a, b) -> float:
     area_b = b.w * b.h
     if area_a <= 0 or area_b <= 0:
         return 0.0
-    inter = polygon_intersection_area(box_corners_bev(a), box_corners_bev(b))
+    inter = _intersection_area(_corners(a), _corners(b))
     union = area_a + area_b - inter
     return inter / union if union > 0 else 0.0
 
@@ -181,7 +225,7 @@ def iou_3d(a, b) -> float:
     vol_b = b.w * b.h * b.d
     if vol_a <= 0 or vol_b <= 0:
         return 0.0
-    inter_bev = polygon_intersection_area(box_corners_bev(a), box_corners_bev(b))
+    inter_bev = _intersection_area(_corners(a), _corners(b))
     zlo = max(a.z - a.d / 2, b.z - b.d / 2)
     zhi = min(a.z + a.d / 2, b.z + b.d / 2)
     inter = inter_bev * max(0.0, zhi - zlo)
@@ -191,18 +235,26 @@ def iou_3d(a, b) -> float:
 
 def nms(boxes: list[DetectionBox], iou_threshold: float = 0.1,
         score_threshold: float = 0.1, max_out: int | None = None) -> list[DetectionBox]:
-    """Greedy NMS on rotated BEV IoU; ties broken by (score desc, index asc)."""
+    """Greedy NMS on rotated BEV IoU; ties broken by (score desc, index asc).
+
+    Only pairs inside ``may_overlap`` are clipped; every other pair has IoU
+    0.0, which suppresses only when ``iou_threshold <= 0``."""
     order = sorted(range(len(boxes)),
                    key=lambda i: (-boxes[i].score, i))
+    cand = [boxes[i] for i in order if boxes[i].score >= score_threshold]
+    near = may_overlap(cand, cand)
+    taken = np.zeros(len(cand), dtype=bool)
     kept: list[DetectionBox] = []
-    for i in order:
-        if boxes[i].score < score_threshold:
-            continue
-        if any(rotated_iou_bev(boxes[i], kb) >= iou_threshold for kb in kept):
-            continue
-        kept.append(boxes[i])
+    for i, box in enumerate(cand):
         if max_out is not None and len(kept) >= max_out:
             break
+        if kept and iou_threshold <= 0:
+            break                   # IoU >= 0: the first kept box suppresses the rest
+        rivals = np.flatnonzero(near[i, :i] & taken[:i]).tolist()
+        if any(rotated_iou_bev(box, cand[k]) >= iou_threshold for k in rivals):
+            continue
+        taken[i] = True
+        kept.append(box)
     return kept
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detect import DetectionBox, iou_3d, rotated_iou_bev
+from .detect import DetectionBox, iou_3d, may_overlap, rotated_iou_bev
 
 
 @dataclass
@@ -28,6 +28,10 @@ class EvalConfig:
             raise ValueError("iou_threshold must be in (0, 1)")
         if self.ap_points < 1:
             raise ValueError("ap_points must be >= 1")
+        if not 0.0 < self.nms_iou <= 1.0:
+            raise ValueError("nms_iou must be in (0, 1]")
+        if self.nms_max_out < 1:
+            raise ValueError("nms_max_out must be >= 1")
 
     def iou(self, a: DetectionBox, b: DetectionBox) -> float:
         return iou_3d(a, b) if self.iou_kind == "3d" else rotated_iou_bev(a, b)
@@ -56,16 +60,18 @@ def match_detections(dets: list[DetectionBox], gts: list[DetectionBox],
 
     Each detection takes the unmatched gt of highest IoU >= threshold; every
     gt matches at most once. Detections whose best remaining match is an
-    ignored gt count as neither TP nor FP.
+    ignored gt count as neither TP nor FP. Only gts inside ``may_overlap``
+    are compared: any other pair has IoU 0.0, below every threshold.
     """
     flags = np.full(len(dets), FP, dtype=np.int64)
     gt_taken = [False] * len(gts)
     ignore = [g.ignored or g.cls in cfg.ignore_classes for g in gts]
+    near = may_overlap(dets, gts)
     for di in range(len(dets)):
         best_iou, best_gt = 0.0, -1
         hits_ignore = False
-        for gi, gt in enumerate(gts):
-            iou = cfg.iou(dets[di], gt)
+        for gi in np.flatnonzero(near[di]).tolist():
+            iou = cfg.iou(dets[di], gts[gi])
             if iou < cfg.iou_threshold:
                 continue
             if ignore[gi]:

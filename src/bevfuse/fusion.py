@@ -146,8 +146,8 @@ def continuous_fusion_forward(image_features: Tensor, cloud: PointCloud,
     return apply_fusion(image_features, plan_fusion(cloud, cam, grid, cfg), cfg, mlp)
 
 
-def plan_discrete_fusion(cloud: PointCloud, cam: CalibratedCamera, grid: BevGrid,
-                         cfg: FusionConfig) -> FusionPlan:
+def plan_discrete_fusion(cloud: PointCloud, cam: CalibratedCamera,
+                         grid: BevGrid) -> FusionPlan:
     """Ablation pairing: each point feeds only the BEV pixel it falls into."""
     uv, valid = project_points(cloud, cam)
     cx, cy, _ = grid.cell

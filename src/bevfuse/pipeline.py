@@ -22,7 +22,7 @@ from .evaluation import evaluate_pr, piecewise_range_ap
 from .fusion import FusionConfig, FusionMlp, FusionPlan, continuous_fusion_forward
 from .geometry import BevGrid, PointCloud, build_bev_index, knn_bev, voxelize
 from .losses import NEGATIVE, hard_negative_mining, total_loss
-from .tensor import Adam, Tensor, save_checkpoint
+from .tensor import Adam, InputError, Tensor, atomic_write, save_checkpoint
 
 
 class NumericError(RuntimeError):
@@ -42,13 +42,17 @@ def build_model(cfg: ExperimentConfig, rng: np.random.Generator | None = None) -
 def build_scenes(cfg: ExperimentConfig) -> list[SceneSample]:
     d = cfg.data
     if d.source == "synthetic":
-        return generate_dataset(d.synthetic, d.n_scenes)
-    if d.source == "manifest":
-        return load_dataset(d.manifest)
-    if d.source == "kitti":
-        return [load_kitti_frame(fr["velodyne"], fr["calib"], fr["labels"])
-                for fr in d.kitti_frames or []]
-    raise ValueError(f"unknown data source {d.source!r}")
+        scenes = generate_dataset(d.synthetic, d.n_scenes)
+    elif d.source == "manifest":
+        scenes = load_dataset(d.manifest)
+    elif d.source == "kitti":
+        scenes = [load_kitti_frame(fr["velodyne"], fr["calib"], fr["labels"])
+                  for fr in d.kitti_frames or []]
+    else:
+        raise ValueError(f"unknown data source {d.source!r}")
+    if not scenes:
+        raise InputError(f"data source {d.source!r} yields no scenes")
+    return scenes
 
 
 @dataclass
@@ -230,7 +234,7 @@ def train_run(cfg: ExperimentConfig, out_dir: str) -> dict:
     report = evaluate_model(model, cfg, anchors, static_preps)
     report["initial_loss"] = first_loss
     report["final_loss"] = last_loss
-    with open(os.path.join(out_dir, "final_metrics.json"), "w") as f:
+    with atomic_write(os.path.join(out_dir, "final_metrics.json")) as f:
         json.dump(report, f, indent=2, sort_keys=True)
     return report
 
@@ -247,7 +251,7 @@ def eval_run(cfg: ExperimentConfig, checkpoint_path: str, out_dir: str) -> dict:
     anchors = make_anchors(model.output_grid, cfg.anchor.size, cfg.anchor.z)
     preps = [prepare_scene(model, cfg, anchors, s) for s in scenes]
     report = evaluate_model(model, cfg, anchors, preps)
-    with open(os.path.join(out_dir, "eval_report.json"), "w") as f:
+    with atomic_write(os.path.join(out_dir, "eval_report.json")) as f:
         json.dump(report, f, indent=2, sort_keys=True)
     return report
 
@@ -272,7 +276,7 @@ def ablate_run(cfg: ExperimentConfig, out_dir: str,
             report = train_run(run_cfg, os.path.join(out_dir, tag))
             rows.append({"variant": variant, "k": k, "max_dist": d,
                          "ap": report["ap"], "final_loss": report["final_loss"]})
-    with open(os.path.join(out_dir, "ablation.json"), "w") as f:
+    with atomic_write(os.path.join(out_dir, "ablation.json")) as f:
         json.dump(rows, f, indent=2, sort_keys=True)
     return rows
 

@@ -7,7 +7,9 @@ after ``backward``. No broadcasting beyond scalar-tensor; reshape explicitly.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from typing import Callable, Iterable, Sequence
 
@@ -515,8 +517,24 @@ class InputError(ValueError):
     config, a dataset file. The command line maps it to exit code 2."""
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a temporary file beside ``path``; when the block ends without
+    an exception, move it onto ``path``. Otherwise the temporary file is
+    removed and ``path`` keeps what it held."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def save_checkpoint(params: dict, path):
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(_CKPT_MAGIC)
         f.write(struct.pack("<B", _CKPT_VERSION))
         f.write(struct.pack("<I", len(params)))

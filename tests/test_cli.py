@@ -169,7 +169,8 @@ def test_bad_eval_iou_kind_rejected_at_load(tmp_path, monkeypatch):
 @pytest.mark.parametrize("key,value", [
     ("VARIANT", "psychic"), ("LOSS__CENTER_NORM", "sideways"),
     ("DATA__SOURCE", "tape"), ("DATA__SYNTHETIC__GROUND_LAYOUT", "spiral"),
-    ("EVAL__AP_POINTS", "0"), ("DATA__N_SCENES", "0")])
+    ("EVAL__AP_POINTS", "0"), ("DATA__N_SCENES", "0"), ("EVAL__NMS_MAX_OUT", "0"),
+    ("EVAL__NMS_IOU", "0"), ("EVAL__NMS_IOU", "1.5")])
 def test_bad_config_value_rejected_at_load(tmp_path, monkeypatch, key, value):
     monkeypatch.setenv(f"BEVFUSE_{key}", value)
     assert _train_exit(tmp_path) == (EXIT_CONFIG, False)
@@ -188,3 +189,27 @@ def test_malformed_yaml_env_override_is_config_error(tmp_path, monkeypatch):
 
 def test_directory_as_config_is_config_error(tmp_path):
     assert _train_exit(tmp_path, tmp_path) == (EXIT_CONFIG, False)
+
+
+def _write_config(path, cfg):
+    with open(path, "w") as f:
+        yaml.safe_dump(config_to_dict(cfg), f)
+    return path
+
+
+def test_kitti_source_without_frames_is_config_error(tmp_path):
+    cfg = miniature_config()
+    cfg.data.source = "kitti"
+    cfg.data.kitti_frames = []
+    rc, _ = _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg))
+    assert rc == EXIT_CONFIG
+
+
+def test_empty_manifest_is_config_error(tmp_path):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "index.json").write_text(json.dumps({"frames": []}))
+    cfg = miniature_config()
+    cfg.data.source = "manifest"
+    cfg.data.manifest = str(tmp_path / "data")
+    rc, _ = _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg))
+    assert rc == EXIT_CONFIG

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from bevfuse.detect import (ANCHOR_ORIENTATIONS, NUM_REG, Anchor, DetectionBox,
                             DetectionHeader, HeaderOutput, box_corners_bev,
                             decode_detections, decode_targets, encode_targets,
-                            iou_3d, make_anchors, nms, polygon_intersection_area,
-                            rotated_iou_bev)
+                            iou_3d, make_anchors, may_overlap, nms,
+                            polygon_intersection_area, rotated_iou_bev)
 from bevfuse.geometry import BevGrid
 from bevfuse.tensor import Tensor
 
@@ -152,17 +153,18 @@ def test_polygon_intersection_area_squares():
     assert polygon_intersection_area(sq, shifted) == pytest.approx(1.0, abs=1e-12)
 
 
-def _nms_quadratic(boxes, iou_th, score_th, max_out):
+def _nms_quadratic(boxes, iou_th, score_th, max_out, iou=rotated_iou_bev):
+    """Every candidate against every kept box, no prefilter."""
     order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
     keep = []
     for i in order:
+        if max_out is not None and len(keep) >= max_out:
+            break
         if boxes[i].score < score_th:
             continue
-        if any(rotated_iou_bev(boxes[i], boxes[j]) > iou_th for j in keep):
+        if any(iou(boxes[i], boxes[j]) >= iou_th for j in keep):
             continue
         keep.append(i)
-        if len(keep) == max_out:
-            break
     return [boxes[i] for i in keep]
 
 
@@ -187,6 +189,185 @@ def test_nms_equal_score_tie_break_by_index():
     b = DetectionBox(0.1, 0.0, 0.0, 2.0, 2.0, 1.0, 0.0, score=0.9)
     kept = nms([a, b], iou_threshold=0.1, score_threshold=0.0)
     assert len(kept) == 1 and kept[0] is a
+
+
+def test_nms_max_out_nonpositive_keeps_nothing():
+    boxes = [DetectionBox(0.0, 0.0, 0.0, 2.0, 2.0, 1.0, 0.0, score=0.9),
+             DetectionBox(9.0, 0.0, 0.0, 2.0, 2.0, 1.0, 0.0, score=0.8)]
+    assert nms(boxes, 0.1, 0.1, 0) == []
+    assert nms(boxes, 0.1, 0.1, -1) == []
+    assert nms(boxes, 0.1, 0.1, 1) == boxes[:1]
+
+
+# -- the numpy 2-vector kernel the plain-float kernel must reproduce bit for bit
+
+def _ref_corners(box):
+    c, s = math.cos(box.t), math.sin(box.t)
+    u = np.array([c, s]) * box.w / 2.0
+    v = np.array([-s, c]) * box.h / 2.0
+    center = np.array([box.x, box.y])
+    return np.array([center + u + v, center - u + v, center - u - v, center + u - v])
+
+
+def _ref_clip(subject, a, b):
+    out = []
+    n = len(subject)
+    edge = b - a
+    for i in range(n):
+        p, q = subject[i], subject[(i + 1) % n]
+        side_p = edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0])
+        side_q = edge[0] * (q[1] - a[1]) - edge[1] * (q[0] - a[0])
+        if side_p >= 0:
+            out.append(p)
+        if (side_p > 0) != (side_q > 0) and side_p != side_q:
+            frac = side_p / (side_p - side_q)
+            out.append(p + frac * (q - p))
+    return np.array(out) if out else np.zeros((0, 2))
+
+
+def _ref_intersection(pa, pb):
+    poly = pa
+    for i in range(len(pb)):
+        if len(poly) == 0:
+            return 0.0
+        poly = _ref_clip(poly, pb[i], pb[(i + 1) % len(pb)])
+    if len(poly) < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def _ref_iou_bev(a, b):
+    area_a, area_b = a.w * a.h, b.w * b.h
+    if area_a <= 0 or area_b <= 0:
+        return 0.0
+    inter = _ref_intersection(_ref_corners(a), _ref_corners(b))
+    union = area_a + area_b - inter
+    return inter / union if union > 0 else 0.0
+
+
+def _ref_iou_3d(a, b):
+    vol_a, vol_b = a.w * a.h * a.d, b.w * b.h * b.d
+    if vol_a <= 0 or vol_b <= 0:
+        return 0.0
+    inter_bev = _ref_intersection(_ref_corners(a), _ref_corners(b))
+    zlo = max(a.z - a.d / 2, b.z - b.d / 2)
+    zhi = min(a.z + a.d / 2, b.z + b.d / 2)
+    inter = inter_bev * max(0.0, zhi - zlo)
+    union = vol_a + vol_b - inter
+    return inter / union if union > 0 else 0.0
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+# lattice values make ties, duplicates and exactly touching edges likely
+_COORD = st.one_of(st.integers(-4, 4).map(float), st.sampled_from([0.5, -1.5, 2.25]),
+                   st.floats(-6.0, 6.0))
+_SIZE = st.one_of(st.just(0.0), st.integers(1, 4).map(float), st.floats(0.25, 5.0))
+_ANGLE = st.one_of(st.sampled_from([0.0, math.pi / 4, math.pi / 2, -math.pi / 2, math.pi]),
+                   st.floats(-4.0, 4.0))
+_SCORE = st.one_of(st.sampled_from([0.2, 0.5, 0.9]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _boxes(draw, min_size=0, max_size=10, nan=True):
+    boxes = []
+    for _ in range(draw(st.integers(min_size, max_size))):
+        f = {k: draw(_COORD) for k in ("x", "y")}
+        f.update({k: draw(_SIZE) for k in ("w", "h")})
+        f.update(z=draw(st.sampled_from([0.0, 0.5, 2.0])),
+                 d=draw(st.sampled_from([0.0, 1.0, 1.5])), t=draw(_ANGLE))
+        if nan and draw(st.integers(0, 15)) == 0:
+            f[draw(st.sampled_from(["x", "y", "w", "h", "t"]))] = math.nan
+        boxes.append(DetectionBox(**f, score=draw(_SCORE)))
+    for i in draw(st.lists(st.integers(0, max(len(boxes) - 1, 0)), max_size=3)):
+        if boxes:
+            boxes.append(replace(boxes[i]))                # equal fields, own object
+    return boxes
+
+
+@st.composite
+def _touching_pair(draw):
+    """b shifted so that its corner bounds meet a's, up to an ulp or two."""
+    a, b = draw(_boxes(2, 2, nan=False))[:2]
+    axis = draw(st.sampled_from([0, 1]))
+    ca, cb = box_corners_bev(a), box_corners_bev(replace(b, x=0.0, y=0.0))
+    meet = ca[:, axis].max() - cb[:, axis].min()
+    meet += draw(st.sampled_from([0.0, 1e-15, -1e-15, 4e-16])) * max(1.0, abs(meet))
+    return a, replace(b, **{"xy"[axis]: meet})
+
+
+@settings(max_examples=400, deadline=None)
+@given(_boxes(2, 2))
+def test_rotated_iou_matches_array_kernel_bitwise(pair):
+    a, b = pair[:2]
+    assert box_corners_bev(a).tobytes() == _ref_corners(a).tobytes()
+    assert _bits(rotated_iou_bev(a, b)) == _bits(_ref_iou_bev(a, b))
+    assert _bits(iou_3d(a, b)) == _bits(_ref_iou_3d(a, b))
+    pa, pb = _ref_corners(a), _ref_corners(b)
+    assert _bits(polygon_intersection_area(pa, pb)) == _bits(_ref_intersection(pa, pb))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_boxes(2, 2, nan=False))
+def test_rotated_iou_bounded_and_symmetric(pair):
+    a, b = pair[:2]
+    ab, ba = rotated_iou_bev(a, b), rotated_iou_bev(b, a)
+    assert 0.0 <= ab <= 1.0
+    assert abs(ab - ba) <= 1e-12
+
+
+def _check_may_overlap_is_exact(a, b):
+    inside = may_overlap([a], [b])[0, 0]
+    nan = {k for bx in (a, b) for k in ("x", "y", "w", "h", "t")
+           if math.isnan(getattr(bx, k))}
+    if nan & {"w", "h", "t"}:
+        assert inside                   # NaN half-extents: neither axis prunes
+    elif nan:
+        # a NaN centre coordinate takes only its own axis out of the test
+        flat = {k: 0.0 for k in nan}
+        assert inside == may_overlap([replace(a, **flat)], [replace(b, **flat)])[0, 0]
+    ca, cb = box_corners_bev(a), box_corners_bev(b)
+    if (ca.min(0) <= cb.max(0)).all() and (cb.min(0) <= ca.max(0)).all():
+        assert inside                                       # corner bounds meet
+    if not inside:
+        assert rotated_iou_bev(a, b) == 0.0 and iou_3d(a, b) == 0.0
+        if a.w * a.h > 0 and b.w * b.h > 0:     # a point or a segment clips nothing
+            assert polygon_intersection_area(ca, cb) == 0.0
+
+
+@settings(max_examples=400, deadline=None)
+@given(_boxes(2, 2))
+def test_pairs_outside_may_overlap_do_not_intersect(pair):
+    _check_may_overlap_is_exact(*pair[:2])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_touching_pair())
+def test_touching_pairs_stay_in_may_overlap(pair):
+    _check_may_overlap_is_exact(*pair)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_boxes(0, 8), _boxes(0, 8))
+def test_may_overlap_shape_matches_pairwise(a, b):
+    mask = may_overlap(a, b)
+    assert mask.shape == (len(a), len(b)) and mask.dtype == bool
+    for i, j in np.ndindex(mask.shape):
+        assert mask[i, j] == may_overlap([a[i]], [b[j]])[0, 0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_boxes(0, 14),
+       st.one_of(st.sampled_from([-0.1, 0.0, 1e-12, 0.1, 0.3, 1.0]), st.floats(-0.5, 1.0)),
+       st.one_of(st.sampled_from([0.0, 0.2, 0.5]), st.floats(0.0, 1.0)),
+       st.one_of(st.none(), st.integers(-1, 8)))
+def test_nms_matches_quadratic_oracle(boxes, iou_th, score_th, max_out):
+    got = nms(boxes, iou_th, score_th, max_out)
+    ref = _nms_quadratic(boxes, iou_th, score_th, max_out, iou=_ref_iou_bev)
+    assert len(got) == len(ref) and all(g is r for g, r in zip(got, ref))
 
 
 def test_header_output_layout_and_decode():

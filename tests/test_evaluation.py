@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bevfuse.detect import DetectionBox
 from bevfuse.evaluation import (FP, SKIP, TP, EvalConfig, average_precision,
@@ -17,6 +21,15 @@ def test_eval_config_validation():
         EvalConfig(iou_kind="volume")
     with pytest.raises(ValueError):
         EvalConfig(iou_threshold=1.5)
+
+
+@pytest.mark.parametrize("field,value", [("nms_iou", 0.0), ("nms_iou", -0.1),
+                                         ("nms_iou", 1.5), ("nms_max_out", 0),
+                                         ("nms_max_out", -3)])
+def test_eval_config_rejects_bad_nms_settings(field, value):
+    with pytest.raises(ValueError):
+        EvalConfig(**{field: value})
+    EvalConfig(nms_iou=1.0, nms_max_out=1)
 
 
 def test_rank_detections_stable():
@@ -139,3 +152,52 @@ def test_piecewise_range_ap_buckets():
 def test_piecewise_range_requires_bins():
     with pytest.raises(ValueError):
         piecewise_range_ap([([], [])], EvalConfig())
+
+
+def _match_unmasked(dets, gts, cfg):
+    """Every detection against every gt, no prefilter."""
+    flags = np.full(len(dets), FP, dtype=np.int64)
+    gt_taken = [False] * len(gts)
+    ignore = [g.ignored or g.cls in cfg.ignore_classes for g in gts]
+    for di in range(len(dets)):
+        best_iou, best_gt = 0.0, -1
+        hits_ignore = False
+        for gi, gt in enumerate(gts):
+            iou = cfg.iou(dets[di], gt)
+            if iou < cfg.iou_threshold:
+                continue
+            if ignore[gi]:
+                hits_ignore = True
+            elif not gt_taken[gi] and iou > best_iou:
+                best_iou, best_gt = iou, gi
+        if best_gt >= 0:
+            flags[di] = TP
+            gt_taken[best_gt] = True
+        elif hits_ignore:
+            flags[di] = SKIP
+    return flags
+
+
+# lattice centres and sizes make duplicates, ties and touching edges likely
+_BOXES = st.lists(st.builds(
+    DetectionBox,
+    x=st.one_of(st.integers(-3, 3).map(float), st.floats(-4.0, 4.0),
+                st.just(math.nan)),
+    y=st.one_of(st.integers(-3, 3).map(float), st.floats(-4.0, 4.0)),
+    z=st.sampled_from([0.0, 0.8, 2.0]),
+    w=st.one_of(st.just(0.0), st.sampled_from([1.0, 2.0, 4.0]), st.floats(0.25, 5.0)),
+    h=st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.25, 3.0)),
+    d=st.sampled_from([1.0, 1.6]),
+    t=st.one_of(st.sampled_from([0.0, math.pi / 2]), st.floats(-3.2, 3.2)),
+    score=st.floats(0.0, 1.0), cls=st.integers(0, 1), ignored=st.booleans()),
+    max_size=9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BOXES, _BOXES, st.sampled_from(["bev", "3d"]),
+       st.one_of(st.sampled_from([1e-12, 0.1, 0.5]), st.floats(0.01, 0.99)),
+       st.sampled_from([(), (1,)]))
+def test_match_detections_equals_unmasked_loop(dets, gts, kind, thr, ignore_classes):
+    cfg = EvalConfig(iou_kind=kind, iou_threshold=thr, ignore_classes=ignore_classes)
+    np.testing.assert_array_equal(match_detections(dets, gts, cfg),
+                                  _match_unmasked(dets, gts, cfg))

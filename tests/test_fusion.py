@@ -127,9 +127,7 @@ def test_nogeo_mode_drops_invalid_projections():
 
 def test_discrete_plan_maps_points_to_own_pixel():
     _, cam, cloud, grid, _, img, _ = _setup(n=25)
-    cfg = FusionConfig(k=1, max_dist=1.0, use_geometric_feature=False,
-                       input_dim=4, output_dim=5)
-    plan = plan_discrete_fusion(cloud, cam, grid, cfg)
+    plan = plan_discrete_fusion(cloud, cam, grid)
     uv, valid = project_points(cloud, cam)
     cx, cy, _ = grid.cell
     expected = []

@@ -1,10 +1,13 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bevfuse import tensor as T
-from bevfuse.tensor import Adam, Tensor, load_checkpoint, save_checkpoint
+from bevfuse.tensor import Adam, Tensor, atomic_write, load_checkpoint, save_checkpoint
 
 
 def test_tensor_is_float64():
@@ -182,6 +185,23 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     save_checkpoint(params, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_bytes()[:4] == b"BFCK"
+
+
+def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path):
+    ckpt = tmp_path / "ckpt.bin"
+    save_checkpoint({"w": Tensor(np.ones(3))}, ckpt)
+    before = ckpt.read_bytes()
+    with pytest.raises(ValueError):           # "w" is written before "bad" fails
+        save_checkpoint({"w": Tensor(np.zeros(3)), "bad": "not a number"}, ckpt)
+    assert ckpt.read_bytes() == before
+    report = tmp_path / "report.json"
+    with atomic_write(report) as f:
+        json.dump({"ap": 1.0}, f)
+    with pytest.raises(TypeError):
+        with atomic_write(report) as f:
+            json.dump({"ap": 0.5, "curve": object()}, f)
+    assert json.loads(report.read_text()) == {"ap": 1.0}
+    assert sorted(os.listdir(tmp_path)) == ["ckpt.bin", "report.json"]
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
