@@ -4,6 +4,7 @@ residual groups with fusion insertion points, and the full detector model."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -13,6 +14,9 @@ from .fusion import (FusionConfig, FusionMlp, FusionPlan, apply_fusion,
                      plan_discrete_fusion, plan_fusion, xavier_uniform)
 from .geometry import BevGrid, CalibratedCamera, PointCloud, build_bev_index
 from .tensor import InputError, Tensor
+
+if TYPE_CHECKING:
+    from .config import FusionSection
 
 MODES = ("continuous", "continuous_nogeo", "discrete", "bev_only")
 
@@ -179,7 +183,7 @@ class DetectorModel:
     """Image stream + BEV stream bridged by fusion layers, plus the header."""
 
     def __init__(self, grid: BevGrid, backbone: BackboneConfig,
-                 fusion_cfg: FusionConfig, image_in_channels: int,
+                 fusion_cfg: FusionSection, image_in_channels: int,
                  image_feat_channels: int, bev_fpn_channels: int,
                  header_variant: str, mode: str = "continuous",
                  rng: np.random.Generator | None = None):

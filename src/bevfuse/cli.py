@@ -1,5 +1,5 @@
-"""Command-line entry point: train / eval / ablate / gradcheck / bench /
-report, all driven by a YAML config.
+"""Command-line entry point: train / eval / ablate / gradcheck / report, all
+driven by a YAML config. The benchmark is ``perfbench/run.py``.
 
 Exit codes: 0 success, 2 configuration or input-file error, 3 numeric
 failure.
@@ -11,10 +11,10 @@ import argparse
 import json
 import sys
 
-from .config import ConfigError, ExperimentConfig, apply_env_overrides, \
-    config_from_dict, load_config
+from .config import ConfigError, ExperimentConfig, FusionSection, \
+    apply_env_overrides, config_from_dict, load_config
 from .pipeline import NumericError
-from .tensor import InputError, atomic_write
+from .tensor import InputError
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC = 0, 2, 3
 
@@ -56,10 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--rtol", type=float, default=1e-4)
     gc.add_argument("--seed", type=int, default=0)
 
-    be = sub.add_parser("bench", help="time the hot paths")
-    be.add_argument("--repeats", type=int, default=5)
-    be.add_argument("--out", default=None, help="optional JSON output path")
-
     rp = sub.add_parser("report", help="print a saved run's metrics")
     rp.add_argument("run_dir", help="directory produced by train/ablate")
     return p
@@ -85,7 +81,7 @@ def _cmd_ablate(args) -> int:
     grid = None
     if args.knn_grid:
         try:
-            grid = [(int(k), float(d)) for k, d in
+            grid = [FusionSection(int(k), float(d)) for k, d in
                     (pair.split(":") for pair in args.knn_grid.split(","))]
         except ValueError as e:
             raise ConfigError(f"bad --knn-grid: {e}") from None
@@ -108,17 +104,6 @@ def _cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    from .pipeline import run_bench
-    rows = run_bench(repeats=args.repeats)
-    for r in rows:
-        print(f"{r['op']:>16s}  n={r['size']:>6d}  {r['seconds'] * 1e3:9.3f} ms")
-    if args.out:
-        with atomic_write(args.out) as f:
-            json.dump(rows, f, indent=2, sort_keys=True)
-    return EXIT_OK
-
-
 def _cmd_report(args) -> int:
     import os
     for name in ("final_metrics.json", "eval_report.json", "ablation.json"):
@@ -131,8 +116,7 @@ def _cmd_report(args) -> int:
 
 
 _COMMANDS = {"train": _cmd_train, "eval": _cmd_eval, "ablate": _cmd_ablate,
-             "gradcheck": _cmd_gradcheck, "bench": _cmd_bench,
-             "report": _cmd_report}
+             "gradcheck": _cmd_gradcheck, "report": _cmd_report}
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,6 @@ from .backbone import MODES, BackboneConfig
 from .data import AugmentationConfig, SceneGenConfig
 from .detect import NUM_REG
 from .evaluation import EvalConfig
-from .fusion import FusionConfig
 from .geometry import BevGrid
 from .losses import AssignmentConfig
 from .tensor import InputError, atomic_write
@@ -71,6 +70,21 @@ class DataSection:
             raise ValueError(f"unknown data source {self.source!r}")
         if self.n_scenes < 1:
             raise ValueError("n_scenes must be >= 1")
+        if self.source == "manifest" and not self.manifest:
+            raise ValueError("source 'manifest' needs a manifest path")
+
+
+@dataclass
+class FusionSection:
+    """Neighbour search of every fusion layer; the layer widths follow from
+    the image channels and the mode."""
+
+    k: int = 1
+    max_dist: float = 10.0
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
 
 
 @dataclass
@@ -82,7 +96,7 @@ class ExperimentConfig:
     grid: BevGrid = field(default_factory=lambda: BevGrid(
         (0.0, 32.0), (-16.0, 16.0), (0.0, 3.0), 32, 32, 4))
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
-    fusion: FusionConfig = field(default_factory=FusionConfig)
+    fusion: FusionSection = field(default_factory=FusionSection)
     image_feat_channels: int = 8
     bev_fpn_channels: int = 32
     anchor: AnchorConfig = field(default_factory=AnchorConfig)

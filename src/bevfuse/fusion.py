@@ -156,31 +156,3 @@ def plan_discrete_fusion(cloud: PointCloud, cam: CalibratedCamera,
     keep = (ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny) & valid
     pix = iy[keep] * grid.nx + ix[keep]
     return FusionPlan(pix, uv[keep], np.zeros((keep.sum(), 3)), grid.ny, grid.nx)
-
-
-def parametric_continuous_conv(points: PointCloud, features: Tensor,
-                               queries: np.ndarray, k: int,
-                               mlp_w: FusionMlp) -> Tensor:
-    """Reference continuous convolution: h_i = sum_j MLP(x_i - x_j) * f_j.
-
-    The weight-generating MLP maps a 3D offset to one scalar weight per
-    feature channel.
-    """
-    queries = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
-    n, c = features.shape
-    if mlp_w.input_dim != 3 or mlp_w.output_dim != c:
-        raise FusionConfigError("weight MLP must map 3D offsets to C channel weights")
-    pix, offs = [], []
-    for i, q in enumerate(queries):
-        d = np.linalg.norm(points.points - q, axis=1)
-        order = np.argsort(d, kind="stable")[:k]
-        for j in order:
-            pix.append((i, int(j)))
-            offs.append(q - points.points[j])
-    if not pix:
-        return Tensor.zeros((queries.shape[0], c))
-    qi = np.array([p[0] for p in pix], dtype=np.intp)
-    ji = np.array([p[1] for p in pix], dtype=np.intp)
-    w = mlp_w.forward(Tensor(np.array(offs)))          # P x C
-    f = T.gather_rows(features, ji)                    # P x C
-    return T.scatter_add_rows(w * f, qi, queries.shape[0])

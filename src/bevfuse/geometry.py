@@ -222,13 +222,9 @@ class BevKdTree:
             raise ValueError("k must be >= 1")
         q = np.asarray(query, dtype=np.float64)
         if q.ndim == 1:
-            return self.query_batch(q[:2], k, max_dist)[0]
+            row = self._knn(q[:2].reshape(1, 2), k, max_dist)[0]
+            return row[row >= 0].tolist()
         return self._knn(q.reshape(-1, 2), k, max_dist)
-
-    def query_batch(self, queries: np.ndarray, k: int,
-                    max_dist: float = np.inf) -> list[list[int]]:
-        return [row[row >= 0].tolist()
-                for row in self.query(np.reshape(queries, (-1, 2)), k, max_dist)]
 
     def _knn(self, q: np.ndarray, k: int, max_dist: float) -> np.ndarray:
         m, n = q.shape[0], self.xy.shape[0]

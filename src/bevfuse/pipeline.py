@@ -1,26 +1,25 @@
-"""Config-driven training, evaluation, ablation, gradient-check and benchmark
-pipelines. Everything is deterministic given the config seed."""
+"""Config-driven training, evaluation, ablation and gradient-check pipelines.
+Everything is deterministic given the config seed."""
 
 from __future__ import annotations
 
 import json
 import math
 import os
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import tensor as T
+from . import losses, tensor as T
 from .backbone import DetectorModel
-from .config import ExperimentConfig
-from .data import (AugmentationConfig, SceneSample, augment, generate_dataset,
-                   load_dataset, load_kitti_frame)
+from .config import ExperimentConfig, FusionSection
+from .data import (SceneSample, augment, generate_dataset, load_dataset,
+                   load_kitti_frame)
 from .detect import (NUM_REG, REG_INDICES, Anchor, DetectionBox, decode_detections,
                      encode_targets, make_anchors, nms)
 from .evaluation import evaluate_pr, piecewise_range_ap
 from .fusion import FusionConfig, FusionMlp, FusionPlan, continuous_fusion_forward
-from .geometry import BevGrid, PointCloud, build_bev_index, knn_bev, voxelize
+from .geometry import BevGrid, PointCloud, voxelize
 from .losses import NEGATIVE, hard_negative_mining, total_loss
 from .tensor import Adam, InputError, Tensor, atomic_write, save_checkpoint
 
@@ -82,7 +81,7 @@ def _reg_target_rows(cfg: ExperimentConfig, anchors: list[Anchor],
 
 def prepare_scene(model: DetectorModel, cfg: ExperimentConfig,
                   anchors: list[Anchor], sample: SceneSample) -> PreparedScene:
-    labels = _assign(cfg, anchors, sample.gt_boxes)
+    labels = losses.assign_anchors(anchors, sample.gt_boxes, cfg.assignment())
     pos_idx = np.flatnonzero(labels >= 0)
     neg_idx = np.flatnonzero(labels == NEGATIVE)
     return PreparedScene(
@@ -91,11 +90,6 @@ def prepare_scene(model: DetectorModel, cfg: ExperimentConfig,
         plans=model.make_plans(sample.cloud, sample.cam),
         pos_idx=pos_idx, neg_idx=neg_idx,
         reg_targets=_reg_target_rows(cfg, anchors, pos_idx, labels, sample.gt_boxes))
-
-
-def _assign(cfg: ExperimentConfig, anchors, gts):
-    from .losses import assign_anchors
-    return assign_anchors(anchors, gts, cfg.assignment())
 
 
 def scene_loss(model: DetectorModel, cfg: ExperimentConfig, prep: PreparedScene,
@@ -261,19 +255,19 @@ ABLATION_VARIANTS = ("bev_only", "discrete", "continuous_nogeo", "continuous")
 
 def ablate_run(cfg: ExperimentConfig, out_dir: str,
                variants=ABLATION_VARIANTS,
-               knn_grid: list[tuple[int, float]] | None = None) -> list[dict]:
-    """Train each fusion variant (optionally over a (k, d) grid) with the
-    shared seed and data; emit one comparison row per run."""
+               knn_grid: list[FusionSection] | None = None) -> list[dict]:
+    """Train each fusion variant (optionally over a grid of fusion sections)
+    with the shared seed and data; emit one comparison row per run."""
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for variant in variants:
         grid = knn_grid if (knn_grid and variant.startswith("continuous")) \
-            else [(cfg.fusion.k, cfg.fusion.max_dist)]
-        for k, d in grid:
-            run_cfg = replace(cfg, mode=variant,
-                              fusion=replace(cfg.fusion, k=k, max_dist=d))
+            else [cfg.fusion]
+        for fusion in grid:
+            k, d = fusion.k, fusion.max_dist
             tag = f"{variant}_k{k}_d{d:g}"
-            report = train_run(run_cfg, os.path.join(out_dir, tag))
+            report = train_run(replace(cfg, mode=variant, fusion=fusion),
+                               os.path.join(out_dir, tag))
             rows.append({"variant": variant, "k": k, "max_dist": d,
                          "ap": report["ap"], "final_loss": report["final_loss"]})
     with atomic_write(os.path.join(out_dir, "ablation.json")) as f:
@@ -331,7 +325,6 @@ def run_gradcheck(rtol: float = 1e-4, seed: int = 0) -> list[tuple[str, float, b
           lambda: (x.reshape(5, 5, 2).transpose((2, 0, 1)) ** 2.0).sum(), [x])
 
     # continuous fusion layer on a tiny instance
-    from .geometry import CalibratedCamera
     from .data import make_forward_camera
     cam = make_forward_camera((6, 8), (3.0, 3.0))
     cloud = PointCloud(rng.uniform([2, -2, 0], [6, 2, 1.5], (5, 3)))
@@ -360,7 +353,6 @@ def miniature_config() -> ExperimentConfig:
             bev_groups=[GroupSpec(2, 4, 1), GroupSpec(2, 6, 2)],
             image_groups=[GroupSpec(2, 4, 1), GroupSpec(2, 6, 2)],
             fusion_points=(0, 1)),
-        fusion=FusionConfig(k=1, max_dist=10.0, input_dim=7, output_dim=4),
         image_feat_channels=4, bev_fpn_channels=6)
     cfg.data.synthetic = SceneGenConfig(
         x_range=(2.0, 14.0), y_range=(-6.0, 6.0), object_count=(1, 1),
@@ -398,54 +390,3 @@ def _miniature_model_check(rtol: float) -> tuple[str, float, bool]:
     # check a representative parameter subset (full sweep is minutes-slow)
     worst = max_grad_error(loss, [p for _, p in sorted(params.items()) if p.size <= 80])
     return ("miniature_end_to_end", worst, worst < rtol)
-
-
-# -- benchmark -----------------------------------------------------------------
-
-def run_bench(repeats: int = 5, seed: int = 0) -> list[dict]:
-    """Median wall times for the hot paths across input sizes."""
-    rng = np.random.default_rng(seed)
-    rows = []
-
-    def timeit(fn):
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return float(np.median(times))
-
-    for n in (1000, 10000, 30000):
-        cloud = PointCloud(rng.uniform([0, -40, -2], [70, 40, 2], (n, 3)))
-        queries = rng.uniform([0, -40], [70, 40], (50, 2))
-        index = build_bev_index(cloud)
-        rows.append({"op": "knn_brute", "size": n,
-                     "seconds": timeit(lambda: [knn_bev(q, cloud, 5) for q in queries])})
-        rows.append({"op": "knn_index", "size": n,
-                     "seconds": timeit(lambda: index.query(queries, 5))})
-        grid = BevGrid((0, 70), (-40, 40), (-2, 2), 64, 64, 8)
-        rows.append({"op": "voxelize", "size": n,
-                     "seconds": timeit(lambda: voxelize(cloud, grid))})
-
-    from .data import make_forward_camera
-    cam = make_forward_camera((32, 64), (12.0, 12.0))
-    mlp = FusionMlp(7, 8, rng)
-    img = Tensor(rng.standard_normal((4, 32, 64)))
-    for npix in (16, 32):
-        grid = BevGrid((0, 32), (-16, 16), (0, 3), npix, npix, 1)
-        cloud = PointCloud(rng.uniform([1, -15, 0], [31, 15, 2], (2000, 3)))
-        fcfg = FusionConfig(k=1, max_dist=10.0, input_dim=7, output_dim=8)
-        rows.append({"op": "fusion_forward", "size": npix * npix,
-                     "seconds": timeit(
-                         lambda: continuous_fusion_forward(img, cloud, cam, grid, fcfg, mlp))})
-
-    for nbox in (50, 200, 800):
-        boxes = [DetectionBox(float(x), float(y), 1.0, 4.0, 2.0, 1.5, float(t),
-                              score=float(s))
-                 for x, y, t, s in zip(rng.uniform(0, 60, nbox),
-                                       rng.uniform(-30, 30, nbox),
-                                       rng.uniform(-1.5, 1.5, nbox),
-                                       rng.uniform(0, 1, nbox))]
-        rows.append({"op": "nms", "size": nbox,
-                     "seconds": timeit(lambda: nms(boxes, 0.3, 0.05))})
-    return rows

@@ -100,20 +100,22 @@ def test_gradcheck_command(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_bench_command_writes_json(tmp_path, capsys):
-    out_json = tmp_path / "bench.json"
-    assert main(["bench", "--repeats", "1", "--out", str(out_json)]) == EXIT_OK
-    rows = json.loads(out_json.read_text())
-    ops = {r["op"] for r in rows}
-    assert {"knn_brute", "knn_index", "voxelize", "nms"} <= ops
-
-
 def test_bad_knn_grid_is_config_error(tmp_path):
     cfg_path = tmp_path / "cfg.yaml"
     _write_mini_config(cfg_path)
     rc = main(["ablate", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
                "--knn-grid", "nonsense"])
     assert rc == EXIT_CONFIG
+
+
+def test_knn_grid_bad_k_fails_before_training(tmp_path):
+    cfg_path = tmp_path / "cfg.yaml"
+    _write_mini_config(cfg_path)
+    out = tmp_path / "o"
+    rc = main(["ablate", "--config", str(cfg_path), "--out", str(out),
+               "--knn-grid", "0:10"])
+    assert rc == EXIT_CONFIG
+    assert not out.exists()
 
 
 def _eval_damaged_checkpoint(tmp_path, damage):
@@ -170,7 +172,8 @@ def test_bad_eval_iou_kind_rejected_at_load(tmp_path, monkeypatch):
     ("VARIANT", "psychic"), ("LOSS__CENTER_NORM", "sideways"),
     ("DATA__SOURCE", "tape"), ("DATA__SYNTHETIC__GROUND_LAYOUT", "spiral"),
     ("EVAL__AP_POINTS", "0"), ("DATA__N_SCENES", "0"), ("EVAL__NMS_MAX_OUT", "0"),
-    ("EVAL__NMS_IOU", "0"), ("EVAL__NMS_IOU", "1.5")])
+    ("EVAL__NMS_IOU", "0"), ("EVAL__NMS_IOU", "1.5"), ("DATA__SOURCE", "manifest"),
+    ("FUSION__INPUT_DIM", "99")])
 def test_bad_config_value_rejected_at_load(tmp_path, monkeypatch, key, value):
     monkeypatch.setenv(f"BEVFUSE_{key}", value)
     assert _train_exit(tmp_path) == (EXIT_CONFIG, False)

@@ -1,7 +1,11 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bevfuse.data import (CLASS_NAMES, IGNORED_CLASSES, AugmentationConfig,
                           KittiParseError, SceneGenConfig, _kitti_chain, augment,
@@ -243,6 +247,59 @@ def test_label_write_read_round_trip(kitti_dir, tmp_path):
         assert a.cls == b.cls and a.ignored == b.ignored
         for attr in ("x", "y", "z", "w", "h", "d", "t"):
             assert abs(getattr(a, attr) - getattr(b, attr)) < 1e-2
+
+
+def _rotation(yaw, pitch, roll):
+    cz, sz, cy, sy, cx, sx = (math.cos(yaw), math.sin(yaw), math.cos(pitch),
+                              math.sin(pitch), math.cos(roll), math.sin(roll))
+    rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
+    ry = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
+    return rz @ ry @ rx
+
+
+# label fields on the grid the format stores: centimetres, hundredths of a
+# radian and of a pixel, and four-decimal scores
+_LABEL_ROWS = st.lists(st.tuples(
+    st.sampled_from(CLASS_NAMES),
+    st.tuples(*[st.integers(-5000, 5000)] * 3),     # bottom centre, camera frame
+    st.tuples(*[st.integers(1, 800)] * 3),          # height, width, length
+    st.integers(-314, 314),                         # ry
+    st.integers(0, 40000),                          # 2D box height
+    st.integers(0, 10000)), max_size=6)             # score
+_ANGLE = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LABEL_ROWS, st.tuples(*[_ANGLE] * 6), st.tuples(*[st.floats(-3.0, 3.0)] * 3))
+def test_kitti_label_round_trip_property(rows, angles, shift):
+    tr = np.column_stack([_rotation(*angles[:3]), shift])
+    r0 = _rotation(*angles[3:])
+    calib = "P2: 700 0 600 0 0 700 180 0 0 0 1 0\n" \
+        f"R0_rect: {' '.join(map(repr, r0.ravel().tolist()))}\n" \
+        f"Tr_velo_to_cam: {' '.join(map(repr, tr.ravel().tolist()))}\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        calib_path, label_path = os.path.join(tmp, "calib.txt"), os.path.join(tmp, "l.txt")
+        with open(calib_path, "w") as f:
+            f.write(calib)
+        r0_4, tr_4 = _kitti_chain(calib_path)
+        velo_to_rect = r0_4 @ tr_4
+        rect_to_velo = np.linalg.inv(velo_to_rect)
+        boxes = []
+        for name, loc, (hgt, wid, length), ry, h2d, score in rows:
+            center = rect_to_velo @ np.array([*(np.array(loc) / 100), 1.0])
+            boxes.append(DetectionBox(
+                center[0], center[1], center[2] + hgt / 200, length / 100, wid / 100,
+                hgt / 100, -ry / 100 - math.pi / 2, score=score / 1e4,
+                cls=CLASS_NAMES.index(name), is_3d=True,
+                ignored=name in IGNORED_CLASSES, height2d=h2d / 100))
+        write_kitti_labels(boxes, label_path, velo_to_rect)
+        again = load_kitti_labels(label_path, rect_to_velo)
+    assert len(again) == len(boxes)
+    for a, b in zip(again, boxes):
+        assert (a.cls, a.ignored, a.is_3d) == (b.cls, b.ignored, b.is_3d)
+        for attr in ("x", "y", "z", "w", "h", "d", "t", "score", "height2d"):
+            assert abs(getattr(a, attr) - getattr(b, attr)) <= 1e-9, attr
 
 
 @pytest.mark.parametrize("drop", ["P2", "R0_rect", "Tr_velo_to_cam"])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -201,3 +202,37 @@ def test_match_detections_equals_unmasked_loop(dets, gts, kind, thr, ignore_clas
     cfg = EvalConfig(iou_kind=kind, iou_threshold=thr, ignore_classes=ignore_classes)
     np.testing.assert_array_equal(match_detections(dets, gts, cfg),
                                   _match_unmasked(dets, gts, cfg))
+
+
+def _range_ap_reference(frames, cfg):
+    """Bin each frame by centre x, match it with the unmasked loop, then pool
+    the flags by descending score (ties keep frame, then rank, order)."""
+    out = []
+    for lo, hi in cfg.range_bins:
+        pooled, num_gt = [], 0
+        for dets, gts in frames:
+            dets = sorted((d for d in dets if lo <= d.x < hi), key=lambda d: -d.score)
+            gts = [g for g in gts if lo <= g.x < hi]
+            num_gt += sum(not (g.ignored or g.cls in cfg.ignore_classes) for g in gts)
+            pooled += zip([d.score for d in dets], _match_unmasked(dets, gts, cfg))
+        pooled.sort(key=lambda p: -p[0])
+        flags = np.array([f for _, f in pooled], dtype=np.int64)
+        out.append(((lo, hi), average_precision(flags, num_gt, cfg.ap_points)))
+    return out
+
+
+# detections: random boxes plus rescored copies of the frame's gts, so that
+# true positives and exact matches at a bin edge are common
+_FRAMES = st.lists(st.tuples(_BOXES, _BOXES, st.lists(st.floats(0.0, 1.0))).map(
+    lambda f: (f[0] + [replace(g, score=s) for g, s in zip(f[1], f[2])], f[1])),
+    max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FRAMES,
+       st.lists(st.integers(-5, 5), min_size=2, max_size=5, unique=True).map(sorted),
+       st.sampled_from([11, 100]))
+def test_piecewise_range_ap_equals_per_frame_reference(frames, edges, ap_points):
+    cfg = EvalConfig(range_bins=[(float(lo), float(hi)) for lo, hi in zip(edges, edges[1:])],
+                     ap_points=ap_points)
+    assert piecewise_range_ap(frames, cfg) == _range_ap_reference(frames, cfg)

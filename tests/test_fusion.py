@@ -5,8 +5,7 @@ from bevfuse import tensor as T
 from bevfuse.data import make_forward_camera
 from bevfuse.fusion import (FusionConfig, FusionConfigError, FusionMlp,
                             apply_fusion, continuous_fusion_forward,
-                            parametric_continuous_conv, plan_discrete_fusion,
-                            plan_fusion)
+                            plan_discrete_fusion, plan_fusion)
 from bevfuse.geometry import (BevGrid, PointCloud, bilinear_sample,
                               build_bev_index, knn_bev, project_points)
 from bevfuse.tensor import Tensor
@@ -155,22 +154,3 @@ def test_fusion_config_validation():
         FusionConfig(k=0)
     with pytest.raises(FusionConfigError):
         FusionConfig(input_dim=0)
-
-
-def test_parametric_continuous_conv_weighted_sum():
-    """h_i = sum_j MLP(x_i - x_j) * f_j against a direct loop."""
-    rng = np.random.default_rng(6)
-    pts = PointCloud(rng.uniform(-1, 1, (15, 3)))
-    feats = Tensor(rng.standard_normal((15, 4)))
-    queries = rng.uniform(-1, 1, (5, 3))
-    mlp = FusionMlp(3, 4, rng)
-    out = parametric_continuous_conv(pts, feats, queries, k=4, mlp_w=mlp).data
-    for qi, q in enumerate(queries):
-        acc = np.zeros(4)
-        d3 = np.linalg.norm(pts.points - q, axis=1)
-        for j in np.argsort(d3, kind="stable")[:4]:
-            off = q - pts.points[j]
-            h1 = np.maximum(off @ mlp.w1.data + mlp.b1.data[0], 0.0)
-            h2 = np.maximum(h1 @ mlp.w2.data + mlp.b2.data[0], 0.0)
-            acc += (h2 @ mlp.w3.data + mlp.b3.data[0]) * feats.data[j]
-        np.testing.assert_allclose(out[qi], acc, atol=1e-10)

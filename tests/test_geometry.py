@@ -147,15 +147,6 @@ def test_kdtree_batched_query_matches_knn_bev(n, lattice, with_nan, k, max_dist,
         assert tree.query(q, k, max_dist) == ref
 
 
-def test_kdtree_query_batch():
-    rng = np.random.default_rng(2)
-    cloud = _cloud(rng, 100)
-    tree = build_bev_index(cloud)
-    queries = rng.uniform([0, -10], [30, 10], (7, 2))
-    batched = tree.query_batch(queries, 4)
-    assert batched == [tree.query(q, 4) for q in queries]
-
-
 def test_bilinear_sample_matches_tensor_impl():
     from bevfuse import tensor as T
     from bevfuse.tensor import Tensor

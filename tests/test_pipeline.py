@@ -7,13 +7,13 @@ import pytest
 
 from bevfuse import evaluation, pipeline
 from bevfuse import tensor as T
-from bevfuse.config import ExperimentConfig, load_config
+from bevfuse.config import ExperimentConfig, FusionSection, load_config
 from bevfuse.detect import DetectionBox, make_anchors
 from bevfuse.losses import hard_negative_mining, total_loss
 from bevfuse.pipeline import (ABLATION_VARIANTS, NumericError, ablate_run,
                               build_model, build_scenes, detect_scene,
                               eval_run, evaluate_model, miniature_config,
-                              prepare_scene, run_bench, scene_loss, train_run)
+                              prepare_scene, scene_loss, train_run)
 from bevfuse.tensor import load_checkpoint
 
 
@@ -191,7 +191,7 @@ def test_ablate_run_covers_variants(tmp_path):
 def test_ablate_knn_grid_expands_continuous_only(tmp_path):
     cfg = _mini(steps=1)
     rows = ablate_run(cfg, tmp_path / "abl", variants=("bev_only", "continuous"),
-                      knn_grid=[(1, 10.0), (2, 2.0)])
+                      knn_grid=[FusionSection(1, 10.0), FusionSection(2, 2.0)])
     variants = [(r["variant"], r["k"], r["max_dist"]) for r in rows]
     assert variants == [("bev_only", 1, 10.0), ("continuous", 1, 10.0),
                         ("continuous", 2, 2.0)]
@@ -234,10 +234,3 @@ def test_resolved_config_round_trips(tmp_path):
     train_run(cfg, tmp_path / "run")
     loaded = load_config(tmp_path / "run" / "config.yaml")
     assert loaded == cfg
-
-
-def test_bench_rows_shape():
-    rows = run_bench(repeats=1)
-    assert all({"op", "size", "seconds"} <= set(r) for r in rows)
-    knn = {r["op"] for r in rows}
-    assert {"knn_brute", "knn_index", "voxelize", "fusion_forward", "nms"} <= knn
