@@ -85,6 +85,8 @@ class FusionSection:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if not self.max_dist > 0:       # NaN fails this too; inf is valid
+            raise ValueError(f"max_dist must be > 0, got {self.max_dist}")
 
 
 @dataclass

@@ -340,6 +340,13 @@ def run_gradcheck(rtol: float = 1e-4, seed: int = 0) -> list[tuple[str, float, b
 
     # end-to-end miniature model: 8x8 BEV raster, 2-group streams, 4-point cloud
     results.append(_miniature_model_check(rtol))
+
+    # 1 x 1 convs take their own data path (no im2col copy at stride 1)
+    x1 = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+    w1 = Tensor(rng.standard_normal((2, 3, 1, 1)), requires_grad=True)
+    for stride in (1, 2):
+        check(f"conv2d_1x1_s{stride}",
+              lambda s=stride: (T.conv2d(x1, w1, stride=s) ** 2.0).sum(), [x1, w1])
     return results
 
 

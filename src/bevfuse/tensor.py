@@ -68,7 +68,7 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            self.grad = np.zeros(self.data.shape)
         self.grad += g
 
     def backward(self):
@@ -331,7 +331,7 @@ def gather_rows(t: Tensor, idx) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            acc = np.zeros_like(a.data)
+            acc = np.zeros(a.data.shape)
             np.add.at(acc, idx, g)
             a._accumulate(acc)
 
@@ -360,18 +360,38 @@ def _conv_out_extent(n: int, k: int, stride: int, padding: int) -> int:
     return (n + 2 * padding - k) // stride + 1
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+# Columns are laid out (C, kh, kw) down the rows and (Ho, Wo) along the
+# columns. The windows are one strided view in that axis order, so the
+# reshape to C·kh·kw x Ho·Wo is the only copy. A 1 x 1 conv at stride 1
+# without padding needs no copy at all: its columns are a view of the input,
+# which the backward pass reads again for the weight grad, so an input's
+# ``.data`` must not be written between the forward and the backward pass.
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
+            padding: int) -> tuple[np.ndarray, int, int]:
     c, h, w = x.shape
+    ho = _conv_out_extent(h, kh, stride, padding)
+    wo = _conv_out_extent(w, kw, stride, padding)
+    if kh == kw == 1 and stride == 1 and padding == 0:
+        return x.reshape(c, h * w), ho, wo
     if padding:
-        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]          # C x Ho x Wo x kh x kw
-    ho, wo = windows.shape[1], windows.shape[2]
-    return windows.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, ho * wo), ho, wo
+        xp = np.zeros((c, h + 2 * padding, w + 2 * padding))
+        xp[:, padding:-padding, padding:-padding] = x
+        x = xp
+    else:
+        x = np.ascontiguousarray(x)
+    sc, sh, sw = x.strides
+    # the ndarray constructor is a much cheaper strided view than as_strided
+    windows = np.ndarray((c, kh, kw, ho, wo), x.dtype, x, 0,
+                         (sc, sh, sw, sh * stride, sw * stride))
+    return windows.reshape(c * kh * kw, ho * wo), ho, wo
 
 
 def _col2im(cols: np.ndarray, shape, kh, kw, stride, padding, ho, wo) -> np.ndarray:
     c, h, w = shape
+    if kh == kw == 1 and stride == 1 and padding == 0:
+        return cols.reshape(c, h, w)
+    # zeros plus += even where windows do not overlap, so a -0.0 in the
+    # columns reads back as 0.0; the (i, j) order fixes the rounding
     acc = np.zeros((c, h + 2 * padding, w + 2 * padding))
     cols = cols.reshape(c, kh, kw, ho, wo)
     for i in range(kh):
@@ -383,7 +403,11 @@ def _col2im(cols: np.ndarray, shape, kh, kw, stride, padding, ho, wo) -> np.ndar
 
 
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2D convolution of a C_in x H x W map with C_out x C_in x kh x kw weights."""
+    """2D convolution of a C_in x H x W map with C_out x C_in x kh x kw weights.
+
+    The backward pass may read ``x.data`` through a view (always for a 1 x 1
+    conv at stride 1 without padding): nothing may write ``x.data`` between
+    this call and ``backward``."""
     c_out, c_in, kh, kw = weight.shape
     if x.ndim != 3 or x.shape[0] != c_in:
         raise ValueError(f"conv2d input {x.shape} incompatible with weight {weight.shape}")
@@ -452,7 +476,7 @@ def bilinear_sample(feature_map: Tensor, uv: np.ndarray) -> Tensor:
 
     def bw(g):
         if feature_map.requires_grad:
-            acc = np.zeros_like(fm)
+            acc = np.zeros(fm.shape)
             gt = g.T  # C x N
             for wgt, vv, uu in ((w00, v0, u0), (w01, v0, u1),
                                 (w10, v1, u0), (w11, v1, u1)):

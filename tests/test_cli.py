@@ -118,6 +118,16 @@ def test_knn_grid_bad_k_fails_before_training(tmp_path):
     assert not out.exists()
 
 
+def test_knn_grid_bad_max_dist_fails_before_training(tmp_path):
+    cfg_path = tmp_path / "cfg.yaml"
+    _write_mini_config(cfg_path)
+    out = tmp_path / "o"
+    rc = main(["ablate", "--config", str(cfg_path), "--out", str(out),
+               "--knn-grid", "1:-1"])
+    assert rc == EXIT_CONFIG
+    assert not out.exists()
+
+
 def _eval_damaged_checkpoint(tmp_path, damage):
     cfg_path = tmp_path / "cfg.yaml"
     cfg = _write_mini_config(cfg_path)
@@ -173,7 +183,7 @@ def test_bad_eval_iou_kind_rejected_at_load(tmp_path, monkeypatch):
     ("DATA__SOURCE", "tape"), ("DATA__SYNTHETIC__GROUND_LAYOUT", "spiral"),
     ("EVAL__AP_POINTS", "0"), ("DATA__N_SCENES", "0"), ("EVAL__NMS_MAX_OUT", "0"),
     ("EVAL__NMS_IOU", "0"), ("EVAL__NMS_IOU", "1.5"), ("DATA__SOURCE", "manifest"),
-    ("FUSION__INPUT_DIM", "99")])
+    ("FUSION__INPUT_DIM", "99"), ("FUSION__MAX_DIST", "-1"), ("FUSION__MAX_DIST", ".nan")])
 def test_bad_config_value_rejected_at_load(tmp_path, monkeypatch, key, value):
     monkeypatch.setenv(f"BEVFUSE_{key}", value)
     assert _train_exit(tmp_path) == (EXIT_CONFIG, False)

@@ -95,6 +95,92 @@ def test_conv2d_matches_naive():
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
 
+def _im2col_reference(x, kh, kw, stride, padding):
+    """Reference column kernel: np.pad, then sliding_window_view and a
+    transposing reshape."""
+    c = x.shape[0]
+    if padding:
+        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride]
+    ho, wo = windows.shape[1], windows.shape[2]
+    return windows.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, ho * wo), ho, wo
+
+
+def _col2im_reference(cols, shape, kh, kw, stride, padding, ho, wo):
+    """Adjoint of ``_im2col_reference``: the (i, j) loop of += into zeros."""
+    c, h, w = shape
+    acc = np.zeros((c, h + 2 * padding, w + 2 * padding))
+    cols = cols.reshape(c, kh, kw, ho, wo)
+    for i in range(kh):
+        for j in range(kw):
+            acc[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += cols[:, i, j]
+    if padding:
+        acc = acc[:, padding:-padding, padding:-padding]
+    return acc
+
+
+def _same_bytes(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype and
+            np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+def _with_signed_zeros(rng, shape):
+    """Normal draws with a quarter of the entries replaced by 0.0 or -0.0."""
+    v = rng.standard_normal(shape)
+    v[rng.random(shape) < 0.25] = 0.0
+    v[rng.random(shape) < 0.25] = -0.0
+    return v
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 3, 5]), st.integers(1, 3), st.integers(0, 2),
+       st.integers(1, 4), st.integers(1, 9), st.integers(1, 9), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_conv2d_data_path_is_bit_identical_to_reference_kernels(k, stride, padding, c, h, w,
+                                                               contiguous, seed):
+    if h + 2 * padding < k or w + 2 * padding < k:
+        return
+    rng = np.random.default_rng(seed)
+    x = _with_signed_zeros(rng, (c, h, w) if contiguous else (h, w, c))
+    if not contiguous:
+        x = x.transpose(2, 0, 1)
+    cols, ho, wo = T._im2col(x, k, k, stride, padding)
+    ref_cols, ref_ho, ref_wo = _im2col_reference(x, k, k, stride, padding)
+    assert (ho, wo) == (ref_ho, ref_wo) and _same_bytes(cols, ref_cols)
+
+    gcols = _with_signed_zeros(rng, cols.shape)
+    gx = T._col2im(gcols, x.shape, k, k, stride, padding, ho, wo)
+    if k == 1 and stride == 1 and padding == 0:
+        gx = gx + 0.0   # a view keeps -0.0; the grad adds it to zeros like this
+    assert _same_bytes(gx, _col2im_reference(gcols, x.shape, k, k, stride, padding, ho, wo))
+
+    # conv2d through the tape against a conv assembled from the reference kernels
+    c_out = 3
+    wgt = _with_signed_zeros(rng, (c_out, c, k, k))
+    g = _with_signed_zeros(rng, (c_out, ho, wo))
+    xt, wt = Tensor(x, requires_grad=True), Tensor(wgt, requires_grad=True)
+    out = T.conv2d(xt, wt, stride=stride, padding=padding)
+    (out * Tensor(g)).sum().backward()
+    wmat = wgt.reshape(c_out, -1)
+    g2 = g.reshape(c_out, -1)
+    assert _same_bytes(out.data, (wmat @ ref_cols).reshape(c_out, ho, wo))
+    assert _same_bytes(wt.grad, np.zeros(wgt.shape) + (g2 @ ref_cols.T).reshape(wgt.shape))
+    ref_gx = _col2im_reference(wmat.T @ g2, x.shape, k, k, stride, padding, ho, wo)
+    assert _same_bytes(xt.grad, np.zeros(x.shape) + ref_gx)
+
+
+def test_add_gives_each_parent_its_own_grad():
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    (a + b).sum().backward()
+    a.grad[0] = 5.0
+    np.testing.assert_array_equal(b.grad, np.ones(3))
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    (x + x).sum().backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+
 def test_conv2d_rejects_even_kernel():
     with pytest.raises(ValueError):
         T.conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))))
