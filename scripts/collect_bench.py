@@ -6,20 +6,24 @@ the results into one JSON file:
 
 BASE (default ``HEAD``) is exported with ``git archive`` into a temporary
 directory. Every workload listed in ``BENCHMARK.json`` runs for its
-``run_seconds`` at ``--trace 0`` and ``--trace 1`` on both sides, one run at
-a time, alternating which side goes first. The output holds each run's
-``perfbench/results/*.json`` file, both git SHAs, and a table of the
-end-to-end metrics side by side.
+``run_seconds`` on both sides, one run at a time: ``PAIRS`` pairs at
+``--trace 0`` and one pair at ``--trace 1``, alternating which side goes
+first. The output holds the first pair's ``perfbench/results/*.json`` files,
+both git SHAs, and for every end-to-end metric the value of every trace-0
+run on each side, the two medians, the base runs' interquartile range and
+the number of pairs the change won, and the summed ``failed`` counts.
 """
 
 import json
 import pathlib
+import statistics
 import subprocess
 import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEED = 1        # both sides run the same inputs
+PAIRS = 10      # trace-0 pairs per workload
 
 
 def git(*args) -> str:
@@ -53,21 +57,35 @@ def main(argv: list[str]) -> int:
            "base": {"rev": base_rev, "sha": base_sha, "results": {}},
            "change": {"sha": git("rev-parse", "HEAD"),
                       "dirty": bool(git("status", "--porcelain")), "results": {}}}
+    runs = {side: {w["name"]: [] for w in bench["workloads"]} for side in ("base", "change")}
     with tempfile.TemporaryDirectory() as tmp:
         base_dir = pathlib.Path(tmp)
         export(base_sha, base_dir)
         sides = [("base", base_dir), ("change", ROOT)]
-        for i, (workload, trace) in enumerate(
-                (w["name"], t) for w in bench["workloads"] for t in (0, 1)):
-            for side, checkout in sides if i % 2 == 0 else sides[::-1]:
-                print(f"{side:6s} {workload} --trace {trace}", flush=True)
-                doc[side]["results"][f"{workload}-trace{trace}"] = run(
-                    bench["command"], checkout, workload, bench["run_seconds"], trace)
-    doc["end_to_end"] = {
-        f"{w['name']}.{m['name']}": [
-            doc[side]["results"][f"{w['name']}-trace0"]["end_to_end"][m["name"]]["value"]
-            for side in ("base", "change")]
-        for w in bench["workloads"] for m in bench["end_to_end"]}
+        for workload in (w["name"] for w in bench["workloads"]):
+            for i, trace in enumerate([0] * PAIRS + [1]):
+                for side, checkout in sides if i % 2 == 0 else sides[::-1]:
+                    print(f"{side:6s} {workload} --trace {trace} pair {i}", flush=True)
+                    res = run(bench["command"], checkout, workload, bench["run_seconds"], trace)
+                    key = f"{workload}-trace{trace}"
+                    doc[side]["results"].setdefault(key, res)
+                    if trace == 0:
+                        runs[side][workload].append(
+                            {"failed": res["failed"],
+                             **{k: m["value"] for k, m in res["end_to_end"].items()}})
+    doc["end_to_end"] = {}
+    for w in bench["workloads"]:
+        for m in bench["end_to_end"]:
+            base, change = ([r[m["name"]] for r in runs[side][w["name"]]]
+                            for side in ("base", "change"))
+            q1, _, q3 = statistics.quantiles(base, n=4)
+            lower = m["better"] == "lower"
+            doc["end_to_end"][f"{w['name']}.{m['name']}"] = {
+                "base": base, "change": change, "failed": [
+                    sum(r["failed"] for r in runs[side][w["name"]]) for side in ("base", "change")],
+                "median": [statistics.median(base), statistics.median(change)],
+                "base_iqr": q3 - q1,
+                "change_wins": sum(c < b if lower else c > b for b, c in zip(base, change))}
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -362,17 +362,14 @@ def _conv_out_extent(n: int, k: int, stride: int, padding: int) -> int:
 
 # Columns are laid out (C, kh, kw) down the rows and (Ho, Wo) along the
 # columns. The windows are one strided view in that axis order, so the
-# reshape to C·kh·kw x Ho·Wo is the only copy. A 1 x 1 conv at stride 1
-# without padding needs no copy at all: its columns are a view of the input,
-# which the backward pass reads again for the weight grad, so an input's
-# ``.data`` must not be written between the forward and the backward pass.
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
-            padding: int) -> tuple[np.ndarray, int, int]:
+# reshape to C·kh·kw x Ho·Wo is the only copy, and for a 1 x 1 conv at
+# stride 1 without padding it copies nothing: the columns are then a view of
+# the input, which the backward pass reads again for the weight grad, so an
+# input's ``.data`` must not be written between the forward and the backward
+# pass.
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
+            ho: int, wo: int) -> np.ndarray:
     c, h, w = x.shape
-    ho = _conv_out_extent(h, kh, stride, padding)
-    wo = _conv_out_extent(w, kw, stride, padding)
-    if kh == kw == 1 and stride == 1 and padding == 0:
-        return x.reshape(c, h * w), ho, wo
     if padding:
         xp = np.zeros((c, h + 2 * padding, w + 2 * padding))
         xp[:, padding:-padding, padding:-padding] = x
@@ -383,7 +380,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
     # the ndarray constructor is a much cheaper strided view than as_strided
     windows = np.ndarray((c, kh, kw, ho, wo), x.dtype, x, 0,
                          (sc, sh, sw, sh * stride, sw * stride))
-    return windows.reshape(c * kh * kw, ho * wo), ho, wo
+    return windows.reshape(c * kh * kw, ho * wo)
 
 
 def _col2im(cols: np.ndarray, shape, kh, kw, stride, padding, ho, wo) -> np.ndarray:
@@ -405,9 +402,9 @@ def _col2im(cols: np.ndarray, shape, kh, kw, stride, padding, ho, wo) -> np.ndar
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2D convolution of a C_in x H x W map with C_out x C_in x kh x kw weights.
 
-    The backward pass may read ``x.data`` through a view (always for a 1 x 1
-    conv at stride 1 without padding): nothing may write ``x.data`` between
-    this call and ``backward``."""
+    The backward pass may read ``x.data`` through a view (a 1 x 1 conv at
+    stride 1 without padding on a contiguous input): nothing may write
+    ``x.data`` between this call and ``backward``."""
     c_out, c_in, kh, kw = weight.shape
     if x.ndim != 3 or x.shape[0] != c_in:
         raise ValueError(f"conv2d input {x.shape} incompatible with weight {weight.shape}")
@@ -420,7 +417,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     wo = _conv_out_extent(w, kw, stride, padding)
     if ho <= 0 or wo <= 0:
         raise ValueError(f"conv2d output extent non-positive for input {x.shape}")
-    cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
+    cols = _im2col(x.data, kh, kw, stride, padding, ho, wo)
     wmat = weight.data.reshape(c_out, c_in * kh * kw)
     out = (wmat @ cols).reshape(c_out, ho, wo)
 
