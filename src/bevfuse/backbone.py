@@ -228,8 +228,14 @@ class DetectorModel:
         for spec in backbone.bev_groups:
             cum *= spec.stride
             strides.append(cum)
-        self.bev_cum_strides = strides
         self.output_grid = grid.downsample(strides[-self.num_combined])
+        # every fusion level's raster, and all their pixel centers in level
+        # order: one neighbour query per scene answers every level
+        self.fusion_section = fusion_cfg
+        self.fusion_grids = {p: grid.downsample(strides[p]) for p in self.fusion_cfgs}
+        centers = [g.pixel_centers().reshape(-1, 2) for g in self.fusion_grids.values()]
+        self._centers = np.concatenate([np.zeros((0, 2)), *centers])
+        self._level_ends = np.cumsum([len(c) for c in centers])[:-1]
 
     def parameters(self) -> dict[str, Tensor]:
         out = {}
@@ -258,17 +264,16 @@ class DetectorModel:
     def make_plans(self, cloud: PointCloud,
                    cam: CalibratedCamera) -> dict[int, FusionPlan]:
         """Precompute neighbor pairings for every fusion insertion point."""
-        discrete = self.mode == "discrete"
-        # the discrete pairing never queries a k-d tree
-        index = build_bev_index(cloud) if self.fusion_cfgs and not discrete else None
-        plans = {}
-        for p, cfg in self.fusion_cfgs.items():
-            scale_grid = self.grid.downsample(self.bev_cum_strides[p])
-            if discrete:
-                plans[p] = plan_discrete_fusion(cloud, cam, scale_grid)
-            else:
-                plans[p] = plan_fusion(cloud, cam, scale_grid, cfg, index)
-        return plans
+        if self.mode == "discrete":         # never queries a k-d tree
+            return {p: plan_discrete_fusion(cloud, cam, g)
+                    for p, g in self.fusion_grids.items()}
+        if not self.fusion_cfgs:
+            return {}
+        knn = self.fusion_section
+        nb = build_bev_index(cloud).query(self._centers, knn.k, knn.max_dist)
+        return {p: plan_fusion(cloud, cam, self.fusion_grids[p], cfg, rows)
+                for (p, cfg), rows in zip(self.fusion_cfgs.items(),
+                                          np.split(nb, self._level_ends))}
 
     def forward(self, bev_input: Tensor, image_input: Tensor | None,
                 plans: dict[int, FusionPlan] | None) -> HeaderOutput:

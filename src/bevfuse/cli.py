@@ -8,6 +8,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -25,7 +26,7 @@ def _load(args) -> ExperimentConfig:
     else:
         cfg = config_from_dict(apply_env_overrides({}))
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)      # rechecks the seed
     return cfg
 
 
@@ -94,6 +95,8 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     from .pipeline import run_gradcheck
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     rows = run_gradcheck(rtol=args.rtol, seed=args.seed)
     ok = True
     for name, err, passed in rows:
@@ -110,7 +113,11 @@ def _cmd_report(args) -> int:
         path = os.path.join(args.run_dir, name)
         if os.path.exists(path):
             with open(path) as f:
-                print(json.dumps(json.load(f), indent=2, sort_keys=True))
+                try:
+                    metrics = json.load(f)
+                except json.JSONDecodeError as e:
+                    raise InputError(f"{path}: malformed JSON: {e}") from None
+            print(json.dumps(metrics, indent=2, sort_keys=True))
             return EXIT_OK
     raise ConfigError(f"no metrics found under {args.run_dir}")
 

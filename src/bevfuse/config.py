@@ -115,6 +115,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.variant not in NUM_REG:
             raise ConfigError(f"unknown variant {self.variant!r}")
+        if self.seed < 0:               # np.random.default_rng rejects it
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def assignment(self) -> AssignmentConfig:
         return self.assign if self.assign is not None \

@@ -65,6 +65,8 @@ class SceneGenConfig:
             raise ValueError("invalid object_count range")
         if self.ground_layout not in ("random", "grid"):
             raise ValueError(f"unknown ground_layout {self.ground_layout!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

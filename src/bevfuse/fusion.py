@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .geometry import (BevGrid, BevKdTree, CalibratedCamera, PointCloud,
-                       build_bev_index, project_points)
+from .geometry import (BevGrid, CalibratedCamera, PointCloud, build_bev_index,
+                       project_points)
 from .tensor import Tensor
 
 
@@ -98,12 +98,17 @@ _OFF_IMAGE = np.array([-10.0, -10.0])
 
 
 def plan_fusion(cloud: PointCloud, cam: CalibratedCamera, grid: BevGrid,
-                cfg: FusionConfig, index: BevKdTree | None = None) -> FusionPlan:
-    """Gather the <= k nearest in-range LIDAR points for every BEV pixel."""
+                cfg: FusionConfig, nb: np.ndarray | None = None) -> FusionPlan:
+    """Gather the <= k nearest in-range LIDAR points for every BEV pixel.
+
+    ``nb`` holds those neighbours (npix x k, pixel-major, -1 padded) as
+    ``BevKdTree.query`` returns them for the pixel centers; without it a tree
+    is built and queried here.
+    """
     centers = grid.pixel_centers().reshape(-1, 2)         # (ny*nx) x 2
     uv, valid = project_points(cloud, cam)
-    index = index if index is not None else build_bev_index(cloud)
-    nb = index.query(centers, cfg.k, cfg.max_dist)       # npix x k, -1 padded
+    if nb is None:
+        nb = build_bev_index(cloud).query(centers, cfg.k, cfg.max_dist)
     keep = nb >= 0
     if not cfg.use_geometric_feature:
         keep[keep] = valid[nb[keep]]    # nothing to contribute without the offset input

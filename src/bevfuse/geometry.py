@@ -159,8 +159,8 @@ def knn_bev(query, cloud: PointCloud, k: int, max_dist: float = np.inf) -> list[
     return [int(i) for i in order[:k] if d[i] <= max_dist]
 
 
-# (query, leaf) pairs merged at once; keeps each pairs x leaf temporary at 32 KB
-_MERGE_ROWS = 64
+# (query, leaf) pairs measured at once; keeps each pairs x leaf temporary at 512 KB
+_MERGE_ROWS = 1024
 # squared-distance prefilters are widened far beyond their rounding error, so
 # they never drop a point whose np.hypot distance would tie or win
 _SLACK = 1.0 + 1e-9
@@ -188,8 +188,8 @@ class BevKdTree:
         self._axis = table[:, 0].astype(np.intp)
         self._child = table[:, 1:3].astype(np.intp)
         self._box = table[:, 3:]
-        # padded rows: index n (sorts after every point) and NaN coordinates
-        # (never selected) past a leaf's last point; inner nodes hold none
+        # padded rows: index n and NaN coordinates (never selected) past a
+        # leaf's last point; inner nodes hold none
         self._members = np.full((len(members), max(map(len, members), default=0)), n)
         for node, seg in enumerate(members):
             self._members[node, :len(seg)] = seg
@@ -228,61 +228,65 @@ class BevKdTree:
 
     def _knn(self, q: np.ndarray, k: int, max_dist: float) -> np.ndarray:
         m, n = q.shape[0], self.xy.shape[0]
-        best_d = np.full((m, k), np.inf)
-        best_i = np.full((m, k), n, dtype=np.intp)
-        if n and m:
-            # descend every query to its own leaf, whose points seed its bound;
-            # the split value is the low edge of the right child's box
-            home = np.zeros(m, dtype=np.intp)
-            while (inner := self._axis[home] >= 0).any():
-                nodes, axis = home[inner], self._axis[home[inner]]
-                right = q[inner, axis] >= self._box[self._child[nodes, 1], axis]
-                home[inner] = self._child[nodes, right.astype(np.intp)]
-            self._merge(np.arange(m), home, q, k, max_dist, best_d, best_i)
-            # walk the tree level by level with every (query, node) pair whose
-            # box may still improve the query, and merge the other leaves reached
-            limit = np.minimum(best_d[:, -1], max_dist) ** 2 * _SLACK
-            qi, node = np.arange(m), np.zeros(m, dtype=np.intp)
-            pairs = []
-            while qi.size:
-                qa, box = q[qi], self._box[node]
-                gap = np.maximum(np.maximum(box[:, :2] - qa, qa - box[:, 2:]), 0.0)
-                # not >: ties survive, and a NaN from a non-finite point never prunes
-                near = ~((gap * gap).sum(axis=1) > limit[qi])
-                qi, node = qi[near], node[near]
-                leaf = self._axis[node] < 0
-                other = leaf & (home[qi] != node)
-                pairs.append((qi[other], node[other]))
-                qi, node = np.repeat(qi[~leaf], 2), self._child[node[~leaf]].ravel()
-            self._merge(*map(np.concatenate, zip(*pairs)), q, k, max_dist, best_d, best_i)
-        return np.where(best_i == n, -1, best_i)
-
-    def _merge(self, qi: np.ndarray, leaf: np.ndarray, q: np.ndarray, k: int,
-               max_dist: float, best_d: np.ndarray, best_i: np.ndarray):
-        """Fold the points of leaf ``leaf[p]`` into the k best of query
-        ``qi[p]``, for every pair p; a query meets each leaf at most once."""
+        out = np.full((m, k), -1, dtype=np.intp)
+        if not (n and m):
+            return out
+        # descend every query to its own leaf; the split value is the low edge
+        # of the right child's box
+        home = np.zeros(m, dtype=np.intp)
+        while (inner := self._axis[home] >= 0).any():
+            nodes, axis = home[inner], self._axis[home[inner]]
+            right = q[inner, axis] >= self._box[self._child[nodes, 1], axis]
+            home[inner] = self._child[nodes, right.astype(np.intp)]
+        # each query's bound: its home leaf's k-th nearest point, or max_dist
+        bound = np.full(m, float(max_dist)) ** 2
+        if self._members.shape[1] >= k:
+            for s in range(0, m, _MERGE_ROWS):
+                d2 = self._offsets(q[s:s + _MERGE_ROWS], home[s:s + _MERGE_ROWS])[2]
+                kth = np.partition(d2, k - 1, axis=1)[:, k - 1]     # NaN: < k points
+                bound[s:s + _MERGE_ROWS] = np.fmin(bound[s:s + _MERGE_ROWS], kth)
+        bound *= _SLACK
+        # walk the tree level by level with every (query, node) pair whose box
+        # may hold a point inside the bound, and collect the leaves reached
+        qi, node = np.arange(m), np.zeros(m, dtype=np.intp)
+        pairs = []
+        while qi.size:
+            qa, box = q[qi], self._box[node]
+            gap = np.maximum(np.maximum(box[:, :2] - qa, qa - box[:, 2:]), 0.0)
+            # not >: ties survive, and a NaN from a non-finite point never prunes
+            near = ~((gap * gap).sum(axis=1) > bound[qi])
+            qi, node = qi[near], node[near]
+            leaf = self._axis[node] < 0
+            pairs.append((qi[leaf], node[leaf]))
+            qi, node = np.repeat(qi[~leaf], 2), self._child[node[~leaf]].ravel()
+        qi, leaf = map(np.concatenate, zip(*pairs))
+        if not qi.size:
+            return out
+        # every point of a reached leaf inside both bounds is a candidate
+        hits = []
         for s in range(0, qi.size, _MERGE_ROWS):
             a, lf = qi[s:s + _MERGE_ROWS], leaf[s:s + _MERGE_ROWS]
-            dx = self._member_xy[lf, :, 0] - q[a, 0, None]
-            dy = self._member_xy[lf, :, 1] - q[a, 1, None]
-            d2 = dx * dx + dy * dy
-            limit = np.minimum(best_d[a, -1], max_dist) ** 2 * _SLACK
-            if d2.shape[1] >= k:      # the leaf's k nearest bound the k best
-                limit = np.fmin(limit, np.partition(d2, k - 1, axis=1)[:, k - 1] * _SLACK)
-            r, c = np.nonzero(d2 <= limit[:, None])
+            dx, dy, d2 = self._offsets(q[a], lf)
+            r, c = np.nonzero(d2 <= bound[a, None])
             d = np.hypot(dx[r, c], dy[r, c])      # the same values knn_bev sorts
             hit = d <= max_dist
-            r, c, d = r[hit], c[hit], d[hit]
-            # sort old bests and new hits by (query, distance, index); keep k each
-            u, inv = np.unique(a, return_inverse=True)
-            rows = np.concatenate([np.repeat(np.arange(u.size), k), inv[r]])
-            cd = np.concatenate([best_d[u].ravel(), d])
-            ci = np.concatenate([best_i[u].ravel(), self._members[lf[r], c]])
-            order = np.lexsort((ci, cd, rows))
-            count = np.bincount(rows, minlength=u.size)
-            keep = order[np.arange(order.size) - np.repeat(np.cumsum(count) - count, count) < k]
-            best_d[u] = cd[keep].reshape(-1, k)
-            best_i[u] = ci[keep].reshape(-1, k)
+            hits.append((a[r[hit]], d[hit], self._members[lf[r[hit]], c[hit]]))
+        # sort by (query, distance, index) once and keep the first k of each query
+        hq, hd, hi = map(np.concatenate, zip(*hits))
+        order = np.lexsort((hi, hd, hq))
+        hq, hi = hq[order], hi[order]
+        count = np.bincount(hq, minlength=m)
+        rank = np.arange(hq.size) - np.repeat(np.cumsum(count) - count, count)
+        keep = rank < k
+        out[hq[keep], rank[keep]] = hi[keep]
+        return out
+
+    def _offsets(self, qa: np.ndarray, leaf: np.ndarray):
+        """(dx, dy, squared distance) from query row p to every point of leaf
+        ``leaf[p]``, NaN past the leaf's last point."""
+        dx = self._member_xy[leaf, :, 0] - qa[:, 0, None]
+        dy = self._member_xy[leaf, :, 1] - qa[:, 1, None]
+        return dx, dy, dx * dx + dy * dy
 
 
 def build_bev_index(cloud: PointCloud) -> BevKdTree:

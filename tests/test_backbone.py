@@ -5,10 +5,10 @@ from bevfuse import backbone
 from bevfuse.backbone import (MODES, BackboneConfig, Conv2dLayer, DetectorModel,
                               FpnCombiner, GroupSpec, ImageStream,
                               ResidualBlock, ResidualGroup)
-from bevfuse.config import ExperimentConfig
-from bevfuse.data import generate_scene
-from bevfuse.fusion import FusionConfig
-from bevfuse.geometry import BevGrid
+from bevfuse.config import ExperimentConfig, FusionSection
+from bevfuse.data import AugmentationConfig, augment, generate_scene
+from bevfuse.fusion import FusionConfig, plan_fusion
+from bevfuse.geometry import BevGrid, BevKdTree, PointCloud
 from bevfuse.pipeline import build_model, build_scenes, miniature_config
 from bevfuse.tensor import Tensor
 
@@ -163,9 +163,34 @@ def test_make_plans_builds_index_only_for_knn_modes(monkeypatch, mode, builds):
     cfg.mode = mode
     model = build_model(cfg)
     scene = build_scenes(cfg)[0]
-    calls = []
-    build = backbone.build_bev_index
+    calls, queries = [], []
+    build, query = backbone.build_bev_index, BevKdTree.query
     monkeypatch.setattr(backbone, "build_bev_index",
                         lambda cloud: calls.append(1) or build(cloud))
+    monkeypatch.setattr(BevKdTree, "query",
+                        lambda self, *a: queries.append(1) or query(self, *a))
     model.make_plans(scene.cloud, scene.cam)
     assert len(calls) == builds
+    assert len(queries) == builds       # one query answers every fusion level
+
+
+@pytest.mark.parametrize("mode", ["continuous", "continuous_nogeo"])
+@pytest.mark.parametrize("k,max_dist", [(1, 1.5), (1, np.inf), (3, 1.5), (3, np.inf)])
+def test_make_plans_equals_per_level_plans(mode, k, max_dist):
+    cfg = ExperimentConfig(mode=mode, fusion=FusionSection(k, max_dist))
+    model = build_model(cfg)
+    scene = build_scenes(cfg)[0]
+    augmented = augment(scene, AugmentationConfig(), seed=[5, 0])
+    empty = PointCloud(np.zeros((0, 3)))
+    for cloud, cam in ((scene.cloud, scene.cam), (augmented.cloud, augmented.cam),
+                       (empty, scene.cam)):
+        plans = model.make_plans(cloud, cam)
+        assert sorted(plans) == sorted(cfg.backbone.fusion_points)
+        for p, plan in plans.items():
+            grid = cfg.grid.downsample(2 ** p)
+            ref = plan_fusion(cloud, cam, grid, model.fusion_cfgs[p])
+            assert (plan.ny, plan.nx) == (ref.ny, ref.nx) == (grid.ny, grid.nx)
+            for a, b in ((plan.pair_pixel, ref.pair_pixel), (plan.pair_uv, ref.pair_uv),
+                         (plan.pair_offset, ref.pair_offset)):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()

@@ -183,10 +183,26 @@ def test_bad_eval_iou_kind_rejected_at_load(tmp_path, monkeypatch):
     ("DATA__SOURCE", "tape"), ("DATA__SYNTHETIC__GROUND_LAYOUT", "spiral"),
     ("EVAL__AP_POINTS", "0"), ("DATA__N_SCENES", "0"), ("EVAL__NMS_MAX_OUT", "0"),
     ("EVAL__NMS_IOU", "0"), ("EVAL__NMS_IOU", "1.5"), ("DATA__SOURCE", "manifest"),
-    ("FUSION__INPUT_DIM", "99"), ("FUSION__MAX_DIST", "-1"), ("FUSION__MAX_DIST", ".nan")])
+    ("FUSION__INPUT_DIM", "99"), ("FUSION__MAX_DIST", "-1"), ("FUSION__MAX_DIST", ".nan"),
+    ("SEED", "-1"), ("DATA__SYNTHETIC__SEED", "-1")])
 def test_bad_config_value_rejected_at_load(tmp_path, monkeypatch, key, value):
     monkeypatch.setenv(f"BEVFUSE_{key}", value)
     assert _train_exit(tmp_path) == (EXIT_CONFIG, False)
+
+
+def test_negative_seed_flag_is_config_error(tmp_path):
+    cfg_path = tmp_path / "cfg.yaml"
+    _write_mini_config(cfg_path)
+    out = tmp_path / "o"
+    rc = main(["train", "--config", str(cfg_path), "--out", str(out), "--seed", "-1"])
+    assert rc == EXIT_CONFIG
+    assert not out.exists()
+    assert main(["gradcheck", "--seed", "-1"]) == EXIT_CONFIG
+
+
+def test_report_of_corrupt_metrics_is_config_error(tmp_path):
+    (tmp_path / "final_metrics.json").write_text("{")
+    assert main(["report", str(tmp_path)]) == EXIT_CONFIG
 
 
 def test_malformed_yaml_file_is_config_error(tmp_path):

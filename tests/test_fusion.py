@@ -52,7 +52,9 @@ def test_forward_matches_loop_nest_reference():
 
 def test_plan_is_reusable_and_matches_direct_forward():
     _, cam, cloud, grid, cfg, img, mlp = _setup(seed=5)
-    plan = plan_fusion(cloud, cam, grid, cfg, build_bev_index(cloud))
+    nb = build_bev_index(cloud).query(grid.pixel_centers().reshape(-1, 2),
+                                      cfg.k, cfg.max_dist)
+    plan = plan_fusion(cloud, cam, grid, cfg, nb)
     a = apply_fusion(img, plan, cfg, mlp).data
     b = continuous_fusion_forward(img, cloud, cam, grid, cfg, mlp).data
     np.testing.assert_array_equal(a, b)

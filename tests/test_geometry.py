@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bevfuse.data import make_forward_camera
-from bevfuse.geometry import (BevGrid, BevKdTree, CalibratedCamera, PointCloud,
-                              bilinear_sample, build_bev_index, knn_bev,
-                              project_points, voxelize)
+from bevfuse.geometry import (_MERGE_ROWS, BevGrid, BevKdTree, CalibratedCamera,
+                              PointCloud, bilinear_sample, build_bev_index,
+                              knn_bev, project_points, voxelize)
 
 
 def _cloud(rng, n, lo=(0, -10, -1), hi=(30, 10, 2)):
@@ -123,16 +123,17 @@ def test_kdtree_duplicate_points_tie_break():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 120), st.booleans(), st.booleans(), st.integers(1, 12),
        st.sampled_from([0.0, 1e-9, 0.5, 1.0, 2.5, np.inf]),
-       st.sampled_from([1, 2, 5, 64]), st.integers(0, 2 ** 31 - 1))
+       st.sampled_from([1, 2, 5, 64]), st.sampled_from([40, 3 * _MERGE_ROWS + 5]),
+       st.integers(0, 2 ** 31 - 1))
 def test_kdtree_batched_query_matches_knn_bev(n, lattice, with_nan, k, max_dist,
-                                              leaf_size, seed):
+                                              leaf_size, m, seed):
     rng = np.random.default_rng(seed)
     if lattice:     # integer points and queries: exact distance ties everywhere
         xy = rng.integers(-4, 5, (n, 2)).astype(np.float64)
-        queries = rng.integers(-12, 13, (40, 2)).astype(np.float64)
+        queries = rng.integers(-12, 13, (m, 2)).astype(np.float64)
     else:
         xy = rng.uniform(-5, 5, (n, 2))
-        queries = rng.uniform(-20, 20, (40, 2))     # many outside the cloud's box
+        queries = rng.uniform(-20, 20, (m, 2))      # many outside the cloud's box
     if n:
         xy = np.concatenate([xy, xy[rng.integers(0, n, n // 4)]])    # duplicates
         if with_nan:    # knn_bev never returns a point with a NaN coordinate
@@ -144,7 +145,8 @@ def test_kdtree_batched_query_matches_knn_bev(n, lattice, with_nan, k, max_dist,
     for q, row in zip(queries, nb):
         ref = knn_bev(q, cloud, k, max_dist)
         assert row.tolist() == ref + [-1] * (k - len(ref))
-        assert tree.query(q, k, max_dist) == ref
+    for q, row in zip(queries[:40], nb):        # a single query gives its row
+        assert tree.query(q, k, max_dist) == row[row >= 0].tolist()
 
 
 def test_bilinear_sample_matches_tensor_impl():
