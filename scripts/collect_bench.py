@@ -9,7 +9,8 @@ directory. Every workload listed in ``BENCHMARK.json`` runs for its
 ``run_seconds`` on both sides, one run at a time: ``PAIRS`` pairs at
 ``--trace 0`` and one pair at ``--trace 1``, alternating which side goes
 first. The output holds the first pair's ``perfbench/results/*.json`` files,
-both git SHAs, and for every end-to-end metric the value of every trace-0
+both git SHAs, each side's ``src_lines`` (the lines of the ``.py`` files
+under ``src/``), and for every end-to-end metric the value of every trace-0
 run on each side, the two medians, the base runs' interquartile range and
 the number of pairs the change won, and the summed ``failed`` counts.
 """
@@ -37,6 +38,10 @@ def export(rev: str, dest: pathlib.Path):
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def src_lines(checkout: pathlib.Path) -> int:
+    return sum(p.read_text().count("\n") for p in (checkout / "src").rglob("*.py"))
+
+
 def run(command: list[str], checkout: pathlib.Path, workload: str,
         seconds: float, trace: int) -> dict:
     subprocess.run([*command, "--workload", workload, "--seed", str(SEED),
@@ -61,6 +66,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base_dir = pathlib.Path(tmp)
         export(base_sha, base_dir)
+        doc["base"]["src_lines"], doc["change"]["src_lines"] = map(src_lines, (base_dir, ROOT))
         sides = [("base", base_dir), ("change", ROOT)]
         for workload in (w["name"] for w in bench["workloads"]):
             for i, trace in enumerate([0] * PAIRS + [1]):

@@ -5,6 +5,7 @@ resolved copy."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import types
 from dataclasses import dataclass, field
@@ -32,6 +33,10 @@ class ConfigError(InputError):
 class AnchorConfig:
     size: tuple[float, float, float] = (4.0, 2.0, 1.6)
     z: float = 0.8
+
+    def __post_init__(self):
+        if not all(s > 0 for s in self.size):       # NaN fails this too
+            raise ValueError(f"anchor sizes must be > 0, got {list(self.size)}")
 
 
 @dataclass
@@ -117,6 +122,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.seed < 0:               # np.random.default_rng rejects it
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # the streams halve their rasters group by group
+        stride = math.prod(g.stride for g in self.backbone.bev_groups)
+        if self.grid.nx % stride or self.grid.ny % stride:
+            raise ConfigError(f"grid {self.grid.nx}x{self.grid.ny} not divisible by "
+                              f"the BEV stride {stride}")
+        stride = math.prod(g.stride for g in self.backbone.image_groups)
+        _, h, w = self.data.synthetic.image_shape
+        if self.mode != "bev_only" and (h % stride or w % stride):
+            raise ConfigError(f"image {h}x{w} not divisible by the image stride {stride}")
 
     def assignment(self) -> AssignmentConfig:
         return self.assign if self.assign is not None \
@@ -126,14 +140,22 @@ class ExperimentConfig:
 # -- strict dict -> dataclass construction ------------------------------------
 
 def _coerce(value: Any, hint: Any, path: str) -> Any:
-    """Shape a parsed YAML value by its field's type hint: dataclasses from a
-    mapping or a positional list, tuples and lists element by element, and
-    ``X | None`` as ``X``."""
-    if value is None:
-        return None
+    """Check and shape a parsed YAML value by its field's type hint: scalars
+    by type without converting them (an int passes as a float, a bool as
+    neither), dataclasses from a mapping or a positional list, tuples and
+    lists element by element, and ``X | None`` as ``X``; only such a field
+    may be null."""
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, types.UnionType):
-        return _coerce(value, next(a for a in args if a is not type(None)), path)
+        return None if value is None else \
+            _coerce(value, next(a for a in args if a is not type(None)), path)
+    if value is None:
+        raise ConfigError(f"{path}: must not be null")
+    if hint in (bool, int, float, str):
+        if isinstance(value, bool) != (hint is bool) or \
+                not isinstance(value, (int, float) if hint is float else hint):
+            raise ConfigError(f"{path}: expected {hint.__name__}, got {value!r}")
+        return value
     if dataclasses.is_dataclass(hint):
         if isinstance(value, (list, tuple)):
             names = [f.name for f in dataclasses.fields(hint)]

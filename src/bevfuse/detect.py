@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,14 +11,14 @@ from . import tensor as T
 from .geometry import BevGrid
 from .tensor import Tensor
 
-# regression channel layouts; encode/decode always works in the full
-# (x, y, z, w, h, d, t) order and variants select a subset
+# regression-row layout: the columns of the full row (p_x, p_y, p_z, p_w,
+# p_h, p_d, p_t, raw 2D box height) that each variant's header regresses
 REG_INDICES = {
     "bev": (0, 1, 3, 4, 6),            # z and d terms removed
     "3d": (0, 1, 2, 3, 4, 5, 6),
-    "kitti3d": (0, 1, 2, 3, 4, 5, 6),  # + one extra raw channel for 2D box height
+    "kitti3d": (0, 1, 2, 3, 4, 5, 6, 7),
 }
-NUM_REG = {"bev": 5, "3d": 7, "kitti3d": 8}
+NUM_REG = {variant: len(idx) for variant, idx in REG_INDICES.items()}
 ANCHOR_ORIENTATIONS = (0.0, math.pi / 2)
 
 # guard for the literal center encoding (k - a_k) / a_k when a_k ~ 0
@@ -27,7 +27,7 @@ CENTER_EPS = 1e-6
 
 @dataclass(frozen=True)
 class Anchor:
-    """Fixed-size prior box; orientation is one of 0 or pi/2."""
+    """One fixed-size prior box; ``make_anchors`` stores anchors as rows."""
 
     x: float
     y: float
@@ -61,60 +61,87 @@ class DetectionBox:
     height2d: float = 0.0      # image-space 2D box height, kitti3d variant only
 
 
+def box_rows(boxes) -> np.ndarray:
+    """N x 7 rows (x, y, z, w, h, d, t) of boxes or anchors."""
+    return np.array([(b.x, b.y, b.z, b.w, b.h, b.d, b.t) for b in boxes], float).reshape(-1, 7)
+
+
 def make_anchors(grid: BevGrid, size: tuple[float, float, float],
-                 z: float) -> list[Anchor]:
-    """Two fixed-size anchors (orientations 0 and pi/2) at every pixel of the
-    output raster, ordered row-major by (iy, ix, orientation)."""
-    w, h, d = size
-    centers = grid.pixel_centers().reshape(-1, 2)
-    return [Anchor(cx, cy, z, w, h, d, t)
-            for cx, cy in centers for t in ANCHOR_ORIENTATIONS]
+                 z: float) -> np.ndarray:
+    """N x 7 rows (x, y, z, w, h, d, t): anchors of orientations 0 and pi/2 at
+    every pixel of the output raster, row-major by (iy, ix, orientation)."""
+    centers = grid.pixel_centers().reshape(-1, 1, 2)
+    rows = np.empty((len(centers), len(ANCHOR_ORIENTATIONS), 7))
+    rows[..., :2], rows[..., 2:6], rows[..., 6] = centers, (z, *size), ANCHOR_ORIENTATIONS
+    return rows.reshape(-1, 7)
+
+
+def logistic(x):
+    """1 / (1 + exp(-x)) of raw class logits, clipped so exp stays finite."""
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
 
 
 # -- target encoding ----------------------------------------------------------
 
-def _center_normalizers(anchor: Anchor, center_norm: str) -> np.ndarray:
+def _center_normalizers(anchors: np.ndarray, center_norm: str) -> np.ndarray:
     if center_norm == "anchor_coord":
-        coords = np.array([anchor.x, anchor.y, anchor.z])
-        guard = np.where(np.abs(coords) > CENTER_EPS, coords,
-                         np.where(coords >= 0, CENTER_EPS, -CENTER_EPS))
-        return guard
+        coords = anchors[:, :3]
+        return np.where(np.abs(coords) > CENTER_EPS, coords,
+                        np.where(coords >= 0, CENTER_EPS, -CENTER_EPS))
     if center_norm == "diagonal":
-        diag = math.sqrt(anchor.w ** 2 + anchor.h ** 2 + anchor.d ** 2)
-        return np.array([diag, diag, diag])
+        # libm pow, as ``**`` on a float: x * x differs from it in rare last bits
+        sq = np.float_power(anchors[:, 3:6], 2)
+        return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])[:, None]
     raise ValueError(f"unknown center_norm {center_norm!r}")
 
 
-def encode_targets(gt: DetectionBox, anchor: Anchor,
-                   center_norm: str = "anchor_coord",
-                   wrap_orientation: bool = False) -> np.ndarray:
-    """Offsets (p_x, p_y, p_z, p_w, p_h, p_d, p_t) of a box w.r.t. an anchor.
-
-    Centers: (k - a_k) / a_k with the anchor coordinate as normalizer (the
-    printed form; ``diagonal`` substitutes the anchor diagonal length).
-    Sizes: log(k / a_k). Orientation: raw difference, optionally wrapped to
-    (-pi/2, pi/2].
-    """
-    norm = _center_normalizers(anchor, center_norm)
-    p_center = (np.array([gt.x, gt.y, gt.z]) - np.array([anchor.x, anchor.y, anchor.z])) / norm
-    p_size = np.log(np.array([gt.w, gt.h, gt.d]) /
-                    np.array([anchor.w, anchor.h, anchor.d]))
-    p_t = gt.t - anchor.t
+def encode_rows(gt_rows: np.ndarray, anchor_rows: np.ndarray,
+                center_norm: str = "anchor_coord",
+                wrap_orientation: bool = False) -> np.ndarray:
+    """N x 7 offsets (p_x, p_y, p_z, p_w, p_h, p_d, p_t) of box rows from
+    anchor rows. Centers: (k - a_k) / a_k with the anchor coordinate as
+    normalizer (the printed form; ``diagonal`` substitutes the anchor diagonal
+    length). Sizes: log(k / a_k). Orientation: raw difference, optionally
+    wrapped to (-pi/2, pi/2]."""
+    norm = _center_normalizers(anchor_rows, center_norm)
+    p_t = gt_rows[:, 6:] - anchor_rows[:, 6:]
     if wrap_orientation:
         p_t = (p_t + math.pi / 2) % math.pi - math.pi / 2
-        if p_t == -math.pi / 2:
-            p_t = math.pi / 2
-    return np.concatenate([p_center, p_size, [p_t]])
+        p_t[p_t == -math.pi / 2] = math.pi / 2
+    return np.concatenate([(gt_rows[:, :3] - anchor_rows[:, :3]) / norm,
+                           np.log(gt_rows[:, 3:6] / anchor_rows[:, 3:6]), p_t], axis=1)
+
+
+def decode_rows(p: np.ndarray, anchor_rows: np.ndarray,
+                center_norm: str = "anchor_coord") -> np.ndarray:
+    """N x 7 box rows: the exact inverse of encode_rows (without orientation
+    wrapping). Columns of ``p`` past the seventh are ignored."""
+    norm = _center_normalizers(anchor_rows, center_norm)
+    return np.concatenate([anchor_rows[:, :3] + p[:, :3] * norm,
+                           anchor_rows[:, 3:6] * np.exp(p[:, 3:6]),
+                           anchor_rows[:, 6:] + p[:, 6:7]], axis=1)
+
+
+def encode_targets(gt: DetectionBox, anchor: Anchor, center_norm: str = "anchor_coord",
+                   wrap_orientation: bool = False) -> np.ndarray:
+    """Offsets of one box w.r.t. one anchor: the one-row ``encode_rows``."""
+    return encode_rows(box_rows([gt]), box_rows([anchor]), center_norm, wrap_orientation)[0]
 
 
 def decode_targets(p: np.ndarray, anchor: Anchor,
                    center_norm: str = "anchor_coord") -> DetectionBox:
-    """Exact inverse of encode_targets (without orientation wrapping)."""
-    p = np.asarray(p, dtype=np.float64)
-    norm = _center_normalizers(anchor, center_norm)
-    cx, cy, cz = np.array([anchor.x, anchor.y, anchor.z]) + p[:3] * norm
-    w, h, d = np.array([anchor.w, anchor.h, anchor.d]) * np.exp(p[3:6])
-    return DetectionBox(cx, cy, cz, w, h, d, anchor.t + p[6])
+    """Exact inverse of encode_targets: the one-row ``decode_rows``."""
+    return DetectionBox(*decode_rows(np.atleast_2d(p), box_rows([anchor]), center_norm)[0])
+
+
+def regression_rows(variant: str, gts: list[DetectionBox], gt_idx: np.ndarray,
+                    anchor_rows: np.ndarray, center_norm: str = "anchor_coord",
+                    wrap_orientation: bool = False) -> np.ndarray:
+    """N x NUM_REG[variant] training rows: ``gts[gt_idx[i]]`` encoded against
+    anchor row i, laid out by ``REG_INDICES[variant]``."""
+    offsets = encode_rows(box_rows(gts)[gt_idx], anchor_rows, center_norm, wrap_orientation)
+    heights = np.array([g.height2d for g in gts], dtype=np.float64)[gt_idx, None]
+    return np.concatenate([offsets, heights], axis=1)[:, REG_INDICES[variant]]
 
 
 # -- rotated IoU --------------------------------------------------------------
@@ -189,10 +216,9 @@ def may_overlap(a, b) -> np.ndarray:
     axis out of the test, a NaN size or angle takes both.
     """
     def fields(boxes):
-        f = np.array([(bx.x, bx.y, bx.w, bx.h, bx.t) for bx in boxes],
-                     dtype=np.float64).reshape(-1, 5)
-        c, s = np.abs(np.cos(f[:, 4])), np.abs(np.sin(f[:, 4]))
-        w, h = np.abs(f[:, 2]), np.abs(f[:, 3])
+        f = box_rows(boxes)
+        c, s = np.abs(np.cos(f[:, 6])), np.abs(np.sin(f[:, 6]))
+        w, h = np.abs(f[:, 3]), np.abs(f[:, 4])
         return f[:, 0], f[:, 1], 0.5 * (c * w + s * h), 0.5 * (s * w + c * h)
 
     def apart(ca, ra, cb, rb):
@@ -312,26 +338,19 @@ class DetectionHeader:
         return HeaderOutput(out, self.num_anchors, self.num_reg)
 
 
-def decode_detections(header: HeaderOutput, anchors: list[Anchor],
+def decode_detections(header: HeaderOutput, anchors: np.ndarray,
                       center_norm: str = "anchor_coord",
                       cls: int = 0) -> list[DetectionBox]:
-    """Turn raw header output into scored boxes (pre-NMS)."""
+    """Scored boxes (pre-NMS), one per anchor row. Regression cells are read
+    back through the variant's REG_INDICES; offsets it does not regress are 0."""
     flat = header.flat().data
     if flat.shape[0] != len(anchors):
         raise ValueError(f"{flat.shape[0]} predictions vs {len(anchors)} anchors")
-    boxes = []
-    for row, anchor in zip(flat, anchors):
-        score = float(1.0 / (1.0 + np.exp(-np.clip(row[0], -500, 500))))
-        p = np.zeros(7)
-        if header.num_reg == 5:
-            p[[0, 1, 3, 4, 6]] = row[1:6]
-        else:
-            p[:] = row[1:8]
-        box = decode_targets(p, anchor, center_norm=center_norm)
-        box.score = score
-        box.cls = cls
-        box.is_3d = header.num_reg >= 7
-        if header.num_reg == 8:
-            box.height2d = float(row[8])
-        boxes.append(box)
-    return boxes
+    layout = next(idx for idx in REG_INDICES.values() if len(idx) == header.num_reg)
+    full = np.zeros((len(flat), 8))
+    full[:, layout] = flat[:, 1:]
+    rows = decode_rows(full, anchors, center_norm)
+    is_3d = 2 in layout                 # the variant regresses z
+    return [DetectionBox(*row, score=score, cls=cls, is_3d=is_3d, height2d=h2d)
+            for row, score, h2d in zip(rows, logistic(flat[:, 0]).tolist(),
+                                       full[:, 7].tolist())]

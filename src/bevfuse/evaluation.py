@@ -129,14 +129,10 @@ def _pool_frames(frames: list[tuple[list[DetectionBox], list[DetectionBox]]],
     return np.array([s[3] for s in scored], dtype=np.int64), num_gt
 
 
-def evaluate_frames(frames: list[tuple[list[DetectionBox], list[DetectionBox]]],
-                    cfg: EvalConfig) -> float | None:
-    """AP over a set of (detections, ground truths) frames."""
-    flags, num_gt = _pool_frames(frames, cfg)
-    return average_precision(flags, num_gt, cfg.ap_points)
-
-
-def evaluate_pr(frames, cfg: EvalConfig) -> PrCurve | None:
+def evaluate_pr(frames: list[tuple[list[DetectionBox], list[DetectionBox]]],
+                cfg: EvalConfig) -> PrCurve | None:
+    """PR curve and AP over (detections, ground truths) frames; None when
+    they hold no ground truth."""
     flags, num_gt = _pool_frames(frames, cfg)
     return pr_curve(flags, num_gt, cfg.ap_points)
 
@@ -153,5 +149,6 @@ def piecewise_range_ap(frames: list[tuple[list[DetectionBox], list[DetectionBox]
     for lo, hi in cfg.range_bins:
         binned = [([d for d in dets if lo <= d.x < hi], [g for g in gts if lo <= g.x < hi])
                   for dets, gts in frames]
-        out.append(((lo, hi), evaluate_frames(binned, cfg)))
+        curve = evaluate_pr(binned, cfg)
+        out.append(((lo, hi), curve.ap if curve is not None else None))
     return out

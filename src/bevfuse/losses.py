@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import Anchor, DetectionBox
+from .detect import DetectionBox, box_rows
 from .tensor import Tensor
 
 NEGATIVE = -1
@@ -53,19 +53,18 @@ class LossBreakdown:
     n_pos: int
 
 
-def assign_anchors(anchors: list[Anchor], gt_boxes: list[DetectionBox],
+def assign_anchors(anchors: np.ndarray, gt_boxes: list[DetectionBox],
                    cfg: AssignmentConfig) -> np.ndarray:
-    """Per-anchor label: matched gt index, NEGATIVE (-1) or IGNORE (-2).
+    """Per-anchor-row label: matched gt index, NEGATIVE (-1) or IGNORE (-2).
 
     An anchor is positive iff its BEV center lies within positive_radius of
     some gt center (nearest gt wins); negative iff farther than
     negative_radius from every gt; ignored in between.
     """
     labels = np.full(len(anchors), NEGATIVE, dtype=np.int64)
-    if not gt_boxes or not anchors:
+    if not gt_boxes or not len(anchors):
         return labels
-    ac = np.array([[a.x, a.y] for a in anchors])
-    gc = np.array([[g.x, g.y] for g in gt_boxes])
+    ac, gc = anchors[:, :2], box_rows(gt_boxes)[:, :2]
     d = np.hypot(ac[:, 0, None] - gc[None, :, 0], ac[:, 1, None] - gc[None, :, 1])
     nearest = d.argmin(axis=1)
     dmin = d[np.arange(len(anchors)), nearest]

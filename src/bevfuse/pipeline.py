@@ -15,8 +15,8 @@ from .backbone import DetectorModel
 from .config import ExperimentConfig, FusionSection
 from .data import (SceneSample, augment, generate_dataset, load_dataset,
                    load_kitti_frame)
-from .detect import (NUM_REG, REG_INDICES, Anchor, DetectionBox, decode_detections,
-                     encode_targets, make_anchors, nms)
+from .detect import (DetectionBox, decode_detections, logistic, make_anchors, nms,
+                     regression_rows)
 from .evaluation import evaluate_pr, piecewise_range_ap
 from .fusion import FusionConfig, FusionMlp, FusionPlan, continuous_fusion_forward
 from .geometry import BevGrid, PointCloud, voxelize
@@ -64,23 +64,8 @@ class PreparedScene:
     reg_targets: np.ndarray         # n_pos x R
 
 
-def _reg_target_rows(cfg: ExperimentConfig, anchors: list[Anchor],
-                     pos_idx: np.ndarray, labels: np.ndarray,
-                     gts: list[DetectionBox]) -> np.ndarray:
-    rows = []
-    for ai in pos_idx:
-        gt = gts[labels[ai]]
-        enc = encode_targets(gt, anchors[ai], center_norm=cfg.loss.center_norm,
-                             wrap_orientation=cfg.loss.wrap_orientation)
-        row = enc[list(REG_INDICES[cfg.variant])]
-        if cfg.variant == "kitti3d":
-            row = np.concatenate([row, [gt.height2d]])
-        rows.append(row)
-    return np.array(rows).reshape(-1, NUM_REG[cfg.variant])
-
-
 def prepare_scene(model: DetectorModel, cfg: ExperimentConfig,
-                  anchors: list[Anchor], sample: SceneSample) -> PreparedScene:
+                  anchors: np.ndarray, sample: SceneSample) -> PreparedScene:
     labels = losses.assign_anchors(anchors, sample.gt_boxes, cfg.assignment())
     pos_idx = np.flatnonzero(labels >= 0)
     neg_idx = np.flatnonzero(labels == NEGATIVE)
@@ -89,7 +74,9 @@ def prepare_scene(model: DetectorModel, cfg: ExperimentConfig,
         bev_input=voxelize(sample.cloud, cfg.grid),
         plans=model.make_plans(sample.cloud, sample.cam),
         pos_idx=pos_idx, neg_idx=neg_idx,
-        reg_targets=_reg_target_rows(cfg, anchors, pos_idx, labels, sample.gt_boxes))
+        reg_targets=regression_rows(cfg.variant, sample.gt_boxes, labels[pos_idx],
+                                    anchors[pos_idx], cfg.loss.center_norm,
+                                    cfg.loss.wrap_orientation))
 
 
 def scene_loss(model: DetectorModel, cfg: ExperimentConfig, prep: PreparedScene,
@@ -103,7 +90,7 @@ def scene_loss(model: DetectorModel, cfg: ExperimentConfig, prep: PreparedScene,
     if mined_override is not None:
         mined = mined_override
     else:
-        scores_np = 1.0 / (1.0 + np.exp(-np.clip(flat.data[:, 0], -500, 500)))
+        scores_np = logistic(flat.data[:, 0])
         k = cfg.assignment().topk(n_pos)
         mined = hard_negative_mining(prep.neg_idx, scores_np, k,
                                      cfg.assignment().neg_sample_fraction,
@@ -124,7 +111,7 @@ def scene_loss(model: DetectorModel, cfg: ExperimentConfig, prep: PreparedScene,
 
 
 def detect_scene(model: DetectorModel, cfg: ExperimentConfig,
-                 anchors: list[Anchor], prep: PreparedScene) -> list[DetectionBox]:
+                 anchors: np.ndarray, prep: PreparedScene) -> list[DetectionBox]:
     header = model.forward(prep.bev_input, prep.sample.image_feature_input,
                            prep.plans)
     boxes = decode_detections(header, anchors, center_norm=cfg.loss.center_norm)
@@ -134,7 +121,7 @@ def detect_scene(model: DetectorModel, cfg: ExperimentConfig,
 
 
 def evaluate_model(model: DetectorModel, cfg: ExperimentConfig,
-                   anchors: list[Anchor], preps: list[PreparedScene]) -> dict:
+                   anchors: np.ndarray, preps: list[PreparedScene]) -> dict:
     frames = [(detect_scene(model, cfg, anchors, p), p.sample.gt_boxes)
               for p in preps]
     curve = evaluate_pr(frames, cfg.eval)
@@ -385,7 +372,7 @@ def _miniature_model_check(rtol: float) -> tuple[str, float, bool]:
     # the loss piecewise in the parameters and invalidates finite differences
     header = model.forward(prep.bev_input, prep.sample.image_feature_input,
                            prep.plans)
-    scores = 1.0 / (1.0 + np.exp(-np.clip(header.flat().data[:, 0], -500, 500)))
+    scores = logistic(header.flat().data[:, 0])
     mined = hard_negative_mining(prep.neg_idx, scores,
                                  cfg.assignment().topk(prep.pos_idx.size),
                                  cfg.assignment().neg_sample_fraction,

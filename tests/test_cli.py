@@ -184,7 +184,12 @@ def test_bad_eval_iou_kind_rejected_at_load(tmp_path, monkeypatch):
     ("EVAL__AP_POINTS", "0"), ("DATA__N_SCENES", "0"), ("EVAL__NMS_MAX_OUT", "0"),
     ("EVAL__NMS_IOU", "0"), ("EVAL__NMS_IOU", "1.5"), ("DATA__SOURCE", "manifest"),
     ("FUSION__INPUT_DIM", "99"), ("FUSION__MAX_DIST", "-1"), ("FUSION__MAX_DIST", ".nan"),
-    ("SEED", "-1"), ("DATA__SYNTHETIC__SEED", "-1")])
+    ("SEED", "-1"), ("DATA__SYNTHETIC__SEED", "-1"),
+    ("ANCHOR__SIZE", "[0, 2, 1.6]"), ("ANCHOR__SIZE", "[4, -2, 1.6]"),
+    ("ANCHOR__SIZE", "[4, 2, .nan]"), ("GRID__NX", "7"),
+    ("DATA__SYNTHETIC__IMAGE_SHAPE", "[2, 7, 8]"), ("OPTIMIZER__STEPS", "abc"),
+    ("OPTIMIZER__STEPS", "true"), ("OPTIMIZER__STEPS", "2.5"), ("OPTIMIZER__LR", "fast"),
+    ("GRID", "~"), ("DATA__SYNTHETIC", "~")])
 def test_bad_config_value_rejected_at_load(tmp_path, monkeypatch, key, value):
     monkeypatch.setenv(f"BEVFUSE_{key}", value)
     assert _train_exit(tmp_path) == (EXIT_CONFIG, False)

@@ -31,6 +31,29 @@ def test_unknown_key_rejected():
         config_from_dict({"optimizer": {"learning_rate": 0.1}})
 
 
+def test_scalar_values_are_type_checked_not_converted():
+    cfg = config_from_dict({"optimizer": {"lr": 1, "steps": 5},
+                            "loss": {"wrap_orientation": True}})
+    assert cfg.optimizer.lr == 1 and type(cfg.optimizer.lr) is int
+    for bad in ({"optimizer": {"steps": "abc"}}, {"optimizer": {"steps": True}},
+                {"optimizer": {"steps": 2.0}}, {"optimizer": {"steps": None}},
+                {"optimizer": {"lr": False}}, {"optimizer": {"lr": "0.1"}},
+                {"loss": {"wrap_orientation": 1}}, {"variant": 3},
+                {"anchor": {"size": [4.0, "2", 1.6]}}):
+        with pytest.raises(ConfigError):
+            config_from_dict(bad)
+
+
+def test_grid_and_image_must_divide_by_their_stream_strides():
+    with pytest.raises(ConfigError, match="BEV stride 16"):
+        config_from_dict({"grid": {"x_range": [0, 32], "y_range": [-16, 16],
+                                   "z_range": [0, 3], "nx": 30, "ny": 32, "nz": 4}})
+    odd_image = {"data": {"synthetic": {"image_shape": [4, 25, 48]}}}
+    with pytest.raises(ConfigError, match="image stride 8"):
+        config_from_dict(odd_image)
+    assert config_from_dict({**odd_image, "mode": "bev_only"}).mode == "bev_only"
+
+
 def test_bad_mode_rejected():
     with pytest.raises(ConfigError):
         config_from_dict({"mode": "psychic"})
@@ -76,7 +99,8 @@ def test_load_config_applies_env(tmp_path):
 
 
 def test_grid_from_dict():
-    cfg = config_from_dict({"grid": {"x_range": [0.0, 16.0], "y_range": [-8.0, 8.0],
-                                     "z_range": [0.0, 2.0], "nx": 8, "ny": 8,
+    # 16 x 16: the default BEV stream halves the raster four times
+    cfg = config_from_dict({"grid": {"x_range": [0.0, 32.0], "y_range": [-16.0, 16.0],
+                                     "z_range": [0.0, 2.0], "nx": 16, "ny": 16,
                                      "nz": 2}})
-    assert cfg.grid.nx == 8 and cfg.grid.cell[0] == 2.0
+    assert cfg.grid.nx == 16 and cfg.grid.cell[0] == 2.0

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bevfuse.detect import (ANCHOR_ORIENTATIONS, NUM_REG, Anchor, DetectionBox,
-                            DetectionHeader, HeaderOutput, box_corners_bev,
-                            decode_detections, decode_targets, encode_targets,
-                            iou_3d, make_anchors, may_overlap, nms,
-                            polygon_intersection_area, rotated_iou_bev)
+from bevfuse.detect import (ANCHOR_ORIENTATIONS, CENTER_EPS, NUM_REG, Anchor,
+                            DetectionBox, DetectionHeader, HeaderOutput, box_corners_bev,
+                            box_rows, decode_detections, decode_rows, decode_targets,
+                            encode_rows, encode_targets, iou_3d, make_anchors,
+                            may_overlap, nms, polygon_intersection_area,
+                            regression_rows, rotated_iou_bev)
 from bevfuse.geometry import BevGrid
 from bevfuse.tensor import Tensor
 
@@ -23,13 +24,17 @@ def test_anchor_rejects_nonpositive_size():
 def test_make_anchors_layout():
     grid = BevGrid((0.0, 4.0), (-2.0, 2.0), (0.0, 1.0), 2, 2, 1)
     anchors = make_anchors(grid, (4.0, 2.0, 1.6), z=0.8)
-    assert len(anchors) == 2 * 2 * 2
-    # row-major (iy, ix, orientation)
-    assert (anchors[0].x, anchors[0].y, anchors[0].t) == (1.0, -1.0, 0.0)
-    assert anchors[1].t == math.pi / 2
-    assert (anchors[2].x, anchors[2].y) == (3.0, -1.0)
-    assert (anchors[4].x, anchors[4].y) == (1.0, 1.0)
-    assert all(a.z == 0.8 for a in anchors)
+    assert anchors.shape == (2 * 2 * 2, 7) and anchors.dtype == np.float64
+    # rows (x, y, z, w, h, d, t), row-major (iy, ix, orientation)
+    assert tuple(anchors[0, [0, 1, 6]]) == (1.0, -1.0, 0.0)
+    assert anchors[1, 6] == math.pi / 2
+    assert tuple(anchors[2, :2]) == (3.0, -1.0)
+    assert tuple(anchors[4, :2]) == (1.0, 1.0)
+    assert (anchors[:, 2:6] == (0.8, 4.0, 2.0, 1.6)).all()
+    one_by_one = [Anchor(cx, cy, 0.8, 4.0, 2.0, 1.6, t)
+                  for cx, cy in grid.pixel_centers().reshape(-1, 2)
+                  for t in ANCHOR_ORIENTATIONS]
+    assert anchors.tobytes() == box_rows(one_by_one).tobytes()
 
 
 def test_encode_known_values():
@@ -403,3 +408,143 @@ def test_kitti3d_decode_carries_height2d():
     boxes = decode_detections(header, anchors)
     assert boxes[0].height2d == 42.0
     assert boxes[0].is_3d
+
+
+# -- the per-box encode/decode the row kernels must reproduce bit for bit -----
+
+_REF_LAYOUT = {"bev": [0, 1, 3, 4, 6], "3d": list(range(7)), "kitti3d": list(range(7))}
+
+
+def _ref_norm(anchor, center_norm):
+    if center_norm == "anchor_coord":
+        coords = np.array([anchor.x, anchor.y, anchor.z])
+        return np.where(np.abs(coords) > CENTER_EPS, coords,
+                        np.where(coords >= 0, CENTER_EPS, -CENTER_EPS))
+    diag = math.sqrt(anchor.w ** 2 + anchor.h ** 2 + anchor.d ** 2)
+    return np.array([diag, diag, diag])
+
+
+def _ref_encode(gt, anchor, center_norm, wrap):
+    norm = _ref_norm(anchor, center_norm)
+    p_center = (np.array([gt.x, gt.y, gt.z]) - np.array([anchor.x, anchor.y, anchor.z])) / norm
+    p_size = np.log(np.array([gt.w, gt.h, gt.d]) / np.array([anchor.w, anchor.h, anchor.d]))
+    p_t = gt.t - anchor.t
+    if wrap:
+        p_t = (p_t + math.pi / 2) % math.pi - math.pi / 2
+        if p_t == -math.pi / 2:
+            p_t = math.pi / 2
+    return np.concatenate([p_center, p_size, [p_t]])
+
+
+def _ref_decode(p, anchor, center_norm):
+    norm = _ref_norm(anchor, center_norm)
+    cx, cy, cz = np.array([anchor.x, anchor.y, anchor.z]) + p[:3] * norm
+    w, h, d = np.array([anchor.w, anchor.h, anchor.d]) * np.exp(p[3:6])
+    return DetectionBox(cx, cy, cz, w, h, d, anchor.t + p[6])
+
+
+def _ref_training_row(variant, gt, anchor, center_norm, wrap):
+    row = _ref_encode(gt, anchor, center_norm, wrap)[_REF_LAYOUT[variant]]
+    return np.concatenate([row, [gt.height2d]]) if variant == "kitti3d" else row
+
+
+def _ref_decode_detections(flat, anchors, center_norm):
+    boxes = []
+    for row, anchor in zip(flat, anchors):
+        p = np.zeros(7)
+        p[_REF_LAYOUT[{6: "bev", 8: "3d", 9: "kitti3d"}[len(row)]]] = row[1:8]
+        box = _ref_decode(p, anchor, center_norm)
+        box.score = float(1.0 / (1.0 + np.exp(-np.clip(row[0], -500, 500))))
+        box.is_3d = len(row) >= 8
+        if len(row) == 9:
+            box.height2d = float(row[8])
+        boxes.append(box)
+    return boxes
+
+
+_BOX_FIELDS = ("x", "y", "z", "w", "h", "d", "t", "score", "height2d")
+# 0, -0.0 and values about CENTER_EPS exercise the normalizer's guard
+_ROW_COORD = st.one_of(st.sampled_from([0.0, -0.0, CENTER_EPS, -CENTER_EPS, 5e-7, -5e-7]),
+                       st.floats(-60.0, 60.0))
+_ROW_SIZE = st.one_of(st.sampled_from([1.0, 1.6, 4.0]), st.floats(0.05, 12.0))
+# gt.t - anchor.t lands on -pi/2 (and pi/2) for several of these pairs
+_ROW_ANGLE = st.one_of(st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi,
+                                        1.5 * math.pi]), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _gt_anchor_rows(draw):
+    """Ground truths, anchors, and each anchor's gt index and free offsets."""
+    def box(cls, **extra):
+        return cls(*(draw(_ROW_COORD) for _ in range(3)),
+                   *(draw(_ROW_SIZE) for _ in range(3)), draw(_ROW_ANGLE), **extra)
+    gts = [box(DetectionBox, height2d=draw(st.floats(0.0, 300.0)))
+           for _ in range(draw(st.integers(1, 4)))]
+    n = draw(st.integers(1, 6))
+    anchors = [box(Anchor) for _ in range(n)]
+    gt_idx = np.array([draw(st.integers(0, len(gts) - 1)) for _ in range(n)])
+    offsets = np.array([[draw(st.floats(-5.0, 5.0)) for _ in range(7)] for _ in range(n)])
+    return gts, anchors, gt_idx, offsets
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gt_anchor_rows(), st.sampled_from(["anchor_coord", "diagonal"]), st.booleans())
+def test_row_kernels_match_per_box_formulas_bitwise(data, center_norm, wrap):
+    gts, anchors, gt_idx, offsets = data
+    g_rows, a_rows = box_rows([gts[i] for i in gt_idx]), box_rows(anchors)
+    enc = encode_rows(g_rows, a_rows, center_norm, wrap)
+    ref = np.array([_ref_encode(gts[i], a, center_norm, wrap) for i, a in zip(gt_idx, anchors)])
+    assert enc.tobytes() == ref.tobytes()
+    for p in (enc, offsets):
+        dec = decode_rows(p, a_rows, center_norm)
+        ref = box_rows([_ref_decode(q, a, center_norm) for q, a in zip(p, anchors)])
+        assert dec.tobytes() == ref.tobytes()
+    # an N-row call equals N one-row calls, and the one-box API is the one-row case
+    for k, (i, a) in enumerate(zip(gt_idx, anchors)):
+        one = slice(k, k + 1)
+        assert encode_rows(g_rows[one], a_rows[one], center_norm, wrap).tobytes() \
+            == enc[one].tobytes()
+        assert encode_targets(gts[i], a, center_norm, wrap).tobytes() == enc[k].tobytes()
+        assert decode_rows(offsets[one], a_rows[one], center_norm).tobytes() \
+            == dec[one].tobytes()
+        assert box_rows([decode_targets(offsets[k], a, center_norm)]).tobytes() \
+            == dec[one].tobytes()
+
+
+def test_diagonal_norm_matches_pow_to_the_last_bit():
+    # for this size w * w + h * h + d * d rounds apart from w ** 2 + h ** 2 + d ** 2
+    anchor = Anchor(10.0, -3.0, 0.8, 5.029890047422805, 0.28508206884904835,
+                    0.9008519416738172, 0.0)
+    gt = DetectionBox(12.0, 1.0, 1.0, 4.0, 2.0, 1.6, 0.3)
+    assert encode_targets(gt, anchor, "diagonal").tobytes() \
+        == _ref_encode(gt, anchor, "diagonal", False).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gt_anchor_rows(), st.sampled_from(sorted(NUM_REG)),
+       st.sampled_from(["anchor_coord", "diagonal"]), st.booleans(),
+       st.lists(st.floats(-800.0, 800.0), min_size=6, max_size=6))
+def test_training_rows_decode_through_header_bitwise(data, variant, center_norm, wrap, logits):
+    gts, anchors, gt_idx, _ = data
+    a_rows = box_rows(anchors)
+    rows = regression_rows(variant, gts, gt_idx, a_rows, center_norm, wrap)
+    ref = np.array([_ref_training_row(variant, gts[i], a, center_norm, wrap)
+                    for i, a in zip(gt_idx, anchors)])
+    assert rows.shape == (len(anchors), NUM_REG[variant])
+    assert rows.tobytes() == ref.tobytes()
+    assert regression_rows(variant, gts, gt_idx[:0], a_rows[:0]).shape == (0, NUM_REG[variant])
+
+    flat = np.concatenate([np.array(logits[:len(anchors)])[:, None], rows], axis=1)
+    header = HeaderOutput(Tensor(np.ascontiguousarray(flat.T[:, None, :])), num_anchors=1,
+                          num_reg=NUM_REG[variant])
+    got = decode_detections(header, a_rows, center_norm)
+    want = _ref_decode_detections(flat, anchors, center_norm)
+    assert len(got) == len(want)
+    for g, w, i, a in zip(got, want, gt_idx, anchors):
+        for f in _BOX_FIELDS:       # the same value and the same type, so reprs agree
+            assert type(getattr(g, f)) is type(getattr(w, f))
+            assert _bits(getattr(g, f)) == _bits(getattr(w, f))
+        assert (g.is_3d, g.cls) == (w.is_3d, w.cls) == (variant != "bev", 0)
+        assert g.height2d == (gts[i].height2d if variant == "kitti3d" else 0.0)
+        if variant == "bev":        # offsets it does not regress decode to the anchor
+            assert (g.z, g.d) == (a.z, a.d)

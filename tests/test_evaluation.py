@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bevfuse.detect import DetectionBox
 from bevfuse.evaluation import (FP, SKIP, TP, EvalConfig, average_precision,
-                                evaluate_frames, evaluate_pr, match_detections,
+                                evaluate_pr, match_detections,
                                 piecewise_range_ap, pr_curve, rank_detections)
 
 
@@ -118,7 +118,7 @@ def test_evaluate_frames_pools_by_score():
         ([_box(0.1, 0, 0.9)], [_box(0, 0)]),
         ([_box(50, 0, 0.95)], [_box(10, 0)]),   # high-score FP in another frame
     ]
-    ap = evaluate_frames(frames, EvalConfig())
+    ap = evaluate_pr(frames, EvalConfig()).ap
     # ranked: FP(0.95), TP(0.9) with 2 gt -> precision 1/2 at recall 1/2
     assert ap == pytest.approx(6 * 0.5 / 11, abs=1e-12)
 

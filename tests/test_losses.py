@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bevfuse.detect import Anchor, DetectionBox, make_anchors
+from bevfuse.detect import Anchor, DetectionBox, box_rows, make_anchors
 from bevfuse.geometry import BevGrid
 from bevfuse.losses import (IGNORE, NEGATIVE, AssignmentConfig,
                             assign_anchors, classification_loss,
@@ -43,7 +43,7 @@ def test_assign_anchors_three_zones():
     gt = [DetectionBox(6.0, -2.0, 0.8, 4.0, 2.0, 1.6, 0.0)]
     cfg = AssignmentConfig(positive_radius=1.0, negative_radius=5.0)
     labels = assign_anchors(anchors, gt, cfg)
-    centers = np.array([[a.x, a.y] for a in anchors])
+    centers = anchors[:, :2]
     dist = np.hypot(centers[:, 0] - 6.0, centers[:, 1] + 2.0)
     np.testing.assert_array_equal(labels[dist <= 1.0], 0)
     np.testing.assert_array_equal(labels[(dist > 1.0) & (dist <= 5.0)], IGNORE)
@@ -51,7 +51,7 @@ def test_assign_anchors_three_zones():
 
 
 def test_assign_anchors_nearest_gt_wins():
-    anchors = [Anchor(0.0, 0.0, 0.8, 4.0, 2.0, 1.6, 0.0)]
+    anchors = box_rows([Anchor(0.0, 0.0, 0.8, 4.0, 2.0, 1.6, 0.0)])
     gts = [DetectionBox(3.0, 0.0, 0.8, 4, 2, 1.6, 0.0),
            DetectionBox(1.0, 0.0, 0.8, 4, 2, 1.6, 0.0)]
     labels = assign_anchors(anchors, gts, AssignmentConfig(4.0, 4.0))
