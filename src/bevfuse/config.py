@@ -37,6 +37,8 @@ class AnchorConfig:
     def __post_init__(self):
         if not all(s > 0 for s in self.size):       # NaN fails this too
             raise ValueError(f"anchor sizes must be > 0, got {list(self.size)}")
+        if not math.isfinite(self.z):
+            raise ValueError(f"anchor z must be finite, got {self.z}")
 
 
 @dataclass
@@ -48,6 +50,10 @@ class OptimConfig:
     decay_milestones: tuple[float, float] = (0.6, 0.9)  # fractions of total steps
     decay_factor: float = 0.1
     checkpoint_every: int = 0          # extra checkpoints every N steps; 0 = final only
+
+    def __post_init__(self):
+        if not 0 < self.lr < math.inf:     # NaN fails this too
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
 
 @dataclass

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import zipfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -100,23 +101,19 @@ def make_forward_camera(image_size: tuple[int, int],
     return CalibratedCamera(k @ extrinsic, image_size)
 
 
+# the four vertical faces and the top of a unit cuboid: each fixes one local
+# coordinate; the zeros are the two free ones, which take (u, v) in axis order
+_BOX_FACES = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0], [0.0, 0.5, 0.0],
+                       [0.0, -0.5, 0.0], [0.0, 0.0, 0.5]])
+
+
 def _box_surface_points(box: DetectionBox, n: int, rng: np.random.Generator) -> np.ndarray:
     """Sample points on the vertical faces and top of a cuboid."""
     faces = rng.integers(0, 5, size=n)
     u = rng.uniform(-0.5, 0.5, size=n)
     v = rng.uniform(-0.5, 0.5, size=n)
-    local = np.zeros((n, 3))
-    for i, f in enumerate(faces):
-        if f == 0:
-            local[i] = (0.5, u[i], v[i])
-        elif f == 1:
-            local[i] = (-0.5, u[i], v[i])
-        elif f == 2:
-            local[i] = (u[i], 0.5, v[i])
-        elif f == 3:
-            local[i] = (u[i], -0.5, v[i])
-        else:
-            local[i] = (u[i], v[i], 0.5)
+    local = _BOX_FACES[faces]
+    local[local == 0.0] = np.column_stack([u, v]).ravel()
     local *= np.array([box.w, box.h, box.d])
     c, s = math.cos(box.t), math.sin(box.t)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -421,16 +418,32 @@ def save_dataset(samples: list[SceneSample], directory, seeds: list[int] | None 
                    "seeds": seeds or []}, f, indent=2)
 
 
+# what np.load and the record fields raise on a damaged or foreign .npz file
+_RECORD_ERRORS = (OSError, EOFError, KeyError, IndexError, TypeError, ValueError,
+                  NotImplementedError, zipfile.BadZipFile)
+
+
 def load_dataset(directory) -> list[SceneSample]:
-    with open(os.path.join(directory, "index.json")) as f:
-        index = json.load(f)
-    samples = []
-    for fid in index["frames"]:
-        z = np.load(os.path.join(directory, f"{fid}.npz"))
-        boxes = [DetectionBox(x=r[0], y=r[1], z=r[2], w=r[3], h=r[4], d=r[5],
-                              t=r[6], score=r[7], cls=int(r[8]), ignored=bool(r[9]))
-                 for r in z["boxes"]]
-        cam = CalibratedCamera(z["projection"], tuple(int(v) for v in z["image_size"]))
-        samples.append(SceneSample(PointCloud(z["points"], intensity=z["intensity"]),
-                                   Tensor(z["image_features"]), cam, boxes, frame_id=fid))
-    return samples
+    """Scenes written by ``save_dataset``; a malformed index.json or scene
+    record raises InputError."""
+    path = os.path.join(directory, "index.json")
+    with open(path) as f:
+        try:
+            frames = json.load(f)["frames"]
+        except (ValueError, KeyError, TypeError) as e:
+            raise InputError(f"{path}: not a dataset index: {e!r}") from None
+    return [_load_record(os.path.join(directory, f"{fid}.npz"), fid) for fid in frames]
+
+
+def _load_record(path, fid) -> SceneSample:
+    try:
+        with np.load(path) as z:
+            boxes = [DetectionBox(x=r[0], y=r[1], z=r[2], w=r[3], h=r[4], d=r[5],
+                                  t=r[6], score=r[7], cls=int(r[8]), ignored=bool(r[9]))
+                     for r in z["boxes"]]
+            cam = CalibratedCamera(z["projection"],
+                                   tuple(int(v) for v in z["image_size"]))
+            return SceneSample(PointCloud(z["points"], intensity=z["intensity"]),
+                               Tensor(z["image_features"]), cam, boxes, frame_id=fid)
+    except _RECORD_ERRORS as e:
+        raise InputError(f"{path}: corrupt scene record: {e!r}") from None

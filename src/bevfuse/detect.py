@@ -9,7 +9,7 @@ import numpy as np
 
 from . import tensor as T
 from .geometry import BevGrid
-from .tensor import Tensor
+from .tensor import Tensor, logistic
 
 # regression-row layout: the columns of the full row (p_x, p_y, p_z, p_w,
 # p_h, p_d, p_t, raw 2D box height) that each variant's header regresses
@@ -74,11 +74,6 @@ def make_anchors(grid: BevGrid, size: tuple[float, float, float],
     rows = np.empty((len(centers), len(ANCHOR_ORIENTATIONS), 7))
     rows[..., :2], rows[..., 2:6], rows[..., 6] = centers, (z, *size), ANCHOR_ORIENTATIONS
     return rows.reshape(-1, 7)
-
-
-def logistic(x):
-    """1 / (1 + exp(-x)) of raw class logits, clipped so exp stays finite."""
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
 
 
 # -- target encoding ----------------------------------------------------------
@@ -351,6 +346,8 @@ def decode_detections(header: HeaderOutput, anchors: np.ndarray,
     full[:, layout] = flat[:, 1:]
     rows = decode_rows(full, anchors, center_norm)
     is_3d = 2 in layout                 # the variant regresses z
-    return [DetectionBox(*row, score=score, cls=cls, is_3d=is_3d, height2d=h2d)
-            for row, score, h2d in zip(rows, logistic(flat[:, 0]).tolist(),
-                                       full[:, 7].tolist())]
+    # the fields a column at a time, which is far cheaper than unpacking each row
+    return [DetectionBox(*fields, score=score, cls=cls, is_3d=is_3d, height2d=h2d)
+            for *fields, score, h2d in zip(*map(list, rows.T),
+                                           logistic(flat[:, 0]).tolist(),
+                                           full[:, 7].tolist())]

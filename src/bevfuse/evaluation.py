@@ -32,6 +32,8 @@ class EvalConfig:
             raise ValueError("nms_iou must be in (0, 1]")
         if self.nms_max_out < 1:
             raise ValueError("nms_max_out must be >= 1")
+        if not 0.0 <= self.score_threshold <= 1.0:      # NaN fails this too
+            raise ValueError(f"score_threshold must be in [0, 1], got {self.score_threshold}")
 
     def iou(self, a: DetectionBox, b: DetectionBox) -> float:
         return iou_3d(a, b) if self.iou_kind == "3d" else rotated_iou_bev(a, b)

@@ -10,12 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detect import DetectionBox, box_rows
-from .tensor import Tensor
+from .tensor import Tensor, bce_with_logits, smooth_l1_sum
 
 NEGATIVE = -1
 IGNORE = -2
-
-SCORE_CLAMP_EPS = 1e-7
 
 
 @dataclass
@@ -90,31 +88,19 @@ def hard_negative_mining(neg_indices: np.ndarray, cls_scores: np.ndarray,
     return sampled[order[:k]]
 
 
-def classification_loss(scores: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean binary cross entropy over the selected samples.
-
-    ``scores`` are post-sigmoid confidences; they are clamped away from 0/1
-    for log stability. Empty selection gives 0.
-    """
-    if scores.size == 0:
+def classification_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean binary cross entropy of raw class logits over the selected
+    samples. Empty selection gives 0."""
+    if logits.size == 0:
         return Tensor(0.0)
-    p = scores.clamp(SCORE_CLAMP_EPS, 1.0 - SCORE_CLAMP_EPS)
-    l = Tensor(np.asarray(labels, dtype=np.float64))
-    # note: the cross entropy is the standard non-negative form
-    per = -(l * p.log() + (1.0 - l) * (1.0 - p).log())
-    return per.mean()
+    return bce_with_logits(logits, labels)
 
 
 def regression_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     """(1/N_pos) * sum of smooth-L1 terms over all positives and channels."""
     if pred.size == 0:
         return Tensor(0.0)
-    n_pos = pred.shape[0]
-    x = pred - Tensor(np.asarray(target, dtype=np.float64))
-    ax = x.abs()
-    near = (np.abs(x.data) < 1.0).astype(np.float64)
-    d = Tensor(near) * (x * x * 0.5) + Tensor(1.0 - near) * (ax - 0.5)
-    return d.sum() / float(n_pos)
+    return smooth_l1_sum(pred, target) / float(pred.shape[0])
 
 
 def smooth_l1(x: float) -> float:
@@ -122,14 +108,14 @@ def smooth_l1(x: float) -> float:
     return 0.5 * x * x if abs(x) < 1.0 else abs(x) - 0.5
 
 
-def total_loss(cls_scores: Tensor, cls_labels: np.ndarray,
+def total_loss(cls_logits: Tensor, cls_labels: np.ndarray,
                reg_pred: Tensor, reg_target: np.ndarray,
                alpha: float = 1.0) -> LossBreakdown:
     """L = L_cls + alpha * L_reg over an already-selected sample set."""
-    l_cls = classification_loss(cls_scores, cls_labels)
+    l_cls = classification_loss(cls_logits, cls_labels)
     l_reg = regression_loss(reg_pred, reg_target)
     total = l_cls + l_reg * alpha
     n_pos = reg_pred.shape[0] if reg_pred.ndim >= 1 and reg_pred.size else 0
-    n = cls_scores.shape[0] if cls_scores.ndim >= 1 and cls_scores.size else 0
+    n = cls_logits.shape[0] if cls_logits.ndim >= 1 and cls_logits.size else 0
     return LossBreakdown(total=total, l_cls=float(l_cls.data),
                          l_reg=float(l_reg.data), n=n, n_pos=n_pos)

@@ -15,8 +15,7 @@ from .backbone import DetectorModel
 from .config import ExperimentConfig, FusionSection
 from .data import (SceneSample, augment, generate_dataset, load_dataset,
                    load_kitti_frame)
-from .detect import (DetectionBox, decode_detections, logistic, make_anchors, nms,
-                     regression_rows)
+from .detect import DetectionBox, decode_detections, make_anchors, nms, regression_rows
 from .evaluation import evaluate_pr, piecewise_range_ap
 from .fusion import FusionConfig, FusionMlp, FusionPlan, continuous_fusion_forward
 from .geometry import BevGrid, PointCloud, voxelize
@@ -90,7 +89,7 @@ def scene_loss(model: DetectorModel, cfg: ExperimentConfig, prep: PreparedScene,
     if mined_override is not None:
         mined = mined_override
     else:
-        scores_np = logistic(flat.data[:, 0])
+        scores_np = T.logistic(flat.data[:, 0])
         k = cfg.assignment().topk(n_pos)
         mined = hard_negative_mining(prep.neg_idx, scores_np, k,
                                      cfg.assignment().neg_sample_fraction,
@@ -100,13 +99,13 @@ def scene_loss(model: DetectorModel, cfg: ExperimentConfig, prep: PreparedScene,
     # each anchor row is [logit, R regression cells]; select from the flat cells
     width = 1 + header.num_reg
     cells = flat.reshape(-1)
-    cls_scores = T.gather_rows(cells, selected * width).sigmoid()
+    cls_logits = T.gather_rows(cells, selected * width)
     if n_pos:
         reg_pred = T.gather_rows(cells, prep.pos_idx[:, None] * width
                                  + np.arange(1, width))
     else:
         reg_pred = Tensor.zeros((0, header.num_reg))
-    return total_loss(cls_scores, cls_labels, reg_pred, prep.reg_targets,
+    return total_loss(cls_logits, cls_labels, reg_pred, prep.reg_targets,
                       alpha=cfg.loss.alpha)
 
 
@@ -294,7 +293,7 @@ def run_gradcheck(rtol: float = 1e-4, seed: int = 0) -> list[tuple[str, float, b
 
     e = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     f = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    check("elementwise", lambda: ((e * f + e).relu().sigmoid()).sum(), [e, f])
+    check("elementwise", lambda: (e * f + e).relu().sum(), [e, f])
     check("concat", lambda: (T.concat([e, f], axis=1) ** 2.0).sum(), [e, f])
     idx = np.array([0, 2, 2, 3])
     check("gather_rows", lambda: (T.gather_rows(e, idx) * T.gather_rows(f, idx)).sum(),
@@ -334,6 +333,12 @@ def run_gradcheck(rtol: float = 1e-4, seed: int = 0) -> list[tuple[str, float, b
     for stride in (1, 2):
         check(f"conv2d_1x1_s{stride}",
               lambda s=stride: (T.conv2d(x1, w1, stride=s) ** 2.0).sum(), [x1, w1])
+
+    # the loss ops: logits out to ±6 and offsets on both sides of the |x| = 1 kink
+    logits = Tensor(rng.uniform(-6.0, 6.0, 8), requires_grad=True)
+    check("bce_with_logits", lambda: T.bce_with_logits(logits, np.arange(8) % 2), [logits])
+    pred = Tensor(rng.uniform(-3.0, 3.0, (4, 3)), requires_grad=True)
+    check("smooth_l1_sum", lambda: T.smooth_l1_sum(pred, np.full((4, 3), 0.5)), [pred])
     return results
 
 
@@ -372,7 +377,7 @@ def _miniature_model_check(rtol: float) -> tuple[str, float, bool]:
     # the loss piecewise in the parameters and invalidates finite differences
     header = model.forward(prep.bev_input, prep.sample.image_feature_input,
                            prep.plans)
-    scores = logistic(header.flat().data[:, 0])
+    scores = T.logistic(header.flat().data[:, 0])
     mined = hard_negative_mining(prep.neg_idx, scores,
                                  cfg.assignment().topk(prep.pos_idx.size),
                                  cfg.assignment().neg_sample_fraction,

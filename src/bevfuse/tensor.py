@@ -186,45 +186,6 @@ class Tensor:
 
         return Tensor._result(a.data * mask, (a,), "relu", bw)
 
-    def sigmoid(self):
-        a = self
-        s = 1.0 / (1.0 + np.exp(-a.data))
-
-        def bw(g):
-            if a.requires_grad:
-                a._accumulate(g * s * (1.0 - s))
-
-        return Tensor._result(s, (a,), "sigmoid", bw)
-
-    def log(self):
-        a = self
-
-        def bw(g):
-            if a.requires_grad:
-                a._accumulate(g / a.data)
-
-        return Tensor._result(np.log(a.data), (a,), "log", bw)
-
-    def clamp(self, lo: float, hi: float):
-        a = self
-        mask = (a.data > lo) & (a.data < hi)
-
-        def bw(g):
-            if a.requires_grad:
-                a._accumulate(g * mask)
-
-        return Tensor._result(np.clip(a.data, lo, hi), (a,), "clamp", bw)
-
-    def abs(self):
-        a = self
-        sign = np.sign(a.data)
-
-        def bw(g):
-            if a.requires_grad:
-                a._accumulate(g * sign)
-
-        return Tensor._result(np.abs(a.data), (a,), "abs", bw)
-
     # -- reductions / shape ops -----------------------------------------------
 
     def sum(self):
@@ -235,9 +196,6 @@ class Tensor:
                 a._accumulate(np.full_like(a.data, float(g)))
 
         return Tensor._result(np.asarray(a.data.sum()), (a,), "sum", bw)
-
-    def mean(self):
-        return self.sum() / float(self.size)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -352,6 +310,50 @@ def scatter_add_rows(t: Tensor, idx, num_rows: int) -> Tensor:
             a._accumulate(g[idx])
 
     return Tensor._result(out, (a,), "scatter_add_rows", bw)
+
+
+# -- detection loss -----------------------------------------------------------
+
+def logistic(x):
+    """1 / (1 + exp(-x)) of an array of logits, clipped so exp stays finite."""
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
+
+
+def bce_with_logits(logits: Tensor, labels) -> Tensor:
+    """Mean binary cross entropy of raw logits against 0/1 labels, computed
+    as max(x, 0) - x·y + log1p(exp(-|x|)). It stays finite and keeps a
+    gradient, (σ(x) - y) / n, at any logit."""
+    x = logits.data
+    y = np.asarray(labels, dtype=np.float64)
+    if y.shape != x.shape:
+        raise ValueError(f"bce_with_logits shapes differ: {x.shape} vs {y.shape}")
+    # exp(-|x|) underflows to 0 for |x| > ~745, which is its value in float64
+    with np.errstate(under="ignore"):
+        per = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
+
+    def bw(g):
+        if logits.requires_grad:
+            logits._accumulate(g * (logistic(x) - y) / x.size)
+
+    return Tensor._result(np.asarray(per.mean()), (logits,), "bce_with_logits", bw)
+
+
+def smooth_l1_sum(pred: Tensor, target) -> Tensor:
+    """Sum over every entry of the smooth-L1 penalty of x = pred - target:
+    x²/2 where |x| < 1, |x| - 1/2 elsewhere. Its gradient is x inside the
+    unit band and sign(x) outside."""
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != pred.shape:
+        raise ValueError(f"smooth_l1_sum shapes differ: {pred.shape} vs {target.shape}")
+    x = pred.data - target
+    near = np.abs(x) < 1.0
+
+    def bw(g):
+        if pred.requires_grad:
+            pred._accumulate(g * np.where(near, x, np.sign(x)))
+
+    penalty = np.where(near, x * x * 0.5, np.abs(x) - 0.5)
+    return Tensor._result(np.asarray(penalty.sum()), (pred,), "smooth_l1_sum", bw)
 
 
 # -- convolution --------------------------------------------------------------

@@ -7,6 +7,7 @@ import yaml
 
 from bevfuse.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from bevfuse.config import config_to_dict
+from bevfuse.data import generate_dataset, save_dataset
 from bevfuse.pipeline import build_model, miniature_config
 from bevfuse.tensor import save_checkpoint
 
@@ -72,6 +73,7 @@ def test_invalid_config_is_config_error(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # the overflow is the point
 def test_numeric_failure_exit_code(tmp_path):
     cfg_path = tmp_path / "cfg.yaml"
     cfg = miniature_config()
@@ -189,7 +191,10 @@ def test_bad_eval_iou_kind_rejected_at_load(tmp_path, monkeypatch):
     ("ANCHOR__SIZE", "[4, 2, .nan]"), ("GRID__NX", "7"),
     ("DATA__SYNTHETIC__IMAGE_SHAPE", "[2, 7, 8]"), ("OPTIMIZER__STEPS", "abc"),
     ("OPTIMIZER__STEPS", "true"), ("OPTIMIZER__STEPS", "2.5"), ("OPTIMIZER__LR", "fast"),
-    ("GRID", "~"), ("DATA__SYNTHETIC", "~")])
+    ("GRID", "~"), ("DATA__SYNTHETIC", "~"), ("EVAL__SCORE_THRESHOLD", "-0.1"),
+    ("EVAL__SCORE_THRESHOLD", "1.5"), ("EVAL__SCORE_THRESHOLD", ".nan"),
+    ("OPTIMIZER__LR", "0"), ("OPTIMIZER__LR", "-1"), ("OPTIMIZER__LR", ".inf"),
+    ("OPTIMIZER__LR", ".nan"), ("ANCHOR__Z", ".nan"), ("ANCHOR__Z", "-.inf")])
 def test_bad_config_value_rejected_at_load(tmp_path, monkeypatch, key, value):
     monkeypatch.setenv(f"BEVFUSE_{key}", value)
     assert _train_exit(tmp_path) == (EXIT_CONFIG, False)
@@ -235,6 +240,27 @@ def test_kitti_source_without_frames_is_config_error(tmp_path):
     cfg = miniature_config()
     cfg.data.source = "kitti"
     cfg.data.kitti_frames = []
+    rc, _ = _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg))
+    assert rc == EXIT_CONFIG
+
+
+def _truncate_first_record(data):
+    index = json.loads((data / "index.json").read_text())
+    record = data / f"{index['frames'][0]}.npz"
+    record.write_bytes(record.read_bytes()[:-100])
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: (data / "index.json").write_text("{\"frames\": ["),
+    lambda data: (data / "index.json").write_text(json.dumps({"seeds": []})),
+    _truncate_first_record], ids=["index_not_json", "index_without_frames",
+                                  "corrupt_record"])
+def test_damaged_manifest_is_config_error(tmp_path, damage):
+    cfg = miniature_config()
+    save_dataset(generate_dataset(cfg.data.synthetic, 1), tmp_path / "data")
+    damage(tmp_path / "data")
+    cfg.data.source = "manifest"
+    cfg.data.manifest = str(tmp_path / "data")
     rc, _ = _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg))
     assert rc == EXIT_CONFIG
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bevfuse.data import (CLASS_NAMES, IGNORED_CLASSES, AugmentationConfig,
-                          KittiParseError, SceneGenConfig, _kitti_chain, augment,
+                          KittiParseError, SceneGenConfig, _box_surface_points,
+                          _kitti_chain, augment,
                           generate_dataset, generate_scene, load_dataset,
                           load_kitti_calib, load_kitti_frame, load_kitti_labels,
                           load_kitti_velodyne, make_forward_camera,
@@ -156,6 +157,32 @@ def test_augment_warp_matches_loop_reference(seed):
     assert inside.any() and not inside.all()
     ref = _bilinear_reference(scene.image_feature_input.data, src_u, src_v)
     np.testing.assert_allclose(out.image_feature_input.data, ref, rtol=0, atol=1e-12)
+
+
+def _surface_points_reference(box, n, rng):
+    """Per-point face loop: four vertical faces and the top of the cuboid."""
+    faces = rng.integers(0, 5, size=n)
+    u = rng.uniform(-0.5, 0.5, size=n)
+    v = rng.uniform(-0.5, 0.5, size=n)
+    local = np.zeros((n, 3))
+    for i, f in enumerate(faces):
+        local[i] = [(0.5, u[i], v[i]), (-0.5, u[i], v[i]), (u[i], 0.5, v[i]),
+                    (u[i], -0.5, v[i]), (u[i], v[i], 0.5)][f]
+    local *= np.array([box.w, box.h, box.d])
+    c, s = math.cos(box.t), math.sin(box.t)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return local @ rot.T + np.array([box.x, box.y, box.z])
+
+
+def test_box_surface_points_match_per_point_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        box = DetectionBox(*rng.uniform(-5, 5, 3), *rng.uniform(0.5, 4, 3),
+                           rng.uniform(-3, 3))
+        n, seed = int(rng.integers(0, 60)), int(rng.integers(2**31))
+        got = _box_surface_points(box, n, np.random.default_rng(seed))
+        ref = _surface_points_reference(box, n, np.random.default_rng(seed))
+        assert got.shape == (n, 3) and got.tobytes() == ref.tobytes()
 
 
 def test_class_tables():

@@ -80,17 +80,31 @@ def test_hard_negative_mining_empty():
 
 
 def test_classification_loss_oracle():
-    scores = Tensor(np.array([0.9, 0.2]))
+    logits = Tensor(np.array([math.log(9.0), math.log(0.25)]))   # scores 0.9, 0.2
     labels = np.array([1.0, 0.0])
     expected = -(math.log(0.9) + math.log(0.8)) / 2
-    assert classification_loss(scores, labels).data == pytest.approx(expected, abs=1e-12)
+    assert classification_loss(logits, labels).data == pytest.approx(expected, abs=1e-12)
 
 
-def test_classification_loss_clamps_extremes():
-    scores = Tensor(np.array([0.0, 1.0]))
-    labels = np.array([1.0, 0.0])
-    val = float(classification_loss(scores, labels).data)
-    assert np.isfinite(val) and val > 10.0
+def test_classification_loss_saturated_logits():
+    # a clamped probability once gave logits 17 and 40 the same loss and a
+    # zero gradient; on logits the loss keeps growing and the gradient is ~1
+    losses, grads = [], []
+    for x in (17.0, 40.0):
+        logit = Tensor(np.array([x]), requires_grad=True)
+        loss = classification_loss(logit, np.array([0.0]))
+        loss.backward()
+        losses.append(loss.item())
+        grads.append(logit.grad[0])
+    assert losses[0] != losses[1]
+    assert losses == pytest.approx([17.0, 40.0])
+    np.testing.assert_allclose(grads, 1.0, atol=1e-7)
+    with np.errstate(all="raise"):
+        logits = Tensor(np.array([-800.0, -800.0, 800.0]), requires_grad=True)
+        loss = classification_loss(logits, np.array([0.0, 1.0, 1.0]))
+        loss.backward()
+    assert loss.item() == pytest.approx(800.0 / 3)
+    np.testing.assert_allclose(logits.grad, [0.0, -1 / 3, 0.0], atol=1e-15)
 
 
 def test_smooth_l1_values():
@@ -112,11 +126,11 @@ def test_regression_loss_empty_positives():
 
 
 def test_total_loss_breakdown_and_alpha():
-    scores = Tensor(np.array([0.9, 0.1]))
+    logits = Tensor(np.array([2.0, -2.0]))
     labels = np.array([1.0, 0.0])
     pred = Tensor(np.array([[2.0]]))
     target = np.array([[0.0]])
-    bd = total_loss(scores, labels, pred, target, alpha=2.0)
+    bd = total_loss(logits, labels, pred, target, alpha=2.0)
     assert bd.total.data == pytest.approx(bd.l_cls + 2.0 * bd.l_reg, abs=1e-12)
     assert bd.n == 2 and bd.n_pos == 1
 

@@ -67,7 +67,7 @@ def _one_hot_scene_loss(model, cfg, prep, mined):
     labels = np.concatenate([np.ones(prep.pos_idx.size), np.zeros(mined.size)])
     logits = T.matmul(T.gather_rows(flat, selected), T.Tensor(e_cls))
     reg = T.matmul(T.gather_rows(flat, prep.pos_idx), T.Tensor(e_reg))
-    return total_loss(logits.reshape(selected.size).sigmoid(), labels, reg,
+    return total_loss(logits.reshape(selected.size), labels, reg,
                       prep.reg_targets, alpha=cfg.loss.alpha).total
 
 
