@@ -115,7 +115,7 @@ def _cmd_report(args) -> int:
             with open(path) as f:
                 try:
                     metrics = json.load(f)
-                except json.JSONDecodeError as e:
+                except (json.JSONDecodeError, UnicodeDecodeError) as e:
                     raise InputError(f"{path}: malformed JSON: {e}") from None
             print(json.dumps(metrics, indent=2, sort_keys=True))
             return EXIT_OK

@@ -285,22 +285,30 @@ def load_kitti_velodyne(path) -> PointCloud:
     return PointCloud(pts[:, :3], intensity=pts[:, 3])
 
 
+def _numbered_lines(path) -> list[tuple[int, str]]:
+    """The lines of a KITTI text file, numbered from 1."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return list(enumerate(f, start=1))
+    except UnicodeDecodeError as e:
+        raise KittiParseError(f"{path}: not UTF-8 text: {e}") from None
+
+
 def _read_kitti_calib(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(projection P2 @ R0_rect @ Tr_velo_to_cam, R0_rect, Tr_velo_to_cam),
     the last two padded to 4 x 4."""
     values = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if ":" not in line:
-                raise KittiParseError(f"{path}:{lineno}: expected 'KEY: values'")
-            key, rest = line.split(":", 1)
-            try:
-                values[key.strip()] = np.array([float(v) for v in rest.split()])
-            except ValueError as e:
-                raise KittiParseError(f"{path}:{lineno}: {e}") from None
+    for lineno, line in _numbered_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        if ":" not in line:
+            raise KittiParseError(f"{path}:{lineno}: expected 'KEY: values'")
+        key, rest = line.split(":", 1)
+        try:
+            values[key.strip()] = np.array([float(v) for v in rest.split()])
+        except ValueError as e:
+            raise KittiParseError(f"{path}:{lineno}: {e}") from None
     try:
         p2 = values["P2"].reshape(3, 4)
         r0 = values["R0_rect"].reshape(3, 3)
@@ -351,12 +359,8 @@ def parse_kitti_label_line(line: str, rect_to_velo: np.ndarray,
 
 
 def load_kitti_labels(path, rect_to_velo: np.ndarray) -> list[DetectionBox]:
-    boxes = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            if line.strip():
-                boxes.append(parse_kitti_label_line(line, rect_to_velo, str(path), lineno))
-    return boxes
+    return [parse_kitti_label_line(line, rect_to_velo, str(path), lineno)
+            for lineno, line in _numbered_lines(path) if line.strip()]
 
 
 def load_kitti_frame(velodyne_path, calib_path, label_path,

@@ -153,14 +153,15 @@ def _lr_at(step: int, cfg: ExperimentConfig) -> float:
 
 def train_run(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Full training run: writes resolved config, per-step loss log, final
-    checkpoint and training-set evaluation into ``out_dir``."""
+    checkpoint and training-set evaluation into ``out_dir``. The data loads
+    first, so a bad input leaves no run directory."""
     from .config import save_config
+    scenes = build_scenes(cfg)
     os.makedirs(out_dir, exist_ok=True)
     save_config(cfg, os.path.join(out_dir, "config.yaml"))
 
     rng = np.random.default_rng(cfg.seed)
     model = build_model(cfg, rng)
-    scenes = build_scenes(cfg)
     anchors = make_anchors(model.output_grid, cfg.anchor.size, cfg.anchor.z)
     static_preps = [prepare_scene(model, cfg, anchors, s) for s in scenes]
 
@@ -220,14 +221,15 @@ def train_run(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 
 def eval_run(cfg: ExperimentConfig, checkpoint_path: str, out_dir: str) -> dict:
-    """Evaluate a checkpoint on the configured dataset."""
+    """Evaluate a checkpoint on the configured dataset. The data and the
+    checkpoint load first, so a bad input leaves no run directory."""
     from .config import save_config
     from .tensor import load_checkpoint
-    os.makedirs(out_dir, exist_ok=True)
-    save_config(cfg, os.path.join(out_dir, "config.yaml"))
+    scenes = build_scenes(cfg)
     model = build_model(cfg)
     model.load_parameters(load_checkpoint(checkpoint_path))
-    scenes = build_scenes(cfg)
+    os.makedirs(out_dir, exist_ok=True)
+    save_config(cfg, os.path.join(out_dir, "config.yaml"))
     anchors = make_anchors(model.output_grid, cfg.anchor.size, cfg.anchor.z)
     preps = [prepare_scene(model, cfg, anchors, s) for s in scenes]
     report = evaluate_model(model, cfg, anchors, preps)

@@ -145,6 +145,11 @@ def test_truncated_checkpoint_is_config_error(tmp_path, cut):
     assert _eval_damaged_checkpoint(tmp_path, lambda raw: raw[:cut]) == EXIT_CONFIG
 
 
+def test_truncated_checkpoint_leaves_no_run_directory(tmp_path):
+    assert _eval_damaged_checkpoint(tmp_path, lambda raw: raw[:-3]) == EXIT_CONFIG
+    assert not (tmp_path / "e").exists()
+
+
 def test_bad_checkpoint_magic_is_config_error(tmp_path):
     assert _eval_damaged_checkpoint(tmp_path, lambda raw: b"XXXX" + raw[4:]) == EXIT_CONFIG
 
@@ -261,8 +266,8 @@ def test_damaged_manifest_is_config_error(tmp_path, damage):
     damage(tmp_path / "data")
     cfg.data.source = "manifest"
     cfg.data.manifest = str(tmp_path / "data")
-    rc, _ = _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg))
-    assert rc == EXIT_CONFIG
+    assert _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg)) == \
+        (EXIT_CONFIG, False)
 
 
 def test_empty_manifest_is_config_error(tmp_path):
@@ -271,5 +276,42 @@ def test_empty_manifest_is_config_error(tmp_path):
     cfg = miniature_config()
     cfg.data.source = "manifest"
     cfg.data.manifest = str(tmp_path / "data")
-    rc, _ = _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg))
-    assert rc == EXIT_CONFIG
+    assert _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg)) == \
+        (EXIT_CONFIG, False)
+
+
+_CALIB = (b"P2: 1 0 0 0 0 1 0 0 0 0 1 0\nR0_rect: 1 0 0 0 1 0 0 0 1\n"
+          b"Tr_velo_to_cam: 1 0 0 0 0 1 0 0 0 0 1 0\n")
+
+
+def _kitti_argv(tmp_path, calib, labels):
+    (tmp_path / "f.bin").write_bytes(np.zeros((2, 4), dtype=np.float32).tobytes())
+    (tmp_path / "calib.txt").write_bytes(calib)
+    (tmp_path / "label.txt").write_bytes(labels)
+    cfg = miniature_config()
+    cfg.data.source = "kitti"
+    cfg.data.kitti_frames = [{"velodyne": str(tmp_path / "f.bin"),
+                              "calib": str(tmp_path / "calib.txt"),
+                              "labels": str(tmp_path / "label.txt")}]
+    return ["train", "--config", str(_write_config(tmp_path / "cfg.yaml", cfg)),
+            "--out", str(tmp_path / "o")]
+
+
+def _config_argv(tmp_path):
+    (tmp_path / "cfg.yaml").write_bytes(b"seed: 1\n# caf\xe9\n")
+    return ["train", "--config", str(tmp_path / "cfg.yaml"), "--out", str(tmp_path / "o")]
+
+
+def _metrics_argv(tmp_path):
+    (tmp_path / "final_metrics.json").write_bytes(b'{"ap": 0.5, "note": "caf\xe9"}')
+    return ["report", str(tmp_path)]
+
+
+@pytest.mark.parametrize("argv", [
+    _config_argv,
+    lambda tmp_path: _kitti_argv(tmp_path, _CALIB + b"# \xff\n", b""),
+    lambda tmp_path: _kitti_argv(tmp_path, _CALIB, b"Car \xff\n"),
+    _metrics_argv], ids=["config", "kitti_calib", "kitti_labels", "metrics"])
+def test_non_utf8_input_is_config_error(tmp_path, argv):
+    assert main(argv(tmp_path)) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()

@@ -1,10 +1,16 @@
+import math
+import pathlib
+
 import numpy as np
 import pytest
 import yaml
 
+from bevfuse import config
 from bevfuse.config import (CONFIG_VERSION, ConfigError, ExperimentConfig,
                             apply_env_overrides, config_from_dict,
                             config_to_dict, load_config, save_config)
+
+CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.yaml"))
 
 
 def test_default_config_valid():
@@ -104,3 +110,30 @@ def test_grid_from_dict():
                                      "z_range": [0.0, 2.0], "nx": 16, "ny": 16,
                                      "nz": 2}})
     assert cfg.grid.nx == 16 and cfg.grid.cell[0] == 2.0
+
+
+# values where emitters and parsers could part ways
+EDGE_VALUES = {
+    "long": "a string with spaces that runs past the eighty-column line width "
+            "of the emitter, so it has to fold",
+    "unicode": "Grüße, 東京 — ✓", "multi_line": "first line\nsecond line\n",
+    "floats": [math.inf, -math.inf, math.nan, -0.0, 1e300, 1e-300, 0.1, 2.5e-8],
+    "null": None, "nested": [[1, [2.5, None]], {"empty": [], "flag": True}],
+    "numeric_string": "0.5", "empty": "",
+}
+
+
+@pytest.mark.parametrize("source", [*CONFIGS, "edge_values"],
+                         ids=[*(p.name for p in CONFIGS), "edge_values"])
+def test_config_io_matches_pure_python_yaml(tmp_path, source):
+    assert config._LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    assert config._DUMPER is getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+    d = EDGE_VALUES if source == "edge_values" else \
+        config_to_dict(load_config(source, environ={}))
+    save_config(d, tmp_path / "c.yaml")        # config_to_dict passes a dict through
+    written = (tmp_path / "c.yaml").read_bytes()
+    assert written == yaml.dump(d, Dumper=yaml.SafeDumper, sort_keys=True).encode()
+    raw = written if source == "edge_values" else source.read_bytes()
+    # repr tells nan and -0.0 apart, which == does not
+    assert repr(config._parse_yaml(raw, str(source))) == \
+        repr(yaml.load(raw, Loader=yaml.SafeLoader))
