@@ -154,21 +154,26 @@ def test_bad_checkpoint_magic_is_config_error(tmp_path):
     assert _eval_damaged_checkpoint(tmp_path, lambda raw: b"XXXX" + raw[4:]) == EXIT_CONFIG
 
 
-def test_malformed_calib_is_config_error(tmp_path):
+_CALIB = (b"P2: 1 0 0 0 0 1 0 0 0 0 1 0\nR0_rect: 1 0 0 0 1 0 0 0 1\n"
+          b"Tr_velo_to_cam: 1 0 0 0 0 1 0 0 0 0 1 0\n")
+
+
+def _kitti_argv(tmp_path, calib, labels):
     (tmp_path / "f.bin").write_bytes(np.zeros((2, 4), dtype=np.float32).tobytes())
-    (tmp_path / "calib.txt").write_text("P2: 1 0 0 0 0 1 0 0 0 0 1 0\n"
-                                        "R0_rect: 1 0 0 0 1 0 0 0 1\n")
-    (tmp_path / "label.txt").write_text("")
-    cfg_path = tmp_path / "cfg.yaml"
+    (tmp_path / "calib.txt").write_bytes(calib)
+    (tmp_path / "label.txt").write_bytes(labels)
     cfg = miniature_config()
     cfg.data.source = "kitti"
     cfg.data.kitti_frames = [{"velodyne": str(tmp_path / "f.bin"),
                               "calib": str(tmp_path / "calib.txt"),
                               "labels": str(tmp_path / "label.txt")}]
-    with open(cfg_path, "w") as f:
-        yaml.safe_dump(config_to_dict(cfg), f)
-    rc = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
-    assert rc == EXIT_CONFIG
+    return ["train", "--config", str(_write_config(tmp_path / "cfg.yaml", cfg)),
+            "--out", str(tmp_path / "o")]
+
+
+def test_malformed_calib_is_config_error(tmp_path):
+    calib = b"P2: 1 0 0 0 0 1 0 0 0 0 1 0\nR0_rect: 1 0 0 0 1 0 0 0 1\n"
+    assert main(_kitti_argv(tmp_path, calib, b"")) == EXIT_CONFIG
 
 
 def _train_exit(tmp_path, config=None):
@@ -278,23 +283,6 @@ def test_empty_manifest_is_config_error(tmp_path):
     cfg.data.manifest = str(tmp_path / "data")
     assert _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg)) == \
         (EXIT_CONFIG, False)
-
-
-_CALIB = (b"P2: 1 0 0 0 0 1 0 0 0 0 1 0\nR0_rect: 1 0 0 0 1 0 0 0 1\n"
-          b"Tr_velo_to_cam: 1 0 0 0 0 1 0 0 0 0 1 0\n")
-
-
-def _kitti_argv(tmp_path, calib, labels):
-    (tmp_path / "f.bin").write_bytes(np.zeros((2, 4), dtype=np.float32).tobytes())
-    (tmp_path / "calib.txt").write_bytes(calib)
-    (tmp_path / "label.txt").write_bytes(labels)
-    cfg = miniature_config()
-    cfg.data.source = "kitti"
-    cfg.data.kitti_frames = [{"velodyne": str(tmp_path / "f.bin"),
-                              "calib": str(tmp_path / "calib.txt"),
-                              "labels": str(tmp_path / "label.txt")}]
-    return ["train", "--config", str(_write_config(tmp_path / "cfg.yaml", cfg)),
-            "--out", str(tmp_path / "o")]
 
 
 def _config_argv(tmp_path):
