@@ -14,7 +14,8 @@ under ``src/``), and for every end-to-end metric the value of every trace-0
 run on each side, the two medians, the base runs' interquartile range and
 the number of pairs the change won, and the summed ``failed`` counts. After
 writing it, the script prints one line per workload and end-to-end metric:
-both medians, the relative change, the pairs won and the base IQR.
+both medians, the relative change, the pairs won and the base IQR. A last
+line gives both sides' ``src_lines`` and their difference.
 """
 
 import json
@@ -53,13 +54,15 @@ def run(command: list[str], checkout: pathlib.Path, workload: str,
     return json.loads((checkout / "perfbench" / "results" / f"{tag}.json").read_text())
 
 
-def summary(end_to_end: dict) -> list[str]:
+def summary(doc: dict) -> list[str]:
     lines = []
-    for key, m in end_to_end.items():
+    for key, m in doc["end_to_end"].items():
         base, change = m["median"]
         rel = f"{(change - base) / base:+7.1%}" if base else "    n/a"
         lines.append(f"{key:28s} base {base:<10.4g} change {change:<10.4g} {rel}  "
                      f"wins {m['change_wins']}/{len(m['base'])}  base IQR {m['base_iqr']:.3g}")
+    base, change = doc["base"]["src_lines"], doc["change"]["src_lines"]
+    lines.append(f"src_lines base {base} change {change} ({change - base:+d})")
     return lines
 
 
@@ -105,7 +108,7 @@ def main(argv: list[str]) -> int:
                 "base_iqr": q3 - q1,
                 "change_wins": sum(c < b if lower else c > b for b, c in zip(base, change))}
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print("\n".join(summary(doc["end_to_end"])))
+    print("\n".join(summary(doc)))
     return 0
 
 

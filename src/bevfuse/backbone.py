@@ -10,8 +10,8 @@ import numpy as np
 
 from . import tensor as T
 from .detect import DetectionHeader, HeaderOutput
-from .fusion import (FusionConfig, FusionMlp, FusionPlan, apply_fusion,
-                     plan_discrete_fusion, plan_fusion, xavier_uniform)
+from .fusion import (FusionMlp, FusionPlan, apply_fusion, plan_discrete_fusion,
+                     plan_fusion, xavier_uniform)
 from .geometry import BevGrid, CalibratedCamera, PointCloud, build_bev_index
 from .tensor import InputError, Tensor
 
@@ -196,17 +196,11 @@ class DetectorModel:
 
         self.image_stream = None
         self.fusion_mlps: dict[int, FusionMlp] = {}
-        self.fusion_cfgs: dict[int, FusionConfig] = {}
         if mode != "bev_only":
             self.image_stream = ImageStream(image_in_channels, backbone,
                                             image_feat_channels, rng)
-            use_geo = mode == "continuous"
-            in_dim = image_feat_channels + (3 if use_geo else 0)
+            in_dim = image_feat_channels + (3 if mode == "continuous" else 0)  # + x_j - x_i
             for p in backbone.fusion_points:
-                self.fusion_cfgs[p] = FusionConfig(
-                    k=fusion_cfg.k, max_dist=fusion_cfg.max_dist,
-                    use_geometric_feature=use_geo,
-                    input_dim=in_dim, output_dim=backbone.bev_groups[p].channels)
                 self.fusion_mlps[p] = FusionMlp(in_dim,
                                                 backbone.bev_groups[p].channels,
                                                 rng, name=f"fusion{p}")
@@ -232,7 +226,7 @@ class DetectorModel:
         # every fusion level's raster, and all their pixel centers in level
         # order: one neighbour query per scene answers every level
         self.fusion_section = fusion_cfg
-        self.fusion_grids = {p: grid.downsample(strides[p]) for p in self.fusion_cfgs}
+        self.fusion_grids = {p: grid.downsample(strides[p]) for p in self.fusion_mlps}
         centers = [g.pixel_centers().reshape(-1, 2) for g in self.fusion_grids.values()]
         self._centers = np.concatenate([np.zeros((0, 2)), *centers])
         self._level_ends = np.cumsum([len(c) for c in centers])[:-1]
@@ -267,13 +261,14 @@ class DetectorModel:
         if self.mode == "discrete":         # never queries a k-d tree
             return {p: plan_discrete_fusion(cloud, cam, g)
                     for p, g in self.fusion_grids.items()}
-        if not self.fusion_cfgs:
+        if not self.fusion_grids:
             return {}
         knn = self.fusion_section
         nb = build_bev_index(cloud).query(self._centers, knn.k, knn.max_dist)
-        return {p: plan_fusion(cloud, cam, self.fusion_grids[p], cfg, rows)
-                for (p, cfg), rows in zip(self.fusion_cfgs.items(),
-                                          np.split(nb, self._level_ends))}
+        geometric = self.mode == "continuous"
+        return {p: plan_fusion(cloud, cam, g, rows, geometric)
+                for (p, g), rows in zip(self.fusion_grids.items(),
+                                        np.split(nb, self._level_ends))}
 
     def forward(self, bev_input: Tensor, image_input: Tensor | None,
                 plans: dict[int, FusionPlan] | None) -> HeaderOutput:
@@ -285,9 +280,8 @@ class DetectorModel:
         outs = []
         for gi, group in enumerate(self.bev_groups):
             x = group.forward(x)
-            if gi in self.fusion_cfgs:
-                x = x + apply_fusion(image_combined, plans[gi],
-                                     self.fusion_cfgs[gi], self.fusion_mlps[gi])
+            if gi in self.fusion_mlps:
+                x = x + apply_fusion(image_combined, plans[gi], self.fusion_mlps[gi])
             outs.append(x)
         final = self.bev_combiner.forward(outs[-self.num_combined:])
         return self.header.forward(final)

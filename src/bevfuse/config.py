@@ -89,6 +89,11 @@ class DataSection:
             raise ValueError("n_scenes must be >= 1")
         if self.source == "manifest" and not self.manifest:
             raise ValueError("source 'manifest' needs a manifest path")
+        for i, frame in enumerate(self.kitti_frames or []):
+            if not isinstance(frame, dict) or set(frame) != {"velodyne", "calib", "labels"} \
+                    or not all(isinstance(v, str) for v in frame.values()):
+                raise ValueError(f"kitti_frames[{i}] must map velodyne, calib and labels "
+                                 f"to paths, got {frame!r}")
 
 
 @dataclass

@@ -62,8 +62,16 @@ class SceneGenConfig:
     def __post_init__(self):
         if self.x_range[0] <= 0:
             raise ValueError("x_range must start in front of the camera")
-        if self.object_count[0] > self.object_count[1]:
-            raise ValueError("invalid object_count range")
+        if not 0 <= self.object_count[0] <= self.object_count[1]:
+            raise ValueError(f"invalid object_count range {list(self.object_count)}")
+        if self.ground_points < 0 or self.surface_points_ref < 0:
+            raise ValueError("ground_points and surface_points_ref must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:        # NaN fails this too
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if min(self.image_shape) < 1:
+            raise ValueError(f"image extents must be >= 1, got {list(self.image_shape)}")
+        if not all(0 < f < math.inf for f in self.focal):
+            raise ValueError(f"focal lengths must be finite and > 0, got {list(self.focal)}")
         if self.ground_layout not in ("random", "grid"):
             raise ValueError(f"unknown ground_layout {self.ground_layout!r}")
         if self.seed < 0:
@@ -81,6 +89,15 @@ class AugmentationConfig:
     rotate_z_deg: float = 5.0
     image_scale: tuple[float, float] = (0.9, 1.1)
     image_translate_px: float = 50.0
+
+    def __post_init__(self):
+        for name in ("scale_xy", "scale_z", "image_scale"):
+            lo, hi = getattr(self, name)
+            if not 0 < lo <= hi < math.inf:             # NaN fails this too
+                raise ValueError(f"{name} must be finite with 0 < lo <= hi, got {[lo, hi]}")
+        for name in ("translate_xy", "translate_z", "rotate_z_deg", "image_translate_px"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 def make_forward_camera(image_size: tuple[int, int],

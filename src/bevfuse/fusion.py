@@ -19,8 +19,8 @@ class FusionConfigError(ValueError):
 
 @dataclass
 class FusionConfig:
-    """Knobs of the fusion layer; defaults follow the best ablation setting
-    (k=1, max_dist=10m, geometric feature on)."""
+    """Settings of a standalone layer (``continuous_fusion_forward``); defaults
+    follow the best ablation setting (k=1, max_dist=10m, geometric feature on)."""
 
     k: int = 1
     max_dist: float = 10.0
@@ -33,9 +33,6 @@ class FusionConfig:
             raise FusionConfigError("k must be >= 1")
         if self.input_dim < 1 or self.output_dim < 1:
             raise FusionConfigError("input_dim and output_dim must be >= 1")
-
-    def image_channels(self) -> int:
-        return self.input_dim - 3 if self.use_geometric_feature else self.input_dim
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -88,7 +85,7 @@ class FusionPlan:
 
     pair_pixel: np.ndarray      # P, flat index into the ny*nx raster
     pair_uv: np.ndarray         # P x 2, image coordinates (invalid pushed off-image)
-    pair_offset: np.ndarray     # P x 3, x_j - x_i in meters
+    pair_offset: np.ndarray     # P x 3, x_j - x_i in meters; P x 0 without the offset input
     ny: int
     nx: int
 
@@ -98,57 +95,51 @@ _OFF_IMAGE = np.array([-10.0, -10.0])
 
 
 def plan_fusion(cloud: PointCloud, cam: CalibratedCamera, grid: BevGrid,
-                cfg: FusionConfig, nb: np.ndarray | None = None) -> FusionPlan:
-    """Gather the <= k nearest in-range LIDAR points for every BEV pixel.
-
-    ``nb`` holds those neighbours (npix x k, pixel-major, -1 padded) as
-    ``BevKdTree.query`` returns them for the pixel centers; without it a tree
-    is built and queried here.
-    """
+                nb: np.ndarray, geometric: bool) -> FusionPlan:
+    """Pair every BEV pixel with its <= k nearest in-range LIDAR points ``nb``
+    (npix x k, pixel-major, -1 padded, as ``BevKdTree.query`` returns them for
+    the pixel centers). A ``geometric`` plan carries the offsets x_j - x_i;
+    without them a neighbour that does not project into the image adds nothing
+    and is dropped."""
     centers = grid.pixel_centers().reshape(-1, 2)         # (ny*nx) x 2
     uv, valid = project_points(cloud, cam)
-    if nb is None:
-        nb = build_bev_index(cloud).query(centers, cfg.k, cfg.max_dist)
     keep = nb >= 0
-    if not cfg.use_geometric_feature:
-        keep[keep] = valid[nb[keep]]    # nothing to contribute without the offset input
+    if not geometric:
+        keep[keep] = valid[nb[keep]]
     pix, rank = np.nonzero(keep)                          # pixel-major, then rank
     j = nb[pix, rank]
     pair_uv = np.where(valid[j, None], uv[j], _OFF_IMAGE)
-    # target pixel sits on the z=0 reference plane
-    target = np.column_stack([centers[pix], np.zeros(pix.size)])
-    return FusionPlan(pix, pair_uv, cloud.points[j] - target, grid.ny, grid.nx)
+    offset = np.zeros((pix.size, 0))
+    if geometric:       # target pixel sits on the z=0 reference plane
+        offset = cloud.points[j] - np.column_stack([centers[pix], np.zeros(pix.size)])
+    return FusionPlan(pix, pair_uv, offset, grid.ny, grid.nx)
 
 
-def _check_dims(image_features: Tensor, cfg: FusionConfig, mlp: FusionMlp):
-    c = image_features.shape[0]
-    if cfg.image_channels() != c:
-        raise FusionConfigError(
-            f"config expects {cfg.image_channels()} image channels, feature map has {c}")
-    if mlp.input_dim != cfg.input_dim or mlp.output_dim != cfg.output_dim:
-        raise FusionConfigError(
-            f"MLP dims ({mlp.input_dim}->{mlp.output_dim}) do not match config "
-            f"({cfg.input_dim}->{cfg.output_dim})")
-
-
-def apply_fusion(image_features: Tensor, plan: FusionPlan, cfg: FusionConfig,
-                 mlp: FusionMlp) -> Tensor:
+def apply_fusion(image_features: Tensor, plan: FusionPlan, mlp: FusionMlp) -> Tensor:
     """Run the shared MLP over all (pixel, neighbor) pairs and sum per pixel."""
-    _check_dims(image_features, cfg, mlp)
+    c, o = image_features.shape[0], plan.pair_offset.shape[1]
+    if c + o != mlp.input_dim:
+        raise FusionConfigError(f"{c} image channels + {o} offset columns do not "
+                                f"match the MLP's input width {mlp.input_dim}")
     npix = plan.ny * plan.nx
-    feats = T.bilinear_sample(image_features, plan.pair_uv)     # P x C
-    if cfg.use_geometric_feature:
-        feats = T.concat([feats, Tensor(plan.pair_offset)], axis=1)
+    feats = T.concat([T.bilinear_sample(image_features, plan.pair_uv),
+                      Tensor(plan.pair_offset)], axis=1)        # P x D_i
     h = mlp.forward(feats)                                      # P x D_o
     out = T.scatter_add_rows(h, plan.pair_pixel, npix)          # npix x D_o
-    return out.reshape(plan.ny, plan.nx, cfg.output_dim).transpose((2, 0, 1))
+    return out.reshape(plan.ny, plan.nx, mlp.output_dim).transpose((2, 0, 1))
 
 
 def continuous_fusion_forward(image_features: Tensor, cloud: PointCloud,
                               cam: CalibratedCamera, grid: BevGrid,
                               cfg: FusionConfig, mlp: FusionMlp) -> Tensor:
     """Dense BEV feature map h_i = sum_j MLP(concat[f_j, x_j - x_i])."""
-    return apply_fusion(image_features, plan_fusion(cloud, cam, grid, cfg), cfg, mlp)
+    if (mlp.input_dim, mlp.output_dim) != (cfg.input_dim, cfg.output_dim):
+        raise FusionConfigError(f"MLP dims ({mlp.input_dim}->{mlp.output_dim}) do not "
+                                f"match config ({cfg.input_dim}->{cfg.output_dim})")
+    nb = build_bev_index(cloud).query(grid.pixel_centers().reshape(-1, 2),
+                                      cfg.k, cfg.max_dist)
+    plan = plan_fusion(cloud, cam, grid, nb, cfg.use_geometric_feature)
+    return apply_fusion(image_features, plan, mlp)
 
 
 def plan_discrete_fusion(cloud: PointCloud, cam: CalibratedCamera,
@@ -160,4 +151,4 @@ def plan_discrete_fusion(cloud: PointCloud, cam: CalibratedCamera,
     iy = np.floor((cloud.points[:, 1] - grid.y_range[0]) / cy).astype(np.intp)
     keep = (ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny) & valid
     pix = iy[keep] * grid.nx + ix[keep]
-    return FusionPlan(pix, uv[keep], np.zeros((keep.sum(), 3)), grid.ny, grid.nx)
+    return FusionPlan(pix, uv[keep], np.zeros((pix.size, 0)), grid.ny, grid.nx)

@@ -7,8 +7,8 @@ from bevfuse.backbone import (MODES, BackboneConfig, Conv2dLayer, DetectorModel,
                               ResidualBlock, ResidualGroup)
 from bevfuse.config import ExperimentConfig, FusionSection
 from bevfuse.data import AugmentationConfig, augment, generate_scene
-from bevfuse.fusion import FusionConfig, plan_fusion
-from bevfuse.geometry import BevGrid, BevKdTree, PointCloud
+from bevfuse.fusion import plan_fusion
+from bevfuse.geometry import BevGrid, BevKdTree, PointCloud, build_bev_index
 from bevfuse.pipeline import build_model, build_scenes, miniature_config
 from bevfuse.tensor import Tensor
 
@@ -152,8 +152,9 @@ def test_discrete_mode_plans():
     model = build_model(cfg)
     scene = build_scenes(cfg)[0]
     plans = model.make_plans(scene.cloud, scene.cam)
+    assert sorted(plans) == sorted(cfg.backbone.fusion_points)
     for p in plans.values():
-        assert (p.pair_offset == 0.0).all()
+        assert p.pair_offset.shape == (p.pair_pixel.size, 0)
 
 
 @pytest.mark.parametrize("mode,builds", [("bev_only", 0), ("discrete", 0),
@@ -188,8 +189,12 @@ def test_make_plans_equals_per_level_plans(mode, k, max_dist):
         assert sorted(plans) == sorted(cfg.backbone.fusion_points)
         for p, plan in plans.items():
             grid = cfg.grid.downsample(2 ** p)
-            ref = plan_fusion(cloud, cam, grid, model.fusion_cfgs[p])
+            nb = build_bev_index(cloud).query(grid.pixel_centers().reshape(-1, 2),
+                                              k, max_dist)
+            ref = plan_fusion(cloud, cam, grid, nb, mode == "continuous")
             assert (plan.ny, plan.nx) == (ref.ny, ref.nx) == (grid.ny, grid.nx)
+            width = 3 if mode == "continuous" else 0
+            assert plan.pair_offset.shape == (plan.pair_pixel.size, width)
             for a, b in ((plan.pair_pixel, ref.pair_pixel), (plan.pair_uv, ref.pair_uv),
                          (plan.pair_offset, ref.pair_offset)):
                 assert a.dtype == b.dtype and a.shape == b.shape

@@ -7,7 +7,7 @@ import yaml
 
 from bevfuse.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from bevfuse.config import config_to_dict
-from bevfuse.data import generate_dataset, save_dataset
+from bevfuse.data import AugmentationConfig, generate_dataset, save_dataset
 from bevfuse.pipeline import build_model, miniature_config
 from bevfuse.tensor import save_checkpoint
 
@@ -158,15 +158,15 @@ _CALIB = (b"P2: 1 0 0 0 0 1 0 0 0 0 1 0\nR0_rect: 1 0 0 0 1 0 0 0 1\n"
           b"Tr_velo_to_cam: 1 0 0 0 0 1 0 0 0 0 1 0\n")
 
 
-def _kitti_argv(tmp_path, calib, labels):
+def _kitti_argv(tmp_path, calib, labels, malform=lambda frame: frame):
     (tmp_path / "f.bin").write_bytes(np.zeros((2, 4), dtype=np.float32).tobytes())
     (tmp_path / "calib.txt").write_bytes(calib)
     (tmp_path / "label.txt").write_bytes(labels)
     cfg = miniature_config()
     cfg.data.source = "kitti"
-    cfg.data.kitti_frames = [{"velodyne": str(tmp_path / "f.bin"),
-                              "calib": str(tmp_path / "calib.txt"),
-                              "labels": str(tmp_path / "label.txt")}]
+    cfg.data.kitti_frames = [malform({"velodyne": str(tmp_path / "f.bin"),
+                                      "calib": str(tmp_path / "calib.txt"),
+                                      "labels": str(tmp_path / "label.txt")})]
     return ["train", "--config", str(_write_config(tmp_path / "cfg.yaml", cfg)),
             "--out", str(tmp_path / "o")]
 
@@ -174,6 +174,16 @@ def _kitti_argv(tmp_path, calib, labels):
 def test_malformed_calib_is_config_error(tmp_path):
     calib = b"P2: 1 0 0 0 0 1 0 0 0 0 1 0\nR0_rect: 1 0 0 0 1 0 0 0 1\n"
     assert main(_kitti_argv(tmp_path, calib, b"")) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("malform", [
+    lambda frame: "abc", lambda frame: {k: frame[k] for k in ("velodyne", "calib")},
+    lambda frame: {**frame, "image": frame["velodyne"]},
+    lambda frame: {**frame, "labels": [frame["labels"]]}],
+    ids=["not_a_mapping", "no_labels", "extra_key", "path_not_a_string"])
+def test_malformed_kitti_frame_rejected_at_load(tmp_path, malform):
+    assert main(_kitti_argv(tmp_path, _CALIB, b"", malform)) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
 
 
 def _train_exit(tmp_path, config=None):
@@ -204,10 +214,27 @@ def test_bad_eval_iou_kind_rejected_at_load(tmp_path, monkeypatch):
     ("GRID", "~"), ("DATA__SYNTHETIC", "~"), ("EVAL__SCORE_THRESHOLD", "-0.1"),
     ("EVAL__SCORE_THRESHOLD", "1.5"), ("EVAL__SCORE_THRESHOLD", ".nan"),
     ("OPTIMIZER__LR", "0"), ("OPTIMIZER__LR", "-1"), ("OPTIMIZER__LR", ".inf"),
-    ("OPTIMIZER__LR", ".nan"), ("ANCHOR__Z", ".nan"), ("ANCHOR__Z", "-.inf")])
+    ("OPTIMIZER__LR", ".nan"), ("ANCHOR__Z", ".nan"), ("ANCHOR__Z", "-.inf"),
+    ("DATA__SYNTHETIC__FOCAL", "[0, 0]"), ("DATA__SYNTHETIC__FOCAL", "[3, .inf]"),
+    ("DATA__SYNTHETIC__GROUND_POINTS", "-5"), ("DATA__SYNTHETIC__SURFACE_POINTS_REF", "-1"),
+    ("DATA__SYNTHETIC__NOISE_SIGMA", "-1"), ("DATA__SYNTHETIC__NOISE_SIGMA", ".nan"),
+    ("DATA__SYNTHETIC__IMAGE_SHAPE", "[0, 24, 48]"),
+    ("DATA__SYNTHETIC__OBJECT_COUNT", "[-2, -1]")])
 def test_bad_config_value_rejected_at_load(tmp_path, monkeypatch, key, value):
     monkeypatch.setenv(f"BEVFUSE_{key}", value)
     assert _train_exit(tmp_path) == (EXIT_CONFIG, False)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("SCALE_XY", "[0, 0]"), ("SCALE_Z", "[1.1, 0.9]"), ("SCALE_Z", "[1, .inf]"),
+    ("IMAGE_SCALE", "[0, 0]"), ("ROTATE_Z_DEG", ".nan"), ("TRANSLATE_XY", ".inf"),
+    ("TRANSLATE_Z", "-1"), ("IMAGE_TRANSLATE_PX", ".nan")])
+def test_bad_augmentation_rejected_at_load(tmp_path, monkeypatch, key, value):
+    cfg = miniature_config()
+    cfg.data.augment = AugmentationConfig()
+    monkeypatch.setenv(f"BEVFUSE_DATA__AUGMENT__{key}", value)
+    assert _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg)) == \
+        (EXIT_CONFIG, False)
 
 
 def test_negative_seed_flag_is_config_error(tmp_path):

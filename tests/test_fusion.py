@@ -22,6 +22,10 @@ def _setup(seed=0, n=40, k=3, channels=4):
     return rng, cam, cloud, grid, cfg, img, mlp
 
 
+def _neighbours(cloud, grid, k, max_dist):
+    return build_bev_index(cloud).query(grid.pixel_centers().reshape(-1, 2), k, max_dist)
+
+
 def _loop_reference(img, cloud, cam, grid, cfg, mlp):
     """Direct loop-nest transcription of the layer definition."""
     centers = grid.pixel_centers()
@@ -52,10 +56,8 @@ def test_forward_matches_loop_nest_reference():
 
 def test_plan_is_reusable_and_matches_direct_forward():
     _, cam, cloud, grid, cfg, img, mlp = _setup(seed=5)
-    nb = build_bev_index(cloud).query(grid.pixel_centers().reshape(-1, 2),
-                                      cfg.k, cfg.max_dist)
-    plan = plan_fusion(cloud, cam, grid, cfg, nb)
-    a = apply_fusion(img, plan, cfg, mlp).data
+    plan = plan_fusion(cloud, cam, grid, _neighbours(cloud, grid, cfg.k, cfg.max_dist), True)
+    a = apply_fusion(img, plan, mlp).data
     b = continuous_fusion_forward(img, cloud, cam, grid, cfg, mlp).data
     np.testing.assert_array_equal(a, b)
 
@@ -67,24 +69,26 @@ def test_plan_matches_per_pixel_knn_reference(geo):
     # some points behind the camera or off-image: their projections are invalid
     cloud = PointCloud(rng.uniform([-4, -6, 0], [10, 6, 2], (60, 3)))
     grid = BevGrid((0.0, 10.0), (-5.0, 5.0), (0.0, 2.0), 8, 8, 1)
-    cfg = FusionConfig(k=3, max_dist=1.5, use_geometric_feature=geo,
-                       input_dim=7 if geo else 4, output_dim=5)
+    k, max_dist = 3, 1.5
     uv, valid = project_points(cloud, cam)
     pix, uvs, offs = [], [], []
     for i, (cx, cy) in enumerate(grid.pixel_centers().reshape(-1, 2)):
-        for j in knn_bev((cx, cy), cloud, cfg.k, cfg.max_dist):
+        for j in knn_bev((cx, cy), cloud, k, max_dist):
             if valid[j] or geo:
                 pix.append(i)
                 uvs.append(uv[j] if valid[j] else [-10.0, -10.0])
                 offs.append(cloud.points[j] - np.array([cx, cy, 0.0]))
     # short neighbour lists occur, and off-image sentinels when geo is on
-    assert np.bincount(pix, minlength=grid.nx * grid.ny).min() < cfg.k
+    assert np.bincount(pix, minlength=grid.nx * grid.ny).min() < k
     assert (np.array(uvs) == -10.0).any() == geo
-    plan = plan_fusion(cloud, cam, grid, cfg)
+    plan = plan_fusion(cloud, cam, grid, _neighbours(cloud, grid, k, max_dist), geo)
     assert plan.pair_pixel.dtype == np.intp
     assert np.array_equal(plan.pair_pixel, np.array(pix, dtype=np.intp))
     assert np.array_equal(plan.pair_uv, np.array(uvs))
-    assert np.array_equal(plan.pair_offset, np.array(offs))
+    if geo:
+        assert np.array_equal(plan.pair_offset, np.array(offs))
+    else:       # no offset input: no offset columns
+        assert plan.pair_offset.shape == (len(pix), 0)
 
 
 def test_zeroed_output_layer_produces_zero_map():
@@ -105,8 +109,9 @@ def test_empty_cloud_gives_zero_map():
 def test_empty_plan_gives_every_parameter_a_zero_grad():
     _, cam, _, grid, cfg, img, mlp = _setup()
     img = Tensor(img.data, requires_grad=True)
-    plan = plan_fusion(PointCloud(np.zeros((0, 3))), cam, grid, cfg)
-    apply_fusion(img, plan, cfg, mlp).sum().backward()
+    empty = PointCloud(np.zeros((0, 3)))
+    plan = plan_fusion(empty, cam, grid, _neighbours(empty, grid, cfg.k, cfg.max_dist), True)
+    apply_fusion(img, plan, mlp).sum().backward()
     for p in [img, *mlp.parameters().values()]:
         assert p.grad is not None
         np.testing.assert_array_equal(p.grad, 0.0)
@@ -116,13 +121,12 @@ def test_nogeo_mode_drops_invalid_projections():
     rng, cam, _, grid, _, img, _ = _setup()
     # one point behind the camera, one in front
     cloud = PointCloud(np.array([[-3.0, 0.0, 0.5], [5.0, 0.0, 0.5]]))
-    cfg = FusionConfig(k=1, max_dist=100.0, use_geometric_feature=False,
-                       input_dim=4, output_dim=5)
-    plan = plan_fusion(cloud, cam, grid, cfg)
+    nb = _neighbours(cloud, grid, 1, 100.0)
+    plan = plan_fusion(cloud, cam, grid, nb, False)
     # pairs that would sample the invalid point carry nothing and are dropped
     assert (plan.pair_uv >= 0).all()
-    cfg_geo = FusionConfig(k=1, max_dist=100.0, input_dim=7, output_dim=5)
-    plan_geo = plan_fusion(cloud, cam, grid, cfg_geo)
+    assert plan.pair_offset.shape == (plan.pair_pixel.size, 0)
+    plan_geo = plan_fusion(cloud, cam, grid, nb, True)
     assert plan_geo.pair_pixel.size >= plan.pair_pixel.size
 
 
@@ -138,7 +142,7 @@ def test_discrete_plan_maps_points_to_own_pixel():
         if 0 <= ix < grid.nx and 0 <= iy < grid.ny and valid[j]:
             expected.append(iy * grid.nx + ix)
     assert sorted(plan.pair_pixel.tolist()) == sorted(expected)
-    assert (plan.pair_offset == 0.0).all()
+    assert plan.pair_offset.shape == (len(expected), 0)
 
 
 def test_dim_mismatch_raises():
@@ -149,6 +153,22 @@ def test_dim_mismatch_raises():
     bad_cfg = FusionConfig(k=1, input_dim=img.shape[0] + 2, output_dim=5)
     with pytest.raises(FusionConfigError):
         continuous_fusion_forward(img, cloud, cam, grid, bad_cfg, mlp)
+
+
+def test_apply_fusion_checks_width_against_mlp():
+    rng, cam, cloud, grid, cfg, img, mlp = _setup()
+    nb = _neighbours(cloud, grid, cfg.k, cfg.max_dist)
+    nogeo = plan_fusion(cloud, cam, grid, nb, False)
+    geo = plan_fusion(cloud, cam, grid, nb, True)
+    empty = PointCloud(np.zeros((0, 3)))
+    geo_empty = plan_fusion(empty, cam, grid, _neighbours(empty, grid, 1, 4.0), True)
+    assert geo_empty.pair_offset.shape == (0, 3)
+    narrow = FusionMlp(img.shape[0], 5, rng)
+    assert apply_fusion(img, nogeo, narrow).shape == (5, grid.ny, grid.nx)
+    assert apply_fusion(img, geo, mlp).shape == (5, grid.ny, grid.nx)
+    for plan, net in ((nogeo, mlp), (geo, narrow), (geo_empty, narrow)):
+        with pytest.raises(FusionConfigError):
+            apply_fusion(img, plan, net)
 
 
 def test_fusion_config_validation():
