@@ -24,8 +24,17 @@ MODES = ("continuous", "continuous_nogeo", "discrete", "bev_only")
 @dataclass
 class GroupSpec:
     layers: int          # 3x3 conv count; one residual block per 2 layers
-    channels: int
-    stride: int
+    channels: int        # the stride follows from the position: group_stride
+
+    def __post_init__(self):
+        if self.channels < 1:
+            raise ValueError(f"group channels must be >= 1, got {self.channels}")
+
+
+def group_stride(gi: int) -> int:
+    """Planar stride of group ``gi``'s output against its stream's input:
+    group 0 keeps the raster and every later group halves it."""
+    return 2 ** gi
 
 
 @dataclass
@@ -35,21 +44,18 @@ class BackboneConfig:
     8/16/32/48/64 channels; the full-size schedule stays expressible."""
 
     bev_groups: list[GroupSpec] = field(default_factory=lambda: [
-        GroupSpec(2, 8, 1), GroupSpec(2, 16, 2), GroupSpec(2, 32, 2),
-        GroupSpec(2, 48, 2), GroupSpec(2, 64, 2)])
+        GroupSpec(2, 8), GroupSpec(2, 16), GroupSpec(2, 32), GroupSpec(2, 48),
+        GroupSpec(2, 64)])
     image_groups: list[GroupSpec] = field(default_factory=lambda: [
-        GroupSpec(2, 8, 1), GroupSpec(2, 16, 2), GroupSpec(2, 32, 2),
-        GroupSpec(2, 48, 2)])
+        GroupSpec(2, 8), GroupSpec(2, 16), GroupSpec(2, 32), GroupSpec(2, 48)])
     fusion_points: tuple[int, ...] = (0, 1, 2, 3)
 
     def __post_init__(self):
-        for groups, label in ((self.bev_groups, "bev"), (self.image_groups, "image")):
-            if groups[0].stride != 1:
-                raise ValueError(f"first {label} group must have stride 1")
-            if any(g.stride != 2 for g in groups[1:]):
-                raise ValueError(f"non-first {label} groups must have stride 2")
-        if any(p >= len(self.bev_groups) for p in self.fusion_points):
-            raise ValueError("fusion point beyond the last BEV group")
+        if not self.bev_groups or not self.image_groups:
+            raise ValueError("each stream needs at least one group")
+        if not all(0 <= p < len(self.bev_groups) for p in self.fusion_points):
+            raise ValueError(f"fusion points must index the {len(self.bev_groups)} BEV "
+                             f"groups, got {list(self.fusion_points)}")
 
 
 class Conv2dLayer:
@@ -98,14 +104,13 @@ class ResidualBlock:
 
 
 class ResidualGroup:
-    def __init__(self, in_ch: int, spec: GroupSpec, rng, name: str):
+    def __init__(self, in_ch: int, spec: GroupSpec, stride: int, rng, name: str):
         blocks = max(spec.layers // 2, 1)
         self.blocks = []
         for b in range(blocks):
-            stride = spec.stride if b == 0 else 1
             cin = in_ch if b == 0 else spec.channels
-            self.blocks.append(ResidualBlock(cin, spec.channels, stride, rng,
-                                             f"{name}.block{b}"))
+            self.blocks.append(ResidualBlock(cin, spec.channels, stride if b == 0 else 1,
+                                             rng, f"{name}.block{b}"))
 
     def parameters(self):
         out = {}
@@ -117,6 +122,16 @@ class ResidualGroup:
         for blk in self.blocks:
             x = blk.forward(x)
         return x
+
+
+def residual_stream(in_ch: int, specs: list[GroupSpec], rng,
+                    name: str) -> list[ResidualGroup]:
+    """One group per spec, each halving the raster after the first."""
+    groups = []
+    for gi, spec in enumerate(specs):
+        groups.append(ResidualGroup(in_ch, spec, 2 if gi else 1, rng, f"{name}.group{gi}"))
+        in_ch = spec.channels
+    return groups
 
 
 class FpnCombiner:
@@ -151,14 +166,10 @@ class ImageStream:
 
     def __init__(self, in_channels: int, cfg: BackboneConfig, out_channels: int,
                  rng, name: str = "image"):
-        self.groups = []
-        cin = in_channels
-        for gi, spec in enumerate(cfg.image_groups):
-            self.groups.append(ResidualGroup(cin, spec, rng, f"{name}.group{gi}"))
-            cin = spec.channels
+        self.groups = residual_stream(in_channels, cfg.image_groups, rng, name)
         self.combiner = FpnCombiner([g.channels for g in cfg.image_groups],
                                     out_channels, rng, f"{name}.fpn")
-        self.cum_stride = int(np.prod([g.stride for g in cfg.image_groups]))
+        self.cum_stride = group_stride(len(self.groups) - 1)
 
     def parameters(self):
         out = self.combiner.parameters()
@@ -205,11 +216,7 @@ class DetectorModel:
                                                 backbone.bev_groups[p].channels,
                                                 rng, name=f"fusion{p}")
 
-        self.bev_groups = []
-        cin = grid.nz
-        for gi, spec in enumerate(backbone.bev_groups):
-            self.bev_groups.append(ResidualGroup(cin, spec, rng, f"bev.group{gi}"))
-            cin = spec.channels
+        self.bev_groups = residual_stream(grid.nz, backbone.bev_groups, rng, "bev")
         # final map merges the last three groups (or all, when fewer exist)
         self.num_combined = min(3, len(backbone.bev_groups))
         self.bev_combiner = FpnCombiner(
@@ -217,16 +224,12 @@ class DetectorModel:
             bev_fpn_channels, rng, "bev.fpn")
         self.header = DetectionHeader(bev_fpn_channels, header_variant, rng=rng)
 
-        # cumulative planar stride in front of each BEV group's output
-        strides, cum = [], 1
-        for spec in backbone.bev_groups:
-            cum *= spec.stride
-            strides.append(cum)
-        self.output_grid = grid.downsample(strides[-self.num_combined])
+        self.output_grid = grid.downsample(
+            group_stride(len(self.bev_groups) - self.num_combined))
         # every fusion level's raster, and all their pixel centers in level
         # order: one neighbour query per scene answers every level
         self.fusion_section = fusion_cfg
-        self.fusion_grids = {p: grid.downsample(strides[p]) for p in self.fusion_mlps}
+        self.fusion_grids = {p: grid.downsample(group_stride(p)) for p in self.fusion_mlps}
         centers = [g.pixel_centers().reshape(-1, 2) for g in self.fusion_grids.values()]
         self._centers = np.concatenate([np.zeros((0, 2)), *centers])
         self._level_ends = np.cumsum([len(c) for c in centers])[:-1]

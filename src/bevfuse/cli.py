@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .config import ConfigError, ExperimentConfig, FusionSection, \
@@ -97,6 +98,8 @@ def _cmd_gradcheck(args) -> int:
     from .pipeline import run_gradcheck
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    if not 0 < args.rtol < math.inf:        # NaN fails this too
+        raise ConfigError(f"rtol must be finite and > 0, got {args.rtol}")
     rows = run_gradcheck(rtol=args.rtol, seed=args.seed)
     ok = True
     for name, err, passed in rows:

@@ -14,7 +14,7 @@ from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .backbone import MODES, BackboneConfig
+from .backbone import MODES, BackboneConfig, group_stride
 from .data import AugmentationConfig, SceneGenConfig
 from .detect import NUM_REG
 from .evaluation import EvalConfig
@@ -60,6 +60,10 @@ class OptimConfig:
     def __post_init__(self):
         if not 0 < self.lr < math.inf:     # NaN fails this too
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not all(0 <= b < 1 for b in self.betas):
+            raise ValueError(f"betas must lie in [0, 1), got {list(self.betas)}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
 
 @dataclass
@@ -139,12 +143,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.seed < 0:               # np.random.default_rng rejects it
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        # the streams halve their rasters group by group
-        stride = math.prod(g.stride for g in self.backbone.bev_groups)
+        if min(self.image_feat_channels, self.bev_fpn_channels) < 1:
+            raise ConfigError("image_feat_channels and bev_fpn_channels must be >= 1, got "
+                              f"{self.image_feat_channels} and {self.bev_fpn_channels}")
+        stride = group_stride(len(self.backbone.bev_groups) - 1)
         if self.grid.nx % stride or self.grid.ny % stride:
             raise ConfigError(f"grid {self.grid.nx}x{self.grid.ny} not divisible by "
                               f"the BEV stride {stride}")
-        stride = math.prod(g.stride for g in self.backbone.image_groups)
+        stride = group_stride(len(self.backbone.image_groups) - 1)
         _, h, w = self.data.synthetic.image_shape
         if self.mode != "bev_only" and (h % stride or w % stride):
             raise ConfigError(f"image {h}x{w} not divisible by the image stride {stride}")
@@ -177,8 +183,8 @@ def _coerce(value: Any, hint: Any, path: str) -> Any:
         if isinstance(value, (list, tuple)):
             names = [f.name for f in dataclasses.fields(hint)]
             if len(value) > len(names):
-                raise ConfigError(f"{path}: expected at most {len(names)} items, "
-                                  f"got {len(value)}")
+                raise ConfigError(f"{path}: expected at most {len(names)} items "
+                                  f"({', '.join(names)}), got {len(value)}")
             value = dict(zip(names, value))
         return _from_dict(hint, value, path)
     if origin not in (tuple, list) or not isinstance(value, (list, tuple)):

@@ -60,6 +60,10 @@ class SceneGenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("x_range", "y_range"):
+            lo, hi = getattr(self, name)
+            if not -math.inf < lo < hi < math.inf:      # NaN fails this too
+                raise ValueError(f"{name} must be finite with lo < hi, got {[lo, hi]}")
         if self.x_range[0] <= 0:
             raise ValueError("x_range must start in front of the camera")
         if not 0 <= self.object_count[0] <= self.object_count[1]:
@@ -175,8 +179,11 @@ def generate_scene(cfg: SceneGenConfig, seed: int | None = None,
                           rng.uniform(1 - cfg.size_jitter, 1 + cfg.size_jitter, 3))
             t = float(rng.choice([0.0, math.pi / 2]) + rng.uniform(-0.2, 0.2))
             margin = math.hypot(bw, bh) / 2
-            x = rng.uniform(cfg.x_range[0] + margin, cfg.x_range[1] - margin)
-            y = rng.uniform(cfg.y_range[0] + margin, cfg.y_range[1] - margin)
+            x_lo, x_hi = cfg.x_range[0] + margin, cfg.x_range[1] - margin
+            y_lo, y_hi = cfg.y_range[0] + margin, cfg.y_range[1] - margin
+            if x_lo > x_hi or y_lo > y_hi:
+                continue                    # the footprint does not fit the ranges
+            x, y = rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi)
             cand = DetectionBox(x, y, bd / 2, bw, bh, bd, t)
             _, center_visible = project_points(
                 PointCloud(np.array([[x, y, bd / 2]])), cam)

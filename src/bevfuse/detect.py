@@ -283,42 +283,32 @@ def nms(boxes: list[DetectionBox], iou_threshold: float = 0.1,
 
 @dataclass
 class HeaderOutput:
-    """Raw 1x1-conv output reshaped to (ny, nx, num_anchors, 1 + R).
-
-    Channel 0 per anchor is the class logit; the rest are regression offsets.
-    """
+    """Raw 1x1-conv output of a ``variant`` header: per pixel, one
+    (logit, R regression offsets) cell run per anchor orientation."""
 
     raw: Tensor                  # (A * (1+R)) x ny x nx
-    num_anchors: int
-    num_reg: int
+    variant: str
 
     @property
-    def ny(self):
-        return self.raw.shape[1]
-
-    @property
-    def nx(self):
-        return self.raw.shape[2]
+    def num_reg(self) -> int:
+        return NUM_REG[self.variant]
 
     def flat(self) -> Tensor:
-        """(ny * nx * num_anchors) x (1 + R), anchor-major within a pixel."""
-        a, r = self.num_anchors, self.num_reg
-        return self.raw.transpose((1, 2, 0)).reshape(self.ny * self.nx * a, 1 + r)
+        """One (1 + R) row per ``make_anchors`` row, in the same order."""
+        return self.raw.transpose((1, 2, 0)).reshape(-1, 1 + self.num_reg)
 
 
 class DetectionHeader:
     """Single 1x1 convolution over the final BEV feature map."""
 
-    def __init__(self, in_channels: int, variant: str = "bev", num_anchors: int = 2,
+    def __init__(self, in_channels: int, variant: str = "bev",
                  rng: np.random.Generator | None = None, name: str = "header"):
         from .fusion import xavier_uniform
         if variant not in NUM_REG:
             raise ValueError(f"unknown variant {variant!r}")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.variant = variant
-        self.num_anchors = num_anchors
-        self.num_reg = NUM_REG[variant]
-        out_ch = num_anchors * (1 + self.num_reg)
+        out_ch = len(ANCHOR_ORIENTATIONS) * (1 + NUM_REG[variant])
         self.name = name
         self.weight = Tensor(
             xavier_uniform(rng, in_channels, out_ch, (out_ch, in_channels, 1, 1)),
@@ -330,24 +320,23 @@ class DetectionHeader:
 
     def forward(self, bev_features: Tensor) -> HeaderOutput:
         out = T.add_channel_bias(T.conv2d(bev_features, self.weight), self.bias)
-        return HeaderOutput(out, self.num_anchors, self.num_reg)
+        return HeaderOutput(out, self.variant)
 
 
 def decode_detections(header: HeaderOutput, anchors: np.ndarray,
-                      center_norm: str = "anchor_coord",
-                      cls: int = 0) -> list[DetectionBox]:
+                      center_norm: str = "anchor_coord") -> list[DetectionBox]:
     """Scored boxes (pre-NMS), one per anchor row. Regression cells are read
     back through the variant's REG_INDICES; offsets it does not regress are 0."""
     flat = header.flat().data
     if flat.shape[0] != len(anchors):
         raise ValueError(f"{flat.shape[0]} predictions vs {len(anchors)} anchors")
-    layout = next(idx for idx in REG_INDICES.values() if len(idx) == header.num_reg)
+    layout = REG_INDICES[header.variant]
     full = np.zeros((len(flat), 8))
     full[:, layout] = flat[:, 1:]
     rows = decode_rows(full, anchors, center_norm)
     is_3d = 2 in layout                 # the variant regresses z
     # the fields a column at a time, which is far cheaper than unpacking each row
-    return [DetectionBox(*fields, score=score, cls=cls, is_3d=is_3d, height2d=h2d)
+    return [DetectionBox(*fields, score=score, is_3d=is_3d, height2d=h2d)
             for *fields, score, h2d in zip(*map(list, rows.T),
                                            logistic(flat[:, 0]).tolist(),
                                            full[:, 7].tolist())]

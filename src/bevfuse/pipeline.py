@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import losses, tensor as T
-from .backbone import DetectorModel
+from .backbone import DetectorModel, group_stride
 from .config import ExperimentConfig, FusionSection
 from .data import (SceneSample, augment, generate_dataset, load_dataset,
                    load_kitti_frame)
@@ -50,6 +50,16 @@ def build_scenes(cfg: ExperimentConfig) -> list[SceneSample]:
         raise ValueError(f"unknown data source {d.source!r}")
     if not scenes:
         raise InputError(f"data source {d.source!r} yields no scenes")
+    if cfg.mode != "bev_only":
+        channels = d.synthetic.image_shape[0]
+        stride = group_stride(len(cfg.backbone.image_groups) - 1)
+        for s in scenes:
+            shape = s.image_feature_input.shape
+            if len(shape) != 3 or shape[0] != channels or shape[1] % stride \
+                    or shape[2] % stride:
+                raise InputError(f"scene {s.frame_id}: image {list(shape)} does not fit "
+                                 f"the image stream ({channels} channels, extents "
+                                 f"divisible by {stride})")
     return scenes
 
 
@@ -351,8 +361,8 @@ def miniature_config() -> ExperimentConfig:
     cfg = ExperimentConfig(
         grid=BevGrid((0.0, 16.0), (-8.0, 8.0), (0.0, 2.0), 8, 8, 2),
         backbone=BackboneConfig(
-            bev_groups=[GroupSpec(2, 4, 1), GroupSpec(2, 6, 2)],
-            image_groups=[GroupSpec(2, 4, 1), GroupSpec(2, 6, 2)],
+            bev_groups=[GroupSpec(2, 4), GroupSpec(2, 6)],
+            image_groups=[GroupSpec(2, 4), GroupSpec(2, 6)],
             fusion_points=(0, 1)),
         image_feat_channels=4, bev_fpn_channels=6)
     cfg.data.synthetic = SceneGenConfig(

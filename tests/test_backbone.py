@@ -19,10 +19,6 @@ def _rng():
 
 def test_backbone_config_validates_strides():
     with pytest.raises(ValueError):
-        BackboneConfig(bev_groups=[GroupSpec(2, 8, 2)])
-    with pytest.raises(ValueError):
-        BackboneConfig(bev_groups=[GroupSpec(2, 8, 1), GroupSpec(2, 16, 3)])
-    with pytest.raises(ValueError):
         BackboneConfig(fusion_points=(9,))
 
 
@@ -36,9 +32,9 @@ def test_residual_block_shapes_and_skip():
 
 
 def test_residual_group_block_count():
-    g = ResidualGroup(4, GroupSpec(6, 8, 2), _rng(), "g")
+    g = ResidualGroup(4, GroupSpec(6, 8), 2, _rng(), "g")
     assert len(g.blocks) == 3
-    g1 = ResidualGroup(4, GroupSpec(1, 8, 1), _rng(), "g1")
+    g1 = ResidualGroup(4, GroupSpec(1, 8), 1, _rng(), "g1")
     assert len(g1.blocks) == 1
 
 
@@ -63,7 +59,7 @@ def test_fpn_combiner_rejects_bad_pyramid():
 
 
 def test_image_stream_divisibility_check():
-    cfg = BackboneConfig(image_groups=[GroupSpec(2, 4, 1), GroupSpec(2, 8, 2)])
+    cfg = BackboneConfig(image_groups=[GroupSpec(2, 4), GroupSpec(2, 8)])
     stream = ImageStream(3, cfg, 6, _rng())
     with pytest.raises(ValueError):
         stream.forward(Tensor(np.zeros((3, 7, 8))))
@@ -144,6 +140,7 @@ def test_default_model_output_stride():
     # five groups with strides 1,2,2,2,2; last three combine at stride 4
     assert model.output_grid.nx == cfg.grid.nx // 4
     assert model.output_grid.ny == cfg.grid.ny // 4
+    assert [model.fusion_grids[p].nx for p in (0, 1, 2, 3)] == [32, 16, 8, 4]
 
 
 def test_discrete_mode_plans():

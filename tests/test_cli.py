@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,6 +172,18 @@ def _kitti_argv(tmp_path, calib, labels, malform=lambda frame: frame):
             "--out", str(tmp_path / "o")]
 
 
+def test_kitti_image_that_misfits_the_image_stream_is_config_error(tmp_path):
+    assert main(_kitti_argv(tmp_path, _CALIB, b"")) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+
+
+def test_kitti_trains_in_bev_only_mode(tmp_path, monkeypatch):
+    monkeypatch.setenv("BEVFUSE_MODE", "bev_only")
+    monkeypatch.setenv("BEVFUSE_OPTIMIZER__STEPS", "2")
+    assert main(_kitti_argv(tmp_path, _CALIB, b"")) == EXIT_OK
+    assert (tmp_path / "o" / "final_metrics.json").exists()
+
+
 def test_malformed_calib_is_config_error(tmp_path):
     calib = b"P2: 1 0 0 0 0 1 0 0 0 0 1 0\nR0_rect: 1 0 0 0 1 0 0 0 1\n"
     assert main(_kitti_argv(tmp_path, calib, b"")) == EXIT_CONFIG
@@ -219,10 +232,28 @@ def test_bad_eval_iou_kind_rejected_at_load(tmp_path, monkeypatch):
     ("DATA__SYNTHETIC__GROUND_POINTS", "-5"), ("DATA__SYNTHETIC__SURFACE_POINTS_REF", "-1"),
     ("DATA__SYNTHETIC__NOISE_SIGMA", "-1"), ("DATA__SYNTHETIC__NOISE_SIGMA", ".nan"),
     ("DATA__SYNTHETIC__IMAGE_SHAPE", "[0, 24, 48]"),
-    ("DATA__SYNTHETIC__OBJECT_COUNT", "[-2, -1]")])
+    ("DATA__SYNTHETIC__OBJECT_COUNT", "[-2, -1]"),
+    ("BACKBONE__BEV_GROUPS", "[{layers: 2, channels: 4, stride: 1}, "
+                             "{layers: 2, channels: 6, stride: 2}]"),
+    ("BACKBONE__IMAGE_GROUPS", "[[2, 4, 1], [2, 6, 2]]"), ("BACKBONE__BEV_GROUPS", "[]"),
+    ("BACKBONE__FUSION_POINTS", "[-1]"), ("IMAGE_FEAT_CHANNELS", "-1"),
+    ("IMAGE_FEAT_CHANNELS", "0"), ("BEV_FPN_CHANNELS", "-2"), ("BEV_FPN_CHANNELS", "0"),
+    ("DATA__SYNTHETIC__X_RANGE", "[5, 2]"), ("DATA__SYNTHETIC__Y_RANGE", "[3, -3]"),
+    ("DATA__SYNTHETIC__X_RANGE", "[2, 3]"), ("DATA__SYNTHETIC__X_RANGE", "[2, .inf]"),
+    ("OPTIMIZER__BETAS", "[1.0, 0.999]"), ("OPTIMIZER__BETAS", "[0.9, 1.5]"),
+    ("OPTIMIZER__BETAS", "[-0.5, 0.999]"), ("OPTIMIZER__EPS", "0"),
+    ("OPTIMIZER__EPS", ".nan"), ("OPTIMIZER__EPS", "-1")])
 def test_bad_config_value_rejected_at_load(tmp_path, monkeypatch, key, value):
     monkeypatch.setenv(f"BEVFUSE_{key}", value)
     assert _train_exit(tmp_path) == (EXIT_CONFIG, False)
+
+
+@pytest.mark.parametrize("stream,channels", [("bev_groups", 0), ("image_groups", -3)])
+def test_bad_group_channels_rejected_at_load(tmp_path, stream, channels):
+    cfg = miniature_config()
+    getattr(cfg.backbone, stream)[1].channels = channels
+    assert _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg)) == \
+        (EXIT_CONFIG, False)
 
 
 @pytest.mark.parametrize("key,value", [
@@ -245,6 +276,11 @@ def test_negative_seed_flag_is_config_error(tmp_path):
     assert rc == EXIT_CONFIG
     assert not out.exists()
     assert main(["gradcheck", "--seed", "-1"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("rtol", ["nan", "inf", "0", "-1e-4"])
+def test_bad_gradcheck_rtol_is_config_error(rtol):
+    assert main(["gradcheck", f"--rtol={rtol}"]) == EXIT_CONFIG
 
 
 def test_report_of_corrupt_metrics_is_config_error(tmp_path):
@@ -296,6 +332,16 @@ def test_damaged_manifest_is_config_error(tmp_path, damage):
     cfg = miniature_config()
     save_dataset(generate_dataset(cfg.data.synthetic, 1), tmp_path / "data")
     damage(tmp_path / "data")
+    cfg.data.source = "manifest"
+    cfg.data.manifest = str(tmp_path / "data")
+    assert _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg)) == \
+        (EXIT_CONFIG, False)
+
+
+def test_manifest_with_other_image_channels_is_config_error(tmp_path):
+    cfg = miniature_config()
+    other = replace(cfg.data.synthetic, image_shape=(3, 8, 8))
+    save_dataset(generate_dataset(other, 1), tmp_path / "data")
     cfg.data.source = "manifest"
     cfg.data.manifest = str(tmp_path / "data")
     assert _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg)) == \

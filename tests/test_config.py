@@ -79,13 +79,20 @@ def test_nested_overrides_from_dict():
 
 def test_group_lists_round_trip():
     cfg = config_from_dict({"backbone": {
-        "bev_groups": [[2, 4, 1], [2, 8, 2]],
-        "image_groups": [{"layers": 2, "channels": 4, "stride": 1}],
+        "bev_groups": [[2, 4], [2, 8]],
+        "image_groups": [{"layers": 2, "channels": 4}],
         "fusion_points": [0]}})
     assert cfg.backbone.bev_groups[1].channels == 8
-    assert cfg.backbone.image_groups[0].stride == 1
+    assert cfg.backbone.image_groups[0].layers == 2
     again = config_from_dict(config_to_dict(cfg))
     assert again == cfg
+
+
+@pytest.mark.parametrize("group,key", [({"layers": 2, "channels": 4, "stride": 1}, "stride"),
+                                       ([2, 4, 1], "layers, channels")])
+def test_group_stride_is_not_a_key(group, key):
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict({"backbone": {"image_groups": [group]}})
 
 
 def test_env_overrides():

@@ -380,7 +380,7 @@ def test_header_output_layout_and_decode():
     anchors = make_anchors(grid, (4.0, 2.0, 1.6), z=0.8)
     raw = np.zeros((2 * 6, 2, 2))
     raw[0, 0, 0] = 5.0        # anchor 0 at pixel (0, 0): confident hit
-    header = HeaderOutput(Tensor(raw), num_anchors=2, num_reg=5)
+    header = HeaderOutput(Tensor(raw), "bev")
     flat = header.flat().data
     assert flat.shape == (8, 6)
     assert flat[0, 0] == 5.0
@@ -399,12 +399,29 @@ def test_header_variants_channel_counts(variant, num_reg):
     assert out.num_reg == num_reg
 
 
+@pytest.mark.parametrize("variant", sorted(NUM_REG))
+def test_header_flat_rows_follow_make_anchors(variant):
+    grid = BevGrid((0.0, 6.0), (-2.0, 2.0), (0.0, 1.0), 3, 2, 1)     # nx != ny
+    anchors = make_anchors(grid, (4.0, 2.0, 1.6), z=0.8)
+    width = 1 + NUM_REG[variant]
+    out = DetectionHeader(3, variant).forward(Tensor(np.zeros((3, grid.ny, grid.nx))))
+    assert out.flat().shape == (len(anchors), width)
+    # each orientation's first three cells carry its anchor's x, y and t
+    raw = np.zeros(out.raw.shape)
+    centers = grid.pixel_centers()
+    for a, t in enumerate(ANCHOR_ORIENTATIONS):
+        raw[a * width], raw[a * width + 1], raw[a * width + 2] = \
+            centers[..., 0], centers[..., 1], t
+    flat = HeaderOutput(Tensor(raw), variant).flat().data
+    assert flat[:, :3].tolist() == anchors[:, [0, 1, 6]].tolist()
+
+
 def test_kitti3d_decode_carries_height2d():
     grid = BevGrid((0.0, 4.0), (-2.0, 2.0), (0.0, 1.0), 1, 1, 1)
     anchors = make_anchors(grid, (4.0, 2.0, 1.6), z=0.8)
     raw = np.zeros((2 * 9, 1, 1))
     raw[8, 0, 0] = 42.0       # height2d channel of anchor 0
-    header = HeaderOutput(Tensor(raw), num_anchors=2, num_reg=8)
+    header = HeaderOutput(Tensor(raw), "kitti3d")
     boxes = decode_detections(header, anchors)
     assert boxes[0].height2d == 42.0
     assert boxes[0].is_3d
@@ -535,8 +552,7 @@ def test_training_rows_decode_through_header_bitwise(data, variant, center_norm,
     assert regression_rows(variant, gts, gt_idx[:0], a_rows[:0]).shape == (0, NUM_REG[variant])
 
     flat = np.concatenate([np.array(logits[:len(anchors)])[:, None], rows], axis=1)
-    header = HeaderOutput(Tensor(np.ascontiguousarray(flat.T[:, None, :])), num_anchors=1,
-                          num_reg=NUM_REG[variant])
+    header = HeaderOutput(Tensor(np.ascontiguousarray(flat.T[:, None, :])), variant)
     got = decode_detections(header, a_rows, center_norm)
     want = _ref_decode_detections(flat, anchors, center_norm)
     assert len(got) == len(want)
