@@ -27,6 +27,8 @@ class GroupSpec:
     channels: int        # the stride follows from the position: group_stride
 
     def __post_init__(self):
+        if self.layers < 2 or self.layers % 2:
+            raise ValueError(f"group layers must be even and >= 2, got {self.layers}")
         if self.channels < 1:
             raise ValueError(f"group channels must be >= 1, got {self.channels}")
 
@@ -105,9 +107,8 @@ class ResidualBlock:
 
 class ResidualGroup:
     def __init__(self, in_ch: int, spec: GroupSpec, stride: int, rng, name: str):
-        blocks = max(spec.layers // 2, 1)
         self.blocks = []
-        for b in range(blocks):
+        for b in range(spec.layers // 2):
             cin = in_ch if b == 0 else spec.channels
             self.blocks.append(ResidualBlock(cin, spec.channels, stride if b == 0 else 1,
                                              rng, f"{name}.block{b}"))

@@ -50,17 +50,24 @@ def build_scenes(cfg: ExperimentConfig) -> list[SceneSample]:
         raise ValueError(f"unknown data source {d.source!r}")
     if not scenes:
         raise InputError(f"data source {d.source!r} yields no scenes")
-    if cfg.mode != "bev_only":
-        channels = d.synthetic.image_shape[0]
-        stride = group_stride(len(cfg.backbone.image_groups) - 1)
-        for s in scenes:
-            shape = s.image_feature_input.shape
-            if len(shape) != 3 or shape[0] != channels or shape[1] % stride \
-                    or shape[2] % stride:
-                raise InputError(f"scene {s.frame_id}: image {list(shape)} does not fit "
-                                 f"the image stream ({channels} channels, extents "
-                                 f"divisible by {stride})")
+    _check_images_fit(cfg, scenes)
     return scenes
+
+
+def _check_images_fit(cfg: ExperimentConfig, scenes: list[SceneSample]):
+    """Raise InputError unless ``cfg.mode`` is bev_only or every scene's
+    image fits the image stream."""
+    if cfg.mode == "bev_only":
+        return
+    channels = cfg.data.synthetic.image_shape[0]
+    stride = group_stride(len(cfg.backbone.image_groups) - 1)
+    for s in scenes:
+        shape = s.image_feature_input.shape
+        if len(shape) != 3 or shape[0] != channels or shape[1] % stride \
+                or shape[2] % stride:
+            raise InputError(f"scene {s.frame_id}: image {list(shape)} does not fit "
+                             f"the image stream ({channels} channels, extents "
+                             f"divisible by {stride})")
 
 
 @dataclass
@@ -255,7 +262,12 @@ def ablate_run(cfg: ExperimentConfig, out_dir: str,
                variants=ABLATION_VARIANTS,
                knn_grid: list[FusionSection] | None = None) -> list[dict]:
     """Train each fusion variant (optionally over a grid of fusion sections)
-    with the shared seed and data; emit one comparison row per run."""
+    with the shared seed and data; emit one comparison row per run. The
+    data loads and is checked against every variant first, so a bad input
+    leaves no output directory."""
+    scenes = build_scenes(replace(cfg, mode="bev_only"))
+    for variant in variants:
+        _check_images_fit(replace(cfg, mode=variant), scenes)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for variant in variants:
@@ -302,6 +314,8 @@ def run_gradcheck(rtol: float = 1e-4, seed: int = 0) -> list[tuple[str, float, b
     x = Tensor(rng.standard_normal((2, 5, 5)), requires_grad=True)
     w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
     check("conv2d", lambda: (T.conv2d(x, w, stride=2, padding=1) ** 2.0).sum(), [x, w])
+    # a 3 x 3 kernel at stride 1 takes the transposed-conv input grad
+    check("conv2d_s1", lambda: (T.conv2d(x, w, stride=1, padding=1) ** 2.0).sum(), [x, w])
 
     e = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     f = Tensor(rng.standard_normal((4, 3)), requires_grad=True)

@@ -68,8 +68,10 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros(self.data.shape)
-        self.grad += g
+            # 0.0 + g into a fresh array: never aliases g, and -0.0 reads back as 0.0
+            self.grad = np.add(g, 0.0, out=np.empty(self.data.shape))
+        else:
+            self.grad += g
 
     def backward(self):
         """Accumulate gradients of this scalar into every requires_grad ancestor."""
@@ -279,6 +281,17 @@ def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
     return Tensor._result(x.data + b.data[:, None, None], (x, b), "add_channel_bias", bw)
 
 
+def _scatter_rows(idx: np.ndarray, rows: np.ndarray, shape) -> np.ndarray:
+    """Zeros of ``shape`` plus each row of ``rows`` (``idx.shape + shape[1:]``)
+    added at its row ``idx``. One ``np.bincount`` over flat indices in
+    ``idx`` order makes the adds of ``np.add.at``, in its order, from 0.0."""
+    if len(shape) == 1:
+        return np.bincount(idx.ravel(), rows.ravel(), minlength=shape[0])
+    d = math.prod(shape[1:])
+    flat = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
+    return np.bincount(flat, rows.ravel(), minlength=shape[0] * d).reshape(shape)
+
+
 def gather_rows(t: Tensor, idx) -> Tensor:
     """Select ``t[idx]`` along the first axis of ``t``; the result has shape
     ``idx.shape + t.shape[1:]``. The adjoint is scatter-add."""
@@ -289,9 +302,7 @@ def gather_rows(t: Tensor, idx) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            acc = np.zeros(a.data.shape)
-            np.add.at(acc, idx, g)
-            a._accumulate(acc)
+            a._accumulate(_scatter_rows(idx, g, a.data.shape))
 
     return Tensor._result(a.data[idx], (a,), "gather_rows", bw)
 
@@ -302,8 +313,7 @@ def scatter_add_rows(t: Tensor, idx, num_rows: int) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
         raise IndexError("scatter_add_rows index out of range")
     a = t
-    out = np.zeros((num_rows,) + a.shape[1:])
-    np.add.at(out, idx, a.data)
+    out = _scatter_rows(idx, a.data, (num_rows,) + a.shape[1:])
 
     def bw(g):
         if a.requires_grad:
@@ -404,9 +414,9 @@ def _col2im(cols: np.ndarray, shape, kh, kw, stride, padding, ho, wo) -> np.ndar
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2D convolution of a C_in x H x W map with C_out x C_in x kh x kw weights.
 
-    The backward pass may read ``x.data`` through a view (a 1 x 1 conv at
-    stride 1 without padding on a contiguous input): nothing may write
-    ``x.data`` between this call and ``backward``."""
+    The backward pass reads ``weight.data``, and may read ``x.data`` through
+    a view (a 1 x 1 conv at stride 1 without padding on a contiguous input):
+    nothing may write either between this call and ``backward``."""
     c_out, c_in, kh, kw = weight.shape
     if x.ndim != 3 or x.shape[0] != c_in:
         raise ValueError(f"conv2d input {x.shape} incompatible with weight {weight.shape}")
@@ -428,8 +438,15 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         if weight.requires_grad:
             weight._accumulate((g2 @ cols.T).reshape(weight.shape))
         if x.requires_grad:
-            gcols = wmat.T @ g2
-            x._accumulate(_col2im(gcols, x.shape, kh, kw, stride, padding, ho, wo))
+            if stride == 1 and kh == kw > 1 and padding < kh:
+                # transposed conv: correlate g, padded to k-1-padding, with the
+                # flipped weights, (C_in, C_out, kh, kw) as a C_in-row matrix
+                flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+                gcols = _im2col(g, kh, kw, 1, kh - 1 - padding, *x.shape[1:])
+                x._accumulate((flipped.reshape(x.shape[0], -1) @ gcols).reshape(x.shape))
+            else:
+                x._accumulate(_col2im(wmat.T @ g2, x.shape, kh, kw, stride, padding,
+                                      ho, wo))
 
     return Tensor._result(out, (x, weight), "conv2d", bw)
 
@@ -475,12 +492,13 @@ def bilinear_sample(feature_map: Tensor, uv: np.ndarray) -> Tensor:
 
     def bw(g):
         if feature_map.requires_grad:
-            acc = np.zeros(fm.shape)
-            gt = g.T  # C x N
-            for wgt, vv, uu in ((w00, v0, u0), (w01, v0, u1),
-                                (w10, v1, u0), (w11, v1, u1)):
-                np.add.at(acc.transpose(1, 2, 0), (vv, uu), (gt * wgt).T)
-            feature_map._accumulate(acc)
+            # flat index (corner, sample, channel) -> channel·H·W + pixel: one
+            # bincount adds corner-major, then sample, as np.add.at per corner did
+            pix = np.stack((v0 * w + u0, v0 * w + u1, v1 * w + u0, v1 * w + u1))
+            flat = pix[:, :, None] + np.arange(0, c * h * w, h * w)
+            wgt = np.stack((w00, w01, w10, w11))[:, :, None] * g
+            acc = np.bincount(flat.ravel(), wgt.ravel(), minlength=c * h * w)
+            feature_map._accumulate(acc.reshape(c, h, w))
 
     return Tensor._result(out, (feature_map,), "bilinear_sample", bw)
 
@@ -499,25 +517,34 @@ class Adam:
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        self._scratch = [np.empty(p.shape) for p in self.params]
 
     def zero_grad(self):
         for p in self.params:
             p.grad = None
 
     def step(self):
+        """p -= lr · m̂ / (√v̂ + eps): the operations of that expression in its
+        order, each in place or into the parameter's scratch array, except
+        for the one array that holds the step."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for p, m, v in zip(self.params, self._m, self._v):
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        for p, m, v, s in zip(self.params, self._m, self._v, self._scratch):
             if p.grad is None:
                 raise ValueError("Adam.step() called with a parameter missing its grad")
             g = p.grad
             m *= b1
-            m += (1 - b1) * g
+            m += np.multiply(1 - b1, g, out=s)
             v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1 ** self.t)
-            vhat = v / (1 - b2 ** self.t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            np.multiply(1 - b2, g, out=s)
+            v += np.multiply(s, g, out=s)
+            np.sqrt(np.divide(v, c2, out=s), out=s)
+            s += self.eps
+            step = m / c1
+            step *= self.lr
+            step /= s
+            p.data -= step
 
 
 # -- checkpoint format --------------------------------------------------------

@@ -34,8 +34,6 @@ def test_residual_block_shapes_and_skip():
 def test_residual_group_block_count():
     g = ResidualGroup(4, GroupSpec(6, 8), 2, _rng(), "g")
     assert len(g.blocks) == 3
-    g1 = ResidualGroup(4, GroupSpec(1, 8), 1, _rng(), "g1")
-    assert len(g1.blocks) == 1
 
 
 def test_fpn_combiner_output_at_finest_scale():

@@ -177,6 +177,13 @@ def test_kitti_image_that_misfits_the_image_stream_is_config_error(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_ablate_on_kitti_data_exits_before_any_output(tmp_path):
+    argv = _kitti_argv(tmp_path, _CALIB, b"")
+    argv[0] = "ablate"
+    assert main(argv) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+
+
 def test_kitti_trains_in_bev_only_mode(tmp_path, monkeypatch):
     monkeypatch.setenv("BEVFUSE_MODE", "bev_only")
     monkeypatch.setenv("BEVFUSE_OPTIMIZER__STEPS", "2")
@@ -252,6 +259,14 @@ def test_bad_config_value_rejected_at_load(tmp_path, monkeypatch, key, value):
 def test_bad_group_channels_rejected_at_load(tmp_path, stream, channels):
     cfg = miniature_config()
     getattr(cfg.backbone, stream)[1].channels = channels
+    assert _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg)) == \
+        (EXIT_CONFIG, False)
+
+
+@pytest.mark.parametrize("layers", [-5, 0, 3])
+def test_bad_group_layers_rejected_at_load(tmp_path, layers):
+    cfg = miniature_config()
+    cfg.backbone.bev_groups[0].layers = layers
     assert _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg)) == \
         (EXIT_CONFIG, False)
 

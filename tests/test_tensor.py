@@ -181,7 +181,7 @@ def _with_signed_zeros(rng, shape):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([1, 3, 5]), st.integers(1, 3), st.integers(0, 2),
+@given(st.sampled_from([1, 3, 5]), st.integers(1, 3), st.integers(0, 5),
        st.integers(1, 4), st.integers(1, 9), st.integers(1, 9), st.booleans(),
        st.integers(0, 2**32 - 1))
 def test_conv2d_data_path_is_bit_identical_to_reference_kernels(k, stride, padding, c, h, w,
@@ -214,8 +214,68 @@ def test_conv2d_data_path_is_bit_identical_to_reference_kernels(k, stride, paddi
     g2 = g.reshape(c_out, -1)
     assert _same_bytes(out.data, (wmat @ ref_cols).reshape(c_out, ho, wo))
     assert _same_bytes(wt.grad, np.zeros(wgt.shape) + (g2 @ ref_cols.T).reshape(wgt.shape))
-    ref_gx = _col2im_reference(wmat.T @ g2, x.shape, k, k, stride, padding, ho, wo)
-    assert _same_bytes(xt.grad, np.zeros(x.shape) + ref_gx)
+    ref_gx = np.zeros(x.shape) + _col2im_reference(wmat.T @ g2, x.shape, k, k, stride,
+                                                   padding, ho, wo)
+    if stride == 1 and k > 1 and padding < k:
+        # the transposed conv sums the same n products in another order
+        n = c_out * k * k
+        magnitude = _col2im_reference(np.abs(wmat).T @ np.abs(g2), x.shape, k, k, stride,
+                                      padding, ho, wo)
+        assert xt.grad.shape == x.shape
+        assert (np.abs(xt.grad - ref_gx) <= 2 * n * np.finfo(float).eps * magnitude).all()
+    else:
+        assert _same_bytes(xt.grad, ref_gx)
+
+
+def _bilinear_grad_reference(shape, uv, g):
+    """The sampler's adjoint as four ``np.add.at`` scatters, one per corner."""
+    c, h, w = shape
+    u, v = uv[:, 0], uv[:, 1]
+    inside = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
+    uc, vc = np.clip(u, 0, w - 1), np.clip(v, 0, h - 1)
+    u0 = np.minimum(np.floor(uc), w - 2 if w > 1 else 0).astype(np.intp)
+    v0 = np.minimum(np.floor(vc), h - 2 if h > 1 else 0).astype(np.intp)
+    u1, v1 = np.minimum(u0 + 1, w - 1), np.minimum(v0 + 1, h - 1)
+    du, dv = uc - u0, vc - v0
+    acc = np.zeros(shape)
+    for wgt, vv, uu in (((1 - du) * (1 - dv) * inside, v0, u0),
+                        (du * (1 - dv) * inside, v0, u1),
+                        ((1 - du) * dv * inside, v1, u0),
+                        (du * dv * inside, v1, u1)):
+        np.add.at(acc.transpose(1, 2, 0), (vv, uu), (g.T * wgt).T)
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 40),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_scatter_kernels_match_add_at_bitwise(c, h, w, n, d, seed):
+    rng = np.random.default_rng(seed)
+    # six distinct points on a small map, so pixels take adds from several
+    # corners; some sit on pixel centres and some fall off the map
+    points = rng.uniform(-0.5, [w - 0.5, h - 0.5], (6, 2))
+    points[:2] = np.round(points[:2])
+    uv = points[rng.integers(0, 6, n)]
+    fm = Tensor(_with_signed_zeros(rng, (c, h, w)), requires_grad=True)
+    g = _with_signed_zeros(rng, (n, c))
+    (T.bilinear_sample(fm, uv) * Tensor(g)).sum().backward()
+    assert _same_bytes(fm.grad, _bilinear_grad_reference((c, h, w), uv, g))
+
+    rows = int(rng.integers(1, 5))
+    idx = rng.integers(0, rows, n)
+    t = Tensor(_with_signed_zeros(rng, (n, d)))
+    ref = np.zeros((rows, d))
+    np.add.at(ref, idx, t.data)
+    assert _same_bytes(T.scatter_add_rows(t, idx, rows).data, ref)
+
+    for shape in ((rows,), (rows, d)):          # a flat target, and one with rows
+        src = Tensor(np.zeros(shape), requires_grad=True)
+        idx2 = rng.integers(0, rows, (n, 2))
+        g2 = _with_signed_zeros(rng, idx2.shape + shape[1:])
+        (T.gather_rows(src, idx2) * Tensor(g2)).sum().backward()
+        ref = np.zeros(shape)
+        np.add.at(ref, idx2, g2)
+        assert _same_bytes(src.grad, ref)
 
 
 def test_add_gives_each_parent_its_own_grad():
@@ -284,6 +344,30 @@ def test_adam_matches_reference_step():
     # first bias-corrected step is lr * sign(grad) up to eps
     np.testing.assert_allclose(p.data, [1.0 - 0.1 * 0.5 / (0.5 + 1e-8),
                                         -2.0 + 0.1 * 0.5 / (0.5 + 1e-8)])
+
+
+def test_adam_matches_plain_expression_bitwise():
+    rng = np.random.default_rng(6)
+    shapes = [(3, 2, 3, 3), (5,), (4, 7)]
+    params = [Tensor(_with_signed_zeros(rng, s), requires_grad=True) for s in shapes]
+    opt = Adam(params, lr=0.01, betas=(0.8, 0.95), eps=1e-6)
+    ref = [p.data.copy() for p in params]
+    ms = [np.zeros(s) for s in shapes]
+    vs = [np.zeros(s) for s in shapes]
+    b1, b2 = 0.8, 0.95
+    for t in range(1, 6):
+        grads = [_with_signed_zeros(rng, s) * 10.0 ** rng.integers(-8, 3) for s in shapes]
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+        for i, g in enumerate(grads):
+            ms[i] = ms[i] * b1 + (1 - b1) * g
+            vs[i] = vs[i] * b2 + (1 - b2) * g * g
+            mhat = ms[i] / (1 - b1 ** t)
+            vhat = vs[i] / (1 - b2 ** t)
+            ref[i] = ref[i] - 0.01 * mhat / (np.sqrt(vhat) + 1e-6)
+        for p, r in zip(params, ref):
+            assert _same_bytes(p.data, r)
 
 
 def test_adam_raises_on_missing_grad():
