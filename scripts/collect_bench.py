@@ -14,8 +14,10 @@ under ``src/``), and for every end-to-end metric the value of every trace-0
 run on each side, the two medians, the base runs' interquartile range and
 the number of pairs the change won, and the summed ``failed`` counts. After
 writing it, the script prints one line per workload and end-to-end metric:
-both medians, the relative change, the pairs won and the base IQR. A last
-line gives both sides' ``src_lines`` and their difference.
+both medians, the relative change, the pairs won and the base IQR. Then one
+line per workload and per-layer metric of the traced pair whose values differ
+by more than ``LAYER_SHIFT`` of the base value: both values and the relative
+change. A last line gives both sides' ``src_lines`` and their difference.
 """
 
 import json
@@ -28,6 +30,7 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEED = 1        # both sides run the same inputs
 PAIRS = 10      # trace-0 pairs per workload
+LAYER_SHIFT = 0.05   # per-layer metrics that moved more than this are printed
 
 
 def git(*args) -> str:
@@ -61,6 +64,14 @@ def summary(doc: dict) -> list[str]:
         rel = f"{(change - base) / base:+7.1%}" if base else "    n/a"
         lines.append(f"{key:28s} base {base:<10.4g} change {change:<10.4g} {rel}  "
                      f"wins {m['change_wins']}/{len(m['base'])}  base IQR {m['base_iqr']:.3g}")
+    for key in sorted(k for k in doc["base"]["results"] if k.endswith("-trace1")):
+        base, change = (doc[side]["results"][key]["per_layer"] for side in ("base", "change"))
+        for name in sorted(base.keys() & change.keys()):
+            b, c = base[name]["value"], change[name]["value"]
+            if abs(c - b) > LAYER_SHIFT * abs(b):
+                rel = f"{(c - b) / b:+7.1%}" if b else "    n/a"
+                label = f"{key.removesuffix('-trace1')}.{name}"
+                lines.append(f"{label:52s} base {b:<10.4g} change {c:<10.4g} {rel}")
     base, change = doc["base"]["src_lines"], doc["change"]["src_lines"]
     lines.append(f"src_lines base {base} change {change} ({change - base:+d})")
     return lines

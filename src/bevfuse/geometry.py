@@ -159,57 +159,55 @@ def knn_bev(query, cloud: PointCloud, k: int, max_dist: float = np.inf) -> list[
     return [int(i) for i in order[:k] if d[i] <= max_dist]
 
 
-# (query, leaf) pairs measured at once; keeps each pairs x leaf temporary at 512 KB
-_MERGE_ROWS = 1024
+# queries, or (query, leaf) pairs, measured at once: each temporary holds at most
+# _MERGE_ROWS x leaf width values (128 KB for 64-point leaves) or _MERGE_ROWS x leaves
+_MERGE_ROWS = 256
 # squared-distance prefilters are widened far beyond their rounding error, so
 # they never drop a point whose np.hypot distance would tie or win
 _SLACK = 1.0 + 1e-9
 
 
 class BevKdTree:
-    """2D k-d tree over the (x, y) coordinates of a point cloud.
+    """2D k-d tree over the (x, y) coordinates of a point cloud, kept as the
+    boxes and points of its leaves: median splits cut the cloud's box.
 
     Query results match the brute-force ``knn_bev`` definition exactly,
     including the lower-index tie-break. Immutable after construction.
     """
 
-    __slots__ = ("xy", "_axis", "_child", "_box", "_members", "_member_xy")
+    __slots__ = ("xy", "_box", "_members", "_member_xy")
 
     def __init__(self, cloud: PointCloud, leaf_size: int = 64):
+        if leaf_size < 1:
+            raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
         self.xy = cloud.points[:, :2].copy()
         n = self.xy.shape[0]
-        # one row per node: split axis (-1 for a leaf), left and right child,
-        # a box (xmin, ymin, xmax, ymax) holding its points; and leaf points
-        rows, members = [], []
+        # one row per leaf: a box (xmin, ymin, xmax, ymax) holding its points
+        boxes, members = [], []
         if n:
             box = [*self.xy.min(axis=0), *self.xy.max(axis=0)]
-            self._build(np.arange(n), box, 0, leaf_size, rows, members)
-        table = np.array(rows, dtype=np.float64).reshape(-1, 7)
-        self._axis = table[:, 0].astype(np.intp)
-        self._child = table[:, 1:3].astype(np.intp)
-        self._box = table[:, 3:]
+            self._build(np.arange(n), box, 0, leaf_size, boxes, members)
+        self._box = np.array(boxes, dtype=np.float64).reshape(-1, 4)
         # padded rows: index n and NaN coordinates (never selected) past a
-        # leaf's last point; inner nodes hold none
+        # leaf's last point
         self._members = np.full((len(members), max(map(len, members), default=0)), n)
-        for node, seg in enumerate(members):
-            self._members[node, :len(seg)] = seg
+        for leaf, seg in enumerate(members):
+            self._members[leaf, :len(seg)] = seg
         self._member_xy = np.vstack([self.xy, [np.nan, np.nan]])[self._members]
 
     def _build(self, seg: np.ndarray, box: list, depth: int, leaf_size: int,
-               rows: list, members: list) -> int:
-        node = len(rows)
-        rows.append([-1, -1, -1, *box])
-        members.append(seg if len(seg) <= leaf_size else seg[:0])
-        if len(seg) > leaf_size:
-            axis, mid = depth % 2, len(seg) // 2
-            seg = seg[np.argpartition(self.xy[seg, axis], mid)]
-            # a child's box is its parent's cut at the split value
-            left_box, right_box = list(box), list(box)
-            left_box[axis + 2] = right_box[axis] = self.xy[seg[mid], axis]
-            left = self._build(seg[:mid], left_box, depth + 1, leaf_size, rows, members)
-            right = self._build(seg[mid:], right_box, depth + 1, leaf_size, rows, members)
-            rows[node][:3] = [axis, left, right]
-        return node
+               boxes: list, members: list):
+        if len(seg) <= leaf_size:
+            boxes.append(box)
+            members.append(seg)
+            return
+        axis, mid = depth % 2, len(seg) // 2
+        seg = seg[np.argpartition(self.xy[seg, axis], mid)]
+        # a child's box is its parent's cut at the split value
+        left_box, right_box = list(box), list(box)
+        left_box[axis + 2] = right_box[axis] = self.xy[seg[mid], axis]
+        self._build(seg[:mid], left_box, depth + 1, leaf_size, boxes, members)
+        self._build(seg[mid:], right_box, depth + 1, leaf_size, boxes, members)
 
     def query(self, query, k: int, max_dist: float = np.inf):
         """The <= k nearest points to each (x, y) query, in ``knn_bev`` order.
@@ -231,46 +229,36 @@ class BevKdTree:
         out = np.full((m, k), -1, dtype=np.intp)
         if not (n and m):
             return out
-        # descend every query to its own leaf; the split value is the low edge
-        # of the right child's box
-        home = np.zeros(m, dtype=np.intp)
-        while (inner := self._axis[home] >= 0).any():
-            nodes, axis = home[inner], self._axis[home[inner]]
-            right = q[inner, axis] >= self._box[self._child[nodes, 1], axis]
-            home[inner] = self._child[nodes, right.astype(np.intp)]
-        # each query's bound: its home leaf's k-th nearest point, or max_dist
+        lo, hi = self._box[:, :2], self._box[:, 2:]
         bound = np.full(m, float(max_dist)) ** 2
-        if self._members.shape[1] >= k:
-            for s in range(0, m, _MERGE_ROWS):
-                d2 = self._offsets(q[s:s + _MERGE_ROWS], home[s:s + _MERGE_ROWS])[2]
-                kth = np.partition(d2, k - 1, axis=1)[:, k - 1]     # NaN: < k points
-                bound[s:s + _MERGE_ROWS] = np.fmin(bound[s:s + _MERGE_ROWS], kth)
-        bound *= _SLACK
-        # walk the tree level by level with every (query, node) pair whose box
-        # may hold a point inside the bound, and collect the leaves reached
-        qi, node = np.arange(m), np.zeros(m, dtype=np.intp)
-        pairs = []
-        while qi.size:
-            qa, box = q[qi], self._box[node]
-            gap = np.maximum(np.maximum(box[:, :2] - qa, qa - box[:, 2:]), 0.0)
-            # not >: ties survive, and a NaN from a non-finite point never prunes
-            near = ~((gap * gap).sum(axis=1) > bound[qi])
-            qi, node = qi[near], node[near]
-            leaf = self._axis[node] < 0
-            pairs.append((qi[leaf], node[leaf]))
-            qi, node = np.repeat(qi[~leaf], 2), self._child[node[~leaf]].ravel()
+        rows, hits, pairs = np.arange(m), [], []
+        for s in range(0, m, _MERGE_ROWS):
+            a, qa, b = (x[s:s + _MERGE_ROWS] for x in (rows, q, bound))
+            # each leaf box's squared gap to the query; the nearest box is
+            # the query's home leaf
+            qx, qy = qa[:, :1], qa[:, 1:]
+            gx = np.maximum(np.maximum(lo[:, 0] - qx, qx - hi[:, 0]), 0.0)
+            gy = np.maximum(np.maximum(lo[:, 1] - qy, qy - hi[:, 1]), 0.0)
+            g2 = gx * gx + gy * gy
+            home = g2.argmin(axis=1)
+            # (1) the bound: the home leaf's k-th nearest point, or max_dist;
+            # the home leaf's points inside it are candidates
+            d2 = self._d2(qa, home)
+            if d2.shape[1] >= k:        # a NaN k-th point: fewer than k points
+                np.fmin(b, np.partition(d2, k - 1, axis=1)[:, k - 1], out=b)
+            b *= _SLACK
+            hits.append(self._hits(q, a, home, d2, b, max_dist))
+            # (2) one box test against every other leaf; not >: ties survive,
+            # and a NaN from a non-finite point never prunes
+            near = ~(g2 > b[:, None])
+            near[np.arange(len(a)), home] = False
+            r, c = np.nonzero(near)
+            pairs.append((a[r], c))
+        # every point of a near leaf inside both bounds is a candidate too
         qi, leaf = map(np.concatenate, zip(*pairs))
-        if not qi.size:
-            return out
-        # every point of a reached leaf inside both bounds is a candidate
-        hits = []
         for s in range(0, qi.size, _MERGE_ROWS):
             a, lf = qi[s:s + _MERGE_ROWS], leaf[s:s + _MERGE_ROWS]
-            dx, dy, d2 = self._offsets(q[a], lf)
-            r, c = np.nonzero(d2 <= bound[a, None])
-            d = np.hypot(dx[r, c], dy[r, c])      # the same values knn_bev sorts
-            hit = d <= max_dist
-            hits.append((a[r[hit]], d[hit], self._members[lf[r[hit]], c[hit]]))
+            hits.append(self._hits(q, a, lf, self._d2(q[a], lf), bound[a], max_dist))
         # sort by (query, distance, index) once and keep the first k of each query
         hq, hd, hi = map(np.concatenate, zip(*hits))
         order = np.lexsort((hi, hd, hq))
@@ -281,12 +269,23 @@ class BevKdTree:
         out[hq[keep], rank[keep]] = hi[keep]
         return out
 
-    def _offsets(self, qa: np.ndarray, leaf: np.ndarray):
-        """(dx, dy, squared distance) from query row p to every point of leaf
-        ``leaf[p]``, NaN past the leaf's last point."""
-        dx = self._member_xy[leaf, :, 0] - qa[:, 0, None]
-        dy = self._member_xy[leaf, :, 1] - qa[:, 1, None]
-        return dx, dy, dx * dx + dy * dy
+    def _d2(self, qa: np.ndarray, leaf: np.ndarray) -> np.ndarray:
+        """Squared distance from query row p to every point of leaf ``leaf[p]``,
+        NaN past the leaf's last point."""
+        dx = self._member_xy[leaf, :, 0] - qa[:, :1]
+        dy = self._member_xy[leaf, :, 1] - qa[:, 1:]
+        return np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
+
+    def _hits(self, q: np.ndarray, a: np.ndarray, leaf: np.ndarray, d2: np.ndarray,
+              bound: np.ndarray, max_dist: float):
+        """(query, distance, point) for each point of leaf ``leaf[p]`` inside
+        both bounds of query ``a[p]``, given their ``_d2`` and squared bound."""
+        r, c = np.nonzero(d2 <= bound[:, None])
+        lf = leaf[r]
+        dx, dy = (self._member_xy[lf, c] - q[a[r]]).T
+        d = np.hypot(dx, dy)      # the same values knn_bev sorts
+        hit = d <= max_dist
+        return a[r[hit]], d[hit], self._members[lf[hit], c[hit]]
 
 
 def build_bev_index(cloud: PointCloud) -> BevKdTree:

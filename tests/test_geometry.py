@@ -120,6 +120,32 @@ def test_kdtree_duplicate_points_tie_break():
     assert tree.query(np.array([1.0, 1.0]), 3) == [0, 1, 2]
 
 
+@pytest.mark.parametrize("leaf_size", [0, -1, 0.5])
+def test_kdtree_rejects_leaf_size_below_one(leaf_size):
+    with pytest.raises(ValueError, match="leaf_size"):
+        BevKdTree(PointCloud(np.zeros((3, 3))), leaf_size=leaf_size)
+
+
+@pytest.mark.parametrize("xy, query", [
+    # one point per leaf: the query's home leaf (x in [-1, 1]) holds index 1,
+    # its neighbour (x = 1) index 0
+    ([(1.0, 0.0), (-1.0, 0.0)], (0.0, 0.5)),
+    # the first split is at x = 1, the query's own x, so it lies on the
+    # boxes of both tied points' leaves
+    ([(2.0, 0.0), (0.0, 0.0), (1.0, 5.0)], (1.0, 0.0)),
+])
+def test_kdtree_tie_across_leaves_keeps_lower_index(xy, query):
+    cloud = PointCloud(np.column_stack([xy, np.zeros(len(xy))]))
+    tree = BevKdTree(cloud, leaf_size=1)
+    d = np.hypot(cloud.points[:2, 0] - query[0], cloud.points[:2, 1] - query[1])
+    assert d[0] == d[1]                      # an exact tie, in two leaves
+    leaf_of = {int(i): leaf for leaf, row in enumerate(tree._members) for i in row}
+    assert leaf_of[0] != leaf_of[1]
+    assert tree.query(np.array(query), 1) == [0]
+    assert tree.query(np.array([query] * 3), 1).tolist() == [[0]] * 3
+    assert tree.query(np.array([query]), 2).tolist() == [knn_bev(query, cloud, 2)] == [[0, 1]]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 120), st.booleans(), st.booleans(), st.integers(1, 12),
        st.sampled_from([0.0, 1e-9, 0.5, 1.0, 2.5, np.inf]),
