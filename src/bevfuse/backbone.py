@@ -4,12 +4,13 @@ residual groups with fusion insertion points, and the full detector model."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Annotated, Literal
 
 import numpy as np
 
 from . import tensor as T
 from .detect import DetectionHeader, HeaderOutput
+from .domains import Checked, NonEmpty, Pos
 from .fusion import (FusionMlp, FusionPlan, apply_fusion, plan_discrete_fusion,
                      plan_fusion, xavier_uniform)
 from .geometry import BevGrid, CalibratedCamera, PointCloud, build_bev_index
@@ -19,18 +20,18 @@ if TYPE_CHECKING:
     from .config import FusionSection
 
 MODES = ("continuous", "continuous_nogeo", "discrete", "bev_only")
+Mode = Literal[MODES]
 
 
 @dataclass
-class GroupSpec:
-    layers: int          # 3x3 conv count; one residual block per 2 layers
-    channels: int        # the stride follows from the position: group_stride
+class GroupSpec(Checked):
+    layers: Annotated[int, Pos]      # 3x3 conv count; one residual block per 2 layers
+    channels: Annotated[int, Pos]    # the stride follows from the position: group_stride
 
     def __post_init__(self):
-        if self.layers < 2 or self.layers % 2:
-            raise ValueError(f"group layers must be even and >= 2, got {self.layers}")
-        if self.channels < 1:
-            raise ValueError(f"group channels must be >= 1, got {self.channels}")
+        super().__post_init__()
+        if self.layers % 2:
+            raise ValueError(f"group layers must be even, got {self.layers}")
 
 
 def group_stride(gi: int) -> int:
@@ -40,21 +41,20 @@ def group_stride(gi: int) -> int:
 
 
 @dataclass
-class BackboneConfig:
+class BackboneConfig(Checked):
     """Desk-scale default shrinks the full-size net (layer counts
     2/4/8/12/12, channels 32/64/128/192/256) to 2-layer groups with
     8/16/32/48/64 channels; the full-size schedule stays expressible."""
 
-    bev_groups: list[GroupSpec] = field(default_factory=lambda: [
+    bev_groups: Annotated[list[GroupSpec], NonEmpty] = field(default_factory=lambda: [
         GroupSpec(2, 8), GroupSpec(2, 16), GroupSpec(2, 32), GroupSpec(2, 48),
         GroupSpec(2, 64)])
-    image_groups: list[GroupSpec] = field(default_factory=lambda: [
+    image_groups: Annotated[list[GroupSpec], NonEmpty] = field(default_factory=lambda: [
         GroupSpec(2, 8), GroupSpec(2, 16), GroupSpec(2, 32), GroupSpec(2, 48)])
     fusion_points: tuple[int, ...] = (0, 1, 2, 3)
 
     def __post_init__(self):
-        if not self.bev_groups or not self.image_groups:
-            raise ValueError("each stream needs at least one group")
+        super().__post_init__()
         if not all(0 <= p < len(self.bev_groups) for p in self.fusion_points):
             raise ValueError(f"fusion points must index the {len(self.bev_groups)} BEV "
                              f"groups, got {list(self.fusion_points)}")

@@ -27,7 +27,10 @@ def _load(args) -> ExperimentConfig:
     else:
         cfg = config_from_dict(apply_env_overrides({}))
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)      # rechecks the seed
+        try:
+            cfg = dataclasses.replace(cfg, seed=args.seed)      # rechecks the seed
+        except ValueError as e:
+            raise ConfigError(f"--seed: {e}") from None
     return cfg
 
 

@@ -5,18 +5,17 @@ resolved copy."""
 from __future__ import annotations
 
 import dataclasses
-import functools
-import math
 import os
 import types
 from dataclasses import dataclass, field
-from typing import Any, Union, get_args, get_origin, get_type_hints
+from typing import Annotated, Any, Literal, Union, get_args, get_origin
 
 import yaml
 
-from .backbone import MODES, BackboneConfig, group_stride
+from .backbone import BackboneConfig, Mode, group_stride
 from .data import AugmentationConfig, SceneGenConfig
-from .detect import NUM_REG
+from .detect import Variant
+from .domains import Checked, Finite, NonNeg, Pos, Unit, UnitOpen, type_hints
 from .evaluation import EvalConfig
 from .geometry import BevGrid
 from .losses import AssignmentConfig
@@ -36,97 +35,74 @@ class ConfigError(InputError):
 
 
 @dataclass
-class AnchorConfig:
-    size: tuple[float, float, float] = (4.0, 2.0, 1.6)
-    z: float = 0.8
-
-    def __post_init__(self):
-        if not all(s > 0 for s in self.size):       # NaN fails this too
-            raise ValueError(f"anchor sizes must be > 0, got {list(self.size)}")
-        if not math.isfinite(self.z):
-            raise ValueError(f"anchor z must be finite, got {self.z}")
+class AnchorConfig(Checked):
+    size: Annotated[tuple[float, float, float], Finite, Pos] = (4.0, 2.0, 1.6)
+    z: Annotated[float, Finite] = 0.8
 
 
 @dataclass
-class OptimConfig:
-    lr: float = 0.001
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    steps: int = 300
-    decay_milestones: tuple[float, float] = (0.6, 0.9)  # fractions of total steps
-    decay_factor: float = 0.1
-    checkpoint_every: int = 0          # extra checkpoints every N steps; 0 = final only
-
-    def __post_init__(self):
-        if not 0 < self.lr < math.inf:     # NaN fails this too
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if not all(0 <= b < 1 for b in self.betas):
-            raise ValueError(f"betas must lie in [0, 1), got {list(self.betas)}")
-        if not 0 < self.eps < math.inf:
-            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+class OptimConfig(Checked):
+    lr: Annotated[float, Finite, Pos] = 0.001
+    betas: Annotated[tuple[float, float], UnitOpen] = (0.9, 0.999)
+    eps: Annotated[float, Finite, Pos] = 1e-8
+    steps: Annotated[int, NonNeg] = 300
+    decay_milestones: Annotated[tuple[float, float], Unit] = (0.6, 0.9)  # fractions of steps
+    decay_factor: Annotated[float, Pos, Unit] = 0.1
+    checkpoint_every: Annotated[int, NonNeg] = 0   # extra checkpoints every N steps; 0: none
 
 
 @dataclass
-class LossConfig:
-    alpha: float = 1.0
-    center_norm: str = "anchor_coord"  # literal printed encoding; "diagonal" optional
+class LossConfig(Checked):
+    alpha: Annotated[float, Finite, NonNeg] = 1.0
+    center_norm: Literal["anchor_coord", "diagonal"] = "anchor_coord"  # the printed encoding
     wrap_orientation: bool = False
 
-    def __post_init__(self):
-        if self.center_norm not in ("anchor_coord", "diagonal"):
-            raise ValueError(f"unknown center_norm {self.center_norm!r}")
+
+@dataclass
+class KittiFrame:
+    """Paths of one KITTI frame's files."""
+
+    velodyne: str
+    calib: str
+    labels: str
 
 
 @dataclass
-class DataSection:
-    source: str = "synthetic"          # synthetic | manifest | kitti
-    n_scenes: int = 4
+class DataSection(Checked):
+    source: Literal["synthetic", "manifest", "kitti"] = "synthetic"
+    n_scenes: Annotated[int, Pos] = 4
     synthetic: SceneGenConfig = field(default_factory=SceneGenConfig)
     manifest: str | None = None
-    kitti_frames: list[dict] | None = None   # {velodyne, calib, labels} per frame
+    kitti_frames: list[KittiFrame] | None = None
     augment: AugmentationConfig | None = None
 
     def __post_init__(self):
-        if self.source not in ("synthetic", "manifest", "kitti"):
-            raise ValueError(f"unknown data source {self.source!r}")
-        if self.n_scenes < 1:
-            raise ValueError("n_scenes must be >= 1")
+        super().__post_init__()
         if self.source == "manifest" and not self.manifest:
             raise ValueError("source 'manifest' needs a manifest path")
-        for i, frame in enumerate(self.kitti_frames or []):
-            if not isinstance(frame, dict) or set(frame) != {"velodyne", "calib", "labels"} \
-                    or not all(isinstance(v, str) for v in frame.values()):
-                raise ValueError(f"kitti_frames[{i}] must map velodyne, calib and labels "
-                                 f"to paths, got {frame!r}")
 
 
 @dataclass
-class FusionSection:
+class FusionSection(Checked):
     """Neighbour search of every fusion layer; the layer widths follow from
     the image channels and the mode."""
 
-    k: int = 1
-    max_dist: float = 10.0
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not self.max_dist > 0:       # NaN fails this too; inf is valid
-            raise ValueError(f"max_dist must be > 0, got {self.max_dist}")
+    k: Annotated[int, Pos] = 1
+    max_dist: Annotated[float, Pos] = 10.0       # inf is valid
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(Checked):
     config_version: int = CONFIG_VERSION
-    seed: int = 0
-    mode: str = "continuous"
-    variant: str = "bev"
+    seed: Annotated[int, NonNeg] = 0        # np.random.default_rng rejects < 0
+    mode: Mode = "continuous"
+    variant: Variant = "bev"
     grid: BevGrid = field(default_factory=lambda: BevGrid(
         (0.0, 32.0), (-16.0, 16.0), (0.0, 3.0), 32, 32, 4))
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     fusion: FusionSection = field(default_factory=FusionSection)
-    image_feat_channels: int = 8
-    bev_fpn_channels: int = 32
+    image_feat_channels: Annotated[int, Pos] = 8
+    bev_fpn_channels: Annotated[int, Pos] = 32
     anchor: AnchorConfig = field(default_factory=AnchorConfig)
     assign: AssignmentConfig | None = None       # None: radii from the anchor size
     loss: LossConfig = field(default_factory=LossConfig)
@@ -135,21 +111,15 @@ class ExperimentConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.config_version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config_version {self.config_version}")
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.variant not in NUM_REG:
-            raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.seed < 0:               # np.random.default_rng rejects it
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if min(self.image_feat_channels, self.bev_fpn_channels) < 1:
-            raise ConfigError("image_feat_channels and bev_fpn_channels must be >= 1, got "
-                              f"{self.image_feat_channels} and {self.bev_fpn_channels}")
         stride = group_stride(len(self.backbone.bev_groups) - 1)
         if self.grid.nx % stride or self.grid.ny % stride:
             raise ConfigError(f"grid {self.grid.nx}x{self.grid.ny} not divisible by "
                               f"the BEV stride {stride}")
+        if self.mode != "bev_only" and not self.backbone.fusion_points:
+            raise ConfigError(f"mode {self.mode!r} needs at least one fusion point")
         stride = group_stride(len(self.backbone.image_groups) - 1)
         _, h, w = self.data.synthetic.image_shape
         if self.mode != "bev_only" and (h % stride or w % stride):
@@ -169,6 +139,8 @@ def _coerce(value: Any, hint: Any, path: str) -> Any:
     lists element by element, and ``X | None`` as ``X``; only such a field
     may be null."""
     origin, args = get_origin(hint), get_args(hint)
+    if origin is Annotated:             # the domain is checked on construction
+        return _coerce(value, args[0], path)
     if origin in (Union, types.UnionType):
         return None if value is None else \
             _coerce(value, next(a for a in args if a is not type(None)), path)
@@ -187,8 +159,10 @@ def _coerce(value: Any, hint: Any, path: str) -> Any:
                                   f"({', '.join(names)}), got {len(value)}")
             value = dict(zip(names, value))
         return _from_dict(hint, value, path)
-    if origin not in (tuple, list) or not isinstance(value, (list, tuple)):
+    if origin not in (tuple, list):
         return value
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{path}: expected a list, got {value!r}")
     if origin is list or args[-1] is Ellipsis:
         args = (args[0],) * len(value)
     elif len(args) != len(value):
@@ -197,13 +171,10 @@ def _coerce(value: Any, hint: Any, path: str) -> Any:
                   for i, (v, a) in enumerate(zip(value, args)))
 
 
-_type_hints = functools.cache(get_type_hints)
-
-
 def _from_dict(cls, d: dict, path: str = ""):
     if not isinstance(d, dict):
         raise ConfigError(f"{path or cls.__name__}: expected a mapping, got {type(d).__name__}")
-    hints = _type_hints(cls)
+    hints = type_hints(cls)
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(d) - names
     if unknown:

@@ -8,11 +8,14 @@ import math
 import os
 import zipfile
 from dataclasses import dataclass, field, replace
+from typing import Annotated, Literal
 
 import numpy as np
 
 from . import tensor as T
 from .detect import DetectionBox, rotated_iou_bev
+from .domains import (Checked, Finite, Increasing, NonDecreasing, NonNeg, Pos, Unit,
+                      UnitOpen)
 from .geometry import BevGrid, CalibratedCamera, PointCloud, project_points
 from .tensor import InputError, Tensor
 
@@ -43,65 +46,34 @@ class SceneSample:
 
 
 @dataclass
-class SceneGenConfig:
-    x_range: tuple[float, float] = (4.0, 28.0)
-    y_range: tuple[float, float] = (-12.0, 12.0)
-    object_count: tuple[int, int] = (2, 4)
-    base_size: tuple[float, float, float] = (4.0, 2.0, 1.6)
-    size_jitter: float = 0.1
-    ground_points: int = 400
-    surface_points_ref: int = 60     # on-object points at reference distance
-    reference_distance: float = 8.0
-    noise_sigma: float = 0.02
-    ground_layout: str = "random"    # "random" census-like | "grid" regular lattice
-    occlusion_fraction: float = 0.0  # fraction of objects left nearly LIDAR-blind
-    image_shape: tuple[int, int, int] = (4, 24, 48)   # C x H x W; channel 0 = presence
-    focal: tuple[float, float] = (10.0, 10.0)
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("x_range", "y_range"):
-            lo, hi = getattr(self, name)
-            if not -math.inf < lo < hi < math.inf:      # NaN fails this too
-                raise ValueError(f"{name} must be finite with lo < hi, got {[lo, hi]}")
-        if self.x_range[0] <= 0:
-            raise ValueError("x_range must start in front of the camera")
-        if not 0 <= self.object_count[0] <= self.object_count[1]:
-            raise ValueError(f"invalid object_count range {list(self.object_count)}")
-        if self.ground_points < 0 or self.surface_points_ref < 0:
-            raise ValueError("ground_points and surface_points_ref must be >= 0")
-        if not 0 <= self.noise_sigma < math.inf:        # NaN fails this too
-            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if min(self.image_shape) < 1:
-            raise ValueError(f"image extents must be >= 1, got {list(self.image_shape)}")
-        if not all(0 < f < math.inf for f in self.focal):
-            raise ValueError(f"focal lengths must be finite and > 0, got {list(self.focal)}")
-        if self.ground_layout not in ("random", "grid"):
-            raise ValueError(f"unknown ground_layout {self.ground_layout!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+class SceneGenConfig(Checked):
+    x_range: Annotated[tuple[float, float], Finite, Pos, Increasing] = (4.0, 28.0)
+    y_range: Annotated[tuple[float, float], Finite, Increasing] = (-12.0, 12.0)
+    object_count: Annotated[tuple[int, int], NonNeg, NonDecreasing] = (2, 4)
+    base_size: Annotated[tuple[float, float, float], Finite, Pos] = (4.0, 2.0, 1.6)
+    size_jitter: Annotated[float, UnitOpen] = 0.1
+    ground_points: Annotated[int, NonNeg] = 400
+    surface_points_ref: Annotated[int, NonNeg] = 60  # on-object points at reference distance
+    reference_distance: Annotated[float, Finite, Pos] = 8.0
+    noise_sigma: Annotated[float, Finite, NonNeg] = 0.02
+    ground_layout: Literal["random", "grid"] = "random"  # census-like | regular lattice
+    occlusion_fraction: Annotated[float, Unit] = 0.0  # share of objects left nearly LIDAR-blind
+    image_shape: Annotated[tuple[int, int, int], Pos] = (4, 24, 48)  # C x H x W; 0 = presence
+    focal: Annotated[tuple[float, float], Finite, Pos] = (10.0, 10.0)
+    seed: Annotated[int, NonNeg] = 0
 
 
 @dataclass
-class AugmentationConfig:
+class AugmentationConfig(Checked):
     """Joint cloud/box/calibration augmentation; never applied at eval time."""
 
-    scale_xy: tuple[float, float] = (0.9, 1.1)
-    scale_z: tuple[float, float] = (0.9, 1.1)
-    translate_xy: float = 5.0
-    translate_z: float = 1.0
-    rotate_z_deg: float = 5.0
-    image_scale: tuple[float, float] = (0.9, 1.1)
-    image_translate_px: float = 50.0
-
-    def __post_init__(self):
-        for name in ("scale_xy", "scale_z", "image_scale"):
-            lo, hi = getattr(self, name)
-            if not 0 < lo <= hi < math.inf:             # NaN fails this too
-                raise ValueError(f"{name} must be finite with 0 < lo <= hi, got {[lo, hi]}")
-        for name in ("translate_xy", "translate_z", "rotate_z_deg", "image_translate_px"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+    scale_xy: Annotated[tuple[float, float], Finite, Pos, NonDecreasing] = (0.9, 1.1)
+    scale_z: Annotated[tuple[float, float], Finite, Pos, NonDecreasing] = (0.9, 1.1)
+    translate_xy: Annotated[float, Finite, NonNeg] = 5.0
+    translate_z: Annotated[float, Finite, NonNeg] = 1.0
+    rotate_z_deg: Annotated[float, Finite, NonNeg] = 5.0
+    image_scale: Annotated[tuple[float, float], Finite, Pos, NonDecreasing] = (0.9, 1.1)
+    image_translate_px: Annotated[float, Finite, NonNeg] = 50.0
 
 
 def make_forward_camera(image_size: tuple[int, int],
@@ -220,8 +192,10 @@ def generate_scene(cfg: SceneGenConfig, seed: int | None = None,
         if bi in sparse:
             n_pts = 0                           # LIDAR-blind: image-only evidence
         else:
-            n_pts = max(3, int(round(cfg.surface_points_ref *
-                                     cfg.reference_distance / box.x)))
+            n_pts = cfg.surface_points_ref * cfg.reference_distance / box.x
+            if not math.isfinite(n_pts):
+                raise GenerationError(f"object {bi} gets {n_pts} surface points")
+            n_pts = max(3, int(round(n_pts)))
         clouds.append(_box_surface_points(box, n_pts, rng))
     points = np.concatenate(clouds, axis=0) if clouds else np.zeros((0, 3))
     points += rng.normal(0.0, cfg.noise_sigma, points.shape)
@@ -393,8 +367,12 @@ def load_kitti_frame(velodyne_path, calib_path, label_path,
     is a zero map (no image decoding at desk scale)."""
     cloud = load_kitti_velodyne(velodyne_path)
     projection, r0_4, tr_4 = _read_kitti_calib(calib_path)
-    cam = CalibratedCamera(projection, image_size)
-    boxes = load_kitti_labels(label_path, np.linalg.inv(r0_4 @ tr_4))
+    try:
+        cam = CalibratedCamera(projection, image_size)
+        rect_to_velo = np.linalg.inv(r0_4 @ tr_4)
+    except (InputError, np.linalg.LinAlgError) as e:
+        raise KittiParseError(f"{calib_path}: {e}") from None
+    boxes = load_kitti_labels(label_path, rect_to_velo)
     h, w = image_size
     feat = Tensor(np.zeros((1, h, w)))
     return SceneSample(cloud, feat, cam, boxes,

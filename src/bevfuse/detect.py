@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -19,6 +20,7 @@ REG_INDICES = {
     "kitti3d": (0, 1, 2, 3, 4, 5, 6, 7),
 }
 NUM_REG = {variant: len(idx) for variant, idx in REG_INDICES.items()}
+Variant = Literal[tuple(REG_INDICES)]
 ANCHOR_ORIENTATIONS = (0.0, math.pi / 2)
 
 # guard for the literal center encoding (k - a_k) / a_k when a_k ~ 0

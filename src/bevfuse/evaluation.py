@@ -4,36 +4,26 @@ range-binned piecewise AP."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated, Literal
 
 import numpy as np
 
 from .detect import DetectionBox, iou_3d, may_overlap, rotated_iou_bev
+from .domains import Checked, Increasing, NonEmpty, NonNeg, Pos, Unit, UnitOpen
 
 
 @dataclass
-class EvalConfig:
-    iou_kind: str = "bev"                    # "bev" (rotated 2D) or "3d"
-    iou_threshold: float = 0.5
-    ap_points: int = 11                      # 11 or 100 recall samples
-    range_bins: list[tuple[float, float]] | None = None
-    ignore_classes: tuple[int, ...] = ()
-    score_threshold: float = 0.1
-    nms_iou: float = 0.1
-    nms_max_out: int = 50
-
-    def __post_init__(self):
-        if self.iou_kind not in ("bev", "3d"):
-            raise ValueError(f"unknown iou_kind {self.iou_kind!r}")
-        if not 0.0 < self.iou_threshold < 1.0:
-            raise ValueError("iou_threshold must be in (0, 1)")
-        if self.ap_points < 1:
-            raise ValueError("ap_points must be >= 1")
-        if not 0.0 < self.nms_iou <= 1.0:
-            raise ValueError("nms_iou must be in (0, 1]")
-        if self.nms_max_out < 1:
-            raise ValueError("nms_max_out must be >= 1")
-        if not 0.0 <= self.score_threshold <= 1.0:      # NaN fails this too
-            raise ValueError(f"score_threshold must be in [0, 1], got {self.score_threshold}")
+class EvalConfig(Checked):
+    iou_kind: Literal["bev", "3d"] = "bev"      # rotated 2D or 3D
+    iou_threshold: Annotated[float, Pos, UnitOpen] = 0.5
+    ap_points: Annotated[int, Pos] = 11         # 11 or 100 recall samples
+    # bins [lo, hi) of the box center's x, meters
+    range_bins: Annotated[list[Annotated[tuple[float, float], Increasing]],
+                          NonEmpty] | None = None
+    ignore_classes: Annotated[tuple[int, ...], NonNeg] = ()
+    score_threshold: Annotated[float, Unit] = 0.1
+    nms_iou: Annotated[float, Pos, Unit] = 0.1
+    nms_max_out: Annotated[int, Pos] = 50
 
     def iou(self, a: DetectionBox, b: DetectionBox) -> float:
         return iou_3d(a, b) if self.iou_kind == "3d" else rotated_iou_bev(a, b)

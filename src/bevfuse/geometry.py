@@ -4,10 +4,12 @@ the BEV plane, and bilinear sampling of image feature maps."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
-from .tensor import Tensor, bilinear_sample as _bilinear_many
+from .domains import Checked, Finite, Increasing, Pos
+from .tensor import InputError, Tensor, bilinear_sample as _bilinear_many
 
 
 @dataclass
@@ -41,11 +43,11 @@ class CalibratedCamera:
     def __post_init__(self):
         self.projection = np.asarray(self.projection, dtype=np.float64).reshape(3, 4)
         if np.linalg.matrix_rank(self.projection) < 3:
-            raise ValueError("camera projection matrix must have rank 3")
+            raise InputError("camera projection matrix must have rank 3")
 
 
 @dataclass
-class BevGrid:
+class BevGrid(Checked):
     """Metric <-> cell mapping for the bird's-eye-view raster.
 
     Voxel nodes sit at cell centers; the first node along an axis is at
@@ -53,19 +55,12 @@ class BevGrid:
     ``nz`` spans z (up).
     """
 
-    x_range: tuple[float, float]
-    y_range: tuple[float, float]
-    z_range: tuple[float, float]
-    nx: int
-    ny: int
-    nz: int
-
-    def __post_init__(self):
-        for lo, hi in (self.x_range, self.y_range, self.z_range):
-            if not hi > lo:
-                raise ValueError("BevGrid ranges must be non-degenerate")
-        if min(self.nx, self.ny, self.nz) < 1:
-            raise ValueError("BevGrid extents must be positive")
+    x_range: Annotated[tuple[float, float], Finite, Increasing]
+    y_range: Annotated[tuple[float, float], Finite, Increasing]
+    z_range: Annotated[tuple[float, float], Finite, Increasing]
+    nx: Annotated[int, Pos]
+    ny: Annotated[int, Pos]
+    nz: Annotated[int, Pos]
 
     @property
     def cell(self) -> tuple[float, float, float]:

@@ -6,10 +6,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from .detect import DetectionBox, box_rows
+from .domains import Checked, Finite, NonNeg, Pos, Unit
 from .tensor import Tensor, bce_with_logits, smooth_l1_sum
 
 NEGATIVE = -1
@@ -17,18 +19,17 @@ IGNORE = -2
 
 
 @dataclass
-class AssignmentConfig:
-    positive_radius: float
-    negative_radius: float
-    neg_sample_fraction: float = 0.05
-    topk_neg_ratio: float = 3.0     # k = max(ratio * N_pos, floor)
-    topk_neg_floor: int = 16
+class AssignmentConfig(Checked):
+    positive_radius: Annotated[float, Finite, Pos]
+    negative_radius: Annotated[float, Finite, Pos]
+    neg_sample_fraction: Annotated[float, Pos, Unit] = 0.05
+    topk_neg_ratio: Annotated[float, Finite, NonNeg] = 3.0   # k = max(ratio * N_pos, floor)
+    topk_neg_floor: Annotated[int, NonNeg] = 16
 
     def __post_init__(self):
+        super().__post_init__()
         if self.positive_radius > self.negative_radius:
             raise ValueError("positive_radius must be <= negative_radius")
-        if not 0.0 < self.neg_sample_fraction <= 1.0:
-            raise ValueError("neg_sample_fraction must be in (0, 1]")
 
     @staticmethod
     def from_anchor(anchor_size: tuple[float, float, float]) -> "AssignmentConfig":
@@ -101,11 +102,6 @@ def regression_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     if pred.size == 0:
         return Tensor(0.0)
     return smooth_l1_sum(pred, target) / float(pred.shape[0])
-
-
-def smooth_l1(x: float) -> float:
-    """Scalar reference of the regression penalty."""
-    return 0.5 * x * x if abs(x) < 1.0 else abs(x) - 0.5
 
 
 def total_loss(cls_logits: Tensor, cls_labels: np.ndarray,

@@ -43,11 +43,9 @@ def build_scenes(cfg: ExperimentConfig) -> list[SceneSample]:
         scenes = generate_dataset(d.synthetic, d.n_scenes)
     elif d.source == "manifest":
         scenes = load_dataset(d.manifest)
-    elif d.source == "kitti":
-        scenes = [load_kitti_frame(fr["velodyne"], fr["calib"], fr["labels"])
-                  for fr in d.kitti_frames or []]
     else:
-        raise ValueError(f"unknown data source {d.source!r}")
+        scenes = [load_kitti_frame(fr.velodyne, fr.calib, fr.labels)
+                  for fr in d.kitti_frames or []]
     if not scenes:
         raise InputError(f"data source {d.source!r} yields no scenes")
     _check_images_fit(cfg, scenes)

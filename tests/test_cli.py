@@ -191,9 +191,18 @@ def test_kitti_trains_in_bev_only_mode(tmp_path, monkeypatch):
     assert (tmp_path / "o" / "final_metrics.json").exists()
 
 
-def test_malformed_calib_is_config_error(tmp_path):
+def test_malformed_calib_is_config_error(tmp_path, monkeypatch):
     calib = b"P2: 1 0 0 0 0 1 0 0 0 0 1 0\nR0_rect: 1 0 0 0 1 0 0 0 1\n"
     assert main(_kitti_argv(tmp_path, calib, b"")) == EXIT_CONFIG
+    # a rank-deficient camera, or a rectified frame the labels cannot leave;
+    # in bev_only the image fits, so only the calibration can fail
+    monkeypatch.setenv("BEVFUSE_MODE", "bev_only")
+    for old, new in ((b"P2: 1 0 0 0 0 1 0 0 0 0 1 0", b"P2:" + b" 0" * 12),
+                     (b"R0_rect: 1 0 0 0 1 0 0 0 1", b"R0_rect:" + b" 0" * 9),
+                     (b"Tr_velo_to_cam: 1 0 0 0 0 1 0 0 0 0 1 0",
+                      b"Tr_velo_to_cam: 1 0 0 0 0 1 0 0 0 0 0 1")):
+        assert main(_kitti_argv(tmp_path, _CALIB.replace(old, new), b"")) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("malform", [

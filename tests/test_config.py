@@ -1,3 +1,4 @@
+import copy
 import math
 import pathlib
 
@@ -6,9 +7,11 @@ import pytest
 import yaml
 
 from bevfuse import config
+from bevfuse.cli import main
 from bevfuse.config import (CONFIG_VERSION, ConfigError, ExperimentConfig,
                             apply_env_overrides, config_from_dict,
                             config_to_dict, load_config, save_config)
+from bevfuse.pipeline import miniature_config
 
 CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.yaml"))
 
@@ -144,3 +147,84 @@ def test_config_io_matches_pure_python_yaml(tmp_path, source):
     # repr tells nan and -0.0 apart, which == does not
     assert repr(config._parse_yaml(raw, str(source))) == \
         repr(yaml.load(raw, Loader=yaml.SafeLoader))
+
+
+# the loader fuzz sets every leaf of the miniature config in turn to each of
+# these, and every list whole to each of _FUZZ_WHOLE
+_FUZZ_VALUES = (0, -1, 0.5, math.nan, math.inf, -math.inf, 1e308, "x", None, True, [])
+_FUZZ_WHOLE = (0.5, "x", [])
+
+# the mutations that train and exit 0, each a value inside its field's domain;
+# a mutation that newly exits 0 is a silent accept to review
+_FUZZ_ACCEPTED = {
+    "seed": (0,), "grid.x_range[0]": (0, -1, 0.5), "grid.x_range[1]": (0.5, 1e308),
+    "grid.y_range[0]": (0, -1, 0.5), "grid.y_range[1]": (0, -1, 0.5, 1e308),
+    "grid.z_range[0]": (0, -1, 0.5), "grid.z_range[1]": (0.5, 1e308),
+    "backbone.fusion_points[0]": (0,), "backbone.fusion_points[1]": (0,),
+    "fusion.max_dist": (0.5, math.inf, 1e308), "anchor.size[0]": (0.5, 1e308),
+    "anchor.size[1]": (0.5, 1e308), "anchor.size[2]": (0.5, 1e308),
+    "anchor.z": (0, -1, 0.5, 1e308), "assign": (None,), "loss.alpha": (0, 0.5),
+    "loss.wrap_orientation": (True,), "optimizer.lr": (0.5,),
+    "optimizer.betas[0]": (0, 0.5), "optimizer.betas[1]": (0, 0.5),
+    "optimizer.eps": (0.5, 1e308), "optimizer.steps": (0,),
+    "optimizer.decay_milestones[0]": (0, 0.5), "optimizer.decay_milestones[1]": (0, 0.5),
+    "optimizer.decay_factor": (0.5,), "optimizer.checkpoint_every": (0,),
+    "data.synthetic.x_range[0]": (0.5,), "data.synthetic.x_range[1]": (1e308,),
+    "data.synthetic.y_range[0]": (0, -1, 0.5), "data.synthetic.y_range[1]": (0, -1, 0.5),
+    "data.synthetic.object_count[0]": (0,), "data.synthetic.base_size[0]": (0.5,),
+    "data.synthetic.base_size[1]": (0.5,), "data.synthetic.base_size[2]": (0.5,),
+    "data.synthetic.size_jitter": (0, 0.5), "data.synthetic.ground_points": (0,),
+    "data.synthetic.surface_points_ref": (0,), "data.synthetic.reference_distance": (0.5,),
+    "data.synthetic.noise_sigma": (0, 0.5, 1e308),
+    "data.synthetic.occlusion_fraction": (0, 0.5), "data.synthetic.focal[0]": (0.5,),
+    "data.synthetic.focal[1]": (0.5,), "data.synthetic.seed": (0,),
+    "data.manifest": ("x", None), "data.kitti_frames": (None, []),
+    "data.augment": (None, []), "eval.iou_threshold": (0.5,), "eval.range_bins": (None,),
+    "eval.ignore_classes": ([],), "eval.score_threshold": (0, 0.5), "eval.nms_iou": (0.5,),
+}
+# the mutations that exit 3; every other mutation exits 2
+_FUZZ_NUMERIC = {"loss.alpha": (1e308,), "optimizer.lr": (1e308,)}
+
+
+def _flat(cases):
+    return {f"{name} = {v!r}" for name, values in cases.items() for v in values}
+
+
+def _fuzz_cases(node, keys=()):
+    """(key path, value) for every mutation of the config dict ``node``."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _fuzz_cases(child, keys + (key,))
+        return
+    values = _FUZZ_VALUES
+    if isinstance(node, list):
+        values = _FUZZ_WHOLE
+        for i, child in enumerate(node):
+            yield from _fuzz_cases(child, keys + (i,))
+    for value in values:
+        yield keys, value
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # 1e308 overflows inside numpy
+def test_config_fuzz_exits_cleanly(tmp_path):
+    cfg = miniature_config()
+    cfg.optimizer.steps = 1
+    base = config_to_dict(cfg)
+    path = tmp_path / "c.yaml"
+    exits = {0: set(), 2: set(), 3: set()}
+    for keys, value in _fuzz_cases(base):
+        d = copy.deepcopy(base)
+        node = d
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        save_config(d, path)
+        name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+        try:
+            rc = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+        except Exception as e:
+            pytest.fail(f"{name} = {value!r} raised {e!r}")
+        assert rc in exits, (name, value, rc)
+        exits[rc].add(f"{name} = {value!r}")
+    assert exits[0] == _flat(_FUZZ_ACCEPTED)
+    assert exits[3] == _flat(_FUZZ_NUMERIC)

@@ -7,9 +7,13 @@ from bevfuse.detect import Anchor, DetectionBox, box_rows, make_anchors
 from bevfuse.geometry import BevGrid
 from bevfuse.losses import (IGNORE, NEGATIVE, AssignmentConfig,
                             assign_anchors, classification_loss,
-                            hard_negative_mining, regression_loss, smooth_l1,
-                            total_loss)
+                            hard_negative_mining, regression_loss, total_loss)
 from bevfuse.tensor import Tensor
+
+
+def smooth_l1(x: float) -> float:
+    """Scalar reference of the regression penalty."""
+    return 0.5 * x * x if abs(x) < 1.0 else abs(x) - 0.5
 
 
 def _anchors():
