@@ -58,6 +58,8 @@ class BackboneConfig(Checked):
         if not all(0 <= p < len(self.bev_groups) for p in self.fusion_points):
             raise ValueError(f"fusion points must index the {len(self.bev_groups)} BEV "
                              f"groups, got {list(self.fusion_points)}")
+        if len(set(self.fusion_points)) < len(self.fusion_points):
+            raise ValueError(f"fusion points must be distinct, got {list(self.fusion_points)}")
 
 
 class Conv2dLayer:

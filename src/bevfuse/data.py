@@ -403,13 +403,18 @@ def write_kitti_labels(boxes: list[DetectionBox], path,
 
 # -- synthetic dataset manifest ---------------------------------------------------
 
-def save_dataset(samples: list[SceneSample], directory, seeds: list[int] | None = None):
+# the columns of a scene record's ``boxes`` array, one row per box
+BOX_COLUMNS = ("x", "y", "z", "w", "h", "d", "t", "score", "cls", "ignored", "height2d",
+               "is_3d")
+
+
+def save_dataset(samples: list[SceneSample], directory):
     """Directory of per-frame .npz records plus an index.json manifest."""
     os.makedirs(directory, exist_ok=True)
     frames = []
     for s in samples:
-        box_arr = np.array([[b.x, b.y, b.z, b.w, b.h, b.d, b.t, b.score,
-                             b.cls, float(b.ignored)] for b in s.gt_boxes]).reshape(-1, 10)
+        box_arr = np.array([[float(getattr(b, c)) for c in BOX_COLUMNS]
+                            for b in s.gt_boxes]).reshape(-1, len(BOX_COLUMNS))
         np.savez(os.path.join(directory, f"{s.frame_id}.npz"),
                  points=s.cloud.points,
                  intensity=(s.cloud.intensity if s.cloud.intensity is not None
@@ -420,8 +425,7 @@ def save_dataset(samples: list[SceneSample], directory, seeds: list[int] | None 
                  boxes=box_arr)
         frames.append(s.frame_id)
     with open(os.path.join(directory, "index.json"), "w") as f:
-        json.dump({"generator_version": GENERATOR_VERSION, "frames": frames,
-                   "seeds": seeds or []}, f, indent=2)
+        json.dump({"generator_version": GENERATOR_VERSION, "frames": frames}, f, indent=2)
 
 
 # what np.load and the record fields raise on a damaged or foreign .npz file
@@ -444,9 +448,11 @@ def load_dataset(directory) -> list[SceneSample]:
 def _load_record(path, fid) -> SceneSample:
     try:
         with np.load(path) as z:
-            boxes = [DetectionBox(x=r[0], y=r[1], z=r[2], w=r[3], h=r[4], d=r[5],
-                                  t=r[6], score=r[7], cls=int(r[8]), ignored=bool(r[9]))
-                     for r in z["boxes"]]
+            rows = z["boxes"]
+            if rows.shape[1:] != (len(BOX_COLUMNS),):
+                raise ValueError(f"boxes must be N x {len(BOX_COLUMNS)}, got {rows.shape}")
+            boxes = [DetectionBox(*r[:7], score=r[7], cls=int(r[8]), ignored=bool(r[9]),
+                                  height2d=r[10], is_3d=bool(r[11])) for r in rows]
             cam = CalibratedCamera(z["projection"],
                                    tuple(int(v) for v in z["image_size"]))
             return SceneSample(PointCloud(z["points"], intensity=z["intensity"]),

@@ -8,7 +8,6 @@ from typing import Literal
 
 import numpy as np
 
-from . import tensor as T
 from .geometry import BevGrid
 from .tensor import Tensor, logistic
 
@@ -256,14 +255,18 @@ def iou_3d(a, b) -> float:
     return inter / union if union > 0 else 0.0
 
 
+def rank_detections(dets: list[DetectionBox]) -> list[int]:
+    """Indices sorted by descending score; equal scores keep index order."""
+    return sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+
+
 def nms(boxes: list[DetectionBox], iou_threshold: float = 0.1,
         score_threshold: float = 0.1, max_out: int | None = None) -> list[DetectionBox]:
-    """Greedy NMS on rotated BEV IoU; ties broken by (score desc, index asc).
+    """Greedy NMS on rotated BEV IoU over boxes in ``rank_detections`` order.
 
     Only pairs inside ``may_overlap`` are clipped; every other pair has IoU
     0.0, which suppresses only when ``iou_threshold <= 0``."""
-    order = sorted(range(len(boxes)),
-                   key=lambda i: (-boxes[i].score, i))
+    order = rank_detections(boxes)
     cand = [boxes[i] for i in order if boxes[i].score >= score_threshold]
     near = may_overlap(cand, cand)
     taken = np.zeros(len(cand), dtype=bool)
@@ -305,24 +308,19 @@ class DetectionHeader:
 
     def __init__(self, in_channels: int, variant: str = "bev",
                  rng: np.random.Generator | None = None, name: str = "header"):
-        from .fusion import xavier_uniform
+        from .backbone import Conv2dLayer
         if variant not in NUM_REG:
             raise ValueError(f"unknown variant {variant!r}")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.variant = variant
         out_ch = len(ANCHOR_ORIENTATIONS) * (1 + NUM_REG[variant])
-        self.name = name
-        self.weight = Tensor(
-            xavier_uniform(rng, in_channels, out_ch, (out_ch, in_channels, 1, 1)),
-            requires_grad=True)
-        self.bias = Tensor.zeros((out_ch,), requires_grad=True)
+        self.conv = Conv2dLayer(in_channels, out_ch, 1, 1, 0, rng, name)
 
     def parameters(self) -> dict[str, Tensor]:
-        return {f"{self.name}.weight": self.weight, f"{self.name}.bias": self.bias}
+        return self.conv.parameters()
 
     def forward(self, bev_features: Tensor) -> HeaderOutput:
-        out = T.add_channel_bias(T.conv2d(bev_features, self.weight), self.bias)
-        return HeaderOutput(out, self.variant)
+        return HeaderOutput(self.conv.forward(bev_features), self.variant)
 
 
 def decode_detections(header: HeaderOutput, anchors: np.ndarray,

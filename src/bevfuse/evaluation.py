@@ -8,7 +8,7 @@ from typing import Annotated, Literal
 
 import numpy as np
 
-from .detect import DetectionBox, iou_3d, may_overlap, rotated_iou_bev
+from .detect import DetectionBox, iou_3d, may_overlap, rank_detections, rotated_iou_bev
 from .domains import Checked, Increasing, NonEmpty, NonNeg, Pos, Unit, UnitOpen
 
 
@@ -28,6 +28,10 @@ class EvalConfig(Checked):
     def iou(self, a: DetectionBox, b: DetectionBox) -> float:
         return iou_3d(a, b) if self.iou_kind == "3d" else rotated_iou_bev(a, b)
 
+    def ignores(self, gt: DetectionBox) -> bool:
+        """A 'DontCare'-style gt: flagged ignored, or of an ignored class."""
+        return gt.ignored or gt.cls in self.ignore_classes
+
 
 @dataclass
 class PrCurve:
@@ -41,11 +45,6 @@ class PrCurve:
 TP, FP, SKIP = 1, 0, -1
 
 
-def rank_detections(dets: list[DetectionBox]) -> list[int]:
-    """Indices sorted by descending score; equal scores keep index order."""
-    return sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-
-
 def match_detections(dets: list[DetectionBox], gts: list[DetectionBox],
                      cfg: EvalConfig) -> np.ndarray:
     """Greedy TP/FP flags for score-descending detections.
@@ -57,7 +56,7 @@ def match_detections(dets: list[DetectionBox], gts: list[DetectionBox],
     """
     flags = np.full(len(dets), FP, dtype=np.int64)
     gt_taken = [False] * len(gts)
-    ignore = [g.ignored or g.cls in cfg.ignore_classes for g in gts]
+    ignore = [cfg.ignores(g) for g in gts]
     near = may_overlap(dets, gts)
     for di in range(len(dets)):
         best_iou, best_gt = 0.0, -1
@@ -113,8 +112,7 @@ def _pool_frames(frames: list[tuple[list[DetectionBox], list[DetectionBox]]],
         order = rank_detections(dets)
         ranked = [dets[i] for i in order]
         flags = match_detections(ranked, gts, cfg)
-        ignore = [g.ignored or g.cls in cfg.ignore_classes for g in gts]
-        num_gt += sum(1 for ig in ignore if not ig)
+        num_gt += sum(1 for g in gts if not cfg.ignores(g))
         for pos, (det, flag) in enumerate(zip(ranked, flags)):
             scored.append((-det.score, fi, pos, int(flag)))
     scored.sort()

@@ -9,7 +9,7 @@ from typing import Annotated
 import numpy as np
 
 from .domains import Checked, Finite, Increasing, Pos
-from .tensor import InputError, Tensor, bilinear_sample as _bilinear_many
+from .tensor import InputError, Tensor, _scatter_rows, bilinear_sample as _bilinear_many
 
 
 @dataclass
@@ -108,34 +108,29 @@ def voxelize(cloud: PointCloud, grid: BevGrid) -> Tensor:
 
     Each in-range point spreads unit mass over the 8 surrounding voxel nodes
     with trilinear weights; corner weights falling outside the grid are
-    clipped away.
+    clipped away. A point whose node coordinate lies outside (-1, n) on some
+    axis touches no node; it drops out before the integer cast, and so do NaN
+    and infinite points.
     """
-    out = np.zeros((grid.nz, grid.ny, grid.nx))
-    if len(cloud) == 0:
-        return Tensor(out)
-    cx, cy, cz = grid.cell
+    n = np.array([grid.nx, grid.ny, grid.nz])
+    lo = (grid.x_range[0], grid.y_range[0], grid.z_range[0])
     # fractional node coordinates: node i sits at range_min + (i + 0.5) * cell
-    fx = (cloud.points[:, 0] - grid.x_range[0]) / cx - 0.5
-    fy = (cloud.points[:, 1] - grid.y_range[0]) / cy - 0.5
-    fz = (cloud.points[:, 2] - grid.z_range[0]) / cz - 0.5
-    i0 = np.floor(fx).astype(np.intp)
-    j0 = np.floor(fy).astype(np.intp)
-    k0 = np.floor(fz).astype(np.intp)
-    dx, dy, dz = fx - i0, fy - j0, fz - k0
-    for di in (0, 1):
-        wi = dx if di else 1 - dx
-        ii = i0 + di
-        for dj in (0, 1):
-            wj = dy if dj else 1 - dy
-            jj = j0 + dj
-            for dk in (0, 1):
-                wk = dz if dk else 1 - dz
-                kk = k0 + dk
-                wgt = wi * wj * wk
-                ok = (ii >= 0) & (ii < grid.nx) & (jj >= 0) & (jj < grid.ny) \
-                    & (kk >= 0) & (kk < grid.nz) & (wgt > 0)
-                np.add.at(out, (kk[ok], jj[ok], ii[ok]), wgt[ok])
-    return Tensor(out)
+    with np.errstate(over="ignore"):
+        f = (cloud.points - lo) / grid.cell - 0.5
+    f = f[((f > -1) & (f < n)).all(axis=1)].T                      # 3 x N
+    i0 = np.floor(f).astype(np.intp)
+    d = f - i0
+    # per axis, each point's lower and upper node (2 x 3 x N) and weight; a
+    # node off the grid adds weight 0.0 to node 0, which changes no sum
+    node = np.stack([i0, i0 + 1])
+    on = (node >= 0) & (node < n[:, None])
+    ix, iy, iz = np.where(on, node, 0).swapaxes(0, 1)
+    wx, wy, wz = np.where(on, np.stack([1 - d, d]), 0.0).swapaxes(0, 1)
+    # the 8 corners in (di, dj, dk) order, each over every point
+    flat = (iz * grid.ny + iy[:, None]) * grid.nx + ix[:, None, None]
+    wgt = wx[:, None, None] * wy[:, None] * wz
+    out = _scatter_rows(flat, wgt, (grid.nz * grid.ny * grid.nx,))
+    return Tensor(out.reshape(grid.nz, grid.ny, grid.nx))
 
 
 def knn_bev(query, cloud: PointCloud, k: int, max_dist: float = np.inf) -> list[int]:

@@ -20,6 +20,8 @@ def _rng():
 def test_backbone_config_validates_strides():
     with pytest.raises(ValueError):
         BackboneConfig(fusion_points=(9,))
+    with pytest.raises(ValueError, match="distinct"):
+        BackboneConfig(fusion_points=(1, 1))
 
 
 def test_residual_block_shapes_and_skip():

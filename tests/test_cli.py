@@ -252,8 +252,9 @@ def test_bad_eval_iou_kind_rejected_at_load(tmp_path, monkeypatch):
     ("BACKBONE__BEV_GROUPS", "[{layers: 2, channels: 4, stride: 1}, "
                              "{layers: 2, channels: 6, stride: 2}]"),
     ("BACKBONE__IMAGE_GROUPS", "[[2, 4, 1], [2, 6, 2]]"), ("BACKBONE__BEV_GROUPS", "[]"),
-    ("BACKBONE__FUSION_POINTS", "[-1]"), ("IMAGE_FEAT_CHANNELS", "-1"),
-    ("IMAGE_FEAT_CHANNELS", "0"), ("BEV_FPN_CHANNELS", "-2"), ("BEV_FPN_CHANNELS", "0"),
+    ("BACKBONE__FUSION_POINTS", "[-1]"), ("BACKBONE__FUSION_POINTS", "[0, 0]"),
+    ("IMAGE_FEAT_CHANNELS", "-1"), ("IMAGE_FEAT_CHANNELS", "0"), ("BEV_FPN_CHANNELS", "-2"),
+    ("BEV_FPN_CHANNELS", "0"),
     ("DATA__SYNTHETIC__X_RANGE", "[5, 2]"), ("DATA__SYNTHETIC__Y_RANGE", "[3, -3]"),
     ("DATA__SYNTHETIC__X_RANGE", "[2, 3]"), ("DATA__SYNTHETIC__X_RANGE", "[2, .inf]"),
     ("OPTIMIZER__BETAS", "[1.0, 0.999]"), ("OPTIMIZER__BETAS", "[0.9, 1.5]"),
@@ -347,11 +348,21 @@ def _truncate_first_record(data):
     record.write_bytes(record.read_bytes()[:-100])
 
 
+def _drop_height2d_and_is_3d(data):
+    index = json.loads((data / "index.json").read_text())
+    record = data / f"{index['frames'][0]}.npz"
+    with np.load(record) as z:
+        arrays = dict(z)
+    arrays["boxes"] = arrays["boxes"][:, :10]
+    np.savez(record, **arrays)
+
+
 @pytest.mark.parametrize("damage", [
     lambda data: (data / "index.json").write_text("{\"frames\": ["),
     lambda data: (data / "index.json").write_text(json.dumps({"seeds": []})),
-    _truncate_first_record], ids=["index_not_json", "index_without_frames",
-                                  "corrupt_record"])
+    _truncate_first_record, _drop_height2d_and_is_3d],
+    ids=["index_not_json", "index_without_frames", "corrupt_record",
+         "record_without_height2d_and_is_3d"])
 def test_damaged_manifest_is_config_error(tmp_path, damage):
     cfg = miniature_config()
     save_dataset(generate_dataset(cfg.data.synthetic, 1), tmp_path / "data")

@@ -160,7 +160,7 @@ _FUZZ_ACCEPTED = {
     "seed": (0,), "grid.x_range[0]": (0, -1, 0.5), "grid.x_range[1]": (0.5, 1e308),
     "grid.y_range[0]": (0, -1, 0.5), "grid.y_range[1]": (0, -1, 0.5, 1e308),
     "grid.z_range[0]": (0, -1, 0.5), "grid.z_range[1]": (0.5, 1e308),
-    "backbone.fusion_points[0]": (0,), "backbone.fusion_points[1]": (0,),
+    "backbone.fusion_points[0]": (0,),
     "fusion.max_dist": (0.5, math.inf, 1e308), "anchor.size[0]": (0.5, 1e308),
     "anchor.size[1]": (0.5, 1e308), "anchor.size[2]": (0.5, 1e308),
     "anchor.z": (0, -1, 0.5, 1e308), "assign": (None,), "loss.alpha": (0, 0.5),

@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -354,6 +355,9 @@ def test_parse_label_rejects_short_line():
 
 def test_save_load_dataset_round_trip(tmp_path):
     scenes = generate_dataset(_cfg(), 2)
+    box = scenes[0].gt_boxes[0]
+    scenes[0].gt_boxes[0] = replace(box, score=0.25, ignored=True, height2d=37.5,
+                                    is_3d=not box.is_3d)
     save_dataset(scenes, tmp_path / "ds")
     loaded = load_dataset(tmp_path / "ds")
     assert len(loaded) == 2
@@ -362,7 +366,5 @@ def test_save_load_dataset_round_trip(tmp_path):
         np.testing.assert_array_equal(a.image_feature_input.data,
                                       b.image_feature_input.data)
         np.testing.assert_array_equal(a.cam.projection, b.cam.projection)
-        assert len(a.gt_boxes) == len(b.gt_boxes)
-        for x, y in zip(a.gt_boxes, b.gt_boxes):
-            assert (x.x, x.y, x.z, x.w, x.h, x.d, x.t, x.cls, x.ignored) == \
-                   (y.x, y.y, y.z, y.w, y.h, y.d, y.t, y.cls, y.ignored)
+        assert (a.frame_id, a.cam.image_size) == (b.frame_id, b.cam.image_size)
+        assert [astuple(x) for x in a.gt_boxes] == [astuple(y) for y in b.gt_boxes]

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bevfuse.detect import DetectionBox
+from bevfuse.detect import DetectionBox, rank_detections
 from bevfuse.evaluation import (FP, SKIP, TP, EvalConfig, average_precision,
                                 evaluate_pr, match_detections,
-                                piecewise_range_ap, pr_curve, rank_detections)
+                                piecewise_range_ap, pr_curve)
 
 
 def _box(x, y, score=1.0, w=4.0, h=2.0, t=0.0, ignored=False, cls=0):

@@ -1,12 +1,16 @@
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bevfuse.config import load_config
 from bevfuse.data import make_forward_camera
 from bevfuse.geometry import (_MERGE_ROWS, BevGrid, BevKdTree, CalibratedCamera,
                               PointCloud, bilinear_sample, build_bev_index,
                               knn_bev, project_points, voxelize)
+from bevfuse.pipeline import build_scenes
 
 
 def _cloud(rng, n, lo=(0, -10, -1), hi=(30, 10, 2)):
@@ -85,6 +89,76 @@ def test_voxelize_empty_cloud():
     grid = BevGrid((0.0, 4.0), (-2.0, 2.0), (0.0, 1.0), 4, 4, 1)
     vox = voxelize(PointCloud(np.zeros((0, 3))), grid)
     assert vox.data.sum() == 0.0
+
+
+def _voxelize_add_at(cloud, grid):
+    """The eight-``np.add.at`` kernel ``voxelize`` replaced: the byte oracle.
+    Finite clouds within the intp range only; it casts every point."""
+    out = np.zeros((grid.nz, grid.ny, grid.nx))
+    cx, cy, cz = grid.cell
+    fx = (cloud.points[:, 0] - grid.x_range[0]) / cx - 0.5
+    fy = (cloud.points[:, 1] - grid.y_range[0]) / cy - 0.5
+    fz = (cloud.points[:, 2] - grid.z_range[0]) / cz - 0.5
+    i0 = np.floor(fx).astype(np.intp)
+    j0 = np.floor(fy).astype(np.intp)
+    k0 = np.floor(fz).astype(np.intp)
+    dx, dy, dz = fx - i0, fy - j0, fz - k0
+    for di in (0, 1):
+        wi = dx if di else 1 - dx
+        ii = i0 + di
+        for dj in (0, 1):
+            wj = dy if dj else 1 - dy
+            jj = j0 + dj
+            for dk in (0, 1):
+                wk = dz if dk else 1 - dz
+                kk = k0 + dk
+                wgt = wi * wj * wk
+                ok = (ii >= 0) & (ii < grid.nx) & (jj >= 0) & (jj < grid.ny) \
+                    & (kk >= 0) & (kk < grid.nz) & (wgt > 0)
+                np.add.at(out, (kk[ok], jj[ok], ii[ok]), wgt[ok])
+    return out
+
+
+def _assert_same_bytes(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_voxelize_matches_add_at_oracle_on_overfit_scenes():
+    cfg = load_config(pathlib.Path(__file__).resolve().parent.parent / "configs" / "overfit.yaml")
+    for scene in build_scenes(cfg):
+        _assert_same_bytes(voxelize(scene.cloud, cfg.grid).data,
+                           _voxelize_add_at(scene.cloud, cfg.grid))
+
+
+def test_voxelize_matches_add_at_oracle_on_random_clouds():
+    rng = np.random.default_rng(3)
+    grid = BevGrid((-2.0, 6.0), (-3.0, 3.0), (-1.0, 2.0), 8, 12, 3)
+    lo, hi = np.array([-2.0, -3.0, -1.0]), np.array([6.0, 3.0, 2.0])
+    cell = np.array(grid.cell)
+    for trial in range(300):
+        n = int(rng.integers(0, 60))
+        # spread up to two cells past every face so clipping is exercised
+        pts = rng.uniform(lo - 2 * cell, hi + 2 * cell, (n, 3))
+        # snap some points onto nodes and node planes (zero-weight corners)
+        nodes = lo + (rng.integers(-2, [10, 14, 5], (n, 3)) + 0.5) * cell
+        snap = rng.random((n, 3)) < 0.3
+        pts[snap] = nodes[snap]
+        cloud = PointCloud(pts)
+        _assert_same_bytes(voxelize(cloud, grid).data, _voxelize_add_at(cloud, grid))
+
+
+def test_voxelize_ignores_non_finite_and_huge_points():
+    """NaN, infinite and far-away points add nothing, without a warning from
+    the float-to-int cast (Tier-1 turns RuntimeWarning into an error)."""
+    rng = np.random.default_rng(4)
+    grid = BevGrid((0.0, 8.0), (-4.0, 4.0), (0.0, 2.0), 16, 16, 4)
+    pts = rng.uniform([-1.0, -5.0, -0.5], [9.0, 5.0, 2.5], (200, 3))
+    bad = np.array([[np.nan, 0.0, 1.0], [1.0, np.inf, 1.0], [1.0, 0.0, -np.inf],
+                    [1e300, 0.0, 1.0], [1.0, -1e300, 1.0], [1.0, 0.0, 1.7e308],
+                    [-1.7e308, np.nan, np.inf]])
+    mixed = np.insert(pts, [0, 50, 50, 120, 199, 200, 200], bad, axis=0)
+    _assert_same_bytes(voxelize(PointCloud(mixed), grid).data,
+                       voxelize(PointCloud(pts), grid).data)
 
 
 def _linear_scan(query, pts, k, max_dist):
