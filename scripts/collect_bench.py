@@ -7,17 +7,20 @@ the results into one JSON file:
 BASE (default ``HEAD``) is exported with ``git archive`` into a temporary
 directory. Every workload listed in ``BENCHMARK.json`` runs for its
 ``run_seconds`` on both sides, one run at a time: ``PAIRS`` pairs at
-``--trace 0`` and one pair at ``--trace 1``, alternating which side goes
-first. The output holds the first pair's ``perfbench/results/*.json`` files,
-both git SHAs, each side's ``src_lines`` (the lines of the ``.py`` files
-under ``src/``), and for every end-to-end metric the value of every trace-0
-run on each side, the two medians, the base runs' interquartile range and
-the number of pairs the change won, and the summed ``failed`` counts. After
-writing it, the script prints one line per workload and end-to-end metric:
-both medians, the relative change, the pairs won and the base IQR. Then one
-line per workload and per-layer metric of the traced pair whose values differ
-by more than ``LAYER_SHIFT`` of the base value: both values and the relative
-change. A last line gives both sides' ``src_lines`` and their difference.
+``--trace 0`` and ``TRACED_PAIRS`` pairs at ``--trace 1``, alternating which
+side goes first. The output holds the first pair's
+``perfbench/results/*.json`` files at each trace level, both git SHAs, each
+side's ``src_lines`` (the lines of the ``.py`` files under ``src/``), each
+side's per-layer values from every traced run, and for every end-to-end
+metric the value of every trace-0 run on each side, the two medians, the
+base runs' interquartile range and the number of pairs the change won, and
+the summed ``failed`` counts. After writing it, the script prints one line
+per workload and end-to-end metric: both medians, the relative change, the
+pairs won and the base IQR. Then one line per workload and per-layer metric
+whose median shift over the traced pairs exceeds ``LAYER_SHIFT``: both
+sides' medians and the median of the pairs' relative changes (a single
+traced pair spreads by about as much as the shifts it would show). A last
+line gives both sides' ``src_lines`` and their difference.
 """
 
 import json
@@ -30,7 +33,8 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEED = 1        # both sides run the same inputs
 PAIRS = 10      # trace-0 pairs per workload
-LAYER_SHIFT = 0.05   # per-layer metrics that moved more than this are printed
+TRACED_PAIRS = 3     # trace-1 pairs per workload
+LAYER_SHIFT = 0.05   # per-layer metrics whose median shift exceeds this are printed
 
 
 def git(*args) -> str:
@@ -64,14 +68,19 @@ def summary(doc: dict) -> list[str]:
         rel = f"{(change - base) / base:+7.1%}" if base else "    n/a"
         lines.append(f"{key:28s} base {base:<10.4g} change {change:<10.4g} {rel}  "
                      f"wins {m['change_wins']}/{len(m['base'])}  base IQR {m['base_iqr']:.3g}")
-    for key in sorted(k for k in doc["base"]["results"] if k.endswith("-trace1")):
-        base, change = (doc[side]["results"][key]["per_layer"] for side in ("base", "change"))
+    for workload in sorted(doc["base"]["per_layer"]):
+        base, change = (doc[side]["per_layer"][workload] for side in ("base", "change"))
         for name in sorted(base.keys() & change.keys()):
-            b, c = base[name]["value"], change[name]["value"]
-            if abs(c - b) > LAYER_SHIFT * abs(b):
-                rel = f"{(c - b) / b:+7.1%}" if b else "    n/a"
-                label = f"{key.removesuffix('-trace1')}.{name}"
-                lines.append(f"{label:52s} base {b:<10.4g} change {c:<10.4g} {rel}")
+            b, c = statistics.median(base[name]), statistics.median(change[name])
+            shifts = [(y - x) / x for x, y in zip(base[name], change[name]) if x]
+            if shifts:
+                shift = statistics.median(shifts)
+                moved, rel = abs(shift) > LAYER_SHIFT, f"{shift:+7.1%}"
+            else:
+                moved, rel = c != b, "    n/a"
+            if moved:
+                lines.append(f"{workload + '.' + name:52s} base {b:<10.4g} "
+                             f"change {c:<10.4g} {rel}")
     base, change = doc["base"]["src_lines"], doc["change"]["src_lines"]
     lines.append(f"src_lines base {base} change {change} ({change - base:+d})")
     return lines
@@ -89,13 +98,15 @@ def main(argv: list[str]) -> int:
            "change": {"sha": git("rev-parse", "HEAD"),
                       "dirty": bool(git("status", "--porcelain")), "results": {}}}
     runs = {side: {w["name"]: [] for w in bench["workloads"]} for side in ("base", "change")}
+    for side in ("base", "change"):
+        doc[side]["per_layer"] = {w["name"]: {} for w in bench["workloads"]}
     with tempfile.TemporaryDirectory() as tmp:
         base_dir = pathlib.Path(tmp)
         export(base_sha, base_dir)
         doc["base"]["src_lines"], doc["change"]["src_lines"] = map(src_lines, (base_dir, ROOT))
         sides = [("base", base_dir), ("change", ROOT)]
         for workload in (w["name"] for w in bench["workloads"]):
-            for i, trace in enumerate([0] * PAIRS + [1]):
+            for i, trace in enumerate([0] * PAIRS + [1] * TRACED_PAIRS):
                 for side, checkout in sides if i % 2 == 0 else sides[::-1]:
                     print(f"{side:6s} {workload} --trace {trace} pair {i}", flush=True)
                     res = run(bench["command"], checkout, workload, bench["run_seconds"], trace)
@@ -105,6 +116,10 @@ def main(argv: list[str]) -> int:
                         runs[side][workload].append(
                             {"failed": res["failed"],
                              **{k: m["value"] for k, m in res["end_to_end"].items()}})
+                    else:
+                        layers = doc[side]["per_layer"][workload]
+                        for name, m in res["per_layer"].items():
+                            layers.setdefault(name, []).append(m["value"])
     doc["end_to_end"] = {}
     for w in bench["workloads"]:
         for m in bench["end_to_end"]:

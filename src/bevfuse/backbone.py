@@ -155,7 +155,7 @@ class FpnCombiner:
         if len(maps) != len(self.projs):
             raise ValueError(f"expected {len(self.projs)} maps, got {len(maps)}")
         for fine, coarse in zip(maps, maps[1:]):
-            if fine.shape[1] != 2 * coarse.shape[1] or fine.shape[2] != 2 * coarse.shape[2]:
+            if fine.shape[-2] != 2 * coarse.shape[-2] or fine.shape[-1] != 2 * coarse.shape[-1]:
                 raise ValueError("pyramid spatial extents must halve scale to scale")
         out = self.projs[-1].forward(maps[-1])
         for i in range(len(maps) - 2, -1, -1):
@@ -182,7 +182,7 @@ class ImageStream:
 
     def forward(self, image_input: Tensor) -> Tensor:
         """The pyramid merged at the finest scale."""
-        _, h, w = image_input.shape
+        h, w = image_input.shape[-2:]
         if h % self.cum_stride or w % self.cum_stride:
             raise ValueError(f"image dims {h}x{w} not divisible by stride {self.cum_stride}")
         scales = []
@@ -191,6 +191,13 @@ class ImageStream:
             x = g.forward(x)
             scales.append(x)
         return self.combiner.forward(scales)
+
+
+def param_module(name: str) -> str:
+    """The module that owns parameter ``name``: ``image``, ``fusion<p>``,
+    ``bev.group<g>``, ``bev.fpn`` or ``header``."""
+    parts = name.split(".")
+    return ".".join(parts[:2]) if parts[0] == "bev" else parts[0]
 
 
 class DetectorModel:
@@ -278,6 +285,8 @@ class DetectorModel:
 
     def forward(self, bev_input: Tensor, image_input: Tensor | None,
                 plans: dict[int, FusionPlan] | None) -> HeaderOutput:
+        """Header output for N x C x H x W inputs with ``merge_plans`` plans,
+        or for one scene's C x H x W inputs and its own plans."""
         if self.image_stream is not None:
             if image_input is None or plans is None:
                 raise ValueError("fusion modes need the image input and plans")

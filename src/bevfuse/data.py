@@ -19,7 +19,9 @@ from .domains import (Checked, Finite, Increasing, NonDecreasing, NonNeg, Pos, U
 from .geometry import BevGrid, CalibratedCamera, PointCloud, project_points
 from .tensor import InputError, Tensor
 
-GENERATOR_VERSION = 1
+# the dataset record layout; version 1 records hold 10 box columns, without
+# height2d and is_3d
+GENERATOR_VERSION = 2
 
 CLASS_NAMES = ["Car", "Pedestrian", "Cyclist", "Van", "DontCare", "Misc"]
 IGNORED_CLASSES = ("Van", "DontCare")
@@ -439,9 +441,14 @@ def load_dataset(directory) -> list[SceneSample]:
     path = os.path.join(directory, "index.json")
     with open(path) as f:
         try:
-            frames = json.load(f)["frames"]
+            index = json.load(f)
+            frames = index["frames"]
         except (ValueError, KeyError, TypeError) as e:
             raise InputError(f"{path}: not a dataset index: {e!r}") from None
+    version = index.get("generator_version")
+    if version != GENERATOR_VERSION:
+        raise InputError(f"{path}: dataset version mismatch: generator_version {version!r}, "
+                         f"this program reads {GENERATOR_VERSION}; regenerate the dataset")
     return [_load_record(os.path.join(directory, f"{fid}.npz"), fid) for fid in frames]
 
 

@@ -291,7 +291,7 @@ class HeaderOutput:
     """Raw 1x1-conv output of a ``variant`` header: per pixel, one
     (logit, R regression offsets) cell run per anchor orientation."""
 
-    raw: Tensor                  # (A * (1+R)) x ny x nx
+    raw: Tensor                  # (A * (1+R)) x ny x nx, or N x (A * (1+R)) x ny x nx
     variant: str
 
     @property
@@ -299,8 +299,11 @@ class HeaderOutput:
         return NUM_REG[self.variant]
 
     def flat(self) -> Tensor:
-        """One (1 + R) row per ``make_anchors`` row, in the same order."""
-        return self.raw.transpose((1, 2, 0)).reshape(-1, 1 + self.num_reg)
+        """One (1 + R) row per ``make_anchors`` row, in the same order; for a
+        batch, scene after scene."""
+        d = self.raw.ndim
+        return self.raw.transpose((*range(d - 3), d - 2, d - 1, d - 3)).reshape(
+            -1, 1 + self.num_reg)
 
 
 class DetectionHeader:

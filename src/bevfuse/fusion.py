@@ -3,6 +3,7 @@ the K nearest LIDAR points and an offset-conditioned shared MLP."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,17 +78,30 @@ class FusionMlp:
 
 @dataclass
 class FusionPlan:
-    """Precomputed (pixel, neighbor) pairing for one cloud/camera/raster triple.
+    """Precomputed (pixel, neighbor) pairing for one cloud/camera/raster triple,
+    or for a batch of them (``merge_plans``).
 
     Pure geometry: reusable across training steps as long as the cloud, the
     calibration and the target raster stay fixed.
     """
 
-    pair_pixel: np.ndarray      # P, flat index into the ny*nx raster
+    pair_pixel: np.ndarray      # P, flat index into the (scene, iy, ix) rasters
+    pair_scene: np.ndarray      # P, the scene whose image each pair samples
     pair_uv: np.ndarray         # P x 2, image coordinates (invalid pushed off-image)
     pair_offset: np.ndarray     # P x 3, x_j - x_i in meters; P x 0 without the offset input
     ny: int
     nx: int
+
+
+def merge_plans(plans: list[FusionPlan]) -> FusionPlan:
+    """One plan for a batch of one-scene plans on the same raster: scene n's
+    pixels are offset by n·ny·nx and its pairs sample image n."""
+    npix = plans[0].ny * plans[0].nx
+    return FusionPlan(np.concatenate([p.pair_pixel + n * npix for n, p in enumerate(plans)]),
+                      np.concatenate([p.pair_scene + n for n, p in enumerate(plans)]),
+                      np.concatenate([p.pair_uv for p in plans]),
+                      np.concatenate([p.pair_offset for p in plans]),
+                      plans[0].ny, plans[0].nx)
 
 
 # off-image sentinel: bilinear sampling returns the zero vector there
@@ -112,21 +126,26 @@ def plan_fusion(cloud: PointCloud, cam: CalibratedCamera, grid: BevGrid,
     offset = np.zeros((pix.size, 0))
     if geometric:       # target pixel sits on the z=0 reference plane
         offset = cloud.points[j] - np.column_stack([centers[pix], np.zeros(pix.size)])
-    return FusionPlan(pix, pair_uv, offset, grid.ny, grid.nx)
+    return FusionPlan(pix, np.zeros(pix.size, np.intp), pair_uv, offset, grid.ny, grid.nx)
 
 
 def apply_fusion(image_features: Tensor, plan: FusionPlan, mlp: FusionMlp) -> Tensor:
-    """Run the shared MLP over all (pixel, neighbor) pairs and sum per pixel."""
-    c, o = image_features.shape[0], plan.pair_offset.shape[1]
+    """Run the shared MLP over all (pixel, neighbor) pairs and sum per pixel.
+    N x C x H x W image features give N x D_o x ny x nx maps; one C x H x W
+    map gives one D_o x ny x nx map."""
+    c, o = image_features.shape[-3], plan.pair_offset.shape[1]
     if c + o != mlp.input_dim:
         raise FusionConfigError(f"{c} image channels + {o} offset columns do not "
                                 f"match the MLP's input width {mlp.input_dim}")
-    npix = plan.ny * plan.nx
-    feats = T.concat([T.bilinear_sample(image_features, plan.pair_uv),
+    lead = image_features.shape[:-3]
+    rows = math.prod(lead) * plan.ny * plan.nx
+    feats = T.concat([T.bilinear_sample(image_features, plan.pair_uv, plan.pair_scene),
                       Tensor(plan.pair_offset)], axis=1)        # P x D_i
     h = mlp.forward(feats)                                      # P x D_o
-    out = T.scatter_add_rows(h, plan.pair_pixel, npix)          # npix x D_o
-    return out.reshape(plan.ny, plan.nx, mlp.output_dim).transpose((2, 0, 1))
+    out = T.scatter_add_rows(h, plan.pair_pixel, rows)          # N·ny·nx x D_o
+    d = len(lead)
+    return out.reshape(*lead, plan.ny, plan.nx, mlp.output_dim).transpose(
+        (*range(d), d + 2, d, d + 1))
 
 
 def continuous_fusion_forward(image_features: Tensor, cloud: PointCloud,
@@ -151,4 +170,5 @@ def plan_discrete_fusion(cloud: PointCloud, cam: CalibratedCamera,
     iy = np.floor((cloud.points[:, 1] - grid.y_range[0]) / cy).astype(np.intp)
     keep = (ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny) & valid
     pix = iy[keep] * grid.nx + ix[keep]
-    return FusionPlan(pix, uv[keep], np.zeros((pix.size, 0)), grid.ny, grid.nx)
+    return FusionPlan(pix, np.zeros(pix.size, np.intp), uv[keep], np.zeros((pix.size, 0)),
+                      grid.ny, grid.nx)

@@ -11,15 +11,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import losses, tensor as T
-from .backbone import DetectorModel, group_stride
+from .backbone import MODES, DetectorModel, group_stride, param_module
 from .config import ExperimentConfig, FusionSection
 from .data import (SceneSample, augment, generate_dataset, load_dataset,
                    load_kitti_frame)
 from .detect import DetectionBox, decode_detections, make_anchors, nms, regression_rows
 from .evaluation import evaluate_pr, piecewise_range_ap
-from .fusion import FusionConfig, FusionMlp, FusionPlan, continuous_fusion_forward
+from .fusion import (FusionConfig, FusionMlp, FusionPlan, continuous_fusion_forward,
+                     merge_plans)
 from .geometry import BevGrid, PointCloud, voxelize
-from .losses import NEGATIVE, hard_negative_mining, total_loss
+from .losses import (NEGATIVE, AssignmentConfig, LossBreakdown, hard_negative_mining,
+                     total_loss)
 from .tensor import Adam, InputError, Tensor, atomic_write, save_checkpoint
 
 
@@ -54,7 +56,8 @@ def build_scenes(cfg: ExperimentConfig) -> list[SceneSample]:
 
 def _check_images_fit(cfg: ExperimentConfig, scenes: list[SceneSample]):
     """Raise InputError unless ``cfg.mode`` is bev_only or every scene's
-    image fits the image stream."""
+    image fits the image stream. The images must share one shape, because a
+    training step stacks them into one batch."""
     if cfg.mode == "bev_only":
         return
     channels = cfg.data.synthetic.image_shape[0]
@@ -66,6 +69,10 @@ def _check_images_fit(cfg: ExperimentConfig, scenes: list[SceneSample]):
             raise InputError(f"scene {s.frame_id}: image {list(shape)} does not fit "
                              f"the image stream ({channels} channels, extents "
                              f"divisible by {stride})")
+        if shape != scenes[0].image_feature_input.shape:
+            raise InputError(f"scene {s.frame_id}: image {list(shape)} differs from "
+                             f"scene {scenes[0].frame_id}'s "
+                             f"{list(scenes[0].image_feature_input.shape)}")
 
 
 @dataclass
@@ -93,41 +100,60 @@ def prepare_scene(model: DetectorModel, cfg: ExperimentConfig,
                                     cfg.loss.wrap_orientation))
 
 
-def scene_loss(model: DetectorModel, cfg: ExperimentConfig, prep: PreparedScene,
-               mining_rng: np.random.Generator,
-               mined_override: np.ndarray | None = None):
-    """Forward one scene and build its multi-task loss breakdown."""
-    header = model.forward(prep.bev_input, prep.sample.image_feature_input,
-                           prep.plans)
+def batch_inputs(model: DetectorModel, preps: list[PreparedScene]):
+    """The model's inputs for a batch of prepared scenes: N x C x H x W BEV
+    and image maps, and one ``merge_plans`` plan per fusion level (the image
+    and plans are None when the model has no image stream)."""
+    bev = Tensor(np.stack([p.bev_input.data for p in preps]))
+    if model.image_stream is None:
+        return bev, None, None
+    image = Tensor(np.stack([p.sample.image_feature_input.data for p in preps]))
+    return bev, image, {lvl: merge_plans([p.plans[lvl] for p in preps])
+                        for lvl in model.fusion_mlps}
+
+
+def scene_loss(model: DetectorModel, cfg: ExperimentConfig, preps: list[PreparedScene],
+               mining_rngs: list[np.random.Generator],
+               mined_override: list[np.ndarray] | None = None) -> list[LossBreakdown]:
+    """Forward a step's scenes as one batch and build each scene's multi-task
+    loss breakdown. Scene i mines its negatives on its own slice of the
+    scores with ``mining_rngs[i]``, unless ``mined_override[i]`` fixes them."""
+    header = model.forward(*batch_inputs(model, preps))
     flat = header.flat()
-    n_pos = prep.pos_idx.size
-    if mined_override is not None:
-        mined = mined_override
-    else:
-        scores_np = T.logistic(flat.data[:, 0])
-        k = cfg.assignment().topk(n_pos)
-        mined = hard_negative_mining(prep.neg_idx, scores_np, k,
-                                     cfg.assignment().neg_sample_fraction,
-                                     mining_rng)
-    selected = np.concatenate([prep.pos_idx, mined]).astype(np.intp)
-    cls_labels = np.concatenate([np.ones(n_pos), np.zeros(mined.size)])
+    per_scene = flat.shape[0] // len(preps)
+    scores = T.logistic(flat.data[:, 0])
     # each anchor row is [logit, R regression cells]; select from the flat cells
     width = 1 + header.num_reg
     cells = flat.reshape(-1)
-    cls_logits = T.gather_rows(cells, selected * width)
-    if n_pos:
-        reg_pred = T.gather_rows(cells, prep.pos_idx[:, None] * width
-                                 + np.arange(1, width))
-    else:
-        reg_pred = Tensor.zeros((0, header.num_reg))
-    return total_loss(cls_logits, cls_labels, reg_pred, prep.reg_targets,
-                      alpha=cfg.loss.alpha)
+    out = []
+    for i, prep in enumerate(preps):
+        first = i * per_scene
+        n_pos = prep.pos_idx.size
+        if mined_override is not None:
+            mined = mined_override[i]
+        else:
+            mined = hard_negative_mining(prep.neg_idx, scores[first:first + per_scene],
+                                         cfg.assignment().topk(n_pos),
+                                         cfg.assignment().neg_sample_fraction,
+                                         mining_rngs[i])
+        selected = first + np.concatenate([prep.pos_idx, mined]).astype(np.intp)
+        cls_labels = np.concatenate([np.ones(n_pos), np.zeros(mined.size)])
+        cls_logits = T.gather_rows(cells, selected * width)
+        if n_pos:
+            reg_pred = T.gather_rows(cells, (first + prep.pos_idx[:, None]) * width
+                                     + np.arange(1, width))
+        else:
+            reg_pred = Tensor.zeros((0, header.num_reg))
+        out.append(total_loss(cls_logits, cls_labels, reg_pred, prep.reg_targets,
+                              alpha=cfg.loss.alpha))
+    return out
 
 
 def detect_scene(model: DetectorModel, cfg: ExperimentConfig,
                  anchors: np.ndarray, prep: PreparedScene) -> list[DetectionBox]:
-    header = model.forward(prep.bev_input, prep.sample.image_feature_input,
-                           prep.plans)
+    with T.no_grad():
+        header = model.forward(prep.bev_input, prep.sample.image_feature_input,
+                               prep.plans)
     boxes = decode_detections(header, anchors, center_norm=cfg.loss.center_norm)
     return nms(boxes, iou_threshold=cfg.eval.nms_iou,
                score_threshold=cfg.eval.score_threshold,
@@ -195,10 +221,9 @@ def train_run(cfg: ExperimentConfig, out_dir: str) -> dict:
                          for i, s in enumerate(scenes)]
             else:
                 preps = static_preps
-            breakdowns = []
-            for i, prep in enumerate(preps):
-                mining_rng = np.random.default_rng([cfg.seed, 7, step, i])
-                breakdowns.append(scene_loss(model, cfg, prep, mining_rng))
+            breakdowns = scene_loss(model, cfg, preps,
+                                    [np.random.default_rng([cfg.seed, 7, step, i])
+                                     for i in range(len(preps))])
             total = breakdowns[0].total
             for b in breakdowns[1:]:
                 total = total + b.total
@@ -295,8 +320,10 @@ def _jitter_biases(params: dict, rng: np.random.Generator):
 
 
 def run_gradcheck(rtol: float = 1e-4, seed: int = 0) -> list[tuple[str, float, bool]]:
-    """Finite-difference checks for every registered differentiable op plus an
-    end-to-end miniature model; returns (name, max rel err, passed) rows."""
+    """Finite-difference checks for every registered differentiable op (the
+    map ops also on batches), an end-to-end miniature model, and directional
+    checks of every module of the full-size model in each mode; returns
+    (name, max rel err, passed) rows."""
     from .gradcheck import max_grad_error
     rng = np.random.default_rng(seed)
     results = []
@@ -363,6 +390,23 @@ def run_gradcheck(rtol: float = 1e-4, seed: int = 0) -> list[tuple[str, float, b
     check("bce_with_logits", lambda: T.bce_with_logits(logits, np.arange(8) % 2), [logits])
     pred = Tensor(rng.uniform(-3.0, 3.0, (4, 3)), requires_grad=True)
     check("smooth_l1_sum", lambda: T.smooth_l1_sum(pred, np.full((4, 3), 0.5)), [pred])
+
+    # the map ops on batches of two non-square maps
+    xb = Tensor(rng.standard_normal((2, 2, 5, 7)), requires_grad=True)
+    for stride in (1, 2):
+        check(f"conv2d_batch_s{stride}",
+              lambda s=stride: (T.conv2d(xb, w, stride=s, padding=1) ** 2.0).sum(), [xb, w])
+    xb1 = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
+    check("conv2d_batch_1x1", lambda: (T.conv2d(xb1, w1) ** 2.0).sum(), [xb1, w1])
+    check("add_channel_bias_batch", lambda: (T.add_channel_bias(xb, cb) ** 2.0).sum(),
+          [xb, cb])
+    check("upsample2x_batch", lambda: (T.upsample2x(xb) ** 2.0).sum(), [xb])
+    fmb = Tensor(rng.standard_normal((2, 2, 4, 6)), requires_grad=True)
+    scene = rng.integers(0, 2, len(uv))
+    check("bilinear_sample_batch",
+          lambda: (T.bilinear_sample(fmb, uv, scene) ** 2.0).sum(), [fmb])
+
+    results += _full_model_checks(rtol)
     return results
 
 
@@ -385,22 +429,20 @@ def miniature_config() -> ExperimentConfig:
     return cfg
 
 
-def _miniature_model_check(rtol: float) -> tuple[str, float, bool]:
-    from .gradcheck import max_grad_error
-    cfg = miniature_config()
-    rng = np.random.default_rng(5)
+def _frozen_scene_loss(cfg: ExperimentConfig, sample: SceneSample,
+                       rng: np.random.Generator):
+    """A model drawn from ``rng`` with jittered biases, and a closure giving
+    the loss of ``sample`` with its mined negatives frozen: mining ranks by
+    live scores, which makes the loss piecewise in the parameters and
+    invalidates finite differences."""
     model = build_model(cfg, rng)
-    sample = build_scenes(cfg)[0]
-    sample.cloud = PointCloud(sample.cloud.points[:4])     # 4-point cloud
     anchors = make_anchors(model.output_grid, cfg.anchor.size, cfg.anchor.z)
     prep = prepare_scene(model, cfg, anchors, sample)
     params = model.parameters()
     _jitter_biases(params, rng)
-
-    # freeze the mined negative set: mining ranks by live scores, which makes
-    # the loss piecewise in the parameters and invalidates finite differences
-    header = model.forward(prep.bev_input, prep.sample.image_feature_input,
-                           prep.plans)
+    with T.no_grad():
+        header = model.forward(prep.bev_input, prep.sample.image_feature_input,
+                               prep.plans)
     scores = T.logistic(header.flat().data[:, 0])
     mined = hard_negative_mining(prep.neg_idx, scores,
                                  cfg.assignment().topk(prep.pos_idx.size),
@@ -408,8 +450,40 @@ def _miniature_model_check(rtol: float) -> tuple[str, float, bool]:
                                  np.random.default_rng(1))
 
     def loss():
-        return scene_loss(model, cfg, prep, np.random.default_rng(1),
-                          mined_override=mined).total
+        return scene_loss(model, cfg, [prep], [np.random.default_rng(1)],
+                          mined_override=[mined])[0].total
+    return params, loss
+
+
+def _miniature_model_check(rtol: float) -> tuple[str, float, bool]:
+    from .gradcheck import max_grad_error
+    cfg = miniature_config()
+    sample = build_scenes(cfg)[0]
+    sample.cloud = PointCloud(sample.cloud.points[:4])     # 4-point cloud
+    params, loss = _frozen_scene_loss(cfg, sample, np.random.default_rng(5))
     # check a representative parameter subset (full sweep is minutes-slow)
     worst = max_grad_error(loss, [p for _, p in sorted(params.items()) if p.size <= 80])
     return ("miniature_end_to_end", worst, worst < rtol)
+
+
+def _full_model_checks(rtol: float) -> list[tuple[str, float, bool]]:
+    """Directional checks of every parameter of the full-size model, one row
+    per module and mode. The model and scene are those of
+    ``configs/overfit.yaml`` (the defaults, with its anchor assignment): one
+    scene, 32 x 32 BEV and 24 x 48 image maps."""
+    from .gradcheck import max_directional_error
+    rows = []
+    for mode in MODES:
+        cfg = ExperimentConfig(mode=mode, assign=AssignmentConfig(
+            3.0, 3.0, neg_sample_fraction=1.0, topk_neg_floor=1000))
+        cfg.loss.center_norm = "diagonal"
+        cfg.data.n_scenes = 1
+        rng = np.random.default_rng(11)
+        params, loss = _frozen_scene_loss(cfg, build_scenes(cfg)[0], rng)
+        modules: dict[str, list[Tensor]] = {}
+        for name, p in sorted(params.items()):
+            modules.setdefault(param_module(name), []).append(p)
+        for module, group in modules.items():
+            worst = max_directional_error(loss, group, rng)
+            rows.append((f"model_{mode}.{module}", worst, worst < rtol))
+    return rows

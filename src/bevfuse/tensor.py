@@ -2,7 +2,13 @@
 
 Everything is float64 and numpy-backed. The tape is built eagerly during the
 forward pass (each op output keeps closures over its parents) and torn down
-after ``backward``. No broadcasting beyond scalar-tensor; reshape explicitly.
+after ``backward``; inside ``no_grad`` no tape is built. No broadcasting
+beyond scalar-tensor; reshape explicitly.
+
+Feature maps are N x C x H x W: one map per scene, so one tape serves a whole
+batch. The map ops (``conv2d``, ``add_channel_bias``, ``upsample2x``,
+``bilinear_sample``) also take a C x H x W map as a batch of one and return
+the same rank they were given.
 """
 
 from __future__ import annotations
@@ -14,6 +20,21 @@ import struct
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Inside the block, op outputs record no tape: nothing can be
+    backpropagated through them, and nothing they saw is kept alive."""
+    global _grad_enabled
+    outer, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = outer
 
 
 class Tensor:
@@ -39,7 +60,7 @@ class Tensor:
     def _result(data: np.ndarray, parents: Sequence["Tensor"], op: str,
                 backward: Callable[[np.ndarray], None]) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -268,15 +289,15 @@ def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
 
 
 def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a per-channel bias (shape C) to a C x H x W map."""
-    if x.ndim != 3 or b.shape != (x.shape[0],):
+    """Add a per-channel bias (shape C) to N x C x H x W maps or one C x H x W map."""
+    if x.ndim not in (3, 4) or b.shape != (x.shape[-3],):
         raise ValueError(f"add_channel_bias shapes incompatible: {x.shape} + {b.shape}")
 
     def bw(g):
         if x.requires_grad:
             x._accumulate(g)
         if b.requires_grad:
-            b._accumulate(g.sum(axis=(1, 2)))
+            b._accumulate(g.sum(axis=(0, 2, 3) if g.ndim == 4 else (1, 2)))
 
     return Tensor._result(x.data + b.data[:, None, None], (x, b), "add_channel_bias", bw)
 
@@ -372,69 +393,77 @@ def _conv_out_extent(n: int, k: int, stride: int, padding: int) -> int:
     return (n + 2 * padding - k) // stride + 1
 
 
-# Columns are laid out (C, kh, kw) down the rows and (Ho, Wo) along the
+# Columns are laid out (C, kh, kw) down the rows and (N, Ho, Wo) along the
 # columns. The windows are one strided view in that axis order, so the
-# reshape to C·kh·kw x Ho·Wo is the only copy, and for a 1 x 1 conv at
-# stride 1 without padding it copies nothing: the columns are then a view of
-# the input, which the backward pass reads again for the weight grad, so an
-# input's ``.data`` must not be written between the forward and the backward
-# pass.
+# reshape to C·kh·kw x N·Ho·Wo is the only copy, and for a 1 x 1 conv at
+# stride 1 without padding on a batch of one it copies nothing: the columns
+# are then a view of the input, which the backward pass reads again for the
+# weight grad, so an input's ``.data`` must not be written between the
+# forward and the backward pass.
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
             ho: int, wo: int) -> np.ndarray:
-    c, h, w = x.shape
+    x = x.reshape(-1, *x.shape[-3:])        # a C x H x W map is a batch of one
+    n, c, h, w = x.shape
     if padding:
-        xp = np.zeros((c, h + 2 * padding, w + 2 * padding))
-        xp[:, padding:-padding, padding:-padding] = x
+        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+        xp[:, :, padding:-padding, padding:-padding] = x
         x = xp
     else:
         x = np.ascontiguousarray(x)
-    sc, sh, sw = x.strides
+    sn, sc, sh, sw = x.strides
     # the ndarray constructor is a much cheaper strided view than as_strided
-    windows = np.ndarray((c, kh, kw, ho, wo), x.dtype, x, 0,
-                         (sc, sh, sw, sh * stride, sw * stride))
-    return windows.reshape(c * kh * kw, ho * wo)
+    windows = np.ndarray((c, kh, kw, n, ho, wo), x.dtype, x, 0,
+                         (sc, sh, sw, sn, sh * stride, sw * stride))
+    return windows.reshape(c * kh * kw, n * ho * wo)
 
 
 def _col2im(cols: np.ndarray, shape, kh, kw, stride, padding, ho, wo) -> np.ndarray:
-    c, h, w = shape
+    """The adjoint of ``_im2col``: an array of the input's ``shape``."""
+    *lead, c, h, w = shape
+    n = math.prod(lead)
     if kh == kw == 1 and stride == 1 and padding == 0:
-        return cols.reshape(c, h, w)
-    # zeros plus += even where windows do not overlap, so a -0.0 in the
-    # columns reads back as 0.0; the (i, j) order fixes the rounding
-    acc = np.zeros((c, h + 2 * padding, w + 2 * padding))
-    cols = cols.reshape(c, kh, kw, ho, wo)
-    for i in range(kh):
-        for j in range(kw):
-            acc[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += cols[:, i, j]
-    if padding:
-        acc = acc[:, padding:-padding, padding:-padding]
-    return acc
+        acc = cols.reshape(c, n, h, w)
+    else:
+        # zeros plus += even where windows do not overlap, so a -0.0 in the
+        # columns reads back as 0.0; the (i, j) order fixes the rounding
+        acc = np.zeros((c, n, h + 2 * padding, w + 2 * padding))
+        cols = cols.reshape(c, kh, kw, n, ho, wo)
+        for i in range(kh):
+            for j in range(kw):
+                acc[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += cols[:, i, j]
+        if padding:
+            acc = acc[:, :, padding:-padding, padding:-padding]
+    return acc.transpose(1, 0, 2, 3).reshape(shape)
 
 
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2D convolution of a C_in x H x W map with C_out x C_in x kh x kw weights.
+    """2D convolution of N x C_in x H x W maps (or one C_in x H x W map) with
+    C_out x C_in x kh x kw weights. One GEMM covers the whole batch, so the
+    weight grad sums over N·Ho·Wo columns at once.
 
     The backward pass reads ``weight.data``, and may read ``x.data`` through
-    a view (a 1 x 1 conv at stride 1 without padding on a contiguous input):
-    nothing may write either between this call and ``backward``."""
+    a view (a 1 x 1 conv at stride 1 without padding on a contiguous batch of
+    one): nothing may write either between this call and ``backward``."""
     c_out, c_in, kh, kw = weight.shape
-    if x.ndim != 3 or x.shape[0] != c_in:
+    if x.ndim not in (3, 4) or x.shape[-3] != c_in:
         raise ValueError(f"conv2d input {x.shape} incompatible with weight {weight.shape}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("conv2d kernel extents must be odd")
     if stride < 1:
         raise ValueError("conv2d stride must be >= 1")
-    _, h, w = x.shape
+    n, (h, w) = math.prod(x.shape[:-3]), x.shape[-2:]
     ho = _conv_out_extent(h, kh, stride, padding)
     wo = _conv_out_extent(w, kw, stride, padding)
     if ho <= 0 or wo <= 0:
         raise ValueError(f"conv2d output extent non-positive for input {x.shape}")
     cols = _im2col(x.data, kh, kw, stride, padding, ho, wo)
     wmat = weight.data.reshape(c_out, c_in * kh * kw)
-    out = (wmat @ cols).reshape(c_out, ho, wo)
+    # C_out x N x Ho x Wo to N x C_out x Ho x Wo: a copy only for N > 1
+    out = np.ascontiguousarray((wmat @ cols).reshape(c_out, n, ho, wo).transpose(1, 0, 2, 3))
 
     def bw(g):
-        g2 = g.reshape(c_out, ho * wo)
+        g4 = g.reshape(n, c_out, ho, wo)
+        g2 = g4.transpose(1, 0, 2, 3).reshape(c_out, n * ho * wo)
         if weight.requires_grad:
             weight._accumulate((g2 @ cols.T).reshape(weight.shape))
         if x.requires_grad:
@@ -442,36 +471,47 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
                 # transposed conv: correlate g, padded to k-1-padding, with the
                 # flipped weights, (C_in, C_out, kh, kw) as a C_in-row matrix
                 flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                gcols = _im2col(g, kh, kw, 1, kh - 1 - padding, *x.shape[1:])
-                x._accumulate((flipped.reshape(x.shape[0], -1) @ gcols).reshape(x.shape))
+                gcols = _im2col(g4, kh, kw, 1, kh - 1 - padding, h, w)
+                gx = (flipped.reshape(c_in, -1) @ gcols).reshape(c_in, n, h, w)
+                x._accumulate(gx.transpose(1, 0, 2, 3).reshape(x.shape))
             else:
                 x._accumulate(_col2im(wmat.T @ g2, x.shape, kh, kw, stride, padding,
                                       ho, wo))
 
-    return Tensor._result(out, (x, weight), "conv2d", bw)
+    return Tensor._result(out.reshape(*x.shape[:-3], c_out, ho, wo), (x, weight),
+                          "conv2d", bw)
 
 
 def upsample2x(x: Tensor) -> Tensor:
-    """Nearest-neighbor 2x upsampling of a C x H x W map."""
+    """Nearest-neighbor 2x upsampling of the last two axes of a C x H x W or
+    N x C x H x W map."""
     a = x
-    c, h, w = x.shape
+    *lead, h, w = x.shape
 
     def bw(g):
         if a.requires_grad:
-            a._accumulate(g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))
+            a._accumulate(g.reshape(*lead, h, 2, w, 2).sum(axis=(-3, -1)))
 
-    out = np.repeat(np.repeat(a.data, 2, axis=1), 2, axis=2)
+    out = np.repeat(np.repeat(a.data, 2, axis=-2), 2, axis=-1)
     return Tensor._result(out, (a,), "upsample2x", bw)
 
 
-def bilinear_sample(feature_map: Tensor, uv: np.ndarray) -> Tensor:
-    """Sample a C x H x W map at N continuous (u, v) pixel coordinates -> N x C.
+def bilinear_sample(feature_map: Tensor, uv: np.ndarray, scene=None) -> Tensor:
+    """Sample maps at P continuous (u, v) pixel coordinates -> P x C.
 
-    Coordinates outside [0, W-1] x [0, H-1] yield the zero vector. Differentiable
-    with respect to the feature map only.
+    ``feature_map`` is one C x H x W map, or N x C x H x W maps with
+    ``scene`` naming each sample's map (P indices; all 0 when omitted).
+    Coordinates outside [0, W-1] x [0, H-1] yield the zero vector.
+    Differentiable with respect to the feature maps only.
     """
     uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
-    c, h, w = feature_map.shape
+    fm = feature_map.data.reshape(-1, *feature_map.shape[-3:])
+    n, c, h, w = fm.shape
+    scene = np.zeros(len(uv), np.intp) if scene is None else np.asarray(scene, np.intp)
+    if scene.shape != (len(uv),):
+        raise ValueError(f"bilinear_sample needs one scene per sample, got {scene.shape}")
+    if scene.size and (scene.min() < 0 or scene.max() >= n):
+        raise IndexError("bilinear_sample scene index out of range")
     u, v = uv[:, 0], uv[:, 1]
     inside = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
     uc = np.clip(u, 0, w - 1)
@@ -486,19 +526,20 @@ def bilinear_sample(feature_map: Tensor, uv: np.ndarray) -> Tensor:
     w01 = du * (1 - dv) * inside
     w10 = (1 - du) * dv * inside
     w11 = du * dv * inside
-    fm = feature_map.data
-    out = (fm[:, v0, u0] * w00 + fm[:, v0, u1] * w01 +
-           fm[:, v1, u0] * w10 + fm[:, v1, u1] * w11).T
+    out = (fm[scene, :, v0, u0] * w00[:, None] + fm[scene, :, v0, u1] * w01[:, None] +
+           fm[scene, :, v1, u0] * w10[:, None] + fm[scene, :, v1, u1] * w11[:, None])
 
     def bw(g):
         if feature_map.requires_grad:
-            # flat index (corner, sample, channel) -> channel·H·W + pixel: one
-            # bincount adds corner-major, then sample, as np.add.at per corner did
-            pix = np.stack((v0 * w + u0, v0 * w + u1, v1 * w + u0, v1 * w + u1))
+            # flat index (corner, sample, channel) -> (scene·C + channel)·H·W +
+            # pixel: one bincount adds corner-major, then sample, as
+            # np.add.at per corner did
+            pix = np.stack((v0 * w + u0, v0 * w + u1, v1 * w + u0, v1 * w + u1)) \
+                + scene * (c * h * w)
             flat = pix[:, :, None] + np.arange(0, c * h * w, h * w)
             wgt = np.stack((w00, w01, w10, w11))[:, :, None] * g
-            acc = np.bincount(flat.ravel(), wgt.ravel(), minlength=c * h * w)
-            feature_map._accumulate(acc.reshape(c, h, w))
+            acc = np.bincount(flat.ravel(), wgt.ravel(), minlength=n * c * h * w)
+            feature_map._accumulate(acc.reshape(feature_map.shape))
 
     return Tensor._result(out, (feature_map,), "bilinear_sample", bw)
 

@@ -8,7 +8,8 @@ import yaml
 
 from bevfuse.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from bevfuse.config import config_to_dict
-from bevfuse.data import AugmentationConfig, generate_dataset, save_dataset
+from bevfuse.data import (GENERATOR_VERSION, AugmentationConfig, generate_dataset,
+                          save_dataset)
 from bevfuse.pipeline import build_model, miniature_config
 from bevfuse.tensor import save_checkpoint
 
@@ -373,6 +374,25 @@ def test_damaged_manifest_is_config_error(tmp_path, damage):
         (EXIT_CONFIG, False)
 
 
+@pytest.mark.parametrize("version", [1, None], ids=["version_1", "no_version"])
+def test_old_manifest_exits_with_version_mismatch(tmp_path, capsys, version):
+    cfg = miniature_config()
+    data = tmp_path / "data"
+    save_dataset(generate_dataset(cfg.data.synthetic, 1), data)
+    _drop_height2d_and_is_3d(data)          # the version-1 record layout
+    index = json.loads((data / "index.json").read_text())
+    index.pop("generator_version")
+    if version is not None:
+        index["generator_version"] = version
+    (data / "index.json").write_text(json.dumps(index))
+    cfg.data.source = "manifest"
+    cfg.data.manifest = str(data)
+    assert _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg)) == \
+        (EXIT_CONFIG, False)
+    err = capsys.readouterr().err
+    assert "version mismatch" in err and "boxes must be" not in err
+
+
 def test_manifest_with_other_image_channels_is_config_error(tmp_path):
     cfg = miniature_config()
     other = replace(cfg.data.synthetic, image_shape=(3, 8, 8))
@@ -383,9 +403,21 @@ def test_manifest_with_other_image_channels_is_config_error(tmp_path):
         (EXIT_CONFIG, False)
 
 
+def test_manifest_with_two_image_shapes_is_config_error(tmp_path):
+    cfg = miniature_config()
+    wide = replace(cfg.data.synthetic, image_shape=(2, 8, 16), seed=9)
+    save_dataset(generate_dataset(cfg.data.synthetic, 1) + generate_dataset(wide, 1),
+                 tmp_path / "data")
+    cfg.data.source = "manifest"
+    cfg.data.manifest = str(tmp_path / "data")
+    assert _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg)) == \
+        (EXIT_CONFIG, False)
+
+
 def test_empty_manifest_is_config_error(tmp_path):
     (tmp_path / "data").mkdir()
-    (tmp_path / "data" / "index.json").write_text(json.dumps({"frames": []}))
+    (tmp_path / "data" / "index.json").write_text(
+        json.dumps({"generator_version": GENERATOR_VERSION, "frames": []}))
     cfg = miniature_config()
     cfg.data.source = "manifest"
     cfg.data.manifest = str(tmp_path / "data")

@@ -15,18 +15,19 @@ def collect_bench():
 
 
 def _side(src_lines, layers):
-    per_layer = {name: {"unit": "ms", "value": v} for name, v in layers.items()}
-    return {"src_lines": src_lines, "results": {
-        "augment_train-trace0": {"per_layer": {}},
-        "augment_train-trace1": {"per_layer": per_layer}}}
+    return {"src_lines": src_lines, "per_layer": {"augment_train": layers}}
 
 
 def test_summary_prints_per_layer_metrics_that_moved(collect_bench):
     doc = {
-        "base": _side(300, {"geometry.kdtree_query_ms": 9.0, "geometry.voxelize_ms": 2.0,
-                            "fusion.pairs": 0.0, "detect.nms_ms": 0.0, "only.base_ms": 1.0}),
-        "change": _side(290, {"geometry.kdtree_query_ms": 6.0, "geometry.voxelize_ms": 2.05,
-                              "fusion.pairs": 3.0, "detect.nms_ms": 0.0, "only.change_ms": 1.0}),
+        "base": _side(300, {"geometry.kdtree_query_ms": [9.0, 9.5, 8.0],
+                            "geometry.voxelize_ms": [2.0, 2.0, 2.0],
+                            "fusion.pairs": [0.0, 0.0, 0.0], "detect.nms_ms": [0.0, 0.0, 0.0],
+                            "only.base_ms": [1.0, 1.0, 1.0]}),
+        "change": _side(290, {"geometry.kdtree_query_ms": [6.0, 6.2, 5.0],
+                              "geometry.voxelize_ms": [2.05, 3.0, 1.98],
+                              "fusion.pairs": [3.0, 3.0, 3.0], "detect.nms_ms": [0.0, 0.0, 0.0],
+                              "only.change_ms": [1.0, 1.0, 1.0]}),
         "end_to_end": {"augment_train.iter_ms_p50": {
             "base": [100.0, 98.0], "change": [90.0, 91.0], "median": [99.0, 90.5],
             "base_iqr": 1.0, "change_wins": 2}},
@@ -34,8 +35,10 @@ def test_summary_prints_per_layer_metrics_that_moved(collect_bench):
     lines = collect_bench.summary(doc)
     assert len(lines) == 4
     assert lines[0].startswith("augment_train.iter_ms_p50") and "-8.6%" in lines[0]
-    # sorted by name; within 5 % (voxelize), unchanged and one-sided metrics are left out
+    # sorted by name; voxelize's one +50 % pair leaves its median shift at +2.5 %,
+    # and unchanged and one-sided metrics are left out
     assert lines[1].split() == ["augment_train.fusion.pairs", "base", "0", "change", "3", "n/a"]
+    # medians 9 and 6; pair shifts -33.3 %, -34.7 % and -37.5 %
     assert lines[2].split() == ["augment_train.geometry.kdtree_query_ms", "base", "9",
-                                "change", "6", "-33.3%"]
+                                "change", "6", "-34.7%"]
     assert lines[3] == "src_lines base 300 change 290 (-10)"

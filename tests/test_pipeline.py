@@ -1,5 +1,7 @@
 import json
 import os
+import pathlib
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,10 +13,12 @@ from bevfuse.config import ExperimentConfig, FusionSection, load_config
 from bevfuse.detect import DetectionBox, make_anchors
 from bevfuse.losses import hard_negative_mining, total_loss
 from bevfuse.pipeline import (ABLATION_VARIANTS, NumericError, ablate_run,
-                              build_model, build_scenes, detect_scene,
+                              batch_inputs, build_model, build_scenes, detect_scene,
                               eval_run, evaluate_model, miniature_config,
                               prepare_scene, scene_loss, train_run)
 from bevfuse.tensor import load_checkpoint
+
+OVERFIT_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "overfit.yaml"
 
 
 def _mini(steps=3):
@@ -46,7 +50,7 @@ def test_scene_loss_finite_and_differentiable():
     scene = build_scenes(cfg)[0]
     anchors = make_anchors(model.output_grid, cfg.anchor.size, cfg.anchor.z)
     prep = prepare_scene(model, cfg, anchors, scene)
-    bd = scene_loss(model, cfg, prep, np.random.default_rng(0))
+    bd, = scene_loss(model, cfg, [prep], [np.random.default_rng(0)])
     assert np.isfinite(bd.total.data)
     bd.total.backward()
     grads = [p.grad for p in model.parameters().values() if p.grad is not None]
@@ -84,8 +88,8 @@ def test_scene_loss_matches_one_hot_selection_bitwise(variant):
     mined = hard_negative_mining(prep.neg_idx, scores, 20, 0.5,
                                  np.random.default_rng(3))
 
-    loss = scene_loss(model, cfg, prep, np.random.default_rng(0),
-                      mined_override=mined).total
+    loss = scene_loss(model, cfg, [prep], [np.random.default_rng(0)],
+                      mined_override=[mined])[0].total
     loss.backward()
     grads = {n: p.grad.copy() for n, p in params.items()}
     for p in params.values():
@@ -95,6 +99,25 @@ def test_scene_loss_matches_one_hot_selection_bitwise(variant):
     assert loss.data.tobytes() == ref.data.tobytes()
     for name, p in params.items():
         assert grads[name].tobytes() == p.grad.tobytes(), name
+
+
+@pytest.mark.parametrize("mode", ABLATION_VARIANTS)
+def test_batched_forward_equals_one_scene_forwards(mode):
+    cfg = replace(load_config(OVERFIT_CONFIG), mode=mode)
+    model = build_model(cfg)
+    anchors = make_anchors(model.output_grid, cfg.anchor.size, cfg.anchor.z)
+    preps = [prepare_scene(model, cfg, anchors, s) for s in build_scenes(cfg)]
+    batch = model.forward(*batch_inputs(model, preps)).raw.data
+    assert batch.shape[0] == len(preps) == 4
+    rngs = [np.random.default_rng(i) for i in range(len(preps))]
+    losses = scene_loss(model, cfg, preps, rngs)
+    for i, prep in enumerate(preps):
+        one = model.forward(prep.bev_input, prep.sample.image_feature_input, prep.plans)
+        assert np.abs(batch[i] - one.raw.data).max() <= 1e-12 * np.abs(one.raw.data).max()
+        alone, = scene_loss(model, cfg, [prep], [np.random.default_rng(i)])
+        assert (losses[i].n, losses[i].n_pos) == (alone.n, alone.n_pos)
+        assert abs(losses[i].total.item() - alone.total.item()) \
+            <= 1e-12 * abs(alone.total.item())
 
 
 def test_evaluate_model_matches_each_frame_once(monkeypatch):
