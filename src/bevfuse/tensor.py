@@ -114,7 +114,10 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
+        # popping drops the list's reference as soon as a node has passed its
+        # grad on, so an intermediate nobody else holds is freed at once
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
                 # free the tape: intermediate grads are not user-visible state
