@@ -2,11 +2,14 @@
 """Run the benchmark on a base revision and on the working tree, and merge
 the results into one JSON file:
 
-    python3 scripts/collect_bench.py BENCH_<n>.json [BASE]
+    python3 scripts/collect_bench.py BENCH_<n>.json [BASE] [--seed N]
 
 BASE (default ``HEAD``) is exported with ``git archive`` into a temporary
-directory. Every workload listed in ``BENCHMARK.json`` runs for its
-``run_seconds`` on both sides, one run at a time: ``PAIRS`` pairs at
+directory. Both sides run the inputs of the benchmark's ``--seed N``
+(default 1; another seed checks a claim on inputs not used while the
+change was written), which the output records. Every workload listed in
+``BENCHMARK.json`` runs for its ``run_seconds`` on both sides, one run at a
+time: ``PAIRS`` pairs at
 ``--trace 0`` and ``TRACED_PAIRS`` pairs at ``--trace 1``, alternating which
 side goes first. The output holds the first pair's
 ``perfbench/results/*.json`` files at each trace level, both git SHAs, each
@@ -23,6 +26,7 @@ traced pair spreads by about as much as the shifts it would show). A last
 line gives both sides' ``src_lines`` and their difference.
 """
 
+import argparse
 import json
 import pathlib
 import statistics
@@ -31,7 +35,6 @@ import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SEED = 1        # both sides run the same inputs
 PAIRS = 10      # trace-0 pairs per workload
 TRACED_PAIRS = 3     # trace-1 pairs per workload
 LAYER_SHIFT = 0.05   # per-layer metrics whose median shift exceeds this are printed
@@ -52,12 +55,12 @@ def src_lines(checkout: pathlib.Path) -> int:
     return sum(p.read_text().count("\n") for p in (checkout / "src").rglob("*.py"))
 
 
-def run(command: list[str], checkout: pathlib.Path, workload: str,
+def run(command: list[str], checkout: pathlib.Path, workload: str, seed: int,
         seconds: float, trace: int) -> dict:
-    subprocess.run([*command, "--workload", workload, "--seed", str(SEED),
+    subprocess.run([*command, "--workload", workload, "--seed", str(seed),
                     "--seconds", str(seconds), "--trace", str(trace)],
                    cwd=checkout, check=True, stdout=subprocess.DEVNULL)
-    tag = f"{workload}-seed{SEED}-trace{trace}"
+    tag = f"{workload}-seed{seed}-trace{trace}"
     return json.loads((checkout / "perfbench" / "results" / f"{tag}.json").read_text())
 
 
@@ -86,14 +89,23 @@ def summary(doc: dict) -> list[str]:
     return lines
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("out", type=pathlib.Path)
+    p.add_argument("base", nargs="?", default="HEAD")
+    p.add_argument("--seed", type=int, default=1)
+    args = p.parse_args(argv)
+    if args.seed < 0:
+        p.error("--seed must be >= 0")
+    return args
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) not in (1, 2):
-        print(__doc__, file=sys.stderr)
-        return 2
-    out, base_rev = pathlib.Path(argv[0]), argv[1] if len(argv) == 2 else "HEAD"
+    args = parse_args(argv)
+    out, base_rev, seed = args.out, args.base, args.seed
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     base_sha = git("rev-parse", "--verify", f"{base_rev}^{{commit}}")
-    doc = {"seed": SEED, "run_seconds": bench["run_seconds"],
+    doc = {"seed": seed, "run_seconds": bench["run_seconds"],
            "base": {"rev": base_rev, "sha": base_sha, "results": {}},
            "change": {"sha": git("rev-parse", "HEAD"),
                       "dirty": bool(git("status", "--porcelain")), "results": {}}}
@@ -109,7 +121,8 @@ def main(argv: list[str]) -> int:
             for i, trace in enumerate([0] * PAIRS + [1] * TRACED_PAIRS):
                 for side, checkout in sides if i % 2 == 0 else sides[::-1]:
                     print(f"{side:6s} {workload} --trace {trace} pair {i}", flush=True)
-                    res = run(bench["command"], checkout, workload, bench["run_seconds"], trace)
+                    res = run(bench["command"], checkout, workload, seed,
+                              bench["run_seconds"], trace)
                     key = f"{workload}-trace{trace}"
                     doc[side]["results"].setdefault(key, res)
                     if trace == 0:

@@ -11,8 +11,8 @@ import numpy as np
 from . import tensor as T
 from .detect import DetectionHeader, HeaderOutput
 from .domains import Checked, NonEmpty, Pos
-from .fusion import (FusionMlp, FusionPlan, apply_fusion, plan_discrete_fusion,
-                     plan_fusion, xavier_uniform)
+from .fusion import (FusionMlp, FusionPlan, apply_fusion, level_centers,
+                     plan_discrete_fusion, plan_fusion, xavier_uniform)
 from .geometry import BevGrid, CalibratedCamera, PointCloud, build_bev_index
 from .tensor import InputError, Tensor
 
@@ -240,9 +240,7 @@ class DetectorModel:
         # order: one neighbour query per scene answers every level
         self.fusion_section = fusion_cfg
         self.fusion_grids = {p: grid.downsample(group_stride(p)) for p in self.fusion_mlps}
-        centers = [g.pixel_centers().reshape(-1, 2) for g in self.fusion_grids.values()]
-        self._centers = np.concatenate([np.zeros((0, 2)), *centers])
-        self._level_ends = np.cumsum([len(c) for c in centers])[:-1]
+        self._centers = level_centers(self.fusion_grids)
 
     def parameters(self) -> dict[str, Tensor]:
         out = {}
@@ -268,35 +266,35 @@ class DetectorModel:
                 raise InputError(f"checkpoint shape mismatch for {name}")
             p.data[:] = values[name]
 
-    def make_plans(self, cloud: PointCloud,
-                   cam: CalibratedCamera) -> dict[int, FusionPlan]:
-        """Precompute neighbor pairings for every fusion insertion point."""
+    def make_plans(self, cloud: PointCloud, cam: CalibratedCamera) -> FusionPlan | None:
+        """Precompute the neighbor pairings of every fusion insertion point,
+        as one plan; None in ``bev_only``, which fuses nothing."""
         if self.mode == "discrete":         # never queries a k-d tree
-            return {p: plan_discrete_fusion(cloud, cam, g)
-                    for p, g in self.fusion_grids.items()}
+            return plan_discrete_fusion(cloud, cam, self.fusion_grids)
         if not self.fusion_grids:
-            return {}
+            return None
         knn = self.fusion_section
         nb = build_bev_index(cloud).query(self._centers, knn.k, knn.max_dist)
-        geometric = self.mode == "continuous"
-        return {p: plan_fusion(cloud, cam, g, rows, geometric)
-                for (p, g), rows in zip(self.fusion_grids.items(),
-                                        np.split(nb, self._level_ends))}
+        return plan_fusion(cloud, cam, self.fusion_grids, self._centers, nb,
+                           self.mode == "continuous")
 
     def forward(self, bev_input: Tensor, image_input: Tensor | None,
-                plans: dict[int, FusionPlan] | None) -> HeaderOutput:
-        """Header output for N x C x H x W inputs with ``merge_plans`` plans,
-        or for one scene's C x H x W inputs and its own plans."""
+                plan: FusionPlan | None) -> HeaderOutput:
+        """Header output for N x C x H x W inputs with a ``merge_plans`` plan,
+        or for one scene's C x H x W inputs and its own plan. Every fusion
+        level's map is computed before the BEV stream runs."""
+        fused = {}
         if self.image_stream is not None:
-            if image_input is None or plans is None:
-                raise ValueError("fusion modes need the image input and plans")
-            image_combined = self.image_stream.forward(image_input)
+            if image_input is None or plan is None:
+                raise ValueError("fusion modes need the image input and a plan")
+            fused = apply_fusion(self.image_stream.forward(image_input), plan,
+                                 self.fusion_mlps)
         x = bev_input
         outs = []
         for gi, group in enumerate(self.bev_groups):
             x = group.forward(x)
-            if gi in self.fusion_mlps:
-                x = x + apply_fusion(image_combined, plans[gi], self.fusion_mlps[gi])
+            if gi in fused:
+                x = x + fused[gi]
             outs.append(x)
         final = self.bev_combiner.forward(outs[-self.num_combined:])
         return self.header.forward(final)

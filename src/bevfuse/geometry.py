@@ -88,18 +88,20 @@ def project_points(cloud: PointCloud, cam: CalibratedCamera) -> tuple[np.ndarray
     """Project LIDAR points to continuous image coordinates.
 
     Returns (uv, valid) where uv is N x 2 sub-pixel coordinates and valid is
-    false for points behind the camera or outside the image bounds. Invalid
-    points keep their (possibly meaningless) uv values; callers must mask.
+    false for points behind the camera or outside the image bounds, and for
+    points whose projection overflows or is not finite. Invalid points keep
+    their (possibly meaningless) uv values; callers must mask.
     """
     n = len(cloud)
     hom = np.concatenate([cloud.points, np.ones((n, 1))], axis=1)
-    proj = hom @ cam.projection.T             # N x 3
-    depth = proj[:, 2]
-    safe = np.where(np.abs(depth) > 1e-12, depth, 1e-12)
-    uv = proj[:, :2] / safe[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = hom @ cam.projection.T             # N x 3
+        depth = proj[:, 2]
+        safe = np.where(np.abs(depth) > 1e-12, depth, 1e-12)
+        uv = proj[:, :2] / safe[:, None]
     h, w = cam.image_size
     valid = (depth > 0) & (uv[:, 0] >= 0) & (uv[:, 0] <= w - 1) \
-        & (uv[:, 1] >= 0) & (uv[:, 1] <= h - 1)
+        & (uv[:, 1] >= 0) & (uv[:, 1] <= h - 1) & np.isfinite(proj).all(axis=1)
     return uv, valid
 
 
@@ -229,7 +231,8 @@ class BevKdTree:
             qx, qy = qa[:, :1], qa[:, 1:]
             gx = np.maximum(np.maximum(lo[:, 0] - qx, qx - hi[:, 0]), 0.0)
             gy = np.maximum(np.maximum(lo[:, 1] - qy, qy - hi[:, 1]), 0.0)
-            g2 = gx * gx + gy * gy
+            with np.errstate(over="ignore"):    # a far box's gap may square to inf
+                g2 = gx * gx + gy * gy
             home = g2.argmin(axis=1)
             # (1) the bound: the home leaf's k-th nearest point, or max_dist;
             # the home leaf's points inside it are candidates
@@ -261,10 +264,11 @@ class BevKdTree:
 
     def _d2(self, qa: np.ndarray, leaf: np.ndarray) -> np.ndarray:
         """Squared distance from query row p to every point of leaf ``leaf[p]``,
-        NaN past the leaf's last point."""
-        dx = self._member_xy[leaf, :, 0] - qa[:, :1]
-        dy = self._member_xy[leaf, :, 1] - qa[:, 1:]
-        return np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
+        NaN past the leaf's last point; a far point's may overflow to inf."""
+        with np.errstate(over="ignore"):
+            dx = self._member_xy[leaf, :, 0] - qa[:, :1]
+            dy = self._member_xy[leaf, :, 1] - qa[:, 1:]
+            return np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
 
     def _hits(self, q: np.ndarray, a: np.ndarray, leaf: np.ndarray, d2: np.ndarray,
               bound: np.ndarray, max_dist: float):

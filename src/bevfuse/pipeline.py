@@ -39,6 +39,14 @@ def build_model(cfg: ExperimentConfig, rng: np.random.Generator | None = None) -
         header_variant=cfg.variant, mode=cfg.mode, rng=rng)
 
 
+class _Undrawn:
+    """Stands in for the generator of a model whose every parameter is
+    loaded next: its draws are zeros, so no random numbers are made."""
+
+    def uniform(self, low, high, size) -> np.ndarray:
+        return np.zeros(size)
+
+
 def build_scenes(cfg: ExperimentConfig) -> list[SceneSample]:
     d = cfg.data
     if d.source == "synthetic":
@@ -79,7 +87,7 @@ def _check_images_fit(cfg: ExperimentConfig, scenes: list[SceneSample]):
 class PreparedScene:
     sample: SceneSample
     bev_input: Tensor
-    plans: dict[int, FusionPlan]
+    plan: FusionPlan | None
     pos_idx: np.ndarray
     neg_idx: np.ndarray
     reg_targets: np.ndarray         # n_pos x R
@@ -93,7 +101,7 @@ def prepare_scene(model: DetectorModel, cfg: ExperimentConfig,
     return PreparedScene(
         sample=sample,
         bev_input=voxelize(sample.cloud, cfg.grid),
-        plans=model.make_plans(sample.cloud, sample.cam),
+        plan=model.make_plans(sample.cloud, sample.cam),
         pos_idx=pos_idx, neg_idx=neg_idx,
         reg_targets=regression_rows(cfg.variant, sample.gt_boxes, labels[pos_idx],
                                     anchors[pos_idx], cfg.loss.center_norm,
@@ -102,14 +110,13 @@ def prepare_scene(model: DetectorModel, cfg: ExperimentConfig,
 
 def batch_inputs(model: DetectorModel, preps: list[PreparedScene]):
     """The model's inputs for a batch of prepared scenes: N x C x H x W BEV
-    and image maps, and one ``merge_plans`` plan per fusion level (the image
-    and plans are None when the model has no image stream)."""
+    and image maps, and their scene plans joined by ``merge_plans`` (the
+    image and plan are None when the model has no image stream)."""
     bev = Tensor(np.stack([p.bev_input.data for p in preps]))
     if model.image_stream is None:
         return bev, None, None
     image = Tensor(np.stack([p.sample.image_feature_input.data for p in preps]))
-    return bev, image, {lvl: merge_plans([p.plans[lvl] for p in preps])
-                        for lvl in model.fusion_mlps}
+    return bev, image, merge_plans([p.plan for p in preps])
 
 
 def scene_loss(model: DetectorModel, cfg: ExperimentConfig, preps: list[PreparedScene],
@@ -153,7 +160,7 @@ def detect_scene(model: DetectorModel, cfg: ExperimentConfig,
                  anchors: np.ndarray, prep: PreparedScene) -> list[DetectionBox]:
     with T.no_grad():
         header = model.forward(prep.bev_input, prep.sample.image_feature_input,
-                               prep.plans)
+                               prep.plan)
     boxes = decode_detections(header, anchors, center_norm=cfg.loss.center_norm)
     return nms(boxes, iou_threshold=cfg.eval.nms_iou,
                score_threshold=cfg.eval.score_threshold,
@@ -266,7 +273,7 @@ def eval_run(cfg: ExperimentConfig, checkpoint_path: str, out_dir: str) -> dict:
     from .config import save_config
     from .tensor import load_checkpoint
     scenes = build_scenes(cfg)
-    model = build_model(cfg)
+    model = build_model(cfg, _Undrawn())
     model.load_parameters(load_checkpoint(checkpoint_path))
     os.makedirs(out_dir, exist_ok=True)
     save_config(cfg, os.path.join(out_dir, "config.yaml"))
@@ -442,7 +449,7 @@ def _frozen_scene_loss(cfg: ExperimentConfig, sample: SceneSample,
     _jitter_biases(params, rng)
     with T.no_grad():
         header = model.forward(prep.bev_input, prep.sample.image_feature_input,
-                               prep.plans)
+                               prep.plan)
     scores = T.logistic(header.flat().data[:, 0])
     mined = hard_negative_mining(prep.neg_idx, scores,
                                  cfg.assignment().topk(prep.pos_idx.size),

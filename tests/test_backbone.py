@@ -7,7 +7,7 @@ from bevfuse.backbone import (MODES, BackboneConfig, Conv2dLayer, DetectorModel,
                               ResidualBlock, ResidualGroup)
 from bevfuse.config import ExperimentConfig, FusionSection
 from bevfuse.data import AugmentationConfig, augment, generate_scene
-from bevfuse.fusion import plan_fusion
+from bevfuse.fusion import level_centers, plan_discrete_fusion, plan_fusion
 from bevfuse.geometry import BevGrid, BevKdTree, PointCloud, build_bev_index
 from bevfuse.pipeline import build_model, build_scenes, miniature_config
 from bevfuse.tensor import Tensor
@@ -148,10 +148,9 @@ def test_discrete_mode_plans():
     cfg.mode = "discrete"
     model = build_model(cfg)
     scene = build_scenes(cfg)[0]
-    plans = model.make_plans(scene.cloud, scene.cam)
-    assert sorted(plans) == sorted(cfg.backbone.fusion_points)
-    for p in plans.values():
-        assert p.pair_offset.shape == (p.pair_pixel.size, 0)
+    plan = model.make_plans(scene.cloud, scene.cam)
+    assert sorted(plan.levels) == sorted(cfg.backbone.fusion_points)
+    assert plan.pair_offset.shape == (plan.pair_pixel.size, 0)
 
 
 @pytest.mark.parametrize("mode,builds", [("bev_only", 0), ("discrete", 0),
@@ -172,7 +171,16 @@ def test_make_plans_builds_index_only_for_knn_modes(monkeypatch, mode, builds):
     assert len(queries) == builds       # one query answers every fusion level
 
 
-@pytest.mark.parametrize("mode", ["continuous", "continuous_nogeo"])
+def _one_level_plan(mode, cloud, cam, grid, k, max_dist):
+    """The plan of one level alone, from its own projection and query."""
+    if mode == "discrete":
+        return plan_discrete_fusion(cloud, cam, {0: grid})
+    centers = level_centers({0: grid})
+    nb = build_bev_index(cloud).query(centers, k, max_dist)
+    return plan_fusion(cloud, cam, {0: grid}, centers, nb, mode == "continuous")
+
+
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("k,max_dist", [(1, 1.5), (1, np.inf), (3, 1.5), (3, np.inf)])
 def test_make_plans_equals_per_level_plans(mode, k, max_dist):
     cfg = ExperimentConfig(mode=mode, fusion=FusionSection(k, max_dist))
@@ -182,17 +190,29 @@ def test_make_plans_equals_per_level_plans(mode, k, max_dist):
     empty = PointCloud(np.zeros((0, 3)))
     for cloud, cam in ((scene.cloud, scene.cam), (augmented.cloud, augmented.cam),
                        (empty, scene.cam)):
-        plans = model.make_plans(cloud, cam)
-        assert sorted(plans) == sorted(cfg.backbone.fusion_points)
-        for p, plan in plans.items():
+        plan = model.make_plans(cloud, cam)
+        if mode == "bev_only":
+            assert plan is None
+            continue
+        assert list(plan.levels) == list(cfg.backbone.fusion_points)
+        # pairs are grouped level by level, and every table row is used once
+        # or more: the table holds only points that some pair uses
+        assert plan.levels[0].start == 0
+        assert all(a.stop == b.start for a, b in zip(plan.levels.values(),
+                                                     list(plan.levels.values())[1:]))
+        assert plan.levels[cfg.backbone.fusion_points[-1]].stop == plan.pair_pixel.size
+        assert np.array_equal(np.unique(plan.pair_point), np.arange(len(plan.point_uv)))
+        assert np.array_equal(plan.point_scene, np.zeros(len(plan.point_uv), np.intp))
+        for p, level in plan.levels.items():
             grid = cfg.grid.downsample(2 ** p)
-            nb = build_bev_index(cloud).query(grid.pixel_centers().reshape(-1, 2),
-                                              k, max_dist)
-            ref = plan_fusion(cloud, cam, grid, nb, mode == "continuous")
-            assert (plan.ny, plan.nx) == (ref.ny, ref.nx) == (grid.ny, grid.nx)
+            ref = _one_level_plan(mode, cloud, cam, grid, k, max_dist)
+            assert (level.ny, level.nx) == (ref.levels[0].ny, ref.levels[0].nx) \
+                == (grid.ny, grid.nx)
             width = 3 if mode == "continuous" else 0
-            assert plan.pair_offset.shape == (plan.pair_pixel.size, width)
-            for a, b in ((plan.pair_pixel, ref.pair_pixel), (plan.pair_uv, ref.pair_uv),
-                         (plan.pair_offset, ref.pair_offset)):
+            span = slice(level.start, level.stop)
+            assert plan.pair_offset[span].shape == (level.stop - level.start, width)
+            for a, b in ((plan.pair_pixel[span], ref.pair_pixel),
+                         (plan.point_uv[plan.pair_point[span]], ref.point_uv[ref.pair_point]),
+                         (plan.pair_offset[span], ref.pair_offset)):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()

@@ -42,3 +42,23 @@ def test_summary_prints_per_layer_metrics_that_moved(collect_bench):
     assert lines[2].split() == ["augment_train.geometry.kdtree_query_ms", "base", "9",
                                 "change", "6", "-34.7%"]
     assert lines[3] == "src_lines base 300 change 290 (-10)"
+
+
+def test_seed_defaults_to_1_and_reaches_every_run(collect_bench, monkeypatch, tmp_path):
+    assert collect_bench.parse_args(["B.json"]).seed == 1
+    args = collect_bench.parse_args(["B.json", "abc123", "--seed", "2"])
+    assert (args.out.name, args.base, args.seed) == ("B.json", "abc123", 2)
+    with pytest.raises(SystemExit):
+        collect_bench.parse_args(["B.json", "--seed", "-1"])
+    commands = []
+
+    def fake_run(command, cwd, **kwargs):
+        commands.append(command)
+        results = cwd / "perfbench" / "results"
+        results.mkdir(parents=True, exist_ok=True)
+        (results / "eval_sweep-seed2-trace1.json").write_text('{"seed": 2}')
+    monkeypatch.setattr(collect_bench.subprocess, "run", fake_run)
+    res = collect_bench.run(["bench"], tmp_path, "eval_sweep", 2, 30, 1)
+    assert res == {"seed": 2}
+    assert commands == [["bench", "--workload", "eval_sweep", "--seed", "2",
+                         "--seconds", "30", "--trace", "1"]]

@@ -1,13 +1,14 @@
 import json
 import os
 import pathlib
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bevfuse import evaluation, pipeline
+from bevfuse import backbone, evaluation, fusion, pipeline
 from bevfuse import tensor as T
 from bevfuse.config import ExperimentConfig, FusionSection, load_config
 from bevfuse.detect import DetectionBox, make_anchors
@@ -61,7 +62,7 @@ def _one_hot_scene_loss(model, cfg, prep, mined):
     """Reference header selection: gather rows, then multiply by one-hot
     column selectors."""
     header = model.forward(prep.bev_input, prep.sample.image_feature_input,
-                           prep.plans)
+                           prep.plan)
     flat, r = header.flat(), header.num_reg
     e_cls = np.zeros((1 + r, 1))
     e_cls[0, 0] = 1.0
@@ -112,12 +113,58 @@ def test_batched_forward_equals_one_scene_forwards(mode):
     rngs = [np.random.default_rng(i) for i in range(len(preps))]
     losses = scene_loss(model, cfg, preps, rngs)
     for i, prep in enumerate(preps):
-        one = model.forward(prep.bev_input, prep.sample.image_feature_input, prep.plans)
+        one = model.forward(prep.bev_input, prep.sample.image_feature_input, prep.plan)
         assert np.abs(batch[i] - one.raw.data).max() <= 1e-12 * np.abs(one.raw.data).max()
         alone, = scene_loss(model, cfg, [prep], [np.random.default_rng(i)])
         assert (losses[i].n, losses[i].n_pos) == (alone.n, alone.n_pos)
         assert abs(losses[i].total.item() - alone.total.item()) \
             <= 1e-12 * abs(alone.total.item())
+
+
+def _per_pair_forward(model, bev, image, plan):
+    """``DetectorModel.forward`` with the image sampled per pair and per
+    level: each level samples its own pairs' uv, point rows repeated."""
+    fused = {}
+    if model.image_stream is not None:
+        features = model.image_stream.forward(image)
+        n = features.shape[0]
+        for p, mlp in model.fusion_mlps.items():
+            level = plan.levels[p]
+            span = slice(level.start, level.stop)
+            point = plan.pair_point[span]
+            sampled = T.bilinear_sample(features, plan.point_uv[point], plan.point_scene[point])
+            h = mlp.forward(T.concat([sampled, T.Tensor(plan.pair_offset[span])], axis=1))
+            out = T.scatter_add_rows(h, plan.pair_pixel[span], n * level.ny * level.nx)
+            fused[p] = out.reshape(n, level.ny, level.nx, mlp.output_dim).transpose(
+                (0, 3, 1, 2))
+    x, outs = bev, []
+    for gi, group in enumerate(model.bev_groups):
+        x = group.forward(x)
+        if gi in fused:
+            x = x + fused[gi]
+        outs.append(x)
+    return model.header.forward(model.bev_combiner.forward(outs[-model.num_combined:]))
+
+
+@pytest.mark.parametrize("mode", ABLATION_VARIANTS)
+def test_fusion_projects_and_samples_once(monkeypatch, mode):
+    """One projection per scene plan and one image sample per forward, with
+    the forward equal to sampling every pair on every level."""
+    cfg = replace(load_config(OVERFIT_CONFIG), mode=mode)
+    model = build_model(cfg)
+    anchors = make_anchors(model.output_grid, cfg.anchor.size, cfg.anchor.z)
+    projections, samples = [], []
+    project, sample = fusion.project_points, T.bilinear_sample
+    monkeypatch.setattr(fusion, "project_points",
+                        lambda *a: projections.append(1) or project(*a))
+    preps = [prepare_scene(model, cfg, anchors, s) for s in build_scenes(cfg)]
+    fuses = mode != "bev_only"
+    assert len(projections) == fuses * len(preps) and len(preps) == 4
+    inputs = batch_inputs(model, preps)
+    monkeypatch.setattr(T, "bilinear_sample", lambda *a: samples.append(1) or sample(*a))
+    batch = model.forward(*inputs).raw.data
+    assert len(samples) == fuses
+    assert np.array_equal(batch, _per_pair_forward(model, *inputs).raw.data)
 
 
 def test_evaluate_model_matches_each_frame_once(monkeypatch):
@@ -171,12 +218,19 @@ def test_determinism_bit_identical(tmp_path):
                (tmp_path / "b" / name).read_bytes(), name
 
 
-def test_eval_run_reproduces_training_eval(tmp_path):
+def test_eval_run_reproduces_training_eval(tmp_path, monkeypatch):
     cfg = _mini(steps=3)
     report = train_run(cfg, tmp_path / "run")
+    # every parameter is loaded from the checkpoint, so none is drawn first
+    draws = []
+    for module in (backbone, fusion):
+        draw = module.xavier_uniform
+        monkeypatch.setattr(module, "xavier_uniform", lambda rng, *a, draw=draw, **kw:
+                            draws.append(type(rng)) or draw(rng, *a, **kw))
     eval_report = eval_run(cfg, tmp_path / "run" / "ckpt_final.bin",
                            tmp_path / "eval")
-    assert eval_report["ap"] == report["ap"]
+    assert draws and np.random.Generator not in draws
+    assert {k: report[k] for k in eval_report} == eval_report
 
 
 def test_evaluate_model_report_fields(tmp_path):
@@ -249,6 +303,20 @@ def test_empty_fusion_plans_still_train(tmp_path, mode, scenes):
         cfg.data.synthetic.ground_points = 0
         cfg.data.synthetic.occlusion_fraction = 1.0
     report = train_run(cfg, tmp_path / "run")
+    assert np.isfinite(report["final_loss"])
+
+
+@pytest.mark.parametrize("mode", ["continuous", "continuous_nogeo", "discrete"])
+def test_huge_cloud_values_plan_without_numeric_warnings(tmp_path, mode):
+    """``noise_sigma: 1e308`` is in its domain. The points it throws to inf
+    or beyond the integer range drop out of fusion planning without an
+    undefined float-to-int cast or an overflow warning."""
+    cfg = _mini(steps=2)
+    cfg.mode = mode
+    cfg.data.synthetic.noise_sigma = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = train_run(cfg, tmp_path / "run")
     assert np.isfinite(report["final_loss"])
 
 
