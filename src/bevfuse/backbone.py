@@ -4,20 +4,17 @@ residual groups with fusion insertion points, and the full detector model."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Annotated, Literal
+from typing import Annotated, Literal
 
 import numpy as np
 
 from . import tensor as T
 from .detect import DetectionHeader, HeaderOutput
 from .domains import Checked, NonEmpty, Pos
-from .fusion import (FusionMlp, FusionPlan, apply_fusion, level_centers,
+from .fusion import (FusionMlp, FusionPlan, FusionSection, apply_fusion, level_centers,
                      plan_discrete_fusion, plan_fusion, xavier_uniform)
 from .geometry import BevGrid, CalibratedCamera, PointCloud, build_bev_index
 from .tensor import InputError, Tensor
-
-if TYPE_CHECKING:
-    from .config import FusionSection
 
 MODES = ("continuous", "continuous_nogeo", "discrete", "bev_only")
 Mode = Literal[MODES]
@@ -172,7 +169,6 @@ class ImageStream:
         self.groups = residual_stream(in_channels, cfg.image_groups, rng, name)
         self.combiner = FpnCombiner([g.channels for g in cfg.image_groups],
                                     out_channels, rng, f"{name}.fpn")
-        self.cum_stride = group_stride(len(self.groups) - 1)
 
     def parameters(self):
         out = self.combiner.parameters()
@@ -182,9 +178,6 @@ class ImageStream:
 
     def forward(self, image_input: Tensor) -> Tensor:
         """The pyramid merged at the finest scale."""
-        h, w = image_input.shape[-2:]
-        if h % self.cum_stride or w % self.cum_stride:
-            raise ValueError(f"image dims {h}x{w} not divisible by stride {self.cum_stride}")
         scales = []
         x = image_input
         for g in self.groups:
@@ -264,6 +257,8 @@ class DetectorModel:
         for name, p in params.items():
             if p.data.shape != values[name].shape:
                 raise InputError(f"checkpoint shape mismatch for {name}")
+            if not np.isfinite(values[name]).all():
+                raise InputError(f"checkpoint parameter {name} holds a non-finite value")
             p.data[:] = values[name]
 
     def make_plans(self, cloud: PointCloud, cam: CalibratedCamera) -> FusionPlan | None:

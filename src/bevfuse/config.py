@@ -17,6 +17,7 @@ from .data import AugmentationConfig, SceneGenConfig
 from .detect import Variant
 from .domains import Checked, Finite, NonNeg, Pos, Unit, UnitOpen, type_hints
 from .evaluation import EvalConfig
+from .fusion import FusionSection
 from .geometry import BevGrid
 from .losses import AssignmentConfig
 from .tensor import InputError, atomic_write
@@ -80,15 +81,6 @@ class DataSection(Checked):
         super().__post_init__()
         if self.source == "manifest" and not self.manifest:
             raise ValueError("source 'manifest' needs a manifest path")
-
-
-@dataclass
-class FusionSection(Checked):
-    """Neighbour search of every fusion layer; the layer widths follow from
-    the image channels and the mode."""
-
-    k: Annotated[int, Pos] = 1
-    max_dist: Annotated[float, Pos] = 10.0       # inf is valid
 
 
 @dataclass

@@ -462,7 +462,10 @@ def _load_record(path, fid) -> SceneSample:
                                   height2d=r[10], is_3d=bool(r[11])) for r in rows]
             cam = CalibratedCamera(z["projection"],
                                    tuple(int(v) for v in z["image_size"]))
+            image = Tensor(z["image_features"])
+            if not np.isfinite(image.data).all():
+                raise ValueError("image_features hold a non-finite value")
             return SceneSample(PointCloud(z["points"], intensity=z["intensity"]),
-                               Tensor(z["image_features"]), cam, boxes, frame_id=fid)
+                               image, cam, boxes, frame_id=fid)
     except _RECORD_ERRORS as e:
         raise InputError(f"{path}: corrupt scene record: {e!r}") from None

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from . import tensor as T
+from .domains import Checked, Pos
 from .geometry import (BevGrid, CalibratedCamera, PointCloud, build_bev_index,
                        project_points)
 from .tensor import Tensor
@@ -19,21 +21,22 @@ class FusionConfigError(ValueError):
 
 
 @dataclass
-class FusionConfig:
+class FusionSection(Checked):
+    """Neighbour search of every fusion layer; the layer widths follow from
+    the image channels and the mode."""
+
+    k: Annotated[int, Pos] = 1
+    max_dist: Annotated[float, Pos] = 10.0       # inf is valid
+
+
+@dataclass
+class FusionConfig(FusionSection):
     """Settings of a standalone layer (``continuous_fusion_forward``); defaults
     follow the best ablation setting (k=1, max_dist=10m, geometric feature on)."""
 
-    k: int = 1
-    max_dist: float = 10.0
     use_geometric_feature: bool = True
-    input_dim: int = 8          # D_i: image channels (+3 when geometric feature on)
-    output_dim: int = 8         # D_o: BEV channels at the insertion point
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise FusionConfigError("k must be >= 1")
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise FusionConfigError("input_dim and output_dim must be >= 1")
+    input_dim: Annotated[int, Pos] = 8      # D_i: image channels (+3 with the geometric feature)
+    output_dim: Annotated[int, Pos] = 8     # D_o: BEV channels at the insertion point
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -71,9 +74,9 @@ class FusionMlp:
         self.b3.data[:] = 0.0
 
     def forward(self, x: Tensor) -> Tensor:
-        h = T.add_rowvec(T.matmul(x, self.w1), self.b1).relu()
-        h = T.add_rowvec(T.matmul(h, self.w2), self.b2).relu()
-        return T.add_rowvec(T.matmul(h, self.w3), self.b3)
+        h = T.matmul(x, self.w1, self.b1).relu()
+        h = T.matmul(h, self.w2, self.b2).relu()
+        return T.matmul(h, self.w3, self.b3)
 
 
 @dataclass(frozen=True)

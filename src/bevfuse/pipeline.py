@@ -357,8 +357,8 @@ def run_gradcheck(rtol: float = 1e-4, seed: int = 0) -> list[tuple[str, float, b
     check("gather_rows", lambda: (T.gather_rows(e, idx) * T.gather_rows(f, idx)).sum(),
           [e, f])
     check("scatter_add_rows", lambda: (T.scatter_add_rows(e, idx, 6) ** 2.0).sum(), [e])
-    bias = Tensor(rng.standard_normal((1, 3)), requires_grad=True)
-    check("add_rowvec", lambda: (T.add_rowvec(e, bias) ** 2.0).sum(), [e, bias])
+    bias = Tensor(rng.standard_normal((1, 2)), requires_grad=True)
+    check("matmul_bias", lambda: (T.matmul(a, b, bias) ** 2.0).sum(), [a, b, bias])
     cb = Tensor(rng.standard_normal(2), requires_grad=True)
     check("add_channel_bias", lambda: (T.add_channel_bias(x, cb) ** 2.0).sum(), [x, cb])
     check("upsample2x", lambda: (T.upsample2x(x) ** 2.0).sum(), [x])
@@ -385,7 +385,7 @@ def run_gradcheck(rtol: float = 1e-4, seed: int = 0) -> list[tuple[str, float, b
     # end-to-end miniature model: 8x8 BEV raster, 2-group streams, 4-point cloud
     results.append(_miniature_model_check(rtol))
 
-    # 1 x 1 convs take their own data path (no im2col copy at stride 1)
+    # 1 x 1 convs: the transposed-conv input grad at stride 1, _col2im at stride 2
     x1 = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
     w1 = Tensor(rng.standard_normal((2, 3, 1, 1)), requires_grad=True)
     for stride in (1, 2):

@@ -84,9 +84,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
             # 0.0 + g into a fresh array: never aliases g, and -0.0 reads back as 0.0
@@ -246,19 +243,28 @@ class Tensor:
         return Tensor._result(a.data.transpose(axes), (a,), "transpose", bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2D matrix product with gradient rules."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """2D matrix product ``a @ b``, plus a 1 x D row ``bias`` added to every
+    row when given; the bias grad is the column sums of the output grad."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+    if bias is not None and bias.shape != (1, b.shape[1]):
+        raise ValueError(f"matmul bias {bias.shape} is not a 1 x {b.shape[1]} row")
     ad, bd = a.data, b.data
+    parents = (a, b) if bias is None else (a, b, bias)
 
     def bw(g):
         if a.requires_grad:
             a._accumulate(g @ bd.T)
         if b.requires_grad:
             b._accumulate(ad.T @ g)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=0, keepdims=True))
 
-    return Tensor._result(ad @ bd, (a, b), "matmul", bw)
+    out = ad @ bd
+    if bias is not None:
+        out += bias.data
+    return Tensor._result(out, parents, "matmul", bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -275,20 +281,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     return Tensor._result(np.concatenate([t.data for t in parts], axis=axis),
                           parts, "concat", bw)
-
-
-def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
-    """Add a 1 x D row vector (bias) to every row of an N x D matrix."""
-    if x.ndim != 2 or b.shape != (1, x.shape[1]):
-        raise ValueError(f"add_rowvec shapes incompatible: {x.shape} + {b.shape}")
-
-    def bw(g):
-        if x.requires_grad:
-            x._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=0, keepdims=True))
-
-    return Tensor._result(x.data + b.data, (x, b), "add_rowvec", bw)
 
 
 def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -309,8 +301,6 @@ def _scatter_rows(idx: np.ndarray, rows: np.ndarray, shape) -> np.ndarray:
     """Zeros of ``shape`` plus each row of ``rows`` (``idx.shape + shape[1:]``)
     added at its row ``idx``. One ``np.bincount`` over flat indices in
     ``idx`` order makes the adds of ``np.add.at``, in its order, from 0.0."""
-    if len(shape) == 1:
-        return np.bincount(idx.ravel(), rows.ravel(), minlength=shape[0])
     d = math.prod(shape[1:])
     flat = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
     return np.bincount(flat, rows.ravel(), minlength=shape[0] * d).reshape(shape)
@@ -424,18 +414,15 @@ def _col2im(cols: np.ndarray, shape, kh, kw, stride, padding, ho, wo) -> np.ndar
     """The adjoint of ``_im2col``: an array of the input's ``shape``."""
     *lead, c, h, w = shape
     n = math.prod(lead)
-    if kh == kw == 1 and stride == 1 and padding == 0:
-        acc = cols.reshape(c, n, h, w)
-    else:
-        # zeros plus += even where windows do not overlap, so a -0.0 in the
-        # columns reads back as 0.0; the (i, j) order fixes the rounding
-        acc = np.zeros((c, n, h + 2 * padding, w + 2 * padding))
-        cols = cols.reshape(c, kh, kw, n, ho, wo)
-        for i in range(kh):
-            for j in range(kw):
-                acc[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += cols[:, i, j]
-        if padding:
-            acc = acc[:, :, padding:-padding, padding:-padding]
+    # zeros plus += even where windows do not overlap, so a -0.0 in the
+    # columns reads back as 0.0; the (i, j) order fixes the rounding
+    acc = np.zeros((c, n, h + 2 * padding, w + 2 * padding))
+    cols = cols.reshape(c, kh, kw, n, ho, wo)
+    for i in range(kh):
+        for j in range(kw):
+            acc[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += cols[:, i, j]
+    if padding:
+        acc = acc[:, :, padding:-padding, padding:-padding]
     return acc.transpose(1, 0, 2, 3).reshape(shape)
 
 
@@ -470,7 +457,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         if weight.requires_grad:
             weight._accumulate((g2 @ cols.T).reshape(weight.shape))
         if x.requires_grad:
-            if stride == 1 and kh == kw > 1 and padding < kh:
+            if stride == 1 and kh == kw and padding < kh:
                 # transposed conv: correlate g, padded to k-1-padding, with the
                 # flipped weights, (C_in, C_out, kh, kw) as a C_in-row matrix
                 flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)

@@ -8,7 +8,7 @@ from bevfuse.backbone import (MODES, BackboneConfig, Conv2dLayer, DetectorModel,
 from bevfuse.config import ExperimentConfig, FusionSection
 from bevfuse.data import AugmentationConfig, augment, generate_scene
 from bevfuse.fusion import level_centers, plan_discrete_fusion, plan_fusion
-from bevfuse.geometry import BevGrid, BevKdTree, PointCloud, build_bev_index
+from bevfuse.geometry import BevGrid, BevKdTree, PointCloud, build_bev_index, voxelize
 from bevfuse.pipeline import build_model, build_scenes, miniature_config
 from bevfuse.tensor import Tensor
 
@@ -63,6 +63,29 @@ def test_image_stream_divisibility_check():
     stream = ImageStream(3, cfg, 6, _rng())
     with pytest.raises(ValueError):
         stream.forward(Tensor(np.zeros((3, 7, 8))))
+
+
+@pytest.mark.parametrize("mode", ["continuous", "continuous_nogeo", "discrete"])
+def test_fusion_mlp_layer_is_one_matmul_node(mode, monkeypatch):
+    cfg = miniature_config()
+    cfg.mode = mode
+    model = build_model(cfg)
+    scene = build_scenes(cfg)[0]
+    plan = model.make_plans(scene.cloud, scene.cam)
+    ops = []
+    result = Tensor._result
+
+    def counting(data, parents, op, backward):
+        out = result(data, parents, op, backward)
+        ops.append(out._op)
+        return out
+
+    monkeypatch.setattr(Tensor, "_result", staticmethod(counting))
+    model.forward(voxelize(scene.cloud, cfg.grid), scene.image_feature_input, plan)
+    # the image and BEV streams and the header use no matmul: each fusion
+    # level's MLP makes one node per affine layer, its bias included
+    assert ops.count("matmul") == 3 * len(cfg.backbone.fusion_points)
+    assert "add_rowvec" not in ops
 
 
 def test_detector_model_modes_and_parameters():

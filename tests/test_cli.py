@@ -156,6 +156,18 @@ def test_bad_checkpoint_magic_is_config_error(tmp_path):
     assert _eval_damaged_checkpoint(tmp_path, lambda raw: b"XXXX" + raw[4:]) == EXIT_CONFIG
 
 
+def test_non_finite_checkpoint_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    params = build_model(_write_mini_config(cfg_path)).parameters()
+    params["header.weight"].data[0, 0, 0, 0] = np.nan
+    save_checkpoint(params, tmp_path / "ckpt.bin")
+    rc = main(["eval", "--config", str(cfg_path), "--out", str(tmp_path / "e"),
+               "--checkpoint", str(tmp_path / "ckpt.bin")])
+    assert rc == EXIT_CONFIG
+    assert not (tmp_path / "e").exists()
+    assert "header.weight" in capsys.readouterr().err
+
+
 _CALIB = (b"P2: 1 0 0 0 0 1 0 0 0 0 1 0\nR0_rect: 1 0 0 0 1 0 0 0 1\n"
           b"Tr_velo_to_cam: 1 0 0 0 0 1 0 0 0 0 1 0\n")
 
@@ -412,6 +424,25 @@ def test_manifest_with_two_image_shapes_is_config_error(tmp_path):
     cfg.data.manifest = str(tmp_path / "data")
     assert _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg)) == \
         (EXIT_CONFIG, False)
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_manifest_with_non_finite_image_is_config_error(tmp_path, command):
+    cfg = miniature_config()
+    data = tmp_path / "data"
+    samples = generate_dataset(cfg.data.synthetic, 1)
+    checkpoint = tmp_path / "ckpt.bin"
+    save_checkpoint(build_model(cfg).parameters(), checkpoint)
+    samples[0].image_feature_input.data[1, 2, 3] = np.nan
+    save_dataset(samples, data)
+    cfg.data.source = "manifest"
+    cfg.data.manifest = str(data)
+    argv = [command, "--config", str(_write_config(tmp_path / "cfg.yaml", cfg)),
+            "--out", str(tmp_path / "o")]
+    if command == "eval":
+        argv += ["--checkpoint", str(checkpoint)]
+    assert main(argv) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
 
 
 def test_empty_manifest_is_config_error(tmp_path):

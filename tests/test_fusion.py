@@ -188,7 +188,9 @@ def test_apply_fusion_checks_width_against_mlp():
 
 
 def test_fusion_config_validation():
-    with pytest.raises(FusionConfigError):
-        FusionConfig(k=0)
-    with pytest.raises(FusionConfigError):
-        FusionConfig(input_dim=0)
+    # a max_dist that is not > 0 (NaN too) finds no neighbour: the map would read 0
+    for field, value in (("k", 0), ("input_dim", 0), ("output_dim", 0),
+                         ("max_dist", -1.0), ("max_dist", 0.0), ("max_dist", np.nan)):
+        with pytest.raises(ValueError, match=f"{field} must be > 0"):
+            FusionConfig(**{field: value})
+    assert FusionConfig(3, np.inf, True, 7, 5).max_dist == np.inf

@@ -199,8 +199,6 @@ def test_conv2d_data_path_is_bit_identical_to_reference_kernels(k, stride, paddi
 
     gcols = _with_signed_zeros(rng, ref_cols.shape)
     gx = T._col2im(gcols, x.shape, k, k, stride, padding, ho, wo)
-    if k == 1 and stride == 1 and padding == 0:
-        gx = gx + 0.0   # a view keeps -0.0; the grad adds it to zeros like this
     assert _same_bytes(gx, _col2im_reference(gcols, x.shape, k, k, stride, padding, ho, wo))
 
     # conv2d through the tape against a conv assembled from the reference kernels
@@ -225,6 +223,25 @@ def test_conv2d_data_path_is_bit_identical_to_reference_kernels(k, stride, paddi
         assert (np.abs(xt.grad - ref_gx) <= 2 * n * np.finfo(float).eps * magnitude).all()
     else:
         assert _same_bytes(xt.grad, ref_gx)
+
+
+def _conv1x1_input_grad_reshape(wgt, g):
+    """The input grad of a 1 x 1 stride-1 conv as a reshape of ``wmat.T @ g2``,
+    the rule ``_col2im`` once kept for that case, added to zeros."""
+    n, c_out, h, w = g.shape
+    g2 = g.transpose(1, 0, 2, 3).reshape(c_out, n * h * w)
+    cols = wgt.reshape(c_out, -1).T @ g2
+    return np.zeros((n, wgt.shape[1], h, w)) + cols.reshape(-1, n, h, w).transpose(1, 0, 2, 3)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_conv2d_1x1_stride1_input_grad_matches_reshape_rule(n):
+    rng = np.random.default_rng(n)
+    x = Tensor(_with_signed_zeros(rng, (n, 5, 6, 7)), requires_grad=True)
+    wgt = _with_signed_zeros(rng, (3, 5, 1, 1))
+    g = _with_signed_zeros(rng, (n, 3, 6, 7))
+    (T.conv2d(x, Tensor(wgt)) * Tensor(g)).sum().backward()
+    assert _same_bytes(x.grad, _conv1x1_input_grad_reshape(wgt, g))
 
 
 def _bilinear_grad_reference(shape, uv, g):
@@ -309,10 +326,21 @@ def test_bilinear_sample_known_values():
     np.testing.assert_allclose(out, [0.0, 3.5, 11.0, 0.0, 0.0])
 
 
-def test_add_rowvec_and_channel_bias():
-    x = Tensor(np.zeros((3, 2)))
-    b = Tensor(np.array([[1.0, 2.0]]))
-    np.testing.assert_allclose(T.add_rowvec(x, b).data, np.tile([1.0, 2.0], (3, 1)))
+def test_matmul_bias_and_channel_bias():
+    rng = np.random.default_rng(6)
+    a = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    b = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    out = T.matmul(a, w, b)
+    np.testing.assert_allclose(out.data, a.data @ w.data + [1.0, 2.0])
+    g = rng.standard_normal((5, 2))
+    (out * Tensor(g)).sum().backward()
+    np.testing.assert_allclose(b.grad, g.sum(axis=0, keepdims=True))     # column sums
+    np.testing.assert_allclose(a.grad, g @ w.data.T)
+    np.testing.assert_allclose(w.grad, a.data.T @ g)
+    for shape in ((2,), (1, 3), (5, 2), (2, 1)):
+        with pytest.raises(ValueError, match="bias"):
+            T.matmul(a, w, Tensor(np.zeros(shape)))
     fm = Tensor(np.zeros((2, 2, 2)))
     cb = Tensor(np.array([5.0, 7.0]))
     out = T.add_channel_bias(fm, cb).data
