@@ -6,16 +6,15 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import types
 from dataclasses import dataclass, field
-from typing import Annotated, Any, Literal, Union, get_args, get_origin
+from typing import Annotated, Any, Literal
 
 import yaml
 
 from .backbone import BackboneConfig, Mode, group_stride
 from .data import AugmentationConfig, SceneGenConfig
 from .detect import Variant
-from .domains import Checked, Finite, NonNeg, Pos, Unit, UnitOpen, type_hints
+from .domains import Checked, Finite, NonNeg, Pos, Unit, UnitOpen, shape
 from .evaluation import EvalConfig
 from .fusion import FusionSection
 from .geometry import BevGrid
@@ -60,7 +59,7 @@ class LossConfig(Checked):
 
 
 @dataclass
-class KittiFrame:
+class KittiFrame(Checked):
     """Paths of one KITTI frame's files."""
 
     velodyne: str
@@ -122,65 +121,11 @@ class ExperimentConfig(Checked):
             else AssignmentConfig.from_anchor(self.anchor.size)
 
 
-# -- strict dict -> dataclass construction ------------------------------------
-
-def _coerce(value: Any, hint: Any, path: str) -> Any:
-    """Check and shape a parsed YAML value by its field's type hint: scalars
-    by type without converting them (an int passes as a float, a bool as
-    neither), dataclasses from a mapping or a positional list, tuples and
-    lists element by element, and ``X | None`` as ``X``; only such a field
-    may be null."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is Annotated:             # the domain is checked on construction
-        return _coerce(value, args[0], path)
-    if origin in (Union, types.UnionType):
-        return None if value is None else \
-            _coerce(value, next(a for a in args if a is not type(None)), path)
-    if value is None:
-        raise ConfigError(f"{path}: must not be null")
-    if hint in (bool, int, float, str):
-        if isinstance(value, bool) != (hint is bool) or \
-                not isinstance(value, (int, float) if hint is float else hint):
-            raise ConfigError(f"{path}: expected {hint.__name__}, got {value!r}")
-        return value
-    if dataclasses.is_dataclass(hint):
-        if isinstance(value, (list, tuple)):
-            names = [f.name for f in dataclasses.fields(hint)]
-            if len(value) > len(names):
-                raise ConfigError(f"{path}: expected at most {len(names)} items "
-                                  f"({', '.join(names)}), got {len(value)}")
-            value = dict(zip(names, value))
-        return _from_dict(hint, value, path)
-    if origin not in (tuple, list):
-        return value
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{path}: expected a list, got {value!r}")
-    if origin is list or args[-1] is Ellipsis:
-        args = (args[0],) * len(value)
-    elif len(args) != len(value):
-        raise ConfigError(f"{path}: expected {len(args)} items, got {len(value)}")
-    return origin(_coerce(v, a, f"{path}[{i}]")
-                  for i, (v, a) in enumerate(zip(value, args)))
-
-
-def _from_dict(cls, d: dict, path: str = ""):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path or cls.__name__}: expected a mapping, got {type(d).__name__}")
-    hints = type_hints(cls)
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(d) - names
-    if unknown:
-        raise ConfigError(f"{path or cls.__name__}: unknown keys {sorted(unknown)}")
-    kwargs = {name: _coerce(value, hints[name], f"{path}.{name}" if path else name)
-              for name, value in d.items()}
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{path or cls.__name__}: {e}") from None
-
-
 def config_from_dict(d: dict) -> ExperimentConfig:
-    return _from_dict(ExperimentConfig, d)
+    try:
+        return shape(d, ExperimentConfig, "config")
+    except (TypeError, ValueError) as e:
+        raise ConfigError(str(e)) from None
 
 
 def config_to_dict(cfg) -> Any:
@@ -219,6 +164,8 @@ def _parse_yaml(text, source: str) -> Any:
 def load_config(path, environ=None) -> ExperimentConfig:
     with open(path, "rb") as f:      # the loader decodes: bad bytes are a YAMLError
         d = _parse_yaml(f, str(path)) or {}
+    if not isinstance(d, dict):         # the environment overrides index it by key
+        raise ConfigError(f"{path}: expected a mapping, got {type(d).__name__}")
     return config_from_dict(apply_env_overrides(d, environ))
 
 

@@ -345,6 +345,8 @@ def parse_kitti_label_line(line: str, rect_to_velo: np.ndarray,
         vals = [float(v) for v in fields[1:]]
     except ValueError as e:
         raise KittiParseError(f"{path}:{lineno}: {e}") from None
+    if not all(map(math.isfinite, vals)):
+        raise KittiParseError(f"{path}:{lineno}: a numeric field is NaN or infinite")
     hgt, wid, length = vals[7], vals[8], vals[9]
     loc_cam = np.array([vals[10], vals[11], vals[12], 1.0])
     ry = vals[13]
@@ -452,16 +454,30 @@ def load_dataset(directory) -> list[SceneSample]:
     return [_load_record(os.path.join(directory, f"{fid}.npz"), fid) for fid in frames]
 
 
+def _check_box_rows(rows: np.ndarray):
+    """Raise ValueError unless ``rows`` are N box records of ``BOX_COLUMNS``:
+    every value finite, ``w``, ``h`` and ``d`` > 0 unless the box is ignored
+    (KITTI's ``DontCare`` rows carry -1 sizes), and ``cls`` a non-negative
+    integer that a float64 holds exactly (below 2**53)."""
+    if rows.shape[1:] != (len(BOX_COLUMNS),):
+        raise ValueError(f"boxes must be N x {len(BOX_COLUMNS)}, got {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise ValueError("boxes hold a NaN or infinite value")
+    if ((rows[:, 3:6].min(axis=1) <= 0) & (rows[:, 9] == 0)).any():
+        raise ValueError("boxes that are not ignored must have w, h and d > 0")
+    cls = rows[:, 8]
+    if ((cls < 0) | (cls >= 2.0 ** 53) | (cls != np.floor(cls))).any():
+        raise ValueError("box cls must be a non-negative integer below 2**53")
+
+
 def _load_record(path, fid) -> SceneSample:
     try:
         with np.load(path) as z:
             rows = z["boxes"]
-            if rows.shape[1:] != (len(BOX_COLUMNS),):
-                raise ValueError(f"boxes must be N x {len(BOX_COLUMNS)}, got {rows.shape}")
+            _check_box_rows(rows)
             boxes = [DetectionBox(*r[:7], score=r[7], cls=int(r[8]), ignored=bool(r[9]),
                                   height2d=r[10], is_3d=bool(r[11])) for r in rows]
-            cam = CalibratedCamera(z["projection"],
-                                   tuple(int(v) for v in z["image_size"]))
+            cam = CalibratedCamera(z["projection"], z["image_size"].tolist())
             image = Tensor(z["image_features"])
             if not np.isfinite(image.data).all():
                 raise ValueError("image_features hold a non-finite value")

@@ -28,19 +28,23 @@ class PointCloud:
         self.points = pts
         if self.intensity is not None:
             self.intensity = np.asarray(self.intensity, dtype=np.float64).reshape(-1)
+            if self.intensity.shape[0] != pts.shape[0]:
+                raise ValueError(f"intensity must hold one value per point ({pts.shape[0]}), "
+                                 f"got {self.intensity.shape[0]}")
 
     def __len__(self):
         return self.points.shape[0]
 
 
 @dataclass
-class CalibratedCamera:
+class CalibratedCamera(Checked):
     """3x4 projective map from homogeneous LIDAR-frame points to the image plane."""
 
     projection: np.ndarray                   # 3 x 4
-    image_size: tuple[int, int]              # (height, width) pixels
+    image_size: Annotated[tuple[int, int], Pos]      # (height, width) pixels
 
     def __post_init__(self):
+        super().__post_init__()
         self.projection = np.asarray(self.projection, dtype=np.float64).reshape(3, 4)
         if np.linalg.matrix_rank(self.projection) < 3:
             raise InputError("camera projection matrix must have rank 3")

@@ -655,6 +655,8 @@ def load_checkpoint(path) -> dict:
                 name = take(nlen).decode("utf-8")
             except UnicodeDecodeError as e:
                 raise InputError(f"{path}: bad parameter name: {e}") from None
+            if name in out:
+                raise InputError(f"{path}: parameter {name!r} is stored twice")
             (ndim,) = struct.unpack("<B", take(1))
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
             data = take(8 * math.prod(shape))

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +10,8 @@ import yaml
 
 from bevfuse.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from bevfuse.config import config_to_dict
-from bevfuse.data import (GENERATOR_VERSION, AugmentationConfig, generate_dataset,
-                          save_dataset)
+from bevfuse.data import (BOX_COLUMNS, GENERATOR_VERSION, AugmentationConfig,
+                          generate_dataset, save_dataset)
 from bevfuse.pipeline import build_model, miniature_config
 from bevfuse.tensor import save_checkpoint
 
@@ -156,6 +158,22 @@ def test_bad_checkpoint_magic_is_config_error(tmp_path):
     assert _eval_damaged_checkpoint(tmp_path, lambda raw: b"XXXX" + raw[4:]) == EXIT_CONFIG
 
 
+def _repeat_first_record(raw):
+    """The checkpoint with its first record stored once more at the end."""
+    (count,) = struct.unpack("<I", raw[5:9])
+    (nlen,) = struct.unpack("<H", raw[9:11])
+    ndim = raw[11 + nlen]
+    shape = struct.unpack(f"<{ndim}I", raw[12 + nlen:12 + nlen + 4 * ndim])
+    end = 12 + nlen + 4 * ndim + 8 * math.prod(shape)
+    return raw[:5] + struct.pack("<I", count + 1) + raw[9:] + raw[9:end]
+
+
+def test_repeated_checkpoint_record_is_config_error(tmp_path, capsys):
+    assert _eval_damaged_checkpoint(tmp_path, _repeat_first_record) == EXIT_CONFIG
+    assert not (tmp_path / "e").exists()
+    assert "stored twice" in capsys.readouterr().err
+
+
 def test_non_finite_checkpoint_is_config_error(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.yaml"
     params = build_model(_write_mini_config(cfg_path)).parameters()
@@ -218,12 +236,20 @@ def test_malformed_calib_is_config_error(tmp_path, monkeypatch):
         assert not (tmp_path / "o").exists()
 
 
+def _nan_dimension_label(frame):
+    with open(frame["labels"], "wb") as f:
+        f.write(b"Car 0.00 0 0.00 0 0 10 10 1.50 nan 4.00 8.00 0.00 0.00 0.00\n")
+    return frame
+
+
 @pytest.mark.parametrize("malform", [
     lambda frame: "abc", lambda frame: {k: frame[k] for k in ("velodyne", "calib")},
     lambda frame: {**frame, "image": frame["velodyne"]},
-    lambda frame: {**frame, "labels": [frame["labels"]]}],
-    ids=["not_a_mapping", "no_labels", "extra_key", "path_not_a_string"])
-def test_malformed_kitti_frame_rejected_at_load(tmp_path, malform):
+    lambda frame: {**frame, "labels": [frame["labels"]]}, _nan_dimension_label],
+    ids=["not_a_mapping", "no_labels", "extra_key", "path_not_a_string",
+         "label_dimension_nan"])
+def test_malformed_kitti_frame_rejected_at_load(tmp_path, monkeypatch, malform):
+    monkeypatch.setenv("BEVFUSE_MODE", "bev_only")     # the KITTI image fits: only the frame fails
     assert main(_kitti_argv(tmp_path, _CALIB, b"", malform)) == EXIT_CONFIG
     assert not (tmp_path / "o").exists()
 
@@ -361,21 +387,41 @@ def _truncate_first_record(data):
     record.write_bytes(record.read_bytes()[:-100])
 
 
-def _drop_height2d_and_is_3d(data):
-    index = json.loads((data / "index.json").read_text())
-    record = data / f"{index['frames'][0]}.npz"
-    with np.load(record) as z:
-        arrays = dict(z)
-    arrays["boxes"] = arrays["boxes"][:, :10]
-    np.savez(record, **arrays)
+def _edit_first_record(key, edit):
+    """A damage that replaces the first record's array ``key`` by ``edit`` of it."""
+    def damage(data):
+        index = json.loads((data / "index.json").read_text())
+        record = data / f"{index['frames'][0]}.npz"
+        with np.load(record) as z:
+            arrays = dict(z)
+        arrays[key] = edit(arrays[key])
+        np.savez(record, **arrays)
+    return damage
+
+
+def _first_box(column, value):
+    """A damage that sets ``column`` of the first record's first box."""
+    def edit(boxes):
+        boxes[0, BOX_COLUMNS.index(column)] = value
+        return boxes
+    return _edit_first_record("boxes", edit)
+
+
+_drop_height2d_and_is_3d = _edit_first_record("boxes", lambda boxes: boxes[:, :10])
 
 
 @pytest.mark.parametrize("damage", [
     lambda data: (data / "index.json").write_text("{\"frames\": ["),
     lambda data: (data / "index.json").write_text(json.dumps({"seeds": []})),
-    _truncate_first_record, _drop_height2d_and_is_3d],
+    _truncate_first_record, _drop_height2d_and_is_3d,
+    _edit_first_record("image_size", lambda size: np.append(size, 1)),
+    _edit_first_record("image_size", lambda size: -size),
+    _edit_first_record("intensity", lambda intensity: intensity[1:]),
+    _first_box("x", np.inf), _first_box("cls", 1e300), _first_box("w", np.nan),
+    _first_box("w", -1.0)],
     ids=["index_not_json", "index_without_frames", "corrupt_record",
-         "record_without_height2d_and_is_3d"])
+         "record_without_height2d_and_is_3d", "image_size_of_three", "image_size_negative",
+         "intensity_short", "box_x_inf", "box_cls_huge", "box_w_nan", "box_w_negative"])
 def test_damaged_manifest_is_config_error(tmp_path, damage):
     cfg = miniature_config()
     save_dataset(generate_dataset(cfg.data.synthetic, 1), tmp_path / "data")

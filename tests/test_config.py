@@ -114,6 +114,15 @@ def test_load_config_applies_env(tmp_path):
     assert cfg.seed == 5
 
 
+@pytest.mark.parametrize("doc", ["[1]\n", "5\n"], ids=["list", "scalar"])
+def test_config_document_must_be_a_mapping(tmp_path, doc):
+    path = tmp_path / "c.yaml"
+    path.write_text(doc)
+    for environ in ({}, {"BEVFUSE_SEED": "3"}):
+        with pytest.raises(ConfigError, match="expected a mapping"):
+            load_config(path, environ=environ)
+
+
 def test_grid_from_dict():
     # 16 x 16: the default BEV stream halves the raster four times
     cfg = config_from_dict({"grid": {"x_range": [0.0, 32.0], "y_range": [-16.0, 16.0],

@@ -356,8 +356,9 @@ def test_parse_label_rejects_short_line():
 def test_save_load_dataset_round_trip(tmp_path):
     scenes = generate_dataset(_cfg(), 2)
     box = scenes[0].gt_boxes[0]
+    # an ignored box may carry KITTI's DontCare sizes of -1
     scenes[0].gt_boxes[0] = replace(box, score=0.25, ignored=True, height2d=37.5,
-                                    is_3d=not box.is_3d)
+                                    is_3d=not box.is_3d, w=-1.0, h=-1.0, d=-1.0)
     save_dataset(scenes, tmp_path / "ds")
     loaded = load_dataset(tmp_path / "ds")
     assert len(loaded) == 2
