@@ -13,17 +13,19 @@ time: ``PAIRS`` pairs at
 ``--trace 0`` and ``TRACED_PAIRS`` pairs at ``--trace 1``, alternating which
 side goes first. The output holds the first pair's
 ``perfbench/results/*.json`` files at each trace level, both git SHAs, each
-side's ``src_lines`` (the lines of the ``.py`` files under ``src/``), each
-side's per-layer values from every traced run, and for every end-to-end
-metric the value of every trace-0 run on each side, the two medians, the
-base runs' interquartile range and the number of pairs the change won, and
-the summed ``failed`` counts. After writing it, the script prints one line
+side's ``src_lines`` (the lines of the ``.py`` files under ``src/``) and
+``src_file_lines`` (those lines per file), each side's per-layer values
+from every traced run, and for every end-to-end metric the value of every
+trace-0 run on each side, the two medians, the base runs' interquartile
+range and the number of pairs the change won, and the summed ``failed``
+counts. After writing it, the script prints one line
 per workload and end-to-end metric: both medians, the relative change, the
 pairs won and the base IQR. Then one line per workload and per-layer metric
 whose median shift over the traced pairs exceeds ``LAYER_SHIFT``: both
 sides' medians and the median of the pairs' relative changes (a single
-traced pair spreads by about as much as the shifts it would show). A last
-line gives both sides' ``src_lines`` and their difference.
+traced pair spreads by about as much as the shifts it would show). Then
+a line gives both sides' ``src_lines`` and their difference, and one more
+line does so for each file whose count changed (a missing file counts 0).
 """
 
 import argparse
@@ -51,8 +53,9 @@ def export(rev: str, dest: pathlib.Path):
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def src_lines(checkout: pathlib.Path) -> int:
-    return sum(p.read_text().count("\n") for p in (checkout / "src").rglob("*.py"))
+def src_file_lines(checkout: pathlib.Path) -> dict[str, int]:
+    return {str(p.relative_to(checkout)): p.read_text().count("\n")
+            for p in sorted((checkout / "src").rglob("*.py"))}
 
 
 def run(command: list[str], checkout: pathlib.Path, workload: str, seed: int,
@@ -86,6 +89,11 @@ def summary(doc: dict) -> list[str]:
                              f"change {c:<10.4g} {rel}")
     base, change = doc["base"]["src_lines"], doc["change"]["src_lines"]
     lines.append(f"src_lines base {base} change {change} ({change - base:+d})")
+    base, change = doc["base"]["src_file_lines"], doc["change"]["src_file_lines"]
+    for path in sorted(base.keys() | change.keys()):
+        b, c = base.get(path, 0), change.get(path, 0)
+        if b != c:
+            lines.append(f"src_lines {path} base {b} change {c} ({c - b:+d})")
     return lines
 
 
@@ -115,8 +123,10 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base_dir = pathlib.Path(tmp)
         export(base_sha, base_dir)
-        doc["base"]["src_lines"], doc["change"]["src_lines"] = map(src_lines, (base_dir, ROOT))
         sides = [("base", base_dir), ("change", ROOT)]
+        for side, checkout in sides:
+            doc[side]["src_file_lines"] = src_file_lines(checkout)
+            doc[side]["src_lines"] = sum(doc[side]["src_file_lines"].values())
         for workload in (w["name"] for w in bench["workloads"]):
             for i, trace in enumerate([0] * PAIRS + [1] * TRACED_PAIRS):
                 for side, checkout in sides if i % 2 == 0 else sides[::-1]:

@@ -447,6 +447,8 @@ def load_dataset(directory) -> list[SceneSample]:
             frames = index["frames"]
         except (ValueError, KeyError, TypeError) as e:
             raise InputError(f"{path}: not a dataset index: {e!r}") from None
+    if not (isinstance(frames, list) and all(isinstance(fid, str) for fid in frames)):
+        raise InputError(f"{path}: not a dataset index: frames must be a list of strings")
     version = index.get("generator_version")
     if version != GENERATOR_VERSION:
         raise InputError(f"{path}: dataset version mismatch: generator_version {version!r}, "
@@ -456,9 +458,10 @@ def load_dataset(directory) -> list[SceneSample]:
 
 def _check_box_rows(rows: np.ndarray):
     """Raise ValueError unless ``rows`` are N box records of ``BOX_COLUMNS``:
-    every value finite, ``w``, ``h`` and ``d`` > 0 unless the box is ignored
-    (KITTI's ``DontCare`` rows carry -1 sizes), and ``cls`` a non-negative
-    integer that a float64 holds exactly (below 2**53)."""
+    every value finite; ``w``, ``h`` and ``d`` > 0 unless the box is ignored
+    (KITTI's ``DontCare`` rows carry -1 sizes); ``cls`` a non-negative
+    integer that a float64 holds exactly (below 2**53); and ``ignored`` and
+    ``is_3d`` each 0 or 1."""
     if rows.shape[1:] != (len(BOX_COLUMNS),):
         raise ValueError(f"boxes must be N x {len(BOX_COLUMNS)}, got {rows.shape}")
     if not np.isfinite(rows).all():
@@ -468,6 +471,8 @@ def _check_box_rows(rows: np.ndarray):
     cls = rows[:, 8]
     if ((cls < 0) | (cls >= 2.0 ** 53) | (cls != np.floor(cls))).any():
         raise ValueError("box cls must be a non-negative integer below 2**53")
+    if not np.isin(rows[:, [9, 11]], (0.0, 1.0)).all():
+        raise ValueError("box ignored and is_3d must each be 0 or 1")
 
 
 def _load_record(path, fid) -> SceneSample:

@@ -521,15 +521,15 @@ def bilinear_sample(feature_map: Tensor, uv: np.ndarray, scene=None) -> Tensor:
 
     def bw(g):
         if feature_map.requires_grad:
-            # flat index (corner, sample, channel) -> (scene·C + channel)·H·W +
-            # pixel: one bincount adds corner-major, then sample, as
-            # np.add.at per corner did
+            # each sample's C-row adds into row scene·H·W + pixel of an
+            # (N·H·W) x C map, corner-major, then sample, as np.add.at per
+            # corner did
             pix = np.stack((v0 * w + u0, v0 * w + u1, v1 * w + u0, v1 * w + u1)) \
-                + scene * (c * h * w)
-            flat = pix[:, :, None] + np.arange(0, c * h * w, h * w)
+                + scene * (h * w)
             wgt = np.stack((w00, w01, w10, w11))[:, :, None] * g
-            acc = np.bincount(flat.ravel(), wgt.ravel(), minlength=n * c * h * w)
-            feature_map._accumulate(acc.reshape(feature_map.shape))
+            acc = _scatter_rows(pix, wgt, (n * h * w, c))
+            feature_map._accumulate(
+                acc.reshape(n, h, w, c).transpose(0, 3, 1, 2).reshape(feature_map.shape))
 
     return Tensor._result(out, (feature_map,), "bilinear_sample", bw)
 

@@ -410,6 +410,15 @@ def _first_box(column, value):
 _drop_height2d_and_is_3d = _edit_first_record("boxes", lambda boxes: boxes[:, :10])
 
 
+def _index_frames(frames):
+    """A damage that sets the index's ``frames`` and keeps its version."""
+    def damage(data):
+        index = json.loads((data / "index.json").read_text())
+        index["frames"] = frames
+        (data / "index.json").write_text(json.dumps(index))
+    return damage
+
+
 @pytest.mark.parametrize("damage", [
     lambda data: (data / "index.json").write_text("{\"frames\": ["),
     lambda data: (data / "index.json").write_text(json.dumps({"seeds": []})),
@@ -418,10 +427,12 @@ _drop_height2d_and_is_3d = _edit_first_record("boxes", lambda boxes: boxes[:, :1
     _edit_first_record("image_size", lambda size: -size),
     _edit_first_record("intensity", lambda intensity: intensity[1:]),
     _first_box("x", np.inf), _first_box("cls", 1e300), _first_box("w", np.nan),
-    _first_box("w", -1.0)],
+    _first_box("w", -1.0), _index_frames(5), _index_frames(None),
+    _first_box("ignored", 0.5), _first_box("is_3d", 0.5)],
     ids=["index_not_json", "index_without_frames", "corrupt_record",
          "record_without_height2d_and_is_3d", "image_size_of_three", "image_size_negative",
-         "intensity_short", "box_x_inf", "box_cls_huge", "box_w_nan", "box_w_negative"])
+         "intensity_short", "box_x_inf", "box_cls_huge", "box_w_nan", "box_w_negative",
+         "index_frames_int", "index_frames_null", "box_ignored_half", "box_is_3d_half"])
 def test_damaged_manifest_is_config_error(tmp_path, damage):
     cfg = miniature_config()
     save_dataset(generate_dataset(cfg.data.synthetic, 1), tmp_path / "data")

@@ -14,26 +14,31 @@ def collect_bench():
     return module
 
 
-def _side(src_lines, layers):
-    return {"src_lines": src_lines, "per_layer": {"augment_train": layers}}
+def _side(file_lines, layers):
+    return {"src_lines": sum(file_lines.values()), "src_file_lines": file_lines,
+            "per_layer": {"augment_train": layers}}
 
 
 def test_summary_prints_per_layer_metrics_that_moved(collect_bench):
+    base_files = {"src/a.py": 100, "src/b.py": 150, "src/c.py": 50}
+    change_files = {"src/a.py": 100, "src/b.py": 160, "src/d.py": 30}
     doc = {
-        "base": _side(300, {"geometry.kdtree_query_ms": [9.0, 9.5, 8.0],
-                            "geometry.voxelize_ms": [2.0, 2.0, 2.0],
-                            "fusion.pairs": [0.0, 0.0, 0.0], "detect.nms_ms": [0.0, 0.0, 0.0],
-                            "only.base_ms": [1.0, 1.0, 1.0]}),
-        "change": _side(290, {"geometry.kdtree_query_ms": [6.0, 6.2, 5.0],
-                              "geometry.voxelize_ms": [2.05, 3.0, 1.98],
-                              "fusion.pairs": [3.0, 3.0, 3.0], "detect.nms_ms": [0.0, 0.0, 0.0],
-                              "only.change_ms": [1.0, 1.0, 1.0]}),
+        "base": _side(base_files, {"geometry.kdtree_query_ms": [9.0, 9.5, 8.0],
+                                   "geometry.voxelize_ms": [2.0, 2.0, 2.0],
+                                   "fusion.pairs": [0.0, 0.0, 0.0],
+                                   "detect.nms_ms": [0.0, 0.0, 0.0],
+                                   "only.base_ms": [1.0, 1.0, 1.0]}),
+        "change": _side(change_files, {"geometry.kdtree_query_ms": [6.0, 6.2, 5.0],
+                                       "geometry.voxelize_ms": [2.05, 3.0, 1.98],
+                                       "fusion.pairs": [3.0, 3.0, 3.0],
+                                       "detect.nms_ms": [0.0, 0.0, 0.0],
+                                       "only.change_ms": [1.0, 1.0, 1.0]}),
         "end_to_end": {"augment_train.iter_ms_p50": {
             "base": [100.0, 98.0], "change": [90.0, 91.0], "median": [99.0, 90.5],
             "base_iqr": 1.0, "change_wins": 2}},
     }
     lines = collect_bench.summary(doc)
-    assert len(lines) == 4
+    assert len(lines) == 7
     assert lines[0].startswith("augment_train.iter_ms_p50") and "-8.6%" in lines[0]
     # sorted by name; voxelize's one +50 % pair leaves its median shift at +2.5 %,
     # and unchanged and one-sided metrics are left out
@@ -42,6 +47,10 @@ def test_summary_prints_per_layer_metrics_that_moved(collect_bench):
     assert lines[2].split() == ["augment_train.geometry.kdtree_query_ms", "base", "9",
                                 "change", "6", "-34.7%"]
     assert lines[3] == "src_lines base 300 change 290 (-10)"
+    # the files whose count changed, a deleted or added file counting 0 on its other side
+    assert lines[4:] == ["src_lines src/b.py base 150 change 160 (+10)",
+                         "src_lines src/c.py base 50 change 0 (-50)",
+                         "src_lines src/d.py base 0 change 30 (+30)"]
 
 
 def test_seed_defaults_to_1_and_reaches_every_run(collect_bench, monkeypatch, tmp_path):

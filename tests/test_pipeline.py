@@ -58,6 +58,29 @@ def test_scene_loss_finite_and_differentiable():
     assert grads
 
 
+def _square(t, grad_scale):
+    """t², with its backward scaled by ``grad_scale`` (1.0 is the true grad)."""
+    return T.Tensor._result(t.data ** 2, (t,), "square",
+                            lambda g: t._accumulate(grad_scale * 2.0 * t.data * g))
+
+
+@pytest.mark.parametrize("grad_scale", [1.0, 1.5, np.nan])
+def test_gradient_check_reads_a_wrong_backward(grad_scale):
+    rng = np.random.default_rng(0)
+    x = T.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    y = T.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+
+    def loss():
+        return (_square(x, grad_scale) * y).sum()
+    random = [[rng.standard_normal(p.shape) for p in (x, y)] for _ in range(4)]
+    for directions, eps in ((pipeline._basis([x, y]), 1e-5), (random, 1e-7)):
+        err = pipeline._max_grad_error(loss, [x, y], directions, eps)
+        if grad_scale == 1.0:
+            assert err < 1e-6
+        else:
+            assert not err < 0.1        # a NaN error fails every tolerance
+
+
 def _one_hot_scene_loss(model, cfg, prep, mined):
     """Reference header selection: gather rows, then multiply by one-hot
     column selectors."""
