@@ -159,14 +159,13 @@ def box_corners_bev(box) -> np.ndarray:
     return np.array(_corners(box))
 
 
-def _poly_area(poly: np.ndarray) -> float:
+def _poly_area(poly: list) -> float:
     if len(poly) < 3:
         return 0.0
     # np.dot, not a Python sum: its summation order sets the last bits
-    x, y = poly[:, 0], poly[:, 1]
-    x_next = np.concatenate((x[1:], x[:1]))      # np.roll(x, -1), without its overhead
-    y_next = np.concatenate((y[1:], y[:1]))
-    return 0.5 * abs(np.dot(x, y_next) - np.dot(y, x_next))
+    p = np.array(poly + poly[:1])
+    x, y = p[:, 0], p[:, 1]
+    return 0.5 * abs(np.dot(x[:-1], y[1:]) - np.dot(y[:-1], x[1:]))
 
 
 def _clip_polygon(subject: list, a, b) -> list:
@@ -174,6 +173,8 @@ def _clip_polygon(subject: list, a, b) -> list:
     ax, ay = a
     ex, ey = b[0] - ax, b[1] - ay
     sides = [ex * (p[1] - ay) - ey * (p[0] - ax) for p in subject]
+    if all(side > 0 for side in sides):
+        return subject                  # wholly left of the edge: the loop copies it
     out = []
     for i in range(len(subject)):
         j = i + 1 - len(subject)                    # the next vertex, wrapping
@@ -192,7 +193,7 @@ def _intersection_area(pa: list, pb: list) -> float:
         if not poly:
             return 0.0
         poly = _clip_polygon(poly, pb[i], pb[i + 1 - len(pb)])
-    return _poly_area(np.array(poly))
+    return _poly_area(poly)
 
 
 def polygon_intersection_area(pa: np.ndarray, pb: np.ndarray) -> float:
@@ -211,8 +212,11 @@ def may_overlap(a, b) -> np.ndarray:
     is never pruned. A NaN never prunes: a NaN centre coordinate takes its own
     axis out of the test, a NaN size or angle takes both.
     """
-    def fields(boxes):
-        f = box_rows(boxes)
+    return _may_overlap_rows(box_rows(a), box_rows(b))
+
+
+def _may_overlap_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def fields(f):
         c, s = np.abs(np.cos(f[:, 6])), np.abs(np.sin(f[:, 6]))
         w, h = np.abs(f[:, 3]), np.abs(f[:, 4])
         return f[:, 0], f[:, 1], 0.5 * (c * w + s * h), 0.5 * (s * w + c * h)
@@ -227,6 +231,48 @@ def may_overlap(a, b) -> np.ndarray:
     sep_x = apart(ax, arx, bx, brx)
     sep_y = apart(ay, ary, by, bry)
     return ~(sep_x | sep_y)
+
+
+def iou_upper_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per pair of box rows ``(a[k], b[k])`` (N x 7 each), an upper bound on
+    their ``rotated_iou_bev`` and ``iou_3d``.
+
+    In a box's own frame the other box lies inside its bounding rectangle, so
+    their intersection is at most the overlap of the box with that rectangle:
+    a product of two interval overlaps, zero when an axis separates them. The
+    smaller of the two frames' overlaps, already capped by both areas, bounds
+    the intersection I, and IoU <= I / (area_a + area_b - I). I is widened by
+    1e-9 (|x_a| + |y_a| + |x_b| + |y_b| + w_a + h_a + w_b + h_b)^2, far above
+    the rounding of the bound, of the clipped corners and of the shoelace sum,
+    so no pair whose computed IoU reaches a threshold is bounded below it.
+    A pair with a non-finite x, y, w, h or t, or whose bound overflows, gets
+    inf: it is never pruned.
+    """
+    cols = [0, 1, 3, 4, 6]
+    finite = np.isfinite(a[:, cols]).all(1) & np.isfinite(b[:, cols]).all(1)
+    a, b = (np.where(finite[:, None], r, 0.0) for r in (a, b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        wa, ha, wb, hb = np.abs(a[:, 3]), np.abs(a[:, 4]), np.abs(b[:, 3]), np.abs(b[:, 4])
+        ca, sa, cb, sb = np.cos(a[:, 6]), np.sin(a[:, 6]), np.cos(b[:, 6]), np.sin(b[:, 6])
+        # |cos| and |sin| of the heading difference, from each box's own cos and sin
+        c, s = np.abs(ca * cb + sa * sb), np.abs(sa * cb - ca * sb)
+        dx, dy = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
+
+        def overlap(ct, st, w, h, ow, oh):
+            """Area shared by a box (w, h; heading cos ct, sin st) and the
+            bounding rectangle, in its frame, of the other box (ow, oh)."""
+            rx, ry = 0.5 * (c * ow + s * oh), 0.5 * (s * ow + c * oh)
+            ox = np.minimum(0.5 * w + rx - np.abs(ct * dx + st * dy), np.minimum(w, 2 * rx))
+            oy = np.minimum(0.5 * h + ry - np.abs(ct * dy - st * dx), np.minimum(h, 2 * ry))
+            return np.maximum(ox, 0.0) * np.maximum(oy, 0.0)
+
+        span = (np.abs(a[:, 0]) + np.abs(a[:, 1]) + np.abs(b[:, 0]) + np.abs(b[:, 1])
+                + wa + ha + wb + hb)
+        inter = np.minimum(overlap(ca, sa, wa, ha, wb, hb),
+                           overlap(cb, sb, wb, hb, wa, ha)) + 1e-9 * span * span
+        union = wa * ha + wb * hb - inter
+        ok = finite & np.isfinite(union) & (union > 0)
+        return np.where(ok, inter / np.where(ok, union, 1.0), np.inf)
 
 
 def rotated_iou_bev(a, b) -> float:
@@ -264,11 +310,18 @@ def nms(boxes: list[DetectionBox], iou_threshold: float = 0.1,
         score_threshold: float = 0.1, max_out: int | None = None) -> list[DetectionBox]:
     """Greedy NMS on rotated BEV IoU over boxes in ``rank_detections`` order.
 
-    Only pairs inside ``may_overlap`` are clipped; every other pair has IoU
-    0.0, which suppresses only when ``iou_threshold <= 0``."""
+    Two vectorised prefilters pick the pairs that are clipped. ``may_overlap``
+    drops pairs whose corner bounds lie apart, and ``iou_upper_bound``, over
+    the pairs that remain, drops those bounded below ``iou_threshold``. Both
+    are widened past rounding, so a dropped pair's ``rotated_iou_bev`` is below
+    the threshold and could not have suppressed: the kept set is the one that
+    clipping every pair would give."""
     order = rank_detections(boxes)
     cand = [boxes[i] for i in order if boxes[i].score >= score_threshold]
-    near = may_overlap(cand, cand)
+    rows = box_rows(cand)
+    clip = np.tril(_may_overlap_rows(rows, rows), -1)
+    later, earlier = np.nonzero(clip)
+    clip[later, earlier] = iou_upper_bound(rows[later], rows[earlier]) >= iou_threshold
     taken = np.zeros(len(cand), dtype=bool)
     kept: list[DetectionBox] = []
     for i, box in enumerate(cand):
@@ -276,7 +329,7 @@ def nms(boxes: list[DetectionBox], iou_threshold: float = 0.1,
             break
         if kept and iou_threshold <= 0:
             break                   # IoU >= 0: the first kept box suppresses the rest
-        rivals = np.flatnonzero(near[i, :i] & taken[:i]).tolist()
+        rivals = np.flatnonzero(clip[i, :i] & taken[:i]).tolist()
         if any(rotated_iou_bev(box, cand[k]) >= iou_threshold for k in rivals):
             continue
         taken[i] = True

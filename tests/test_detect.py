@@ -1,4 +1,5 @@
 import math
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -6,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bevfuse.detect as detect
+from bevfuse import pipeline
+from bevfuse.config import load_config
 from bevfuse.detect import (ANCHOR_ORIENTATIONS, CENTER_EPS, NUM_REG, Anchor,
                             DetectionBox, DetectionHeader, HeaderOutput, box_corners_bev,
                             box_rows, decode_detections, decode_rows, decode_targets,
-                            encode_rows, encode_targets, iou_3d, make_anchors,
-                            may_overlap, nms, polygon_intersection_area,
+                            encode_rows, encode_targets, iou_3d, iou_upper_bound,
+                            make_anchors, may_overlap, nms, polygon_intersection_area,
                             regression_rows, rotated_iou_bev)
 from bevfuse.geometry import BevGrid
-from bevfuse.tensor import Tensor
+from bevfuse.tensor import Tensor, no_grad
 
 
 def test_anchor_rejects_nonpositive_size():
@@ -373,6 +377,65 @@ def test_nms_matches_quadratic_oracle(boxes, iou_th, score_th, max_out):
     got = nms(boxes, iou_th, score_th, max_out)
     ref = _nms_quadratic(boxes, iou_th, score_th, max_out, iou=_ref_iou_bev)
     assert len(got) == len(ref) and all(g is r for g, r in zip(got, ref))
+
+
+def _inf_field_pair():
+    return st.tuples(_boxes(2, 2, nan=False), st.sampled_from(["x", "y", "w", "h", "t"]),
+                     st.sampled_from([math.inf, -math.inf])).map(
+        lambda p: (replace(p[0][0], **{p[1]: p[2]}), p[0][1]))
+
+
+_BOUND_PAIRS = st.one_of(_boxes(2, 2).map(lambda p: tuple(p[:2])), _touching_pair(),
+                         _boxes(1, 1, nan=False).map(lambda p: (p[0], replace(p[0]))),
+                         _inf_field_pair())
+
+
+@settings(max_examples=600, deadline=None)
+@given(_BOUND_PAIRS)
+def test_iou_upper_bound_is_sound(pair):
+    a, b = pair
+    ab, ba = iou_upper_bound(box_rows([a, b]), box_rows([b, a]))
+    fields = [getattr(bx, k) for bx in pair for k in "xywht"]
+    if not all(map(math.isfinite, fields)):
+        assert ab == ba == math.inf                 # never prunes
+    if any(map(math.isinf, fields)):
+        return              # the scalar kernels take no inf: math.cos raises, numpy warns
+    for bound in (ab, ba):
+        assert not bound < rotated_iou_bev(a, b)    # NaN-safe >=
+        assert not bound < iou_3d(a, b)
+
+
+def _decoded_frame(seed: int) -> list[DetectionBox]:
+    """Boxes decoded from the seeded initial weights of configs/default.yaml."""
+    cfg = load_config(pathlib.Path(__file__).parent.parent / "configs" / "default.yaml",
+                      environ={})
+    cfg.seed, cfg.data.synthetic.seed, cfg.data.n_scenes = seed, seed * 1000, 1
+    model = pipeline.build_model(cfg)
+    anchors = make_anchors(model.output_grid, cfg.anchor.size, cfg.anchor.z)
+    prep = pipeline.prepare_scene(model, cfg, anchors, pipeline.build_scenes(cfg)[0])
+    with no_grad():
+        header = model.forward(prep.bev_input, prep.sample.image_feature_input, prep.plan)
+    return decode_detections(header, anchors, center_norm=cfg.loss.center_norm)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nms_on_decoded_frames_clips_fewer_pairs(seed, monkeypatch):
+    decoded = _decoded_frame(seed)
+    headings = np.random.default_rng(seed).uniform(-math.pi, math.pi, len(decoded))
+    calls = []
+    monkeypatch.setattr(detect, "rotated_iou_bev",
+                        lambda a, b: calls.append(1) or rotated_iou_bev(a, b))
+    for boxes in (decoded, [replace(b, t=float(t)) for b, t in zip(decoded, headings)]):
+        calls.clear()
+        got = nms(boxes, 0.1, 0.1, 50)
+        pruned = len(calls)
+        ref = _nms_quadratic(boxes, 0.1, 0.1, 50)
+        assert len(got) == len(ref) and all(g is r for g, r in zip(got, ref))
+        with monkeypatch.context() as m:     # may_overlap alone: the bound prunes nothing
+            m.setattr(detect, "iou_upper_bound", lambda a, b: np.full(len(a), np.inf))
+            calls.clear()
+            assert nms(boxes, 0.1, 0.1, 50) == got
+        assert pruned < len(calls)
 
 
 def test_header_output_layout_and_decode():
