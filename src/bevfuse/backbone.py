@@ -59,6 +59,16 @@ class BackboneConfig(Checked):
             raise ValueError(f"fusion points must be distinct, got {list(self.fusion_points)}")
 
 
+def merge_parameters(*modules) -> dict[str, Tensor]:
+    """The named parameters of every module that is not None, in argument
+    order: the order of checkpoint records and of Adam's arrays."""
+    out = {}
+    for m in modules:
+        if m is not None:
+            out.update(m.parameters())
+    return out
+
+
 class Conv2dLayer:
     def __init__(self, in_ch: int, out_ch: int, ksize: int, stride: int,
                  padding: int, rng: np.random.Generator, name: str):
@@ -93,10 +103,7 @@ class ResidualBlock:
             self.skip = Conv2dLayer(in_ch, out_ch, 1, stride, 0, rng, f"{name}.skip")
 
     def parameters(self):
-        out = {**self.conv1.parameters(), **self.conv2.parameters()}
-        if self.skip is not None:
-            out.update(self.skip.parameters())
-        return out
+        return merge_parameters(self.conv1, self.conv2, self.skip)
 
     def forward(self, x: Tensor) -> Tensor:
         h = self.conv2.forward(self.conv1.forward(x).relu())
@@ -113,10 +120,7 @@ class ResidualGroup:
                                              rng, f"{name}.block{b}"))
 
     def parameters(self):
-        out = {}
-        for blk in self.blocks:
-            out.update(blk.parameters())
-        return out
+        return merge_parameters(*self.blocks)
 
     def forward(self, x: Tensor) -> Tensor:
         for blk in self.blocks:
@@ -143,10 +147,7 @@ class FpnCombiner:
                       for i, c in enumerate(in_channels)]
 
     def parameters(self):
-        out = {}
-        for p in self.projs:
-            out.update(p.parameters())
-        return out
+        return merge_parameters(*self.projs)
 
     def forward(self, maps: list[Tensor]) -> Tensor:
         if len(maps) != len(self.projs):
@@ -171,10 +172,7 @@ class ImageStream:
                                     out_channels, rng, f"{name}.fpn")
 
     def parameters(self):
-        out = self.combiner.parameters()
-        for g in self.groups:
-            out.update(g.parameters())
-        return out
+        return merge_parameters(self.combiner, *self.groups)
 
     def forward(self, image_input: Tensor) -> Tensor:
         """The pyramid merged at the finest scale."""
@@ -236,16 +234,8 @@ class DetectorModel:
         self._centers = level_centers(self.fusion_grids)
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        if self.image_stream is not None:
-            out.update(self.image_stream.parameters())
-        for mlp in self.fusion_mlps.values():
-            out.update(mlp.parameters())
-        for g in self.bev_groups:
-            out.update(g.parameters())
-        out.update(self.bev_combiner.parameters())
-        out.update(self.header.parameters())
-        return out
+        return merge_parameters(self.image_stream, *self.fusion_mlps.values(),
+                                *self.bev_groups, self.bev_combiner, self.header)
 
     def load_parameters(self, values: dict[str, np.ndarray]):
         params = self.parameters()
@@ -276,15 +266,15 @@ class DetectorModel:
     def forward(self, bev_input: Tensor, image_input: Tensor | None,
                 plan: FusionPlan | None) -> HeaderOutput:
         """Header output for N x C x H x W inputs with a ``merge_plans`` plan,
-        or for one scene's C x H x W inputs and its own plan. Every fusion
-        level's map is computed before the BEV stream runs."""
+        or for one scene's C x H x W inputs and its own plan, as a batch of
+        one. Every fusion level's map is computed before the BEV stream runs."""
         fused = {}
         if self.image_stream is not None:
             if image_input is None or plan is None:
                 raise ValueError("fusion modes need the image input and a plan")
-            fused = apply_fusion(self.image_stream.forward(image_input), plan,
-                                 self.fusion_mlps)
-        x = bev_input
+            image = image_input.reshape(-1, *image_input.shape[-3:])
+            fused = apply_fusion(self.image_stream.forward(image), plan, self.fusion_mlps)
+        x = bev_input.reshape(-1, *bev_input.shape[-3:])
         outs = []
         for gi, group in enumerate(self.bev_groups):
             x = group.forward(x)

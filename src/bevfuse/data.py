@@ -261,7 +261,8 @@ def augment(sample: SceneSample, cfg: AugmentationConfig,
     vs, us = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     src_u = (us - ((1 - img_s) * cu + img_tu)) / img_s
     src_v = (vs - ((1 - img_s) * cv + img_tv)) / img_s
-    warped = T.bilinear_sample(fm, np.stack([src_u.ravel(), src_v.ravel()], axis=1))
+    warped = T.bilinear_sample(fm.reshape(1, *fm.shape),
+                               np.stack([src_u.ravel(), src_v.ravel()], axis=1))
     return SceneSample(PointCloud(pts), Tensor(warped.data.T.reshape(fm.shape)), cam,
                        boxes, frame_id=sample.frame_id)
 

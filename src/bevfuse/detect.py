@@ -143,8 +143,10 @@ def regression_rows(variant: str, gts: list[DetectionBox], gt_idx: np.ndarray,
 # -- rotated IoU --------------------------------------------------------------
 
 def _corners(box) -> list[tuple[float, float]]:
-    """Corners of the BEV rectangle as float pairs, counter-clockwise."""
-    c, s = math.cos(box.t), math.sin(box.t)
+    """Corners of the BEV rectangle as float pairs, counter-clockwise. An
+    infinite heading has no direction: it reads as NaN, and so do the corners."""
+    t = box.t if not math.isinf(box.t) else math.nan
+    c, s = math.cos(t), math.sin(t)
     w, h = float(box.w), float(box.h)
     ux, uy = c * w / 2.0, s * w / 2.0          # along heading
     vx, vy = -s * h / 2.0, c * h / 2.0         # lateral
@@ -210,14 +212,15 @@ def may_overlap(a, b) -> np.ndarray:
     The bound is widened by 1e-9 relative to the coordinates and extents, far
     above the rounding of the corners and of the clipping, so a touching pair
     is never pruned. A NaN never prunes: a NaN centre coordinate takes its own
-    axis out of the test, a NaN size or angle takes both.
+    axis out of the test, a NaN size or a NaN or infinite angle takes both.
     """
     return _may_overlap_rows(box_rows(a), box_rows(b))
 
 
 def _may_overlap_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     def fields(f):
-        c, s = np.abs(np.cos(f[:, 6])), np.abs(np.sin(f[:, 6]))
+        with np.errstate(invalid="ignore"):         # cos and sin of ±inf are NaN
+            c, s = np.abs(np.cos(f[:, 6])), np.abs(np.sin(f[:, 6]))
         w, h = np.abs(f[:, 3]), np.abs(f[:, 4])
         return f[:, 0], f[:, 1], 0.5 * (c * w + s * h), 0.5 * (s * w + c * h)
 
@@ -276,7 +279,8 @@ def iou_upper_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def rotated_iou_bev(a, b) -> float:
-    """IoU of two oriented BEV rectangles via convex polygon clipping."""
+    """IoU of two oriented BEV rectangles via convex polygon clipping; 0.0
+    when a heading is NaN or infinite."""
     area_a = a.w * a.h
     area_b = b.w * b.h
     if area_a <= 0 or area_b <= 0:
@@ -344,7 +348,7 @@ class HeaderOutput:
     """Raw 1x1-conv output of a ``variant`` header: per pixel, one
     (logit, R regression offsets) cell run per anchor orientation."""
 
-    raw: Tensor                  # (A * (1+R)) x ny x nx, or N x (A * (1+R)) x ny x nx
+    raw: Tensor                  # N x (A * (1+R)) x ny x nx
     variant: str
 
     @property
@@ -352,11 +356,9 @@ class HeaderOutput:
         return NUM_REG[self.variant]
 
     def flat(self) -> Tensor:
-        """One (1 + R) row per ``make_anchors`` row, in the same order; for a
-        batch, scene after scene."""
-        d = self.raw.ndim
-        return self.raw.transpose((*range(d - 3), d - 2, d - 1, d - 3)).reshape(
-            -1, 1 + self.num_reg)
+        """One (1 + R) row per ``make_anchors`` row, in the same order, scene
+        after scene."""
+        return self.raw.transpose((0, 2, 3, 1)).reshape(-1, 1 + self.num_reg)
 
 
 class DetectionHeader:

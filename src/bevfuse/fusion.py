@@ -3,7 +3,6 @@ the K nearest LIDAR points and an offset-conditioned shared MLP."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Annotated
 
@@ -182,15 +181,12 @@ def apply_fusion(image_features: Tensor, plan: FusionPlan,
     """Sample the image features once at every point of the plan's table,
     then per level run its shared MLP over that level's (pixel, neighbor)
     pairs and sum per pixel. N x C x H x W image features give each level
-    ``p`` of ``mlps`` an N x D_o x ny x nx map; one C x H x W map gives
-    D_o x ny x nx maps."""
-    c, o = image_features.shape[-3], plan.pair_offset.shape[1]
+    ``p`` of ``mlps`` an N x D_o x ny x nx map."""
+    (n, c, _, _), o = image_features.shape, plan.pair_offset.shape[1]
     for mlp in mlps.values():
         if c + o != mlp.input_dim:
             raise FusionConfigError(f"{c} image channels + {o} offset columns do not "
                                     f"match the MLP's input width {mlp.input_dim}")
-    lead = image_features.shape[:-3]
-    d = len(lead)
     sampled = T.bilinear_sample(image_features, plan.point_uv, plan.point_scene)  # M x C
     out = {}
     for key, mlp in mlps.items():
@@ -199,24 +195,26 @@ def apply_fusion(image_features: Tensor, plan: FusionPlan,
         feats = T.concat([T.gather_rows(sampled, plan.pair_point[span]),
                           Tensor(plan.pair_offset[span])], axis=1)     # P x D_i
         h = mlp.forward(feats)                                          # P x D_o
-        rows = math.prod(lead) * level.ny * level.nx
+        rows = n * level.ny * level.nx
         fused = T.scatter_add_rows(h, plan.pair_pixel[span], rows)     # N·ny·nx x D_o
-        out[key] = fused.reshape(*lead, level.ny, level.nx, mlp.output_dim).transpose(
-            (*range(d), d + 2, d, d + 1))
+        out[key] = fused.reshape(n, level.ny, level.nx, mlp.output_dim).transpose(
+            (0, 3, 1, 2))
     return out
 
 
 def continuous_fusion_forward(image_features: Tensor, cloud: PointCloud,
                               cam: CalibratedCamera, grid: BevGrid,
                               cfg: FusionConfig, mlp: FusionMlp) -> Tensor:
-    """Dense BEV feature map h_i = sum_j MLP(concat[f_j, x_j - x_i])."""
+    """Dense D_o x ny x nx BEV map h_i = sum_j MLP(concat[f_j, x_j - x_i]) of
+    one scene's C x H x W image features."""
     if (mlp.input_dim, mlp.output_dim) != (cfg.input_dim, cfg.output_dim):
         raise FusionConfigError(f"MLP dims ({mlp.input_dim}->{mlp.output_dim}) do not "
                                 f"match config ({cfg.input_dim}->{cfg.output_dim})")
     centers = level_centers({0: grid})
     nb = build_bev_index(cloud).query(centers, cfg.k, cfg.max_dist)
     plan = plan_fusion(cloud, cam, {0: grid}, centers, nb, cfg.use_geometric_feature)
-    return apply_fusion(image_features, plan, {0: mlp})[0]
+    fused = apply_fusion(image_features.reshape(1, *image_features.shape), plan, {0: mlp})[0]
+    return fused.reshape(fused.shape[1:])
 
 
 def plan_discrete_fusion(cloud: PointCloud, cam: CalibratedCamera,

@@ -291,5 +291,7 @@ def build_bev_index(cloud: PointCloud) -> BevKdTree:
 
 
 def bilinear_sample(feature_map: Tensor, u: float, v: float) -> Tensor:
-    """Bilinear blend of the 4 pixels around continuous (u, v); zero outside."""
-    return _bilinear_many(feature_map, np.array([[u, v]])).reshape(feature_map.shape[0])
+    """Bilinear blend of the 4 pixels of a C x H x W map around continuous
+    (u, v): a C vector, zero outside."""
+    return _bilinear_many(feature_map.reshape(1, *feature_map.shape),
+                          np.array([[u, v]])).reshape(feature_map.shape[0])

@@ -53,22 +53,25 @@ class LossBreakdown:
 
 
 def assign_anchors(anchors: np.ndarray, gt_boxes: list[DetectionBox],
-                   cfg: AssignmentConfig) -> np.ndarray:
+                   cfg: AssignmentConfig, ignored) -> np.ndarray:
     """Per-anchor-row label: matched gt index, NEGATIVE (-1) or IGNORE (-2).
 
+    ``ignored`` flags each gt that evaluation ignores (``EvalConfig.ignores``).
     An anchor is positive iff its BEV center lies within positive_radius of
-    some gt center (nearest gt wins); negative iff farther than
-    negative_radius from every gt; ignored in between.
+    a gt that is not ignored (the nearest such gt wins). Otherwise it is
+    ignored when some gt, ignored or not, lies within negative_radius, and
+    negative when none does.
     """
     labels = np.full(len(anchors), NEGATIVE, dtype=np.int64)
     if not gt_boxes or not len(anchors):
         return labels
     ac, gc = anchors[:, :2], box_rows(gt_boxes)[:, :2]
     d = np.hypot(ac[:, 0, None] - gc[None, :, 0], ac[:, 1, None] - gc[None, :, 1])
+    labels[d.min(axis=1) <= cfg.negative_radius] = IGNORE
+    d[:, np.asarray(ignored, dtype=bool)] = np.inf
     nearest = d.argmin(axis=1)
-    dmin = d[np.arange(len(anchors)), nearest]
-    labels[dmin <= cfg.positive_radius] = nearest[dmin <= cfg.positive_radius]
-    labels[(dmin > cfg.positive_radius) & (dmin <= cfg.negative_radius)] = IGNORE
+    positive = d[np.arange(len(anchors)), nearest] <= cfg.positive_radius
+    labels[positive] = nearest[positive]
     return labels
 
 

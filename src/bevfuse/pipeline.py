@@ -96,7 +96,8 @@ class PreparedScene:
 
 def prepare_scene(model: DetectorModel, cfg: ExperimentConfig,
                   anchors: np.ndarray, sample: SceneSample) -> PreparedScene:
-    labels = losses.assign_anchors(anchors, sample.gt_boxes, cfg.assignment())
+    labels = losses.assign_anchors(anchors, sample.gt_boxes, cfg.assignment(),
+                                   [cfg.eval.ignores(g) for g in sample.gt_boxes])
     pos_idx = np.flatnonzero(labels >= 0)
     neg_idx = np.flatnonzero(labels == NEGATIVE)
     return PreparedScene(
@@ -364,9 +365,9 @@ def _max_grad_error(f: Callable[[], Tensor], params: Sequence[Tensor],
 
 def run_gradcheck(rtol: float = 1e-4, seed: int = 0) -> list[tuple[str, float, bool]]:
     """Finite-difference checks for every registered differentiable op (the
-    map ops also on batches), an end-to-end miniature model, and directional
-    checks of every module of the full-size model in each mode; returns
-    (name, max rel err, passed) rows."""
+    map ops on batches of one and of two), an end-to-end miniature model,
+    and directional checks of every module of the full-size model in each
+    mode; returns (name, max rel err, passed) rows."""
     rng = np.random.default_rng(seed)
     results = []
 
@@ -378,7 +379,7 @@ def run_gradcheck(rtol: float = 1e-4, seed: int = 0) -> list[tuple[str, float, b
     b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
     check("matmul", lambda: (T.matmul(a, b) * T.matmul(a, b)).sum(), [a, b])
 
-    x = Tensor(rng.standard_normal((2, 5, 5)), requires_grad=True)
+    x = Tensor(rng.standard_normal((1, 2, 5, 5)), requires_grad=True)
     w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
     check("conv2d", lambda: (T.conv2d(x, w, stride=2, padding=1) ** 2.0).sum(), [x, w])
     # a 3 x 3 kernel at stride 1 takes the transposed-conv input grad
@@ -397,7 +398,7 @@ def run_gradcheck(rtol: float = 1e-4, seed: int = 0) -> list[tuple[str, float, b
     cb = Tensor(rng.standard_normal(2), requires_grad=True)
     check("add_channel_bias", lambda: (T.add_channel_bias(x, cb) ** 2.0).sum(), [x, cb])
     check("upsample2x", lambda: (T.upsample2x(x) ** 2.0).sum(), [x])
-    fm = Tensor(rng.standard_normal((2, 4, 6)), requires_grad=True)
+    fm = Tensor(rng.standard_normal((1, 2, 4, 6)), requires_grad=True)
     uv = rng.uniform(-0.5, 5.5, (12, 2))
     check("bilinear_sample", lambda: (T.bilinear_sample(fm, uv) ** 2.0).sum(), [fm])
     check("reshape_transpose",
@@ -421,7 +422,7 @@ def run_gradcheck(rtol: float = 1e-4, seed: int = 0) -> list[tuple[str, float, b
     results.append(_miniature_model_check(rtol))
 
     # 1 x 1 convs: the transposed-conv input grad at stride 1, _col2im at stride 2
-    x1 = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+    x1 = Tensor(rng.standard_normal((1, 3, 4, 5)), requires_grad=True)
     w1 = Tensor(rng.standard_normal((2, 3, 1, 1)), requires_grad=True)
     for stride in (1, 2):
         check(f"conv2d_1x1_s{stride}",

@@ -7,8 +7,7 @@ beyond scalar-tensor; reshape explicitly.
 
 Feature maps are N x C x H x W: one map per scene, so one tape serves a whole
 batch. The map ops (``conv2d``, ``add_channel_bias``, ``upsample2x``,
-``bilinear_sample``) also take a C x H x W map as a batch of one and return
-the same rank they were given.
+``bilinear_sample``) take no other rank; one scene is a batch of one.
 """
 
 from __future__ import annotations
@@ -283,16 +282,23 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                           parts, "concat", bw)
 
 
+def _map_extents(op: str, x: Tensor) -> tuple[int, int, int, int]:
+    """The (n, c, h, w) of N x C x H x W maps; any other rank raises."""
+    if x.ndim != 4:
+        raise ValueError(f"{op} takes N x C x H x W maps, got shape {x.shape}")
+    return x.shape
+
+
 def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a per-channel bias (shape C) to N x C x H x W maps or one C x H x W map."""
-    if x.ndim not in (3, 4) or b.shape != (x.shape[-3],):
+    """Add a per-channel bias (shape C) to N x C x H x W maps."""
+    if b.shape != (_map_extents("add_channel_bias", x)[1],):
         raise ValueError(f"add_channel_bias shapes incompatible: {x.shape} + {b.shape}")
 
     def bw(g):
         if x.requires_grad:
             x._accumulate(g)
         if b.requires_grad:
-            b._accumulate(g.sum(axis=(0, 2, 3) if g.ndim == 4 else (1, 2)))
+            b._accumulate(g.sum(axis=(0, 2, 3)))
 
     return Tensor._result(x.data + b.data[:, None, None], (x, b), "add_channel_bias", bw)
 
@@ -395,7 +401,6 @@ def _conv_out_extent(n: int, k: int, stride: int, padding: int) -> int:
 # forward and the backward pass.
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
             ho: int, wo: int) -> np.ndarray:
-    x = x.reshape(-1, *x.shape[-3:])        # a C x H x W map is a batch of one
     n, c, h, w = x.shape
     if padding:
         xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
@@ -412,8 +417,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
 
 def _col2im(cols: np.ndarray, shape, kh, kw, stride, padding, ho, wo) -> np.ndarray:
     """The adjoint of ``_im2col``: an array of the input's ``shape``."""
-    *lead, c, h, w = shape
-    n = math.prod(lead)
+    n, c, h, w = shape
     # zeros plus += even where windows do not overlap, so a -0.0 in the
     # columns reads back as 0.0; the (i, j) order fixes the rounding
     acc = np.zeros((c, n, h + 2 * padding, w + 2 * padding))
@@ -423,25 +427,25 @@ def _col2im(cols: np.ndarray, shape, kh, kw, stride, padding, ho, wo) -> np.ndar
             acc[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += cols[:, i, j]
     if padding:
         acc = acc[:, :, padding:-padding, padding:-padding]
-    return acc.transpose(1, 0, 2, 3).reshape(shape)
+    return acc.transpose(1, 0, 2, 3)
 
 
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2D convolution of N x C_in x H x W maps (or one C_in x H x W map) with
-    C_out x C_in x kh x kw weights. One GEMM covers the whole batch, so the
-    weight grad sums over N·Ho·Wo columns at once.
+    """2D convolution of N x C_in x H x W maps with C_out x C_in x kh x kw
+    weights. One GEMM covers the whole batch, so the weight grad sums over
+    N·Ho·Wo columns at once.
 
     The backward pass reads ``weight.data``, and may read ``x.data`` through
     a view (a 1 x 1 conv at stride 1 without padding on a contiguous batch of
     one): nothing may write either between this call and ``backward``."""
     c_out, c_in, kh, kw = weight.shape
-    if x.ndim not in (3, 4) or x.shape[-3] != c_in:
+    n, c, h, w = _map_extents("conv2d", x)
+    if c != c_in:
         raise ValueError(f"conv2d input {x.shape} incompatible with weight {weight.shape}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("conv2d kernel extents must be odd")
     if stride < 1:
         raise ValueError("conv2d stride must be >= 1")
-    n, (h, w) = math.prod(x.shape[:-3]), x.shape[-2:]
     ho = _conv_out_extent(h, kh, stride, padding)
     wo = _conv_out_extent(w, kw, stride, padding)
     if ho <= 0 or wo <= 0:
@@ -452,8 +456,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     out = np.ascontiguousarray((wmat @ cols).reshape(c_out, n, ho, wo).transpose(1, 0, 2, 3))
 
     def bw(g):
-        g4 = g.reshape(n, c_out, ho, wo)
-        g2 = g4.transpose(1, 0, 2, 3).reshape(c_out, n * ho * wo)
+        g2 = g.transpose(1, 0, 2, 3).reshape(c_out, n * ho * wo)
         if weight.requires_grad:
             weight._accumulate((g2 @ cols.T).reshape(weight.shape))
         if x.requires_grad:
@@ -461,26 +464,24 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
                 # transposed conv: correlate g, padded to k-1-padding, with the
                 # flipped weights, (C_in, C_out, kh, kw) as a C_in-row matrix
                 flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                gcols = _im2col(g4, kh, kw, 1, kh - 1 - padding, h, w)
+                gcols = _im2col(g, kh, kw, 1, kh - 1 - padding, h, w)
                 gx = (flipped.reshape(c_in, -1) @ gcols).reshape(c_in, n, h, w)
-                x._accumulate(gx.transpose(1, 0, 2, 3).reshape(x.shape))
+                x._accumulate(gx.transpose(1, 0, 2, 3))
             else:
                 x._accumulate(_col2im(wmat.T @ g2, x.shape, kh, kw, stride, padding,
                                       ho, wo))
 
-    return Tensor._result(out.reshape(*x.shape[:-3], c_out, ho, wo), (x, weight),
-                          "conv2d", bw)
+    return Tensor._result(out, (x, weight), "conv2d", bw)
 
 
 def upsample2x(x: Tensor) -> Tensor:
-    """Nearest-neighbor 2x upsampling of the last two axes of a C x H x W or
-    N x C x H x W map."""
+    """Nearest-neighbor 2x upsampling of N x C x H x W maps."""
     a = x
-    *lead, h, w = x.shape
+    n, c, h, w = _map_extents("upsample2x", x)
 
     def bw(g):
         if a.requires_grad:
-            a._accumulate(g.reshape(*lead, h, 2, w, 2).sum(axis=(-3, -1)))
+            a._accumulate(g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
 
     out = np.repeat(np.repeat(a.data, 2, axis=-2), 2, axis=-1)
     return Tensor._result(out, (a,), "upsample2x", bw)
@@ -489,14 +490,14 @@ def upsample2x(x: Tensor) -> Tensor:
 def bilinear_sample(feature_map: Tensor, uv: np.ndarray, scene=None) -> Tensor:
     """Sample maps at P continuous (u, v) pixel coordinates -> P x C.
 
-    ``feature_map`` is one C x H x W map, or N x C x H x W maps with
-    ``scene`` naming each sample's map (P indices; all 0 when omitted).
+    ``feature_map`` is N x C x H x W maps, and ``scene`` names each sample's
+    map (P indices; all 0 when omitted).
     Coordinates outside [0, W-1] x [0, H-1] yield the zero vector.
     Differentiable with respect to the feature maps only.
     """
     uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
-    fm = feature_map.data.reshape(-1, *feature_map.shape[-3:])
-    n, c, h, w = fm.shape
+    fm = feature_map.data
+    n, c, h, w = _map_extents("bilinear_sample", feature_map)
     scene = np.zeros(len(uv), np.intp) if scene is None else np.asarray(scene, np.intp)
     if scene.shape != (len(uv),):
         raise ValueError(f"bilinear_sample needs one scene per sample, got {scene.shape}")
@@ -528,8 +529,7 @@ def bilinear_sample(feature_map: Tensor, uv: np.ndarray, scene=None) -> Tensor:
                 + scene * (h * w)
             wgt = np.stack((w00, w01, w10, w11))[:, :, None] * g
             acc = _scatter_rows(pix, wgt, (n * h * w, c))
-            feature_map._accumulate(
-                acc.reshape(n, h, w, c).transpose(0, 3, 1, 2).reshape(feature_map.shape))
+            feature_map._accumulate(acc.reshape(n, h, w, c).transpose(0, 3, 1, 2))
 
     return Tensor._result(out, (feature_map,), "bilinear_sample", bw)
 

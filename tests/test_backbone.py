@@ -26,11 +26,20 @@ def test_backbone_config_validates_strides():
 
 def test_residual_block_shapes_and_skip():
     blk = ResidualBlock(4, 8, 2, _rng(), "b")
-    out = blk.forward(Tensor(np.random.default_rng(1).standard_normal((4, 8, 8))))
-    assert out.shape == (8, 4, 4)
+    out = blk.forward(Tensor(np.random.default_rng(1).standard_normal((1, 4, 8, 8))))
+    assert out.shape == (1, 8, 4, 4)
     assert blk.skip is not None
     same = ResidualBlock(4, 4, 1, _rng(), "s")
     assert same.skip is None
+
+
+def test_merge_parameters_skips_none_and_keeps_order():
+    blk = ResidualBlock(4, 8, 2, _rng(), "b")
+    names = list(backbone.merge_parameters(blk.conv2, None, blk.skip, blk.conv1))
+    assert names == ["b.conv2.weight", "b.conv2.bias", "b.skip.weight", "b.skip.bias",
+                     "b.conv1.weight", "b.conv1.bias"]
+    assert list(blk.parameters()) == ["b.conv1.weight", "b.conv1.bias", "b.conv2.weight",
+                                      "b.conv2.bias", "b.skip.weight", "b.skip.bias"]
 
 
 def test_residual_group_block_count():
@@ -41,17 +50,17 @@ def test_residual_group_block_count():
 def test_fpn_combiner_output_at_finest_scale():
     rng = _rng()
     comb = FpnCombiner([4, 8, 16], 6, rng, "fpn")
-    maps = [Tensor(rng.standard_normal((4, 8, 8))),
-            Tensor(rng.standard_normal((8, 4, 4))),
-            Tensor(rng.standard_normal((16, 2, 2)))]
+    maps = [Tensor(rng.standard_normal((1, 4, 8, 8))),
+            Tensor(rng.standard_normal((1, 8, 4, 4))),
+            Tensor(rng.standard_normal((1, 16, 2, 2)))]
     out = comb.forward(maps)
-    assert out.shape == (6, 8, 8)
+    assert out.shape == (1, 6, 8, 8)
 
 
 def test_fpn_combiner_rejects_bad_pyramid():
     rng = _rng()
     comb = FpnCombiner([4, 8], 6, rng, "fpn")
-    maps = [Tensor(np.zeros((4, 8, 8))), Tensor(np.zeros((8, 3, 3)))]
+    maps = [Tensor(np.zeros((1, 4, 8, 8))), Tensor(np.zeros((1, 8, 3, 3)))]
     with pytest.raises(ValueError):
         comb.forward(maps)
     with pytest.raises(ValueError):
@@ -61,8 +70,8 @@ def test_fpn_combiner_rejects_bad_pyramid():
 def test_image_stream_divisibility_check():
     cfg = BackboneConfig(image_groups=[GroupSpec(2, 4), GroupSpec(2, 8)])
     stream = ImageStream(3, cfg, 6, _rng())
-    with pytest.raises(ValueError):
-        stream.forward(Tensor(np.zeros((3, 7, 8))))
+    with pytest.raises(ValueError, match="halve"):
+        stream.forward(Tensor(np.zeros((1, 3, 7, 8))))
 
 
 @pytest.mark.parametrize("mode", ["continuous", "continuous_nogeo", "discrete"])
@@ -116,8 +125,9 @@ def test_forward_shapes_and_output_grid():
     bev = voxelize(scene.cloud, cfg.grid)
     plans = model.make_plans(scene.cloud, scene.cam)
     out = model.forward(bev, scene.image_feature_input, plans)
-    # two groups -> combined output at the finest (stride 1) scale
-    assert out.raw.shape == (2 * 6, model.output_grid.ny, model.output_grid.nx)
+    # two groups -> combined output at the finest (stride 1) scale, as a
+    # batch of one
+    assert out.raw.shape == (1, 2 * 6, model.output_grid.ny, model.output_grid.nx)
     assert model.output_grid.nx == cfg.grid.nx
 
 
@@ -129,7 +139,7 @@ def test_bev_only_ignores_missing_image():
     from bevfuse.geometry import voxelize
     bev = voxelize(scene.cloud, cfg.grid)
     out = model.forward(bev, None, None)
-    assert out.raw.shape[0] == 12
+    assert out.raw.shape[:2] == (1, 12)
 
 
 def test_fusion_mode_requires_image_and_plans():

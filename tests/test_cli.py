@@ -236,6 +236,24 @@ def test_malformed_calib_is_config_error(tmp_path, monkeypatch):
         assert not (tmp_path / "o").exists()
 
 
+_VAN = b"Van 0.00 0 0.00 0 0 10 10 1.50 1.60 4.00 8.00 0.00 0.00 0.00\n"
+
+
+@pytest.mark.parametrize("label,positives", [
+    (_VAN.replace(b"Van", b"Car"), True), (_VAN, False),
+    # a DontCare row inside the BEV range, with KITTI's -1 sizes
+    (b"DontCare -1 -1 -10 0 0 10 10 -1 -1 -1 8.00 0.00 0.00 -10\n", False)],
+    ids=["car", "van", "dontcare_in_range"])
+def test_ignored_kitti_boxes_never_train_as_positives(tmp_path, monkeypatch, label,
+                                                      positives):
+    monkeypatch.setenv("BEVFUSE_MODE", "bev_only")
+    monkeypatch.setenv("BEVFUSE_OPTIMIZER__STEPS", "3")
+    assert main(_kitti_argv(tmp_path, _CALIB, label)) == EXIT_OK
+    with open(tmp_path / "o" / "train_log.jsonl") as f:
+        n_pos = [json.loads(line)["N_pos"] for line in f]
+    assert len(n_pos) == 3 and all((n > 0) == positives for n in n_pos)
+
+
 def _nan_dimension_label(frame):
     with open(frame["labels"], "wb") as f:
         f.write(b"Car 0.00 0 0.00 0 0 10 10 1.50 nan 4.00 8.00 0.00 0.00 0.00\n")

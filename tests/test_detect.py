@@ -211,7 +211,8 @@ def test_nms_max_out_nonpositive_keeps_nothing():
 # -- the numpy 2-vector kernel the plain-float kernel must reproduce bit for bit
 
 def _ref_corners(box):
-    c, s = math.cos(box.t), math.sin(box.t)
+    t = box.t if math.isfinite(box.t) else math.nan     # ±inf has no direction
+    c, s = math.cos(t), math.sin(t)
     u = np.array([c, s]) * box.w / 2.0
     v = np.array([-s, c]) * box.h / 2.0
     center = np.array([box.x, box.y])
@@ -282,6 +283,7 @@ _SCORE = st.one_of(st.sampled_from([0.2, 0.5, 0.9]), st.floats(0.0, 1.0))
 
 @st.composite
 def _boxes(draw, min_size=0, max_size=10, nan=True):
+    """Boxes, and with ``nan`` now and then one NaN field or a ±inf heading."""
     boxes = []
     for _ in range(draw(st.integers(min_size, max_size))):
         f = {k: draw(_COORD) for k in ("x", "y")}
@@ -289,7 +291,9 @@ def _boxes(draw, min_size=0, max_size=10, nan=True):
         f.update(z=draw(st.sampled_from([0.0, 0.5, 2.0])),
                  d=draw(st.sampled_from([0.0, 1.0, 1.5])), t=draw(_ANGLE))
         if nan and draw(st.integers(0, 15)) == 0:
-            f[draw(st.sampled_from(["x", "y", "w", "h", "t"]))] = math.nan
+            key = draw(st.sampled_from(["x", "y", "w", "h", "t"]))
+            f[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf])) if key == "t" \
+                else math.nan
         boxes.append(DetectionBox(**f, score=draw(_SCORE)))
     for i in draw(st.lists(st.integers(0, max(len(boxes) - 1, 0)), max_size=3)):
         if boxes:
@@ -331,9 +335,9 @@ def test_rotated_iou_bounded_and_symmetric(pair):
 def _check_may_overlap_is_exact(a, b):
     inside = may_overlap([a], [b])[0, 0]
     nan = {k for bx in (a, b) for k in ("x", "y", "w", "h", "t")
-           if math.isnan(getattr(bx, k))}
+           if math.isnan(getattr(bx, k)) or k == "t" and math.isinf(bx.t)}
     if nan & {"w", "h", "t"}:
-        assert inside                   # NaN half-extents: neither axis prunes
+        assert inside       # NaN half-extents (±inf headings too): neither axis prunes
     elif nan:
         # a NaN centre coordinate takes only its own axis out of the test
         flat = {k: 0.0 for k in nan}
@@ -379,6 +383,18 @@ def test_nms_matches_quadratic_oracle(boxes, iou_th, score_th, max_out):
     assert len(got) == len(ref) and all(g is r for g, r in zip(got, ref))
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_non_finite_heading_is_never_pruned_and_overlaps_nothing(t):
+    a = DetectionBox(0.0, 0.0, 0.0, 2.0, 2.0, 1.0, t, score=0.9)
+    b = DetectionBox(0.5, 0.0, 0.0, 2.0, 2.0, 1.0, 0.3, score=0.8)
+    assert may_overlap([a], [b])[0, 0] and may_overlap([b], [a])[0, 0]
+    assert iou_upper_bound(box_rows([a]), box_rows([b]))[0] == math.inf
+    for x, y in ((a, b), (b, a)):
+        assert rotated_iou_bev(x, y) == 0.0 and iou_3d(x, y) == 0.0
+    kept = nms([a, b], 0.1, 0.1)
+    assert len(kept) == 2 and kept[0] is a and kept[1] is b
+
+
 def _inf_field_pair():
     return st.tuples(_boxes(2, 2, nan=False), st.sampled_from(["x", "y", "w", "h", "t"]),
                      st.sampled_from([math.inf, -math.inf])).map(
@@ -398,8 +414,8 @@ def test_iou_upper_bound_is_sound(pair):
     fields = [getattr(bx, k) for bx in pair for k in "xywht"]
     if not all(map(math.isfinite, fields)):
         assert ab == ba == math.inf                 # never prunes
-    if any(map(math.isinf, fields)):
-        return              # the scalar kernels take no inf: math.cos raises, numpy warns
+    if any(math.isinf(getattr(bx, k)) for bx in pair for k in "xywh"):
+        return              # the scalar kernels take no infinite coordinate or size
     for bound in (ab, ba):
         assert not bound < rotated_iou_bev(a, b)    # NaN-safe >=
         assert not bound < iou_3d(a, b)
@@ -441,8 +457,8 @@ def test_nms_on_decoded_frames_clips_fewer_pairs(seed, monkeypatch):
 def test_header_output_layout_and_decode():
     grid = BevGrid((0.0, 4.0), (-2.0, 2.0), (0.0, 1.0), 2, 2, 1)
     anchors = make_anchors(grid, (4.0, 2.0, 1.6), z=0.8)
-    raw = np.zeros((2 * 6, 2, 2))
-    raw[0, 0, 0] = 5.0        # anchor 0 at pixel (0, 0): confident hit
+    raw = np.zeros((1, 2 * 6, 2, 2))
+    raw[0, 0, 0, 0] = 5.0     # anchor 0 at pixel (0, 0): confident hit
     header = HeaderOutput(Tensor(raw), "bev")
     flat = header.flat().data
     assert flat.shape == (8, 6)
@@ -457,8 +473,8 @@ def test_header_output_layout_and_decode():
 @pytest.mark.parametrize("variant,num_reg", list(NUM_REG.items()))
 def test_header_variants_channel_counts(variant, num_reg):
     header = DetectionHeader(6, variant, rng=np.random.default_rng(0))
-    out = header.forward(Tensor(np.random.default_rng(1).standard_normal((6, 3, 3))))
-    assert out.raw.shape == (2 * (1 + num_reg), 3, 3)
+    out = header.forward(Tensor(np.random.default_rng(1).standard_normal((1, 6, 3, 3))))
+    assert out.raw.shape == (1, 2 * (1 + num_reg), 3, 3)
     assert out.num_reg == num_reg
 
 
@@ -467,13 +483,13 @@ def test_header_flat_rows_follow_make_anchors(variant):
     grid = BevGrid((0.0, 6.0), (-2.0, 2.0), (0.0, 1.0), 3, 2, 1)     # nx != ny
     anchors = make_anchors(grid, (4.0, 2.0, 1.6), z=0.8)
     width = 1 + NUM_REG[variant]
-    out = DetectionHeader(3, variant).forward(Tensor(np.zeros((3, grid.ny, grid.nx))))
+    out = DetectionHeader(3, variant).forward(Tensor(np.zeros((1, 3, grid.ny, grid.nx))))
     assert out.flat().shape == (len(anchors), width)
     # each orientation's first three cells carry its anchor's x, y and t
     raw = np.zeros(out.raw.shape)
     centers = grid.pixel_centers()
     for a, t in enumerate(ANCHOR_ORIENTATIONS):
-        raw[a * width], raw[a * width + 1], raw[a * width + 2] = \
+        raw[0, a * width], raw[0, a * width + 1], raw[0, a * width + 2] = \
             centers[..., 0], centers[..., 1], t
     flat = HeaderOutput(Tensor(raw), variant).flat().data
     assert flat[:, :3].tolist() == anchors[:, [0, 1, 6]].tolist()
@@ -482,8 +498,8 @@ def test_header_flat_rows_follow_make_anchors(variant):
 def test_kitti3d_decode_carries_height2d():
     grid = BevGrid((0.0, 4.0), (-2.0, 2.0), (0.0, 1.0), 1, 1, 1)
     anchors = make_anchors(grid, (4.0, 2.0, 1.6), z=0.8)
-    raw = np.zeros((2 * 9, 1, 1))
-    raw[8, 0, 0] = 42.0       # height2d channel of anchor 0
+    raw = np.zeros((1, 2 * 9, 1, 1))
+    raw[0, 8, 0, 0] = 42.0    # height2d channel of anchor 0
     header = HeaderOutput(Tensor(raw), "kitti3d")
     boxes = decode_detections(header, anchors)
     assert boxes[0].height2d == 42.0
@@ -615,7 +631,7 @@ def test_training_rows_decode_through_header_bitwise(data, variant, center_norm,
     assert regression_rows(variant, gts, gt_idx[:0], a_rows[:0]).shape == (0, NUM_REG[variant])
 
     flat = np.concatenate([np.array(logits[:len(anchors)])[:, None], rows], axis=1)
-    header = HeaderOutput(Tensor(np.ascontiguousarray(flat.T[:, None, :])), variant)
+    header = HeaderOutput(Tensor(np.ascontiguousarray(flat.T[None, :, None, :])), variant)
     got = decode_detections(header, a_rows, center_norm)
     want = _ref_decode_detections(flat, anchors, center_norm)
     assert len(got) == len(want)

@@ -32,7 +32,8 @@ def _plan(cloud, cam, grid, nb, geo):
 
 
 def _apply(img, plan, mlp):
-    return apply_fusion(img, plan, {0: mlp})[0]
+    """The level-0 maps of one scene's C x H x W image, as a batch of one."""
+    return apply_fusion(img.reshape(1, *img.shape), plan, {0: mlp})[0]
 
 
 def _loop_reference(img, cloud, cam, grid, cfg, mlp):
@@ -68,7 +69,7 @@ def test_plan_is_reusable_and_matches_direct_forward():
     plan = _plan(cloud, cam, grid, _neighbours(cloud, grid, cfg.k, cfg.max_dist), True)
     a = _apply(img, plan, mlp).data
     b = continuous_fusion_forward(img, cloud, cam, grid, cfg, mlp).data
-    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(a, b[None])
 
 
 @pytest.mark.parametrize("geo", [True, False])
@@ -180,8 +181,8 @@ def test_apply_fusion_checks_width_against_mlp():
     geo_empty = _plan(empty, cam, grid, _neighbours(empty, grid, 1, 4.0), True)
     assert geo_empty.pair_offset.shape == (0, 3)
     narrow = FusionMlp(img.shape[0], 5, rng)
-    assert _apply(img, nogeo, narrow).shape == (5, grid.ny, grid.nx)
-    assert _apply(img, geo, mlp).shape == (5, grid.ny, grid.nx)
+    assert _apply(img, nogeo, narrow).shape == (1, 5, grid.ny, grid.nx)
+    assert _apply(img, geo, mlp).shape == (1, 5, grid.ny, grid.nx)
     for plan, net in ((nogeo, mlp), (geo, narrow), (geo_empty, narrow)):
         with pytest.raises(FusionConfigError):
             _apply(img, plan, net)

@@ -255,6 +255,6 @@ def test_bilinear_sample_matches_tensor_impl():
     rng = np.random.default_rng(3)
     fm = Tensor(rng.standard_normal((3, 5, 6)))
     uv = rng.uniform(-1, 7, (20, 2))
-    a = T.bilinear_sample(fm, uv).data
+    a = T.bilinear_sample(fm.reshape(1, *fm.shape), uv).data
     for i, (u, v) in enumerate(uv):
         np.testing.assert_allclose(bilinear_sample(fm, u, v).data, a[i], atol=1e-12)

@@ -46,7 +46,7 @@ def test_assign_anchors_three_zones():
     anchors = _anchors()
     gt = [DetectionBox(6.0, -2.0, 0.8, 4.0, 2.0, 1.6, 0.0)]
     cfg = AssignmentConfig(positive_radius=1.0, negative_radius=5.0)
-    labels = assign_anchors(anchors, gt, cfg)
+    labels = assign_anchors(anchors, gt, cfg, [False])
     centers = anchors[:, :2]
     dist = np.hypot(centers[:, 0] - 6.0, centers[:, 1] + 2.0)
     np.testing.assert_array_equal(labels[dist <= 1.0], 0)
@@ -58,8 +58,54 @@ def test_assign_anchors_nearest_gt_wins():
     anchors = box_rows([Anchor(0.0, 0.0, 0.8, 4.0, 2.0, 1.6, 0.0)])
     gts = [DetectionBox(3.0, 0.0, 0.8, 4, 2, 1.6, 0.0),
            DetectionBox(1.0, 0.0, 0.8, 4, 2, 1.6, 0.0)]
-    labels = assign_anchors(anchors, gts, AssignmentConfig(4.0, 4.0))
+    labels = assign_anchors(anchors, gts, AssignmentConfig(4.0, 4.0), [False, False])
     assert labels[0] == 1
+
+
+def _assign_loop(anchors, gts, ignored, cfg):
+    """Per-anchor transcription of the labelling rule: the nearest gt that is
+    not ignored (the first on ties) when it lies within positive_radius,
+    else IGNORE when any gt lies within negative_radius, else NEGATIVE."""
+    labels = []
+    for ax, ay in anchors[:, :2]:
+        d = [float(np.hypot(ax - g.x, ay - g.y)) for g in gts]
+        best, idx = min(((d[i], i) for i in range(len(gts)) if not ignored[i]),
+                        default=(math.inf, -1))
+        if best <= cfg.positive_radius:
+            labels.append(idx)
+        elif any(di <= cfg.negative_radius for di in d):
+            labels.append(IGNORE)
+        else:
+            labels.append(NEGATIVE)
+    return np.array(labels)
+
+
+def test_assign_anchors_matches_per_anchor_loop():
+    anchors = _anchors()
+    rng = np.random.default_rng(8)
+    for _ in range(80):
+        n = int(rng.integers(1, 6))
+        # gts on a 2 m lattice: equal distances to several gts are common
+        xy = rng.integers(0, 9, (n, 2)) * 2.0 - [0.0, 8.0]
+        gts = [DetectionBox(x, y, 0.8, 4.0, 2.0, 1.6, 0.0) for x, y in xy]
+        ignored = rng.random(n) < 0.4
+        pos = float(rng.choice([1.0, 2.0, math.sqrt(8.0), 3.0]))
+        cfg = AssignmentConfig(pos, pos + float(rng.choice([0.0, 1.0, 4.0])))
+        labels = assign_anchors(anchors, gts, cfg, ignored)
+        np.testing.assert_array_equal(labels, _assign_loop(anchors, gts, ignored, cfg))
+
+
+def test_ignored_gt_is_never_a_positive():
+    anchors = box_rows([Anchor(0.0, 0.0, 0.8, 4.0, 2.0, 1.6, 0.0)])
+    # a DontCare-style gt: KITTI gives it -1 sizes, which no target may encode
+    dontcare = DetectionBox(0.5, 0.0, 0.0, -1.0, -1.0, -1.0, 0.0, ignored=True)
+    kept = DetectionBox(1.5, 0.0, 0.8, 4.0, 2.0, 1.6, 0.0)
+    cfg = AssignmentConfig(2.0, 4.0)
+    # the nearer gt is ignored: the anchor is positive for the farther one
+    assert assign_anchors(anchors, [dontcare, kept], cfg, [True, False])[0] == 1
+    for x, label in ((0.5, IGNORE), (3.0, IGNORE), (5.0, NEGATIVE)):
+        moved = DetectionBox(x, 0.0, 0.0, -1.0, -1.0, -1.0, 0.0, ignored=True)
+        assert assign_anchors(anchors, [moved], cfg, [True])[0] == label
 
 
 def test_hard_negative_mining_deterministic_and_topk():

@@ -137,6 +137,12 @@ def test_batched_forward_equals_one_scene_forwards(mode):
     losses = scene_loss(model, cfg, preps, rngs)
     for i, prep in enumerate(preps):
         one = model.forward(prep.bev_input, prep.sample.image_feature_input, prep.plan)
+        # one scene's C x H x W inputs are its batch of one, to the byte
+        one_batch = model.forward(T.Tensor(prep.bev_input.data[None]),
+                                  T.Tensor(prep.sample.image_feature_input.data[None]),
+                                  prep.plan)
+        assert one.raw.shape == one_batch.raw.shape == (1, *batch.shape[1:])
+        assert one.raw.data.tobytes() == one_batch.raw.data.tobytes()
         assert np.abs(batch[i] - one.raw.data).max() <= 1e-12 * np.abs(one.raw.data).max()
         alone, = scene_loss(model, cfg, [prep], [np.random.default_rng(i)])
         assert (losses[i].n, losses[i].n_pos) == (alone.n, alone.n_pos)

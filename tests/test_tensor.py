@@ -127,7 +127,7 @@ def test_conv2d_matches_naive():
     x = rng.standard_normal((2, 6, 7))
     w = rng.standard_normal((3, 2, 3, 3))
     for stride, padding in ((1, 0), (1, 1), (2, 1)):
-        out = T.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
+        out = T.conv2d(Tensor(x[None]), Tensor(w), stride=stride, padding=padding).data
         xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
         ho = (x.shape[1] + 2 * padding - 3) // stride + 1
         wo = (x.shape[2] + 2 * padding - 3) // stride + 1
@@ -137,7 +137,7 @@ def test_conv2d_matches_naive():
                 for j in range(wo):
                     patch = xp[:, i * stride:i * stride + 3, j * stride:j * stride + 3]
                     ref[co, i, j] = (patch * w[co]).sum()
-        np.testing.assert_allclose(out, ref, atol=1e-12)
+        np.testing.assert_allclose(out, ref[None], atol=1e-12)
 
 
 def _im2col_reference(x, kh, kw, stride, padding):
@@ -192,34 +192,36 @@ def test_conv2d_data_path_is_bit_identical_to_reference_kernels(k, stride, paddi
     x = _with_signed_zeros(rng, (c, h, w) if contiguous else (h, w, c))
     if not contiguous:
         x = x.transpose(2, 0, 1)
+    xb = x[None]                # the ops take the map as a batch of one
     ho, wo = T._conv_out_extent(h, k, stride, padding), T._conv_out_extent(w, k, stride, padding)
     ref_cols, ref_ho, ref_wo = _im2col_reference(x, k, k, stride, padding)
     assert (ho, wo) == (ref_ho, ref_wo)
-    assert _same_bytes(T._im2col(x, k, k, stride, padding, ho, wo), ref_cols)
+    assert _same_bytes(T._im2col(xb, k, k, stride, padding, ho, wo), ref_cols)
 
     gcols = _with_signed_zeros(rng, ref_cols.shape)
-    gx = T._col2im(gcols, x.shape, k, k, stride, padding, ho, wo)
-    assert _same_bytes(gx, _col2im_reference(gcols, x.shape, k, k, stride, padding, ho, wo))
+    gx = T._col2im(gcols, xb.shape, k, k, stride, padding, ho, wo)
+    assert _same_bytes(gx, _col2im_reference(gcols, x.shape, k, k, stride, padding, ho,
+                                             wo)[None])
 
     # conv2d through the tape against a conv assembled from the reference kernels
     c_out = 3
     wgt = _with_signed_zeros(rng, (c_out, c, k, k))
     g = _with_signed_zeros(rng, (c_out, ho, wo))
-    xt, wt = Tensor(x, requires_grad=True), Tensor(wgt, requires_grad=True)
+    xt, wt = Tensor(xb, requires_grad=True), Tensor(wgt, requires_grad=True)
     out = T.conv2d(xt, wt, stride=stride, padding=padding)
-    (out * Tensor(g)).sum().backward()
+    (out * Tensor(g[None])).sum().backward()
     wmat = wgt.reshape(c_out, -1)
     g2 = g.reshape(c_out, -1)
-    assert _same_bytes(out.data, (wmat @ ref_cols).reshape(c_out, ho, wo))
+    assert _same_bytes(out.data, (wmat @ ref_cols).reshape(1, c_out, ho, wo))
     assert _same_bytes(wt.grad, np.zeros(wgt.shape) + (g2 @ ref_cols.T).reshape(wgt.shape))
-    ref_gx = np.zeros(x.shape) + _col2im_reference(wmat.T @ g2, x.shape, k, k, stride,
-                                                   padding, ho, wo)
+    ref_gx = np.zeros(xb.shape) + _col2im_reference(wmat.T @ g2, x.shape, k, k, stride,
+                                                    padding, ho, wo)
     if stride == 1 and k > 1 and padding < k:
         # the transposed conv sums the same n products in another order
         n = c_out * k * k
         magnitude = _col2im_reference(np.abs(wmat).T @ np.abs(g2), x.shape, k, k, stride,
                                       padding, ho, wo)
-        assert xt.grad.shape == x.shape
+        assert xt.grad.shape == xb.shape
         assert (np.abs(xt.grad - ref_gx) <= 2 * n * np.finfo(float).eps * magnitude).all()
     else:
         assert _same_bytes(xt.grad, ref_gx)
@@ -273,10 +275,10 @@ def test_scatter_kernels_match_add_at_bitwise(c, h, w, n, d, seed):
     points = rng.uniform(-0.5, [w - 0.5, h - 0.5], (6, 2))
     points[:2] = np.round(points[:2])
     uv = points[rng.integers(0, 6, n)]
-    fm = Tensor(_with_signed_zeros(rng, (c, h, w)), requires_grad=True)
+    fm = Tensor(_with_signed_zeros(rng, (1, c, h, w)), requires_grad=True)
     g = _with_signed_zeros(rng, (n, c))
     (T.bilinear_sample(fm, uv) * Tensor(g)).sum().backward()
-    assert _same_bytes(fm.grad, _bilinear_grad_reference((c, h, w), uv, g))
+    assert _same_bytes(fm.grad, _bilinear_grad_reference((c, h, w), uv, g)[None])
 
     rows = int(rng.integers(1, 5))
     idx = rng.integers(0, rows, n)
@@ -308,18 +310,30 @@ def test_add_gives_each_parent_its_own_grad():
 
 def test_conv2d_rejects_even_kernel():
     with pytest.raises(ValueError):
-        T.conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))))
+        T.conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))))
+
+
+def test_map_ops_reject_a_map_without_its_batch_axis():
+    fm = Tensor(np.zeros((2, 4, 4)))
+    with pytest.raises(ValueError, match="N x C x H x W"):
+        T.conv2d(fm, Tensor(np.zeros((1, 2, 3, 3))), padding=1)
+    with pytest.raises(ValueError, match="N x C x H x W"):
+        T.add_channel_bias(fm, Tensor(np.zeros(2)))
+    with pytest.raises(ValueError, match="N x C x H x W"):
+        T.bilinear_sample(fm, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="N x C x H x W"):
+        T.upsample2x(fm)
 
 
 def test_upsample2x_values():
-    x = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
+    x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
     out = T.upsample2x(x).data
-    np.testing.assert_allclose(out[0], [[1, 1, 2, 2], [1, 1, 2, 2],
+    np.testing.assert_allclose(out[0, 0], [[1, 1, 2, 2], [1, 1, 2, 2],
                                         [3, 3, 4, 4], [3, 3, 4, 4]])
 
 
 def test_bilinear_sample_known_values():
-    fm = Tensor(np.arange(12.0).reshape(1, 3, 4))
+    fm = Tensor(np.arange(12.0).reshape(1, 1, 3, 4))
     uv = np.array([[0.0, 0.0], [1.5, 0.5], [3.0, 2.0], [-5.0, 0.0], [3.5, 1.0]])
     out = T.bilinear_sample(fm, uv).data[:, 0]
     # (1.5, 0.5): average of cells (0,1),(0,2),(1,1),(1,2) = (1+2+5+6)/4
@@ -341,10 +355,10 @@ def test_matmul_bias_and_channel_bias():
     for shape in ((2,), (1, 3), (5, 2), (2, 1)):
         with pytest.raises(ValueError, match="bias"):
             T.matmul(a, w, Tensor(np.zeros(shape)))
-    fm = Tensor(np.zeros((2, 2, 2)))
+    fm = Tensor(np.zeros((1, 2, 2, 2)))
     cb = Tensor(np.array([5.0, 7.0]))
     out = T.add_channel_bias(fm, cb).data
-    assert (out[0] == 5.0).all() and (out[1] == 7.0).all()
+    assert (out[:, 0] == 5.0).all() and (out[:, 1] == 7.0).all()
 
 
 def test_reshape_transpose_backward():
