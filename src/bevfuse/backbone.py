@@ -9,7 +9,7 @@ from typing import Annotated, Literal
 import numpy as np
 
 from . import tensor as T
-from .detect import DetectionHeader, HeaderOutput
+from .detect import AnchorConfig, DetectionHeader, HeaderOutput, make_anchors
 from .domains import Checked, NonEmpty, Pos
 from .fusion import (FusionMlp, FusionPlan, FusionSection, apply_fusion, level_centers,
                      plan_discrete_fusion, plan_fusion, xavier_uniform)
@@ -197,13 +197,10 @@ class DetectorModel:
     def __init__(self, grid: BevGrid, backbone: BackboneConfig,
                  fusion_cfg: FusionSection, image_in_channels: int,
                  image_feat_channels: int, bev_fpn_channels: int,
-                 header_variant: str, mode: str = "continuous",
-                 rng: np.random.Generator | None = None):
+                 header_variant: str, anchor: AnchorConfig, mode: str,
+                 rng: np.random.Generator):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.grid = grid
-        self.backbone = backbone
         self.mode = mode
 
         self.image_stream = None
@@ -227,6 +224,8 @@ class DetectorModel:
 
         self.output_grid = grid.downsample(
             group_stride(len(self.bev_groups) - self.num_combined))
+        # the anchor row of each ``header.flat()`` row of one scene
+        self.anchors = make_anchors(self.output_grid, anchor.size, anchor.z)
         # every fusion level's raster, and all their pixel centers in level
         # order: one neighbour query per scene answers every level
         self.fusion_section = fusion_cfg

@@ -11,11 +11,12 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 from .config import ConfigError, ExperimentConfig, FusionSection, \
     apply_env_overrides, config_from_dict, load_config
-from .pipeline import NumericError
+from .pipeline import NumericError, ablate_run, eval_run, run_gradcheck, train_run
 from .tensor import InputError
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC = 0, 2, 3
@@ -67,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args) -> int:
-    from .pipeline import train_run
     report = train_run(_load(args), args.out)
     print(json.dumps({"ap": report["ap"], "final_loss": report["final_loss"]},
                      sort_keys=True))
@@ -75,14 +75,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .pipeline import eval_run
     report = eval_run(_load(args), args.checkpoint, args.out)
     print(json.dumps({"ap": report["ap"]}, sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_ablate(args) -> int:
-    from .pipeline import ablate_run
     grid = None
     if args.knn_grid:
         try:
@@ -98,7 +96,6 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    from .pipeline import run_gradcheck
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
     if not 0 < args.rtol < math.inf:        # NaN fails this too
@@ -114,7 +111,6 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    import os
     for name in ("final_metrics.json", "eval_report.json", "ablation.json"):
         path = os.path.join(args.run_dir, name)
         if os.path.exists(path):

@@ -13,7 +13,7 @@ import yaml
 
 from .backbone import BackboneConfig, Mode, group_stride
 from .data import AugmentationConfig, SceneGenConfig
-from .detect import Variant
+from .detect import AnchorConfig, Variant
 from .domains import Checked, Finite, NonNeg, Pos, Unit, UnitOpen, shape
 from .evaluation import EvalConfig
 from .fusion import FusionSection
@@ -32,12 +32,6 @@ _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 class ConfigError(InputError):
     pass
-
-
-@dataclass
-class AnchorConfig(Checked):
-    size: Annotated[tuple[float, float, float], Finite, Pos] = (4.0, 2.0, 1.6)
-    z: Annotated[float, Finite] = 0.8
 
 
 @dataclass
@@ -111,10 +105,6 @@ class ExperimentConfig(Checked):
                               f"the BEV stride {stride}")
         if self.mode != "bev_only" and not self.backbone.fusion_points:
             raise ConfigError(f"mode {self.mode!r} needs at least one fusion point")
-        stride = group_stride(len(self.backbone.image_groups) - 1)
-        _, h, w = self.data.synthetic.image_shape
-        if self.mode != "bev_only" and (h % stride or w % stride):
-            raise ConfigError(f"image {h}x{w} not divisible by the image stride {stride}")
 
     def assignment(self) -> AssignmentConfig:
         return self.assign if self.assign is not None \

@@ -13,7 +13,7 @@ from typing import Annotated, Literal
 import numpy as np
 
 from . import tensor as T
-from .detect import DetectionBox, rotated_iou_bev
+from .detect import DetectionBox, box_corners_bev, rotated_iou_bev
 from .domains import (Checked, Finite, Increasing, NonDecreasing, NonNeg, Pos, Unit,
                       UnitOpen)
 from .geometry import BevGrid, CalibratedCamera, PointCloud, project_points
@@ -117,7 +117,6 @@ def _box_surface_points(box: DetectionBox, n: int, rng: np.random.Generator) -> 
 
 def _paint_presence(channel: np.ndarray, box: DetectionBox, cam: CalibratedCamera):
     """Set the projected footprint of a box to 1 in an H x W channel."""
-    from .detect import box_corners_bev
     corners2d = box_corners_bev(box)
     pts = []
     for cx, cy in corners2d:

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Annotated, Literal
 
 import numpy as np
 
+from .domains import Checked, Finite, Pos
 from .geometry import BevGrid
 from .tensor import Tensor, logistic
 
@@ -41,6 +42,15 @@ class Anchor:
     def __post_init__(self):
         if min(self.w, self.h, self.d) <= 0:
             raise ValueError("anchor sizes must be positive")
+
+
+@dataclass
+class AnchorConfig(Checked):
+    """The one anchor size (w, h, d) and center height of every pixel's
+    anchors: the ``anchor`` section of a config."""
+
+    size: Annotated[tuple[float, float, float], Finite, Pos] = (4.0, 2.0, 1.6)
+    z: Annotated[float, Finite] = 0.8
 
 
 @dataclass
@@ -211,16 +221,15 @@ def may_overlap(a, b) -> np.ndarray:
     Half-extents are 0.5 (|cos t| w + |sin t| h) and 0.5 (|sin t| w + |cos t| h).
     The bound is widened by 1e-9 relative to the coordinates and extents, far
     above the rounding of the corners and of the clipping, so a touching pair
-    is never pruned. A NaN never prunes: a NaN centre coordinate takes its own
-    axis out of the test, a NaN size or a NaN or infinite angle takes both.
+    is never pruned. A NaN or an infinity never prunes: such a centre
+    coordinate takes its own axis out of the test, such a size or angle both.
     """
     return _may_overlap_rows(box_rows(a), box_rows(b))
 
 
 def _may_overlap_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     def fields(f):
-        with np.errstate(invalid="ignore"):         # cos and sin of ±inf are NaN
-            c, s = np.abs(np.cos(f[:, 6])), np.abs(np.sin(f[:, 6]))
+        c, s = np.abs(np.cos(f[:, 6])), np.abs(np.sin(f[:, 6]))
         w, h = np.abs(f[:, 3]), np.abs(f[:, 4])
         return f[:, 0], f[:, 1], 0.5 * (c * w + s * h), 0.5 * (s * w + c * h)
 
@@ -229,11 +238,11 @@ def _may_overlap_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         slack = 1e-9 * (np.abs(ca)[:, None] + np.abs(cb)[None, :] + reach)
         return np.abs(ca[:, None] - cb[None, :]) - reach > slack
 
-    ax, ay, arx, ary = fields(a)
-    bx, by, brx, bry = fields(b)
-    sep_x = apart(ax, arx, bx, brx)
-    sep_y = apart(ay, ary, by, bry)
-    return ~(sep_x | sep_y)
+    # an infinite input makes NaN (cos inf, 0 * inf, inf - inf): a NaN never prunes
+    with np.errstate(invalid="ignore"):
+        ax, ay, arx, ary = fields(a)
+        bx, by, brx, bry = fields(b)
+        return ~(apart(ax, arx, bx, brx) | apart(ay, ary, by, bry))
 
 
 def iou_upper_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -364,12 +373,11 @@ class HeaderOutput:
 class DetectionHeader:
     """Single 1x1 convolution over the final BEV feature map."""
 
-    def __init__(self, in_channels: int, variant: str = "bev",
-                 rng: np.random.Generator | None = None, name: str = "header"):
+    def __init__(self, in_channels: int, variant: str, rng: np.random.Generator,
+                 name: str = "header"):
         from .backbone import Conv2dLayer
         if variant not in NUM_REG:
             raise ValueError(f"unknown variant {variant!r}")
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.variant = variant
         out_ch = len(ANCHOR_ORIENTATIONS) * (1 + NUM_REG[variant])
         self.conv = Conv2dLayer(in_channels, out_ch, 1, 1, 0, rng, name)

@@ -48,9 +48,8 @@ class FusionMlp:
     """Shared 3-layer perceptron: two hidden layers of the input width, then a
     linear output layer; rectifier between layers, none at the end."""
 
-    def __init__(self, input_dim: int, output_dim: int,
-                 rng: np.random.Generator | None = None, name: str = "fusion_mlp"):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, input_dim: int, output_dim: int, rng: np.random.Generator,
+                 name: str = "fusion_mlp"):
         self.input_dim = input_dim
         self.output_dim = output_dim
         self.name = name

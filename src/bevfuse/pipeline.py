@@ -12,18 +12,20 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import losses, tensor as T
-from .backbone import MODES, DetectorModel, group_stride, param_module
-from .config import ExperimentConfig, FusionSection
-from .data import (SceneSample, augment, generate_dataset, load_dataset,
-                   load_kitti_frame)
-from .detect import DetectionBox, decode_detections, make_anchors, nms, regression_rows
+from .backbone import (MODES, BackboneConfig, DetectorModel, GroupSpec, group_stride,
+                       param_module)
+from .config import ExperimentConfig, FusionSection, save_config
+from .data import (SceneGenConfig, SceneSample, augment, generate_dataset, load_dataset,
+                   load_kitti_frame, make_forward_camera)
+from .detect import DetectionBox, decode_detections, nms, regression_rows
 from .evaluation import evaluate_pr, piecewise_range_ap
 from .fusion import (FusionConfig, FusionMlp, FusionPlan, continuous_fusion_forward,
                      merge_plans)
 from .geometry import BevGrid, PointCloud, voxelize
 from .losses import (NEGATIVE, AssignmentConfig, LossBreakdown, hard_negative_mining,
                      total_loss)
-from .tensor import Adam, InputError, Tensor, atomic_write, save_checkpoint
+from .tensor import (Adam, InputError, Tensor, atomic_write, load_checkpoint,
+                     save_checkpoint)
 
 
 class NumericError(RuntimeError):
@@ -37,7 +39,7 @@ def build_model(cfg: ExperimentConfig, rng: np.random.Generator | None = None) -
         image_in_channels=cfg.data.synthetic.image_shape[0],
         image_feat_channels=cfg.image_feat_channels,
         bev_fpn_channels=cfg.bev_fpn_channels,
-        header_variant=cfg.variant, mode=cfg.mode, rng=rng)
+        header_variant=cfg.variant, anchor=cfg.anchor, mode=cfg.mode, rng=rng)
 
 
 class _Undrawn:
@@ -95,8 +97,8 @@ class PreparedScene:
 
 
 def prepare_scene(model: DetectorModel, cfg: ExperimentConfig,
-                  anchors: np.ndarray, sample: SceneSample) -> PreparedScene:
-    labels = losses.assign_anchors(anchors, sample.gt_boxes, cfg.assignment(),
+                  sample: SceneSample) -> PreparedScene:
+    labels = losses.assign_anchors(model.anchors, sample.gt_boxes, cfg.assignment(),
                                    [cfg.eval.ignores(g) for g in sample.gt_boxes])
     pos_idx = np.flatnonzero(labels >= 0)
     neg_idx = np.flatnonzero(labels == NEGATIVE)
@@ -105,8 +107,8 @@ def prepare_scene(model: DetectorModel, cfg: ExperimentConfig,
         bev_input=voxelize(sample.cloud, cfg.grid),
         plan=model.make_plans(sample.cloud, sample.cam),
         pos_idx=pos_idx, neg_idx=neg_idx,
-        reg_targets=regression_rows(cfg.variant, sample.gt_boxes, labels[pos_idx],
-                                    anchors[pos_idx], cfg.loss.center_norm,
+        reg_targets=regression_rows(model.header.variant, sample.gt_boxes, labels[pos_idx],
+                                    model.anchors[pos_idx], cfg.loss.center_norm,
                                     cfg.loss.wrap_orientation))
 
 
@@ -159,20 +161,19 @@ def scene_loss(model: DetectorModel, cfg: ExperimentConfig, preps: list[Prepared
 
 
 def detect_scene(model: DetectorModel, cfg: ExperimentConfig,
-                 anchors: np.ndarray, prep: PreparedScene) -> list[DetectionBox]:
+                 prep: PreparedScene) -> list[DetectionBox]:
     with T.no_grad():
         header = model.forward(prep.bev_input, prep.sample.image_feature_input,
                                prep.plan)
-    boxes = decode_detections(header, anchors, center_norm=cfg.loss.center_norm)
+    boxes = decode_detections(header, model.anchors, center_norm=cfg.loss.center_norm)
     return nms(boxes, iou_threshold=cfg.eval.nms_iou,
                score_threshold=cfg.eval.score_threshold,
                max_out=cfg.eval.nms_max_out)
 
 
 def evaluate_model(model: DetectorModel, cfg: ExperimentConfig,
-                   anchors: np.ndarray, preps: list[PreparedScene]) -> dict:
-    frames = [(detect_scene(model, cfg, anchors, p), p.sample.gt_boxes)
-              for p in preps]
+                   preps: list[PreparedScene]) -> dict:
+    frames = [(detect_scene(model, cfg, p), p.sample.gt_boxes) for p in preps]
     curve = evaluate_pr(frames, cfg.eval)
     report = {
         "iou_kind": cfg.eval.iou_kind,
@@ -205,15 +206,13 @@ def train_run(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Full training run: writes resolved config, per-step loss log, final
     checkpoint and training-set evaluation into ``out_dir``. The data loads
     first, so a bad input leaves no run directory."""
-    from .config import save_config
     scenes = build_scenes(cfg)
     os.makedirs(out_dir, exist_ok=True)
     save_config(cfg, os.path.join(out_dir, "config.yaml"))
 
     rng = np.random.default_rng(cfg.seed)
     model = build_model(cfg, rng)
-    anchors = make_anchors(model.output_grid, cfg.anchor.size, cfg.anchor.z)
-    static_preps = [prepare_scene(model, cfg, anchors, s) for s in scenes]
+    static_preps = [prepare_scene(model, cfg, s) for s in scenes]
 
     params = model.parameters()
     opt = Adam(params.values(), lr=cfg.optimizer.lr, betas=cfg.optimizer.betas,
@@ -224,9 +223,8 @@ def train_run(cfg: ExperimentConfig, out_dir: str) -> dict:
         for step in range(cfg.optimizer.steps):
             opt.lr = _lr_at(step, cfg)
             if cfg.data.augment is not None:
-                preps = [prepare_scene(model, cfg, anchors,
-                                       augment(s, cfg.data.augment,
-                                               seed=[cfg.seed, step, i]))
+                preps = [prepare_scene(model, cfg, augment(s, cfg.data.augment,
+                                                           seed=[cfg.seed, step, i]))
                          for i, s in enumerate(scenes)]
             else:
                 preps = static_preps
@@ -261,7 +259,7 @@ def train_run(cfg: ExperimentConfig, out_dir: str) -> dict:
                 save_checkpoint(params, os.path.join(out_dir, f"ckpt_{step + 1:06d}.bin"))
     save_checkpoint(params, os.path.join(out_dir, "ckpt_final.bin"))
 
-    report = evaluate_model(model, cfg, anchors, static_preps)
+    report = evaluate_model(model, cfg, static_preps)
     report["initial_loss"] = first_loss
     report["final_loss"] = last_loss
     with atomic_write(os.path.join(out_dir, "final_metrics.json")) as f:
@@ -272,16 +270,13 @@ def train_run(cfg: ExperimentConfig, out_dir: str) -> dict:
 def eval_run(cfg: ExperimentConfig, checkpoint_path: str, out_dir: str) -> dict:
     """Evaluate a checkpoint on the configured dataset. The data and the
     checkpoint load first, so a bad input leaves no run directory."""
-    from .config import save_config
-    from .tensor import load_checkpoint
     scenes = build_scenes(cfg)
     model = build_model(cfg, _Undrawn())
     model.load_parameters(load_checkpoint(checkpoint_path))
     os.makedirs(out_dir, exist_ok=True)
     save_config(cfg, os.path.join(out_dir, "config.yaml"))
-    anchors = make_anchors(model.output_grid, cfg.anchor.size, cfg.anchor.z)
-    preps = [prepare_scene(model, cfg, anchors, s) for s in scenes]
-    report = evaluate_model(model, cfg, anchors, preps)
+    preps = [prepare_scene(model, cfg, s) for s in scenes]
+    report = evaluate_model(model, cfg, preps)
     with atomic_write(os.path.join(out_dir, "eval_report.json")) as f:
         json.dump(report, f, indent=2, sort_keys=True)
     return report
@@ -405,7 +400,6 @@ def run_gradcheck(rtol: float = 1e-4, seed: int = 0) -> list[tuple[str, float, b
           lambda: (x.reshape(5, 5, 2).transpose((2, 0, 1)) ** 2.0).sum(), [x])
 
     # continuous fusion layer on a tiny instance
-    from .data import make_forward_camera
     cam = make_forward_camera((6, 8), (3.0, 3.0))
     cloud = PointCloud(rng.uniform([2, -2, 0], [6, 2, 1.5], (5, 3)))
     grid = BevGrid((0, 8), (-4, 4), (0, 2), 4, 4, 1)
@@ -454,9 +448,6 @@ def run_gradcheck(rtol: float = 1e-4, seed: int = 0) -> list[tuple[str, float, b
 
 
 def miniature_config() -> ExperimentConfig:
-    from .backbone import BackboneConfig, GroupSpec
-    from .config import ExperimentConfig
-    from .data import SceneGenConfig
     cfg = ExperimentConfig(
         grid=BevGrid((0.0, 16.0), (-8.0, 8.0), (0.0, 2.0), 8, 8, 2),
         backbone=BackboneConfig(
@@ -479,8 +470,7 @@ def _frozen_scene_loss(cfg: ExperimentConfig, sample: SceneSample,
     live scores, which makes the loss piecewise in the parameters and
     invalidates finite differences."""
     model = build_model(cfg, rng)
-    anchors = make_anchors(model.output_grid, cfg.anchor.size, cfg.anchor.z)
-    prep = prepare_scene(model, cfg, anchors, sample)
+    prep = prepare_scene(model, cfg, sample)
     params = model.parameters()
     _jitter_biases(params, rng)
     with T.no_grad():

@@ -101,19 +101,19 @@ def test_detector_model_modes_and_parameters():
     cfg = miniature_config()
     model = DetectorModel(cfg.grid, cfg.backbone, cfg.fusion,
                           image_in_channels=2, image_feat_channels=4,
-                          bev_fpn_channels=6, header_variant="bev",
+                          bev_fpn_channels=6, header_variant="bev", anchor=cfg.anchor,
                           mode="bev_only", rng=_rng())
     names = model.parameters()
     assert not any(n.startswith(("image", "fusion")) for n in names)
     fused = DetectorModel(cfg.grid, cfg.backbone, cfg.fusion,
                           image_in_channels=2, image_feat_channels=4,
-                          bev_fpn_channels=6, header_variant="bev",
+                          bev_fpn_channels=6, header_variant="bev", anchor=cfg.anchor,
                           mode="continuous", rng=_rng())
     fnames = fused.parameters()
     assert any(n.startswith("image") for n in fnames)
     assert any(n.startswith("fusion") for n in fnames)
     with pytest.raises(ValueError):
-        DetectorModel(cfg.grid, cfg.backbone, cfg.fusion, 2, 4, 6, "bev",
+        DetectorModel(cfg.grid, cfg.backbone, cfg.fusion, 2, 4, 6, "bev", cfg.anchor,
                       mode="telepathy", rng=_rng())
 
 

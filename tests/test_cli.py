@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from bevfuse.backbone import GroupSpec
 from bevfuse.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from bevfuse.config import config_to_dict
 from bevfuse.data import (BOX_COLUMNS, GENERATOR_VERSION, AugmentationConfig,
@@ -518,6 +519,32 @@ def test_manifest_with_non_finite_image_is_config_error(tmp_path, command):
         argv += ["--checkpoint", str(checkpoint)]
     assert main(argv) == EXIT_CONFIG
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,mode,code", [
+    ("train", "continuous", EXIT_CONFIG), ("ablate", "continuous", EXIT_CONFIG),
+    ("train", "bev_only", EXIT_OK)])
+def test_synthetic_image_that_misfits_the_image_stream(tmp_path, command, mode, code):
+    cfg = miniature_config()
+    cfg.mode = mode
+    # 7 rows: the image stream's stride 2 does not divide them
+    cfg.data.synthetic = replace(cfg.data.synthetic, image_shape=(2, 7, 8))
+    cfg.optimizer.steps = 1
+    argv = [command, "--config", str(_write_config(tmp_path / "cfg.yaml", cfg)),
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == code
+    assert (tmp_path / "o").exists() == (code == EXIT_OK)
+
+
+def test_manifest_images_that_fit_train_whatever_the_synthetic_shape(tmp_path):
+    cfg = miniature_config()
+    cfg.backbone.image_groups = [GroupSpec(2, 4)] * 5       # stride 16: 8 x 8 misfits
+    fitting = replace(cfg.data.synthetic, image_shape=(2, 16, 32))
+    save_dataset(generate_dataset(fitting, 1), tmp_path / "data")
+    cfg.data.source = "manifest"
+    cfg.data.manifest = str(tmp_path / "data")
+    assert _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg)) == \
+        (EXIT_OK, True)
 
 
 def test_empty_manifest_is_config_error(tmp_path):

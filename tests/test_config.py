@@ -53,14 +53,10 @@ def test_scalar_values_are_type_checked_not_converted():
             config_from_dict(bad)
 
 
-def test_grid_and_image_must_divide_by_their_stream_strides():
+def test_grid_must_divide_by_the_bev_stride():
     with pytest.raises(ConfigError, match="BEV stride 16"):
         config_from_dict({"grid": {"x_range": [0, 32], "y_range": [-16, 16],
                                    "z_range": [0, 3], "nx": 30, "ny": 32, "nz": 4}})
-    odd_image = {"data": {"synthetic": {"image_shape": [4, 25, 48]}}}
-    with pytest.raises(ConfigError, match="image stride 8"):
-        config_from_dict(odd_image)
-    assert config_from_dict({**odd_image, "mode": "bev_only"}).mode == "bev_only"
 
 
 def test_bad_mode_rejected():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bevfuse.detect as detect
-from bevfuse import pipeline
+from bevfuse import evaluation, pipeline
 from bevfuse.config import load_config
 from bevfuse.detect import (ANCHOR_ORIENTATIONS, CENTER_EPS, NUM_REG, Anchor,
                             DetectionBox, DetectionHeader, HeaderOutput, box_corners_bev,
@@ -16,6 +16,7 @@ from bevfuse.detect import (ANCHOR_ORIENTATIONS, CENTER_EPS, NUM_REG, Anchor,
                             encode_rows, encode_targets, iou_3d, iou_upper_bound,
                             make_anchors, may_overlap, nms, polygon_intersection_area,
                             regression_rows, rotated_iou_bev)
+from bevfuse.evaluation import EvalConfig, match_detections
 from bevfuse.geometry import BevGrid
 from bevfuse.tensor import Tensor, no_grad
 
@@ -395,6 +396,23 @@ def test_non_finite_heading_is_never_pruned_and_overlaps_nothing(t):
     assert len(kept) == 2 and kept[0] is a and kept[1] is b
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["x", "y", "w", "h"])
+def test_infinite_centre_or_size_is_never_pruned(field, value, monkeypatch):
+    # inf - inf and 0 * inf are NaN: a RuntimeWarning, which pytest makes an error
+    a = replace(DetectionBox(0.0, 0.0, 0.0, 2.0, 2.0, 1.0, 0.0, score=0.9), **{field: value})
+    b = DetectionBox(0.5, 0.0, 0.0, 2.0, 2.0, 1.0, 0.3, score=0.8)
+    assert may_overlap([a], [b])[0, 0] and may_overlap([b], [a])[0, 0]
+    boxes = [a, b, replace(b, x=-0.5)]
+    assert nms(boxes, 0.1, 0.1) == _nms_quadratic(boxes, 0.1, 0.1, None)
+    for kind in ("bev", "3d"):
+        cfg = EvalConfig(iou_kind=kind, iou_threshold=0.1)
+        flags = match_detections(boxes, boxes, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(evaluation, "may_overlap", lambda d, g: np.ones((len(d), len(g)), bool))
+            np.testing.assert_array_equal(flags, match_detections(boxes, boxes, cfg))
+
+
 def _inf_field_pair():
     return st.tuples(_boxes(2, 2, nan=False), st.sampled_from(["x", "y", "w", "h", "t"]),
                      st.sampled_from([math.inf, -math.inf])).map(
@@ -427,11 +445,10 @@ def _decoded_frame(seed: int) -> list[DetectionBox]:
                       environ={})
     cfg.seed, cfg.data.synthetic.seed, cfg.data.n_scenes = seed, seed * 1000, 1
     model = pipeline.build_model(cfg)
-    anchors = make_anchors(model.output_grid, cfg.anchor.size, cfg.anchor.z)
-    prep = pipeline.prepare_scene(model, cfg, anchors, pipeline.build_scenes(cfg)[0])
+    prep = pipeline.prepare_scene(model, cfg, pipeline.build_scenes(cfg)[0])
     with no_grad():
         header = model.forward(prep.bev_input, prep.sample.image_feature_input, prep.plan)
-    return decode_detections(header, anchors, center_norm=cfg.loss.center_norm)
+    return decode_detections(header, model.anchors, center_norm=cfg.loss.center_norm)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -483,7 +500,8 @@ def test_header_flat_rows_follow_make_anchors(variant):
     grid = BevGrid((0.0, 6.0), (-2.0, 2.0), (0.0, 1.0), 3, 2, 1)     # nx != ny
     anchors = make_anchors(grid, (4.0, 2.0, 1.6), z=0.8)
     width = 1 + NUM_REG[variant]
-    out = DetectionHeader(3, variant).forward(Tensor(np.zeros((1, 3, grid.ny, grid.nx))))
+    header = DetectionHeader(3, variant, np.random.default_rng(0))
+    out = header.forward(Tensor(np.zeros((1, 3, grid.ny, grid.nx))))
     assert out.flat().shape == (len(anchors), width)
     # each orientation's first three cells carry its anchor's x, y and t
     raw = np.zeros(out.raw.shape)

@@ -11,7 +11,7 @@ import pytest
 from bevfuse import backbone, evaluation, fusion, pipeline
 from bevfuse import tensor as T
 from bevfuse.config import ExperimentConfig, FusionSection, load_config
-from bevfuse.detect import DetectionBox, make_anchors
+from bevfuse.detect import NUM_REG, DetectionBox, make_anchors
 from bevfuse.losses import hard_negative_mining, total_loss
 from bevfuse.pipeline import (ABLATION_VARIANTS, NumericError, ablate_run,
                               batch_inputs, build_model, build_scenes, detect_scene,
@@ -38,19 +38,32 @@ def test_prepare_scene_labels_shapes():
     cfg = _mini()
     model = build_model(cfg)
     scene = build_scenes(cfg)[0]
-    anchors = make_anchors(model.output_grid, cfg.anchor.size, cfg.anchor.z)
-    prep = prepare_scene(model, cfg, anchors, scene)
+    prep = prepare_scene(model, cfg, scene)
     assert prep.bev_input.shape == (cfg.grid.nz, cfg.grid.ny, cfg.grid.nx)
     assert prep.reg_targets.shape == (prep.pos_idx.size, 5)
     assert set(prep.pos_idx).isdisjoint(prep.neg_idx)
+
+
+@pytest.mark.parametrize("variant", sorted(NUM_REG))
+@pytest.mark.parametrize("mode", ABLATION_VARIANTS)
+def test_model_anchors_give_one_row_per_header_row(mode, variant):
+    cfg = replace(_mini(), mode=mode, variant=variant)
+    model = build_model(cfg)
+    assert np.array_equal(model.anchors,
+                          make_anchors(model.output_grid, cfg.anchor.size, cfg.anchor.z))
+    prep = prepare_scene(model, cfg, build_scenes(cfg)[0])
+    header = model.forward(*batch_inputs(model, [prep]))
+    assert header.flat().shape == (len(model.anchors), 1 + NUM_REG[variant])
+    # fixed priors: no optimizer step or checkpoint touches them
+    assert not any(np.shares_memory(p.data, model.anchors)
+                   for p in model.parameters().values())
 
 
 def test_scene_loss_finite_and_differentiable():
     cfg = _mini()
     model = build_model(cfg)
     scene = build_scenes(cfg)[0]
-    anchors = make_anchors(model.output_grid, cfg.anchor.size, cfg.anchor.z)
-    prep = prepare_scene(model, cfg, anchors, scene)
+    prep = prepare_scene(model, cfg, scene)
     bd, = scene_loss(model, cfg, [prep], [np.random.default_rng(0)])
     assert np.isfinite(bd.total.data)
     bd.total.backward()
@@ -104,11 +117,10 @@ def test_scene_loss_matches_one_hot_selection_bitwise(variant):
     cfg = _mini()
     cfg.variant = variant
     model = build_model(cfg)
-    anchors = make_anchors(model.output_grid, cfg.anchor.size, cfg.anchor.z)
-    prep = prepare_scene(model, cfg, anchors, build_scenes(cfg)[0])
+    prep = prepare_scene(model, cfg, build_scenes(cfg)[0])
     assert prep.pos_idx.size > 0
     params = model.parameters()
-    scores = np.random.default_rng(2).random(len(anchors))
+    scores = np.random.default_rng(2).random(len(model.anchors))
     mined = hard_negative_mining(prep.neg_idx, scores, 20, 0.5,
                                  np.random.default_rng(3))
 
@@ -129,8 +141,7 @@ def test_scene_loss_matches_one_hot_selection_bitwise(variant):
 def test_batched_forward_equals_one_scene_forwards(mode):
     cfg = replace(load_config(OVERFIT_CONFIG), mode=mode)
     model = build_model(cfg)
-    anchors = make_anchors(model.output_grid, cfg.anchor.size, cfg.anchor.z)
-    preps = [prepare_scene(model, cfg, anchors, s) for s in build_scenes(cfg)]
+    preps = [prepare_scene(model, cfg, s) for s in build_scenes(cfg)]
     batch = model.forward(*batch_inputs(model, preps)).raw.data
     assert batch.shape[0] == len(preps) == 4
     rngs = [np.random.default_rng(i) for i in range(len(preps))]
@@ -181,12 +192,11 @@ def test_fusion_projects_and_samples_once(monkeypatch, mode):
     the forward equal to sampling every pair on every level."""
     cfg = replace(load_config(OVERFIT_CONFIG), mode=mode)
     model = build_model(cfg)
-    anchors = make_anchors(model.output_grid, cfg.anchor.size, cfg.anchor.z)
     projections, samples = [], []
     project, sample = fusion.project_points, T.bilinear_sample
     monkeypatch.setattr(fusion, "project_points",
                         lambda *a: projections.append(1) or project(*a))
-    preps = [prepare_scene(model, cfg, anchors, s) for s in build_scenes(cfg)]
+    preps = [prepare_scene(model, cfg, s) for s in build_scenes(cfg)]
     fuses = mode != "bev_only"
     assert len(projections) == fuses * len(preps) and len(preps) == 4
     inputs = batch_inputs(model, preps)
@@ -201,7 +211,7 @@ def test_evaluate_model_matches_each_frame_once(monkeypatch):
     box = DetectionBox(5.0, 0.0, 0.8, 4.0, 2.0, 1.6, 0.0, score=0.9)
     preps = [SimpleNamespace(dets=[box], sample=SimpleNamespace(gt_boxes=[box]))
              for _ in range(3)]
-    monkeypatch.setattr(pipeline, "detect_scene", lambda model, cfg, anchors, p: p.dets)
+    monkeypatch.setattr(pipeline, "detect_scene", lambda model, cfg, p: p.dets)
     calls = []
     match = evaluation.match_detections
 
@@ -209,7 +219,7 @@ def test_evaluate_model_matches_each_frame_once(monkeypatch):
         calls.append(1)
         return match(*args)
     monkeypatch.setattr(evaluation, "match_detections", counting_match)
-    report = evaluate_model(None, cfg, [], preps)
+    report = evaluate_model(None, cfg, preps)
     assert report["ap"] == 1.0 and "pr_curve" in report
     assert len(calls) == len(preps)
 
@@ -278,8 +288,8 @@ def test_range_ap_does_not_match_across_frames(monkeypatch):
     # the ground truth sits in frame A, the only detection in frame B
     preps = [SimpleNamespace(dets=[], sample=SimpleNamespace(gt_boxes=[box])),
              SimpleNamespace(dets=[box], sample=SimpleNamespace(gt_boxes=[]))]
-    monkeypatch.setattr(pipeline, "detect_scene", lambda model, cfg, anchors, p: p.dets)
-    report = evaluate_model(None, cfg, [], preps)
+    monkeypatch.setattr(pipeline, "detect_scene", lambda model, cfg, p: p.dets)
+    report = evaluate_model(None, cfg, preps)
     assert report["ap"] == 0.0
     assert report["range_ap"] == [{"bin": [0.0, 16.0], "ap": 0.0}]
 
