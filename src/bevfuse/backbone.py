@@ -224,7 +224,7 @@ class DetectorModel:
 
         self.output_grid = grid.downsample(
             group_stride(len(self.bev_groups) - self.num_combined))
-        # the anchor row of each ``header.flat()`` row of one scene
+        # the anchor row of each ``header.rows`` row of one scene
         self.anchors = make_anchors(self.output_grid, anchor.size, anchor.z)
         # every fusion level's raster, and all their pixel centers in level
         # order: one neighbour query per scene answers every level

@@ -361,8 +361,14 @@ def parse_kitti_label_line(line: str, rect_to_velo: np.ndarray,
 
 
 def load_kitti_labels(path, rect_to_velo: np.ndarray) -> list[DetectionBox]:
-    return [parse_kitti_label_line(line, rect_to_velo, str(path), lineno)
-            for lineno, line in _numbered_lines(path) if line.strip()]
+    """The boxes of a label file; one that ``_check_box_rows`` rejects raises."""
+    boxes = [parse_kitti_label_line(line, rect_to_velo, str(path), lineno)
+             for lineno, line in _numbered_lines(path) if line.strip()]
+    try:
+        _check_box_rows(_box_records(boxes))
+    except ValueError as e:
+        raise KittiParseError(f"{path}: {e}") from None
+    return boxes
 
 
 def load_kitti_frame(velodyne_path, calib_path, label_path,
@@ -412,13 +418,17 @@ BOX_COLUMNS = ("x", "y", "z", "w", "h", "d", "t", "score", "cls", "ignored", "he
                "is_3d")
 
 
+def _box_records(boxes: list[DetectionBox]) -> np.ndarray:
+    """N x len(BOX_COLUMNS) rows of ``boxes``: a scene record's ``boxes``."""
+    return np.array([[float(getattr(b, c)) for c in BOX_COLUMNS]
+                     for b in boxes]).reshape(-1, len(BOX_COLUMNS))
+
+
 def save_dataset(samples: list[SceneSample], directory):
     """Directory of per-frame .npz records plus an index.json manifest."""
     os.makedirs(directory, exist_ok=True)
     frames = []
     for s in samples:
-        box_arr = np.array([[float(getattr(b, c)) for c in BOX_COLUMNS]
-                            for b in s.gt_boxes]).reshape(-1, len(BOX_COLUMNS))
         np.savez(os.path.join(directory, f"{s.frame_id}.npz"),
                  points=s.cloud.points,
                  intensity=(s.cloud.intensity if s.cloud.intensity is not None
@@ -426,7 +436,7 @@ def save_dataset(samples: list[SceneSample], directory):
                  image_features=s.image_feature_input.data,
                  projection=s.cam.projection,
                  image_size=np.array(s.cam.image_size),
-                 boxes=box_arr)
+                 boxes=_box_records(s.gt_boxes))
         frames.append(s.frame_id)
     with open(os.path.join(directory, "index.json"), "w") as f:
         json.dump({"generator_version": GENERATOR_VERSION, "frames": frames}, f, indent=2)
@@ -486,6 +496,8 @@ def _load_record(path, fid) -> SceneSample:
             image = Tensor(z["image_features"])
             if not np.isfinite(image.data).all():
                 raise ValueError("image_features hold a non-finite value")
+            if image.shape[1:] != cam.image_size:
+                raise ValueError(f"image_features {list(image.shape)} are not C x image_size")
             return SceneSample(PointCloud(z["points"], intensity=z["intensity"]),
                                image, cam, boxes, frame_id=fid)
     except _RECORD_ERRORS as e:

@@ -8,6 +8,7 @@ from typing import Annotated, Literal
 
 import numpy as np
 
+from . import tensor as T
 from .domains import Checked, Finite, Pos
 from .geometry import BevGrid
 from .tensor import Tensor, logistic
@@ -221,8 +222,8 @@ def may_overlap(a, b) -> np.ndarray:
     Half-extents are 0.5 (|cos t| w + |sin t| h) and 0.5 (|sin t| w + |cos t| h).
     The bound is widened by 1e-9 relative to the coordinates and extents, far
     above the rounding of the corners and of the clipping, so a touching pair
-    is never pruned. A NaN or an infinity never prunes: such a centre
-    coordinate takes its own axis out of the test, such a size or angle both.
+    is never pruned. A NaN, an infinity or an overflow never prunes: such a
+    centre coordinate takes its own axis out of the test, such a size or angle both.
     """
     return _may_overlap_rows(box_rows(a), box_rows(b))
 
@@ -238,8 +239,8 @@ def _may_overlap_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         slack = 1e-9 * (np.abs(ca)[:, None] + np.abs(cb)[None, :] + reach)
         return np.abs(ca[:, None] - cb[None, :]) - reach > slack
 
-    # an infinite input makes NaN (cos inf, 0 * inf, inf - inf): a NaN never prunes
-    with np.errstate(invalid="ignore"):
+    # an infinite input makes NaN, a huge finite one overflows to inf: neither prunes
+    with np.errstate(invalid="ignore", over="ignore"):
         ax, ay, arx, ary = fields(a)
         bx, by, brx, bry = fields(b)
         return ~(apart(ax, arx, bx, brx) | apart(ay, ary, by, bry))
@@ -352,22 +353,28 @@ def nms(boxes: list[DetectionBox], iou_threshold: float = 0.1,
 
 # -- detection header ---------------------------------------------------------
 
-@dataclass
 class HeaderOutput:
-    """Raw 1x1-conv output of a ``variant`` header: per pixel, one
-    (logit, R regression offsets) cell run per anchor orientation."""
+    """Raw 1x1-conv output of a ``variant`` header, and the one owner of its
+    rows: per pixel, one (logit, R offsets) cell run per anchor orientation.
+    ``rows`` holds one (1 + R) row per ``make_anchors`` row, scene after
+    scene, and ``scores`` the ``logistic`` of each row's logit."""
 
-    raw: Tensor                  # N x (A * (1+R)) x ny x nx
-    variant: str
+    def __init__(self, raw: Tensor, variant: str):
+        self.raw = raw                  # N x (A * (1+R)) x ny x nx
+        self.variant = variant
+        self.num_reg = NUM_REG[variant]
+        self.rows = raw.transpose((0, 2, 3, 1)).reshape(-1, 1 + self.num_reg)
+        self.scores = logistic(self.rows.data[:, 0])
+        self._cells = self.rows.reshape(-1)
 
-    @property
-    def num_reg(self) -> int:
-        return NUM_REG[self.variant]
-
-    def flat(self) -> Tensor:
-        """One (1 + R) row per ``make_anchors`` row, in the same order, scene
-        after scene."""
-        return self.raw.transpose((0, 2, 3, 1)).reshape(-1, 1 + self.num_reg)
+    def select(self, rows: np.ndarray, n_pos: int) -> tuple[Tensor, Tensor]:
+        """The logits of ``rows`` (indices into ``self.rows``) and the R
+        offsets of their first ``n_pos``: one ``gather_rows`` node each, called
+        through the module so that a tracer patching ``bevfuse.tensor`` sees it."""
+        width = 1 + self.num_reg
+        first = np.asarray(rows, dtype=np.intp) * width
+        return (T.gather_rows(self._cells, first),
+                T.gather_rows(self._cells, first[:n_pos, None] + np.arange(1, width)))
 
 
 class DetectionHeader:
@@ -393,16 +400,15 @@ def decode_detections(header: HeaderOutput, anchors: np.ndarray,
                       center_norm: str = "anchor_coord") -> list[DetectionBox]:
     """Scored boxes (pre-NMS), one per anchor row. Regression cells are read
     back through the variant's REG_INDICES; offsets it does not regress are 0."""
-    flat = header.flat().data
-    if flat.shape[0] != len(anchors):
-        raise ValueError(f"{flat.shape[0]} predictions vs {len(anchors)} anchors")
+    rows = header.rows.data
+    if rows.shape[0] != len(anchors):
+        raise ValueError(f"{rows.shape[0]} predictions vs {len(anchors)} anchors")
     layout = REG_INDICES[header.variant]
-    full = np.zeros((len(flat), 8))
-    full[:, layout] = flat[:, 1:]
-    rows = decode_rows(full, anchors, center_norm)
+    full = np.zeros((len(rows), 8))
+    full[:, layout] = rows[:, 1:]
+    boxes = decode_rows(full, anchors, center_norm)
     is_3d = 2 in layout                 # the variant regresses z
     # the fields a column at a time, which is far cheaper than unpacking each row
     return [DetectionBox(*fields, score=score, is_3d=is_3d, height2d=h2d)
-            for *fields, score, h2d in zip(*map(list, rows.T),
-                                           logistic(flat[:, 0]).tolist(),
+            for *fields, score, h2d in zip(*map(list, boxes.T), header.scores.tolist(),
                                            full[:, 7].tolist())]

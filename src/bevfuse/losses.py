@@ -75,10 +75,10 @@ def assign_anchors(anchors: np.ndarray, gt_boxes: list[DetectionBox],
     return labels
 
 
-def hard_negative_mining(neg_indices: np.ndarray, cls_scores: np.ndarray,
-                         k: int, fraction: float,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Sample ceil(fraction * |neg|) negatives, keep the top-k by score.
+def hard_negative_mining(neg_indices: np.ndarray, cls_scores: np.ndarray, n_pos: int,
+                         cfg: AssignmentConfig, rng: np.random.Generator) -> np.ndarray:
+    """Sample ceil(cfg.neg_sample_fraction * |neg|) negatives, keep the
+    top ``cfg.topk(n_pos)`` by score.
 
     Equal scores keep the seeded sample order (stable sort), so the selection
     is deterministic given the generator state.
@@ -86,10 +86,10 @@ def hard_negative_mining(neg_indices: np.ndarray, cls_scores: np.ndarray,
     neg_indices = np.asarray(neg_indices, dtype=np.intp)
     if neg_indices.size == 0:
         return neg_indices
-    n_sample = min(int(math.ceil(fraction * neg_indices.size)), neg_indices.size)
+    n_sample = min(math.ceil(cfg.neg_sample_fraction * neg_indices.size), neg_indices.size)
     sampled = rng.choice(neg_indices, size=n_sample, replace=False)
     order = np.argsort(-cls_scores[sampled], kind="stable")
-    return sampled[order[:k]]
+    return sampled[order[:cfg.topk(n_pos)]]
 
 
 def classification_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -113,8 +113,6 @@ def total_loss(cls_logits: Tensor, cls_labels: np.ndarray,
     """L = L_cls + alpha * L_reg over an already-selected sample set."""
     l_cls = classification_loss(cls_logits, cls_labels)
     l_reg = regression_loss(reg_pred, reg_target)
-    total = l_cls + l_reg * alpha
-    n_pos = reg_pred.shape[0] if reg_pred.ndim >= 1 and reg_pred.size else 0
-    n = cls_logits.shape[0] if cls_logits.ndim >= 1 and cls_logits.size else 0
-    return LossBreakdown(total=total, l_cls=float(l_cls.data),
-                         l_reg=float(l_reg.data), n=n, n_pos=n_pos)
+    return LossBreakdown(total=l_cls + l_reg * alpha, l_cls=float(l_cls.data),
+                         l_reg=float(l_reg.data), n=cls_logits.shape[0],
+                         n_pos=reg_pred.shape[0])

@@ -130,12 +130,7 @@ def scene_loss(model: DetectorModel, cfg: ExperimentConfig, preps: list[Prepared
     loss breakdown. Scene i mines its negatives on its own slice of the
     scores with ``mining_rngs[i]``, unless ``mined_override[i]`` fixes them."""
     header = model.forward(*batch_inputs(model, preps))
-    flat = header.flat()
-    per_scene = flat.shape[0] // len(preps)
-    scores = T.logistic(flat.data[:, 0])
-    # each anchor row is [logit, R regression cells]; select from the flat cells
-    width = 1 + header.num_reg
-    cells = flat.reshape(-1)
+    per_scene, assign = len(model.anchors), cfg.assignment()
     out = []
     for i, prep in enumerate(preps):
         first = i * per_scene
@@ -143,18 +138,11 @@ def scene_loss(model: DetectorModel, cfg: ExperimentConfig, preps: list[Prepared
         if mined_override is not None:
             mined = mined_override[i]
         else:
-            mined = hard_negative_mining(prep.neg_idx, scores[first:first + per_scene],
-                                         cfg.assignment().topk(n_pos),
-                                         cfg.assignment().neg_sample_fraction,
-                                         mining_rngs[i])
+            mined = hard_negative_mining(prep.neg_idx, header.scores[first:first + per_scene],
+                                         n_pos, assign, mining_rngs[i])
         selected = first + np.concatenate([prep.pos_idx, mined]).astype(np.intp)
         cls_labels = np.concatenate([np.ones(n_pos), np.zeros(mined.size)])
-        cls_logits = T.gather_rows(cells, selected * width)
-        if n_pos:
-            reg_pred = T.gather_rows(cells, (first + prep.pos_idx[:, None]) * width
-                                     + np.arange(1, width))
-        else:
-            reg_pred = Tensor.zeros((0, header.num_reg))
+        cls_logits, reg_pred = header.select(selected, n_pos)
         out.append(total_loss(cls_logits, cls_labels, reg_pred, prep.reg_targets,
                               alpha=cfg.loss.alpha))
     return out
@@ -476,11 +464,8 @@ def _frozen_scene_loss(cfg: ExperimentConfig, sample: SceneSample,
     with T.no_grad():
         header = model.forward(prep.bev_input, prep.sample.image_feature_input,
                                prep.plan)
-    scores = T.logistic(header.flat().data[:, 0])
-    mined = hard_negative_mining(prep.neg_idx, scores,
-                                 cfg.assignment().topk(prep.pos_idx.size),
-                                 cfg.assignment().neg_sample_fraction,
-                                 np.random.default_rng(1))
+    mined = hard_negative_mining(prep.neg_idx, header.scores, prep.pos_idx.size,
+                                 cfg.assignment(), np.random.default_rng(1))
 
     def loss():
         return scene_loss(model, cfg, [prep], [np.random.default_rng(1)],

@@ -39,7 +39,7 @@ def no_grad():
 class Tensor:
     """Dense N-d array with an optional gradient tape node."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -47,7 +47,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
-        self._op = ""
 
     # -- construction helpers -------------------------------------------------
 
@@ -58,12 +57,12 @@ class Tensor:
     @staticmethod
     def _result(data: np.ndarray, parents: Sequence["Tensor"], op: str,
                 backward: Callable[[np.ndarray], None]) -> "Tensor":
+        """Every op's output. ``op`` names the op for tracers; no node keeps it."""
         out = Tensor(data)
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
-            out._op = op
         return out
 
     # -- plumbing -------------------------------------------------------------

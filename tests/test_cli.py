@@ -261,12 +261,22 @@ def _nan_dimension_label(frame):
     return frame
 
 
+def _car_width_label(width: bytes):
+    """A malform whose label file holds one ``Car`` row of width ``width``."""
+    def malform(frame):
+        with open(frame["labels"], "wb") as f:
+            f.write(_VAN.replace(b"Van", b"Car").replace(b"1.60", width))
+        return frame
+    return malform
+
+
 @pytest.mark.parametrize("malform", [
     lambda frame: "abc", lambda frame: {k: frame[k] for k in ("velodyne", "calib")},
     lambda frame: {**frame, "image": frame["velodyne"]},
-    lambda frame: {**frame, "labels": [frame["labels"]]}, _nan_dimension_label],
+    lambda frame: {**frame, "labels": [frame["labels"]]}, _nan_dimension_label,
+    _car_width_label(b"0.00"), _car_width_label(b"-4.00")],
     ids=["not_a_mapping", "no_labels", "extra_key", "path_not_a_string",
-         "label_dimension_nan"])
+         "label_dimension_nan", "label_car_width_zero", "label_car_width_negative"])
 def test_malformed_kitti_frame_rejected_at_load(tmp_path, monkeypatch, malform):
     monkeypatch.setenv("BEVFUSE_MODE", "bev_only")     # the KITTI image fits: only the frame fails
     assert main(_kitti_argv(tmp_path, _CALIB, b"", malform)) == EXIT_CONFIG
@@ -427,6 +437,8 @@ def _first_box(column, value):
 
 
 _drop_height2d_and_is_3d = _edit_first_record("boxes", lambda boxes: boxes[:, :10])
+# the miniature record's 2 x 8 x 8 features with an image_size of [8, 16]
+_image_size_differs = _edit_first_record("image_size", lambda size: size * [1, 2])
 
 
 def _index_frames(frames):
@@ -447,19 +459,32 @@ def _index_frames(frames):
     _edit_first_record("intensity", lambda intensity: intensity[1:]),
     _first_box("x", np.inf), _first_box("cls", 1e300), _first_box("w", np.nan),
     _first_box("w", -1.0), _index_frames(5), _index_frames(None),
-    _first_box("ignored", 0.5), _first_box("is_3d", 0.5)],
+    _first_box("ignored", 0.5), _first_box("is_3d", 0.5), _image_size_differs],
     ids=["index_not_json", "index_without_frames", "corrupt_record",
          "record_without_height2d_and_is_3d", "image_size_of_three", "image_size_negative",
          "intensity_short", "box_x_inf", "box_cls_huge", "box_w_nan", "box_w_negative",
-         "index_frames_int", "index_frames_null", "box_ignored_half", "box_is_3d_half"])
+         "index_frames_int", "index_frames_null", "box_ignored_half", "box_is_3d_half",
+         "image_size_differs"])
 def test_damaged_manifest_is_config_error(tmp_path, damage):
+    assert _damaged_manifest_exit(tmp_path, damage) == (EXIT_CONFIG, False)
+
+
+def test_image_size_differs_with_augmentation_is_config_error(tmp_path):
+    # augmentation reshapes each image to its image_size: the record never gets there
+    assert _damaged_manifest_exit(tmp_path, _image_size_differs, AugmentationConfig()) == \
+        (EXIT_CONFIG, False)
+
+
+def _damaged_manifest_exit(tmp_path, damage, augment=None):
+    """The exit code of a 1-scene manifest run after ``damage``, and whether
+    the run directory exists."""
     cfg = miniature_config()
     save_dataset(generate_dataset(cfg.data.synthetic, 1), tmp_path / "data")
     damage(tmp_path / "data")
     cfg.data.source = "manifest"
     cfg.data.manifest = str(tmp_path / "data")
-    assert _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg)) == \
-        (EXIT_CONFIG, False)
+    cfg.data.augment = augment
+    return _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg))
 
 
 @pytest.mark.parametrize("version", [1, None], ids=["version_1", "no_version"])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import bevfuse.detect as detect
 from bevfuse import evaluation, pipeline
+from bevfuse import tensor as T
 from bevfuse.config import load_config
 from bevfuse.detect import (ANCHOR_ORIENTATIONS, CENTER_EPS, NUM_REG, Anchor,
                             DetectionBox, DetectionHeader, HeaderOutput, box_corners_bev,
@@ -18,7 +19,7 @@ from bevfuse.detect import (ANCHOR_ORIENTATIONS, CENTER_EPS, NUM_REG, Anchor,
                             regression_rows, rotated_iou_bev)
 from bevfuse.evaluation import EvalConfig, match_detections
 from bevfuse.geometry import BevGrid
-from bevfuse.tensor import Tensor, no_grad
+from bevfuse.tensor import Tensor, logistic, no_grad
 
 
 def test_anchor_rejects_nonpositive_size():
@@ -413,6 +414,27 @@ def test_infinite_centre_or_size_is_never_pruned(field, value, monkeypatch):
             np.testing.assert_array_equal(flags, match_detections(boxes, boxes, cfg))
 
 
+
+@pytest.mark.parametrize("huge", [{"x": 1.7e308}, {"y": 1.7e308}, {"w": 1.7e308},
+                                  {"w": 1.7e308, "h": 1.7e308}], ids=["x", "y", "w", "w_h"])
+def test_huge_finite_centre_or_size_never_warns(huge, monkeypatch):
+    # a reach or slack that overflows is inf, which never prunes; an overflow
+    # warning would be a RuntimeWarning, which pytest makes an error
+    a = replace(DetectionBox(0.0, 0.0, 0.0, 2.0, 2.0, 1.0, 0.7, score=0.9), **huge)
+    b = DetectionBox(0.5, 0.0, 0.0, 2.0, 2.0, 1.0, 0.3, score=0.8)
+    assert may_overlap([a], [b])[0, 0] == ("w" in huge)   # a huge centre lies apart
+    assert not may_overlap([b], [replace(b, x=1e300)])[0, 0]     # truly distant: pruned
+    boxes = [a, b, replace(b, x=-0.5)]
+    assert nms(boxes, 0.1, 0.1) == _nms_quadratic(boxes, 0.1, 0.1, None)
+    for kind in ("bev", "3d"):
+        # not ``a`` against itself: the shoelace sum of its clipped corners overflows
+        cfg = EvalConfig(iou_kind=kind, iou_threshold=0.1)
+        flags = match_detections(boxes, boxes[1:], cfg)
+        with monkeypatch.context() as m:
+            m.setattr(evaluation, "may_overlap", lambda d, g: np.ones((len(d), len(g)), bool))
+            np.testing.assert_array_equal(flags, match_detections(boxes, boxes[1:], cfg))
+
+
 def _inf_field_pair():
     return st.tuples(_boxes(2, 2, nan=False), st.sampled_from(["x", "y", "w", "h", "t"]),
                      st.sampled_from([math.inf, -math.inf])).map(
@@ -477,7 +499,7 @@ def test_header_output_layout_and_decode():
     raw = np.zeros((1, 2 * 6, 2, 2))
     raw[0, 0, 0, 0] = 5.0     # anchor 0 at pixel (0, 0): confident hit
     header = HeaderOutput(Tensor(raw), "bev")
-    flat = header.flat().data
+    flat = header.rows.data
     assert flat.shape == (8, 6)
     assert flat[0, 0] == 5.0
     boxes = decode_detections(header, anchors)
@@ -502,15 +524,48 @@ def test_header_flat_rows_follow_make_anchors(variant):
     width = 1 + NUM_REG[variant]
     header = DetectionHeader(3, variant, np.random.default_rng(0))
     out = header.forward(Tensor(np.zeros((1, 3, grid.ny, grid.nx))))
-    assert out.flat().shape == (len(anchors), width)
+    assert out.rows.shape == (len(anchors), width)
     # each orientation's first three cells carry its anchor's x, y and t
     raw = np.zeros(out.raw.shape)
     centers = grid.pixel_centers()
     for a, t in enumerate(ANCHOR_ORIENTATIONS):
         raw[0, a * width], raw[0, a * width + 1], raw[0, a * width + 2] = \
             centers[..., 0], centers[..., 1], t
-    flat = HeaderOutput(Tensor(raw), variant).flat().data
+    flat = HeaderOutput(Tensor(raw), variant).rows.data
     assert flat[:, :3].tolist() == anchors[:, [0, 1, 6]].tolist()
+
+
+
+@pytest.mark.parametrize("variant", sorted(NUM_REG))
+def test_header_output_scores_and_select_match_row_then_column_gathers(variant):
+    rng = np.random.default_rng(4)
+    r = NUM_REG[variant]
+    raw = Tensor(rng.uniform(-8.0, 8.0, (2, 2 * (1 + r), 3, 2)), requires_grad=True)
+    header = HeaderOutput(raw, variant)          # a batch of two scenes
+    assert header.rows.shape == (2 * 3 * 2 * 2, 1 + r)
+    assert header.scores.tobytes() == logistic(header.rows.data[:, 0]).tobytes()
+
+    picked, n_pos = np.array([13, 2, 2, 20, 7, 0]), 3
+    w_cls = Tensor(rng.standard_normal(len(picked)))
+    w_reg = Tensor(rng.standard_normal((n_pos, r)))
+    e_cls, e_reg = np.eye(1 + r)[:, :1], np.eye(1 + r)[:, 1:]
+
+    def grad_of(logits, offsets):
+        raw.grad = None
+        ((logits * w_cls).sum() + (offsets * w_reg).sum()).backward()
+        return raw.grad
+
+    logits, offsets = header.select(picked, n_pos)
+    got = grad_of(logits, offsets)
+    rows = HeaderOutput(raw, variant).rows
+    ref_logits = T.matmul(T.gather_rows(rows, picked), Tensor(e_cls)).reshape(len(picked))
+    ref_offsets = T.matmul(T.gather_rows(rows, picked[:n_pos]), Tensor(e_reg))
+    assert logits.data.tobytes() == ref_logits.data.tobytes()
+    assert offsets.data.tobytes() == ref_offsets.data.tobytes()
+    assert got.tobytes() == grad_of(ref_logits, ref_offsets).tobytes()
+
+    logits, offsets = header.select(picked, 0)
+    assert logits.shape == (len(picked),) and offsets.shape == (0, r)
 
 
 def test_kitti3d_decode_carries_height2d():

@@ -113,8 +113,10 @@ def test_hard_negative_mining_deterministic_and_topk():
     rng_b = np.random.default_rng(3)
     neg = np.arange(100)
     scores = np.linspace(0.0, 1.0, 100)
-    a = hard_negative_mining(neg, scores, k=3, fraction=0.5, rng=rng_a)
-    b = hard_negative_mining(neg, scores, k=3, fraction=0.5, rng=rng_b)
+    cfg = AssignmentConfig(1.0, 2.0, neg_sample_fraction=0.5, topk_neg_ratio=1.0,
+                           topk_neg_floor=2)
+    a = hard_negative_mining(neg, scores, 3, cfg, rng=rng_a)     # k = max(1 * 3, 2)
+    b = hard_negative_mining(neg, scores, 3, cfg, rng=rng_b)
     np.testing.assert_array_equal(a, b)
     assert a.size == 3
     # kept negatives are the highest-scoring within the sampled half
@@ -124,8 +126,8 @@ def test_hard_negative_mining_deterministic_and_topk():
 
 
 def test_hard_negative_mining_empty():
-    out = hard_negative_mining(np.array([], dtype=np.intp), np.zeros(0), 5, 0.05,
-                               np.random.default_rng(0))
+    out = hard_negative_mining(np.array([], dtype=np.intp), np.zeros(0), 5,
+                               AssignmentConfig(1.0, 2.0), np.random.default_rng(0))
     assert out.size == 0
 
 

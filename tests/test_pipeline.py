@@ -12,7 +12,7 @@ from bevfuse import backbone, evaluation, fusion, pipeline
 from bevfuse import tensor as T
 from bevfuse.config import ExperimentConfig, FusionSection, load_config
 from bevfuse.detect import NUM_REG, DetectionBox, make_anchors
-from bevfuse.losses import hard_negative_mining, total_loss
+from bevfuse.losses import AssignmentConfig, hard_negative_mining, total_loss
 from bevfuse.pipeline import (ABLATION_VARIANTS, NumericError, ablate_run,
                               batch_inputs, build_model, build_scenes, detect_scene,
                               eval_run, evaluate_model, miniature_config,
@@ -53,7 +53,7 @@ def test_model_anchors_give_one_row_per_header_row(mode, variant):
                           make_anchors(model.output_grid, cfg.anchor.size, cfg.anchor.z))
     prep = prepare_scene(model, cfg, build_scenes(cfg)[0])
     header = model.forward(*batch_inputs(model, [prep]))
-    assert header.flat().shape == (len(model.anchors), 1 + NUM_REG[variant])
+    assert header.rows.shape == (len(model.anchors), 1 + NUM_REG[variant])
     # fixed priors: no optimizer step or checkpoint touches them
     assert not any(np.shares_memory(p.data, model.anchors)
                    for p in model.parameters().values())
@@ -99,7 +99,7 @@ def _one_hot_scene_loss(model, cfg, prep, mined):
     column selectors."""
     header = model.forward(prep.bev_input, prep.sample.image_feature_input,
                            prep.plan)
-    flat, r = header.flat(), header.num_reg
+    flat, r = header.rows, header.num_reg
     e_cls = np.zeros((1 + r, 1))
     e_cls[0, 0] = 1.0
     e_reg = np.zeros((1 + r, r))
@@ -117,24 +117,30 @@ def test_scene_loss_matches_one_hot_selection_bitwise(variant):
     cfg = _mini()
     cfg.variant = variant
     model = build_model(cfg)
-    prep = prepare_scene(model, cfg, build_scenes(cfg)[0])
-    assert prep.pos_idx.size > 0
+    sample = build_scenes(cfg)[0]
+    # the scene, and the same scene with its ground truth removed: no positives
+    full, empty = (prepare_scene(model, cfg, s) for s in (sample, replace(sample, gt_boxes=[])))
+    assert full.pos_idx.size > 0 and empty.pos_idx.size == 0
     params = model.parameters()
     scores = np.random.default_rng(2).random(len(model.anchors))
-    mined = hard_negative_mining(prep.neg_idx, scores, 20, 0.5,
-                                 np.random.default_rng(3))
-
-    loss = scene_loss(model, cfg, [prep], [np.random.default_rng(0)],
-                      mined_override=[mined])[0].total
-    loss.backward()
-    grads = {n: p.grad.copy() for n, p in params.items()}
-    for p in params.values():
-        p.grad = None
-    ref = _one_hot_scene_loss(model, cfg, prep, mined)
-    ref.backward()
-    assert loss.data.tobytes() == ref.data.tobytes()
-    for name, p in params.items():
-        assert grads[name].tobytes() == p.grad.tobytes(), name
+    mining = AssignmentConfig(1.0, 1.0, neg_sample_fraction=0.5, topk_neg_ratio=0.0,
+                              topk_neg_floor=20)
+    for prep in (full, empty):
+        mined = hard_negative_mining(prep.neg_idx, scores, prep.pos_idx.size, mining,
+                                     np.random.default_rng(3))
+        for p in params.values():
+            p.grad = None
+        loss = scene_loss(model, cfg, [prep], [np.random.default_rng(0)],
+                          mined_override=[mined])[0].total
+        loss.backward()
+        grads = {n: p.grad.copy() for n, p in params.items()}
+        for p in params.values():
+            p.grad = None
+        ref = _one_hot_scene_loss(model, cfg, prep, mined)
+        ref.backward()
+        assert loss.data.tobytes() == ref.data.tobytes()
+        for name, p in params.items():
+            assert grads[name].tobytes() == p.grad.tobytes(), name
 
 
 @pytest.mark.parametrize("mode", ABLATION_VARIANTS)
