@@ -75,7 +75,7 @@ class AugmentationConfig(Checked):
     translate_z: Annotated[float, Finite, NonNeg] = 1.0
     rotate_z_deg: Annotated[float, Finite, NonNeg] = 5.0
     image_scale: Annotated[tuple[float, float], Finite, Pos, NonDecreasing] = (0.9, 1.1)
-    image_translate_px: Annotated[float, Finite, NonNeg] = 50.0
+    image_translate_px: Annotated[float, Finite, NonNeg] = 4.0
 
 
 def make_forward_camera(image_size: tuple[int, int],
@@ -416,6 +416,10 @@ def write_kitti_labels(boxes: list[DetectionBox], path,
 # the columns of a scene record's ``boxes`` array, one row per box
 BOX_COLUMNS = ("x", "y", "z", "w", "h", "d", "t", "score", "cls", "ignored", "height2d",
                "is_3d")
+# |x|, |y|, |z|, |w|, |h|, |d|, |t| and |height2d| of a loaded box stay within
+# this: far past any sensor's range, where rotated_iou_bev still keeps its digits
+BOX_BOUND = 1e4
+_BOUNDED_COLUMNS = [0, 1, 2, 3, 4, 5, 6, 10]
 
 
 def _box_records(boxes: list[DetectionBox]) -> np.ndarray:
@@ -470,12 +474,17 @@ def _check_box_rows(rows: np.ndarray):
     """Raise ValueError unless ``rows`` are N box records of ``BOX_COLUMNS``:
     every value finite; ``w``, ``h`` and ``d`` > 0 unless the box is ignored
     (KITTI's ``DontCare`` rows carry -1 sizes); ``cls`` a non-negative
-    integer that a float64 holds exactly (below 2**53); and ``ignored`` and
-    ``is_3d`` each 0 or 1."""
+    integer that a float64 holds exactly (below 2**53); ``ignored`` and
+    ``is_3d`` each 0 or 1; and every magnitude of ``_BOUNDED_COLUMNS`` at
+    most ``BOX_BOUND``."""
     if rows.shape[1:] != (len(BOX_COLUMNS),):
         raise ValueError(f"boxes must be N x {len(BOX_COLUMNS)}, got {rows.shape}")
     if not np.isfinite(rows).all():
         raise ValueError("boxes hold a NaN or infinite value")
+    huge = (np.abs(rows[:, _BOUNDED_COLUMNS]) > BOX_BOUND).any(axis=0)
+    if huge.any():
+        names = ", ".join(BOX_COLUMNS[c] for c, h in zip(_BOUNDED_COLUMNS, huge) if h)
+        raise ValueError(f"box {names} beyond ±{BOX_BOUND:g}")
     if ((rows[:, 3:6].min(axis=1) <= 0) & (rows[:, 9] == 0)).any():
         raise ValueError("boxes that are not ignored must have w, h and d > 0")
     cls = rows[:, 8]

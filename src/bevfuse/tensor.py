@@ -83,6 +83,13 @@ class Tensor:
         return float(self.data)
 
     def _accumulate(self, g: np.ndarray):
+        """The tape's one gradient rule: a tensor that takes no grad takes
+        nothing, and a tensor of one value takes the sum of a grad of another
+        shape (the broadcast scalar operand of ``+`` and ``*``)."""
+        if not self.requires_grad:
+            return
+        if g.shape != self.data.shape and self.data.size == 1:
+            g = g.sum()
         if self.grad is None:
             # 0.0 + g into a fresh array: never aliases g, and -0.0 reads back as 0.0
             self.grad = np.add(g, 0.0, out=np.empty(self.data.shape))
@@ -124,121 +131,96 @@ class Tensor:
 
     # -- elementwise ops ------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Tensor):
-            return other
-        if np.ndim(other) == 0:
-            return Tensor(np.float64(other))
-        raise TypeError("only Tensor or scalar operands are supported")
-
-    def _check_same_shape(self, other: "Tensor"):
+    def _operand(self, other) -> "Tensor":
+        """``other`` as the second operand of an elementwise op: a Tensor of
+        this shape, or either side of one value; a scalar becomes a Tensor."""
+        if not isinstance(other, Tensor):
+            if np.ndim(other) != 0:
+                raise TypeError("only Tensor or scalar operands are supported")
+            other = Tensor(np.float64(other))
         if self.shape != other.shape and self.size != 1 and other.size != 1:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+        return other
 
     def __add__(self, other):
-        other = self._coerce(other)
-        self._check_same_shape(other)
-        a, b = self, other
+        a, b = self, self._operand(other)
 
         def bw(g):
-            if a.requires_grad:
-                a._accumulate(g if a.size > 1 or g.size == 1 else g.sum())
-            if b.requires_grad:
-                b._accumulate(g if b.size > 1 or g.size == 1 else g.sum())
+            a._accumulate(g)
+            b._accumulate(g)
 
         return Tensor._result(a.data + b.data, (a, b), "add", bw)
 
     __radd__ = __add__
 
     def __neg__(self):
-        a = self
-
         def bw(g):
-            if a.requires_grad:
-                a._accumulate(-g)
+            self._accumulate(-g)
 
-        return Tensor._result(-a.data, (a,), "neg", bw)
+        return Tensor._result(-self.data, (self,), "neg", bw)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self._operand(other) + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        self._check_same_shape(other)
-        a, b = self, other
+        a, b = self, self._operand(other)
         ad, bd = a.data, b.data
 
         def bw(g):
-            if a.requires_grad:
-                ga = g * bd
-                a._accumulate(ga if a.size > 1 or ga.size == 1 else ga.sum())
-            if b.requires_grad:
-                gb = g * ad
-                b._accumulate(gb if b.size > 1 or gb.size == 1 else gb.sum())
+            a._accumulate(g * bd)
+            b._accumulate(g * ad)
 
         return Tensor._result(ad * bd, (a, b), "mul", bw)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other ** -1.0
+        return self * self._operand(other) ** -1.0
 
     def __pow__(self, exponent: float):
-        a = self
-        ad = a.data
+        ad = self.data
 
         def bw(g):
-            if a.requires_grad:
-                a._accumulate(g * exponent * ad ** (exponent - 1.0))
+            self._accumulate(g * exponent * ad ** (exponent - 1.0))
 
-        return Tensor._result(ad ** exponent, (a,), "pow", bw)
+        return Tensor._result(ad ** exponent, (self,), "pow", bw)
 
     def relu(self):
-        a = self
-        mask = a.data > 0
+        mask = self.data > 0
 
         def bw(g):
-            if a.requires_grad:
-                a._accumulate(g * mask)
+            self._accumulate(g * mask)
 
-        return Tensor._result(a.data * mask, (a,), "relu", bw)
+        return Tensor._result(self.data * mask, (self,), "relu", bw)
 
     # -- reductions / shape ops -----------------------------------------------
 
     def sum(self):
-        a = self
-
         def bw(g):
-            if a.requires_grad:
-                a._accumulate(np.full_like(a.data, float(g)))
+            self._accumulate(np.full_like(self.data, float(g)))
 
-        return Tensor._result(np.asarray(a.data.sum()), (a,), "sum", bw)
+        return Tensor._result(np.asarray(self.data.sum()), (self,), "sum", bw)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
-        old = a.shape
+        old = self.shape
 
         def bw(g):
-            if a.requires_grad:
-                a._accumulate(g.reshape(old))
+            self._accumulate(g.reshape(old))
 
-        return Tensor._result(a.data.reshape(shape), (a,), "reshape", bw)
+        return Tensor._result(self.data.reshape(shape), (self,), "reshape", bw)
 
     def transpose(self, axes: Sequence[int]):
-        a = self
         inv = np.argsort(axes)
 
         def bw(g):
-            if a.requires_grad:
-                a._accumulate(g.transpose(inv))
+            self._accumulate(g.transpose(inv))
 
-        return Tensor._result(a.data.transpose(axes), (a,), "transpose", bw)
+        return Tensor._result(self.data.transpose(axes), (self,), "transpose", bw)
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -256,7 +238,7 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
             a._accumulate(g @ bd.T)
         if b.requires_grad:
             b._accumulate(ad.T @ g)
-        if bias is not None and bias.requires_grad:
+        if bias is not None:
             bias._accumulate(g.sum(axis=0, keepdims=True))
 
     out = ad @ bd
@@ -272,10 +254,9 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def bw(g):
         for t, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(sl)])
+            sl = [slice(None)] * g.ndim
+            sl[axis] = slice(lo, hi)
+            t._accumulate(g[tuple(sl)])
 
     return Tensor._result(np.concatenate([t.data for t in parts], axis=axis),
                           parts, "concat", bw)
@@ -294,10 +275,8 @@ def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"add_channel_bias shapes incompatible: {x.shape} + {b.shape}")
 
     def bw(g):
-        if x.requires_grad:
-            x._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=(0, 2, 3)))
+        x._accumulate(g)
+        b._accumulate(g.sum(axis=(0, 2, 3)))
 
     return Tensor._result(x.data + b.data[:, None, None], (x, b), "add_channel_bias", bw)
 
@@ -317,13 +296,10 @@ def gather_rows(t: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= t.shape[0]):
         raise IndexError("gather_rows index out of range")
-    a = t
-
     def bw(g):
-        if a.requires_grad:
-            a._accumulate(_scatter_rows(idx, g, a.data.shape))
+        t._accumulate(_scatter_rows(idx, g, t.data.shape))
 
-    return Tensor._result(a.data[idx], (a,), "gather_rows", bw)
+    return Tensor._result(t.data[idx], (t,), "gather_rows", bw)
 
 
 def scatter_add_rows(t: Tensor, idx, num_rows: int) -> Tensor:
@@ -331,14 +307,12 @@ def scatter_add_rows(t: Tensor, idx, num_rows: int) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
         raise IndexError("scatter_add_rows index out of range")
-    a = t
-    out = _scatter_rows(idx, a.data, (num_rows,) + a.shape[1:])
+    out = _scatter_rows(idx, t.data, (num_rows,) + t.shape[1:])
 
     def bw(g):
-        if a.requires_grad:
-            a._accumulate(g[idx])
+        t._accumulate(g[idx])
 
-    return Tensor._result(out, (a,), "scatter_add_rows", bw)
+    return Tensor._result(out, (t,), "scatter_add_rows", bw)
 
 
 # -- detection loss -----------------------------------------------------------
@@ -361,8 +335,7 @@ def bce_with_logits(logits: Tensor, labels) -> Tensor:
         per = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
 
     def bw(g):
-        if logits.requires_grad:
-            logits._accumulate(g * (logistic(x) - y) / x.size)
+        logits._accumulate(g * (logistic(x) - y) / x.size)
 
     return Tensor._result(np.asarray(per.mean()), (logits,), "bce_with_logits", bw)
 
@@ -378,8 +351,7 @@ def smooth_l1_sum(pred: Tensor, target) -> Tensor:
     near = np.abs(x) < 1.0
 
     def bw(g):
-        if pred.requires_grad:
-            pred._accumulate(g * np.where(near, x, np.sign(x)))
+        pred._accumulate(g * np.where(near, x, np.sign(x)))
 
     penalty = np.where(near, x * x * 0.5, np.abs(x) - 0.5)
     return Tensor._result(np.asarray(penalty.sum()), (pred,), "smooth_l1_sum", bw)
@@ -456,6 +428,8 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
     def bw(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(c_out, n * ho * wo)
+        # ``_accumulate`` drops a constant's grad; these tests, and matmul's, skip
+        # its GEMM (each stream's first conv takes a constant input)
         if weight.requires_grad:
             weight._accumulate((g2 @ cols.T).reshape(weight.shape))
         if x.requires_grad:
@@ -475,15 +449,13 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
 def upsample2x(x: Tensor) -> Tensor:
     """Nearest-neighbor 2x upsampling of N x C x H x W maps."""
-    a = x
     n, c, h, w = _map_extents("upsample2x", x)
 
     def bw(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
+        x._accumulate(g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
 
-    out = np.repeat(np.repeat(a.data, 2, axis=-2), 2, axis=-1)
-    return Tensor._result(out, (a,), "upsample2x", bw)
+    out = np.repeat(np.repeat(x.data, 2, axis=-2), 2, axis=-1)
+    return Tensor._result(out, (x,), "upsample2x", bw)
 
 
 def bilinear_sample(feature_map: Tensor, uv: np.ndarray, scene=None) -> Tensor:
@@ -520,15 +492,14 @@ def bilinear_sample(feature_map: Tensor, uv: np.ndarray, scene=None) -> Tensor:
            fm[scene, :, v1, u0] * w10[:, None] + fm[scene, :, v1, u1] * w11[:, None])
 
     def bw(g):
-        if feature_map.requires_grad:
-            # each sample's C-row adds into row scene·H·W + pixel of an
-            # (N·H·W) x C map, corner-major, then sample, as np.add.at per
-            # corner did
-            pix = np.stack((v0 * w + u0, v0 * w + u1, v1 * w + u0, v1 * w + u1)) \
-                + scene * (h * w)
-            wgt = np.stack((w00, w01, w10, w11))[:, :, None] * g
-            acc = _scatter_rows(pix, wgt, (n * h * w, c))
-            feature_map._accumulate(acc.reshape(n, h, w, c).transpose(0, 3, 1, 2))
+        # each sample's C-row adds into row scene·H·W + pixel of an
+        # (N·H·W) x C map, corner-major, then sample, as np.add.at per
+        # corner did
+        pix = np.stack((v0 * w + u0, v0 * w + u1, v1 * w + u0, v1 * w + u1)) \
+            + scene * (h * w)
+        wgt = np.stack((w00, w01, w10, w11))[:, :, None] * g
+        acc = _scatter_rows(pix, wgt, (n * h * w, c))
+        feature_map._accumulate(acc.reshape(n, h, w, c).transpose(0, 3, 1, 2))
 
     return Tensor._result(out, (feature_map,), "bilinear_sample", bw)
 

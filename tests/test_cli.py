@@ -159,13 +159,20 @@ def test_bad_checkpoint_magic_is_config_error(tmp_path):
     assert _eval_damaged_checkpoint(tmp_path, lambda raw: b"XXXX" + raw[4:]) == EXIT_CONFIG
 
 
-def _repeat_first_record(raw):
-    """The checkpoint with its first record stored once more at the end."""
-    (count,) = struct.unpack("<I", raw[5:9])
+def _first_record(raw):
+    """The name length and the shape of a checkpoint's first record, and the
+    offsets where its data starts and ends."""
     (nlen,) = struct.unpack("<H", raw[9:11])
     ndim = raw[11 + nlen]
     shape = struct.unpack(f"<{ndim}I", raw[12 + nlen:12 + nlen + 4 * ndim])
-    end = 12 + nlen + 4 * ndim + 8 * math.prod(shape)
+    start = 12 + nlen + 4 * ndim
+    return nlen, shape, start, start + 8 * math.prod(shape)
+
+
+def _repeat_first_record(raw):
+    """The checkpoint with its first record stored once more at the end."""
+    (count,) = struct.unpack("<I", raw[5:9])
+    end = _first_record(raw)[3]
     return raw[:5] + struct.pack("<I", count + 1) + raw[9:] + raw[9:end]
 
 
@@ -173,6 +180,23 @@ def test_repeated_checkpoint_record_is_config_error(tmp_path, capsys):
     assert _eval_damaged_checkpoint(tmp_path, _repeat_first_record) == EXIT_CONFIG
     assert not (tmp_path / "e").exists()
     assert "stored twice" in capsys.readouterr().err
+
+
+def _unit_axis_on_first_record(raw):
+    """The checkpoint with a trailing unit axis on its first record's shape:
+    the same data under a shape the model does not have."""
+    nlen, shape, start, _ = _first_record(raw)
+    return (raw[:11 + nlen] + bytes([len(shape) + 1]) + raw[12 + nlen:start]
+            + struct.pack("<I", 1) + raw[start:])
+
+
+@pytest.mark.parametrize("damage", [
+    lambda raw: raw[:4] + b"\x02" + raw[5:], _unit_axis_on_first_record,
+    lambda raw: raw[:11] + b"~" + raw[12:]],           # the first name's first byte
+    ids=["version_2", "shape_differs", "renamed"])
+def test_checkpoint_that_misfits_the_model_is_config_error(tmp_path, damage):
+    assert _eval_damaged_checkpoint(tmp_path, damage) == EXIT_CONFIG
+    assert not (tmp_path / "e").exists()
 
 
 def test_non_finite_checkpoint_is_config_error(tmp_path, capsys):
@@ -261,11 +285,11 @@ def _nan_dimension_label(frame):
     return frame
 
 
-def _car_width_label(width: bytes):
-    """A malform whose label file holds one ``Car`` row of width ``width``."""
+def _car_label(old: bytes, new: bytes):
+    """A malform whose label file holds one ``Car`` row with ``old`` made ``new``."""
     def malform(frame):
         with open(frame["labels"], "wb") as f:
-            f.write(_VAN.replace(b"Van", b"Car").replace(b"1.60", width))
+            f.write(_VAN.replace(b"Van", b"Car").replace(old, new))
         return frame
     return malform
 
@@ -274,9 +298,11 @@ def _car_width_label(width: bytes):
     lambda frame: "abc", lambda frame: {k: frame[k] for k in ("velodyne", "calib")},
     lambda frame: {**frame, "image": frame["velodyne"]},
     lambda frame: {**frame, "labels": [frame["labels"]]}, _nan_dimension_label,
-    _car_width_label(b"0.00"), _car_width_label(b"-4.00")],
+    _car_label(b"1.60", b"0.00"), _car_label(b"1.60", b"-4.00"),
+    _car_label(b"0.00\n", b"1e300\n")],
     ids=["not_a_mapping", "no_labels", "extra_key", "path_not_a_string",
-         "label_dimension_nan", "label_car_width_zero", "label_car_width_negative"])
+         "label_dimension_nan", "label_car_width_zero", "label_car_width_negative",
+         "label_ry_huge"])
 def test_malformed_kitti_frame_rejected_at_load(tmp_path, monkeypatch, malform):
     monkeypatch.setenv("BEVFUSE_MODE", "bev_only")     # the KITTI image fits: only the frame fails
     assert main(_kitti_argv(tmp_path, _CALIB, b"", malform)) == EXIT_CONFIG
@@ -459,12 +485,13 @@ def _index_frames(frames):
     _edit_first_record("intensity", lambda intensity: intensity[1:]),
     _first_box("x", np.inf), _first_box("cls", 1e300), _first_box("w", np.nan),
     _first_box("w", -1.0), _index_frames(5), _index_frames(None),
-    _first_box("ignored", 0.5), _first_box("is_3d", 0.5), _image_size_differs],
+    _first_box("ignored", 0.5), _first_box("is_3d", 0.5), _image_size_differs,
+    _first_box("x", 2e4), _first_box("t", 1e300)],
     ids=["index_not_json", "index_without_frames", "corrupt_record",
          "record_without_height2d_and_is_3d", "image_size_of_three", "image_size_negative",
          "intensity_short", "box_x_inf", "box_cls_huge", "box_w_nan", "box_w_negative",
          "index_frames_int", "index_frames_null", "box_ignored_half", "box_is_3d_half",
-         "image_size_differs"])
+         "image_size_differs", "box_x_huge", "box_t_huge"])
 def test_damaged_manifest_is_config_error(tmp_path, damage):
     assert _damaged_manifest_exit(tmp_path, damage) == (EXIT_CONFIG, False)
 

@@ -1,5 +1,6 @@
 import math
 import os
+import pathlib
 import tempfile
 from dataclasses import astuple, replace
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bevfuse.config import load_config
 from bevfuse.data import (CLASS_NAMES, IGNORED_CLASSES, AugmentationConfig,
                           KittiParseError, SceneGenConfig, _box_surface_points,
                           _kitti_chain, augment,
@@ -110,6 +112,17 @@ def test_augment_deterministic():
     b = augment(scene, AugmentationConfig(), seed=9)
     np.testing.assert_array_equal(a.cloud.points, b.cloud.points)
     assert a.gt_boxes[0].x == b.gt_boxes[0].x
+
+
+def test_default_augmentation_keeps_the_image_content():
+    # the 200 scenes of 50 augmented overfit.yaml steps, seeded as train_run
+    # seeds them; each keeps its share of the channel-0 presence mass
+    cfg = load_config(pathlib.Path(__file__).resolve().parent.parent / "configs" / "overfit.yaml")
+    scenes = generate_dataset(cfg.data.synthetic, cfg.data.n_scenes)
+    kept = [augment(s, AugmentationConfig(), seed=[cfg.seed, step, i]).image_feature_input.data[0]
+            .sum() / s.image_feature_input.data[0].sum()
+            for step in range(50) for i, s in enumerate(scenes)]
+    assert np.median(kept) >= 0.9
 
 
 def test_augment_identity_image_transform_keeps_features():

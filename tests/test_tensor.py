@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bevfuse import tensor as T
-from bevfuse.tensor import Adam, Tensor, atomic_write, load_checkpoint, save_checkpoint
+from bevfuse.tensor import (Adam, InputError, Tensor, atomic_write, load_checkpoint,
+                            save_checkpoint)
 
 
 def test_tensor_is_float64():
@@ -40,6 +41,22 @@ def test_scalar_ops_and_div():
     np.testing.assert_allclose(y.data, [5.0, 8.0])
     y.sum().backward()
     np.testing.assert_allclose(a.grad, [1.5, 1.5])
+    # a 1 x 1 times a (1,) broadcasts to 1 x 1: each takes its grad in its own shape
+    p, q = Tensor([[3.0]], requires_grad=True), Tensor([2.0], requires_grad=True)
+    (p * q).sum().backward()
+    assert p.grad.tolist() == [[2.0]] and q.grad.tolist() == [3.0]
+    # a 0-d operand broadcast over a vector takes the sum of its grad, bitwise
+    v = np.array([0.1, -2.3, 7.7, 1e-3])
+    w = np.array([0.3, 1.9, -0.7, 5.0])
+    for op, g in ((Tensor.__add__, w), (Tensor.__mul__, w * v)):
+        s = Tensor(1.5, requires_grad=True)
+        (op(Tensor(v, requires_grad=True), s) * Tensor(w)).sum().backward()
+        assert s.grad.shape == () and s.grad.tobytes() == g.sum().tobytes()
+    # a Python number in mul is a constant: it takes no grad
+    y = a * 3.0
+    const = y._parents[1]
+    y.sum().backward()
+    assert const.grad is None
 
 
 def test_relu_values():
@@ -107,9 +124,13 @@ def test_matmul_oracle():
 
 
 def test_concat_axis1():
-    a = Tensor(np.ones((2, 2)))
-    b = Tensor(np.zeros((2, 3)))
-    assert T.concat([a, b], axis=1).shape == (2, 5)
+    a = Tensor(np.ones((2, 2)), requires_grad=True)
+    b = Tensor(np.zeros((2, 3)))            # constant, as the fusion offsets are
+    out = T.concat([a, b], axis=1)
+    assert out.shape == (2, 5)
+    (out * Tensor(np.arange(10.0).reshape(2, 5))).sum().backward()
+    np.testing.assert_array_equal(a.grad, [[0.0, 1.0], [5.0, 6.0]])
+    assert b.grad is None
 
 
 def test_gather_scatter_inverse_mass():
@@ -355,6 +376,15 @@ def test_matmul_bias_and_channel_bias():
     for shape in ((2,), (1, 3), (5, 2), (2, 1)):
         with pytest.raises(ValueError, match="bias"):
             T.matmul(a, w, Tensor(np.zeros(shape)))
+    # a constant operand of matmul or conv2d takes no grad
+    const, w.grad = Tensor(a.data), None
+    T.matmul(const, w).sum().backward()
+    np.testing.assert_array_equal(w.grad, const.data.T @ np.ones((5, 2)))
+    assert const.grad is None
+    x, k = Tensor(rng.standard_normal((1, 2, 4, 4))), Tensor(np.ones((3, 2, 3, 3)),
+                                                            requires_grad=True)
+    T.conv2d(x, k, padding=1).sum().backward()
+    assert x.grad is None and k.grad.shape == (3, 2, 3, 3)
     fm = Tensor(np.zeros((1, 2, 2, 2)))
     cb = Tensor(np.array([5.0, 7.0]))
     out = T.add_channel_bias(fm, cb).data
@@ -455,6 +485,21 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path):
             json.dump({"ap": 0.5, "curve": object()}, f)
     assert json.loads(report.read_text()) == {"ap": 1.0}
     assert sorted(os.listdir(tmp_path)) == ["ckpt.bin", "report.json"]
+
+
+def test_checkpoint_truncated_at_a_record_boundary_is_input_error(tmp_path):
+    params = {"a": Tensor(np.ones((2, 3))), "bb": Tensor(np.zeros(4)), "c": Tensor(np.ones(()))}
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(params, path)
+    raw = path.read_bytes()
+    ends = [9]                              # magic, version and record count
+    for name, t in params.items():
+        ends.append(ends[-1] + 2 + len(name) + 1 + 4 * t.ndim + 8 * t.size)
+    assert ends[-1] == len(raw)
+    for end in ends[:-1]:
+        path.write_bytes(raw[:end])
+        with pytest.raises(InputError, match="truncated"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
