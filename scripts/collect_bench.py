@@ -20,12 +20,13 @@ trace-0 run on each side, the two medians, the base runs' interquartile
 range and the number of pairs the change won, and the summed ``failed``
 counts. After writing it, the script prints one line
 per workload and end-to-end metric: both medians, the relative change, the
-pairs won and the base IQR. Then one line per workload and per-layer metric
-whose median shift over the traced pairs exceeds ``LAYER_SHIFT``: both
-sides' medians and the median of the pairs' relative changes (a single
-traced pair spreads by about as much as the shifts it would show). Then
-a line gives both sides' ``src_lines`` and their difference, and one more
-line does so for each file whose count changed (a missing file counts 0).
+pairs won, the base IQR and a verdict (see ``verdict``). Then one line per
+workload and per-layer metric whose median shift over the traced pairs
+exceeds ``LAYER_SHIFT``: both sides' medians and the median of the pairs'
+relative changes (a single traced pair spreads by about as much as the
+shifts it would show). Then a line gives both sides' ``src_lines`` and
+their difference, and one more line does so for each file whose count
+changed (a missing file counts 0).
 """
 
 import argparse
@@ -67,13 +68,53 @@ def run(command: list[str], checkout: pathlib.Path, workload: str, seed: int,
     return json.loads((checkout / "perfbench" / "results" / f"{tag}.json").read_text())
 
 
+def benchmark() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def compare(base: list[float], change: list[float], better: str) -> dict:
+    """The paired runs of one end-to-end metric: both sides' runs and
+    medians, the base runs' interquartile range and the pairs the change won."""
+    q1, _, q3 = statistics.quantiles(base, n=4)
+    lower = better == "lower"
+    return {"base": base, "change": change,
+            "median": [statistics.median(base), statistics.median(change)],
+            "base_iqr": q3 - q1,
+            "change_wins": sum(c < b if lower else c > b for b, c in zip(base, change))}
+
+
+def verdict(m: dict, better: str, bound: float) -> str:
+    """One end-to-end metric's verdict, ``m`` as ``compare`` gives it.
+
+    UNRESOLVED: the base IQR exceeds ``bound`` times the base median, unless
+    every change run beats every base run. REGRESSION: the change's median is
+    worse than the base's by more than ``bound`` times the base median. GAIN:
+    the change won at least 9 in 10 pairs and its median is better by more
+    than the base IQR. NEUTRAL otherwise."""
+    (base, change), iqr = m["median"], m["base_iqr"]
+    lower = better == "lower"
+    worse = change - base if lower else base - change
+    beats_all = (max(m["change"]) < min(m["base"]) if lower
+                 else min(m["change"]) > max(m["base"]))
+    if iqr > bound * abs(base) and not beats_all:
+        return "UNRESOLVED"
+    if worse > bound * abs(base):
+        return "REGRESSION"
+    if m["change_wins"] >= 0.9 * len(m["base"]) and -worse > iqr:
+        return "GAIN"
+    return "NEUTRAL"
+
+
 def summary(doc: dict) -> list[str]:
     lines = []
+    specs = {m["name"]: m for m in benchmark()["end_to_end"]}
     for key, m in doc["end_to_end"].items():
         base, change = m["median"]
+        spec = specs[key.rsplit(".", 1)[1]]
         rel = f"{(change - base) / base:+7.1%}" if base else "    n/a"
         lines.append(f"{key:28s} base {base:<10.4g} change {change:<10.4g} {rel}  "
-                     f"wins {m['change_wins']}/{len(m['base'])}  base IQR {m['base_iqr']:.3g}")
+                     f"wins {m['change_wins']}/{len(m['base'])}  base IQR {m['base_iqr']:.3g}"
+                     f"  {verdict(m, spec['better'], spec['bound'])}")
     for workload in sorted(doc["base"]["per_layer"]):
         base, change = (doc[side]["per_layer"][workload] for side in ("base", "change"))
         for name in sorted(base.keys() & change.keys()):
@@ -111,7 +152,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str]) -> int:
     args = parse_args(argv)
     out, base_rev, seed = args.out, args.base, args.seed
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bench = benchmark()
     base_sha = git("rev-parse", "--verify", f"{base_rev}^{{commit}}")
     doc = {"seed": seed, "run_seconds": bench["run_seconds"],
            "base": {"rev": base_rev, "sha": base_sha, "results": {}},
@@ -148,14 +189,9 @@ def main(argv: list[str]) -> int:
         for m in bench["end_to_end"]:
             base, change = ([r[m["name"]] for r in runs[side][w["name"]]]
                             for side in ("base", "change"))
-            q1, _, q3 = statistics.quantiles(base, n=4)
-            lower = m["better"] == "lower"
             doc["end_to_end"][f"{w['name']}.{m['name']}"] = {
-                "base": base, "change": change, "failed": [
-                    sum(r["failed"] for r in runs[side][w["name"]]) for side in ("base", "change")],
-                "median": [statistics.median(base), statistics.median(change)],
-                "base_iqr": q3 - q1,
-                "change_wins": sum(c < b if lower else c > b for b, c in zip(base, change))}
+                **compare(base, change, m["better"]), "failed": [
+                    sum(r["failed"] for r in runs[side][w["name"]]) for side in ("base", "change")]}
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print("\n".join(summary(doc)))
     return 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Annotated, Literal
 
 import numpy as np
@@ -175,9 +176,10 @@ def box_corners_bev(box) -> np.ndarray:
 def _poly_area(poly: list) -> float:
     if len(poly) < 3:
         return 0.0
-    # np.dot, not a Python sum: its summation order sets the last bits
-    p = np.array(poly + poly[:1])
-    x, y = p[:, 0], p[:, 1]
+    # np.dot, not a Python sum: its summation order sets the last bits. The
+    # closed polygon is read flat, x and y then strided views of its n x 2 rows.
+    p = np.fromiter(chain.from_iterable(poly + poly[:1]), float, 2 * len(poly) + 2)
+    x, y = p[0::2], p[1::2]
     return 0.5 * abs(np.dot(x[:-1], y[1:]) - np.dot(y[:-1], x[1:]))
 
 
@@ -185,18 +187,19 @@ def _clip_polygon(subject: list, a, b) -> list:
     """Sutherland-Hodgman step: keep the part of ``subject`` left of edge a->b."""
     ax, ay = a
     ex, ey = b[0] - ax, b[1] - ay
-    sides = [ex * (p[1] - ay) - ey * (p[0] - ax) for p in subject]
-    if all(side > 0 for side in sides):
+    sides = [ex * (py - ay) - ey * (px - ax) for px, py in subject]
+    if all(map((0.0).__lt__, sides)):   # 0.0 < NaN is False, as NaN > 0 is
         return subject                  # wholly left of the edge: the loop copies it
     out = []
-    for i in range(len(subject)):
-        j = i + 1 - len(subject)                    # the next vertex, wrapping
-        p, q, side_p, side_q = subject[i], subject[j], sides[i], sides[j]
+    p, side_p = subject[0], sides[0]
+    for j in range(1 - len(subject), 1):        # the next vertex, wrapping to 0
+        q, side_q = subject[j], sides[j]
         if side_p >= 0:
             out.append(p)
         if (side_p > 0) != (side_q > 0) and side_p != side_q:
             frac = side_p / (side_p - side_q)
             out.append((p[0] + frac * (q[0] - p[0]), p[1] + frac * (q[1] - p[1])))
+        p, side_p = q, side_q
     return out
 
 
@@ -329,22 +332,33 @@ def nms(boxes: list[DetectionBox], iou_threshold: float = 0.1,
     the pairs that remain, drops those bounded below ``iou_threshold``. Both
     are widened past rounding, so a dropped pair's ``rotated_iou_bev`` is below
     the threshold and could not have suppressed: the kept set is the one that
-    clipping every pair would give."""
+    clipping every pair would give.
+
+    Each candidate's earlier rivals are listed once, by descending bound and
+    then by index, so the likeliest suppressor is clipped first. A candidate
+    is dropped if any taken rival reaches the threshold, which does not
+    depend on the order of the rivals."""
     order = rank_detections(boxes)
     cand = [boxes[i] for i in order if boxes[i].score >= score_threshold]
     rows = box_rows(cand)
-    clip = np.tril(_may_overlap_rows(rows, rows), -1)
-    later, earlier = np.nonzero(clip)
-    clip[later, earlier] = iou_upper_bound(rows[later], rows[earlier]) >= iou_threshold
-    taken = np.zeros(len(cand), dtype=bool)
+    later, earlier = np.nonzero(np.tril(_may_overlap_rows(rows, rows), -1))
+    bound = iou_upper_bound(rows[later], rows[earlier])
+    close = bound >= iou_threshold
+    later, earlier, bound = later[close], earlier[close], bound[close]
+    # per later candidate, the highest bound (the likeliest suppressor) first
+    by = np.lexsort((earlier, -bound, later))
+    rivals: list[list[int]] = [[] for _ in cand]
+    for i, k in zip(later[by].tolist(), earlier[by].tolist()):
+        rivals[i].append(k)
+    taken = [False] * len(cand)
     kept: list[DetectionBox] = []
     for i, box in enumerate(cand):
         if max_out is not None and len(kept) >= max_out:
             break
         if kept and iou_threshold <= 0:
             break                   # IoU >= 0: the first kept box suppresses the rest
-        rivals = np.flatnonzero(clip[i, :i] & taken[:i]).tolist()
-        if any(rotated_iou_bev(box, cand[k]) >= iou_threshold for k in rivals):
+        if any(taken[k] and rotated_iou_bev(box, cand[k]) >= iou_threshold
+               for k in rivals[i]):
             continue
         taken[i] = True
         kept.append(box)

@@ -133,12 +133,15 @@ class Tensor:
 
     def _operand(self, other) -> "Tensor":
         """``other`` as the second operand of an elementwise op: a Tensor of
-        this shape, or either side of one value; a scalar becomes a Tensor."""
+        this shape, or either side of one value whose rank does not widen the
+        result past the other's shape; a scalar becomes a Tensor."""
         if not isinstance(other, Tensor):
             if np.ndim(other) != 0:
                 raise TypeError("only Tensor or scalar operands are supported")
             other = Tensor(np.float64(other))
-        if self.shape != other.shape and self.size != 1 and other.size != 1:
+        shapes = self.shape, other.shape
+        if shapes[0] != shapes[1] and (self.size != 1 and other.size != 1
+                                       or np.broadcast_shapes(*shapes) not in shapes):
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
         return other
 

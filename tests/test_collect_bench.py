@@ -71,3 +71,33 @@ def test_seed_defaults_to_1_and_reaches_every_run(collect_bench, monkeypatch, tm
     assert res == {"seed": 2}
     assert commands == [["bench", "--workload", "eval_sweep", "--seed", "2",
                          "--seconds", "30", "--trace", "1"]]
+
+
+def test_summary_gives_each_end_to_end_line_a_verdict(collect_bench):
+    steady = [100.0 + 0.1 * i for i in range(10)]          # base median 100.45, IQR 0.55
+    spread = [50.0 + 10.0 * i for i in range(10)]          # base IQR 55 of a median 95
+    cases = {
+        # 9 of 10 pairs won, medians 0.6 ms apart against a base IQR of 0.055
+        "eval_sweep.iter_ms_p50": ([8.5 + 0.01 * i for i in range(10)],
+                                   [8.6] + [7.9 + 0.01 * i for i in range(1, 10)], "GAIN"),
+        # 8 of 10 pairs won: no gain, however far apart the medians
+        "eval_sweep.iter_ms_p90": ([8.5 + 0.01 * i for i in range(10)],
+                                   [8.6, 8.6] + [7.9 + 0.01 * i for i in range(2, 10)],
+                                   "NEUTRAL"),
+        # higher is better: 30 % fewer scenes per second, past the 25 % bound
+        "eval_sweep.scenes_per_s": (steady, [70.0 + 0.1 * i for i in range(10)],
+                                    "REGRESSION"),
+        # the base runs spread past the 10 % bound, and the sides overlap
+        "eval_sweep.peak_rss_mb": (spread, spread[::-1], "UNRESOLVED"),
+        # as wide a spread, but every change run beats every base run
+        "augment_train.peak_rss_mb": (spread, [10.0 + 0.1 * i for i in range(10)], "GAIN"),
+        "augment_train.run_s": (steady, steady[1:] + steady[:1], "NEUTRAL"),
+    }
+    doc = {"base": _side({"src/a.py": 1}, {}), "change": _side({"src/a.py": 1}, {}),
+           "end_to_end": {key: collect_bench.compare(base, change, "higher" if "per_s" in key
+                                                     else "lower")
+                          for key, (base, change, _) in cases.items()}}
+    lines = collect_bench.summary(doc)
+    assert [line.split()[0] for line in lines[:len(cases)]] == list(cases)
+    assert [line.split()[-1] for line in lines[:len(cases)]] == [v for *_, v in cases.values()]
+    assert doc["end_to_end"]["eval_sweep.iter_ms_p50"]["change_wins"] == 9

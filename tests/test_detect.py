@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bevfuse.detect as detect
@@ -314,8 +314,19 @@ def _touching_pair(draw):
     return a, replace(b, **{"xy"[axis]: meet})
 
 
+def _bev(x, y, w, h, t):
+    return DetectionBox(x, y, 0.5, w, h, 1.0, t)
+
+
 @settings(max_examples=400, deadline=None)
 @given(_boxes(2, 2))
+# the clip's branches: an edge shared by both boxes; a corner exactly on the
+# other box's edge (a side of exactly 0.0); one box wholly inside the other
+# (every side > 0, the fast path); two identical boxes
+@example([_bev(0.0, 0.0, 4.0, 2.0, 0.0), _bev(4.0, 0.0, 4.0, 2.0, 0.0)])
+@example([_bev(0.0, 0.0, 4.0, 2.0, 0.0), _bev(1.0, 1.0, 2.0, 2.0, 0.0)])
+@example([_bev(0.0, 0.0, 4.0, 2.0, 0.0), _bev(0.5, 0.2, 1.0, 0.5, 0.3)])
+@example([_bev(1.0, -0.5, 3.0, 1.5, 0.7), _bev(1.0, -0.5, 3.0, 1.5, 0.7)])
 def test_rotated_iou_matches_array_kernel_bitwise(pair):
     a, b = pair[:2]
     assert box_corners_bev(a).tobytes() == _ref_corners(a).tobytes()
@@ -491,6 +502,24 @@ def test_nms_on_decoded_frames_clips_fewer_pairs(seed, monkeypatch):
             calls.clear()
             assert nms(boxes, 0.1, 0.1, 50) == got
         assert pruned < len(calls)
+
+
+def test_nms_clips_the_likeliest_suppressor_first(monkeypatch):
+    # a and b lie apart and are both kept. c's bounds with both reach the
+    # threshold, but only b, the higher bound, suppresses it: c is clipped once
+    a = DetectionBox(0.0, 0.0, 0.0, 4.0, 2.0, 1.0, math.pi / 4, score=0.9)
+    b = DetectionBox(5.0, 0.0, 0.0, 4.0, 2.0, 1.0, 0.0, score=0.8)
+    c = DetectionBox(3.0, 0.0, 0.0, 4.0, 2.0, 1.0, 0.0, score=0.7)
+    bound_a, bound_b = iou_upper_bound(box_rows([c, c]), box_rows([a, b]))
+    assert rotated_iou_bev(c, a) < 0.1 <= bound_a < bound_b <= 1.0
+    assert rotated_iou_bev(c, b) >= 0.1 and not may_overlap([a], [b])[0, 0]
+    clipped = []
+    monkeypatch.setattr(detect, "rotated_iou_bev",
+                        lambda x, y: clipped.append((x, y)) or rotated_iou_bev(x, y))
+    got = nms([c, b, a], 0.1, 0.1)
+    ref = _nms_quadratic([c, b, a], 0.1, 0.1, None)
+    assert len(got) == len(ref) == 2 and all(g is r for g, r in zip(got, ref))
+    assert len(clipped) == 1 and clipped[0][0] is c and clipped[0][1] is b
 
 
 def test_header_output_layout_and_decode():

@@ -35,6 +35,21 @@ def test_add_is_elementwise_sum_and_rejects_shape_mismatch():
         Tensor(a) + Tensor(np.zeros((3, 4, 5)))
 
 
+@pytest.mark.parametrize("op", [Tensor.__add__, Tensor.__mul__, Tensor.__sub__],
+                         ids=["add", "mul", "sub"])
+def test_one_value_operand_of_higher_rank_is_rejected(op):
+    # a 1 x 1 against a (3,) would broadcast to 1 x 3, a shape neither operand
+    # can take its grad in: rejected up front, naming both shapes, either way round
+    one, three = Tensor([[2.0]], requires_grad=True), Tensor([1.0, 2.0, 3.0], requires_grad=True)
+    with pytest.raises(ValueError, match=r"\(1, 1\) vs \(3,\)"):
+        op(one, three)
+    with pytest.raises(ValueError, match=r"\(3,\) vs \(1, 1\)"):
+        op(three, one)
+    # a one-value operand of no higher rank still broadcasts and sums its grad
+    op(Tensor([2.0], requires_grad=True), three).sum().backward()
+    assert three.grad.shape == (3,)
+
+
 def test_scalar_ops_and_div():
     a = Tensor(np.array([2.0, 4.0]), requires_grad=True)
     y = (a / 2.0 + 1.0) * 3.0 - 1.0
