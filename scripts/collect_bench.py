@@ -5,9 +5,11 @@ the results into one JSON file:
     python3 scripts/collect_bench.py BENCH_<n>.json [BASE] [--seed N]
 
 BASE (default ``HEAD``) is exported with ``git archive`` into a temporary
-directory. Both sides run the inputs of the benchmark's ``--seed N``
-(default 1; another seed checks a claim on inputs not used while the
-change was written), which the output records. Every workload listed in
+directory, and the working tree's files, as they are on disk and without the
+ignored ones, are copied into another: each side runs from a checkout free
+of caches and earlier results. Both sides run the inputs of the benchmark's
+``--seed N`` (default 1; another seed checks a claim on inputs not used
+while the change was written), which the output records. Every workload listed in
 ``BENCHMARK.json`` runs for its ``run_seconds`` on both sides, one run at a
 time: ``PAIRS`` pairs at
 ``--trace 0`` and ``TRACED_PAIRS`` pairs at ``--trace 1``, alternating which
@@ -32,6 +34,7 @@ changed (a missing file counts 0).
 import argparse
 import json
 import pathlib
+import shutil
 import statistics
 import subprocess
 import sys
@@ -52,6 +55,15 @@ def export(rev: str, dest: pathlib.Path):
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def copy_worktree(dest: pathlib.Path):
+    """Copy the working tree's tracked files and its untracked, unignored ones,
+    as they are on disk, into ``dest``."""
+    for rel in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        if rel and (ROOT / rel).is_file():       # a deleted tracked file is still listed
+            (dest / rel).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / rel, dest / rel)
 
 
 def src_file_lines(checkout: pathlib.Path) -> dict[str, int]:
@@ -162,9 +174,11 @@ def main(argv: list[str]) -> int:
     for side in ("base", "change"):
         doc[side]["per_layer"] = {w["name"]: {} for w in bench["workloads"]}
     with tempfile.TemporaryDirectory() as tmp:
-        base_dir = pathlib.Path(tmp)
+        base_dir, change_dir = pathlib.Path(tmp) / "base", pathlib.Path(tmp) / "change"
+        base_dir.mkdir()
         export(base_sha, base_dir)
-        sides = [("base", base_dir), ("change", ROOT)]
+        copy_worktree(change_dir)
+        sides = [("base", base_dir), ("change", change_dir)]
         for side, checkout in sides:
             doc[side]["src_file_lines"] = src_file_lines(checkout)
             doc[side]["src_lines"] = sum(doc[side]["src_file_lines"].values())

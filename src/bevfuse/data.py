@@ -419,6 +419,10 @@ BOX_COLUMNS = ("x", "y", "z", "w", "h", "d", "t", "score", "cls", "ignored", "he
 # |x|, |y|, |z|, |w|, |h|, |d|, |t| and |height2d| of a loaded box stay within
 # this: far past any sensor's range, where rotated_iou_bev still keeps its digits
 BOX_BOUND = 1e4
+# |value| of a loaded image feature stays within this: far past synthetic
+# features (about [-0.5, 1.5]) and KITTI's zeros, while a huge one overflows
+# the squares of a training step
+IMAGE_BOUND = 1e4
 _BOUNDED_COLUMNS = [0, 1, 2, 3, 4, 5, 6, 10]
 
 
@@ -505,6 +509,8 @@ def _load_record(path, fid) -> SceneSample:
             image = Tensor(z["image_features"])
             if not np.isfinite(image.data).all():
                 raise ValueError("image_features hold a non-finite value")
+            if (np.abs(image.data) > IMAGE_BOUND).any():
+                raise ValueError(f"image_features hold a value beyond ±{IMAGE_BOUND:g}")
             if image.shape[1:] != cam.image_size:
                 raise ValueError(f"image_features {list(image.shape)} are not C x image_size")
             return SceneSample(PointCloud(z["points"], intensity=z["intensity"]),

@@ -123,10 +123,12 @@ def encode_rows(gt_rows: np.ndarray, anchor_rows: np.ndarray,
 def decode_rows(p: np.ndarray, anchor_rows: np.ndarray,
                 center_norm: str = "anchor_coord") -> np.ndarray:
     """N x 7 box rows: the exact inverse of encode_rows (without orientation
-    wrapping). Columns of ``p`` past the seventh are ignored."""
+    wrapping). Columns of ``p`` past the seventh are ignored. A size offset
+    past about 709 decodes to an infinite size, without a warning."""
     norm = _center_normalizers(anchor_rows, center_norm)
-    return np.concatenate([anchor_rows[:, :3] + p[:, :3] * norm,
-                           anchor_rows[:, 3:6] * np.exp(p[:, 3:6]),
+    with np.errstate(over="ignore"):
+        sizes = anchor_rows[:, 3:6] * np.exp(p[:, 3:6])
+    return np.concatenate([anchor_rows[:, :3] + p[:, :3] * norm, sizes,
                            anchor_rows[:, 6:] + p[:, 6:7]], axis=1)
 
 
@@ -293,9 +295,10 @@ def iou_upper_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def rotated_iou_bev(a, b) -> float:
     """IoU of two oriented BEV rectangles via convex polygon clipping; 0.0
-    when a heading is NaN or infinite."""
-    area_a = a.w * a.h
-    area_b = b.w * b.h
+    when a heading is NaN or infinite. The areas are plain floats, so an
+    infinite side times a zero one is NaN without a warning."""
+    area_a = float(a.w) * float(a.h)
+    area_b = float(b.w) * float(b.h)
     if area_a <= 0 or area_b <= 0:
         return 0.0
     inter = _intersection_area(_corners(a), _corners(b))
@@ -305,15 +308,15 @@ def rotated_iou_bev(a, b) -> float:
 
 def iou_3d(a, b) -> float:
     """IoU of two ground-aligned cuboids: BEV polygon overlap times vertical
-    overlap, over union volume."""
-    vol_a = a.w * a.h * a.d
-    vol_b = b.w * b.h * b.d
+    overlap, over union volume (plain floats, as in ``rotated_iou_bev``)."""
+    vol_a = float(a.w) * float(a.h) * float(a.d)
+    vol_b = float(b.w) * float(b.h) * float(b.d)
     if vol_a <= 0 or vol_b <= 0:
         return 0.0
-    inter_bev = _intersection_area(_corners(a), _corners(b))
+    inter_bev = float(_intersection_area(_corners(a), _corners(b)))
     zlo = max(a.z - a.d / 2, b.z - b.d / 2)
     zhi = min(a.z + a.d / 2, b.z + b.d / 2)
-    inter = inter_bev * max(0.0, zhi - zlo)
+    inter = inter_bev * max(0.0, float(zhi - zlo))
     union = vol_a + vol_b - inter
     return inter / union if union > 0 else 0.0
 

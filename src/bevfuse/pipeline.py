@@ -124,22 +124,18 @@ def batch_inputs(model: DetectorModel, preps: list[PreparedScene]):
 
 
 def scene_loss(model: DetectorModel, cfg: ExperimentConfig, preps: list[PreparedScene],
-               mining_rngs: list[np.random.Generator],
-               mined_override: list[np.ndarray] | None = None) -> list[LossBreakdown]:
+               mining_rngs: list[np.random.Generator]) -> list[LossBreakdown]:
     """Forward a step's scenes as one batch and build each scene's multi-task
     loss breakdown. Scene i mines its negatives on its own slice of the
-    scores with ``mining_rngs[i]``, unless ``mined_override[i]`` fixes them."""
+    scores with ``mining_rngs[i]``."""
     header = model.forward(*batch_inputs(model, preps))
     per_scene, assign = len(model.anchors), cfg.assignment()
     out = []
     for i, prep in enumerate(preps):
         first = i * per_scene
         n_pos = prep.pos_idx.size
-        if mined_override is not None:
-            mined = mined_override[i]
-        else:
-            mined = hard_negative_mining(prep.neg_idx, header.scores[first:first + per_scene],
-                                         n_pos, assign, mining_rngs[i])
+        mined = hard_negative_mining(prep.neg_idx, header.scores[first:first + per_scene],
+                                     n_pos, assign, mining_rngs[i])
         selected = first + np.concatenate([prep.pos_idx, mined]).astype(np.intp)
         cls_labels = np.concatenate([np.ones(n_pos), np.zeros(mined.size)])
         cls_logits, reg_pred = header.select(selected, n_pos)
@@ -354,8 +350,9 @@ def run_gradcheck(rtol: float = 1e-4, seed: int = 0) -> list[tuple[str, float, b
     rng = np.random.default_rng(seed)
     results = []
 
-    def check(name, make_loss, params):
-        worst = _max_grad_error(make_loss, params, _basis(params), 1e-5)
+    def check(name, make_loss, params, directions=None, eps=1e-5):
+        directions = _basis(params) if directions is None else directions
+        worst = _max_grad_error(make_loss, params, directions, eps)
         results.append((name, worst, worst < rtol))
 
     a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
@@ -401,7 +398,12 @@ def run_gradcheck(rtol: float = 1e-4, seed: int = 0) -> list[tuple[str, float, b
           fusion_params)
 
     # end-to-end miniature model: 8x8 BEV raster, 2-group streams, 4-point cloud
-    results.append(_miniature_model_check(rtol))
+    mini = miniature_config()
+    sample = build_scenes(mini)[0]
+    sample.cloud = PointCloud(sample.cloud.points[:4])
+    params, loss = _scene_loss_closure(mini, sample, np.random.default_rng(5))
+    # check a representative parameter subset (full sweep is minutes-slow)
+    check("miniature_end_to_end", loss, [p for _, p in sorted(params.items()) if p.size <= 80])
 
     # 1 x 1 convs: the transposed-conv input grad at stride 1, _col2im at stride 2
     x1 = Tensor(rng.standard_normal((1, 3, 4, 5)), requires_grad=True)
@@ -431,7 +433,26 @@ def run_gradcheck(rtol: float = 1e-4, seed: int = 0) -> list[tuple[str, float, b
     check("bilinear_sample_batch",
           lambda: (T.bilinear_sample(fmb, uv, scene) ** 2.0).sum(), [fmb])
 
-    results += _full_model_checks(rtol)
+    # every parameter of the full-size model, one row per module and mode. The
+    # model and scene are those of configs/overfit.yaml (the defaults, with its
+    # anchor assignment): one scene, 32 x 32 BEV and 24 x 48 image maps. Each
+    # module is checked along 4 standard-normal directions, which checks large
+    # parameter sets in a few evaluations. ε is 1e-7: on the full-size model,
+    # steps of 1e-5 and 1e-6 cross ReLU kinks and read errors up to 6e-2 and 2e-3.
+    for mode in MODES:
+        full = ExperimentConfig(mode=mode, assign=AssignmentConfig(
+            3.0, 3.0, neg_sample_fraction=1.0, topk_neg_floor=1000))
+        full.loss.center_norm = "diagonal"
+        full.data.n_scenes = 1
+        model_rng = np.random.default_rng(11)
+        params, loss = _scene_loss_closure(full, build_scenes(full)[0], model_rng)
+        modules: dict[str, list[Tensor]] = {}
+        for name, p in sorted(params.items()):
+            modules.setdefault(param_module(name), []).append(p)
+        for module, group in modules.items():
+            check(f"model_{mode}.{module}", loss, group,
+                  [[model_rng.standard_normal(p.shape) for p in group] for _ in range(4)],
+                  1e-7)
     return results
 
 
@@ -451,60 +472,16 @@ def miniature_config() -> ExperimentConfig:
     return cfg
 
 
-def _frozen_scene_loss(cfg: ExperimentConfig, sample: SceneSample,
-                       rng: np.random.Generator):
+def _scene_loss_closure(cfg: ExperimentConfig, sample: SceneSample,
+                        rng: np.random.Generator):
     """A model drawn from ``rng`` with jittered biases, and a closure giving
-    the loss of ``sample`` with its mined negatives frozen: mining ranks by
-    live scores, which makes the loss piecewise in the parameters and
-    invalidates finite differences."""
+    the training loss of ``sample`` as ``train_run`` builds it, mined with a
+    fresh ``default_rng(1)`` at each call. Mining ranks negatives by live
+    scores, which could make the loss piecewise in the parameters. But every
+    scene the check builds keeps every negative it samples, so the mined set
+    depends only on the generator, and the scores only order it."""
     model = build_model(cfg, rng)
     prep = prepare_scene(model, cfg, sample)
     params = model.parameters()
     _jitter_biases(params, rng)
-    with T.no_grad():
-        header = model.forward(prep.bev_input, prep.sample.image_feature_input,
-                               prep.plan)
-    mined = hard_negative_mining(prep.neg_idx, header.scores, prep.pos_idx.size,
-                                 cfg.assignment(), np.random.default_rng(1))
-
-    def loss():
-        return scene_loss(model, cfg, [prep], [np.random.default_rng(1)],
-                          mined_override=[mined])[0].total
-    return params, loss
-
-
-def _miniature_model_check(rtol: float) -> tuple[str, float, bool]:
-    cfg = miniature_config()
-    sample = build_scenes(cfg)[0]
-    sample.cloud = PointCloud(sample.cloud.points[:4])     # 4-point cloud
-    params, loss = _frozen_scene_loss(cfg, sample, np.random.default_rng(5))
-    # check a representative parameter subset (full sweep is minutes-slow)
-    subset = [p for _, p in sorted(params.items()) if p.size <= 80]
-    worst = _max_grad_error(loss, subset, _basis(subset), 1e-5)
-    return ("miniature_end_to_end", worst, worst < rtol)
-
-
-def _full_model_checks(rtol: float) -> list[tuple[str, float, bool]]:
-    """Directional checks of every parameter of the full-size model, one row
-    per module and mode. The model and scene are those of
-    ``configs/overfit.yaml`` (the defaults, with its anchor assignment): one
-    scene, 32 x 32 BEV and 24 x 48 image maps. Each module is checked along 4
-    standard-normal directions, which checks large parameter sets in a few
-    evaluations. ε is 1e-7: on the full-size model, steps of 1e-5 and 1e-6
-    cross ReLU kinks and read errors up to 6e-2 and 2e-3."""
-    rows = []
-    for mode in MODES:
-        cfg = ExperimentConfig(mode=mode, assign=AssignmentConfig(
-            3.0, 3.0, neg_sample_fraction=1.0, topk_neg_floor=1000))
-        cfg.loss.center_norm = "diagonal"
-        cfg.data.n_scenes = 1
-        rng = np.random.default_rng(11)
-        params, loss = _frozen_scene_loss(cfg, build_scenes(cfg)[0], rng)
-        modules: dict[str, list[Tensor]] = {}
-        for name, p in sorted(params.items()):
-            modules.setdefault(param_module(name), []).append(p)
-        for module, group in modules.items():
-            directions = [[rng.standard_normal(p.shape) for p in group] for _ in range(4)]
-            worst = _max_grad_error(loss, group, directions, 1e-7)
-            rows.append((f"model_{mode}.{module}", worst, worst < rtol))
-    return rows
+    return params, lambda: scene_loss(model, cfg, [prep], [np.random.default_rng(1)])[0].total

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import pathlib
+import shutil
 import struct
 from dataclasses import replace
 
@@ -8,11 +10,13 @@ import numpy as np
 import pytest
 import yaml
 
+from bevfuse import pipeline
 from bevfuse.backbone import GroupSpec
 from bevfuse.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from bevfuse.config import config_to_dict
 from bevfuse.data import (BOX_COLUMNS, GENERATOR_VERSION, AugmentationConfig,
                           generate_dataset, save_dataset)
+from bevfuse.losses import hard_negative_mining
 from bevfuse.pipeline import build_model, miniature_config
 from bevfuse.tensor import save_checkpoint
 
@@ -101,10 +105,21 @@ def test_seed_flag_overrides_config(tmp_path):
     assert ca != cb
 
 
-def test_gradcheck_command(capsys):
+def test_gradcheck_command(capsys, monkeypatch):
+    # the check runs scene_loss as training does: its finite differences hold
+    # only while every scene keeps every negative it samples, so that the
+    # mined set does not depend on the parameters
+    kept_all = []
+
+    def mining(neg_idx, scores, n_pos, assign, rng):
+        mined = hard_negative_mining(neg_idx, scores, n_pos, assign, rng)
+        kept_all.append(mined.size == math.ceil(assign.neg_sample_fraction * len(neg_idx)))
+        return mined
+    monkeypatch.setattr(pipeline, "hard_negative_mining", mining)
     assert main(["gradcheck", "--rtol", "1e-3"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    assert kept_all and all(kept_all)
 
 
 def test_bad_knn_grid_is_config_error(tmp_path):
@@ -197,6 +212,17 @@ def _unit_axis_on_first_record(raw):
 def test_checkpoint_that_misfits_the_model_is_config_error(tmp_path, damage):
     assert _eval_damaged_checkpoint(tmp_path, damage) == EXIT_CONFIG
     assert not (tmp_path / "e").exists()
+
+
+def test_eval_of_a_size_offset_past_the_exp_range_exits_0(tmp_path):
+    # orientation 0's p_w decodes to an infinite width, which decoding, NMS and
+    # AP matching take without a warning
+    cfg_path = tmp_path / "cfg.yaml"
+    params = build_model(_write_mini_config(cfg_path)).parameters()
+    params["header.bias"].data[3] = 800.0
+    save_checkpoint(params, tmp_path / "ckpt.bin")
+    assert main(["eval", "--config", str(cfg_path), "--out", str(tmp_path / "e"),
+                 "--checkpoint", str(tmp_path / "ckpt.bin")]) == EXIT_OK
 
 
 def test_non_finite_checkpoint_is_config_error(tmp_path, capsys):
@@ -628,3 +654,110 @@ def _metrics_argv(tmp_path):
 def test_non_utf8_input_is_config_error(tmp_path, argv):
     assert main(argv(tmp_path)) == EXIT_CONFIG
     assert not (tmp_path / "o").exists()
+
+
+# the binary fuzz mutates each array of a miniature manifest record in turn
+# by each of these, and trains one step on the record
+def _set_first(value):
+    def edit(a):
+        a = a.astype(np.float64)
+        a.flat[0] = value
+        return a
+    return edit
+
+
+_RECORD_MUTATIONS = {
+    "rank_up": lambda a: a[None],
+    "rank_down": lambda a: a.reshape(-1, *a.shape[2:]) if a.ndim > 1 else a[0],
+    "short": lambda a: a[:-1], "long": lambda a: np.concatenate([a, a[:1]]),
+    "nan": _set_first(math.nan), "inf": _set_first(math.inf),
+    "-inf": _set_first(-math.inf), "huge": _set_first(1e300), "sign": lambda a: -a,
+    "int": lambda a: a.astype(np.int64), "str": lambda a: a.astype(str),
+    "object": lambda a: a.astype(object), "empty": lambda a: a[:0],
+}
+# the mutations that train and exit 0; every other mutation exits 2. LIDAR
+# points may be non-finite (they drop out of every raster), numeric strings
+# and ints read as floats, and a record may hold any number of boxes
+_RECORD_ACCEPTED = {
+    "points": ("nan", "inf", "-inf", "huge", "sign", "int", "str"),
+    "intensity": ("rank_up", "nan", "inf", "-inf", "huge", "sign", "int", "str"),
+    "image_features": ("sign", "int", "str"),
+    "projection": ("rank_up", "rank_down", "sign", "int", "str"),
+    "image_size": ("int",),
+    "boxes": ("short", "long", "int", "empty"),
+}
+
+
+def _fuzz_exits(argv, damages):
+    """Each damage's name by the exit code of ``argv`` after it. A run
+    that raises fails the test, and so does an exit 2 that leaves ``--out``."""
+    out = pathlib.Path(argv[argv.index("--out") + 1])
+    exits = {0: set(), 2: set(), 3: set()}
+    for name, damage in damages:
+        damage()
+        try:
+            rc = main(argv)
+        except Exception as e:
+            pytest.fail(f"{name} raised {e!r}")
+        assert rc in exits, (name, rc)
+        assert rc != EXIT_CONFIG or not out.exists(), name
+        exits[rc].add(name)
+        shutil.rmtree(out, ignore_errors=True)
+    return exits
+
+
+def test_manifest_record_fuzz_exits_cleanly(tmp_path):
+    cfg = miniature_config()
+    cfg.optimizer.steps = 1
+    save_dataset(generate_dataset(cfg.data.synthetic, 1), tmp_path / "data")
+    cfg.data.source, cfg.data.manifest = "manifest", str(tmp_path / "data")
+    record = next((tmp_path / "data").glob("*.npz"))
+    with np.load(record) as z:
+        arrays = dict(z)
+
+    def damage(key, mutate):
+        return lambda: np.savez(record, **{**arrays, key: mutate(arrays[key])})
+    argv = ["train", "--config", str(_write_config(tmp_path / "cfg.yaml", cfg)),
+            "--out", str(tmp_path / "o")]
+    exits = _fuzz_exits(argv, [
+        (f"{key}.{m}", damage(key, mutate))
+        for key in arrays for m, mutate in _RECORD_MUTATIONS.items()])
+    assert exits[0] == {f"{key}.{m}" for key, ms in _RECORD_ACCEPTED.items() for m in ms}
+    assert exits[3] == set()
+
+
+def test_checkpoint_fuzz_exits_cleanly(tmp_path):
+    cfg_path = tmp_path / "cfg.yaml"
+    params = build_model(_write_mini_config(cfg_path)).parameters()
+    ckpt = tmp_path / "ckpt.bin"
+    save_checkpoint(params, ckpt)
+    raw = ckpt.read_bytes()
+    bounds, at = [], 9      # the offset where each record starts
+    for _ in params:
+        bounds.append(at)
+        at += _first_record(raw[at - 9:])[3] - 9
+    assert at == len(raw)
+
+    def write(data):
+        return lambda: ckpt.write_bytes(data)
+
+    def huge(name, value):
+        def damage():
+            p = params[name].data
+            keep, p.flat[0] = p.flat[0], value
+            save_checkpoint(params, ckpt)
+            p.flat[0] = keep
+        return damage
+    damages = [(f"cut_at_{b}", write(raw[:b])) for b in bounds]
+    damages += [("repeated", write(_repeat_first_record(raw))),
+                ("version_2", write(raw[:4] + b"\x02" + raw[5:])),
+                ("shape_differs", write(_unit_axis_on_first_record(raw))),
+                ("renamed", write(raw[:11] + b"~" + raw[12:]))]
+    huge_entries = [(name, v) for name in params for v in (1e300, -1e300)]
+    damages += [(f"{name} = {v:g}", huge(name, v)) for name, v in huge_entries]
+    argv = ["eval", "--config", str(cfg_path), "--out", str(tmp_path / "e"),
+            "--checkpoint", str(ckpt)]
+    exits = _fuzz_exits(argv, damages)
+    # a huge finite parameter evaluates: its boxes may be infinite, never a warning
+    assert exits[0] == {f"{name} = {v:g}" for name, v in huge_entries}
+    assert exits[3] == set()

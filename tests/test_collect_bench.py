@@ -1,5 +1,7 @@
 import importlib.util
+import json
 import pathlib
+import subprocess
 
 import pytest
 
@@ -101,3 +103,35 @@ def test_summary_gives_each_end_to_end_line_a_verdict(collect_bench):
     assert [line.split()[0] for line in lines[:len(cases)]] == list(cases)
     assert [line.split()[-1] for line in lines[:len(cases)]] == [v for *_, v in cases.values()]
     assert doc["end_to_end"]["eval_sweep.iter_ms_p50"]["change_wins"] == 9
+
+
+def test_both_sides_run_from_fresh_checkouts(collect_bench, monkeypatch, tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    bench = {"command": ["bench"], "run_seconds": 1, "workloads": [{"name": "w"}],
+             "end_to_end": [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+    (repo / "BENCHMARK.json").write_text(json.dumps(bench))
+    (repo / ".gitignore").write_text("results/\n")
+    (repo / "src" / "a.py").write_text("x = 1\n")
+    for args in (["init", "-q"], ["add", "-A"], ["-c", "user.name=t", "-c", "user.email=t@t",
+                                                "commit", "-q", "-m", "base"]):
+        subprocess.run(["git", *args], cwd=repo, check=True)
+    (repo / "src" / "a.py").write_text("x = 2\ny = 3\n")       # uncommitted
+    (repo / "src" / "b.py").write_text("z = 1\n")              # untracked
+    (repo / "results").mkdir()
+    (repo / "results" / "old.json").write_text("{}")           # ignored
+    seen = {}
+
+    def fake_run(command, checkout, workload, seed, seconds, trace):
+        seen[checkout] = ((checkout / "src" / "a.py").read_text(),
+                          (checkout / "results").exists())
+        return {"failed": 0, "end_to_end": {"run_s": {"value": 1.0}}, "per_layer": {}}
+    monkeypatch.setattr(collect_bench, "ROOT", repo)
+    monkeypatch.setattr(collect_bench, "run", fake_run)
+    assert collect_bench.main([str(tmp_path / "B.json")]) == 0
+    assert len(seen) == 2 and repo not in seen
+    assert sorted(seen.values()) == [("x = 1\n", False), ("x = 2\ny = 3\n", False)]
+    doc = json.loads((tmp_path / "B.json").read_text())
+    assert doc["base"]["src_file_lines"] == {"src/a.py": 1}
+    assert doc["change"]["src_file_lines"] == {"src/a.py": 2, "src/b.py": 1}
+    assert doc["change"]["dirty"]

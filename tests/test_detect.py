@@ -408,6 +408,19 @@ def test_non_finite_heading_is_never_pruned_and_overlaps_nothing(t):
     assert len(kept) == 2 and kept[0] is a and kept[1] is b
 
 
+@pytest.mark.parametrize("sizes", [{"w": math.inf, "h": 0.0}, {"d": math.inf}],
+                         ids=["w_inf_h_0", "d_inf"])
+def test_infinite_size_of_a_decoded_box_gives_iou_0(sizes):
+    # decoded fields are np.float64: inf * 0 and inf - inf on them would warn
+    a = DetectionBox(*map(np.float64, (0.0, 0.0, 0.0, 2.0, 2.0, 1.0, 0.0)))
+    a = replace(a, **{k: np.float64(v) for k, v in sizes.items()})
+    b = DetectionBox(0.5, 0.0, 0.0, 2.0, 2.0, 1.0, 0.3)
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert iou_3d(x, y) == 0.0
+        if "w" in sizes:        # an infinite depth leaves the BEV IoU as it is
+            assert rotated_iou_bev(x, y) == 0.0
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["x", "y", "w", "h"])
 def test_infinite_centre_or_size_is_never_pruned(field, value, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import warnings
@@ -12,7 +13,7 @@ from bevfuse import backbone, evaluation, fusion, pipeline
 from bevfuse import tensor as T
 from bevfuse.config import ExperimentConfig, FusionSection, load_config
 from bevfuse.detect import NUM_REG, DetectionBox, make_anchors
-from bevfuse.losses import AssignmentConfig, hard_negative_mining, total_loss
+from bevfuse.losses import hard_negative_mining, total_loss
 from bevfuse.pipeline import (ABLATION_VARIANTS, NumericError, ablate_run,
                               batch_inputs, build_model, build_scenes, detect_scene,
                               eval_run, evaluate_model, miniature_config,
@@ -116,22 +117,24 @@ def _one_hot_scene_loss(model, cfg, prep, mined):
 def test_scene_loss_matches_one_hot_selection_bitwise(variant):
     cfg = _mini()
     cfg.variant = variant
+    # the miniature radii, with a top-k that cuts the sampled negatives
+    cfg.assign = replace(cfg.assignment(), neg_sample_fraction=0.5, topk_neg_ratio=0.0,
+                         topk_neg_floor=20)
     model = build_model(cfg)
     sample = build_scenes(cfg)[0]
     # the scene, and the same scene with its ground truth removed: no positives
     full, empty = (prepare_scene(model, cfg, s) for s in (sample, replace(sample, gt_boxes=[])))
     assert full.pos_idx.size > 0 and empty.pos_idx.size == 0
     params = model.parameters()
-    scores = np.random.default_rng(2).random(len(model.anchors))
-    mining = AssignmentConfig(1.0, 1.0, neg_sample_fraction=0.5, topk_neg_ratio=0.0,
-                              topk_neg_floor=20)
     for prep in (full, empty):
-        mined = hard_negative_mining(prep.neg_idx, scores, prep.pos_idx.size, mining,
-                                     np.random.default_rng(3))
+        with T.no_grad():
+            scores = model.forward(*batch_inputs(model, [prep])).scores
+        mined = hard_negative_mining(prep.neg_idx, scores, prep.pos_idx.size,
+                                     cfg.assignment(), np.random.default_rng(0))
+        assert mined.size == 20 < math.ceil(0.5 * prep.neg_idx.size)
         for p in params.values():
             p.grad = None
-        loss = scene_loss(model, cfg, [prep], [np.random.default_rng(0)],
-                          mined_override=[mined])[0].total
+        loss = scene_loss(model, cfg, [prep], [np.random.default_rng(0)])[0].total
         loss.backward()
         grads = {n: p.grad.copy() for n, p in params.items()}
         for p in params.values():
