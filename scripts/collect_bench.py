@@ -23,6 +23,8 @@ range and the number of pairs the change won, and the summed ``failed``
 counts. After writing it, the script prints one line
 per workload and end-to-end metric: both medians, the relative change, the
 pairs won, the base IQR and a verdict (see ``verdict``). Then one line per
+workload and trace level says whether the output digests (``detail.digest``)
+of the first base run and the first change run are equal. Then one line per
 workload and per-layer metric whose median shift over the traced pairs
 exceeds ``LAYER_SHIFT``: both sides' medians and the median of the pairs'
 relative changes (a single traced pair spreads by about as much as the
@@ -127,6 +129,11 @@ def summary(doc: dict) -> list[str]:
         lines.append(f"{key:28s} base {base:<10.4g} change {change:<10.4g} {rel}  "
                      f"wins {m['change_wins']}/{len(m['base'])}  base IQR {m['base_iqr']:.3g}"
                      f"  {verdict(m, spec['better'], spec['bound'])}")
+    base, change = doc["base"]["results"], doc["change"]["results"]
+    for key in sorted(base.keys() & change.keys()):
+        b, c = base[key]["detail"]["digest"], change[key]["detail"]["digest"]
+        lines.append(f"digest {key} equal" if b == c
+                     else f"digest {key} base {b} change {c} DIFFERS")
     for workload in sorted(doc["base"]["per_layer"]):
         base, change = (doc[side]["per_layer"][workload] for side in ("base", "change"))
         for name in sorted(base.keys() & change.keys()):

@@ -262,18 +262,19 @@ class DetectorModel:
         return plan_fusion(cloud, cam, self.fusion_grids, self._centers, nb,
                            self.mode == "continuous")
 
-    def forward(self, bev_input: Tensor, image_input: Tensor | None,
+    def forward(self, bev_input: np.ndarray, image_input: np.ndarray | None,
                 plan: FusionPlan | None) -> HeaderOutput:
-        """Header output for N x C x H x W inputs with a ``merge_plans`` plan,
-        or for one scene's C x H x W inputs and its own plan, as a batch of
-        one. Every fusion level's map is computed before the BEV stream runs."""
+        """Header output for N x C x H x W arrays with a ``merge_plans`` plan,
+        or for one scene's C x H x W arrays and its own plan, as a batch of
+        one. The tape starts here: the inputs become Tensors. Every fusion
+        level's map is computed before the BEV stream runs."""
         fused = {}
         if self.image_stream is not None:
             if image_input is None or plan is None:
                 raise ValueError("fusion modes need the image input and a plan")
-            image = image_input.reshape(-1, *image_input.shape[-3:])
+            image = Tensor(image_input.reshape(-1, *image_input.shape[-3:]))
             fused = apply_fusion(self.image_stream.forward(image), plan, self.fusion_mlps)
-        x = bev_input.reshape(-1, *bev_input.shape[-3:])
+        x = Tensor(bev_input.reshape(-1, *bev_input.shape[-3:]))
         outs = []
         for gi, group in enumerate(self.bev_groups):
             x = group.forward(x)

@@ -12,12 +12,11 @@ from typing import Annotated, Literal
 
 import numpy as np
 
-from . import tensor as T
 from .detect import DetectionBox, box_corners_bev, rotated_iou_bev
 from .domains import (Checked, Finite, Increasing, NonDecreasing, NonNeg, Pos, Unit,
                       UnitOpen)
 from .geometry import BevGrid, CalibratedCamera, PointCloud, project_points
-from .tensor import InputError, Tensor
+from .tensor import InputError, sample_maps
 
 # the dataset record layout; version 1 records hold 10 box columns, without
 # height2d and is_3d
@@ -41,7 +40,7 @@ class SceneSample:
     and ground truth."""
 
     cloud: PointCloud
-    image_feature_input: Tensor
+    image_feature_input: np.ndarray          # C x H x W
     cam: CalibratedCamera
     gt_boxes: list[DetectionBox]
     frame_id: str = "synthetic"
@@ -206,7 +205,7 @@ def generate_scene(cfg: SceneGenConfig, seed: int | None = None,
     features[0] = 0.0
     for box in boxes:
         _paint_presence(features[0], box, cam)
-    return SceneSample(cloud, Tensor(features), cam, boxes,
+    return SceneSample(cloud, features, cam, boxes,
                        frame_id=frame_id or f"syn{seed:06d}")
 
 
@@ -260,10 +259,9 @@ def augment(sample: SceneSample, cfg: AugmentationConfig,
     vs, us = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     src_u = (us - ((1 - img_s) * cu + img_tu)) / img_s
     src_v = (vs - ((1 - img_s) * cv + img_tv)) / img_s
-    warped = T.bilinear_sample(fm.reshape(1, *fm.shape),
-                               np.stack([src_u.ravel(), src_v.ravel()], axis=1))
-    return SceneSample(PointCloud(pts), Tensor(warped.data.T.reshape(fm.shape)), cam,
-                       boxes, frame_id=sample.frame_id)
+    warped = sample_maps(fm[None], np.stack([src_u.ravel(), src_v.ravel()], axis=1))[0]
+    return SceneSample(PointCloud(pts), warped.T.reshape(fm.shape), cam, boxes,
+                       frame_id=sample.frame_id)
 
 
 # -- KITTI format -----------------------------------------------------------------
@@ -384,8 +382,7 @@ def load_kitti_frame(velodyne_path, calib_path, label_path,
         raise KittiParseError(f"{calib_path}: {e}") from None
     boxes = load_kitti_labels(label_path, rect_to_velo)
     h, w = image_size
-    feat = Tensor(np.zeros((1, h, w)))
-    return SceneSample(cloud, feat, cam, boxes,
+    return SceneSample(cloud, np.zeros((1, h, w)), cam, boxes,
                        frame_id=os.path.splitext(os.path.basename(str(velodyne_path)))[0])
 
 
@@ -441,7 +438,7 @@ def save_dataset(samples: list[SceneSample], directory):
                  points=s.cloud.points,
                  intensity=(s.cloud.intensity if s.cloud.intensity is not None
                             else np.zeros(len(s.cloud))),
-                 image_features=s.image_feature_input.data,
+                 image_features=s.image_feature_input,
                  projection=s.cam.projection,
                  image_size=np.array(s.cam.image_size),
                  boxes=_box_records(s.gt_boxes))
@@ -498,22 +495,40 @@ def _check_box_rows(rows: np.ndarray):
         raise ValueError("box ignored and is_3d must each be 0 or 1")
 
 
+# the extents of each scene record array, a letter where any extent goes; the
+# boxes' are those _check_box_rows asks for
+_RECORD_SHAPES = {"points": ("N", 3), "intensity": ("N",),
+                  "image_features": ("C", "H", "W"), "projection": (3, 4),
+                  "image_size": (2,), "boxes": None}
+
+
 def _load_record(path, fid) -> SceneSample:
+    """One scene record; each array must hold bool, int or float values in
+    its ``_RECORD_SHAPES`` extents before it is converted."""
     try:
         with np.load(path) as z:
-            rows = z["boxes"]
-            _check_box_rows(rows)
-            boxes = [DetectionBox(*r[:7], score=r[7], cls=int(r[8]), ignored=bool(r[9]),
-                                  height2d=r[10], is_3d=bool(r[11])) for r in rows]
-            cam = CalibratedCamera(z["projection"], z["image_size"].tolist())
-            image = Tensor(z["image_features"])
-            if not np.isfinite(image.data).all():
-                raise ValueError("image_features hold a non-finite value")
-            if (np.abs(image.data) > IMAGE_BOUND).any():
-                raise ValueError(f"image_features hold a value beyond ±{IMAGE_BOUND:g}")
-            if image.shape[1:] != cam.image_size:
-                raise ValueError(f"image_features {list(image.shape)} are not C x image_size")
-            return SceneSample(PointCloud(z["points"], intensity=z["intensity"]),
-                               image, cam, boxes, frame_id=fid)
+            arrays = {key: z[key] for key in _RECORD_SHAPES}
+        for key, shape in _RECORD_SHAPES.items():
+            a = arrays[key]
+            if a.dtype.kind not in "biuf":
+                raise ValueError(f"{key} must hold numbers, got dtype {a.dtype}")
+            if shape and (a.ndim != len(shape) or any(
+                    s != n for s, n in zip(shape, a.shape) if not isinstance(s, str))):
+                raise ValueError(f"{key} must be {' x '.join(map(str, shape))}, "
+                                 f"got shape {a.shape}")
+        rows = arrays["boxes"]
+        _check_box_rows(rows)
+        boxes = [DetectionBox(*r[:7], score=r[7], cls=int(r[8]), ignored=bool(r[9]),
+                              height2d=r[10], is_3d=bool(r[11])) for r in rows]
+        cam = CalibratedCamera(arrays["projection"], arrays["image_size"].tolist())
+        image = np.asarray(arrays["image_features"], dtype=np.float64)
+        if not np.isfinite(image).all():
+            raise ValueError("image_features hold a non-finite value")
+        if (np.abs(image) > IMAGE_BOUND).any():
+            raise ValueError(f"image_features hold a value beyond ±{IMAGE_BOUND:g}")
+        if image.shape[1:] != cam.image_size:
+            raise ValueError(f"image_features {list(image.shape)} are not C x image_size")
+        return SceneSample(PointCloud(arrays["points"], intensity=arrays["intensity"]),
+                           image, cam, boxes, frame_id=fid)
     except _RECORD_ERRORS as e:
         raise InputError(f"{path}: corrupt scene record: {e!r}") from None

@@ -109,7 +109,7 @@ def project_points(cloud: PointCloud, cam: CalibratedCamera) -> tuple[np.ndarray
     return uv, valid
 
 
-def voxelize(cloud: PointCloud, grid: BevGrid) -> Tensor:
+def voxelize(cloud: PointCloud, grid: BevGrid) -> np.ndarray:
     """Rasterize a point cloud into an nz x ny x nx occupancy-mass volume.
 
     Each in-range point spreads unit mass over the 8 surrounding voxel nodes
@@ -136,7 +136,7 @@ def voxelize(cloud: PointCloud, grid: BevGrid) -> Tensor:
     flat = (iz * grid.ny + iy[:, None]) * grid.nx + ix[:, None, None]
     wgt = wx[:, None, None] * wy[:, None] * wz
     out = _scatter_rows(flat, wgt, (grid.nz * grid.ny * grid.nx,))
-    return Tensor(out.reshape(grid.nz, grid.ny, grid.nx))
+    return out.reshape(grid.nz, grid.ny, grid.nx)
 
 
 def knn_bev(query, cloud: PointCloud, k: int, max_dist: float = np.inf) -> list[int]:

@@ -89,7 +89,7 @@ def _check_images_fit(cfg: ExperimentConfig, scenes: list[SceneSample]):
 @dataclass
 class PreparedScene:
     sample: SceneSample
-    bev_input: Tensor
+    bev_input: np.ndarray           # nz x ny x nx
     plan: FusionPlan | None
     pos_idx: np.ndarray
     neg_idx: np.ndarray
@@ -114,12 +114,12 @@ def prepare_scene(model: DetectorModel, cfg: ExperimentConfig,
 
 def batch_inputs(model: DetectorModel, preps: list[PreparedScene]):
     """The model's inputs for a batch of prepared scenes: N x C x H x W BEV
-    and image maps, and their scene plans joined by ``merge_plans`` (the
+    and image arrays, and their scene plans joined by ``merge_plans`` (the
     image and plan are None when the model has no image stream)."""
-    bev = Tensor(np.stack([p.bev_input.data for p in preps]))
+    bev = np.stack([p.bev_input for p in preps])
     if model.image_stream is None:
         return bev, None, None
-    image = Tensor(np.stack([p.sample.image_feature_input.data for p in preps]))
+    image = np.stack([p.sample.image_feature_input for p in preps])
     return bev, image, merge_plans([p.plan for p in preps])
 
 

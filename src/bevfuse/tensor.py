@@ -461,17 +461,15 @@ def upsample2x(x: Tensor) -> Tensor:
     return Tensor._result(out, (x,), "upsample2x", bw)
 
 
-def bilinear_sample(feature_map: Tensor, uv: np.ndarray, scene=None) -> Tensor:
-    """Sample maps at P continuous (u, v) pixel coordinates -> P x C.
-
-    ``feature_map`` is N x C x H x W maps, and ``scene`` names each sample's
-    map (P indices; all 0 when omitted).
-    Coordinates outside [0, W-1] x [0, H-1] yield the zero vector.
-    Differentiable with respect to the feature maps only.
-    """
+def sample_maps(fm: np.ndarray, uv, scene=None):
+    """The one bilinear kernel: N x C x H x W maps sampled at P continuous
+    (u, v) pixel coordinates, sample p on map ``scene[p]`` (all 0 when
+    omitted); outside [0, W-1] x [0, H-1] a sample is the zero vector.
+    Returns the P x C samples, each sample's map and corner indices
+    ``(scene, v0, v1, u0, u1)``, and the weights of its corners (v0, u0),
+    (v0, u1), (v1, u0) and (v1, u1)."""
     uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
-    fm = feature_map.data
-    n, c, h, w = _map_extents("bilinear_sample", feature_map)
+    n, c, h, w = _map_extents("bilinear_sample", fm)
     scene = np.zeros(len(uv), np.intp) if scene is None else np.asarray(scene, np.intp)
     if scene.shape != (len(uv),):
         raise ValueError(f"bilinear_sample needs one scene per sample, got {scene.shape}")
@@ -493,6 +491,14 @@ def bilinear_sample(feature_map: Tensor, uv: np.ndarray, scene=None) -> Tensor:
     w11 = du * dv * inside
     out = (fm[scene, :, v0, u0] * w00[:, None] + fm[scene, :, v0, u1] * w01[:, None] +
            fm[scene, :, v1, u0] * w10[:, None] + fm[scene, :, v1, u1] * w11[:, None])
+    return out, (scene, v0, v1, u0, u1), (w00, w01, w10, w11)
+
+
+def bilinear_sample(feature_map: Tensor, uv: np.ndarray, scene=None) -> Tensor:
+    """``sample_maps`` of N x C x H x W maps as a tape op -> P x C.
+    Differentiable with respect to the feature maps only."""
+    out, (scene, v0, v1, u0, u1), weights = sample_maps(feature_map.data, uv, scene)
+    n, c, h, w = feature_map.shape
 
     def bw(g):
         # each sample's C-row adds into row scene·H·W + pixel of an
@@ -500,7 +506,7 @@ def bilinear_sample(feature_map: Tensor, uv: np.ndarray, scene=None) -> Tensor:
         # corner did
         pix = np.stack((v0 * w + u0, v0 * w + u1, v1 * w + u0, v1 * w + u1)) \
             + scene * (h * w)
-        wgt = np.stack((w00, w01, w10, w11))[:, :, None] * g
+        wgt = np.stack(weights)[:, :, None] * g
         acc = _scatter_rows(pix, wgt, (n * h * w, c))
         feature_map._accumulate(acc.reshape(n, h, w, c).transpose(0, 3, 1, 2))
 

@@ -587,7 +587,7 @@ def test_manifest_with_non_finite_image_is_config_error(tmp_path, command):
     samples = generate_dataset(cfg.data.synthetic, 1)
     checkpoint = tmp_path / "ckpt.bin"
     save_checkpoint(build_model(cfg).parameters(), checkpoint)
-    samples[0].image_feature_input.data[1, 2, 3] = np.nan
+    samples[0].image_feature_input[1, 2, 3] = np.nan
     save_dataset(samples, data)
     cfg.data.source = "manifest"
     cfg.data.manifest = str(data)
@@ -675,14 +675,16 @@ _RECORD_MUTATIONS = {
     "int": lambda a: a.astype(np.int64), "str": lambda a: a.astype(str),
     "object": lambda a: a.astype(object), "empty": lambda a: a[:0],
 }
-# the mutations that train and exit 0; every other mutation exits 2. LIDAR
-# points may be non-finite (they drop out of every raster), numeric strings
-# and ints read as floats, and a record may hold any number of boxes
+# the mutations that train and exit 0; every other mutation exits 2. Each
+# array must hold bool, int or float values, ints reading as floats, in the
+# extents its reader takes. LIDAR points may be non-finite (they drop out of
+# every raster), nothing reads an intensity's value, and a record may hold
+# any number of boxes
 _RECORD_ACCEPTED = {
-    "points": ("nan", "inf", "-inf", "huge", "sign", "int", "str"),
-    "intensity": ("rank_up", "nan", "inf", "-inf", "huge", "sign", "int", "str"),
-    "image_features": ("sign", "int", "str"),
-    "projection": ("rank_up", "rank_down", "sign", "int", "str"),
+    "points": ("nan", "inf", "-inf", "huge", "sign", "int"),
+    "intensity": ("nan", "inf", "-inf", "huge", "sign", "int"),
+    "image_features": ("sign", "int"),
+    "projection": ("sign", "int"),
     "image_size": ("int",),
     "boxes": ("short", "long", "int", "empty"),
 }

@@ -16,9 +16,10 @@ def collect_bench():
     return module
 
 
-def _side(file_lines, layers):
+def _side(file_lines, layers, digests=None):
     return {"src_lines": sum(file_lines.values()), "src_file_lines": file_lines,
-            "per_layer": {"augment_train": layers}}
+            "per_layer": {"augment_train": layers},
+            "results": {key: {"detail": {"digest": d}} for key, d in (digests or {}).items()}}
 
 
 def test_summary_prints_per_layer_metrics_that_moved(collect_bench):
@@ -53,6 +54,20 @@ def test_summary_prints_per_layer_metrics_that_moved(collect_bench):
     assert lines[4:] == ["src_lines src/b.py base 150 change 160 (+10)",
                          "src_lines src/c.py base 50 change 0 (-50)",
                          "src_lines src/d.py base 0 change 30 (+30)"]
+
+
+def test_summary_says_whether_each_output_digest_is_equal(collect_bench):
+    doc = {"base": _side({"src/a.py": 1}, {}, {"eval_sweep-trace0": "d9cb",
+                                               "augment_train-trace1": "8515",
+                                               "augment_train-trace0": "dc51"}),
+           "change": _side({"src/a.py": 1}, {}, {"eval_sweep-trace0": "d9cb",
+                                                 "augment_train-trace1": "8515",
+                                                 "augment_train-trace0": "0f00"}),
+           "end_to_end": {}}
+    assert collect_bench.summary(doc)[:3] == [
+        "digest augment_train-trace0 base dc51 change 0f00 DIFFERS",
+        "digest augment_train-trace1 equal",
+        "digest eval_sweep-trace0 equal"]
 
 
 def test_seed_defaults_to_1_and_reaches_every_run(collect_bench, monkeypatch, tmp_path):
@@ -125,7 +140,8 @@ def test_both_sides_run_from_fresh_checkouts(collect_bench, monkeypatch, tmp_pat
     def fake_run(command, checkout, workload, seed, seconds, trace):
         seen[checkout] = ((checkout / "src" / "a.py").read_text(),
                           (checkout / "results").exists())
-        return {"failed": 0, "end_to_end": {"run_s": {"value": 1.0}}, "per_layer": {}}
+        return {"failed": 0, "end_to_end": {"run_s": {"value": 1.0}}, "per_layer": {},
+                "detail": {"digest": "d"}}
     monkeypatch.setattr(collect_bench, "ROOT", repo)
     monkeypatch.setattr(collect_bench, "run", fake_run)
     assert collect_bench.main([str(tmp_path / "B.json")]) == 0

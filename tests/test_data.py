@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bevfuse.backbone import MODES
 from bevfuse.config import load_config
 from bevfuse.data import (CLASS_NAMES, IGNORED_CLASSES, AugmentationConfig,
                           KittiParseError, SceneGenConfig, _box_surface_points,
@@ -20,6 +21,8 @@ from bevfuse.data import (CLASS_NAMES, IGNORED_CLASSES, AugmentationConfig,
                           write_kitti_labels)
 from bevfuse.detect import DetectionBox, rotated_iou_bev
 from bevfuse.geometry import PointCloud, project_points
+from bevfuse.pipeline import build_model, miniature_config, prepare_scene, scene_loss
+from bevfuse.tensor import InputError, Tensor
 
 
 def _cfg(**kw):
@@ -30,8 +33,8 @@ def test_generation_deterministic():
     a = generate_scene(_cfg())
     b = generate_scene(_cfg())
     np.testing.assert_array_equal(a.cloud.points, b.cloud.points)
-    np.testing.assert_array_equal(a.image_feature_input.data,
-                                  b.image_feature_input.data)
+    np.testing.assert_array_equal(a.image_feature_input,
+                                  b.image_feature_input)
     assert len(a.gt_boxes) == len(b.gt_boxes)
     for x, y in zip(a.gt_boxes, b.gt_boxes):
         assert (x.x, x.y, x.t) == (y.x, y.y, y.t)
@@ -75,7 +78,7 @@ def test_occlusion_fraction_starves_lidar():
 
 def test_presence_channel_painted():
     scene = generate_scene(_cfg(seed=1))
-    presence = scene.image_feature_input.data[0]
+    presence = scene.image_feature_input[0]
     assert presence.max() > 0.0
     uv, valid = project_points(
         PointCloud(np.array([[b.x, b.y, b.z] for b in scene.gt_boxes])),
@@ -119,8 +122,8 @@ def test_default_augmentation_keeps_the_image_content():
     # seeds them; each keeps its share of the channel-0 presence mass
     cfg = load_config(pathlib.Path(__file__).resolve().parent.parent / "configs" / "overfit.yaml")
     scenes = generate_dataset(cfg.data.synthetic, cfg.data.n_scenes)
-    kept = [augment(s, AugmentationConfig(), seed=[cfg.seed, step, i]).image_feature_input.data[0]
-            .sum() / s.image_feature_input.data[0].sum()
+    kept = [augment(s, AugmentationConfig(), seed=[cfg.seed, step, i]).image_feature_input[0]
+            .sum() / s.image_feature_input[0].sum()
             for step in range(50) for i, s in enumerate(scenes)]
     assert np.median(kept) >= 0.9
 
@@ -129,8 +132,8 @@ def test_augment_identity_image_transform_keeps_features():
     scene = generate_scene(_cfg(seed=4))
     out = augment(scene, AugmentationConfig(image_scale=(1.0, 1.0),
                                             image_translate_px=0.0), seed=9)
-    assert out.image_feature_input.data.tobytes() == \
-        scene.image_feature_input.data.tobytes()
+    assert out.image_feature_input.tobytes() == \
+        scene.image_feature_input.tobytes()
 
 
 def _bilinear_reference(fm, src_u, src_v):
@@ -169,8 +172,8 @@ def test_augment_warp_matches_loop_reference(seed):
     src_v = (vs - ((1 - img_s) * cv + img_tv)) / img_s
     inside = (src_u >= 0) & (src_u <= w - 1) & (src_v >= 0) & (src_v <= h - 1)
     assert inside.any() and not inside.all()
-    ref = _bilinear_reference(scene.image_feature_input.data, src_u, src_v)
-    np.testing.assert_allclose(out.image_feature_input.data, ref, rtol=0, atol=1e-12)
+    ref = _bilinear_reference(scene.image_feature_input, src_u, src_v)
+    np.testing.assert_allclose(out.image_feature_input, ref, rtol=0, atol=1e-12)
 
 
 def _surface_points_reference(box, n, rng):
@@ -377,8 +380,53 @@ def test_save_load_dataset_round_trip(tmp_path):
     assert len(loaded) == 2
     for a, b in zip(loaded, scenes):
         np.testing.assert_array_equal(a.cloud.points, b.cloud.points)
-        np.testing.assert_array_equal(a.image_feature_input.data,
-                                      b.image_feature_input.data)
+        np.testing.assert_array_equal(a.image_feature_input,
+                                      b.image_feature_input)
         np.testing.assert_array_equal(a.cam.projection, b.cam.projection)
         assert (a.frame_id, a.cam.image_size) == (b.frame_id, b.cam.image_size)
         assert [astuple(x) for x in a.gt_boxes] == [astuple(y) for y in b.gt_boxes]
+
+
+@pytest.mark.parametrize("key,mutate,message", [
+    ("points", lambda a: a.astype(str), "points must hold numbers, got dtype <U"),
+    ("intensity", lambda a: a[None], r"intensity must be N, got shape \(1, "),
+    ("image_features", lambda a: a.astype(complex), "image_features must hold numbers"),
+    ("projection", np.ravel, r"projection must be 3 x 4, got shape \(12,\)"),
+    ("image_size", lambda a: a[:1], r"image_size must be 2, got shape \(1,\)"),
+    ("boxes", lambda a: a.astype(complex), "boxes must hold numbers")])
+def test_record_array_of_another_dtype_or_shape_is_named(tmp_path, key, mutate, message):
+    save_dataset(generate_dataset(_cfg(), 1), tmp_path)
+    record = next(tmp_path.glob("*.npz"))
+    with np.load(record) as z:
+        arrays = dict(z)
+    np.savez(record, **{**arrays, key: mutate(arrays[key])})
+    with pytest.raises(InputError, match=message):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_preparing_scenes_builds_no_tape_op(monkeypatch, kitti_dir, tmp_path, mode):
+    """Generating, loading, augmenting and preparing a scene touch no tape:
+    the scenes hold arrays, and only ``DetectorModel.forward`` makes Tensors."""
+    cfg = replace(miniature_config(), mode=mode)
+    model = build_model(cfg)
+
+    def no_tape(*args):
+        raise AssertionError(f"tape op {args[2]!r} while preparing a scene")
+    monkeypatch.setattr(Tensor, "_result", staticmethod(no_tape))
+    with pytest.raises(AssertionError, match="tape op 'neg'"):
+        -Tensor(1.0)
+    scenes = generate_dataset(cfg.data.synthetic, 2)
+    save_dataset(scenes, tmp_path / "ds")
+    scenes += load_dataset(tmp_path / "ds")
+    scenes.append(load_kitti_frame(kitti_dir / "000000.bin", kitti_dir / "000000.txt",
+                                   kitti_dir / "label_000000.txt"))
+    scenes += [augment(s, AugmentationConfig(), seed=[cfg.seed, 0, i])
+               for i, s in enumerate(scenes)]
+    preps = [prepare_scene(model, cfg, s) for s in scenes]
+    # the patch is undone: a training step on the generated scenes runs its tape
+    monkeypatch.undo()
+    params = model.parameters()
+    loss = scene_loss(model, cfg, preps[:2], [np.random.default_rng(i) for i in range(2)])
+    (loss[0].total + loss[1].total).backward()
+    assert all(p.grad is not None for p in params.values())

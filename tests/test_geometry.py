@@ -74,21 +74,21 @@ def test_voxelize_mass_conservation_interior():
     vox = voxelize(PointCloud(pts), grid)
     assert vox.shape == (4, 8, 8)
     # trilinear weights of interior points sum to exactly 1 per point
-    np.testing.assert_allclose(vox.data.sum(), 50.0, atol=1e-9)
+    np.testing.assert_allclose(vox.sum(), 50.0, atol=1e-9)
 
 
 def test_voxelize_single_point_at_node():
     grid = BevGrid((0.0, 4.0), (-2.0, 2.0), (0.0, 2.0), 4, 4, 2)
     # node for cell (ix=1, iy=1, iz=0) sits at (1.5, -0.5, 0.5)
     vox = voxelize(PointCloud(np.array([[1.5, -0.5, 0.5]])), grid)
-    assert vox.data[0, 1, 1] == 1.0
-    assert vox.data.sum() == 1.0
+    assert vox[0, 1, 1] == 1.0
+    assert vox.sum() == 1.0
 
 
 def test_voxelize_empty_cloud():
     grid = BevGrid((0.0, 4.0), (-2.0, 2.0), (0.0, 1.0), 4, 4, 1)
     vox = voxelize(PointCloud(np.zeros((0, 3))), grid)
-    assert vox.data.sum() == 0.0
+    assert vox.sum() == 0.0
 
 
 def _voxelize_add_at(cloud, grid):
@@ -126,7 +126,7 @@ def _assert_same_bytes(a, b):
 def test_voxelize_matches_add_at_oracle_on_overfit_scenes():
     cfg = load_config(pathlib.Path(__file__).resolve().parent.parent / "configs" / "overfit.yaml")
     for scene in build_scenes(cfg):
-        _assert_same_bytes(voxelize(scene.cloud, cfg.grid).data,
+        _assert_same_bytes(voxelize(scene.cloud, cfg.grid),
                            _voxelize_add_at(scene.cloud, cfg.grid))
 
 
@@ -144,7 +144,7 @@ def test_voxelize_matches_add_at_oracle_on_random_clouds():
         snap = rng.random((n, 3)) < 0.3
         pts[snap] = nodes[snap]
         cloud = PointCloud(pts)
-        _assert_same_bytes(voxelize(cloud, grid).data, _voxelize_add_at(cloud, grid))
+        _assert_same_bytes(voxelize(cloud, grid), _voxelize_add_at(cloud, grid))
 
 
 def test_voxelize_ignores_non_finite_and_huge_points():
@@ -157,8 +157,8 @@ def test_voxelize_ignores_non_finite_and_huge_points():
                     [1e300, 0.0, 1.0], [1.0, -1e300, 1.0], [1.0, 0.0, 1.7e308],
                     [-1.7e308, np.nan, np.inf]])
     mixed = np.insert(pts, [0, 50, 50, 120, 199, 200, 200], bad, axis=0)
-    _assert_same_bytes(voxelize(PointCloud(mixed), grid).data,
-                       voxelize(PointCloud(pts), grid).data)
+    _assert_same_bytes(voxelize(PointCloud(mixed), grid),
+                       voxelize(PointCloud(pts), grid))
 
 
 def _linear_scan(query, pts, k, max_dist):

@@ -12,6 +12,7 @@ import pytest
 from bevfuse import backbone, evaluation, fusion, pipeline
 from bevfuse import tensor as T
 from bevfuse.config import ExperimentConfig, FusionSection, load_config
+from bevfuse.data import AugmentationConfig, augment
 from bevfuse.detect import NUM_REG, DetectionBox, make_anchors
 from bevfuse.losses import hard_negative_mining, total_loss
 from bevfuse.pipeline import (ABLATION_VARIANTS, NumericError, ablate_run,
@@ -158,9 +159,8 @@ def test_batched_forward_equals_one_scene_forwards(mode):
     for i, prep in enumerate(preps):
         one = model.forward(prep.bev_input, prep.sample.image_feature_input, prep.plan)
         # one scene's C x H x W inputs are its batch of one, to the byte
-        one_batch = model.forward(T.Tensor(prep.bev_input.data[None]),
-                                  T.Tensor(prep.sample.image_feature_input.data[None]),
-                                  prep.plan)
+        one_batch = model.forward(prep.bev_input[None],
+                                  prep.sample.image_feature_input[None], prep.plan)
         assert one.raw.shape == one_batch.raw.shape == (1, *batch.shape[1:])
         assert one.raw.data.tobytes() == one_batch.raw.data.tobytes()
         assert np.abs(batch[i] - one.raw.data).max() <= 1e-12 * np.abs(one.raw.data).max()
@@ -175,7 +175,7 @@ def _per_pair_forward(model, bev, image, plan):
     level: each level samples its own pairs' uv, point rows repeated."""
     fused = {}
     if model.image_stream is not None:
-        features = model.image_stream.forward(image)
+        features = model.image_stream.forward(T.Tensor(image))
         n = features.shape[0]
         for p, mlp in model.fusion_mlps.items():
             level = plan.levels[p]
@@ -186,7 +186,7 @@ def _per_pair_forward(model, bev, image, plan):
             out = T.scatter_add_rows(h, plan.pair_pixel[span], n * level.ny * level.nx)
             fused[p] = out.reshape(n, level.ny, level.nx, mlp.output_dim).transpose(
                 (0, 3, 1, 2))
-    x, outs = bev, []
+    x, outs = T.Tensor(bev), []
     for gi, group in enumerate(model.bev_groups):
         x = group.forward(x)
         if gi in fused:
@@ -198,18 +198,20 @@ def _per_pair_forward(model, bev, image, plan):
 @pytest.mark.parametrize("mode", ABLATION_VARIANTS)
 def test_fusion_projects_and_samples_once(monkeypatch, mode):
     """One projection per scene plan and one image sample per forward, with
-    the forward equal to sampling every pair on every level."""
+    the forward equal to sampling every pair on every level. An augmented
+    step samples the image only there: its warps run no tape op."""
     cfg = replace(load_config(OVERFIT_CONFIG), mode=mode)
     model = build_model(cfg)
     projections, samples = [], []
     project, sample = fusion.project_points, T.bilinear_sample
     monkeypatch.setattr(fusion, "project_points",
                         lambda *a: projections.append(1) or project(*a))
-    preps = [prepare_scene(model, cfg, s) for s in build_scenes(cfg)]
+    monkeypatch.setattr(T, "bilinear_sample", lambda *a: samples.append(1) or sample(*a))
+    preps = [prepare_scene(model, cfg, augment(s, AugmentationConfig(), seed=[cfg.seed, 0, i]))
+             for i, s in enumerate(build_scenes(cfg))]
     fuses = mode != "bev_only"
     assert len(projections) == fuses * len(preps) and len(preps) == 4
     inputs = batch_inputs(model, preps)
-    monkeypatch.setattr(T, "bilinear_sample", lambda *a: samples.append(1) or sample(*a))
     batch = model.forward(*inputs).raw.data
     assert len(samples) == fuses
     assert np.array_equal(batch, _per_pair_forward(model, *inputs).raw.data)
@@ -323,7 +325,6 @@ def test_ablate_knn_grid_expands_continuous_only(tmp_path):
 
 
 def test_augmentation_changes_training(tmp_path):
-    from bevfuse.data import AugmentationConfig
     cfg_a = _mini(steps=3)
     train_run(cfg_a, tmp_path / "plain")
     cfg_b = _mini(steps=3)
@@ -340,7 +341,6 @@ def test_augmentation_changes_training(tmp_path):
 def test_empty_fusion_plans_still_train(tmp_path, mode, scenes):
     """A fusion level with no pairs in any scene still gives every parameter
     a (zero) gradient, so Adam can step."""
-    from bevfuse.data import AugmentationConfig
     cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
                                    "overfit.yaml"), environ={})
     cfg.mode = mode
