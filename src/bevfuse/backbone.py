@@ -165,11 +165,10 @@ class ImageStream:
     """Toy image backbone: residual groups plus pyramid combination; the
     combined map is the fusion input."""
 
-    def __init__(self, in_channels: int, cfg: BackboneConfig, out_channels: int,
-                 rng, name: str = "image"):
-        self.groups = residual_stream(in_channels, cfg.image_groups, rng, name)
+    def __init__(self, in_channels: int, cfg: BackboneConfig, out_channels: int, rng):
+        self.groups = residual_stream(in_channels, cfg.image_groups, rng, "image")
         self.combiner = FpnCombiner([g.channels for g in cfg.image_groups],
-                                    out_channels, rng, f"{name}.fpn")
+                                    out_channels, rng, "image.fpn")
 
     def parameters(self):
         return merge_parameters(self.combiner, *self.groups)

@@ -35,11 +35,10 @@ def _load(args) -> ExperimentConfig:
     return cfg
 
 
-def _add_common(p, need_out=True):
+def _add_common(p):
     p.add_argument("--config", help="YAML experiment config")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    if need_out:
-        p.add_argument("--out", required=True, help="run output directory")
+    p.add_argument("--out", required=True, help="run output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:

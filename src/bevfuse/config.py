@@ -105,6 +105,9 @@ class ExperimentConfig(Checked):
                               f"the BEV stride {stride}")
         if self.mode != "bev_only" and not self.backbone.fusion_points:
             raise ConfigError(f"mode {self.mode!r} needs at least one fusion point")
+        if self.eval.iou_kind == "3d" and self.variant == "bev":
+            raise ConfigError("eval.iou_kind '3d' needs a variant that regresses z and d "
+                              "('3d' or 'kitti3d'), not 'bev'")
 
     def assignment(self) -> AssignmentConfig:
         return self.assign if self.assign is not None \

@@ -16,11 +16,15 @@ from .detect import DetectionBox, box_corners_bev, rotated_iou_bev
 from .domains import (Checked, Finite, Increasing, NonDecreasing, NonNeg, Pos, Unit,
                       UnitOpen)
 from .geometry import BevGrid, CalibratedCamera, PointCloud, project_points
-from .tensor import InputError, sample_maps
+from .tensor import InputError, atomic_write, sample_maps
 
-# the dataset record layout; version 1 records hold 10 box columns, without
-# height2d and is_3d
-GENERATOR_VERSION = 2
+# the dataset record layout: version 1 records hold 10 box columns; version 2
+# added height2d and a 0/1 3D flag (12 columns); version 3 dropped the flag
+# (11 columns), since the configured variant, not each box, owns 3D-ness
+GENERATOR_VERSION = 3
+
+# (height, width) of a KITTI frame's camera image
+KITTI_IMAGE_SIZE = (370, 1224)
 
 CLASS_NAMES = ["Car", "Pedestrian", "Cyclist", "Van", "DontCare", "Misc"]
 IGNORED_CLASSES = ("Van", "DontCare")
@@ -132,8 +136,7 @@ def _paint_presence(channel: np.ndarray, box: DetectionBox, cam: CalibratedCamer
     channel[v0:v1 + 1, u0:u1 + 1] = 1.0
 
 
-def generate_scene(cfg: SceneGenConfig, seed: int | None = None,
-                   frame_id: str | None = None) -> SceneSample:
+def generate_scene(cfg: SceneGenConfig, seed: int | None = None) -> SceneSample:
     """Deterministic synthetic scene: BEV-disjoint boxes, LIDAR returns whose
     on-object density falls off with distance, and an image feature map whose
     first channel marks object footprints."""
@@ -205,13 +208,11 @@ def generate_scene(cfg: SceneGenConfig, seed: int | None = None,
     features[0] = 0.0
     for box in boxes:
         _paint_presence(features[0], box, cam)
-    return SceneSample(cloud, features, cam, boxes,
-                       frame_id=frame_id or f"syn{seed:06d}")
+    return SceneSample(cloud, features, cam, boxes, frame_id=f"syn{seed:06d}")
 
 
 def generate_dataset(cfg: SceneGenConfig, n_scenes: int) -> list[SceneSample]:
-    return [generate_scene(cfg, seed=cfg.seed + i, frame_id=f"syn{cfg.seed + i:06d}")
-            for i in range(n_scenes)]
+    return [generate_scene(cfg, seed=cfg.seed + i) for i in range(n_scenes)]
 
 
 # -- augmentation ---------------------------------------------------------------
@@ -322,8 +323,8 @@ def _read_kitti_calib(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return p2 @ r0_4 @ tr_4, r0_4, tr_4
 
 
-def load_kitti_calib(path, image_size: tuple[int, int] = (370, 1224)) -> CalibratedCamera:
-    return CalibratedCamera(_read_kitti_calib(path)[0], image_size)
+def load_kitti_calib(path) -> CalibratedCamera:
+    return CalibratedCamera(_read_kitti_calib(path)[0], KITTI_IMAGE_SIZE)
 
 
 def _kitti_chain(calib_path) -> tuple[np.ndarray, np.ndarray]:
@@ -354,7 +355,7 @@ def parse_kitti_label_line(line: str, rect_to_velo: np.ndarray,
     return DetectionBox(
         x=center[0], y=center[1], z=center[2] + hgt / 2,
         w=length, h=wid, d=hgt, t=-ry - math.pi / 2,
-        score=score, cls=cls, is_3d=True,
+        score=score, cls=cls,
         ignored=name in IGNORED_CLASSES, height2d=vals[6] - vals[4])
 
 
@@ -369,30 +370,27 @@ def load_kitti_labels(path, rect_to_velo: np.ndarray) -> list[DetectionBox]:
     return boxes
 
 
-def load_kitti_frame(velodyne_path, calib_path, label_path,
-                     image_size: tuple[int, int] = (370, 1224)) -> SceneSample:
+def load_kitti_frame(velodyne_path, calib_path, label_path) -> SceneSample:
     """Assemble a SceneSample from KITTI-format files. The image feature input
     is a zero map (no image decoding at desk scale)."""
     cloud = load_kitti_velodyne(velodyne_path)
     projection, r0_4, tr_4 = _read_kitti_calib(calib_path)
     try:
-        cam = CalibratedCamera(projection, image_size)
+        cam = CalibratedCamera(projection, KITTI_IMAGE_SIZE)
         rect_to_velo = np.linalg.inv(r0_4 @ tr_4)
     except (InputError, np.linalg.LinAlgError) as e:
         raise KittiParseError(f"{calib_path}: {e}") from None
     boxes = load_kitti_labels(label_path, rect_to_velo)
-    h, w = image_size
-    return SceneSample(cloud, np.zeros((1, h, w)), cam, boxes,
+    return SceneSample(cloud, np.zeros((1, *KITTI_IMAGE_SIZE)), cam, boxes,
                        frame_id=os.path.splitext(os.path.basename(str(velodyne_path)))[0])
 
 
 def write_kitti_labels(boxes: list[DetectionBox], path,
-                       velo_to_rect: np.ndarray | None = None,
-                       with_score: bool = True):
-    """KITTI 15-field label lines (plus trailing score) from LIDAR-frame boxes."""
+                       velo_to_rect: np.ndarray | None = None):
+    """KITTI 15-field label lines plus a trailing score from LIDAR-frame boxes."""
     if velo_to_rect is None:
         velo_to_rect = np.eye(4)
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         for b in boxes:
             name = CLASS_NAMES[b.cls] if 0 <= b.cls < len(CLASS_NAMES) else "Misc"
             bottom = np.array([b.x, b.y, b.z - b.d / 2, 1.0])
@@ -402,17 +400,14 @@ def write_kitti_labels(boxes: list[DetectionBox], path,
                       "0.00", "0.00", "0.00", f"{b.height2d:.2f}",
                       f"{b.d:.2f}", f"{b.h:.2f}", f"{b.w:.2f}",
                       f"{loc[0]:.2f}", f"{loc[1]:.2f}", f"{loc[2]:.2f}",
-                      f"{ry:.2f}"]
-            if with_score:
-                fields.append(f"{b.score:.4f}")
+                      f"{ry:.2f}", f"{b.score:.4f}"]
             f.write(" ".join(fields) + "\n")
 
 
 # -- synthetic dataset manifest ---------------------------------------------------
 
 # the columns of a scene record's ``boxes`` array, one row per box
-BOX_COLUMNS = ("x", "y", "z", "w", "h", "d", "t", "score", "cls", "ignored", "height2d",
-               "is_3d")
+BOX_COLUMNS = ("x", "y", "z", "w", "h", "d", "t", "score", "cls", "ignored", "height2d")
 # |x|, |y|, |z|, |w|, |h|, |d|, |t| and |height2d| of a loaded box stay within
 # this: far past any sensor's range, where rotated_iou_bev still keeps its digits
 BOX_BOUND = 1e4
@@ -434,16 +429,16 @@ def save_dataset(samples: list[SceneSample], directory):
     os.makedirs(directory, exist_ok=True)
     frames = []
     for s in samples:
-        np.savez(os.path.join(directory, f"{s.frame_id}.npz"),
-                 points=s.cloud.points,
-                 intensity=(s.cloud.intensity if s.cloud.intensity is not None
-                            else np.zeros(len(s.cloud))),
-                 image_features=s.image_feature_input,
-                 projection=s.cam.projection,
-                 image_size=np.array(s.cam.image_size),
-                 boxes=_box_records(s.gt_boxes))
+        with atomic_write(os.path.join(directory, f"{s.frame_id}.npz"), "wb") as f:
+            np.savez(f, points=s.cloud.points,
+                     intensity=(s.cloud.intensity if s.cloud.intensity is not None
+                                else np.zeros(len(s.cloud))),
+                     image_features=s.image_feature_input,
+                     projection=s.cam.projection,
+                     image_size=np.array(s.cam.image_size),
+                     boxes=_box_records(s.gt_boxes))
         frames.append(s.frame_id)
-    with open(os.path.join(directory, "index.json"), "w") as f:
+    with atomic_write(os.path.join(directory, "index.json")) as f:
         json.dump({"generator_version": GENERATOR_VERSION, "frames": frames}, f, indent=2)
 
 
@@ -475,9 +470,8 @@ def _check_box_rows(rows: np.ndarray):
     """Raise ValueError unless ``rows`` are N box records of ``BOX_COLUMNS``:
     every value finite; ``w``, ``h`` and ``d`` > 0 unless the box is ignored
     (KITTI's ``DontCare`` rows carry -1 sizes); ``cls`` a non-negative
-    integer that a float64 holds exactly (below 2**53); ``ignored`` and
-    ``is_3d`` each 0 or 1; and every magnitude of ``_BOUNDED_COLUMNS`` at
-    most ``BOX_BOUND``."""
+    integer that a float64 holds exactly (below 2**53); ``ignored`` 0 or 1;
+    and every magnitude of ``_BOUNDED_COLUMNS`` at most ``BOX_BOUND``."""
     if rows.shape[1:] != (len(BOX_COLUMNS),):
         raise ValueError(f"boxes must be N x {len(BOX_COLUMNS)}, got {rows.shape}")
     if not np.isfinite(rows).all():
@@ -491,8 +485,8 @@ def _check_box_rows(rows: np.ndarray):
     cls = rows[:, 8]
     if ((cls < 0) | (cls >= 2.0 ** 53) | (cls != np.floor(cls))).any():
         raise ValueError("box cls must be a non-negative integer below 2**53")
-    if not np.isin(rows[:, [9, 11]], (0.0, 1.0)).all():
-        raise ValueError("box ignored and is_3d must each be 0 or 1")
+    if not np.isin(rows[:, 9], (0.0, 1.0)).all():
+        raise ValueError("box ignored must be 0 or 1")
 
 
 # the extents of each scene record array, a letter where any extent goes; the
@@ -519,7 +513,7 @@ def _load_record(path, fid) -> SceneSample:
         rows = arrays["boxes"]
         _check_box_rows(rows)
         boxes = [DetectionBox(*r[:7], score=r[7], cls=int(r[8]), ignored=bool(r[9]),
-                              height2d=r[10], is_3d=bool(r[11])) for r in rows]
+                              height2d=r[10]) for r in rows]
         cam = CalibratedCamera(arrays["projection"], arrays["image_size"].tolist())
         image = np.asarray(arrays["image_features"], dtype=np.float64)
         if not np.isfinite(image).all():

@@ -69,7 +69,6 @@ class DetectionBox:
     t: float
     score: float = 1.0
     cls: int = 0
-    is_3d: bool = False
     ignored: bool = False      # 'DontCare'-style label: matches count as neither TP nor FP
     height2d: float = 0.0      # image-space 2D box height, kitti3d variant only
 
@@ -397,14 +396,13 @@ class HeaderOutput:
 class DetectionHeader:
     """Single 1x1 convolution over the final BEV feature map."""
 
-    def __init__(self, in_channels: int, variant: str, rng: np.random.Generator,
-                 name: str = "header"):
+    def __init__(self, in_channels: int, variant: str, rng: np.random.Generator):
         from .backbone import Conv2dLayer
         if variant not in NUM_REG:
             raise ValueError(f"unknown variant {variant!r}")
         self.variant = variant
         out_ch = len(ANCHOR_ORIENTATIONS) * (1 + NUM_REG[variant])
-        self.conv = Conv2dLayer(in_channels, out_ch, 1, 1, 0, rng, name)
+        self.conv = Conv2dLayer(in_channels, out_ch, 1, 1, 0, rng, "header")
 
     def parameters(self) -> dict[str, Tensor]:
         return self.conv.parameters()
@@ -424,8 +422,7 @@ def decode_detections(header: HeaderOutput, anchors: np.ndarray,
     full = np.zeros((len(rows), 8))
     full[:, layout] = rows[:, 1:]
     boxes = decode_rows(full, anchors, center_norm)
-    is_3d = 2 in layout                 # the variant regresses z
     # the fields a column at a time, which is far cheaper than unpacking each row
-    return [DetectionBox(*fields, score=score, is_3d=is_3d, height2d=h2d)
+    return [DetectionBox(*fields, score=score, height2d=h2d)
             for *fields, score, h2d in zip(*map(list, boxes.T), header.scores.tolist(),
                                            full[:, 7].tolist())]

@@ -30,11 +30,11 @@ class FusionSection(Checked):
 
 @dataclass
 class FusionConfig(FusionSection):
-    """Settings of a standalone layer (``continuous_fusion_forward``); defaults
-    follow the best ablation setting (k=1, max_dist=10m, geometric feature on)."""
+    """Settings of a standalone layer (``continuous_fusion_forward``, which
+    always feeds the geometric offset); defaults follow the best ablation
+    setting (k=1, max_dist=10m)."""
 
-    use_geometric_feature: bool = True
-    input_dim: Annotated[int, Pos] = 8      # D_i: image channels (+3 with the geometric feature)
+    input_dim: Annotated[int, Pos] = 8      # D_i: image channels + 3 offset columns
     output_dim: Annotated[int, Pos] = 8     # D_o: BEV channels at the insertion point
 
 
@@ -211,7 +211,7 @@ def continuous_fusion_forward(image_features: Tensor, cloud: PointCloud,
                                 f"match config ({cfg.input_dim}->{cfg.output_dim})")
     centers = level_centers({0: grid})
     nb = build_bev_index(cloud).query(centers, cfg.k, cfg.max_dist)
-    plan = plan_fusion(cloud, cam, {0: grid}, centers, nb, cfg.use_geometric_feature)
+    plan = plan_fusion(cloud, cam, {0: grid}, centers, nb, True)
     fused = apply_fusion(image_features.reshape(1, *image_features.shape), plan, {0: mlp})[0]
     return fused.reshape(fused.shape[1:])
 

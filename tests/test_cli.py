@@ -379,7 +379,8 @@ def test_bad_eval_iou_kind_rejected_at_load(tmp_path, monkeypatch):
     ("DATA__SYNTHETIC__X_RANGE", "[2, 3]"), ("DATA__SYNTHETIC__X_RANGE", "[2, .inf]"),
     ("OPTIMIZER__BETAS", "[1.0, 0.999]"), ("OPTIMIZER__BETAS", "[0.9, 1.5]"),
     ("OPTIMIZER__BETAS", "[-0.5, 0.999]"), ("OPTIMIZER__EPS", "0"),
-    ("OPTIMIZER__EPS", ".nan"), ("OPTIMIZER__EPS", "-1")])
+    ("OPTIMIZER__EPS", ".nan"), ("OPTIMIZER__EPS", "-1"),
+    ("EVAL__IOU_KIND", "3d")])          # 3D AP of the 'bev' variant's anchor-height boxes
 def test_bad_config_value_rejected_at_load(tmp_path, monkeypatch, key, value):
     monkeypatch.setenv(f"BEVFUSE_{key}", value)
     assert _train_exit(tmp_path) == (EXIT_CONFIG, False)
@@ -488,7 +489,15 @@ def _first_box(column, value):
     return _edit_first_record("boxes", edit)
 
 
-_drop_height2d_and_is_3d = _edit_first_record("boxes", lambda boxes: boxes[:, :10])
+def _boxes_of_width(columns):
+    """A damage that cuts the first record's boxes to ``columns`` columns, or
+    pads them with columns of 1."""
+    def edit(boxes):
+        pad = max(0, columns - boxes.shape[1])
+        return np.pad(boxes, ((0, 0), (0, pad)), constant_values=1.0)[:, :columns]
+    return _edit_first_record("boxes", edit)
+
+
 # the miniature record's 2 x 8 x 8 features with an image_size of [8, 16]
 _image_size_differs = _edit_first_record("image_size", lambda size: size * [1, 2])
 
@@ -505,19 +514,19 @@ def _index_frames(frames):
 @pytest.mark.parametrize("damage", [
     lambda data: (data / "index.json").write_text("{\"frames\": ["),
     lambda data: (data / "index.json").write_text(json.dumps({"seeds": []})),
-    _truncate_first_record, _drop_height2d_and_is_3d,
+    _truncate_first_record, _boxes_of_width(10),
     _edit_first_record("image_size", lambda size: np.append(size, 1)),
     _edit_first_record("image_size", lambda size: -size),
     _edit_first_record("intensity", lambda intensity: intensity[1:]),
     _first_box("x", np.inf), _first_box("cls", 1e300), _first_box("w", np.nan),
     _first_box("w", -1.0), _index_frames(5), _index_frames(None),
-    _first_box("ignored", 0.5), _first_box("is_3d", 0.5), _image_size_differs,
+    _first_box("ignored", 0.5), _image_size_differs,
     _first_box("x", 2e4), _first_box("t", 1e300)],
     ids=["index_not_json", "index_without_frames", "corrupt_record",
          "record_without_height2d_and_is_3d", "image_size_of_three", "image_size_negative",
          "intensity_short", "box_x_inf", "box_cls_huge", "box_w_nan", "box_w_negative",
-         "index_frames_int", "index_frames_null", "box_ignored_half", "box_is_3d_half",
-         "image_size_differs", "box_x_huge", "box_t_huge"])
+         "index_frames_int", "index_frames_null", "box_ignored_half", "image_size_differs",
+         "box_x_huge", "box_t_huge"])
 def test_damaged_manifest_is_config_error(tmp_path, damage):
     assert _damaged_manifest_exit(tmp_path, damage) == (EXIT_CONFIG, False)
 
@@ -540,12 +549,14 @@ def _damaged_manifest_exit(tmp_path, damage, augment=None):
     return _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg))
 
 
-@pytest.mark.parametrize("version", [1, None], ids=["version_1", "no_version"])
-def test_old_manifest_exits_with_version_mismatch(tmp_path, capsys, version):
+@pytest.mark.parametrize("version,columns", [(1, 10), (None, 10), (2, 12)],
+                         ids=["version_1", "no_version", "version_2"])
+def test_old_manifest_exits_with_version_mismatch(tmp_path, capsys, version, columns):
     cfg = miniature_config()
     data = tmp_path / "data"
     save_dataset(generate_dataset(cfg.data.synthetic, 1), data)
-    _drop_height2d_and_is_3d(data)          # the version-1 record layout
+    # version 1 records lack height2d and is_3d; version 2 records hold is_3d
+    _boxes_of_width(columns)(data)
     index = json.loads((data / "index.json").read_text())
     index.pop("generator_version")
     if version is not None:

@@ -95,10 +95,11 @@ def test_group_stride_is_not_a_key(group, key):
 
 
 def test_env_overrides():
-    env = {"BEVFUSE_OPTIMIZER__LR": "0.5", "BEVFUSE_SEED": "9",
+    env = {"BEVFUSE_OPTIMIZER__LR": "0.5", "BEVFUSE_SEED": "9", "BEVFUSE_VARIANT": "3d",
            "BEVFUSE_EVAL__IOU_KIND": "3d", "OTHER": "x"}
     d = apply_env_overrides({}, environ=env)
-    assert d == {"optimizer": {"lr": 0.5}, "seed": 9, "eval": {"iou_kind": "3d"}}
+    assert d == {"optimizer": {"lr": 0.5}, "seed": 9, "variant": "3d",
+                 "eval": {"iou_kind": "3d"}}
     cfg = config_from_dict(d)
     assert cfg.optimizer.lr == 0.5 and cfg.seed == 9
 

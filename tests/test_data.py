@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import pathlib
@@ -335,13 +336,13 @@ def test_kitti_label_round_trip_property(rows, angles, shift):
             boxes.append(DetectionBox(
                 center[0], center[1], center[2] + hgt / 200, length / 100, wid / 100,
                 hgt / 100, -ry / 100 - math.pi / 2, score=score / 1e4,
-                cls=CLASS_NAMES.index(name), is_3d=True,
+                cls=CLASS_NAMES.index(name),
                 ignored=name in IGNORED_CLASSES, height2d=h2d / 100))
         write_kitti_labels(boxes, label_path, velo_to_rect)
         again = load_kitti_labels(label_path, rect_to_velo)
     assert len(again) == len(boxes)
     for a, b in zip(again, boxes):
-        assert (a.cls, a.ignored, a.is_3d) == (b.cls, b.ignored, b.is_3d)
+        assert (a.cls, a.ignored) == (b.cls, b.ignored)
         for attr in ("x", "y", "z", "w", "h", "d", "t", "score", "height2d"):
             assert abs(getattr(a, attr) - getattr(b, attr)) <= 1e-9, attr
 
@@ -374,7 +375,7 @@ def test_save_load_dataset_round_trip(tmp_path):
     box = scenes[0].gt_boxes[0]
     # an ignored box may carry KITTI's DontCare sizes of -1
     scenes[0].gt_boxes[0] = replace(box, score=0.25, ignored=True, height2d=37.5,
-                                    is_3d=not box.is_3d, w=-1.0, h=-1.0, d=-1.0)
+                                    w=-1.0, h=-1.0, d=-1.0)
     save_dataset(scenes, tmp_path / "ds")
     loaded = load_dataset(tmp_path / "ds")
     assert len(loaded) == 2
@@ -385,6 +386,31 @@ def test_save_load_dataset_round_trip(tmp_path):
         np.testing.assert_array_equal(a.cam.projection, b.cam.projection)
         assert (a.frame_id, a.cam.image_size) == (b.frame_id, b.cam.image_size)
         assert [astuple(x) for x in a.gt_boxes] == [astuple(y) for y in b.gt_boxes]
+
+
+def test_interrupted_save_keeps_the_old_manifest(tmp_path, monkeypatch):
+    scenes = generate_dataset(_cfg(), 2)
+    save_dataset(scenes, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    savez, calls = np.savez, []
+
+    def torn_savez(file, **arrays):
+        """The second record stops after 100 bytes, as on a full disk."""
+        calls.append(file)
+        if len(calls) < 2:
+            return savez(file, **arrays)
+        buf = io.BytesIO()
+        savez(buf, **arrays)
+        file.write(buf.getvalue()[:100])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(np, "savez", torn_savez)
+    with pytest.raises(OSError, match="no space"):
+        save_dataset(scenes, tmp_path)
+    assert not list(tmp_path.glob("*.tmp"))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    monkeypatch.undo()
+    assert len(load_dataset(tmp_path)) == 2
 
 
 @pytest.mark.parametrize("key,mutate,message", [

@@ -618,7 +618,6 @@ def test_kitti3d_decode_carries_height2d():
     header = HeaderOutput(Tensor(raw), "kitti3d")
     boxes = decode_detections(header, anchors)
     assert boxes[0].height2d == 42.0
-    assert boxes[0].is_3d
 
 
 # -- the per-box encode/decode the row kernels must reproduce bit for bit -----
@@ -666,7 +665,6 @@ def _ref_decode_detections(flat, anchors, center_norm):
         p[_REF_LAYOUT[{6: "bev", 8: "3d", 9: "kitti3d"}[len(row)]]] = row[1:8]
         box = _ref_decode(p, anchor, center_norm)
         box.score = float(1.0 / (1.0 + np.exp(-np.clip(row[0], -500, 500))))
-        box.is_3d = len(row) >= 8
         if len(row) == 9:
             box.height2d = float(row[8])
         boxes.append(box)
@@ -754,7 +752,7 @@ def test_training_rows_decode_through_header_bitwise(data, variant, center_norm,
         for f in _BOX_FIELDS:       # the same value and the same type, so reprs agree
             assert type(getattr(g, f)) is type(getattr(w, f))
             assert _bits(getattr(g, f)) == _bits(getattr(w, f))
-        assert (g.is_3d, g.cls) == (w.is_3d, w.cls) == (variant != "bev", 0)
+        assert g.cls == w.cls == 0
         assert g.height2d == (gts[i].height2d if variant == "kitti3d" else 0.0)
         if variant == "bev":        # offsets it does not regress decode to the anchor
             assert (g.z, g.d) == (a.z, a.d)

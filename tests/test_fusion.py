@@ -194,4 +194,4 @@ def test_fusion_config_validation():
                          ("max_dist", -1.0), ("max_dist", 0.0), ("max_dist", np.nan)):
         with pytest.raises(ValueError, match=f"{field} must be > 0"):
             FusionConfig(**{field: value})
-    assert FusionConfig(3, np.inf, True, 7, 5).max_dist == np.inf
+    assert FusionConfig(3, np.inf, 7, 5).max_dist == np.inf
