@@ -18,11 +18,11 @@ side goes first. The output holds the first pair's
 side's ``src_lines`` (the lines of the ``.py`` files under ``src/``) and
 ``src_file_lines`` (those lines per file), each side's per-layer values
 from every traced run, and for every end-to-end metric the value of every
-trace-0 run on each side, the two medians, the base runs' interquartile
+trace-0 run on each side, the two medians, each side's interquartile
 range and the number of pairs the change won, and the summed ``failed``
 counts. After writing it, the script prints one line
 per workload and end-to-end metric: both medians, the relative change, the
-pairs won, the base IQR and a verdict (see ``verdict``). Then one line per
+pairs won, both sides' IQRs and a verdict (see ``verdict``). Then one line per
 workload and trace level says whether the output digests (``detail.digest``)
 of the first base run and the first change run are equal. Then one line per
 workload and per-layer metric whose median shift over the traced pairs
@@ -88,12 +88,15 @@ def benchmark() -> dict:
 
 def compare(base: list[float], change: list[float], better: str) -> dict:
     """The paired runs of one end-to-end metric: both sides' runs and
-    medians, the base runs' interquartile range and the pairs the change won."""
-    q1, _, q3 = statistics.quantiles(base, n=4)
+    medians, each side's interquartile range and the pairs the change won."""
+    def iqr(runs):
+        q1, _, q3 = statistics.quantiles(runs, n=4)
+        return q3 - q1
+
     lower = better == "lower"
     return {"base": base, "change": change,
             "median": [statistics.median(base), statistics.median(change)],
-            "base_iqr": q3 - q1,
+            "base_iqr": iqr(base), "change_iqr": iqr(change),
             "change_wins": sum(c < b if lower else c > b for b, c in zip(base, change))}
 
 
@@ -128,6 +131,7 @@ def summary(doc: dict) -> list[str]:
         rel = f"{(change - base) / base:+7.1%}" if base else "    n/a"
         lines.append(f"{key:28s} base {base:<10.4g} change {change:<10.4g} {rel}  "
                      f"wins {m['change_wins']}/{len(m['base'])}  base IQR {m['base_iqr']:.3g}"
+                     f"  change IQR {m['change_iqr']:.3g}"
                      f"  {verdict(m, spec['better'], spec['bound'])}")
     base, change = doc["base"]["results"], doc["change"]["results"]
     for key in sorted(base.keys() & change.keys()):

@@ -203,7 +203,8 @@ def train_run(cfg: ExperimentConfig, out_dir: str) -> dict:
                eps=cfg.optimizer.eps)
     log_path = os.path.join(out_dir, "train_log.jsonl")
     first_loss = last_loss = None
-    with open(log_path, "w") as log:
+    # a NumericError still lands the log: its rows show where training broke
+    with atomic_write(log_path, keep_on=NumericError) as log:
         for step in range(cfg.optimizer.steps):
             opt.lr = _lr_at(step, cfg)
             if cfg.data.augment is not None:

@@ -578,15 +578,20 @@ class InputError(ValueError):
 
 
 @contextlib.contextmanager
-def atomic_write(path, mode: str = "w"):
+def atomic_write(path, mode: str = "w", keep_on: type | tuple = ()):
     """Open a temporary file beside ``path``; when the block ends without
-    an exception, move it onto ``path``. Otherwise the temporary file is
-    removed and ``path`` keeps what it held."""
+    an exception, or with one of the ``keep_on`` types, move it onto
+    ``path``. Otherwise the temporary file is removed and ``path`` keeps
+    what it held."""
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode) as f:
-            yield f
+        try:
+            with open(tmp, mode) as f:
+                yield f
+        except keep_on:
+            os.replace(tmp, path)
+            raise
         os.replace(tmp, path)
     finally:
         with contextlib.suppress(FileNotFoundError):
@@ -595,18 +600,13 @@ def atomic_write(path, mode: str = "w"):
 
 def save_checkpoint(params: dict, path):
     with atomic_write(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<B", _CKPT_VERSION))
-        f.write(struct.pack("<I", len(params)))
+        f.write(_CKPT_MAGIC + struct.pack("<BI", _CKPT_VERSION, len(params)))
         for name, t in params.items():
-            arr = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
+            # asarray, not ascontiguousarray: the latter makes a 0-d array 1-d
+            arr = np.asarray(t.data if isinstance(t, Tensor) else t, dtype="<f8", order="C")
             nb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                f.write(struct.pack("<I", d))
-            f.write(arr.astype("<f8").tobytes(order="C"))
+            f.write(struct.pack(f"<H{len(nb)}sB{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape))
+            f.write(arr)
 
 
 def load_checkpoint(path) -> dict:
@@ -615,11 +615,17 @@ def load_checkpoint(path) -> dict:
     with open(path, "rb") as f:
         size = f.seek(0, 2)
         f.seek(0)
+        pos = 0             # kept here: each f.tell() would be a system call
+
+        def need(nbytes: int) -> int:
+            nonlocal pos
+            if pos + nbytes > size:
+                raise InputError(f"{path}: checkpoint truncated at byte {size}")
+            pos += nbytes
+            return nbytes
 
         def take(nbytes: int) -> bytes:
-            if f.tell() + nbytes > size:
-                raise InputError(f"{path}: checkpoint truncated at byte {size}")
-            return f.read(nbytes)
+            return f.read(need(nbytes))
 
         if take(4) != _CKPT_MAGIC:
             raise InputError(f"{path}: not a checkpoint file")
@@ -638,8 +644,9 @@ def load_checkpoint(path) -> dict:
                 raise InputError(f"{path}: parameter {name!r} is stored twice")
             (ndim,) = struct.unpack("<B", take(1))
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-            data = take(8 * math.prod(shape))
-            out[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-        if f.tell() != size:
-            raise InputError(f"{path}: {size - f.tell()} bytes after the last record")
+            need(8 * math.prod(shape))           # before np.empty allocates it
+            out[name] = arr = np.empty(shape, dtype="<f8")
+            f.readinto(arr)
+        if pos != size:
+            raise InputError(f"{path}: {size - pos} bytes after the last record")
         return out

@@ -205,6 +205,14 @@ def _unit_axis_on_first_record(raw):
             + struct.pack("<I", 1) + raw[start:])
 
 
+def _max_extents_on_first_record(raw):
+    """The checkpoint with every extent of its first record set to 2**32 - 1:
+    a record too large to allocate, let alone to fit in the file."""
+    nlen, shape, start, _ = _first_record(raw)
+    return (raw[:12 + nlen] + struct.pack(f"<{len(shape)}I", *[2**32 - 1] * len(shape))
+            + raw[start:])
+
+
 @pytest.mark.parametrize("damage", [
     lambda raw: raw[:4] + b"\x02" + raw[5:], _unit_axis_on_first_record,
     lambda raw: raw[:11] + b"~" + raw[12:]],           # the first name's first byte
@@ -765,7 +773,8 @@ def test_checkpoint_fuzz_exits_cleanly(tmp_path):
     damages += [("repeated", write(_repeat_first_record(raw))),
                 ("version_2", write(raw[:4] + b"\x02" + raw[5:])),
                 ("shape_differs", write(_unit_axis_on_first_record(raw))),
-                ("renamed", write(raw[:11] + b"~" + raw[12:]))]
+                ("renamed", write(raw[:11] + b"~" + raw[12:])),
+                ("extents_max", write(_max_extents_on_first_record(raw)))]
     huge_entries = [(name, v) for name in params for v in (1e300, -1e300)]
     damages += [(f"{name} = {v:g}", huge(name, v)) for name, v in huge_entries]
     argv = ["eval", "--config", str(cfg_path), "--out", str(tmp_path / "e"),

@@ -38,7 +38,7 @@ def test_summary_prints_per_layer_metrics_that_moved(collect_bench):
                                        "only.change_ms": [1.0, 1.0, 1.0]}),
         "end_to_end": {"augment_train.iter_ms_p50": {
             "base": [100.0, 98.0], "change": [90.0, 91.0], "median": [99.0, 90.5],
-            "base_iqr": 1.0, "change_wins": 2}},
+            "base_iqr": 1.0, "change_iqr": 0.5, "change_wins": 2}},
     }
     lines = collect_bench.summary(doc)
     assert len(lines) == 7
@@ -118,6 +118,10 @@ def test_summary_gives_each_end_to_end_line_a_verdict(collect_bench):
     assert [line.split()[0] for line in lines[:len(cases)]] == list(cases)
     assert [line.split()[-1] for line in lines[:len(cases)]] == [v for *_, v in cases.values()]
     assert doc["end_to_end"]["eval_sweep.iter_ms_p50"]["change_wins"] == 9
+    # each side's IQR, printed beside the other: 55 for the spread, 0.55 for the steady runs
+    rss = doc["end_to_end"]["augment_train.peak_rss_mb"]
+    assert (rss["base_iqr"], rss["change_iqr"]) == (pytest.approx(55), pytest.approx(0.55))
+    assert "base IQR 55  change IQR 0.55  GAIN" in lines[4]
 
 
 def test_both_sides_run_from_fresh_checkouts(collect_bench, monkeypatch, tmp_path):

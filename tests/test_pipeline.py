@@ -250,6 +250,34 @@ def test_train_log_schema_and_length(tmp_path):
     assert steps == [0, 1, 2, 3]
 
 
+def test_failed_rerun_keeps_the_finished_log(tmp_path, monkeypatch):
+    cfg, run = _mini(steps=3), tmp_path / "run"
+    train_run(cfg, run)
+    log = (run / "train_log.jsonl").read_bytes()
+    step = T.Adam.step
+
+    def failing_at_step_1(error):           # after step 1's row is written
+        calls = []
+
+        def failing(opt):
+            calls.append(opt)
+            if len(calls) == 2:
+                raise error
+            step(opt)
+        return failing
+    monkeypatch.setattr(T.Adam, "step", failing_at_step_1(RuntimeError("boom")))
+    with pytest.raises(RuntimeError, match="boom"):
+        train_run(cfg, run)
+    assert (run / "train_log.jsonl").read_bytes() == log
+    assert not [n for n in os.listdir(run) if n.endswith(".tmp")]
+    # a NumericError ends the run too, but its rows up to the failure land
+    monkeypatch.setattr(T.Adam, "step", failing_at_step_1(NumericError("nan")))
+    with pytest.raises(NumericError):
+        train_run(cfg, run)
+    assert (run / "train_log.jsonl").read_bytes() == b"".join(log.splitlines(True)[:2])
+    assert not [n for n in os.listdir(run) if n.endswith(".tmp")]
+
+
 def test_checkpoint_every(tmp_path):
     cfg = _mini(steps=4)
     cfg.optimizer.checkpoint_every = 2

@@ -476,6 +476,18 @@ def test_checkpoint_round_trip(tmp_path):
         np.testing.assert_array_equal(loaded[k], params[k].data)
 
 
+@pytest.mark.parametrize("shape", [(), (0, 3), (2, 3)])
+def test_checkpoint_record_round_trips_into_a_plain_array(tmp_path, shape):
+    saved = np.arange(math.prod(shape), dtype=np.float64).reshape(shape) - 0.5
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint({"w": Tensor(saved)}, path)
+    loaded = load_checkpoint(path)["w"]
+    assert loaded.shape == shape and loaded.dtype == np.dtype("<f8")
+    flags = loaded.flags
+    assert flags.writeable and flags.aligned and flags.c_contiguous
+    np.testing.assert_array_equal(loaded, saved)
+
+
 def test_checkpoint_bytes_deterministic(tmp_path):
     params = {"w": Tensor(np.arange(4.0))}
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
