@@ -84,35 +84,21 @@ def hard_negative_mining(neg_indices: np.ndarray, cls_scores: np.ndarray, n_pos:
     is deterministic given the generator state.
     """
     neg_indices = np.asarray(neg_indices, dtype=np.intp)
-    if neg_indices.size == 0:
-        return neg_indices
     n_sample = min(math.ceil(cfg.neg_sample_fraction * neg_indices.size), neg_indices.size)
     sampled = rng.choice(neg_indices, size=n_sample, replace=False)
     order = np.argsort(-cls_scores[sampled], kind="stable")
     return sampled[order[:cfg.topk(n_pos)]]
 
 
-def classification_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean binary cross entropy of raw class logits over the selected
-    samples. Empty selection gives 0."""
-    if logits.size == 0:
-        return Tensor(0.0)
-    return bce_with_logits(logits, labels)
-
-
-def regression_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """(1/N_pos) * sum of smooth-L1 terms over all positives and channels."""
-    if pred.size == 0:
-        return Tensor(0.0)
-    return smooth_l1_sum(pred, target) / float(pred.shape[0])
-
-
 def total_loss(cls_logits: Tensor, cls_labels: np.ndarray,
                reg_pred: Tensor, reg_target: np.ndarray,
                alpha: float = 1.0) -> LossBreakdown:
-    """L = L_cls + alpha * L_reg over an already-selected sample set."""
-    l_cls = classification_loss(cls_logits, cls_labels)
-    l_reg = regression_loss(reg_pred, reg_target)
+    """L = L_cls + alpha * L_reg over an already-selected sample set: the
+    mean binary cross entropy of the logits, plus alpha times the smooth-L1
+    sum of the positives' offsets over N_pos. An empty selection gives 0 on
+    the tape, so every parameter behind it still gets a (zero) gradient."""
+    l_cls = bce_with_logits(cls_logits, cls_labels)
+    l_reg = smooth_l1_sum(reg_pred, reg_target) / float(max(reg_pred.shape[0], 1))
     return LossBreakdown(total=l_cls + l_reg * alpha, l_cls=float(l_cls.data),
                          l_reg=float(l_reg.data), n=cls_logits.shape[0],
                          n_pos=reg_pred.shape[0])

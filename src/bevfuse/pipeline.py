@@ -274,24 +274,26 @@ def ablate_run(cfg: ExperimentConfig, out_dir: str,
                variants=ABLATION_VARIANTS,
                knn_grid: list[FusionSection] | None = None) -> list[dict]:
     """Train each fusion variant (optionally over a grid of fusion sections)
-    with the shared seed and data; emit one comparison row per run. The
-    data loads and is checked against every variant first, so a bad input
-    leaves no output directory."""
+    with the shared seed and data; emit one comparison row per run. Each
+    run's directory tag must be its own, and the data loads and is checked
+    against every variant first, so a bad input leaves no output directory."""
+    cells = [(variant, fusion) for variant in variants
+             for fusion in (knn_grid if knn_grid and variant.startswith("continuous")
+                            else [cfg.fusion])]
+    tags = [f"{variant}_k{fusion.k}_d{fusion.max_dist:g}" for variant, fusion in cells]
+    for tag in tags:
+        if tags.count(tag) > 1:
+            raise InputError(f"two ablation runs share the directory {tag!r}")
     scenes = build_scenes(replace(cfg, mode="bev_only"))
     for variant in variants:
         _check_images_fit(replace(cfg, mode=variant), scenes)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    for variant in variants:
-        grid = knn_grid if (knn_grid and variant.startswith("continuous")) \
-            else [cfg.fusion]
-        for fusion in grid:
-            k, d = fusion.k, fusion.max_dist
-            tag = f"{variant}_k{k}_d{d:g}"
-            report = train_run(replace(cfg, mode=variant, fusion=fusion),
-                               os.path.join(out_dir, tag))
-            rows.append({"variant": variant, "k": k, "max_dist": d,
-                         "ap": report["ap"], "final_loss": report["final_loss"]})
+    for (variant, fusion), tag in zip(cells, tags):
+        report = train_run(replace(cfg, mode=variant, fusion=fusion),
+                           os.path.join(out_dir, tag))
+        rows.append({"variant": variant, "k": fusion.k, "max_dist": fusion.max_dist,
+                     "ap": report["ap"], "final_loss": report["final_loss"]})
     with atomic_write(os.path.join(out_dir, "ablation.json")) as f:
         json.dump(rows, f, indent=2, sort_keys=True)
     return rows

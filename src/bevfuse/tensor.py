@@ -328,7 +328,7 @@ def logistic(x):
 def bce_with_logits(logits: Tensor, labels) -> Tensor:
     """Mean binary cross entropy of raw logits against 0/1 labels, computed
     as max(x, 0) - x·y + log1p(exp(-|x|)). It stays finite and keeps a
-    gradient, (σ(x) - y) / n, at any logit."""
+    gradient, (σ(x) - y) / n, at any logit. The mean of no logits is 0."""
     x = logits.data
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != x.shape:
@@ -337,10 +337,12 @@ def bce_with_logits(logits: Tensor, labels) -> Tensor:
     with np.errstate(under="ignore"):
         per = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
 
-    def bw(g):
-        logits._accumulate(g * (logistic(x) - y) / x.size)
+    n = max(x.size, 1)
 
-    return Tensor._result(np.asarray(per.mean()), (logits,), "bce_with_logits", bw)
+    def bw(g):
+        logits._accumulate(g * (logistic(x) - y) / n)
+
+    return Tensor._result(np.asarray(per.sum() / n), (logits,), "bce_with_logits", bw)
 
 
 def smooth_l1_sum(pred: Tensor, target) -> Tensor:

@@ -16,7 +16,7 @@ from bevfuse.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from bevfuse.config import config_to_dict
 from bevfuse.data import (BOX_COLUMNS, GENERATOR_VERSION, AugmentationConfig,
                           generate_dataset, save_dataset)
-from bevfuse.losses import hard_negative_mining
+from bevfuse.losses import AssignmentConfig, hard_negative_mining
 from bevfuse.pipeline import build_model, miniature_config
 from bevfuse.tensor import save_checkpoint
 
@@ -45,6 +45,22 @@ def test_train_writes_artifacts(tmp_path, capsys):
     assert set(rec) == {"step", "L", "L_cls", "L_reg", "N", "N_pos"}
     summary = json.loads(capsys.readouterr().out)
     assert "final_loss" in summary
+
+
+def test_train_with_no_selected_anchor_exits_ok(tmp_path):
+    """Scenes without objects and a zero negative floor select no anchor:
+    the loss is 0 on the tape and every parameter takes a zero grad."""
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg = miniature_config()
+    cfg.optimizer.steps = 2
+    cfg.data.synthetic.object_count = (0, 0)
+    cfg.assign = AssignmentConfig(3.0, 3.0, topk_neg_floor=0)
+    with open(cfg_path, "w") as f:
+        yaml.safe_dump(config_to_dict(cfg), f)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    rows = [json.loads(line) for line in (out / "train_log.jsonl").read_text().splitlines()]
+    assert [(r["L"], r["N"]) for r in rows] == [(0.0, 0), (0.0, 0)]
 
 
 def test_eval_loads_checkpoint(tmp_path):
@@ -148,6 +164,17 @@ def test_knn_grid_bad_max_dist_fails_before_training(tmp_path):
                "--knn-grid", "1:-1"])
     assert rc == EXIT_CONFIG
     assert not out.exists()
+
+
+def test_knn_grid_cells_sharing_a_directory_fail_before_training(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    _write_mini_config(cfg_path)
+    out = tmp_path / "o"
+    rc = main(["ablate", "--config", str(cfg_path), "--out", str(out),
+               "--knn-grid", "1:10,1:10"])
+    assert rc == EXIT_CONFIG
+    assert not out.exists()
+    assert "continuous_nogeo_k1_d10" in capsys.readouterr().err
 
 
 def _eval_damaged_checkpoint(tmp_path, damage):

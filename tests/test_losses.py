@@ -5,10 +5,9 @@ import pytest
 
 from bevfuse.detect import Anchor, DetectionBox, box_rows, make_anchors
 from bevfuse.geometry import BevGrid
-from bevfuse.losses import (IGNORE, NEGATIVE, AssignmentConfig,
-                            assign_anchors, classification_loss,
-                            hard_negative_mining, regression_loss, total_loss)
-from bevfuse.tensor import Tensor
+from bevfuse.losses import (IGNORE, NEGATIVE, AssignmentConfig, assign_anchors,
+                            hard_negative_mining, total_loss)
+from bevfuse.tensor import Tensor, bce_with_logits
 
 
 def smooth_l1(x: float) -> float:
@@ -135,7 +134,7 @@ def test_classification_loss_oracle():
     logits = Tensor(np.array([math.log(9.0), math.log(0.25)]))   # scores 0.9, 0.2
     labels = np.array([1.0, 0.0])
     expected = -(math.log(0.9) + math.log(0.8)) / 2
-    assert classification_loss(logits, labels).data == pytest.approx(expected, abs=1e-12)
+    assert bce_with_logits(logits, labels).data == pytest.approx(expected, abs=1e-12)
 
 
 def test_classification_loss_saturated_logits():
@@ -144,7 +143,7 @@ def test_classification_loss_saturated_logits():
     losses, grads = [], []
     for x in (17.0, 40.0):
         logit = Tensor(np.array([x]), requires_grad=True)
-        loss = classification_loss(logit, np.array([0.0]))
+        loss = bce_with_logits(logit, np.array([0.0]))
         loss.backward()
         losses.append(loss.item())
         grads.append(logit.grad[0])
@@ -153,7 +152,7 @@ def test_classification_loss_saturated_logits():
     np.testing.assert_allclose(grads, 1.0, atol=1e-7)
     with np.errstate(all="raise"):
         logits = Tensor(np.array([-800.0, -800.0, 800.0]), requires_grad=True)
-        loss = classification_loss(logits, np.array([0.0, 1.0, 1.0]))
+        loss = bce_with_logits(logits, np.array([0.0, 1.0, 1.0]))
         loss.backward()
     assert loss.item() == pytest.approx(800.0 / 3)
     np.testing.assert_allclose(logits.grad, [0.0, -1 / 3, 0.0], atol=1e-15)
@@ -170,11 +169,16 @@ def test_regression_loss_oracle():
     pred = Tensor(np.array([[0.5, 2.0], [0.0, -3.0]]))
     target = np.zeros((2, 2))
     # (0.125 + 1.5 + 0 + 2.5) / 2 positives
-    assert regression_loss(pred, target).data == pytest.approx(4.125 / 2, abs=1e-12)
+    bd = total_loss(Tensor(np.zeros(2)), np.zeros(2), pred, target)
+    assert bd.l_reg == pytest.approx(4.125 / 2, abs=1e-12)
 
 
 def test_regression_loss_empty_positives():
-    assert regression_loss(Tensor(np.zeros((0, 5))), np.zeros((0, 5))).data == 0.0
+    logits = Tensor(np.array([0.3, -0.6]), requires_grad=True)
+    bd = total_loss(logits, np.zeros(2), Tensor(np.zeros((0, 5))), np.zeros((0, 5)))
+    assert bd.l_reg == 0.0
+    bd.total.backward()
+    assert logits.grad is not None and np.all(logits.grad > 0)
 
 
 def test_total_loss_breakdown_and_alpha():

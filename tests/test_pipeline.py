@@ -14,7 +14,7 @@ from bevfuse import tensor as T
 from bevfuse.config import ExperimentConfig, FusionSection, load_config
 from bevfuse.data import AugmentationConfig, augment
 from bevfuse.detect import NUM_REG, DetectionBox, make_anchors
-from bevfuse.losses import hard_negative_mining, total_loss
+from bevfuse.losses import AssignmentConfig, hard_negative_mining, total_loss
 from bevfuse.pipeline import (ABLATION_VARIANTS, NumericError, ablate_run,
                               batch_inputs, build_model, build_scenes, detect_scene,
                               eval_run, evaluate_model, miniature_config,
@@ -352,6 +352,16 @@ def test_ablate_knn_grid_expands_continuous_only(tmp_path):
                         ("continuous", 2, 2.0)]
 
 
+def test_ablate_cells_sharing_a_directory_fail_before_any_data(tmp_path, monkeypatch):
+    def no_data(cfg):
+        raise AssertionError("data loaded")
+    monkeypatch.setattr(pipeline, "build_scenes", no_data)
+    with pytest.raises(T.InputError, match="continuous_k1_d2"):
+        ablate_run(_mini(steps=1), tmp_path / "abl", variants=("continuous",),
+                   knn_grid=[FusionSection(1, 2.0), FusionSection(1, 2.0000001)])
+    assert not (tmp_path / "abl").exists()
+
+
 def test_augmentation_changes_training(tmp_path):
     cfg_a = _mini(steps=3)
     train_run(cfg_a, tmp_path / "plain")
@@ -380,6 +390,32 @@ def test_empty_fusion_plans_still_train(tmp_path, mode, scenes):
         cfg.data.synthetic.occlusion_fraction = 1.0
     report = train_run(cfg, tmp_path / "run")
     assert np.isfinite(report["final_loss"])
+
+
+@pytest.mark.parametrize("mode", ["continuous", "bev_only"])
+def test_a_step_that_selects_no_anchor_trains(tmp_path, mode):
+    """No objects and a zero negative floor select no anchor. The loss is 0
+    on the tape, every parameter takes an all-zero grad, and Adam's step
+    leaves every parameter as it was."""
+    cfg = replace(_mini(steps=2), mode=mode,
+                  assign=AssignmentConfig(3.0, 3.0, topk_neg_floor=0))
+    cfg.data.synthetic.object_count = (0, 0)
+    model = build_model(cfg)
+    prep = prepare_scene(model, cfg, build_scenes(cfg)[0])
+    bd, = scene_loss(model, cfg, [prep], [np.random.default_rng(0)])
+    assert bd.total.item() == 0.0 and bd.n == 0
+    params = model.parameters()
+    opt = T.Adam(params.values())
+    bd.total.backward()
+    before = {n: p.data.tobytes() for n, p in params.items()}
+    for p in params.values():
+        assert p.grad is not None and not p.grad.any()
+    opt.step()
+    assert {n: p.data.tobytes() for n, p in params.items()} == before
+    train_run(cfg, tmp_path / "run")
+    rows = [json.loads(line)
+            for line in (tmp_path / "run" / "train_log.jsonl").read_text().splitlines()]
+    assert [(r["L"], r["N"]) for r in rows] == [(0.0, 0), (0.0, 0)]
 
 
 @pytest.mark.parametrize("mode", ["continuous", "continuous_nogeo", "discrete"])

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,16 @@ def test_bce_with_logits_matches_log1p_reference(pairs):
     loss.backward()
     expected = [(_sigmoid_reference(xi) - yi) / len(per) for xi, yi in pairs]
     np.testing.assert_allclose(logits.grad, expected, rtol=1e-9, atol=1e-15)
+
+
+def test_bce_with_logits_of_no_logits_is_zero_on_the_tape():
+    logits = Tensor(np.zeros(0), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss = T.bce_with_logits(logits, np.zeros(0))
+        loss.backward()
+    assert loss.item() == 0.0 and loss.requires_grad
+    assert logits.grad.shape == (0,)
 
 
 def _composite_smooth_l1(pred: Tensor, target: np.ndarray) -> Tensor:
