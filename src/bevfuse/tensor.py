@@ -1,9 +1,12 @@
 """Minimal dense-tensor reverse-mode autodiff engine.
 
 Everything is float64 and numpy-backed. The tape is built eagerly during the
-forward pass (each op output keeps closures over its parents) and torn down
-after ``backward``; inside ``no_grad`` no tape is built. No broadcasting
-beyond scalar-tensor; reshape explicitly.
+forward pass and torn down after ``backward``; inside ``no_grad`` no tape is
+built. The tape is made of nodes, not tensors: each op output's node holds
+its grad slot, its parents' nodes and a backward closure over exactly the
+arrays that backward reads, so an intermediate that no caller holds is freed
+as the forward pass proceeds. No broadcasting beyond scalar-tensor; reshape
+explicitly.
 
 Feature maps are N x C x H x W: one map per scene, so one tape serves a whole
 batch. The map ops (``conv2d``, ``add_channel_bias``, ``upsample2x``,
@@ -36,17 +39,45 @@ def no_grad():
         _grad_enabled = outer
 
 
-class Tensor:
-    """Dense N-d array with an optional gradient tape node."""
+class _Node:
+    """A tensor's place on the tape: its grad slot, and for an op output its
+    parents' nodes and the backward closure. It holds no data, so an op
+    output that no caller holds is freed as the forward pass proceeds, while
+    its grad slot stays on the tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("grad", "shape", "requires_grad", "parents", "backward")
+
+    def __init__(self, shape, requires_grad: bool):
+        self.grad: np.ndarray | None = None
+        self.shape = shape
+        self.requires_grad = requires_grad
+        self.parents: tuple[_Node, ...] = ()
+        self.backward: Callable[[np.ndarray], None] | None = None
+
+    def accumulate(self, g: np.ndarray):
+        """The tape's one gradient rule: a node that takes no grad takes
+        nothing, and a node of one value takes the sum of a grad of another
+        shape (the broadcast scalar operand of ``+`` and ``*``)."""
+        if not self.requires_grad:
+            return
+        if g.shape != self.shape and math.prod(self.shape) == 1:
+            g = g.sum()
+        if self.grad is None:
+            # 0.0 + g into a fresh array: never aliases g, and -0.0 reads back as 0.0
+            self.grad = np.add(g, 0.0, out=np.empty(self.shape))
+        else:
+            self.grad += g
+
+
+class Tensor:
+    """Dense N-d array and its tape node. No backward closure holds a
+    Tensor, only nodes and the arrays it reads."""
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._node = _Node(self.data.shape, requires_grad)
 
     # -- construction helpers -------------------------------------------------
 
@@ -60,12 +91,33 @@ class Tensor:
         """Every op's output. ``op`` names the op for tracers; no node keeps it."""
         out = Tensor(data)
         if _grad_enabled and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
+            node = out._node
+            node.requires_grad = True
+            node.parents = tuple(p._node for p in parents)
+            node.backward = backward
         return out
 
     # -- plumbing -------------------------------------------------------------
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None):
+        self._node.grad = g
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node.requires_grad
+
+    @property
+    def _parents(self) -> tuple[_Node, ...]:
+        return self._node.parents
+
+    @property
+    def _backward(self) -> Callable[[np.ndarray], None] | None:
+        return self._node.backward
 
     @property
     def shape(self):
@@ -82,27 +134,14 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def _accumulate(self, g: np.ndarray):
-        """The tape's one gradient rule: a tensor that takes no grad takes
-        nothing, and a tensor of one value takes the sum of a grad of another
-        shape (the broadcast scalar operand of ``+`` and ``*``)."""
-        if not self.requires_grad:
-            return
-        if g.shape != self.data.shape and self.data.size == 1:
-            g = g.sum()
-        if self.grad is None:
-            # 0.0 + g into a fresh array: never aliases g, and -0.0 reads back as 0.0
-            self.grad = np.add(g, 0.0, out=np.empty(self.data.shape))
-        else:
-            self.grad += g
-
     def backward(self):
         """Accumulate gradients of this scalar into every requires_grad ancestor."""
         if self.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {self.shape}")
-        topo: list[Tensor] = []
+        root = self._node
+        topo: list[_Node] = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -112,19 +151,19 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
+        root.accumulate(np.ones_like(self.data))
         # popping drops the list's reference as soon as a node has passed its
         # grad on, so an intermediate nobody else holds is freed at once
         while topo:
             node = topo.pop()
-            if node._backward is not None:
-                node._backward(node.grad)
+            if node.backward is not None:
+                node.backward(node.grad)
                 # free the tape: intermediate grads are not user-visible state
-                node._parents = ()
-                node._backward = None
+                node.parents = ()
+                node.backward = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -146,19 +185,22 @@ class Tensor:
         return other
 
     def __add__(self, other):
-        a, b = self, self._operand(other)
+        other = self._operand(other)
+        a, b = self._node, other._node
 
         def bw(g):
-            a._accumulate(g)
-            b._accumulate(g)
+            a.accumulate(g)
+            b.accumulate(g)
 
-        return Tensor._result(a.data + b.data, (a, b), "add", bw)
+        return Tensor._result(self.data + other.data, (self, other), "add", bw)
 
     __radd__ = __add__
 
     def __neg__(self):
+        node = self._node
+
         def bw(g):
-            self._accumulate(-g)
+            node.accumulate(-g)
 
         return Tensor._result(-self.data, (self,), "neg", bw)
 
@@ -169,14 +211,15 @@ class Tensor:
         return self._operand(other) + (-self)
 
     def __mul__(self, other):
-        a, b = self, self._operand(other)
-        ad, bd = a.data, b.data
+        other = self._operand(other)
+        a, b = self._node, other._node
+        ad, bd = self.data, other.data
 
         def bw(g):
-            a._accumulate(g * bd)
-            b._accumulate(g * ad)
+            a.accumulate(g * bd)
+            b.accumulate(g * ad)
 
-        return Tensor._result(ad * bd, (a, b), "mul", bw)
+        return Tensor._result(ad * bd, (self, other), "mul", bw)
 
     __rmul__ = __mul__
 
@@ -184,44 +227,46 @@ class Tensor:
         return self * self._operand(other) ** -1.0
 
     def __pow__(self, exponent: float):
-        ad = self.data
+        node, ad = self._node, self.data
 
         def bw(g):
-            self._accumulate(g * exponent * ad ** (exponent - 1.0))
+            node.accumulate(g * exponent * ad ** (exponent - 1.0))
 
         return Tensor._result(ad ** exponent, (self,), "pow", bw)
 
     def relu(self):
-        mask = self.data > 0
+        node, mask = self._node, self.data > 0
 
         def bw(g):
-            self._accumulate(g * mask)
+            node.accumulate(g * mask)
 
         return Tensor._result(self.data * mask, (self,), "relu", bw)
 
     # -- reductions / shape ops -----------------------------------------------
 
     def sum(self):
+        node = self._node
+
         def bw(g):
-            self._accumulate(np.full_like(self.data, float(g)))
+            node.accumulate(np.full(node.shape, float(g)))
 
         return Tensor._result(np.asarray(self.data.sum()), (self,), "sum", bw)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        old = self.shape
+        node = self._node
 
         def bw(g):
-            self._accumulate(g.reshape(old))
+            node.accumulate(g.reshape(node.shape))
 
         return Tensor._result(self.data.reshape(shape), (self,), "reshape", bw)
 
     def transpose(self, axes: Sequence[int]):
-        inv = np.argsort(axes)
+        node, inv = self._node, np.argsort(axes)
 
         def bw(g):
-            self._accumulate(g.transpose(inv))
+            node.accumulate(g.transpose(inv))
 
         return Tensor._result(self.data.transpose(axes), (self,), "transpose", bw)
 
@@ -235,14 +280,16 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ValueError(f"matmul bias {bias.shape} is not a 1 x {b.shape[1]} row")
     ad, bd = a.data, b.data
     parents = (a, b) if bias is None else (a, b, bias)
+    na, nb = a._node, b._node
+    nbias = None if bias is None else bias._node
 
     def bw(g):
-        if a.requires_grad:
-            a._accumulate(g @ bd.T)
-        if b.requires_grad:
-            b._accumulate(ad.T @ g)
-        if bias is not None:
-            bias._accumulate(g.sum(axis=0, keepdims=True))
+        if na.requires_grad:
+            na.accumulate(g @ bd.T)
+        if nb.requires_grad:
+            nb.accumulate(ad.T @ g)
+        if nbias is not None:
+            nbias.accumulate(g.sum(axis=0, keepdims=True))
 
     out = ad @ bd
     if bias is not None:
@@ -252,14 +299,14 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     parts = list(tensors)
-    sizes = [t.shape[axis] for t in parts]
-    offsets = np.cumsum([0] + sizes)
+    nodes = [t._node for t in parts]
+    offsets = np.cumsum([0] + [t.shape[axis] for t in parts])
 
     def bw(g):
-        for t, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
-            t._accumulate(g[tuple(sl)])
+            node.accumulate(g[tuple(sl)])
 
     return Tensor._result(np.concatenate([t.data for t in parts], axis=axis),
                           parts, "concat", bw)
@@ -276,10 +323,11 @@ def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
     """Add a per-channel bias (shape C) to N x C x H x W maps."""
     if b.shape != (_map_extents("add_channel_bias", x)[1],):
         raise ValueError(f"add_channel_bias shapes incompatible: {x.shape} + {b.shape}")
+    nx, nb = x._node, b._node
 
     def bw(g):
-        x._accumulate(g)
-        b._accumulate(g.sum(axis=(0, 2, 3)))
+        nx.accumulate(g)
+        nb.accumulate(g.sum(axis=(0, 2, 3)))
 
     return Tensor._result(x.data + b.data[:, None, None], (x, b), "add_channel_bias", bw)
 
@@ -299,8 +347,10 @@ def gather_rows(t: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= t.shape[0]):
         raise IndexError("gather_rows index out of range")
+    node = t._node
+
     def bw(g):
-        t._accumulate(_scatter_rows(idx, g, t.data.shape))
+        node.accumulate(_scatter_rows(idx, g, node.shape))
 
     return Tensor._result(t.data[idx], (t,), "gather_rows", bw)
 
@@ -311,9 +361,10 @@ def scatter_add_rows(t: Tensor, idx, num_rows: int) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
         raise IndexError("scatter_add_rows index out of range")
     out = _scatter_rows(idx, t.data, (num_rows,) + t.shape[1:])
+    node = t._node
 
     def bw(g):
-        t._accumulate(g[idx])
+        node.accumulate(g[idx])
 
     return Tensor._result(out, (t,), "scatter_add_rows", bw)
 
@@ -337,10 +388,10 @@ def bce_with_logits(logits: Tensor, labels) -> Tensor:
     with np.errstate(under="ignore"):
         per = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
 
-    n = max(x.size, 1)
+    n, node = max(x.size, 1), logits._node
 
     def bw(g):
-        logits._accumulate(g * (logistic(x) - y) / n)
+        node.accumulate(g * (logistic(x) - y) / n)
 
     return Tensor._result(np.asarray(per.sum() / n), (logits,), "bce_with_logits", bw)
 
@@ -353,10 +404,10 @@ def smooth_l1_sum(pred: Tensor, target) -> Tensor:
     if target.shape != pred.shape:
         raise ValueError(f"smooth_l1_sum shapes differ: {pred.shape} vs {target.shape}")
     x = pred.data - target
-    near = np.abs(x) < 1.0
+    near, node = np.abs(x) < 1.0, pred._node
 
     def bw(g):
-        pred._accumulate(g * np.where(near, x, np.sign(x)))
+        node.accumulate(g * np.where(near, x, np.sign(x)))
 
     penalty = np.where(near, x * x * 0.5, np.abs(x) - 0.5)
     return Tensor._result(np.asarray(penalty.sum()), (pred,), "smooth_l1_sum", bw)
@@ -427,26 +478,27 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     if ho <= 0 or wo <= 0:
         raise ValueError(f"conv2d output extent non-positive for input {x.shape}")
     cols = _im2col(x.data, kh, kw, stride, padding, ho, wo)
-    wmat = weight.data.reshape(c_out, c_in * kh * kw)
+    wd, nx, nw = weight.data, x._node, weight._node
+    wmat = wd.reshape(c_out, c_in * kh * kw)
     # C_out x N x Ho x Wo to N x C_out x Ho x Wo: a copy only for N > 1
     out = np.ascontiguousarray((wmat @ cols).reshape(c_out, n, ho, wo).transpose(1, 0, 2, 3))
 
     def bw(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(c_out, n * ho * wo)
-        # ``_accumulate`` drops a constant's grad; these tests, and matmul's, skip
+        # ``accumulate`` drops a constant's grad; these tests, and matmul's, skip
         # its GEMM (each stream's first conv takes a constant input)
-        if weight.requires_grad:
-            weight._accumulate((g2 @ cols.T).reshape(weight.shape))
-        if x.requires_grad:
+        if nw.requires_grad:
+            nw.accumulate((g2 @ cols.T).reshape(wd.shape))
+        if nx.requires_grad:
             if stride == 1 and kh == kw and padding < kh:
                 # transposed conv: correlate g, padded to k-1-padding, with the
                 # flipped weights, (C_in, C_out, kh, kw) as a C_in-row matrix
-                flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+                flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
                 gcols = _im2col(g, kh, kw, 1, kh - 1 - padding, h, w)
                 gx = (flipped.reshape(c_in, -1) @ gcols).reshape(c_in, n, h, w)
-                x._accumulate(gx.transpose(1, 0, 2, 3))
+                nx.accumulate(gx.transpose(1, 0, 2, 3))
             else:
-                x._accumulate(_col2im(wmat.T @ g2, x.shape, kh, kw, stride, padding,
+                nx.accumulate(_col2im(wmat.T @ g2, nx.shape, kh, kw, stride, padding,
                                       ho, wo))
 
     return Tensor._result(out, (x, weight), "conv2d", bw)
@@ -455,9 +507,10 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
 def upsample2x(x: Tensor) -> Tensor:
     """Nearest-neighbor 2x upsampling of N x C x H x W maps."""
     n, c, h, w = _map_extents("upsample2x", x)
+    node = x._node
 
     def bw(g):
-        x._accumulate(g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
+        node.accumulate(g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
 
     out = np.repeat(np.repeat(x.data, 2, axis=-2), 2, axis=-1)
     return Tensor._result(out, (x,), "upsample2x", bw)
@@ -501,6 +554,7 @@ def bilinear_sample(feature_map: Tensor, uv: np.ndarray, scene=None) -> Tensor:
     Differentiable with respect to the feature maps only."""
     out, (scene, v0, v1, u0, u1), weights = sample_maps(feature_map.data, uv, scene)
     n, c, h, w = feature_map.shape
+    node = feature_map._node
 
     def bw(g):
         # each sample's C-row adds into row scene·H·W + pixel of an
@@ -510,7 +564,7 @@ def bilinear_sample(feature_map: Tensor, uv: np.ndarray, scene=None) -> Tensor:
             + scene * (h * w)
         wgt = np.stack(weights)[:, :, None] * g
         acc = _scatter_rows(pix, wgt, (n * h * w, c))
-        feature_map._accumulate(acc.reshape(n, h, w, c).transpose(0, 3, 1, 2))
+        node.accumulate(acc.reshape(n, h, w, c).transpose(0, 3, 1, 2))
 
     return Tensor._result(out, (feature_map,), "bilinear_sample", bw)
 
@@ -529,7 +583,10 @@ class Adam:
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = [np.empty(p.shape) for p in self.params]
+        # a step works on one parameter at a time, so every parameter's
+        # scratch array is a view into one buffer the size of the largest
+        scratch = np.empty(max((p.size for p in self.params), default=0))
+        self._scratch = [scratch[:p.size].reshape(p.shape) for p in self.params]
 
     def zero_grad(self):
         for p in self.params:

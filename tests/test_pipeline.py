@@ -75,8 +75,9 @@ def test_scene_loss_finite_and_differentiable():
 
 def _square(t, grad_scale):
     """t², with its backward scaled by ``grad_scale`` (1.0 is the true grad)."""
-    return T.Tensor._result(t.data ** 2, (t,), "square",
-                            lambda g: t._accumulate(grad_scale * 2.0 * t.data * g))
+    node, td = t._node, t.data
+    return T.Tensor._result(td ** 2, (t,), "square",
+                            lambda g: node.accumulate(grad_scale * 2.0 * td * g))
 
 
 @pytest.mark.parametrize("grad_scale", [1.0, 1.5, np.nan])

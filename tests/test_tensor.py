@@ -2,6 +2,7 @@ import json
 import math
 import os
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -342,6 +343,29 @@ def test_scatter_kernels_match_add_at_bitwise(c, h, w, n, d, seed):
         ref = np.zeros(shape)
         np.add.at(ref, idx2, g2)
         assert _same_bytes(src.grad, ref)
+
+
+def test_tape_frees_an_intermediate_no_caller_holds():
+    # the tape holds nodes and the arrays each backward reads, never a
+    # Tensor: an op output nobody holds is freed before backward runs
+    x = Tensor(np.array([-1.0, 0.5, 2.0]), requires_grad=True)
+    mid = x * 2.0
+    out = (mid.relu() * 3.0).sum()
+    mid_data = weakref.ref(mid.data)
+    del mid
+    assert mid_data() is None
+    out.backward()
+    np.testing.assert_array_equal(x.grad, [0.0, 6.0, 6.0])
+    # the leaf API: .grad is settable and writable in place, and an operand
+    # with requires_grad False stays without a grad
+    x.grad = None
+    const = Tensor(np.full(3, 3.0))
+    (x * const).sum().backward()
+    np.testing.assert_array_equal(x.grad, [3.0, 3.0, 3.0])
+    x.grad[1] = 0.0
+    (x * const).sum().backward()
+    np.testing.assert_array_equal(x.grad, [6.0, 3.0, 6.0])
+    assert const.grad is None and not const.requires_grad
 
 
 def test_add_gives_each_parent_its_own_grad():
