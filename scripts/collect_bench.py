@@ -20,9 +20,15 @@ side's ``src_lines`` (the lines of the ``.py`` files under ``src/``) and
 from every traced run, and for every end-to-end metric the value of every
 trace-0 run on each side, the two medians, each side's interquartile
 range and the number of pairs the change won, and the summed ``failed``
-counts. After writing it, the script prints one line
+counts. Beside them, under ``run_detail``, it keeps what the scaled times
+are made of, for every trace-0 run and both medians: ``wall_iter_ms_p50`` and
+``reference_ms_p50`` (the run's ``detail`` values; None where a side's
+benchmark does not report them), and the run's minor page faults and system
+seconds (``getrusage(RUSAGE_CHILDREN)`` deltas around the benchmark process).
+After writing it, the script prints one line
 per workload and end-to-end metric: both medians, the relative change, the
-pairs won, both sides' IQRs and a verdict (see ``verdict``). Then one line per
+pairs won, both sides' IQRs and a verdict (see ``verdict``), and one line per
+workload and ``run_detail`` value with both medians. Then one line per
 workload and trace level says whether the output digests (``detail.digest``)
 of the first base run and the first change run are equal. Then one line per
 workload and per-layer metric whose median shift over the traced pairs
@@ -36,6 +42,7 @@ changed (a missing file counts 0).
 import argparse
 import json
 import pathlib
+import resource
 import shutil
 import statistics
 import subprocess
@@ -46,6 +53,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PAIRS = 10      # trace-0 pairs per workload
 TRACED_PAIRS = 3     # trace-1 pairs per workload
 LAYER_SHIFT = 0.05   # per-layer metrics whose median shift exceeds this are printed
+# each run's values beside the end-to-end metrics: two its ``detail`` reports,
+# then two ``getrusage`` gives
+DETAIL_KEYS = ("wall_iter_ms_p50", "reference_ms_p50")
+RUN_DETAIL = (*DETAIL_KEYS, "minor_faults", "system_s")
 
 
 def git(*args) -> str:
@@ -80,6 +91,24 @@ def run(command: list[str], checkout: pathlib.Path, workload: str, seed: int,
                    cwd=checkout, check=True, stdout=subprocess.DEVNULL)
     tag = f"{workload}-seed{seed}-trace{trace}"
     return json.loads((checkout / "perfbench" / "results" / f"{tag}.json").read_text())
+
+
+def timed_run(*args) -> tuple[dict, dict]:
+    """``run``'s result, and its ``RUN_DETAIL`` values: those the result
+    reports in ``detail``, and the minor faults and system seconds of the
+    benchmark process (and of any process it waited for)."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    res = run(*args)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    detail = res.get("detail", {})
+    return res, {**{key: detail.get(key) for key in DETAIL_KEYS},
+                 "minor_faults": after.ru_minflt - before.ru_minflt,
+                 "system_s": after.ru_stime - before.ru_stime}
+
+
+def _median(values: list) -> float | None:
+    known = [v for v in values if v is not None]
+    return statistics.median(known) if known else None
 
 
 def benchmark() -> dict:
@@ -133,6 +162,9 @@ def summary(doc: dict) -> list[str]:
                      f"wins {m['change_wins']}/{len(m['base'])}  base IQR {m['base_iqr']:.3g}"
                      f"  change IQR {m['change_iqr']:.3g}"
                      f"  {verdict(m, spec['better'], spec['bound'])}")
+    for key, m in doc.get("run_detail", {}).items():
+        base, change = (f"{v:<10.4g}" if v is not None else f"{'n/a':10s}" for v in m["median"])
+        lines.append(f"{key:28s} base {base} change {change}")
     base, change = doc["base"]["results"], doc["change"]["results"]
     for key in sorted(base.keys() & change.keys()):
         b, c = base[key]["detail"]["digest"], change[key]["detail"]["digest"]
@@ -182,6 +214,7 @@ def main(argv: list[str]) -> int:
            "change": {"sha": git("rev-parse", "HEAD"),
                       "dirty": bool(git("status", "--porcelain")), "results": {}}}
     runs = {side: {w["name"]: [] for w in bench["workloads"]} for side in ("base", "change")}
+    details = {side: {w["name"]: [] for w in bench["workloads"]} for side in ("base", "change")}
     for side in ("base", "change"):
         doc[side]["per_layer"] = {w["name"]: {} for w in bench["workloads"]}
     with tempfile.TemporaryDirectory() as tmp:
@@ -197,14 +230,15 @@ def main(argv: list[str]) -> int:
             for i, trace in enumerate([0] * PAIRS + [1] * TRACED_PAIRS):
                 for side, checkout in sides if i % 2 == 0 else sides[::-1]:
                     print(f"{side:6s} {workload} --trace {trace} pair {i}", flush=True)
-                    res = run(bench["command"], checkout, workload, seed,
-                              bench["run_seconds"], trace)
+                    res, detail = timed_run(bench["command"], checkout, workload, seed,
+                                            bench["run_seconds"], trace)
                     key = f"{workload}-trace{trace}"
                     doc[side]["results"].setdefault(key, res)
                     if trace == 0:
                         runs[side][workload].append(
                             {"failed": res["failed"],
                              **{k: m["value"] for k, m in res["end_to_end"].items()}})
+                        details[side][workload].append(detail)
                     else:
                         layers = doc[side]["per_layer"][workload]
                         for name, m in res["per_layer"].items():
@@ -217,6 +251,13 @@ def main(argv: list[str]) -> int:
             doc["end_to_end"][f"{w['name']}.{m['name']}"] = {
                 **compare(base, change, m["better"]), "failed": [
                     sum(r["failed"] for r in runs[side][w["name"]]) for side in ("base", "change")]}
+    doc["run_detail"] = {}
+    for w in bench["workloads"]:
+        for name in RUN_DETAIL:
+            base, change = ([d[name] for d in details[side][w["name"]]]
+                            for side in ("base", "change"))
+            doc["run_detail"][f"{w['name']}.{name}"] = {
+                "base": base, "change": change, "median": [_median(base), _median(change)]}
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print("\n".join(summary(doc)))
     return 0

@@ -205,18 +205,14 @@ def _clip_polygon(subject: list, a, b) -> list:
 
 
 def _intersection_area(pa: list, pb: list) -> float:
+    """Area shared by two convex counter-clockwise polygons, given as lists
+    of (x, y) vertices."""
     poly = pa
     for i in range(len(pb)):
         if not poly:
             return 0.0
         poly = _clip_polygon(poly, pb[i], pb[i + 1 - len(pb)])
     return _poly_area(poly)
-
-
-def polygon_intersection_area(pa: np.ndarray, pb: np.ndarray) -> float:
-    """Area shared by two convex counter-clockwise polygons (k x 2 arrays)."""
-    return _intersection_area(np.asarray(pa, dtype=np.float64).tolist(),
-                              np.asarray(pb, dtype=np.float64).tolist())
 
 
 def may_overlap(a, b) -> np.ndarray:

@@ -8,6 +8,13 @@ arrays that backward reads, so an intermediate that no caller holds is freed
 as the forward pass proceeds. No broadcasting beyond scalar-tensor; reshape
 explicitly.
 
+A training step keeps its largest arrays from one step to the next, so the
+memory they take is not handed back to the system and faulted in again:
+``Adam`` holds the parameters, their grads and both moments in flat arrays,
+and a backward pass after ``zero_grad()`` writes into the same ``.grad``
+arrays; the columns ``conv2d`` keeps for a weight grad are recycled through
+a free list once that grad is taken.
+
 Feature maps are N x C x H x W: one map per scene, so one tape serves a whole
 batch. The map ops (``conv2d``, ``add_channel_bias``, ``upsample2x``,
 ``bilinear_sample``) take no other rank; one scene is a batch of one.
@@ -43,9 +50,10 @@ class _Node:
     """A tensor's place on the tape: its grad slot, and for an op output its
     parents' nodes and the backward closure. It holds no data, so an op
     output that no caller holds is freed as the forward pass proceeds, while
-    its grad slot stays on the tape."""
+    its grad slot stays on the tape. A parameter's node also holds ``slot``,
+    its view of its ``Adam``'s flat grad array."""
 
-    __slots__ = ("grad", "shape", "requires_grad", "parents", "backward")
+    __slots__ = ("grad", "shape", "requires_grad", "parents", "backward", "slot")
 
     def __init__(self, shape, requires_grad: bool):
         self.grad: np.ndarray | None = None
@@ -53,6 +61,7 @@ class _Node:
         self.requires_grad = requires_grad
         self.parents: tuple[_Node, ...] = ()
         self.backward: Callable[[np.ndarray], None] | None = None
+        self.slot: np.ndarray | None = None
 
     def accumulate(self, g: np.ndarray):
         """The tape's one gradient rule: a node that takes no grad takes
@@ -63,8 +72,10 @@ class _Node:
         if g.shape != self.shape and math.prod(self.shape) == 1:
             g = g.sum()
         if self.grad is None:
-            # 0.0 + g into a fresh array: never aliases g, and -0.0 reads back as 0.0
-            self.grad = np.add(g, 0.0, out=np.empty(self.shape))
+            # 0.0 + g into the slot or a fresh array: never aliases g, and
+            # -0.0 reads back as 0.0
+            out = np.empty(self.shape) if self.slot is None else self.slot
+            self.grad = np.add(g, 0.0, out=out)
         else:
             self.grad += g
 
@@ -110,10 +121,6 @@ class Tensor:
     @property
     def requires_grad(self) -> bool:
         return self._node.requires_grad
-
-    @property
-    def _parents(self) -> tuple[_Node, ...]:
-        return self._node.parents
 
     @property
     def _backward(self) -> Callable[[np.ndarray], None] | None:
@@ -427,7 +434,8 @@ def _conv_out_extent(n: int, k: int, stride: int, padding: int) -> int:
 # weight grad, so an input's ``.data`` must not be written between the
 # forward and the backward pass.
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
-            ho: int, wo: int) -> np.ndarray:
+            ho: int, wo: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The columns of ``x``, copied into ``out`` when it is given."""
     n, c, h, w = x.shape
     if padding:
         xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
@@ -439,7 +447,30 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     # the ndarray constructor is a much cheaper strided view than as_strided
     windows = np.ndarray((c, kh, kw, n, ho, wo), x.dtype, x, 0,
                          (sc, sh, sw, sn, sh * stride, sw * stride))
-    return windows.reshape(c * kh * kw, n * ho * wo)
+    if out is None:
+        return windows.reshape(c * kh * kw, n * ho * wo)
+    out.reshape(windows.shape)[...] = windows
+    return out
+
+
+# The columns conv2d keeps for a weight grad, by shape: each comes from this
+# free list and goes back to it once its backward has taken the weight grad,
+# so one step's columns serve the next and are not faulted in again. While
+# on the list, columns may be lent to an input grad's GEMM and taken back
+# at once. A tape dropped without backward returns nothing;
+# ``pipeline.train_run`` empties the list when it returns. It takes no lock:
+# one thread at a time builds and runs tapes.
+_free_columns: dict[tuple[int, int], list[np.ndarray]] = {}
+
+
+def _take_columns(shape) -> np.ndarray:
+    free = _free_columns.get(shape)
+    return free.pop() if free else np.empty(shape)
+
+
+def release_columns():
+    """Let the recycled conv2d columns go."""
+    _free_columns.clear()
 
 
 def _col2im(cols: np.ndarray, shape, kh, kw, stride, padding, ho, wo) -> np.ndarray:
@@ -464,7 +495,10 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
     The backward pass reads ``weight.data``, and may read ``x.data`` through
     a view (a 1 x 1 conv at stride 1 without padding on a contiguous batch of
-    one): nothing may write either between this call and ``backward``."""
+    one): nothing may write either between this call and ``backward``.
+    With a tape to record and a weight that takes a grad, the columns come
+    from ``_free_columns`` unless they are that view, and the backward pass
+    returns them there."""
     c_out, c_in, kh, kw = weight.shape
     n, c, h, w = _map_extents("conv2d", x)
     if c != c_in:
@@ -477,7 +511,10 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     wo = _conv_out_extent(w, kw, stride, padding)
     if ho <= 0 or wo <= 0:
         raise ValueError(f"conv2d output extent non-positive for input {x.shape}")
-    cols = _im2col(x.data, kh, kw, stride, padding, ho, wo)
+    recycled = (_grad_enabled and weight.requires_grad
+                and not (n == 1 and kh == kw == 1 and stride == 1 and not padding))
+    cols = _im2col(x.data, kh, kw, stride, padding, ho, wo,
+                   _take_columns((c_in * kh * kw, n * ho * wo)) if recycled else None)
     wd, nx, nw = weight.data, x._node, weight._node
     wmat = wd.reshape(c_out, c_in * kh * kw)
     # C_out x N x Ho x Wo to N x C_out x Ho x Wo: a copy only for N > 1
@@ -489,13 +526,21 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         # its GEMM (each stream's first conv takes a constant input)
         if nw.requires_grad:
             nw.accumulate((g2 @ cols.T).reshape(wd.shape))
+            if recycled:
+                _free_columns.setdefault(cols.shape, []).append(cols)
         if nx.requires_grad:
             if stride == 1 and kh == kw and padding < kh:
                 # transposed conv: correlate g, padded to k-1-padding, with the
                 # flipped weights, (C_in, C_out, kh, kw) as a C_in-row matrix
                 flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                gcols = _im2col(g, kh, kw, 1, kh - 1 - padding, h, w)
+                # into free columns of its shape if there are any, lent for
+                # this GEMM only: the backward pass then needs no new columns
+                free = _free_columns.get((c_out * kh * kw, n * h * w))
+                lent = free.pop() if free else None
+                gcols = _im2col(g, kh, kw, 1, kh - 1 - padding, h, w, lent)
                 gx = (flipped.reshape(c_in, -1) @ gcols).reshape(c_in, n, h, w)
+                if lent is not None:
+                    free.append(lent)
                 nx.accumulate(gx.transpose(1, 0, 2, 3))
             else:
                 nx.accumulate(_col2im(wmat.T @ g2, nx.shape, kh, kw, stride, padding,
@@ -572,7 +617,21 @@ def bilinear_sample(feature_map: Tensor, uv: np.ndarray, scene=None) -> Tensor:
 # -- optimizer ----------------------------------------------------------------
 
 class Adam:
-    """Standard Adam with bias correction, applied in place to f64 parameters."""
+    """Standard Adam with bias correction, applied in place to f64 parameters.
+
+    The parameters, their grads and both moments live in flat arrays, so a
+    training step allocates none of them again:
+    - each parameter's ``.data`` becomes a view of ``flat``, which holds the
+      values it had. ``.data`` is written in place from then on (as
+      ``load_parameters`` does), never rebound;
+    - a parameter belongs to one ``Adam``;
+    - each parameter's first grad of a backward pass is written into its
+      view of one flat grad array, so after ``zero_grad()`` the next backward
+      overwrites the same ``.grad`` arrays in place. A ``.grad`` assigned by
+      hand is copied into that view by ``step``.
+    """
+
+    CHUNK = 16384       # elements per pass of ``step``
 
     def __init__(self, params: Iterable[Tensor], lr: float = 1e-3,
                  betas=(0.9, 0.999), eps: float = 1e-8):
@@ -581,12 +640,23 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        # a step works on one parameter at a time, so every parameter's
-        # scratch array is a view into one buffer the size of the largest
-        scratch = np.empty(max((p.size for p in self.params), default=0))
-        self._scratch = [scratch[:p.size].reshape(p.shape) for p in self.params]
+        if (len({id(p) for p in self.params}) < len(self.params)
+                or any(p._node.slot is not None for p in self.params)):
+            raise ValueError("a parameter belongs to one Adam, once")
+        size = sum(p.size for p in self.params)
+        self.flat = np.empty(size)
+        self._grad = np.empty(size)
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        lo = 0
+        for p in self.params:
+            hi = lo + p.size
+            view = self.flat[lo:hi].reshape(p.shape)
+            view[...] = p.data
+            p.data = view
+            p._node.slot = self._grad[lo:hi].reshape(p.shape)
+            lo = hi
+        self._scratch = np.empty((2, min(size, self.CHUNK)))
 
     def zero_grad(self):
         for p in self.params:
@@ -594,15 +664,21 @@ class Adam:
 
     def step(self):
         """p -= lr · m̂ / (√v̂ + eps): the operations of that expression in its
-        order, each in place or into the parameter's scratch array, except
-        for the one array that holds the step."""
+        order, each in place or into a scratch array, over ``CHUNK`` elements
+        of the flat arrays at a time."""
+        for p in self.params:
+            g, slot = p.grad, p._node.slot
+            if g is None:
+                raise ValueError("Adam.step() called with a parameter missing its grad")
+            if g is not slot:
+                slot[...] = g
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
-        for p, m, v, s in zip(self.params, self._m, self._v, self._scratch):
-            if p.grad is None:
-                raise ValueError("Adam.step() called with a parameter missing its grad")
-            g = p.grad
+        for lo in range(0, self.flat.size, self.CHUNK):
+            hi = min(lo + self.CHUNK, self.flat.size)
+            g, m, v = self._grad[lo:hi], self._m[lo:hi], self._v[lo:hi]
+            s, step = self._scratch[:, :hi - lo]
             m *= b1
             m += np.multiply(1 - b1, g, out=s)
             v *= b2
@@ -610,10 +686,10 @@ class Adam:
             v += np.multiply(s, g, out=s)
             np.sqrt(np.divide(v, c2, out=s), out=s)
             s += self.eps
-            step = m / c1
+            np.divide(m, c1, out=step)
             step *= self.lr
             step /= s
-            p.data -= step
+            self.flat[lo:hi] -= step
 
 
 # -- checkpoint format --------------------------------------------------------

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import pathlib
 import subprocess
+from types import SimpleNamespace
 
 import pytest
 
@@ -155,3 +156,50 @@ def test_both_sides_run_from_fresh_checkouts(collect_bench, monkeypatch, tmp_pat
     assert doc["base"]["src_file_lines"] == {"src/a.py": 1}
     assert doc["change"]["src_file_lines"] == {"src/a.py": 2, "src/b.py": 1}
     assert doc["change"]["dirty"]
+
+
+def test_each_run_records_wall_and_reference_times_faults_and_system_time(
+        collect_bench, monkeypatch, tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    bench = {"command": ["bench"], "run_seconds": 1, "workloads": [{"name": "w"}],
+             "end_to_end": [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+    (repo / "BENCHMARK.json").write_text(json.dumps(bench))
+    (repo / "src" / "a.py").write_text("x = 1\n")
+    for args in (["init", "-q"], ["add", "-A"], ["-c", "user.name=t", "-c", "user.email=t@t",
+                                                "commit", "-q", "-m", "base"]):
+        subprocess.run(["git", *args], cwd=repo, check=True)
+    usage = {"minflt": 0, "stime": 0.0}
+
+    def fake_run(command, checkout, workload, seed, seconds, trace):
+        # a base run faults 1,000 pages in 0.5 s of system time, a change run 200 in 0.125 s
+        base = checkout.name == "base"
+        usage["minflt"] += 1000 if base else 200
+        usage["stime"] += 0.5 if base else 0.125
+        return {"failed": 0, "end_to_end": {"run_s": {"value": 1.0}}, "per_layer": {},
+                "detail": {"digest": "d", "wall_iter_ms_p50": 40.0 if base else 36.0,
+                           "reference_ms_p50": 0.5 if base else 0.55}}
+
+    def fake_getrusage(who):
+        assert who == collect_bench.resource.RUSAGE_CHILDREN
+        return SimpleNamespace(ru_minflt=usage["minflt"], ru_stime=usage["stime"])
+    monkeypatch.setattr(collect_bench, "ROOT", repo)
+    monkeypatch.setattr(collect_bench, "run", fake_run)
+    monkeypatch.setattr(collect_bench.resource, "getrusage", fake_getrusage)
+    assert collect_bench.main([str(tmp_path / "B.json")]) == 0
+    detail = json.loads((tmp_path / "B.json").read_text())["run_detail"]
+    assert detail["w.minor_faults"]["base"] == [1000] * collect_bench.PAIRS
+    assert detail["w.minor_faults"]["change"] == [200] * collect_bench.PAIRS
+    assert {key: m["median"] for key, m in detail.items()} == {
+        "w.wall_iter_ms_p50": [40.0, 36.0], "w.reference_ms_p50": [0.5, 0.55],
+        "w.minor_faults": [1000, 200], "w.system_s": [0.5, 0.125]}
+    # both sides' medians print beside the end-to-end line; a side without a value reads n/a
+    detail["w.reference_ms_p50"]["median"][0] = None
+    doc = {"base": _side({"src/a.py": 1}, {}), "change": _side({"src/a.py": 1}, {}),
+           "end_to_end": {}, "run_detail": detail}
+    # (the file's keys are sorted)
+    assert [line.split() for line in collect_bench.summary(doc)[:4]] == [
+        ["w.minor_faults", "base", "1000", "change", "200"],
+        ["w.reference_ms_p50", "base", "n/a", "change", "0.55"],
+        ["w.system_s", "base", "0.5", "change", "0.125"],
+        ["w.wall_iter_ms_p50", "base", "40", "change", "36"]]

@@ -15,8 +15,8 @@ from bevfuse.detect import (ANCHOR_ORIENTATIONS, CENTER_EPS, NUM_REG, Anchor,
                             DetectionBox, DetectionHeader, HeaderOutput, box_corners_bev,
                             box_rows, decode_detections, decode_rows, decode_targets,
                             encode_rows, encode_targets, iou_3d, iou_upper_bound,
-                            make_anchors, may_overlap, nms, polygon_intersection_area,
-                            regression_rows, rotated_iou_bev)
+                            make_anchors, may_overlap, nms, regression_rows,
+                            rotated_iou_bev)
 from bevfuse.evaluation import EvalConfig, match_detections
 from bevfuse.geometry import BevGrid
 from bevfuse.tensor import Tensor, logistic, no_grad
@@ -161,7 +161,8 @@ def test_iou_3d_vertical_overlap():
 def test_polygon_intersection_area_squares():
     sq = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
     shifted = sq + [1.0, 1.0]
-    assert polygon_intersection_area(sq, shifted) == pytest.approx(1.0, abs=1e-12)
+    area = detect._intersection_area(sq.tolist(), shifted.tolist())
+    assert area == pytest.approx(1.0, abs=1e-12)
 
 
 def _nms_quadratic(boxes, iou_th, score_th, max_out, iou=rotated_iou_bev):
@@ -333,7 +334,8 @@ def test_rotated_iou_matches_array_kernel_bitwise(pair):
     assert _bits(rotated_iou_bev(a, b)) == _bits(_ref_iou_bev(a, b))
     assert _bits(iou_3d(a, b)) == _bits(_ref_iou_3d(a, b))
     pa, pb = _ref_corners(a), _ref_corners(b)
-    assert _bits(polygon_intersection_area(pa, pb)) == _bits(_ref_intersection(pa, pb))
+    area = detect._intersection_area(pa.tolist(), pb.tolist())
+    assert _bits(area) == _bits(_ref_intersection(pa, pb))
 
 
 @settings(max_examples=300, deadline=None)
@@ -361,7 +363,7 @@ def _check_may_overlap_is_exact(a, b):
     if not inside:
         assert rotated_iou_bev(a, b) == 0.0 and iou_3d(a, b) == 0.0
         if a.w * a.h > 0 and b.w * b.h > 0:     # a point or a segment clips nothing
-            assert polygon_intersection_area(ca, cb) == 0.0
+            assert detect._intersection_area(ca.tolist(), cb.tolist()) == 0.0
 
 
 @settings(max_examples=400, deadline=None)

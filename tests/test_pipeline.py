@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -277,6 +278,21 @@ def test_failed_rerun_keeps_the_finished_log(tmp_path, monkeypatch):
         train_run(cfg, run)
     assert (run / "train_log.jsonl").read_bytes() == b"".join(log.splitlines(True)[:2])
     assert not [n for n in os.listdir(run) if n.endswith(".tmp")]
+
+
+def test_a_nan_planted_after_a_step_names_its_parameter(tmp_path, monkeypatch):
+    cfg = _mini(steps=3)
+    names = list(build_model(cfg).parameters())
+    step = T.Adam.step
+
+    def planting(opt):
+        step(opt)
+        if opt.t == 2:
+            opt.params[7].data.flat[-1] = np.nan
+    monkeypatch.setattr(T.Adam, "step", planting)
+    message = rf"non-finite parameter {re.escape(names[7])} after step 1$"
+    with pytest.raises(NumericError, match=message):
+        train_run(cfg, tmp_path / "run")
 
 
 def test_checkpoint_every(tmp_path):

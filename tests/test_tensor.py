@@ -71,7 +71,7 @@ def test_scalar_ops_and_div():
         assert s.grad.shape == () and s.grad.tobytes() == g.sum().tobytes()
     # a Python number in mul is a constant: it takes no grad
     y = a * 3.0
-    const = y._parents[1]
+    const = y._node.parents[1]
     y.sum().backward()
     assert const.grad is None
 
@@ -451,7 +451,7 @@ def test_backward_frees_tape():
     a = Tensor(np.ones(3), requires_grad=True)
     y = (a * 2.0).sum()
     y.backward()
-    assert y._parents == () and y._backward is None
+    assert y._node.parents == () and y._backward is None
     # re-running is a no-op on the freed tape: leaf grads do not double
     g = a.grad.copy()
     y.backward()
@@ -470,7 +470,9 @@ def test_adam_matches_reference_step():
 
 def test_adam_matches_plain_expression_bitwise():
     rng = np.random.default_rng(6)
-    shapes = [(3, 2, 3, 3), (5,), (4, 7)]
+    # the last two span chunk boundaries, and the parameters span three chunks
+    shapes = [(3, 2, 3, 3), (5,), (4, 7), (Adam.CHUNK + 3,), (3, Adam.CHUNK // 2 + 1)]
+    assert sum(math.prod(s) for s in shapes) > 2 * Adam.CHUNK
     params = [Tensor(_with_signed_zeros(rng, s), requires_grad=True) for s in shapes]
     opt = Adam(params, lr=0.01, betas=(0.8, 0.95), eps=1e-6)
     ref = [p.data.copy() for p in params]
@@ -478,9 +480,14 @@ def test_adam_matches_plain_expression_bitwise():
     vs = [np.zeros(s) for s in shapes]
     b1, b2 = 0.8, 0.95
     for t in range(1, 6):
-        grads = [_with_signed_zeros(rng, s) * 10.0 ** rng.integers(-8, 3) for s in shapes]
-        for p, g in zip(params, grads):
-            p.grad = g
+        opt.zero_grad()
+        scales = [10.0 ** rng.integers(-8, 3) for _ in shapes]
+        # every grad but the second comes from backward; that one is set by hand
+        loss = sum((p * Tensor(_with_signed_zeros(rng, p.shape) * k)).sum()
+                   for i, (p, k) in enumerate(zip(params, scales)) if i != 1)
+        loss.backward()
+        params[1].grad = _with_signed_zeros(rng, shapes[1]) * scales[1]
+        grads = [p.grad.copy() for p in params]
         opt.step()
         for i, g in enumerate(grads):
             ms[i] = ms[i] * b1 + (1 - b1) * g
@@ -490,6 +497,85 @@ def test_adam_matches_plain_expression_bitwise():
             ref[i] = ref[i] - 0.01 * mhat / (np.sqrt(vhat) + 1e-6)
         for p, r in zip(params, ref):
             assert _same_bytes(p.data, r)
+
+
+def test_backward_after_zero_grad_overwrites_the_same_grad_arrays():
+    rng = np.random.default_rng(7)
+    w0, x0 = rng.standard_normal((4, 3)), rng.standard_normal((5, 4))
+    w = Tensor(w0.copy(), requires_grad=True)
+    opt = Adam([w])
+    assert np.shares_memory(w.data, opt.flat) and _same_bytes(w.data, w0)
+    (T.matmul(Tensor(x0), w) * 2.0).sum().backward()
+    first = w.grad
+    opt.zero_grad()
+    assert w.grad is None
+    T.matmul(Tensor(x0 ** 2), w).relu().sum().backward()
+    assert w.grad is first
+    fresh = Tensor(w0.copy(), requires_grad=True)
+    T.matmul(Tensor(x0 ** 2), fresh).relu().sum().backward()
+    assert _same_bytes(w.grad, fresh.grad)
+    # a parameter belongs to one Adam, once
+    with pytest.raises(ValueError, match="one Adam"):
+        Adam([w])
+    with pytest.raises(ValueError, match="one Adam"):
+        Adam([fresh, fresh])
+
+
+def _conv_weight_grad_reference(x, g, kh, stride, padding):
+    """The weight grad of a conv with output grad ``g``, scene by scene."""
+    return sum((gs.reshape(gs.shape[0], -1)
+                @ _im2col_reference(xs, kh, kh, stride, padding)[0].T)
+               for xs, gs in zip(x, g)).reshape(g.shape[1], x.shape[1], kh, kh)
+
+
+def test_two_live_tapes_through_one_conv_keep_their_own_columns():
+    rng = np.random.default_rng(8)
+    # C_in = C_out, so the input grad's columns have the kept columns' shape
+    w = Tensor(rng.standard_normal((3, 3, 3, 3)), requires_grad=True)
+    x1, x2 = rng.standard_normal((2, 2, 3, 6, 7))
+    g1, g2 = rng.standard_normal((2, 2, 3, 6, 7))
+
+    def tape(x, g):
+        xt = Tensor(x, requires_grad=True)
+        return xt, (T.conv2d(xt, w, 1, 1) * Tensor(g)).sum()
+
+    # each tape alone first, which leaves columns of that shape on the free list
+    ref_gx = []
+    for x, g in ((x1, g1), (x2, g2)):
+        xt, loss = tape(x, g)
+        loss.backward()
+        ref_gx.append(xt.grad)
+    w.grad = None
+    (t1, loss1), (t2, loss2) = tape(x1, g1), tape(x2, g2)
+    (loss1 + loss2).backward()
+    ref = (_conv_weight_grad_reference(x1, g1, 3, 1, 1)
+           + _conv_weight_grad_reference(x2, g2, 3, 1, 1))
+    np.testing.assert_allclose(w.grad, ref, rtol=1e-12, atol=1e-12)
+    assert _same_bytes(t1.grad, ref_gx[0]) and _same_bytes(t2.grad, ref_gx[1])
+
+
+def test_a_tape_dropped_without_backward_leaves_the_next_grads_alone():
+    rng = np.random.default_rng(9)
+    w0 = rng.standard_normal((4, 3, 3, 3))
+    x, x_dropped = rng.standard_normal((2, 2, 3, 8, 8))
+    g = rng.standard_normal((2, 4, 4, 4))
+
+    def step_grad(w, drop_first):
+        if drop_first:
+            (T.conv2d(Tensor(x_dropped), w, 2, 1) * 5.0).sum()      # never backpropagated
+        (T.conv2d(Tensor(x), w, 2, 1) * Tensor(g)).sum().backward()
+        return w.grad
+
+    free = {k: len(v) for k, v in T._free_columns.items()}
+    with T.no_grad():
+        T.conv2d(Tensor(x), Tensor(w0), 2, 1)
+    assert {k: len(v) for k, v in T._free_columns.items()} == free    # nothing pooled
+    w = Tensor(w0, requires_grad=True)
+    opt = Adam([w])
+    first = step_grad(w, True).copy()
+    opt.zero_grad()
+    assert _same_bytes(step_grad(w, True), first)
+    assert _same_bytes(first, step_grad(Tensor(w0, requires_grad=True), False))
 
 
 def test_adam_raises_on_missing_grad():
