@@ -435,7 +435,8 @@ def _conv_out_extent(n: int, k: int, stride: int, padding: int) -> int:
 # forward and the backward pass.
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
             ho: int, wo: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The columns of ``x``, copied into ``out`` when it is given."""
+    """The columns of ``x``: a view where the windows allow one, else a copy,
+    made into ``out`` when it is given."""
     n, c, h, w = x.shape
     if padding:
         xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
@@ -447,10 +448,25 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     # the ndarray constructor is a much cheaper strided view than as_strided
     windows = np.ndarray((c, kh, kw, n, ho, wo), x.dtype, x, 0,
                          (sc, sh, sw, sn, sh * stride, sw * stride))
-    if out is None:
+    if out is None or _merge_in_place(windows):
         return windows.reshape(c * kh * kw, n * ho * wo)
     out.reshape(windows.shape)[...] = windows
     return out
+
+
+def _merge_in_place(windows: np.ndarray) -> bool:
+    """Whether the reshape of ``windows`` to columns is a view: within
+    (C, kh, kw) and within (N, Ho, Wo), each axis longer than 1 steps over
+    the next one longer than 1, as numpy requires."""
+    extents, strides = windows.shape, windows.strides
+    for lo in (0, 3):
+        outer = None
+        for axis in range(lo, lo + 3):
+            if extents[axis] != 1:
+                if outer is not None and outer != extents[axis] * strides[axis]:
+                    return False
+                outer = strides[axis]
+    return True
 
 
 # The columns conv2d keeps for a weight grad, by shape: each comes from this
@@ -496,9 +512,9 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     The backward pass reads ``weight.data``, and may read ``x.data`` through
     a view (a 1 x 1 conv at stride 1 without padding on a contiguous batch of
     one): nothing may write either between this call and ``backward``.
-    With a tape to record and a weight that takes a grad, the columns come
-    from ``_free_columns`` unless they are that view, and the backward pass
-    returns them there."""
+    With a tape to record and a weight that takes a grad, an array comes
+    from ``_free_columns`` (but for that view) to hold any columns that need
+    a copy, and the backward pass returns it there."""
     c_out, c_in, kh, kw = weight.shape
     n, c, h, w = _map_extents("conv2d", x)
     if c != c_in:
@@ -511,10 +527,11 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     wo = _conv_out_extent(w, kw, stride, padding)
     if ho <= 0 or wo <= 0:
         raise ValueError(f"conv2d output extent non-positive for input {x.shape}")
+    # the columns of a 1 x 1 conv on a batch of one are a view of x: no array held idle
     recycled = (_grad_enabled and weight.requires_grad
                 and not (n == 1 and kh == kw == 1 and stride == 1 and not padding))
-    cols = _im2col(x.data, kh, kw, stride, padding, ho, wo,
-                   _take_columns((c_in * kh * kw, n * ho * wo)) if recycled else None)
+    kept = _take_columns((c_in * kh * kw, n * ho * wo)) if recycled else None
+    cols = _im2col(x.data, kh, kw, stride, padding, ho, wo, kept)
     wd, nx, nw = weight.data, x._node, weight._node
     wmat = wd.reshape(c_out, c_in * kh * kw)
     # C_out x N x Ho x Wo to N x C_out x Ho x Wo: a copy only for N > 1
@@ -526,8 +543,8 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         # its GEMM (each stream's first conv takes a constant input)
         if nw.requires_grad:
             nw.accumulate((g2 @ cols.T).reshape(wd.shape))
-            if recycled:
-                _free_columns.setdefault(cols.shape, []).append(cols)
+            if kept is not None:
+                _free_columns.setdefault(kept.shape, []).append(kept)
         if nx.requires_grad:
             if stride == 1 and kh == kw and padding < kh:
                 # transposed conv: correlate g, padded to k-1-padding, with the

@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bevfuse import tensor as T
@@ -232,6 +232,9 @@ def _with_signed_zeros(rng, shape):
 @given(st.sampled_from([1, 3, 5]), st.integers(1, 3), st.integers(0, 5),
        st.integers(1, 4), st.integers(1, 9), st.integers(1, 9), st.booleans(),
        st.integers(0, 2**32 - 1))
+# one-pixel-wide columns are a view of the padded map, which a kept copy
+# would lay out, and so sum, differently
+@example(k=5, stride=1, padding=2, c=1, h=3, w=1, contiguous=False, seed=0)
 def test_conv2d_data_path_is_bit_identical_to_reference_kernels(k, stride, padding, c, h, w,
                                                                contiguous, seed):
     if h + 2 * padding < k or w + 2 * padding < k:
