@@ -203,48 +203,45 @@ def train_run(cfg: ExperimentConfig, out_dir: str) -> dict:
                eps=cfg.optimizer.eps)
     log_path = os.path.join(out_dir, "train_log.jsonl")
     first_loss = last_loss = None
-    try:
-        # a NumericError still lands the log: its rows show where training broke
-        with atomic_write(log_path, keep_on=NumericError) as log:
-            for step in range(cfg.optimizer.steps):
-                opt.lr = _lr_at(step, cfg)
-                if cfg.data.augment is not None:
-                    preps = [prepare_scene(model, cfg, augment(s, cfg.data.augment,
-                                                               seed=[cfg.seed, step, i]))
-                             for i, s in enumerate(scenes)]
-                else:
-                    preps = static_preps
-                breakdowns = scene_loss(model, cfg, preps,
-                                        [np.random.default_rng([cfg.seed, 7, step, i])
-                                         for i in range(len(preps))])
-                total = breakdowns[0].total
-                for b in breakdowns[1:]:
-                    total = total + b.total
-                total = total / float(len(breakdowns))
-                value = float(total.data)
-                if not math.isfinite(value):
-                    raise NumericError(f"non-finite loss at step {step}")
-                rec = {"step": step,
-                       "L": value,
-                       "L_cls": float(np.mean([b.l_cls for b in breakdowns])),
-                       "L_reg": float(np.mean([b.l_reg for b in breakdowns])),
-                       "N": int(sum(b.n for b in breakdowns)),
-                       "N_pos": int(sum(b.n_pos for b in breakdowns))}
-                log.write(json.dumps(rec, sort_keys=True) + "\n")
-                first_loss = value if first_loss is None else first_loss
-                last_loss = value
-                opt.zero_grad()
-                total.backward()
-                opt.step()
-                # every parameter is a view of opt.flat: one pass checks them all
-                if not np.isfinite(opt.flat).all():
-                    name = next(n for n, p in params.items() if not np.isfinite(p.data).all())
-                    raise NumericError(f"non-finite parameter {name} after step {step}")
-                every = cfg.optimizer.checkpoint_every
-                if every and (step + 1) % every == 0:
-                    save_checkpoint(params, os.path.join(out_dir, f"ckpt_{step + 1:06d}.bin"))
-    finally:
-        T.release_columns()     # the recycled conv2d columns outlive no run
+    # a NumericError still lands the log: its rows show where training broke
+    with atomic_write(log_path, keep_on=NumericError) as log:
+        for step in range(cfg.optimizer.steps):
+            opt.lr = _lr_at(step, cfg)
+            if cfg.data.augment is not None:
+                preps = [prepare_scene(model, cfg, augment(s, cfg.data.augment,
+                                                           seed=[cfg.seed, step, i]))
+                         for i, s in enumerate(scenes)]
+            else:
+                preps = static_preps
+            breakdowns = scene_loss(model, cfg, preps,
+                                    [np.random.default_rng([cfg.seed, 7, step, i])
+                                     for i in range(len(preps))])
+            total = breakdowns[0].total
+            for b in breakdowns[1:]:
+                total = total + b.total
+            total = total / float(len(breakdowns))
+            value = float(total.data)
+            if not math.isfinite(value):
+                raise NumericError(f"non-finite loss at step {step}")
+            rec = {"step": step,
+                   "L": value,
+                   "L_cls": float(np.mean([b.l_cls for b in breakdowns])),
+                   "L_reg": float(np.mean([b.l_reg for b in breakdowns])),
+                   "N": int(sum(b.n for b in breakdowns)),
+                   "N_pos": int(sum(b.n_pos for b in breakdowns))}
+            log.write(json.dumps(rec, sort_keys=True) + "\n")
+            first_loss = value if first_loss is None else first_loss
+            last_loss = value
+            opt.zero_grad()
+            total.backward()
+            opt.step()
+            # every parameter is a view of opt.flat: one pass checks them all
+            if not np.isfinite(opt.flat).all():
+                name = next(n for n, p in params.items() if not np.isfinite(p.data).all())
+                raise NumericError(f"non-finite parameter {name} after step {step}")
+            every = cfg.optimizer.checkpoint_every
+            if every and (step + 1) % every == 0:
+                save_checkpoint(params, os.path.join(out_dir, f"ckpt_{step + 1:06d}.bin"))
     save_checkpoint(params, os.path.join(out_dir, "ckpt_final.bin"))
 
     report = evaluate_model(model, cfg, static_preps)

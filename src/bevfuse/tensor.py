@@ -12,8 +12,9 @@ A training step keeps its largest arrays from one step to the next, so the
 memory they take is not handed back to the system and faulted in again:
 ``Adam`` holds the parameters, their grads and both moments in flat arrays,
 and a backward pass after ``zero_grad()`` writes into the same ``.grad``
-arrays; the columns ``conv2d`` keeps for a weight grad are recycled through
-a free list once that grad is taken.
+arrays; the columns ``conv2d`` copies for a weight grad go into an array
+that the weight's node holds between steps, so they live as long as the
+weight.
 
 Feature maps are N x C x H x W: one map per scene, so one tape serves a whole
 batch. The map ops (``conv2d``, ``add_channel_bias``, ``upsample2x``,
@@ -51,9 +52,13 @@ class _Node:
     parents' nodes and the backward closure. It holds no data, so an op
     output that no caller holds is freed as the forward pass proceeds, while
     its grad slot stays on the tape. A parameter's node also holds ``slot``,
-    its view of its ``Adam``'s flat grad array."""
+    its view of its ``Adam``'s flat grad array, and a conv weight's node
+    ``columns``, the array its conv copies columns into: a tape that copies
+    into it holds it, off the node, until its backward has taken the weight
+    grad."""
 
-    __slots__ = ("grad", "shape", "requires_grad", "parents", "backward", "slot")
+    __slots__ = ("grad", "shape", "requires_grad", "parents", "backward", "slot",
+                 "columns")
 
     def __init__(self, shape, requires_grad: bool):
         self.grad: np.ndarray | None = None
@@ -62,6 +67,7 @@ class _Node:
         self.parents: tuple[_Node, ...] = ()
         self.backward: Callable[[np.ndarray], None] | None = None
         self.slot: np.ndarray | None = None
+        self.columns: np.ndarray | None = None
 
     def accumulate(self, g: np.ndarray):
         """The tape's one gradient rule: a node that takes no grad takes
@@ -428,15 +434,18 @@ def _conv_out_extent(n: int, k: int, stride: int, padding: int) -> int:
 
 # Columns are laid out (C, kh, kw) down the rows and (N, Ho, Wo) along the
 # columns. The windows are one strided view in that axis order, so the
-# reshape to C·kh·kw x N·Ho·Wo is the only copy, and for a 1 x 1 conv at
-# stride 1 without padding on a batch of one it copies nothing: the columns
-# are then a view of the input, which the backward pass reads again for the
-# weight grad, so an input's ``.data`` must not be written between the
-# forward and the backward pass.
+# reshape to C·kh·kw x N·Ho·Wo is the only copy, and it copies nothing when
+# ``_merge_in_place`` says the windows reshape as a view. For an unpadded
+# contiguous input the columns are then a view of the input, which the
+# backward pass reads again for the weight grad, so an input's ``.data``
+# must not be written between the forward and the backward pass. A 1 x 1
+# conv at stride 1 on a batch of one is such a case, and so are, among
+# others, a 1 x 1 conv at any stride on one map one pixel high or wide, and
+# a 1 x 1 conv on a batch of one-pixel maps.
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
             ho: int, wo: int, out: np.ndarray | None = None) -> np.ndarray:
     """The columns of ``x``: a view where the windows allow one, else a copy,
-    made into ``out`` when it is given."""
+    made into ``out`` when it is given and has the columns' shape."""
     n, c, h, w = x.shape
     if padding:
         xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
@@ -448,8 +457,9 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     # the ndarray constructor is a much cheaper strided view than as_strided
     windows = np.ndarray((c, kh, kw, n, ho, wo), x.dtype, x, 0,
                          (sc, sh, sw, sn, sh * stride, sw * stride))
-    if out is None or _merge_in_place(windows):
-        return windows.reshape(c * kh * kw, n * ho * wo)
+    shape = (c * kh * kw, n * ho * wo)
+    if out is None or out.shape != shape or _merge_in_place(windows):
+        return windows.reshape(shape)
     out.reshape(windows.shape)[...] = windows
     return out
 
@@ -467,26 +477,6 @@ def _merge_in_place(windows: np.ndarray) -> bool:
                     return False
                 outer = strides[axis]
     return True
-
-
-# The columns conv2d keeps for a weight grad, by shape: each comes from this
-# free list and goes back to it once its backward has taken the weight grad,
-# so one step's columns serve the next and are not faulted in again. While
-# on the list, columns may be lent to an input grad's GEMM and taken back
-# at once. A tape dropped without backward returns nothing;
-# ``pipeline.train_run`` empties the list when it returns. It takes no lock:
-# one thread at a time builds and runs tapes.
-_free_columns: dict[tuple[int, int], list[np.ndarray]] = {}
-
-
-def _take_columns(shape) -> np.ndarray:
-    free = _free_columns.get(shape)
-    return free.pop() if free else np.empty(shape)
-
-
-def release_columns():
-    """Let the recycled conv2d columns go."""
-    _free_columns.clear()
 
 
 def _col2im(cols: np.ndarray, shape, kh, kw, stride, padding, ho, wo) -> np.ndarray:
@@ -509,12 +499,14 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     weights. One GEMM covers the whole batch, so the weight grad sums over
     N·Ho·Wo columns at once.
 
-    The backward pass reads ``weight.data``, and may read ``x.data`` through
-    a view (a 1 x 1 conv at stride 1 without padding on a contiguous batch of
-    one): nothing may write either between this call and ``backward``.
-    With a tape to record and a weight that takes a grad, an array comes
-    from ``_free_columns`` (but for that view) to hold any columns that need
-    a copy, and the backward pass returns it there."""
+    The backward pass reads ``weight.data``, and reads ``x.data`` through a
+    view when ``x`` is unpadded and contiguous and its columns reshape as a
+    view (see ``_im2col``): nothing may write either between this call and
+    ``backward``. With a tape to record and a weight that takes a grad,
+    columns that need a copy go into the weight node's ``columns`` (a fresh
+    array when it holds none of their shape), which this tape holds until
+    its backward has taken the weight grad and puts it back. The stride-1
+    input grad builds its columns in that array when their shapes match."""
     c_out, c_in, kh, kw = weight.shape
     n, c, h, w = _map_extents("conv2d", x)
     if c != c_in:
@@ -527,12 +519,17 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     wo = _conv_out_extent(w, kw, stride, padding)
     if ho <= 0 or wo <= 0:
         raise ValueError(f"conv2d output extent non-positive for input {x.shape}")
-    # the columns of a 1 x 1 conv on a batch of one are a view of x: no array held idle
-    recycled = (_grad_enabled and weight.requires_grad
-                and not (n == 1 and kh == kw == 1 and stride == 1 and not padding))
-    kept = _take_columns((c_in * kh * kw, n * ho * wo)) if recycled else None
-    cols = _im2col(x.data, kh, kw, stride, padding, ho, wo, kept)
     wd, nx, nw = weight.data, x._node, weight._node
+    held = None
+    if _grad_enabled and nw.requires_grad:
+        held = nw.columns
+        if held is None or held.shape != (c_in * kh * kw, n * ho * wo):
+            held = np.empty((c_in * kh * kw, n * ho * wo))
+    cols = _im2col(x.data, kh, kw, stride, padding, ho, wo, held)
+    # a copy, not a view, is the weight's array: off its node until the backward
+    kept = cols is held
+    if kept:
+        nw.columns = None
     wmat = wd.reshape(c_out, c_in * kh * kw)
     # C_out x N x Ho x Wo to N x C_out x Ho x Wo: a copy only for N > 1
     out = np.ascontiguousarray((wmat @ cols).reshape(c_out, n, ho, wo).transpose(1, 0, 2, 3))
@@ -543,21 +540,17 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         # its GEMM (each stream's first conv takes a constant input)
         if nw.requires_grad:
             nw.accumulate((g2 @ cols.T).reshape(wd.shape))
-            if kept is not None:
-                _free_columns.setdefault(kept.shape, []).append(kept)
+            if kept:
+                nw.columns = cols
         if nx.requires_grad:
             if stride == 1 and kh == kw and padding < kh:
                 # transposed conv: correlate g, padded to k-1-padding, with the
                 # flipped weights, (C_in, C_out, kh, kw) as a C_in-row matrix
                 flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                # into free columns of its shape if there are any, lent for
-                # this GEMM only: the backward pass then needs no new columns
-                free = _free_columns.get((c_out * kh * kw, n * h * w))
-                lent = free.pop() if free else None
-                gcols = _im2col(g, kh, kw, 1, kh - 1 - padding, h, w, lent)
+                # into the weight's columns when they have this shape, for this
+                # GEMM only: the backward pass then needs no new columns
+                gcols = _im2col(g, kh, kw, 1, kh - 1 - padding, h, w, nw.columns)
                 gx = (flipped.reshape(c_in, -1) @ gcols).reshape(c_in, n, h, w)
-                if lent is not None:
-                    free.append(lent)
                 nx.accumulate(gx.transpose(1, 0, 2, 3))
             else:
                 nx.accumulate(_col2im(wmat.T @ g2, nx.shape, kh, kw, stride, padding,

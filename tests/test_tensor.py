@@ -569,16 +569,70 @@ def test_a_tape_dropped_without_backward_leaves_the_next_grads_alone():
         (T.conv2d(Tensor(x), w, 2, 1) * Tensor(g)).sum().backward()
         return w.grad
 
-    free = {k: len(v) for k, v in T._free_columns.items()}
-    with T.no_grad():
-        T.conv2d(Tensor(x), Tensor(w0), 2, 1)
-    assert {k: len(v) for k, v in T._free_columns.items()} == free    # nothing pooled
     w = Tensor(w0, requires_grad=True)
+    with T.no_grad():
+        T.conv2d(Tensor(x), w, 2, 1)
+    assert w._node.columns is None          # nothing kept without a tape
     opt = Adam([w])
     first = step_grad(w, True).copy()
     opt.zero_grad()
     assert _same_bytes(step_grad(w, True), first)
     assert _same_bytes(first, step_grad(Tensor(w0, requires_grad=True), False))
+
+
+def _conv_step(w, x, g, stride=1, padding=1):
+    """One forward and backward pass of ``conv2d`` with output grad ``g``:
+    the weight grad and the input grad."""
+    xt = Tensor(x, requires_grad=True)
+    (T.conv2d(xt, w, stride, padding) * Tensor(g)).sum().backward()
+    return w.grad, xt.grad
+
+
+def test_a_convs_kept_columns_die_with_its_weight():
+    # the columns live as long as the weight: no release call lets them go
+    rng = np.random.default_rng(10)
+    w = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+    _conv_step(w, rng.standard_normal((2, 3, 6, 6)), rng.standard_normal((2, 4, 6, 6)))
+    kept = weakref.ref(w._node.columns)
+    assert kept() is not None
+    del w
+    assert kept() is None
+
+
+def test_a_weights_columns_are_reused_when_their_shape_matches():
+    rng = np.random.default_rng(11)
+    w0 = rng.standard_normal((3, 3, 3, 3))      # C_in = C_out: the input grad borrows them
+    w = Tensor(w0.copy(), requires_grad=True)
+    held = []
+    for n in (4, 1, 4, 4):
+        x, g = rng.standard_normal((n, 3, 5, 6)), rng.standard_normal((n, 3, 5, 6))
+        w.grad = None
+        grads = _conv_step(w, x, g)
+        fresh = _conv_step(Tensor(w0.copy(), requires_grad=True), x, g)
+        assert all(_same_bytes(a, b) for a, b in zip(grads, fresh))
+        held.append(w._node.columns)
+        assert held[-1].shape == (27, n * 30)
+    # a batch of another shape gets a fresh array, one of the same shape reuses it
+    assert held[1] is not held[0] and held[2] is not held[1] and held[3] is held[2]
+
+
+# unpadded contiguous inputs whose columns reshape as a view: (x shape, k, stride)
+_VIEW_CASES = [((1, 3, 4, 5), 1, 1), ((1, 3, 5, 1), 1, 2), ((1, 3, 1, 5), 1, 1),
+               ((1, 3, 1, 5), 1, 2), ((2, 3, 1, 1), 1, 1), ((1, 1, 3, 3), 3, 1)]
+
+
+@pytest.mark.parametrize("shape,k,stride", _VIEW_CASES)
+def test_view_columns_read_the_input_and_leave_the_weight_node_empty(shape, k, stride):
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal(shape)
+    ho, wo = (T._conv_out_extent(e, k, stride, 0) for e in shape[2:])
+    assert np.shares_memory(T._im2col(x, k, k, stride, 0, ho, wo), x)
+    w = Tensor(rng.standard_normal((2, shape[1], k, k)), requires_grad=True)
+    g = rng.standard_normal((shape[0], 2, ho, wo))
+    w_grad, _ = _conv_step(w, x, g, stride, 0)
+    assert w._node.columns is None
+    np.testing.assert_allclose(w_grad, _conv_weight_grad_reference(x, g, k, stride, 0),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_adam_raises_on_missing_grad():
