@@ -28,7 +28,9 @@ seconds (``getrusage(RUSAGE_CHILDREN)`` deltas around the benchmark process).
 After writing it, the script prints one line
 per workload and end-to-end metric: both medians, the relative change, the
 pairs won, both sides' IQRs and a verdict (see ``verdict``), and one line per
-workload and ``run_detail`` value with both medians. Then one line per
+workload and ``run_detail`` value with both medians, the relative change and
+the number of pairs, of those where both sides report it, in which the
+change read lower. Then one line per
 workload and trace level says whether the output digests (``detail.digest``)
 of the first base run and the first change run are equal. Then one line per
 workload and per-layer metric whose median shift over the traced pairs
@@ -163,8 +165,12 @@ def summary(doc: dict) -> list[str]:
                      f"  change IQR {m['change_iqr']:.3g}"
                      f"  {verdict(m, spec['better'], spec['bound'])}")
     for key, m in doc.get("run_detail", {}).items():
-        base, change = (f"{v:<10.4g}" if v is not None else f"{'n/a':10s}" for v in m["median"])
-        lines.append(f"{key:28s} base {base} change {change}")
+        base, change = m["median"]
+        rel = f"{(change - base) / base:+7.1%}" if base and change is not None else "    n/a"
+        pairs = [(b, c) for b, c in zip(m["base"], m["change"]) if None not in (b, c)]
+        shown = [f"{v:<10.4g}" if v is not None else f"{'n/a':10s}" for v in m["median"]]
+        lines.append(f"{key:28s} base {shown[0]} change {shown[1]} {rel}  "
+                     f"lower {sum(c < b for b, c in pairs)}/{len(pairs)}")
     base, change = doc["base"]["results"], doc["change"]["results"]
     for key in sorted(base.keys() & change.keys()):
         b, c = base[key]["detail"]["digest"], change[key]["detail"]["digest"]

@@ -351,7 +351,8 @@ def parse_kitti_label_line(line: str, rect_to_velo: np.ndarray,
     ry = vals[13]
     score = vals[14] if len(fields) == 16 else 1.0
     center = rect_to_velo @ loc_cam
-    cls = CLASS_NAMES.index(name) if name in CLASS_NAMES else len(CLASS_NAMES)
+    # a class outside CLASS_NAMES (Truck, Tram, ...) is Misc, as it is written
+    cls = CLASS_NAMES.index(name if name in CLASS_NAMES else "Misc")
     return DetectionBox(
         x=center[0], y=center[1], z=center[2] + hgt / 2,
         w=length, h=wid, d=hgt, t=-ry - math.pi / 2,

@@ -8,13 +8,12 @@ arrays that backward reads, so an intermediate that no caller holds is freed
 as the forward pass proceeds. No broadcasting beyond scalar-tensor; reshape
 explicitly.
 
-A training step keeps its largest arrays from one step to the next, so the
-memory they take is not handed back to the system and faulted in again:
+A training step keeps its largest arrays from one step to the next:
 ``Adam`` holds the parameters, their grads and both moments in flat arrays,
 and a backward pass after ``zero_grad()`` writes into the same ``.grad``
-arrays; the columns ``conv2d`` copies for a weight grad go into an array
-that the weight's node holds between steps, so they live as long as the
-weight.
+arrays. Building an ``Adam`` also asks glibc's malloc to keep the memory a
+freed tape leaves, so the next step reuses it instead of faulting it in
+again; a process that has trained keeps that memory until it exits.
 
 Feature maps are N x C x H x W: one map per scene, so one tape serves a whole
 batch. The map ops (``conv2d``, ``add_channel_bias``, ``upsample2x``,
@@ -24,6 +23,7 @@ batch. The map ops (``conv2d``, ``add_channel_bias``, ``upsample2x``,
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 import os
 import struct
@@ -52,13 +52,9 @@ class _Node:
     parents' nodes and the backward closure. It holds no data, so an op
     output that no caller holds is freed as the forward pass proceeds, while
     its grad slot stays on the tape. A parameter's node also holds ``slot``,
-    its view of its ``Adam``'s flat grad array, and a conv weight's node
-    ``columns``, the array its conv copies columns into: a tape that copies
-    into it holds it, off the node, until its backward has taken the weight
-    grad."""
+    its view of its ``Adam``'s flat grad array."""
 
-    __slots__ = ("grad", "shape", "requires_grad", "parents", "backward", "slot",
-                 "columns")
+    __slots__ = ("grad", "shape", "requires_grad", "parents", "backward", "slot")
 
     def __init__(self, shape, requires_grad: bool):
         self.grad: np.ndarray | None = None
@@ -67,7 +63,6 @@ class _Node:
         self.parents: tuple[_Node, ...] = ()
         self.backward: Callable[[np.ndarray], None] | None = None
         self.slot: np.ndarray | None = None
-        self.columns: np.ndarray | None = None
 
     def accumulate(self, g: np.ndarray):
         """The tape's one gradient rule: a node that takes no grad takes
@@ -435,17 +430,15 @@ def _conv_out_extent(n: int, k: int, stride: int, padding: int) -> int:
 # Columns are laid out (C, kh, kw) down the rows and (N, Ho, Wo) along the
 # columns. The windows are one strided view in that axis order, so the
 # reshape to C·kh·kw x N·Ho·Wo is the only copy, and it copies nothing when
-# ``_merge_in_place`` says the windows reshape as a view. For an unpadded
-# contiguous input the columns are then a view of the input, which the
-# backward pass reads again for the weight grad, so an input's ``.data``
-# must not be written between the forward and the backward pass. A 1 x 1
-# conv at stride 1 on a batch of one is such a case, and so are, among
-# others, a 1 x 1 conv at any stride on one map one pixel high or wide, and
-# a 1 x 1 conv on a batch of one-pixel maps.
+# the windows reshape as a view. For an unpadded contiguous input the
+# columns are then a view of the input, which the backward pass reads again
+# for the weight grad, so an input's ``.data`` must not be written between
+# the forward and the backward pass. A 1 x 1 conv at stride 1 on a batch of
+# one is such a case, and so are, among others, a 1 x 1 conv at any stride
+# on one map one pixel high or wide, and a 1 x 1 conv on a batch of
+# one-pixel maps.
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
-            ho: int, wo: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The columns of ``x``: a view where the windows allow one, else a copy,
-    made into ``out`` when it is given and has the columns' shape."""
+            ho: int, wo: int) -> np.ndarray:
     n, c, h, w = x.shape
     if padding:
         xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
@@ -457,26 +450,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     # the ndarray constructor is a much cheaper strided view than as_strided
     windows = np.ndarray((c, kh, kw, n, ho, wo), x.dtype, x, 0,
                          (sc, sh, sw, sn, sh * stride, sw * stride))
-    shape = (c * kh * kw, n * ho * wo)
-    if out is None or out.shape != shape or _merge_in_place(windows):
-        return windows.reshape(shape)
-    out.reshape(windows.shape)[...] = windows
-    return out
-
-
-def _merge_in_place(windows: np.ndarray) -> bool:
-    """Whether the reshape of ``windows`` to columns is a view: within
-    (C, kh, kw) and within (N, Ho, Wo), each axis longer than 1 steps over
-    the next one longer than 1, as numpy requires."""
-    extents, strides = windows.shape, windows.strides
-    for lo in (0, 3):
-        outer = None
-        for axis in range(lo, lo + 3):
-            if extents[axis] != 1:
-                if outer is not None and outer != extents[axis] * strides[axis]:
-                    return False
-                outer = strides[axis]
-    return True
+    return windows.reshape(c * kh * kw, n * ho * wo)
 
 
 def _col2im(cols: np.ndarray, shape, kh, kw, stride, padding, ho, wo) -> np.ndarray:
@@ -502,11 +476,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     The backward pass reads ``weight.data``, and reads ``x.data`` through a
     view when ``x`` is unpadded and contiguous and its columns reshape as a
     view (see ``_im2col``): nothing may write either between this call and
-    ``backward``. With a tape to record and a weight that takes a grad,
-    columns that need a copy go into the weight node's ``columns`` (a fresh
-    array when it holds none of their shape), which this tape holds until
-    its backward has taken the weight grad and puts it back. The stride-1
-    input grad builds its columns in that array when their shapes match."""
+    ``backward``."""
     c_out, c_in, kh, kw = weight.shape
     n, c, h, w = _map_extents("conv2d", x)
     if c != c_in:
@@ -519,17 +489,8 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     wo = _conv_out_extent(w, kw, stride, padding)
     if ho <= 0 or wo <= 0:
         raise ValueError(f"conv2d output extent non-positive for input {x.shape}")
+    cols = _im2col(x.data, kh, kw, stride, padding, ho, wo)
     wd, nx, nw = weight.data, x._node, weight._node
-    held = None
-    if _grad_enabled and nw.requires_grad:
-        held = nw.columns
-        if held is None or held.shape != (c_in * kh * kw, n * ho * wo):
-            held = np.empty((c_in * kh * kw, n * ho * wo))
-    cols = _im2col(x.data, kh, kw, stride, padding, ho, wo, held)
-    # a copy, not a view, is the weight's array: off its node until the backward
-    kept = cols is held
-    if kept:
-        nw.columns = None
     wmat = wd.reshape(c_out, c_in * kh * kw)
     # C_out x N x Ho x Wo to N x C_out x Ho x Wo: a copy only for N > 1
     out = np.ascontiguousarray((wmat @ cols).reshape(c_out, n, ho, wo).transpose(1, 0, 2, 3))
@@ -540,16 +501,12 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         # its GEMM (each stream's first conv takes a constant input)
         if nw.requires_grad:
             nw.accumulate((g2 @ cols.T).reshape(wd.shape))
-            if kept:
-                nw.columns = cols
         if nx.requires_grad:
             if stride == 1 and kh == kw and padding < kh:
                 # transposed conv: correlate g, padded to k-1-padding, with the
                 # flipped weights, (C_in, C_out, kh, kw) as a C_in-row matrix
                 flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                # into the weight's columns when they have this shape, for this
-                # GEMM only: the backward pass then needs no new columns
-                gcols = _im2col(g, kh, kw, 1, kh - 1 - padding, h, w, nw.columns)
+                gcols = _im2col(g, kh, kw, 1, kh - 1 - padding, h, w)
                 gx = (flipped.reshape(c_in, -1) @ gcols).reshape(c_in, n, h, w)
                 nx.accumulate(gx.transpose(1, 0, 2, 3))
             else:
@@ -626,9 +583,24 @@ def bilinear_sample(feature_map: Tensor, uv: np.ndarray, scene=None) -> Tensor:
 
 # -- optimizer ----------------------------------------------------------------
 
+def _keep_freed_memory():
+    """Ask glibc's malloc to keep freed memory: trim the heap top only past
+    1 GiB (``M_TRIM_THRESHOLD``, -1), and serve blocks up to 32 MiB, the
+    largest threshold on 64-bit, from the heap (``M_MMAP_THRESHOLD``, -3).
+    A C library without ``mallopt`` is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt(-1, 1 << 30)
+    mallopt(-3, 32 << 20)
+
+
 class Adam:
     """Standard Adam with bias correction, applied in place to f64 parameters.
 
+    Only training builds one, so building one sets ``_keep_freed_memory``'s
+    allocator policy: the process then keeps what it frees until it exits.
     The parameters, their grads and both moments live in flat arrays, so a
     training step allocates none of them again:
     - each parameter's ``.data`` becomes a view of ``flat``, which holds the
@@ -653,6 +625,7 @@ class Adam:
         if (len({id(p) for p in self.params}) < len(self.params)
                 or any(p._node.slot is not None for p in self.params)):
             raise ValueError("a parameter belongs to one Adam, once")
+        _keep_freed_memory()
         size = sum(p.size for p in self.params)
         self.flat = np.empty(size)
         self._grad = np.empty(size)

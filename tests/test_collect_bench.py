@@ -193,13 +193,33 @@ def test_each_run_records_wall_and_reference_times_faults_and_system_time(
     assert {key: m["median"] for key, m in detail.items()} == {
         "w.wall_iter_ms_p50": [40.0, 36.0], "w.reference_ms_p50": [0.5, 0.55],
         "w.minor_faults": [1000, 200], "w.system_s": [0.5, 0.125]}
-    # both sides' medians print beside the end-to-end line; a side without a value reads n/a
+    # both sides' medians print beside the end-to-end line, with the relative change
+    # and the pairs in which the change read lower; a side without a value reads n/a
     detail["w.reference_ms_p50"]["median"][0] = None
+    detail["w.reference_ms_p50"]["base"] = [None] * collect_bench.PAIRS
     doc = {"base": _side({"src/a.py": 1}, {}), "change": _side({"src/a.py": 1}, {}),
            "end_to_end": {}, "run_detail": detail}
     # (the file's keys are sorted)
     assert [line.split() for line in collect_bench.summary(doc)[:4]] == [
-        ["w.minor_faults", "base", "1000", "change", "200"],
-        ["w.reference_ms_p50", "base", "n/a", "change", "0.55"],
-        ["w.system_s", "base", "0.5", "change", "0.125"],
-        ["w.wall_iter_ms_p50", "base", "40", "change", "36"]]
+        ["w.minor_faults", "base", "1000", "change", "200", "-80.0%", "lower", "10/10"],
+        ["w.reference_ms_p50", "base", "n/a", "change", "0.55", "n/a", "lower", "0/0"],
+        ["w.system_s", "base", "0.5", "change", "0.125", "-75.0%", "lower", "10/10"],
+        ["w.wall_iter_ms_p50", "base", "40", "change", "36", "-10.0%", "lower", "10/10"]]
+
+
+def test_summary_counts_the_pairs_in_which_a_run_detail_value_read_lower(collect_bench):
+    # faults per run: the change reads lower in 3 of 4 pairs, and equal in one;
+    # a pair where one side reports nothing is not counted
+    doc = {"base": _side({"src/a.py": 1}, {}), "change": _side({"src/a.py": 1}, {}),
+           "end_to_end": {},
+           "run_detail": {
+               "overfit_train.minor_faults": {
+                   "base": [35000, 34000, 36000, 35000], "change": [15000, 34000, 14000, 16000],
+                   "median": [35000, 15500]},
+               "overfit_train.reference_ms_p50": {
+                   "base": [0.5, None, 0.4], "change": [0.6, 0.3, 0.3],
+                   "median": [0.45, 0.3]},
+               "eval_sweep.system_s": {"base": [0.0, 0.0], "change": [0.01, 0.0],
+                                       "median": [0.0, 0.005]}}}
+    assert [line.split()[-3:] for line in collect_bench.summary(doc)[:3]] == [
+        ["-55.7%", "lower", "3/4"], ["-33.3%", "lower", "1/2"], ["n/a", "lower", "0/2"]]

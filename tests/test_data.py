@@ -347,6 +347,17 @@ def test_kitti_label_round_trip_property(rows, angles, shift):
             assert abs(getattr(a, attr) - getattr(b, attr)) <= 1e-9, attr
 
 
+@pytest.mark.parametrize("name", ["Truck", "Tram", "Person_sitting"])
+def test_a_class_outside_class_names_reads_as_misc_and_survives_a_round_trip(
+        tmp_path, name):
+    line = f"{name} 0.00 0 -1.57 100.00 120.00 200.00 220.00 1.50 1.60 3.90 2.00 1.50 20.00 0.10"
+    box = parse_kitti_label_line(line, np.eye(4))
+    assert box.cls == CLASS_NAMES.index("Misc") and not box.ignored
+    write_kitti_labels([box], tmp_path / "l.txt")
+    (again,) = load_kitti_labels(tmp_path / "l.txt", np.eye(4))
+    assert (again.cls, again.ignored) == (box.cls, box.ignored)
+
+
 @pytest.mark.parametrize("drop", ["P2", "R0_rect", "Tr_velo_to_cam"])
 def test_calib_missing_key_is_parse_error(kitti_dir, drop):
     calib = kitti_dir / "000000.txt"

@@ -3,6 +3,7 @@ import math
 import os
 import warnings
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -533,7 +534,6 @@ def _conv_weight_grad_reference(x, g, kh, stride, padding):
 
 def test_two_live_tapes_through_one_conv_keep_their_own_columns():
     rng = np.random.default_rng(8)
-    # C_in = C_out, so the input grad's columns have the kept columns' shape
     w = Tensor(rng.standard_normal((3, 3, 3, 3)), requires_grad=True)
     x1, x2 = rng.standard_normal((2, 2, 3, 6, 7))
     g1, g2 = rng.standard_normal((2, 2, 3, 6, 7))
@@ -542,7 +542,7 @@ def test_two_live_tapes_through_one_conv_keep_their_own_columns():
         xt = Tensor(x, requires_grad=True)
         return xt, (T.conv2d(xt, w, 1, 1) * Tensor(g)).sum()
 
-    # each tape alone first, which leaves columns of that shape on the free list
+    # each tape alone first: the reference input grads
     ref_gx = []
     for x, g in ((x1, g1), (x2, g2)):
         xt, loss = tape(x, g)
@@ -572,7 +572,6 @@ def test_a_tape_dropped_without_backward_leaves_the_next_grads_alone():
     w = Tensor(w0, requires_grad=True)
     with T.no_grad():
         T.conv2d(Tensor(x), w, 2, 1)
-    assert w._node.columns is None          # nothing kept without a tape
     opt = Adam([w])
     first = step_grad(w, True).copy()
     opt.zero_grad()
@@ -588,32 +587,16 @@ def _conv_step(w, x, g, stride=1, padding=1):
     return w.grad, xt.grad
 
 
-def test_a_convs_kept_columns_die_with_its_weight():
-    # the columns live as long as the weight: no release call lets them go
-    rng = np.random.default_rng(10)
-    w = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
-    _conv_step(w, rng.standard_normal((2, 3, 6, 6)), rng.standard_normal((2, 4, 6, 6)))
-    kept = weakref.ref(w._node.columns)
-    assert kept() is not None
-    del w
-    assert kept() is None
-
-
-def test_a_weights_columns_are_reused_when_their_shape_matches():
+def test_a_weights_grads_match_a_fresh_weights_as_the_batch_size_changes():
     rng = np.random.default_rng(11)
-    w0 = rng.standard_normal((3, 3, 3, 3))      # C_in = C_out: the input grad borrows them
+    w0 = rng.standard_normal((3, 3, 3, 3))
     w = Tensor(w0.copy(), requires_grad=True)
-    held = []
     for n in (4, 1, 4, 4):
         x, g = rng.standard_normal((n, 3, 5, 6)), rng.standard_normal((n, 3, 5, 6))
         w.grad = None
         grads = _conv_step(w, x, g)
         fresh = _conv_step(Tensor(w0.copy(), requires_grad=True), x, g)
         assert all(_same_bytes(a, b) for a, b in zip(grads, fresh))
-        held.append(w._node.columns)
-        assert held[-1].shape == (27, n * 30)
-    # a batch of another shape gets a fresh array, one of the same shape reuses it
-    assert held[1] is not held[0] and held[2] is not held[1] and held[3] is held[2]
 
 
 # unpadded contiguous inputs whose columns reshape as a view: (x shape, k, stride)
@@ -630,9 +613,41 @@ def test_view_columns_read_the_input_and_leave_the_weight_node_empty(shape, k, s
     w = Tensor(rng.standard_normal((2, shape[1], k, k)), requires_grad=True)
     g = rng.standard_normal((shape[0], 2, ho, wo))
     w_grad, _ = _conv_step(w, x, g, stride, 0)
-    assert w._node.columns is None
     np.testing.assert_allclose(w_grad, _conv_weight_grad_reference(x, g, k, stride, 0),
                                rtol=1e-12, atol=1e-12)
+
+
+def _adam_conv_steps(monkeypatch, cdll):
+    """The weights after 3 Adam steps on a conv, with ``cdll`` as ``ctypes.CDLL``."""
+    monkeypatch.setattr(T, "ctypes", SimpleNamespace(CDLL=cdll))
+    rng = np.random.default_rng(13)
+    w = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+    x = rng.standard_normal((2, 3, 6, 6))
+    opt = Adam([w], lr=0.01)
+    for _ in range(3):
+        opt.zero_grad()
+        (T.conv2d(Tensor(x), w, 1, 1) ** 2.0).sum().backward()
+        opt.step()
+    return w.data.copy()
+
+
+def test_building_an_adam_asks_malloc_to_keep_freed_memory(monkeypatch):
+    calls = []
+
+    def libc(name):
+        assert name is None                     # the process's own C library
+        return SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+
+    trained = _adam_conv_steps(monkeypatch, libc)
+    # M_TRIM_THRESHOLD to 1 GiB, M_MMAP_THRESHOLD to 32 MiB
+    assert calls == [(-1, 1 << 30), (-3, 32 << 20)]
+
+    def no_library(name):
+        raise OSError("no C library")
+
+    # no C library, or one without mallopt: Adam trains all the same
+    for cdll in (no_library, lambda name: SimpleNamespace()):
+        assert _same_bytes(_adam_conv_steps(monkeypatch, cdll), trained)
 
 
 def test_adam_raises_on_missing_grad():
