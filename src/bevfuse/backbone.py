@@ -257,7 +257,9 @@ class DetectorModel:
         if not self.fusion_grids:
             return None
         knn = self.fusion_section
-        nb = build_bev_index(cloud).query(self._centers, knn.k, knn.max_dist)
+        # no more columns than points: a larger k would only add -1 padding
+        nb = build_bev_index(cloud).query(self._centers, max(1, min(knn.k, len(cloud))),
+                                          knn.max_dist)
         return plan_fusion(cloud, cam, self.fusion_grids, self._centers, nb,
                            self.mode == "continuous")
 

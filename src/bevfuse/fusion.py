@@ -210,7 +210,7 @@ def continuous_fusion_forward(image_features: Tensor, cloud: PointCloud,
         raise FusionConfigError(f"MLP dims ({mlp.input_dim}->{mlp.output_dim}) do not "
                                 f"match config ({cfg.input_dim}->{cfg.output_dim})")
     centers = level_centers({0: grid})
-    nb = build_bev_index(cloud).query(centers, cfg.k, cfg.max_dist)
+    nb = build_bev_index(cloud).query(centers, max(1, min(cfg.k, len(cloud))), cfg.max_dist)
     plan = plan_fusion(cloud, cam, {0: grid}, centers, nb, True)
     fused = apply_fusion(image_features.reshape(1, *image_features.shape), plan, {0: mlp})[0]
     return fused.reshape(fused.shape[1:])

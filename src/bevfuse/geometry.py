@@ -155,9 +155,14 @@ def knn_bev(query, cloud: PointCloud, k: int, max_dist: float = np.inf) -> list[
     return [int(i) for i in order[:k] if d[i] <= max_dist]
 
 
-# queries, or (query, leaf) pairs, measured at once: each temporary holds at most
-# _MERGE_ROWS x leaf width values (128 KB for 64-point leaves) or _MERGE_ROWS x leaves
-_MERGE_ROWS = 256
+# values per temporary of a query pass, 128 KB of float64: a chunk of queries
+# holds its box gaps to every leaf and its distances to every point of its
+# home leaf, and a near-leaf pass its pairs' distances to every point of their
+# leaf. Larger temporaries gained no speed and kept more memory: one pass over
+# a plan's 1,360 pixel centres raised eval_sweep's peak RSS by 0.3-0.6 MB, and
+# 4x chunks made a 20,000-point cloud's query fault in fresh pages ~100x as
+# often (glibc's default malloc settings)
+_CHUNK_VALUES = 1 << 14
 # squared-distance prefilters are widened far beyond their rounding error, so
 # they never drop a point whose np.hypot distance would tie or win
 _SLACK = 1.0 + 1e-9
@@ -167,11 +172,16 @@ class BevKdTree:
     """2D k-d tree over the (x, y) coordinates of a point cloud, kept as the
     boxes and points of its leaves: median splits cut the cloud's box.
 
+    Each leaf is one row of three leaves x width arrays, its point indices
+    and their x and y, so a query gathers a leaf as two contiguous rows.
+    Queries run in chunks sized by work, not by a query count: a chunk's box
+    gaps and leaf distances hold at most ``_CHUNK_VALUES`` values each,
+    however many leaves or points the tree has.
     Query results match the brute-force ``knn_bev`` definition exactly,
     including the lower-index tie-break. Immutable after construction.
     """
 
-    __slots__ = ("xy", "_box", "_members", "_member_xy")
+    __slots__ = ("xy", "_box", "_members", "_mx", "_my")
 
     def __init__(self, cloud: PointCloud, leaf_size: int = 64):
         if leaf_size < 1:
@@ -189,7 +199,8 @@ class BevKdTree:
         self._members = np.full((len(members), max(map(len, members), default=0)), n)
         for leaf, seg in enumerate(members):
             self._members[leaf, :len(seg)] = seg
-        self._member_xy = np.vstack([self.xy, [np.nan, np.nan]])[self._members]
+        padded = np.vstack([self.xy, [np.nan, np.nan]])
+        self._mx, self._my = padded[:, 0][self._members], padded[:, 1][self._members]
 
     def _build(self, seg: np.ndarray, box: list, depth: int, leaf_size: int,
                boxes: list, members: list):
@@ -228,8 +239,9 @@ class BevKdTree:
         lo, hi = self._box[:, :2], self._box[:, 2:]
         bound = np.full(m, float(max_dist)) ** 2
         rows, hits, pairs = np.arange(m), [], []
-        for s in range(0, m, _MERGE_ROWS):
-            a, qa, b = (x[s:s + _MERGE_ROWS] for x in (rows, q, bound))
+        step = max(1, _CHUNK_VALUES // max(self._mx.shape))
+        for s in range(0, m, step):
+            a, qa, b = (x[s:s + step] for x in (rows, q, bound))
             # each leaf box's squared gap to the query; the nearest box is
             # the query's home leaf
             qx, qy = qa[:, :1], qa[:, 1:]
@@ -239,9 +251,12 @@ class BevKdTree:
                 g2 = gx * gx + gy * gy
             home = g2.argmin(axis=1)
             # (1) the bound: the home leaf's k-th nearest point, or max_dist;
-            # the home leaf's points inside it are candidates
+            # the home leaf's points inside it are candidates. Both reductions
+            # skip the NaN padding: fmin ignores it, partition puts it last
             d2 = self._d2(qa, home)
-            if d2.shape[1] >= k:        # a NaN k-th point: fewer than k points
+            if k == 1:
+                np.fmin(b, np.fmin.reduce(d2, axis=1), out=b)
+            elif d2.shape[1] >= k:      # a NaN k-th point: fewer than k points
                 np.fmin(b, np.partition(d2, k - 1, axis=1)[:, k - 1], out=b)
             b *= _SLACK
             hits.append(self._hits(q, a, home, d2, b, max_dist))
@@ -253,12 +268,16 @@ class BevKdTree:
             pairs.append((a[r], c))
         # every point of a near leaf inside both bounds is a candidate too
         qi, leaf = map(np.concatenate, zip(*pairs))
-        for s in range(0, qi.size, _MERGE_ROWS):
-            a, lf = qi[s:s + _MERGE_ROWS], leaf[s:s + _MERGE_ROWS]
+        step = max(1, _CHUNK_VALUES // self._mx.shape[1])
+        for s in range(0, qi.size, step):
+            a, lf = qi[s:s + step], leaf[s:s + step]
             hits.append(self._hits(q, a, lf, self._d2(q[a], lf), bound[a], max_dist))
         # sort by (query, distance, index) once and keep the first k of each query
         hq, hd, hi = map(np.concatenate, zip(*hits))
-        order = np.lexsort((hi, hd, hq))
+        # index and query keys in their narrowest unsigned type: numpy sorts
+        # keys of 16 bits or less by radix, 2.5x faster here than intp keys
+        order = np.lexsort((hi.astype(np.min_scalar_type(n)), hd,
+                            hq.astype(np.min_scalar_type(m))))
         hq, hi = hq[order], hi[order]
         count = np.bincount(hq, minlength=m)
         rank = np.arange(hq.size) - np.repeat(np.cumsum(count) - count, count)
@@ -269,21 +288,27 @@ class BevKdTree:
     def _d2(self, qa: np.ndarray, leaf: np.ndarray) -> np.ndarray:
         """Squared distance from query row p to every point of leaf ``leaf[p]``,
         NaN past the leaf's last point; a far point's may overflow to inf."""
+        dx, dy = self._mx.take(leaf, axis=0), self._my.take(leaf, axis=0)
         with np.errstate(over="ignore"):
-            dx = self._member_xy[leaf, :, 0] - qa[:, :1]
-            dy = self._member_xy[leaf, :, 1] - qa[:, 1:]
-            return np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
+            dx -= qa[:, :1]
+            dy -= qa[:, 1:]
+            dx *= dx
+            dy *= dy
+            dx += dy
+        return dx
 
     def _hits(self, q: np.ndarray, a: np.ndarray, leaf: np.ndarray, d2: np.ndarray,
               bound: np.ndarray, max_dist: float):
         """(query, distance, point) for each point of leaf ``leaf[p]`` inside
         both bounds of query ``a[p]``, given their ``_d2`` and squared bound."""
-        r, c = np.nonzero(d2 <= bound[:, None])
-        lf = leaf[r]
-        dx, dy = (self._member_xy[lf, c] - q[a[r]]).T
-        d = np.hypot(dx, dy)      # the same values knn_bev sorts
-        hit = d <= max_dist
-        return a[r[hit]], d[hit], self._members[lf[hit], c[hit]]
+        width = d2.shape[1]
+        f = np.flatnonzero(d2 <= bound[:, None])
+        r = f // width
+        f += (leaf[r] - r) * width      # from d2's row p to the leaf's own row
+        ar = a[r]
+        d = np.hypot(self._mx.ravel()[f] - q[ar, 0], self._my.ravel()[f] - q[ar, 1])
+        hit = d <= max_dist     # the same values knn_bev sorts
+        return ar[hit], d[hit], self._members.ravel()[f[hit]]
 
 
 def build_bev_index(cloud: PointCloud) -> BevKdTree:

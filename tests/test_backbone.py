@@ -203,6 +203,26 @@ def test_make_plans_builds_index_only_for_knn_modes(monkeypatch, mode, builds):
     assert len(queries) == builds       # one query answers every fusion level
 
 
+@pytest.mark.parametrize("mode", ["continuous", "continuous_nogeo"])
+def test_a_k_past_the_clouds_size_plans_as_k_equal_to_it(monkeypatch, mode):
+    scene = build_scenes(ExperimentConfig())[0]
+    n = len(scene.cloud)
+    asked, query = [], BevKdTree.query
+    monkeypatch.setattr(BevKdTree, "query",
+                        lambda self, q, k, *a: asked.append(k) or query(self, q, k, *a))
+    plans = [build_model(ExperimentConfig(mode=mode, fusion=FusionSection(k, 10.0)))
+             .make_plans(scene.cloud, scene.cam) for k in (5000, n)]
+    assert asked == [n, n]          # no column that could only hold -1
+    big, exact = plans
+    assert big.levels == exact.levels
+    for name in ("point_uv", "point_scene", "pair_pixel", "pair_point", "pair_offset"):
+        a, b = getattr(big, name), getattr(exact, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    model = build_model(ExperimentConfig(mode=mode, fusion=FusionSection(5000, 10.0)))
+    plan = model.make_plans(PointCloud(np.zeros((0, 3))), scene.cam)
+    assert asked[-1] == 1 and plan.pair_pixel.size == 0     # an empty cloud asks k = 1
+
+
 def _one_level_plan(mode, cloud, cam, grid, k, max_dist):
     """The plan of one level alone, from its own projection and query."""
     if mode == "discrete":

@@ -6,7 +6,7 @@ from bevfuse.data import make_forward_camera
 from bevfuse.fusion import (FusionConfig, FusionConfigError, FusionLevel, FusionMlp,
                             apply_fusion, continuous_fusion_forward, level_centers,
                             plan_discrete_fusion, plan_fusion)
-from bevfuse.geometry import (BevGrid, PointCloud, bilinear_sample,
+from bevfuse.geometry import (BevGrid, BevKdTree, PointCloud, bilinear_sample,
                               build_bev_index, knn_bev, project_points)
 from bevfuse.tensor import Tensor
 
@@ -118,6 +118,21 @@ def test_empty_cloud_gives_zero_map():
                                       cam, grid, cfg, mlp)
     assert fused.shape == (5, 8, 8)
     np.testing.assert_array_equal(fused.data, 0.0)
+
+
+def test_a_k_past_the_clouds_size_fuses_as_k_equal_to_it(monkeypatch):
+    _, cam, cloud, grid, cfg, img, mlp = _setup(seed=2)
+    asked, query = [], BevKdTree.query
+    monkeypatch.setattr(BevKdTree, "query",
+                        lambda self, q, k, *a: asked.append(k) or query(self, q, k, *a))
+    maps = []
+    for k in (5000, len(cloud)):
+        cfg.k = k
+        maps.append(continuous_fusion_forward(img, cloud, cam, grid, cfg, mlp).data)
+    assert asked == [len(cloud)] * 2
+    assert maps[0].tobytes() == maps[1].tobytes()
+    continuous_fusion_forward(img, PointCloud(np.zeros((0, 3))), cam, grid, cfg, mlp)
+    assert asked[-1] == 1
 
 
 def test_empty_plan_gives_every_parameter_a_zero_grad():

@@ -1,15 +1,18 @@
 import pathlib
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bevfuse import geometry
 from bevfuse.config import load_config
 from bevfuse.data import make_forward_camera
-from bevfuse.geometry import (_MERGE_ROWS, BevGrid, BevKdTree, CalibratedCamera,
-                              PointCloud, bilinear_sample, build_bev_index,
-                              knn_bev, project_points, voxelize)
+from bevfuse.geometry import (BevGrid, BevKdTree, CalibratedCamera, PointCloud,
+                              bilinear_sample, build_bev_index, knn_bev,
+                              project_points, voxelize)
 from bevfuse.pipeline import build_scenes
 
 
@@ -220,13 +223,15 @@ def test_kdtree_tie_across_leaves_keeps_lower_index(xy, query):
     assert tree.query(np.array([query]), 2).tolist() == [knn_bev(query, cloud, 2)] == [[0, 1]]
 
 
+# the query's chunk budget, in values: 1 takes one query, then one (query,
+# leaf) pair, per pass; 300 splits both passes into several chunks on most trees
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 120), st.booleans(), st.booleans(), st.integers(1, 12),
        st.sampled_from([0.0, 1e-9, 0.5, 1.0, 2.5, np.inf]),
-       st.sampled_from([1, 2, 5, 64]), st.sampled_from([40, 3 * _MERGE_ROWS + 5]),
-       st.integers(0, 2 ** 31 - 1))
+       st.sampled_from([1, 2, 5, 64]), st.sampled_from([40, 773]),
+       st.sampled_from([1, 300, geometry._CHUNK_VALUES]), st.integers(0, 2 ** 31 - 1))
 def test_kdtree_batched_query_matches_knn_bev(n, lattice, with_nan, k, max_dist,
-                                              leaf_size, m, seed):
+                                              leaf_size, m, budget, seed):
     rng = np.random.default_rng(seed)
     if lattice:     # integer points and queries: exact distance ties everywhere
         xy = rng.integers(-4, 5, (n, 2)).astype(np.float64)
@@ -240,13 +245,34 @@ def test_kdtree_batched_query_matches_knn_bev(n, lattice, with_nan, k, max_dist,
             xy[rng.integers(0, n), 0] = np.nan
     cloud = PointCloud(np.column_stack([xy, rng.uniform(-1, 1, len(xy))]))
     tree = BevKdTree(cloud, leaf_size=leaf_size)
-    nb = tree.query(queries, k, max_dist)
+    with mock.patch.object(geometry, "_CHUNK_VALUES", budget):
+        nb = tree.query(queries, k, max_dist)
     assert nb.shape == (len(queries), k) and nb.dtype == np.intp
     for q, row in zip(queries, nb):
         ref = knn_bev(q, cloud, k, max_dist)
         assert row.tolist() == ref + [-1] * (k - len(ref))
     for q, row in zip(queries[:40], nb):        # a single query gives its row
         assert tree.query(q, k, max_dist) == row[row >= 0].tolist()
+
+
+@pytest.mark.parametrize("k", [1, 8])
+def test_kdtree_query_of_a_large_cloud_keeps_its_temporaries_bounded(k):
+    # 20,000 points (512 leaves) and 4,000 queries: the box test alone is
+    # 2 million (query, leaf) gaps, 16 MB if it were held at once
+    rng = np.random.default_rng(0)
+    cloud = PointCloud(rng.uniform((0, -40, -1), (80, 40, 2), (20000, 3)))
+    queries = rng.uniform((0, -40), (80, 40), (4000, 2))
+    tree = BevKdTree(cloud)
+    tracemalloc.start()
+    try:
+        nb = tree.query(queries, k, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6       # the output and candidates included
+    for i in range(0, len(queries), 97):
+        ref = knn_bev(queries[i], cloud, k, 10.0)
+        assert nb[i].tolist() == ref + [-1] * (k - len(ref))
 
 
 def test_bilinear_sample_matches_tensor_impl():
