@@ -11,8 +11,8 @@ import numpy as np
 from . import tensor as T
 from .detect import AnchorConfig, DetectionHeader, HeaderOutput, make_anchors
 from .domains import Checked, NonEmpty, Pos
-from .fusion import (FusionMlp, FusionPlan, FusionSection, apply_fusion, level_centers,
-                     plan_discrete_fusion, plan_fusion, xavier_uniform)
+from .fusion import (Conv2dLayer, FusionMlp, FusionPlan, FusionSection, apply_fusion,
+                     level_centers, plan_discrete_fusion, plan_fusion)
 from .geometry import BevGrid, CalibratedCamera, PointCloud, build_bev_index
 from .tensor import InputError, Tensor
 
@@ -67,27 +67,6 @@ def merge_parameters(*modules) -> dict[str, Tensor]:
         if m is not None:
             out.update(m.parameters())
     return out
-
-
-class Conv2dLayer:
-    def __init__(self, in_ch: int, out_ch: int, ksize: int, stride: int,
-                 padding: int, rng: np.random.Generator, name: str):
-        fan_in = in_ch * ksize * ksize
-        self.weight = Tensor(xavier_uniform(rng, fan_in, out_ch,
-                                            (out_ch, in_ch, ksize, ksize)),
-                             requires_grad=True)
-        self.bias = Tensor.zeros((out_ch,), requires_grad=True)
-        self.stride = stride
-        self.padding = padding
-        self.name = name
-
-    def parameters(self):
-        return {f"{self.name}.weight": self.weight, f"{self.name}.bias": self.bias}
-
-    def forward(self, x: Tensor) -> Tensor:
-        return T.add_channel_bias(
-            T.conv2d(x, self.weight, stride=self.stride, padding=self.padding),
-            self.bias)
 
 
 class ResidualBlock:
@@ -257,9 +236,7 @@ class DetectorModel:
         if not self.fusion_grids:
             return None
         knn = self.fusion_section
-        # no more columns than points: a larger k would only add -1 padding
-        nb = build_bev_index(cloud).query(self._centers, max(1, min(knn.k, len(cloud))),
-                                          knn.max_dist)
+        nb = build_bev_index(cloud).query(self._centers, knn.k, knn.max_dist)
         return plan_fusion(cloud, cam, self.fusion_grids, self._centers, nb,
                            self.mode == "continuous")
 

@@ -14,8 +14,7 @@ import math
 import os
 import sys
 
-from .config import ConfigError, ExperimentConfig, FusionSection, \
-    apply_env_overrides, config_from_dict, load_config
+from .config import ConfigError, ExperimentConfig, FusionSection, load_config
 from .pipeline import NumericError, ablate_run, eval_run, run_gradcheck, train_run
 from .tensor import InputError
 
@@ -23,10 +22,7 @@ EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC = 0, 2, 3
 
 
 def _load(args) -> ExperimentConfig:
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = config_from_dict(apply_env_overrides({}))
+    cfg = load_config(args.config or None)
     if args.seed is not None:
         try:
             cfg = dataclasses.replace(cfg, seed=args.seed)      # rechecks the seed

@@ -155,8 +155,12 @@ def _parse_yaml(text, source: str) -> Any:
 
 
 def load_config(path, environ=None) -> ExperimentConfig:
-    with open(path, "rb") as f:      # the loader decodes: bad bytes are a YAMLError
-        d = _parse_yaml(f, str(path)) or {}
+    """The YAML document at ``path`` (None: an empty one) with the ``BEVFUSE_``
+    overrides of ``environ`` (default ``os.environ``): the one reader of both."""
+    d = {}
+    if path is not None:
+        with open(path, "rb") as f:      # the loader decodes: bad bytes are a YAMLError
+            d = _parse_yaml(f, str(path)) or {}
     if not isinstance(d, dict):         # the environment overrides index it by key
         raise ConfigError(f"{path}: expected a mapping, got {type(d).__name__}")
     return config_from_dict(apply_env_overrides(d, environ))

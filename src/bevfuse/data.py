@@ -7,7 +7,7 @@ import json
 import math
 import os
 import zipfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Annotated, Literal
 
 import numpy as np
@@ -15,13 +15,14 @@ import numpy as np
 from .detect import DetectionBox, box_corners_bev, rotated_iou_bev
 from .domains import (Checked, Finite, Increasing, NonDecreasing, NonNeg, Pos, Unit,
                       UnitOpen)
-from .geometry import BevGrid, CalibratedCamera, PointCloud, project_points
+from .geometry import CalibratedCamera, PointCloud, project_points
 from .tensor import InputError, atomic_write, sample_maps
 
 # the dataset record layout: version 1 records hold 10 box columns; version 2
 # added height2d and a 0/1 3D flag (12 columns); version 3 dropped the flag
-# (11 columns), since the configured variant, not each box, owns 3D-ness
-GENERATOR_VERSION = 3
+# (11 columns), since the configured variant, not each box, owns 3D-ness;
+# version 4 dropped the image_size array: the camera takes the features' H x W
+GENERATOR_VERSION = 4
 
 # (height, width) of a KITTI frame's camera image
 KITTI_IMAGE_SIZE = (370, 1224)
@@ -261,8 +262,8 @@ def augment(sample: SceneSample, cfg: AugmentationConfig,
     src_u = (us - ((1 - img_s) * cu + img_tu)) / img_s
     src_v = (vs - ((1 - img_s) * cv + img_tv)) / img_s
     warped = sample_maps(fm[None], np.stack([src_u.ravel(), src_v.ravel()], axis=1))[0]
-    return SceneSample(PointCloud(pts), warped.T.reshape(fm.shape), cam, boxes,
-                       frame_id=sample.frame_id)
+    return SceneSample(PointCloud(pts, sample.cloud.intensity), warped.T.reshape(fm.shape),
+                       cam, boxes, frame_id=sample.frame_id)
 
 
 # -- KITTI format -----------------------------------------------------------------
@@ -426,7 +427,8 @@ def _box_records(boxes: list[DetectionBox]) -> np.ndarray:
 
 
 def save_dataset(samples: list[SceneSample], directory):
-    """Directory of per-frame .npz records plus an index.json manifest."""
+    """Directory of per-frame .npz records plus an index.json manifest; a
+    record stores no image size, which is its image features' H x W."""
     os.makedirs(directory, exist_ok=True)
     frames = []
     for s in samples:
@@ -436,7 +438,6 @@ def save_dataset(samples: list[SceneSample], directory):
                                 else np.zeros(len(s.cloud))),
                      image_features=s.image_feature_input,
                      projection=s.cam.projection,
-                     image_size=np.array(s.cam.image_size),
                      boxes=_box_records(s.gt_boxes))
         frames.append(s.frame_id)
     with atomic_write(os.path.join(directory, "index.json")) as f:
@@ -494,12 +495,13 @@ def _check_box_rows(rows: np.ndarray):
 # boxes' are those _check_box_rows asks for
 _RECORD_SHAPES = {"points": ("N", 3), "intensity": ("N",),
                   "image_features": ("C", "H", "W"), "projection": (3, 4),
-                  "image_size": (2,), "boxes": None}
+                  "boxes": None}
 
 
 def _load_record(path, fid) -> SceneSample:
     """One scene record; each array must hold bool, int or float values in
-    its ``_RECORD_SHAPES`` extents before it is converted."""
+    its ``_RECORD_SHAPES`` extents before it is converted. Its camera's
+    image size is the image features' H x W."""
     try:
         with np.load(path) as z:
             arrays = {key: z[key] for key in _RECORD_SHAPES}
@@ -515,14 +517,12 @@ def _load_record(path, fid) -> SceneSample:
         _check_box_rows(rows)
         boxes = [DetectionBox(*r[:7], score=r[7], cls=int(r[8]), ignored=bool(r[9]),
                               height2d=r[10]) for r in rows]
-        cam = CalibratedCamera(arrays["projection"], arrays["image_size"].tolist())
         image = np.asarray(arrays["image_features"], dtype=np.float64)
         if not np.isfinite(image).all():
             raise ValueError("image_features hold a non-finite value")
         if (np.abs(image) > IMAGE_BOUND).any():
             raise ValueError(f"image_features hold a value beyond ±{IMAGE_BOUND:g}")
-        if image.shape[1:] != cam.image_size:
-            raise ValueError(f"image_features {list(image.shape)} are not C x image_size")
+        cam = CalibratedCamera(arrays["projection"], image.shape[1:])
         return SceneSample(PointCloud(arrays["points"], intensity=arrays["intensity"]),
                            image, cam, boxes, frame_id=fid)
     except _RECORD_ERRORS as e:

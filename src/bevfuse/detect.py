@@ -11,6 +11,7 @@ import numpy as np
 
 from . import tensor as T
 from .domains import Checked, Finite, Pos
+from .fusion import Conv2dLayer
 from .geometry import BevGrid
 from .tensor import Tensor, logistic
 
@@ -393,7 +394,6 @@ class DetectionHeader:
     """Single 1x1 convolution over the final BEV feature map."""
 
     def __init__(self, in_channels: int, variant: str, rng: np.random.Generator):
-        from .backbone import Conv2dLayer
         if variant not in NUM_REG:
             raise ValueError(f"unknown variant {variant!r}")
         self.variant = variant

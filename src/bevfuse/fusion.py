@@ -1,5 +1,6 @@
 """Continuous fusion: project image features onto a dense BEV raster through
-the K nearest LIDAR points and an offset-conditioned shared MLP."""
+the K nearest LIDAR points and an offset-conditioned shared MLP; also the
+conv layer that the backbone and the header build from."""
 
 from __future__ import annotations
 
@@ -44,6 +45,27 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
     return rng.uniform(-limit, limit, size=shape or (fan_in, fan_out))
 
 
+class Conv2dLayer:
+    def __init__(self, in_ch: int, out_ch: int, ksize: int, stride: int,
+                 padding: int, rng: np.random.Generator, name: str):
+        fan_in = in_ch * ksize * ksize
+        self.weight = Tensor(xavier_uniform(rng, fan_in, out_ch,
+                                            (out_ch, in_ch, ksize, ksize)),
+                             requires_grad=True)
+        self.bias = Tensor(np.zeros(out_ch), requires_grad=True)
+        self.stride = stride
+        self.padding = padding
+        self.name = name
+
+    def parameters(self):
+        return {f"{self.name}.weight": self.weight, f"{self.name}.bias": self.bias}
+
+    def forward(self, x: Tensor) -> Tensor:
+        return T.add_channel_bias(
+            T.conv2d(x, self.weight, stride=self.stride, padding=self.padding),
+            self.bias)
+
+
 class FusionMlp:
     """Shared 3-layer perceptron: two hidden layers of the input width, then a
     linear output layer; rectifier between layers, none at the end."""
@@ -55,11 +77,11 @@ class FusionMlp:
         self.name = name
         d, o = input_dim, output_dim
         self.w1 = Tensor(xavier_uniform(rng, d, d), requires_grad=True)
-        self.b1 = Tensor.zeros((1, d), requires_grad=True)
+        self.b1 = Tensor(np.zeros((1, d)), requires_grad=True)
         self.w2 = Tensor(xavier_uniform(rng, d, d), requires_grad=True)
-        self.b2 = Tensor.zeros((1, d), requires_grad=True)
+        self.b2 = Tensor(np.zeros((1, d)), requires_grad=True)
         self.w3 = Tensor(xavier_uniform(rng, d, o), requires_grad=True)
-        self.b3 = Tensor.zeros((1, o), requires_grad=True)
+        self.b3 = Tensor(np.zeros((1, o)), requires_grad=True)
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"{self.name}.{k}": v for k, v in
@@ -210,7 +232,7 @@ def continuous_fusion_forward(image_features: Tensor, cloud: PointCloud,
         raise FusionConfigError(f"MLP dims ({mlp.input_dim}->{mlp.output_dim}) do not "
                                 f"match config ({cfg.input_dim}->{cfg.output_dim})")
     centers = level_centers({0: grid})
-    nb = build_bev_index(cloud).query(centers, max(1, min(cfg.k, len(cloud))), cfg.max_dist)
+    nb = build_bev_index(cloud).query(centers, cfg.k, cfg.max_dist)
     plan = plan_fusion(cloud, cam, {0: grid}, centers, nb, True)
     fused = apply_fusion(image_features.reshape(1, *image_features.shape), plan, {0: mlp})[0]
     return fused.reshape(fused.shape[1:])

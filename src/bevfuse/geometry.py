@@ -3,7 +3,7 @@ the BEV plane, and bilinear sampling of image feature maps."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Annotated
 
 import numpy as np
@@ -178,7 +178,9 @@ class BevKdTree:
     gaps and leaf distances hold at most ``_CHUNK_VALUES`` values each,
     however many leaves or points the tree has.
     Query results match the brute-force ``knn_bev`` definition exactly,
-    including the lower-index tie-break. Immutable after construction.
+    including the lower-index tie-break. A query asks for 1 to n neighbours
+    of n points: a column past the cloud's size could only hold -1.
+    Immutable after construction.
     """
 
     __slots__ = ("xy", "_box", "_members", "_mx", "_my")
@@ -220,11 +222,12 @@ class BevKdTree:
         """The <= k nearest points to each (x, y) query, in ``knn_bev`` order.
 
         A single query of shape (2,) returns a list of point indices. An
-        M x 2 batch returns an M x k intp array whose rows are padded with -1
-        past their last neighbour.
+        M x 2 batch over n points returns an M x max(1, min(k, n)) intp
+        array whose rows are padded with -1 past their last neighbour.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
+        k = max(1, min(k, self.xy.shape[0]))
         q = np.asarray(query, dtype=np.float64)
         if q.ndim == 1:
             row = self._knn(q[:2].reshape(1, 2), k, max_dist)[0]

@@ -94,10 +94,6 @@ class Tensor:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def zeros(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
     def _result(data: np.ndarray, parents: Sequence["Tensor"], op: str,
                 backward: Callable[[np.ndarray], None]) -> "Tensor":
         """Every op's output. ``op`` names the op for tracers; no node keeps it."""

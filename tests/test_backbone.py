@@ -208,11 +208,16 @@ def test_a_k_past_the_clouds_size_plans_as_k_equal_to_it(monkeypatch, mode):
     scene = build_scenes(ExperimentConfig())[0]
     n = len(scene.cloud)
     asked, query = [], BevKdTree.query
-    monkeypatch.setattr(BevKdTree, "query",
-                        lambda self, q, k, *a: asked.append(k) or query(self, q, k, *a))
+
+    def spy(self, q, k, *a):
+        """Record the k asked for and the columns answered."""
+        nb = query(self, q, k, *a)
+        asked.append((k, nb.shape[1]))
+        return nb
+    monkeypatch.setattr(BevKdTree, "query", spy)
     plans = [build_model(ExperimentConfig(mode=mode, fusion=FusionSection(k, 10.0)))
              .make_plans(scene.cloud, scene.cam) for k in (5000, n)]
-    assert asked == [n, n]          # no column that could only hold -1
+    assert asked == [(5000, n), (n, n)]     # no column that could only hold -1
     big, exact = plans
     assert big.levels == exact.levels
     for name in ("point_uv", "point_scene", "pair_pixel", "pair_point", "pair_offset"):
@@ -220,7 +225,7 @@ def test_a_k_past_the_clouds_size_plans_as_k_equal_to_it(monkeypatch, mode):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
     model = build_model(ExperimentConfig(mode=mode, fusion=FusionSection(5000, 10.0)))
     plan = model.make_plans(PointCloud(np.zeros((0, 3))), scene.cam)
-    assert asked[-1] == 1 and plan.pair_pixel.size == 0     # an empty cloud asks k = 1
+    assert asked[-1] == (5000, 1) and plan.pair_pixel.size == 0     # one column of -1
 
 
 def _one_level_plan(mode, cloud, cam, grid, k, max_dist):

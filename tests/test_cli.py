@@ -533,10 +533,6 @@ def _boxes_of_width(columns):
     return _edit_first_record("boxes", edit)
 
 
-# the miniature record's 2 x 8 x 8 features with an image_size of [8, 16]
-_image_size_differs = _edit_first_record("image_size", lambda size: size * [1, 2])
-
-
 def _index_frames(frames):
     """A damage that sets the index's ``frames`` and keeps its version."""
     def damage(data):
@@ -550,29 +546,23 @@ def _index_frames(frames):
     lambda data: (data / "index.json").write_text("{\"frames\": ["),
     lambda data: (data / "index.json").write_text(json.dumps({"seeds": []})),
     _truncate_first_record, _boxes_of_width(10),
-    _edit_first_record("image_size", lambda size: np.append(size, 1)),
-    _edit_first_record("image_size", lambda size: -size),
+    _edit_first_record("image_features", lambda f: f[:, :0]),
+    _edit_first_record("image_features", lambda f: f[:, :, :0]),
     _edit_first_record("intensity", lambda intensity: intensity[1:]),
     _first_box("x", np.inf), _first_box("cls", 1e300), _first_box("w", np.nan),
     _first_box("w", -1.0), _index_frames(5), _index_frames(None),
-    _first_box("ignored", 0.5), _image_size_differs,
+    _first_box("ignored", 0.5),
     _first_box("x", 2e4), _first_box("t", 1e300)],
     ids=["index_not_json", "index_without_frames", "corrupt_record",
-         "record_without_height2d_and_is_3d", "image_size_of_three", "image_size_negative",
-         "intensity_short", "box_x_inf", "box_cls_huge", "box_w_nan", "box_w_negative",
-         "index_frames_int", "index_frames_null", "box_ignored_half", "image_size_differs",
-         "box_x_huge", "box_t_huge"])
+         "record_without_height2d_and_is_3d", "image_features_zero_height",
+         "image_features_zero_width", "intensity_short", "box_x_inf", "box_cls_huge",
+         "box_w_nan", "box_w_negative", "index_frames_int", "index_frames_null",
+         "box_ignored_half", "box_x_huge", "box_t_huge"])
 def test_damaged_manifest_is_config_error(tmp_path, damage):
     assert _damaged_manifest_exit(tmp_path, damage) == (EXIT_CONFIG, False)
 
 
-def test_image_size_differs_with_augmentation_is_config_error(tmp_path):
-    # augmentation reshapes each image to its image_size: the record never gets there
-    assert _damaged_manifest_exit(tmp_path, _image_size_differs, AugmentationConfig()) == \
-        (EXIT_CONFIG, False)
-
-
-def _damaged_manifest_exit(tmp_path, damage, augment=None):
+def _damaged_manifest_exit(tmp_path, damage):
     """The exit code of a 1-scene manifest run after ``damage``, and whether
     the run directory exists."""
     cfg = miniature_config()
@@ -580,18 +570,23 @@ def _damaged_manifest_exit(tmp_path, damage, augment=None):
     damage(tmp_path / "data")
     cfg.data.source = "manifest"
     cfg.data.manifest = str(tmp_path / "data")
-    cfg.data.augment = augment
     return _train_exit(tmp_path, _write_config(tmp_path / "cfg.yaml", cfg))
 
 
-@pytest.mark.parametrize("version,columns", [(1, 10), (None, 10), (2, 12)],
-                         ids=["version_1", "no_version", "version_2"])
+@pytest.mark.parametrize("version,columns", [(1, 10), (None, 10), (2, 12), (3, 11)],
+                         ids=["version_1", "no_version", "version_2", "version_3"])
 def test_old_manifest_exits_with_version_mismatch(tmp_path, capsys, version, columns):
     cfg = miniature_config()
     data = tmp_path / "data"
     save_dataset(generate_dataset(cfg.data.synthetic, 1), data)
-    # version 1 records lack height2d and is_3d; version 2 records hold is_3d
+    # version 1 records lack height2d and is_3d; version 2 records hold is_3d;
+    # version 3 records hold the camera's image size beside the features
     _boxes_of_width(columns)(data)
+    if version == 3:
+        record = next(data.glob("*.npz"))
+        with np.load(record) as z:
+            arrays = dict(z)
+        np.savez(record, **arrays, image_size=np.array(arrays["image_features"].shape[1:]))
     index = json.loads((data / "index.json").read_text())
     index.pop("generator_version")
     if version is not None:
@@ -731,7 +726,6 @@ _RECORD_ACCEPTED = {
     "intensity": ("nan", "inf", "-inf", "huge", "sign", "int"),
     "image_features": ("sign", "int"),
     "projection": ("sign", "int"),
-    "image_size": ("int",),
     "boxes": ("short", "long", "int", "empty"),
 }
 

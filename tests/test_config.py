@@ -111,6 +111,12 @@ def test_load_config_applies_env(tmp_path):
     assert cfg.seed == 5
 
 
+def test_load_config_of_no_path_is_the_empty_document_with_env():
+    env = {"BEVFUSE_SEED": "4", "BEVFUSE_FUSION__K": "3"}
+    assert load_config(None, environ=env) == config_from_dict(apply_env_overrides({}, env))
+    assert load_config(None, environ=env).fusion.k == 3
+
+
 @pytest.mark.parametrize("doc", ["[1]\n", "5\n"], ids=["list", "scalar"])
 def test_config_document_must_be_a_mapping(tmp_path, doc):
     path = tmp_path / "c.yaml"

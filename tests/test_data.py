@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import os
 import pathlib
@@ -108,6 +109,15 @@ def test_augment_consistency():
         img_cfg = AugmentationConfig()
         # image warp moves content; projection must track it within its scale
         assert np.linalg.norm(uv1 - uv0) < img_cfg.image_translate_px + 20
+
+
+def test_augment_keeps_each_points_intensity():
+    scene = generate_scene(_cfg(seed=4))
+    intensity = np.arange(len(scene.cloud)) / 7.0
+    scene = replace(scene, cloud=PointCloud(scene.cloud.points, intensity))
+    out = augment(scene, AugmentationConfig(), seed=9)
+    assert not np.array_equal(out.cloud.points, scene.cloud.points)
+    np.testing.assert_array_equal(out.cloud.intensity, intensity)
 
 
 def test_augment_deterministic():
@@ -399,6 +409,18 @@ def test_save_load_dataset_round_trip(tmp_path):
         assert [astuple(x) for x in a.gt_boxes] == [astuple(y) for y in b.gt_boxes]
 
 
+def test_a_records_camera_takes_its_images_size(tmp_path):
+    scenes = [generate_scene(_cfg(image_shape=shape), seed=i)
+              for i, shape in enumerate([(2, 8, 16), (3, 24, 40)])]
+    save_dataset(scenes, tmp_path)
+    assert json.loads((tmp_path / "index.json").read_text())["generator_version"] == 4
+    for s in scenes:
+        with np.load(tmp_path / f"{s.frame_id}.npz") as z:
+            assert sorted(z) == ["boxes", "image_features", "intensity", "points",
+                                 "projection"]
+    assert [s.cam.image_size for s in load_dataset(tmp_path)] == [(8, 16), (24, 40)]
+
+
 def test_interrupted_save_keeps_the_old_manifest(tmp_path, monkeypatch):
     scenes = generate_dataset(_cfg(), 2)
     save_dataset(scenes, tmp_path)
@@ -429,7 +451,7 @@ def test_interrupted_save_keeps_the_old_manifest(tmp_path, monkeypatch):
     ("intensity", lambda a: a[None], r"intensity must be N, got shape \(1, "),
     ("image_features", lambda a: a.astype(complex), "image_features must hold numbers"),
     ("projection", np.ravel, r"projection must be 3 x 4, got shape \(12,\)"),
-    ("image_size", lambda a: a[:1], r"image_size must be 2, got shape \(1,\)"),
+    ("image_features", lambda a: a[:, :0], r"image_size\[0\] must be > 0, got 0"),
     ("boxes", lambda a: a.astype(complex), "boxes must hold numbers")])
 def test_record_array_of_another_dtype_or_shape_is_named(tmp_path, key, mutate, message):
     save_dataset(generate_dataset(_cfg(), 1), tmp_path)

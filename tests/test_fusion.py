@@ -123,16 +123,21 @@ def test_empty_cloud_gives_zero_map():
 def test_a_k_past_the_clouds_size_fuses_as_k_equal_to_it(monkeypatch):
     _, cam, cloud, grid, cfg, img, mlp = _setup(seed=2)
     asked, query = [], BevKdTree.query
-    monkeypatch.setattr(BevKdTree, "query",
-                        lambda self, q, k, *a: asked.append(k) or query(self, q, k, *a))
-    maps = []
-    for k in (5000, len(cloud)):
+
+    def spy(self, q, k, *a):
+        """Record the k asked for and the columns answered."""
+        nb = query(self, q, k, *a)
+        asked.append((k, nb.shape[1]))
+        return nb
+    monkeypatch.setattr(BevKdTree, "query", spy)
+    maps, n = [], len(cloud)
+    for k in (5000, n):
         cfg.k = k
         maps.append(continuous_fusion_forward(img, cloud, cam, grid, cfg, mlp).data)
-    assert asked == [len(cloud)] * 2
+    assert asked == [(5000, n), (n, n)]
     assert maps[0].tobytes() == maps[1].tobytes()
     continuous_fusion_forward(img, PointCloud(np.zeros((0, 3))), cam, grid, cfg, mlp)
-    assert asked[-1] == 1
+    assert asked[-1] == (n, 1)
 
 
 def test_empty_plan_gives_every_parameter_a_zero_grad():

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bevfuse import backbone, evaluation, fusion, pipeline
+from bevfuse import evaluation, fusion, pipeline
 from bevfuse import tensor as T
 from bevfuse.config import ExperimentConfig, FusionSection, load_config
 from bevfuse.data import AugmentationConfig, augment
@@ -317,11 +317,9 @@ def test_eval_run_reproduces_training_eval(tmp_path, monkeypatch):
     cfg = _mini(steps=3)
     report = train_run(cfg, tmp_path / "run")
     # every parameter is loaded from the checkpoint, so none is drawn first
-    draws = []
-    for module in (backbone, fusion):
-        draw = module.xavier_uniform
-        monkeypatch.setattr(module, "xavier_uniform", lambda rng, *a, draw=draw, **kw:
-                            draws.append(type(rng)) or draw(rng, *a, **kw))
+    draws, draw = [], fusion.xavier_uniform      # every conv and MLP weight's
+    monkeypatch.setattr(fusion, "xavier_uniform", lambda rng, *a, **kw:
+                        draws.append(type(rng)) or draw(rng, *a, **kw))
     eval_report = eval_run(cfg, tmp_path / "run" / "ckpt_final.bin",
                            tmp_path / "eval")
     assert draws and np.random.Generator not in draws

@@ -605,7 +605,7 @@ _VIEW_CASES = [((1, 3, 4, 5), 1, 1), ((1, 3, 5, 1), 1, 2), ((1, 3, 1, 5), 1, 1),
 
 
 @pytest.mark.parametrize("shape,k,stride", _VIEW_CASES)
-def test_view_columns_read_the_input_and_leave_the_weight_node_empty(shape, k, stride):
+def test_view_columns_read_the_input_and_give_the_reference_weight_grad(shape, k, stride):
     rng = np.random.default_rng(12)
     x = rng.standard_normal(shape)
     ho, wo = (T._conv_out_extent(e, k, stride, 0) for e in shape[2:])
