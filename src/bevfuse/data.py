@@ -428,7 +428,9 @@ def _box_records(boxes: list[DetectionBox]) -> np.ndarray:
 
 def save_dataset(samples: list[SceneSample], directory):
     """Directory of per-frame .npz records plus an index.json manifest; a
-    record stores no image size, which is its image features' H x W."""
+    record stores no image size, which is its image features' H x W. Frame
+    ids that ``_check_frame_ids`` rejects raise ValueError before any write."""
+    _check_frame_ids([s.frame_id for s in samples])
     os.makedirs(directory, exist_ok=True)
     frames = []
     for s in samples:
@@ -442,6 +444,19 @@ def save_dataset(samples: list[SceneSample], directory):
         frames.append(s.frame_id)
     with atomic_write(os.path.join(directory, "index.json")) as f:
         json.dump({"generator_version": GENERATOR_VERSION, "frames": frames}, f, indent=2)
+
+
+def _check_frame_ids(frames: list[str]):
+    """Raise ValueError unless each frame id is named once and is a plain
+    file name: not empty, ``.`` or ``..``, and without a path separator, so
+    its record ``<id>.npz`` lies in the index's directory."""
+    seen = set()
+    for fid in frames:
+        if fid in ("", ".", "..") or os.sep in fid or (os.altsep and os.altsep in fid):
+            raise ValueError(f"frame id {fid!r} is not a plain file name")
+        if fid in seen:
+            raise ValueError(f"frame id {fid!r} is listed twice")
+        seen.add(fid)
 
 
 # what np.load and the record fields raise on a damaged or foreign .npz file
@@ -461,6 +476,10 @@ def load_dataset(directory) -> list[SceneSample]:
             raise InputError(f"{path}: not a dataset index: {e!r}") from None
     if not (isinstance(frames, list) and all(isinstance(fid, str) for fid in frames)):
         raise InputError(f"{path}: not a dataset index: frames must be a list of strings")
+    try:
+        _check_frame_ids(frames)
+    except ValueError as e:
+        raise InputError(f"{path}: not a dataset index: {e}") from None
     version = index.get("generator_version")
     if version != GENERATOR_VERSION:
         raise InputError(f"{path}: dataset version mismatch: generator_version {version!r}, "

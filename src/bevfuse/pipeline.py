@@ -186,17 +186,36 @@ def _lr_at(step: int, cfg: ExperimentConfig) -> float:
     return lr
 
 
+def scene_source(model: DetectorModel, cfg: ExperimentConfig, scenes: list[SceneSample]):
+    """What a training run trains on: ``scenes`` prepared once for ``model``
+    (the final evaluation reads these), and a function of step ``s`` giving
+    that step's prepared scenes and mining generators. Step ``s`` trains on
+    the fixed preps or, with ``data.augment``, on scene ``i`` augmented with
+    seed ``[cfg.seed, s, i]`` and then prepared, when the step asks and not
+    before. Scene ``i`` mines with ``default_rng([cfg.seed, 7, s, i])``."""
+    fixed = [prepare_scene(model, cfg, s) for s in scenes]
+
+    def step_inputs(step: int):
+        preps = fixed if cfg.data.augment is None else [
+            prepare_scene(model, cfg, augment(s, cfg.data.augment, seed=[cfg.seed, step, i]))
+            for i, s in enumerate(scenes)]
+        return preps, [np.random.default_rng([cfg.seed, 7, step, i]) for i in range(len(preps))]
+    return fixed, step_inputs
+
+
 def train_run(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Full training run: writes resolved config, per-step loss log, final
     checkpoint and training-set evaluation into ``out_dir``. The data loads
     first, so a bad input leaves no run directory."""
-    scenes = build_scenes(cfg)
+    return _train(cfg, build_scenes(cfg), out_dir)
+
+
+def _train(cfg: ExperimentConfig, scenes: list[SceneSample], out_dir: str) -> dict:
+    """``train_run`` on ``scenes``, loaded and checked by the caller."""
     os.makedirs(out_dir, exist_ok=True)
     save_config(cfg, os.path.join(out_dir, "config.yaml"))
-
-    rng = np.random.default_rng(cfg.seed)
-    model = build_model(cfg, rng)
-    static_preps = [prepare_scene(model, cfg, s) for s in scenes]
+    model = build_model(cfg)
+    fixed, step_inputs = scene_source(model, cfg, scenes)
 
     params = model.parameters()
     opt = Adam(params.values(), lr=cfg.optimizer.lr, betas=cfg.optimizer.betas,
@@ -207,15 +226,7 @@ def train_run(cfg: ExperimentConfig, out_dir: str) -> dict:
     with atomic_write(log_path, keep_on=NumericError) as log:
         for step in range(cfg.optimizer.steps):
             opt.lr = _lr_at(step, cfg)
-            if cfg.data.augment is not None:
-                preps = [prepare_scene(model, cfg, augment(s, cfg.data.augment,
-                                                           seed=[cfg.seed, step, i]))
-                         for i, s in enumerate(scenes)]
-            else:
-                preps = static_preps
-            breakdowns = scene_loss(model, cfg, preps,
-                                    [np.random.default_rng([cfg.seed, 7, step, i])
-                                     for i in range(len(preps))])
+            breakdowns = scene_loss(model, cfg, *step_inputs(step))
             total = breakdowns[0].total
             for b in breakdowns[1:]:
                 total = total + b.total
@@ -244,7 +255,7 @@ def train_run(cfg: ExperimentConfig, out_dir: str) -> dict:
                 save_checkpoint(params, os.path.join(out_dir, f"ckpt_{step + 1:06d}.bin"))
     save_checkpoint(params, os.path.join(out_dir, "ckpt_final.bin"))
 
-    report = evaluate_model(model, cfg, static_preps)
+    report = evaluate_model(model, cfg, fixed)
     report["initial_loss"] = first_loss
     report["final_loss"] = last_loss
     with atomic_write(os.path.join(out_dir, "final_metrics.json")) as f:
@@ -275,8 +286,9 @@ def ablate_run(cfg: ExperimentConfig, out_dir: str,
                knn_grid: list[FusionSection] | None = None) -> list[dict]:
     """Train each fusion variant (optionally over a grid of fusion sections)
     with the shared seed and data; emit one comparison row per run. Each
-    run's directory tag must be its own, and the data loads and is checked
-    against every variant first, so a bad input leaves no output directory."""
+    run's directory tag must be its own, and the data loads once and is
+    checked against every variant first, so a bad input leaves no output
+    directory and every run trains on the data so checked."""
     cells = [(variant, fusion) for variant in variants
              for fusion in (knn_grid if knn_grid and variant.startswith("continuous")
                             else [cfg.fusion])]
@@ -290,8 +302,8 @@ def ablate_run(cfg: ExperimentConfig, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for (variant, fusion), tag in zip(cells, tags):
-        report = train_run(replace(cfg, mode=variant, fusion=fusion),
-                           os.path.join(out_dir, tag))
+        report = _train(replace(cfg, mode=variant, fusion=fusion), scenes,
+                        os.path.join(out_dir, tag))
         rows.append({"variant": variant, "k": fusion.k, "max_dist": fusion.max_dist,
                      "ap": report["ap"], "final_loss": report["final_loss"]})
     with atomic_write(os.path.join(out_dir, "ablation.json")) as f:

@@ -542,6 +542,17 @@ def _index_frames(frames):
     return damage
 
 
+def _first_frame_twice(data):
+    _index_frames(json.loads((data / "index.json").read_text())["frames"] * 2)(data)
+
+
+def _frame_outside_the_manifest(data):
+    """A damage that lists a valid record of another manifest beside this one."""
+    save_dataset(generate_dataset(miniature_config().data.synthetic, 1), data.parent / "other")
+    other = json.loads((data.parent / "other" / "index.json").read_text())["frames"]
+    _index_frames([os.path.join("..", "other", other[0])])(data)
+
+
 @pytest.mark.parametrize("damage", [
     lambda data: (data / "index.json").write_text("{\"frames\": ["),
     lambda data: (data / "index.json").write_text(json.dumps({"seeds": []})),
@@ -552,12 +563,14 @@ def _index_frames(frames):
     _first_box("x", np.inf), _first_box("cls", 1e300), _first_box("w", np.nan),
     _first_box("w", -1.0), _index_frames(5), _index_frames(None),
     _first_box("ignored", 0.5),
-    _first_box("x", 2e4), _first_box("t", 1e300)],
+    _first_box("x", 2e4), _first_box("t", 1e300), _first_frame_twice,
+    _frame_outside_the_manifest],
     ids=["index_not_json", "index_without_frames", "corrupt_record",
          "record_without_height2d_and_is_3d", "image_features_zero_height",
          "image_features_zero_width", "intensity_short", "box_x_inf", "box_cls_huge",
          "box_w_nan", "box_w_negative", "index_frames_int", "index_frames_null",
-         "box_ignored_half", "box_x_huge", "box_t_huge"])
+         "box_ignored_half", "box_x_huge", "box_t_huge", "index_frame_twice",
+         "index_frame_outside_the_manifest"])
 def test_damaged_manifest_is_config_error(tmp_path, damage):
     assert _damaged_manifest_exit(tmp_path, damage) == (EXIT_CONFIG, False)
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import tempfile
 from dataclasses import astuple, replace
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bevfuse import data
 from bevfuse.backbone import MODES
 from bevfuse.config import load_config
 from bevfuse.data import (CLASS_NAMES, IGNORED_CLASSES, AugmentationConfig,
@@ -23,7 +25,7 @@ from bevfuse.data import (CLASS_NAMES, IGNORED_CLASSES, AugmentationConfig,
                           write_kitti_labels)
 from bevfuse.detect import DetectionBox, rotated_iou_bev
 from bevfuse.geometry import PointCloud, project_points
-from bevfuse.pipeline import build_model, miniature_config, prepare_scene, scene_loss
+from bevfuse.pipeline import build_model, miniature_config, scene_loss, scene_source
 from bevfuse.tensor import InputError, Tensor
 
 
@@ -129,13 +131,14 @@ def test_augment_deterministic():
 
 
 def test_default_augmentation_keeps_the_image_content():
-    # the 200 scenes of 50 augmented overfit.yaml steps, seeded as train_run
-    # seeds them; each keeps its share of the channel-0 presence mass
+    # the 200 scenes of 50 augmented overfit.yaml steps, as train_run's scene
+    # source gives them; each keeps its share of the channel-0 presence mass
     cfg = load_config(pathlib.Path(__file__).resolve().parent.parent / "configs" / "overfit.yaml")
+    cfg.data.augment = AugmentationConfig()
     scenes = generate_dataset(cfg.data.synthetic, cfg.data.n_scenes)
-    kept = [augment(s, AugmentationConfig(), seed=[cfg.seed, step, i]).image_feature_input[0]
-            .sum() / s.image_feature_input[0].sum()
-            for step in range(50) for i, s in enumerate(scenes)]
+    _, step_inputs = scene_source(build_model(cfg), cfg, scenes)
+    kept = [p.sample.image_feature_input[0].sum() / s.image_feature_input[0].sum()
+            for step in range(50) for p, s in zip(step_inputs(step)[0], scenes)]
     assert np.median(kept) >= 0.9
 
 
@@ -446,6 +449,41 @@ def test_interrupted_save_keeps_the_old_manifest(tmp_path, monkeypatch):
     assert len(load_dataset(tmp_path)) == 2
 
 
+def test_save_rejects_a_repeated_frame_id_before_writing(tmp_path):
+    # augment keeps the frame id: saving a scene and its augmentation would
+    # write one record and list it twice
+    scenes = generate_dataset(_cfg(), 2)
+    scenes += [augment(s, AugmentationConfig(), seed=i) for i, s in enumerate(scenes)]
+    with pytest.raises(ValueError, match=f"{scenes[0].frame_id!r} is listed twice"):
+        save_dataset(scenes, tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("fid", ["", ".", "..", "../other/syn000000", "a/b"])
+def test_save_rejects_a_frame_id_that_is_not_a_file_name(tmp_path, fid):
+    scene = replace(generate_scene(_cfg(), seed=0), frame_id=fid)
+    with pytest.raises(ValueError, match="is not a plain file name"):
+        save_dataset([scene], tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("frames", [["syn000000", "syn000000"], ["../other/syn000000"],
+                                    [".."], [""]])
+def test_index_frame_ids_are_checked_before_any_record_is_read(tmp_path, monkeypatch,
+                                                               frames):
+    """A repeated id, or one that names a file outside the manifest, is
+    named; no record is read."""
+    save_dataset(generate_dataset(_cfg(), 1), tmp_path / "m")
+    index = json.loads((tmp_path / "m" / "index.json").read_text())
+    (tmp_path / "m" / "index.json").write_text(json.dumps({**index, "frames": frames}))
+
+    def read(path, fid):
+        raise AssertionError(f"record {path} read")
+    monkeypatch.setattr(data, "_load_record", read)
+    with pytest.raises(InputError, match=re.escape(repr(frames[-1]))):
+        load_dataset(tmp_path / "m")
+
+
 @pytest.mark.parametrize("key,mutate,message", [
     ("points", lambda a: a.astype(str), "points must hold numbers, got dtype <U"),
     ("intensity", lambda a: a[None], r"intensity must be N, got shape \(1, "),
@@ -480,9 +518,9 @@ def test_preparing_scenes_builds_no_tape_op(monkeypatch, kitti_dir, tmp_path, mo
     scenes += load_dataset(tmp_path / "ds")
     scenes.append(load_kitti_frame(kitti_dir / "000000.bin", kitti_dir / "000000.txt",
                                    kitti_dir / "label_000000.txt"))
-    scenes += [augment(s, AugmentationConfig(), seed=[cfg.seed, 0, i])
-               for i, s in enumerate(scenes)]
-    preps = [prepare_scene(model, cfg, s) for s in scenes]
+    cfg.data.augment = AugmentationConfig()
+    fixed, step_inputs = scene_source(model, cfg, scenes)
+    preps = fixed + step_inputs(0)[0]
     # the patch is undone: a training step on the generated scenes runs its tape
     monkeypatch.undo()
     params = model.parameters()

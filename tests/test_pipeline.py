@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import pickle
 import re
 import warnings
 from dataclasses import replace
@@ -19,7 +20,7 @@ from bevfuse.losses import AssignmentConfig, hard_negative_mining, total_loss
 from bevfuse.pipeline import (ABLATION_VARIANTS, NumericError, ablate_run,
                               batch_inputs, build_model, build_scenes, detect_scene,
                               eval_run, evaluate_model, miniature_config,
-                              prepare_scene, scene_loss, train_run)
+                              prepare_scene, scene_loss, scene_source, train_run)
 from bevfuse.tensor import load_checkpoint
 
 OVERFIT_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "overfit.yaml"
@@ -203,20 +204,69 @@ def test_fusion_projects_and_samples_once(monkeypatch, mode):
     the forward equal to sampling every pair on every level. An augmented
     step samples the image only there: its warps run no tape op."""
     cfg = replace(load_config(OVERFIT_CONFIG), mode=mode)
+    cfg.data.augment = AugmentationConfig()
     model = build_model(cfg)
     projections, samples = [], []
     project, sample = fusion.project_points, T.bilinear_sample
     monkeypatch.setattr(fusion, "project_points",
                         lambda *a: projections.append(1) or project(*a))
     monkeypatch.setattr(T, "bilinear_sample", lambda *a: samples.append(1) or sample(*a))
-    preps = [prepare_scene(model, cfg, augment(s, AugmentationConfig(), seed=[cfg.seed, 0, i]))
-             for i, s in enumerate(build_scenes(cfg))]
+    _, step_inputs = scene_source(model, cfg, build_scenes(cfg))
+    projections.clear()             # the fixed scenes' plans
+    preps, _ = step_inputs(0)
     fuses = mode != "bev_only"
     assert len(projections) == fuses * len(preps) and len(preps) == 4
     inputs = batch_inputs(model, preps)
     batch = model.forward(*inputs).raw.data
     assert len(samples) == fuses
     assert np.array_equal(batch, _per_pair_forward(model, *inputs).raw.data)
+
+
+def test_a_step_trains_on_its_seeded_augmentations():
+    """Step 3 of an augmented run trains on scene i augmented with seed
+    [seed, 3, i] and mines it with default_rng([seed, 7, 3, i])."""
+    cfg = _mini()
+    cfg.data.n_scenes = 2
+    cfg.data.augment = AugmentationConfig()
+    model, scenes = build_model(cfg), build_scenes(cfg)
+    fixed, step_inputs = scene_source(model, cfg, scenes)
+    preps, rngs = step_inputs(3)
+    expected = [prepare_scene(model, cfg, augment(s, cfg.data.augment, [cfg.seed, 3, i]))
+                for i, s in enumerate(scenes)]
+    assert pickle.dumps(preps) == pickle.dumps(expected)
+    assert pickle.dumps(fixed) == pickle.dumps([prepare_scene(model, cfg, s) for s in scenes])
+    assert len(rngs) == 2
+    for i, rng in enumerate(rngs):
+        expected_draws = np.random.default_rng([cfg.seed, 7, 3, i]).random(8)
+        assert np.array_equal(rng.random(8), expected_draws)
+
+
+@pytest.mark.parametrize("augmented", [False, True])
+def test_the_scene_source_never_runs_ahead(monkeypatch, tmp_path, augmented):
+    """Building the source prepares the fixed scenes and augments none; a
+    step's scenes are augmented and prepared when it asks for them, after
+    the previous step's Adam step, and never past the last step."""
+    cfg = _mini(steps=3)
+    cfg.data.n_scenes = 2
+    if augmented:
+        cfg.data.augment = AugmentationConfig()
+    events = []
+
+    def spy(name, f):
+        return lambda *a, **kw: events.append(name) or f(*a, **kw)
+    monkeypatch.setattr(pipeline, "augment", spy("augment", pipeline.augment))
+    monkeypatch.setattr(pipeline, "prepare_scene", spy("prepare", pipeline.prepare_scene))
+    monkeypatch.setattr(T.Adam, "step", spy("adam", T.Adam.step))
+    model = build_model(cfg)
+    _, step_inputs = scene_source(model, cfg, build_scenes(cfg))
+    assert events == ["prepare"] * 2
+    step_inputs(0)
+    assert events.count("augment") == (2 if augmented else 0)
+    events.clear()
+    train_run(cfg, tmp_path / "run")
+    assert events.count("prepare") == (2 * (3 + 1) if augmented else 2)
+    step = ["augment", "prepare"] * 2 if augmented else []
+    assert events == ["prepare"] * 2 + (step + ["adam"]) * 3
 
 
 def test_evaluate_model_matches_each_frame_once(monkeypatch):
@@ -356,6 +406,14 @@ def test_ablate_run_covers_variants(tmp_path):
     for r in rows:
         assert (tmp_path / "abl" / f"{r['variant']}_k{r['k']}_d{r['max_dist']:g}"
                 / "ckpt_final.bin").exists()
+
+
+def test_ablate_loads_its_data_once(tmp_path, monkeypatch):
+    calls = []
+    build = pipeline.build_scenes
+    monkeypatch.setattr(pipeline, "build_scenes", lambda cfg: calls.append(1) or build(cfg))
+    ablate_run(_mini(steps=1), tmp_path / "abl", variants=("bev_only", "continuous"))
+    assert len(calls) == 1
 
 
 def test_ablate_knn_grid_expands_continuous_only(tmp_path):
