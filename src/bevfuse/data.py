@@ -14,7 +14,7 @@ import numpy as np
 
 from .detect import DetectionBox, box_corners_bev, rotated_iou_bev
 from .domains import (Checked, Finite, Increasing, NonDecreasing, NonNeg, Pos, Unit,
-                      UnitOpen)
+                      UnitOpen, Within)
 from .geometry import CalibratedCamera, PointCloud, project_points
 from .tensor import InputError, atomic_write, sample_maps
 
@@ -29,6 +29,11 @@ KITTI_IMAGE_SIZE = (370, 1224)
 
 CLASS_NAMES = ["Car", "Pedestrian", "Cyclist", "Van", "DontCare", "Misc"]
 IGNORED_CLASSES = ("Van", "DontCare")
+
+# |x|, |y|, |z|, |w|, |h|, |d|, |t| and |height2d| of a loaded box stay within
+# this: far past any sensor's range, where rotated_iou_bev still keeps its digits.
+# It bounds each augmentation magnitude too, so ``augment`` stays finite
+BOX_BOUND = 1e4
 
 
 class GenerationError(InputError):
@@ -69,17 +74,21 @@ class SceneGenConfig(Checked):
     seed: Annotated[int, NonNeg] = 0
 
 
+# a scale factor and its inverse are both within BOX_BOUND
+_SCALE = Within(1 / BOX_BOUND, BOX_BOUND)
+
+
 @dataclass
 class AugmentationConfig(Checked):
     """Joint cloud/box/calibration augmentation; never applied at eval time."""
 
-    scale_xy: Annotated[tuple[float, float], Finite, Pos, NonDecreasing] = (0.9, 1.1)
-    scale_z: Annotated[tuple[float, float], Finite, Pos, NonDecreasing] = (0.9, 1.1)
-    translate_xy: Annotated[float, Finite, NonNeg] = 5.0
-    translate_z: Annotated[float, Finite, NonNeg] = 1.0
-    rotate_z_deg: Annotated[float, Finite, NonNeg] = 5.0
-    image_scale: Annotated[tuple[float, float], Finite, Pos, NonDecreasing] = (0.9, 1.1)
-    image_translate_px: Annotated[float, Finite, NonNeg] = 4.0
+    scale_xy: Annotated[tuple[float, float], _SCALE, NonDecreasing] = (0.9, 1.1)
+    scale_z: Annotated[tuple[float, float], _SCALE, NonDecreasing] = (0.9, 1.1)
+    translate_xy: Annotated[float, Within(0, BOX_BOUND)] = 5.0
+    translate_z: Annotated[float, Within(0, BOX_BOUND)] = 1.0
+    rotate_z_deg: Annotated[float, Within(0, 180)] = 5.0
+    image_scale: Annotated[tuple[float, float], _SCALE, NonDecreasing] = (0.9, 1.1)
+    image_translate_px: Annotated[float, Within(0, BOX_BOUND)] = 4.0
 
 
 def make_forward_camera(image_size: tuple[int, int],
@@ -410,9 +419,6 @@ def write_kitti_labels(boxes: list[DetectionBox], path,
 
 # the columns of a scene record's ``boxes`` array, one row per box
 BOX_COLUMNS = ("x", "y", "z", "w", "h", "d", "t", "score", "cls", "ignored", "height2d")
-# |x|, |y|, |z|, |w|, |h|, |d|, |t| and |height2d| of a loaded box stay within
-# this: far past any sensor's range, where rotated_iou_bev still keeps its digits
-BOX_BOUND = 1e4
 # |value| of a loaded image feature stays within this: far past synthetic
 # features (about [-0.5, 1.5]) and KITTI's zeros, while a huge one overflows
 # the squares of a training step

@@ -317,9 +317,15 @@ def iou_3d(a, b) -> float:
     return inter / union if union > 0 else 0.0
 
 
+def score_order(scores) -> np.ndarray:
+    """Indices by descending score, equal scores in index order and NaN last:
+    the one ranking rule, which NMS, AP pooling and negative mining use."""
+    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+
+
 def rank_detections(dets: list[DetectionBox]) -> list[int]:
-    """Indices sorted by descending score; equal scores keep index order."""
-    return sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    """``score_order`` of the detections' scores, as a list."""
+    return score_order([d.score for d in dets]).tolist()
 
 
 def nms(boxes: list[DetectionBox], iou_threshold: float = 0.1,

@@ -35,6 +35,11 @@ NonDecreasing = domain("a pair with lo <= hi", lambda v: v[0] <= v[1], whole=Tru
 NonEmpty = domain("non-empty", len, whole=True)
 
 
+def Within(lo: float, hi: float):
+    """In [lo, hi]: a magnitude that the code reading it handles only within bounds."""
+    return domain(f"in [{lo:g}, {hi:g}]", lambda v: lo <= v <= hi)
+
+
 # resolved field hints per class, Annotated metadata kept, in field order
 type_hints = functools.cache(functools.partial(get_type_hints, include_extras=True))
 

@@ -1,5 +1,5 @@
-"""Detection evaluation: greedy matching, 11/100-point interpolated AP and
-range-binned piecewise AP."""
+"""Detection evaluation: greedy matching, 11/100-point interpolated AP,
+range-binned piecewise AP, and the report that holds them."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ from typing import Annotated, Literal
 
 import numpy as np
 
-from .detect import DetectionBox, iou_3d, may_overlap, rank_detections, rotated_iou_bev
+from .detect import (DetectionBox, iou_3d, may_overlap, rank_detections, rotated_iou_bev,
+                     score_order)
 from .domains import Checked, Increasing, NonEmpty, NonNeg, Pos, Unit, UnitOpen
 
 
@@ -104,19 +105,16 @@ def average_precision(flags: np.ndarray, num_gt: int,
 
 
 def _pool_frames(frames: list[tuple[list[DetectionBox], list[DetectionBox]]],
-                 cfg: EvalConfig):
-    """Match per frame, then pool flags globally by descending score."""
-    scored: list[tuple[float, int, int, int]] = []     # (-score, frame, idx, flag)
-    num_gt = 0
-    for fi, (dets, gts) in enumerate(frames):
-        order = rank_detections(dets)
-        ranked = [dets[i] for i in order]
-        flags = match_detections(ranked, gts, cfg)
+                 cfg: EvalConfig) -> tuple[np.ndarray, int]:
+    """Match per frame, then pool all flags by ``score_order`` (equal scores
+    keep frame, then rank, order); and count the gts not ignored."""
+    scores, flags, num_gt = [], [np.empty(0, dtype=np.int64)], 0
+    for dets, gts in frames:
+        ranked = [dets[i] for i in rank_detections(dets)]
+        scores += [d.score for d in ranked]
+        flags.append(match_detections(ranked, gts, cfg))
         num_gt += sum(1 for g in gts if not cfg.ignores(g))
-        for pos, (det, flag) in enumerate(zip(ranked, flags)):
-            scored.append((-det.score, fi, pos, int(flag)))
-    scored.sort()
-    return np.array([s[3] for s in scored], dtype=np.int64), num_gt
+    return np.concatenate(flags)[score_order(scores)], num_gt
 
 
 def evaluate_pr(frames: list[tuple[list[DetectionBox], list[DetectionBox]]],
@@ -141,4 +139,23 @@ def piecewise_range_ap(frames: list[tuple[list[DetectionBox], list[DetectionBox]
                   for dets, gts in frames]
         curve = evaluate_pr(binned, cfg)
         out.append(((lo, hi), curve.ap if curve is not None else None))
+    return out
+
+
+def summarize(frames: list[tuple[list[DetectionBox], list[DetectionBox]]],
+              cfg: EvalConfig) -> dict:
+    """The report of (detections, ground truths) frames from one pooling pass:
+    ``num_gt`` counts the gts not ignored, the AP's denominator (None AP at 0)."""
+    flags, num_gt = _pool_frames(frames, cfg)
+    curve = pr_curve(flags, num_gt, cfg.ap_points)
+    out = {"iou_kind": cfg.iou_kind, "iou_threshold": cfg.iou_threshold,
+           "ap_points": cfg.ap_points, "num_frames": len(frames), "num_gt": num_gt,
+           "num_detections": sum(len(d) for d, _ in frames),
+           "ap": curve.ap if curve is not None else None}
+    if curve is not None:
+        out["pr_curve"] = {"recall": [round(float(r), 6) for r in curve.recalls],
+                           "precision": [round(float(p), 6) for p in curve.precisions]}
+    if cfg.range_bins:
+        out["range_ap"] = [{"bin": list(b), "ap": ap}
+                           for b, ap in piecewise_range_ap(frames, cfg)]
     return out

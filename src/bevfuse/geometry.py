@@ -46,6 +46,8 @@ class CalibratedCamera(Checked):
     def __post_init__(self):
         super().__post_init__()
         self.projection = np.asarray(self.projection, dtype=np.float64).reshape(3, 4)
+        if not np.isfinite(self.projection).all():      # before the SVD, which fails on them
+            raise InputError("camera projection matrix must be finite")
         if np.linalg.matrix_rank(self.projection) < 3:
             raise InputError("camera projection matrix must have rank 3")
 

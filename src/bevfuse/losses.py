@@ -10,8 +10,8 @@ from typing import Annotated
 
 import numpy as np
 
-from .detect import DetectionBox, box_rows
-from .domains import Checked, Finite, NonNeg, Pos, Unit
+from .detect import DetectionBox, box_rows, score_order
+from .domains import Checked, Finite, NonNeg, Pos, Unit, Within
 from .tensor import Tensor, bce_with_logits, smooth_l1_sum
 
 NEGATIVE = -1
@@ -23,7 +23,8 @@ class AssignmentConfig(Checked):
     positive_radius: Annotated[float, Finite, Pos]
     negative_radius: Annotated[float, Finite, Pos]
     neg_sample_fraction: Annotated[float, Pos, Unit] = 0.05
-    topk_neg_ratio: Annotated[float, Finite, NonNeg] = 3.0   # k = max(ratio * N_pos, floor)
+    # k = max(ratio * N_pos, floor); the bound keeps the product finite
+    topk_neg_ratio: Annotated[float, Within(0, 1e4)] = 3.0
     topk_neg_floor: Annotated[int, NonNeg] = 16
 
     def __post_init__(self):
@@ -80,14 +81,13 @@ def hard_negative_mining(neg_indices: np.ndarray, cls_scores: np.ndarray, n_pos:
     """Sample ceil(cfg.neg_sample_fraction * |neg|) negatives, keep the
     top ``cfg.topk(n_pos)`` by score.
 
-    Equal scores keep the seeded sample order (stable sort), so the selection
-    is deterministic given the generator state.
+    Ranked by ``score_order``: equal scores keep the seeded sample order, so
+    the selection is deterministic given the generator state.
     """
     neg_indices = np.asarray(neg_indices, dtype=np.intp)
     n_sample = min(math.ceil(cfg.neg_sample_fraction * neg_indices.size), neg_indices.size)
     sampled = rng.choice(neg_indices, size=n_sample, replace=False)
-    order = np.argsort(-cls_scores[sampled], kind="stable")
-    return sampled[order[:cfg.topk(n_pos)]]
+    return sampled[score_order(cls_scores[sampled])[:cfg.topk(n_pos)]]
 
 
 def total_loss(cls_logits: Tensor, cls_labels: np.ndarray,

@@ -18,7 +18,7 @@ from .config import ExperimentConfig, FusionSection, save_config
 from .data import (SceneGenConfig, SceneSample, augment, generate_dataset, load_dataset,
                    load_kitti_frame, make_forward_camera)
 from .detect import DetectionBox, decode_detections, nms, regression_rows
-from .evaluation import evaluate_pr, piecewise_range_ap
+from .evaluation import summarize
 from .fusion import (FusionConfig, FusionMlp, FusionPlan, continuous_fusion_forward,
                      merge_plans)
 from .geometry import BevGrid, PointCloud, voxelize
@@ -157,24 +157,8 @@ def detect_scene(model: DetectorModel, cfg: ExperimentConfig,
 
 def evaluate_model(model: DetectorModel, cfg: ExperimentConfig,
                    preps: list[PreparedScene]) -> dict:
-    frames = [(detect_scene(model, cfg, p), p.sample.gt_boxes) for p in preps]
-    curve = evaluate_pr(frames, cfg.eval)
-    report = {
-        "iou_kind": cfg.eval.iou_kind,
-        "iou_threshold": cfg.eval.iou_threshold,
-        "ap_points": cfg.eval.ap_points,
-        "num_frames": len(frames),
-        "num_gt": sum(len(g) for _, g in frames),
-        "num_detections": sum(len(d) for d, _ in frames),
-        "ap": curve.ap if curve is not None else None,
-    }
-    if curve is not None:
-        report["pr_curve"] = {"recall": [round(float(r), 6) for r in curve.recalls],
-                              "precision": [round(float(p), 6) for p in curve.precisions]}
-    if cfg.eval.range_bins:
-        report["range_ap"] = [{"bin": list(b), "ap": ap_}
-                              for b, ap_ in piecewise_range_ap(frames, cfg.eval)]
-    return report
+    return summarize([(detect_scene(model, cfg, p), p.sample.gt_boxes) for p in preps],
+                     cfg.eval)
 
 
 def _lr_at(step: int, cfg: ExperimentConfig) -> float:

@@ -1,5 +1,7 @@
 import copy
+import functools
 import math
+import operator
 import pathlib
 
 import numpy as np
@@ -11,6 +13,7 @@ from bevfuse.cli import main
 from bevfuse.config import (CONFIG_VERSION, ConfigError, ExperimentConfig,
                             apply_env_overrides, config_from_dict,
                             config_to_dict, load_config, save_config)
+from bevfuse.data import AugmentationConfig
 from bevfuse.pipeline import miniature_config
 
 CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.yaml"))
@@ -193,6 +196,15 @@ _FUZZ_ACCEPTED = {
     "data.manifest": ("x", None), "data.kitti_frames": (None, []),
     "data.augment": (None, []), "eval.iou_threshold": (0.5,), "eval.range_bins": (None,),
     "eval.ignore_classes": ([],), "eval.score_threshold": (0, 0.5), "eval.nms_iou": (0.5,),
+    # the leaves of the optional sections, set in the second base
+    "assign.positive_radius": (0.5,), "assign.negative_radius": (1e308,),
+    "assign.neg_sample_fraction": (0.5,), "assign.topk_neg_ratio": (0, 0.5),
+    "assign.topk_neg_floor": (0,), "data.augment.scale_xy[0]": (0.5,),
+    "data.augment.scale_z[0]": (0.5,), "data.augment.translate_xy": (0, 0.5),
+    "data.augment.translate_z": (0, 0.5), "data.augment.rotate_z_deg": (0, 0.5),
+    "data.augment.image_scale[0]": (0.5,), "data.augment.image_translate_px": (0, 0.5),
+    "eval.range_bins[0][0]": (0, -1, 0.5, -math.inf),
+    "eval.range_bins[0][1]": (0.5, math.inf, 1e308),
 }
 # the mutations that exit 3; every other mutation exits 2
 _FUZZ_NUMERIC = {"loss.alpha": (1e308,), "optimizer.lr": (1e308,)}
@@ -203,7 +215,8 @@ def _flat(cases):
 
 
 def _fuzz_cases(node, keys=()):
-    """(key path, value) for every mutation of the config dict ``node``."""
+    """(key path, value) for every mutation of the config dict ``node`` at
+    ``keys``."""
     if isinstance(node, dict):
         for key, child in node.items():
             yield from _fuzz_cases(child, keys + (key,))
@@ -217,14 +230,31 @@ def _fuzz_cases(node, keys=()):
         yield keys, value
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # 1e308 overflows inside numpy
-def test_config_fuzz_exits_cleanly(tmp_path):
+# the sections the miniature config leaves null, so the fuzz sets them only
+# whole there; a second base sets them, and the fuzz mutates their leaves
+_OPTIONAL = (("assign",), ("data", "augment"), ("eval", "range_bins"))
+
+
+def _fuzz_mutations():
+    """(base config dict, key path, value) for every mutation of the fuzz."""
     cfg = miniature_config()
     cfg.optimizer.steps = 1
     base = config_to_dict(cfg)
+    for keys, value in _fuzz_cases(base):
+        yield base, keys, value
+    cfg.assign, cfg.data.augment = cfg.assignment(), AugmentationConfig()
+    cfg.eval.range_bins = [(0.0, 16.0)]
+    full = config_to_dict(cfg)
+    for keys in _OPTIONAL:
+        for leaf, value in _fuzz_cases(functools.reduce(operator.getitem, keys, full), keys):
+            yield full, leaf, value
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # 1e308 overflows inside numpy
+def test_config_fuzz_exits_cleanly(tmp_path):
     path = tmp_path / "c.yaml"
     exits = {0: set(), 2: set(), 3: set()}
-    for keys, value in _fuzz_cases(base):
+    for base, keys, value in _fuzz_mutations():
         d = copy.deepcopy(base)
         node = d
         for key in keys[:-1]:

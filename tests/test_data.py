@@ -150,6 +150,22 @@ def test_augment_identity_image_transform_keeps_features():
         scene.image_feature_input.tobytes()
 
 
+_LOW, _HIGH = 1 / data.BOX_BOUND, data.BOX_BOUND
+
+
+@pytest.mark.parametrize("field,value", [
+    ("scale_xy", (_LOW, _LOW)), ("scale_xy", (_HIGH, _HIGH)),
+    ("scale_z", (_LOW, _LOW)), ("scale_z", (_HIGH, _HIGH)),
+    ("image_scale", (_LOW, _LOW)), ("image_scale", (_HIGH, _HIGH)),
+    ("translate_xy", _HIGH), ("translate_z", _HIGH), ("rotate_z_deg", 180.0),
+    ("image_translate_px", _HIGH)])
+def test_augment_stays_finite_at_each_bound(field, value):
+    scene = generate_scene(_cfg(seed=4))
+    out = augment(scene, AugmentationConfig(**{field: value}), seed=9)
+    assert np.isfinite(out.cloud.points).all() and np.isfinite(out.image_feature_input).all()
+    assert np.isfinite([astuple(b)[:7] for b in out.gt_boxes]).all()
+
+
 def _bilinear_reference(fm, src_u, src_v):
     """Loop-nest bilinear resampling; sources outside the map give zero."""
     c, h, w = fm.shape

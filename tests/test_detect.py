@@ -15,8 +15,8 @@ from bevfuse.detect import (ANCHOR_ORIENTATIONS, CENTER_EPS, NUM_REG, Anchor,
                             DetectionBox, DetectionHeader, HeaderOutput, box_corners_bev,
                             box_rows, decode_detections, decode_rows, decode_targets,
                             encode_rows, encode_targets, iou_3d, iou_upper_bound,
-                            make_anchors, may_overlap, nms, regression_rows,
-                            rotated_iou_bev)
+                            make_anchors, may_overlap, nms, rank_detections,
+                            regression_rows, rotated_iou_bev)
 from bevfuse.evaluation import EvalConfig, match_detections
 from bevfuse.geometry import BevGrid
 from bevfuse.tensor import Tensor, logistic, no_grad
@@ -201,6 +201,13 @@ def test_nms_equal_score_tie_break_by_index():
     b = DetectionBox(0.1, 0.0, 0.0, 2.0, 2.0, 1.0, 0.0, score=0.9)
     kept = nms([a, b], iou_threshold=0.1, score_threshold=0.0)
     assert len(kept) == 1 and kept[0] is a
+
+
+def test_nan_score_ranks_last_and_nms_keeps_score_order():
+    boxes = [DetectionBox(x, 0.0, 0.0, 2.0, 2.0, 1.0, 0.0, score=s)
+             for x, s in ((0.0, 0.5), (10.0, math.nan), (20.0, 0.7))]
+    assert rank_detections(boxes) == [2, 0, 1]
+    assert [b.score for b in nms(boxes, 0.1, 0.1)] == [0.7, 0.5]
 
 
 def test_nms_max_out_nonpositive_keeps_nothing():

@@ -38,6 +38,12 @@ def test_rank_detections_stable():
     assert rank_detections(dets) == [1, 0, 2]
 
 
+def test_pooling_ranks_a_nan_score_last():
+    # a NaN breaks a sort by Python comparisons, which then ranks 0.5 first
+    dets = [_box(20, 0, 0.5), _box(30, 0, math.nan), _box(0.1, 0, 0.7)]
+    assert evaluate_pr([(dets, [_box(0, 0)])], EvalConfig()).ap == 1.0
+
+
 def test_match_basic_tp_fp():
     gts = [_box(0, 0), _box(10, 0)]
     dets = [_box(0.1, 0, 0.9), _box(20, 0, 0.8)]

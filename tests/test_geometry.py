@@ -14,6 +14,7 @@ from bevfuse.geometry import (BevGrid, BevKdTree, CalibratedCamera, PointCloud,
                               bilinear_sample, build_bev_index, knn_bev,
                               project_points, voxelize)
 from bevfuse.pipeline import build_scenes
+from bevfuse.tensor import InputError
 
 
 def _cloud(rng, n, lo=(0, -10, -1), hi=(30, 10, 2)):
@@ -28,6 +29,16 @@ def test_pointcloud_validates_shape():
 def test_camera_requires_rank3():
     with pytest.raises(ValueError):
         CalibratedCamera(np.zeros((3, 4)), (10, 10))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_camera_rejects_non_finite_projection_before_lapack(bad, capfd):
+    # the rank's SVD fails on a NaN and LAPACK writes to stderr on an inf
+    projection = make_forward_camera((10, 10), (5.0, 5.0)).projection.copy()
+    projection[1, 3] = bad
+    with pytest.raises(InputError, match="must be finite"):
+        CalibratedCamera(projection, (10, 10))
+    assert capfd.readouterr().err == ""
 
 
 def test_projection_center_point():

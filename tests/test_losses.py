@@ -124,6 +124,17 @@ def test_hard_negative_mining_deterministic_and_topk():
     assert (np.diff(sampled_scores) <= 0).all()
 
 
+def test_hard_negative_mining_ties_keep_sample_order_and_nan_last():
+    neg = np.arange(40)
+    scores = np.where(neg % 2 == 0, 0.5, np.nan)
+    cfg = AssignmentConfig(1.0, 2.0, neg_sample_fraction=1.0, topk_neg_ratio=0.0,
+                           topk_neg_floor=30)
+    sampled = np.random.default_rng(4).choice(neg, size=neg.size, replace=False)
+    kept = hard_negative_mining(neg, scores, 0, cfg, np.random.default_rng(4))
+    even, odd = sampled[sampled % 2 == 0], sampled[sampled % 2 == 1]
+    np.testing.assert_array_equal(kept, np.concatenate([even, odd])[:30])
+
+
 def test_hard_negative_mining_empty():
     out = hard_negative_mining(np.array([], dtype=np.intp), np.zeros(0), 5,
                                AssignmentConfig(1.0, 2.0), np.random.default_rng(0))

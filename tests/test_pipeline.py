@@ -385,6 +385,20 @@ def test_evaluate_model_report_fields(tmp_path):
     assert len(report["range_ap"]) == 2
 
 
+def test_report_num_gt_is_the_ap_denominator(monkeypatch):
+    cfg = _mini()
+    car = DetectionBox(5.0, 0.0, 0.8, 4.0, 2.0, 1.6, 0.0, score=0.9)
+    van = replace(car, y=4.0, score=0.8, ignored=True)
+    monkeypatch.setattr(pipeline, "detect_scene", lambda model, cfg, p: p.dets)
+    # the detection on the ignored van counts neither way: AP 1 over one gt
+    preps = [SimpleNamespace(dets=[car, van], sample=SimpleNamespace(gt_boxes=[car, van]))]
+    report = evaluate_model(None, cfg, preps)
+    assert (report["num_gt"], report["ap"]) == (1, 1.0)
+    preps[0].sample.gt_boxes = [van]
+    report = evaluate_model(None, cfg, preps)
+    assert (report["num_gt"], report["ap"]) == (0, None) and "pr_curve" not in report
+
+
 def test_range_ap_does_not_match_across_frames(monkeypatch):
     cfg = _mini()
     cfg.eval.range_bins = [(0.0, 16.0)]
