@@ -4,17 +4,20 @@ residual groups with fusion insertion points, and the full detector model."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Annotated, Literal
+from typing import TYPE_CHECKING, Annotated, Literal
 
 import numpy as np
 
 from . import tensor as T
-from .detect import AnchorConfig, DetectionHeader, HeaderOutput, make_anchors
+from .detect import DetectionHeader, HeaderOutput, make_anchors
 from .domains import Checked, NonEmpty, Pos
-from .fusion import (Conv2dLayer, FusionMlp, FusionPlan, FusionSection, apply_fusion,
-                     level_centers, plan_discrete_fusion, plan_fusion)
-from .geometry import BevGrid, CalibratedCamera, PointCloud, build_bev_index
+from .fusion import (Conv2dLayer, FusionMlp, FusionPlan, apply_fusion, level_centers,
+                     plan_discrete_fusion, plan_fusion)
+from .geometry import CalibratedCamera, PointCloud, build_bev_index
 from .tensor import InputError, Tensor
+
+if TYPE_CHECKING:                   # config imports this module
+    from .config import ExperimentConfig
 
 MODES = ("continuous", "continuous_nogeo", "discrete", "bev_only")
 Mode = Literal[MODES]
@@ -172,21 +175,17 @@ def param_module(name: str) -> str:
 class DetectorModel:
     """Image stream + BEV stream bridged by fusion layers, plus the header."""
 
-    def __init__(self, grid: BevGrid, backbone: BackboneConfig,
-                 fusion_cfg: FusionSection, image_in_channels: int,
-                 image_feat_channels: int, bev_fpn_channels: int,
-                 header_variant: str, anchor: AnchorConfig, mode: str,
-                 rng: np.random.Generator):
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
+    def __init__(self, cfg: ExperimentConfig, rng: np.random.Generator):
+        """Every module ``cfg`` describes, drawn from ``rng`` in a fixed order."""
+        grid, backbone, mode = cfg.grid, cfg.backbone, cfg.mode
         self.mode = mode
 
         self.image_stream = None
         self.fusion_mlps: dict[int, FusionMlp] = {}
         if mode != "bev_only":
-            self.image_stream = ImageStream(image_in_channels, backbone,
-                                            image_feat_channels, rng)
-            in_dim = image_feat_channels + (3 if mode == "continuous" else 0)  # + x_j - x_i
+            self.image_stream = ImageStream(cfg.data.synthetic.image_shape[0], backbone,
+                                            cfg.image_feat_channels, rng)
+            in_dim = cfg.image_feat_channels + (3 if mode == "continuous" else 0)  # + x_j - x_i
             for p in backbone.fusion_points:
                 self.fusion_mlps[p] = FusionMlp(in_dim,
                                                 backbone.bev_groups[p].channels,
@@ -197,16 +196,16 @@ class DetectorModel:
         self.num_combined = min(3, len(backbone.bev_groups))
         self.bev_combiner = FpnCombiner(
             [g.channels for g in backbone.bev_groups[-self.num_combined:]],
-            bev_fpn_channels, rng, "bev.fpn")
-        self.header = DetectionHeader(bev_fpn_channels, header_variant, rng=rng)
+            cfg.bev_fpn_channels, rng, "bev.fpn")
+        self.header = DetectionHeader(cfg.bev_fpn_channels, cfg.variant, rng=rng)
 
         self.output_grid = grid.downsample(
             group_stride(len(self.bev_groups) - self.num_combined))
         # the anchor row of each ``header.rows`` row of one scene
-        self.anchors = make_anchors(self.output_grid, anchor.size, anchor.z)
+        self.anchors = make_anchors(self.output_grid, cfg.anchor.size, cfg.anchor.z)
         # every fusion level's raster, and all their pixel centers in level
         # order: one neighbour query per scene answers every level
-        self.fusion_section = fusion_cfg
+        self.fusion_section = cfg.fusion
         self.fusion_grids = {p: grid.downsample(group_stride(p)) for p in self.fusion_mlps}
         self._centers = level_centers(self.fusion_grids)
 

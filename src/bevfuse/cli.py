@@ -1,8 +1,8 @@
 """Command-line entry point: train / eval / ablate / gradcheck / report, all
 driven by a YAML config. The benchmark is ``perfbench/run.py``.
 
-Exit codes: 0 success, 2 configuration or input-file error, 3 numeric
-failure.
+Exit codes: 0 success, 2 configuration or input-file error (a size the
+machine cannot allocate among them), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (InputError, OSError) as e:
+    except (InputError, OSError, MemoryError) as e:   # MemoryError: a size past the machine
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericError, FloatingPointError) as e:

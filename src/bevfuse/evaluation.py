@@ -10,14 +10,14 @@ import numpy as np
 
 from .detect import (DetectionBox, iou_3d, may_overlap, rank_detections, rotated_iou_bev,
                      score_order)
-from .domains import Checked, Increasing, NonEmpty, NonNeg, Pos, Unit, UnitOpen
+from .domains import Checked, Increasing, NonEmpty, NonNeg, Pos, Unit, UnitOpen, Within
 
 
 @dataclass
 class EvalConfig(Checked):
     iou_kind: Literal["bev", "3d"] = "bev"      # rotated 2D or 3D
     iou_threshold: Annotated[float, Pos, UnitOpen] = 0.5
-    ap_points: Annotated[int, Pos] = 11         # 11 or 100 recall samples
+    ap_points: Annotated[int, Within(1, 1000)] = 11     # 11 or 100 recall samples
     # bins [lo, hi) of the box center's x, meters
     range_bins: Annotated[list[Annotated[tuple[float, float], Increasing]],
                           NonEmpty] | None = None

@@ -33,13 +33,7 @@ class NumericError(RuntimeError):
 
 
 def build_model(cfg: ExperimentConfig, rng: np.random.Generator | None = None) -> DetectorModel:
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-    return DetectorModel(
-        grid=cfg.grid, backbone=cfg.backbone, fusion_cfg=cfg.fusion,
-        image_in_channels=cfg.data.synthetic.image_shape[0],
-        image_feat_channels=cfg.image_feat_channels,
-        bev_fpn_channels=cfg.bev_fpn_channels,
-        header_variant=cfg.variant, anchor=cfg.anchor, mode=cfg.mode, rng=rng)
+    return DetectorModel(cfg, rng if rng is not None else np.random.default_rng(cfg.seed))
 
 
 class _Undrawn:
@@ -195,11 +189,12 @@ def train_run(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 
 def _train(cfg: ExperimentConfig, scenes: list[SceneSample], out_dir: str) -> dict:
-    """``train_run`` on ``scenes``, loaded and checked by the caller."""
-    os.makedirs(out_dir, exist_ok=True)
-    save_config(cfg, os.path.join(out_dir, "config.yaml"))
+    """``train_run`` on ``scenes``, loaded and checked by the caller. The
+    model is built and the scenes prepared before the run directory exists."""
     model = build_model(cfg)
     fixed, step_inputs = scene_source(model, cfg, scenes)
+    os.makedirs(out_dir, exist_ok=True)
+    save_config(cfg, os.path.join(out_dir, "config.yaml"))
 
     params = model.parameters()
     opt = Adam(params.values(), lr=cfg.optimizer.lr, betas=cfg.optimizer.betas,

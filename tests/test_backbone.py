@@ -1,3 +1,7 @@
+import hashlib
+import pathlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,12 +9,12 @@ from bevfuse import backbone
 from bevfuse.backbone import (MODES, BackboneConfig, Conv2dLayer, DetectorModel,
                               FpnCombiner, GroupSpec, ImageStream,
                               ResidualBlock, ResidualGroup)
-from bevfuse.config import ExperimentConfig, FusionSection
+from bevfuse.config import ExperimentConfig, FusionSection, load_config
 from bevfuse.data import AugmentationConfig, augment, generate_scene
 from bevfuse.fusion import level_centers, plan_discrete_fusion, plan_fusion
 from bevfuse.geometry import BevGrid, BevKdTree, PointCloud, build_bev_index, voxelize
 from bevfuse.pipeline import build_model, build_scenes, miniature_config
-from bevfuse.tensor import Tensor
+from bevfuse.tensor import Tensor, save_checkpoint
 
 
 def _rng():
@@ -98,22 +102,50 @@ def test_fusion_mlp_layer_is_one_matmul_node(mode, monkeypatch):
 
 def test_detector_model_modes_and_parameters():
     cfg = miniature_config()
-    model = DetectorModel(cfg.grid, cfg.backbone, cfg.fusion,
-                          image_in_channels=2, image_feat_channels=4,
-                          bev_fpn_channels=6, header_variant="bev", anchor=cfg.anchor,
-                          mode="bev_only", rng=_rng())
+    model = DetectorModel(replace(cfg, mode="bev_only"), _rng())
     names = model.parameters()
     assert not any(n.startswith(("image", "fusion")) for n in names)
-    fused = DetectorModel(cfg.grid, cfg.backbone, cfg.fusion,
-                          image_in_channels=2, image_feat_channels=4,
-                          bev_fpn_channels=6, header_variant="bev", anchor=cfg.anchor,
-                          mode="continuous", rng=_rng())
+    fused = DetectorModel(replace(cfg, mode="continuous"), _rng())
     fnames = fused.parameters()
     assert any(n.startswith("image") for n in fnames)
     assert any(n.startswith("fusion") for n in fnames)
     with pytest.raises(ValueError):
-        DetectorModel(cfg.grid, cfg.backbone, cfg.fusion, 2, 4, 6, "bev", cfg.anchor,
-                      mode="telepathy", rng=_rng())
+        DetectorModel(replace(cfg, mode="telepathy"), _rng())
+
+
+# sha256 of the checkpoint of a freshly built model: only PCG64 draws and
+# np.sqrt feed these bytes, so they hold on every machine. The two middle
+# modes share an MLP input width, hence a digest.
+_FRESH_DIGESTS = {
+    ("miniature", "continuous"):
+        "a7e74676106b0ffc77671af5c97daebf6eac01edaeb0a731e41d1d30f88b8987",
+    ("miniature", "continuous_nogeo"):
+        "6fb50ebe80eee2bcf5bc465c22ea7de89db1acdc299fb4e25a903556b1e412a9",
+    ("miniature", "discrete"):
+        "6fb50ebe80eee2bcf5bc465c22ea7de89db1acdc299fb4e25a903556b1e412a9",
+    ("miniature", "bev_only"):
+        "e1b5a1f5548f796da9f2c0919e258035b695091420c7ab86d318b7c0a490687b",
+    ("overfit", "continuous"):
+        "9ae4fe6523376812b6b62912c6c967c83898c3059da98bf0e8a8b1cf0c981726",
+    ("overfit", "continuous_nogeo"):
+        "4762642f3bd4ecef1b97b1a22194410945a9a7fec075a9be757b21fa6f4896d0",
+    ("overfit", "discrete"):
+        "4762642f3bd4ecef1b97b1a22194410945a9a7fec075a9be757b21fa6f4896d0",
+    ("overfit", "bev_only"):
+        "554f73b23837dda2069354fe75a3ba13520a6efd6c48a8314db1b0b0e861bcbe",
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("base", ["miniature", "overfit"])
+def test_a_freshly_built_model_keeps_its_bytes(tmp_path, base, mode):
+    """Every parameter's name, shape, order and drawn value, pinned."""
+    cfg = miniature_config() if base == "miniature" else load_config(
+        pathlib.Path(__file__).resolve().parent.parent / "configs" / "overfit.yaml",
+        environ={})
+    ckpt = tmp_path / "fresh.bin"
+    save_checkpoint(build_model(replace(cfg, mode=mode)).parameters(), ckpt)
+    assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == _FRESH_DIGESTS[base, mode]
 
 
 def test_forward_shapes_and_output_grid():

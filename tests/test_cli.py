@@ -379,6 +379,18 @@ def _train_exit(tmp_path, config=None):
     return rc, out.exists()
 
 
+@pytest.mark.parametrize("key", ["DATA__SYNTHETIC__GROUND_POINTS", "GRID__NX",
+                                 "EVAL__AP_POINTS"])
+def test_a_size_past_the_machine_exits_2_before_the_run_directory(tmp_path, monkeypatch,
+                                                                  capsys, key):
+    """10^15 of anything is more than numpy will allocate: the scenes' points,
+    the model's raster or the AP's recall levels (bounded at load)."""
+    monkeypatch.setenv("BEVFUSE_OPTIMIZER__STEPS", "1")
+    monkeypatch.setenv(f"BEVFUSE_{key}", str(10 ** 15))
+    assert _train_exit(tmp_path) == (EXIT_CONFIG, False)
+    assert "input error" in capsys.readouterr().err
+
+
 def test_bad_eval_iou_kind_rejected_at_load(tmp_path, monkeypatch):
     monkeypatch.setenv("BEVFUSE_EVAL__IOU_KIND", "foo")
     assert _train_exit(tmp_path) == (EXIT_CONFIG, False)

@@ -561,7 +561,7 @@ def test_header_output_layout_and_decode():
 
 
 @pytest.mark.parametrize("variant,num_reg", list(NUM_REG.items()))
-def test_header_variants_channel_counts(variant, num_reg):
+def test_each_variant_sets_the_header_channel_counts(variant, num_reg):
     header = DetectionHeader(6, variant, rng=np.random.default_rng(0))
     out = header.forward(Tensor(np.random.default_rng(1).standard_normal((1, 6, 3, 3))))
     assert out.raw.shape == (1, 2 * (1 + num_reg), 3, 3)
