@@ -10,7 +10,7 @@ import numpy as np
 
 from . import tensor as T
 from .detect import DetectionHeader, HeaderOutput, make_anchors
-from .domains import Checked, NonEmpty, Pos
+from .domains import Checked, NonEmpty, Pos, Within
 from .fusion import (Conv2dLayer, FusionMlp, FusionPlan, apply_fusion, level_centers,
                      plan_discrete_fusion, plan_fusion)
 from .geometry import CalibratedCamera, PointCloud, build_bev_index
@@ -18,6 +18,7 @@ from .tensor import InputError, Tensor
 
 if TYPE_CHECKING:                   # config imports this module
     from .config import ExperimentConfig
+    from .data import SceneSample
 
 MODES = ("continuous", "continuous_nogeo", "discrete", "bev_only")
 Mode = Literal[MODES]
@@ -25,7 +26,7 @@ Mode = Literal[MODES]
 
 @dataclass
 class GroupSpec(Checked):
-    layers: Annotated[int, Pos]      # 3x3 conv count; one residual block per 2 layers
+    layers: Annotated[int, Within(1, 64)]   # 3x3 conv count; one residual block per 2 layers
     channels: Annotated[int, Pos]    # the stride follows from the position: group_stride
 
     def __post_init__(self):
@@ -170,6 +171,28 @@ def param_module(name: str) -> str:
     ``bev.group<g>``, ``bev.fpn`` or ``header``."""
     parts = name.split(".")
     return ".".join(parts[:2]) if parts[0] == "bev" else parts[0]
+
+
+def check_images(cfg: ExperimentConfig, scenes: list[SceneSample]):
+    """Raise InputError unless ``cfg.mode`` is bev_only or every scene's
+    image fits the image stream ``DetectorModel(cfg, rng)`` builds from the
+    same fields. The images must share one shape, because a training step
+    stacks them into one batch. Reads only ``cfg``, so it runs before any model."""
+    if cfg.mode == "bev_only":
+        return
+    channels = cfg.data.synthetic.image_shape[0]
+    stride = group_stride(len(cfg.backbone.image_groups) - 1)
+    for s in scenes:
+        shape = s.image_feature_input.shape
+        if len(shape) != 3 or shape[0] != channels or shape[1] % stride \
+                or shape[2] % stride:
+            raise InputError(f"scene {s.frame_id}: image {list(shape)} does not fit "
+                             f"the image stream ({channels} channels, extents "
+                             f"divisible by {stride})")
+        if shape != scenes[0].image_feature_input.shape:
+            raise InputError(f"scene {s.frame_id}: image {list(shape)} differs from "
+                             f"scene {scenes[0].frame_id}'s "
+                             f"{list(scenes[0].image_feature_input.shape)}")
 
 
 class DetectorModel:

@@ -14,7 +14,7 @@ import yaml
 from .backbone import BackboneConfig, Mode, group_stride
 from .data import AugmentationConfig, SceneGenConfig
 from .detect import AnchorConfig, Variant
-from .domains import Checked, Finite, NonNeg, Pos, Unit, UnitOpen, shape
+from .domains import Checked, Finite, NonNeg, Pos, Unit, UnitOpen, Within, shape
 from .evaluation import EvalConfig
 from .fusion import FusionSection
 from .geometry import BevGrid
@@ -64,7 +64,7 @@ class KittiFrame(Checked):
 @dataclass
 class DataSection(Checked):
     source: Literal["synthetic", "manifest", "kitti"] = "synthetic"
-    n_scenes: Annotated[int, Pos] = 4
+    n_scenes: Annotated[int, Within(1, 1000)] = 4     # a training step batches them all
     synthetic: SceneGenConfig = field(default_factory=SceneGenConfig)
     manifest: str | None = None
     kitti_frames: list[KittiFrame] | None = None

@@ -528,7 +528,7 @@ def _load_record(path, fid) -> SceneSample:
     its ``_RECORD_SHAPES`` extents before it is converted. Its camera's
     image size is the image features' H x W."""
     try:
-        with np.load(path) as z:
+        with open(path, "rb") as f, np.load(f) as z:     # np.load(path) leaks on BadZipFile
             arrays = {key: z[key] for key in _RECORD_SHAPES}
         for key, shape in _RECORD_SHAPES.items():
             a = arrays[key]

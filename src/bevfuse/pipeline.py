@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import losses, tensor as T
-from .backbone import (MODES, BackboneConfig, DetectorModel, GroupSpec, group_stride,
+from .backbone import (MODES, BackboneConfig, DetectorModel, GroupSpec, check_images,
                        param_module)
 from .config import ExperimentConfig, FusionSection, save_config
 from .data import (SceneGenConfig, SceneSample, augment, generate_dataset, load_dataset,
@@ -55,29 +55,8 @@ def build_scenes(cfg: ExperimentConfig) -> list[SceneSample]:
                   for fr in d.kitti_frames or []]
     if not scenes:
         raise InputError(f"data source {d.source!r} yields no scenes")
-    _check_images_fit(cfg, scenes)
+    check_images(cfg, scenes)
     return scenes
-
-
-def _check_images_fit(cfg: ExperimentConfig, scenes: list[SceneSample]):
-    """Raise InputError unless ``cfg.mode`` is bev_only or every scene's
-    image fits the image stream. The images must share one shape, because a
-    training step stacks them into one batch."""
-    if cfg.mode == "bev_only":
-        return
-    channels = cfg.data.synthetic.image_shape[0]
-    stride = group_stride(len(cfg.backbone.image_groups) - 1)
-    for s in scenes:
-        shape = s.image_feature_input.shape
-        if len(shape) != 3 or shape[0] != channels or shape[1] % stride \
-                or shape[2] % stride:
-            raise InputError(f"scene {s.frame_id}: image {list(shape)} does not fit "
-                             f"the image stream ({channels} channels, extents "
-                             f"divisible by {stride})")
-        if shape != scenes[0].image_feature_input.shape:
-            raise InputError(f"scene {s.frame_id}: image {list(shape)} differs from "
-                             f"scene {scenes[0].frame_id}'s "
-                             f"{list(scenes[0].image_feature_input.shape)}")
 
 
 @dataclass
@@ -277,7 +256,7 @@ def ablate_run(cfg: ExperimentConfig, out_dir: str,
             raise InputError(f"two ablation runs share the directory {tag!r}")
     scenes = build_scenes(replace(cfg, mode="bev_only"))
     for variant in variants:
-        _check_images_fit(replace(cfg, mode=variant), scenes)
+        check_images(replace(cfg, mode=variant), scenes)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for (variant, fusion), tag in zip(cells, tags):

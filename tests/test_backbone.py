@@ -8,13 +8,13 @@ import pytest
 from bevfuse import backbone
 from bevfuse.backbone import (MODES, BackboneConfig, Conv2dLayer, DetectorModel,
                               FpnCombiner, GroupSpec, ImageStream,
-                              ResidualBlock, ResidualGroup)
+                              ResidualBlock, ResidualGroup, check_images)
 from bevfuse.config import ExperimentConfig, FusionSection, load_config
 from bevfuse.data import AugmentationConfig, augment, generate_scene
 from bevfuse.fusion import level_centers, plan_discrete_fusion, plan_fusion
 from bevfuse.geometry import BevGrid, BevKdTree, PointCloud, build_bev_index, voxelize
 from bevfuse.pipeline import build_model, build_scenes, miniature_config
-from bevfuse.tensor import Tensor, save_checkpoint
+from bevfuse.tensor import InputError, Tensor, save_checkpoint
 
 
 def _rng():
@@ -146,6 +146,32 @@ def test_a_freshly_built_model_keeps_its_bytes(tmp_path, base, mode):
     ckpt = tmp_path / "fresh.bin"
     save_checkpoint(build_model(replace(cfg, mode=mode)).parameters(), ckpt)
     assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == _FRESH_DIGESTS[base, mode]
+
+
+def _raises(error, fn, *args) -> bool:
+    try:
+        fn(*args)
+    except error:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("n_groups", [1, 2, 3])
+def test_check_images_accepts_what_the_built_stream_accepts(n_groups):
+    """The load check and the image stream state one rule: the check refuses
+    an image exactly when the stream built from the same config fails on it."""
+    cfg = miniature_config()
+    groups = [GroupSpec(2, 4), GroupSpec(2, 6), GroupSpec(2, 8)][:n_groups]
+    cfg = replace(cfg, backbone=replace(cfg.backbone, image_groups=groups))
+    stream, scene = build_model(cfg).image_stream, build_scenes(cfg)[0]
+    refusals = 0
+    for shape in np.ndindex(3, 9, 9):
+        image = np.zeros(np.add(shape, 1))
+        refused = _raises(InputError, check_images, cfg,
+                          [replace(scene, image_feature_input=image)])
+        assert refused == _raises(ValueError, stream.forward, Tensor(image[None])), image.shape
+        refusals += refused
+    assert 0 < refusals < 3 * 9 * 9
 
 
 def test_forward_shapes_and_output_grid():

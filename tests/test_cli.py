@@ -380,11 +380,12 @@ def _train_exit(tmp_path, config=None):
 
 
 @pytest.mark.parametrize("key", ["DATA__SYNTHETIC__GROUND_POINTS", "GRID__NX",
-                                 "EVAL__AP_POINTS"])
+                                 "EVAL__AP_POINTS", "DATA__N_SCENES"])
 def test_a_size_past_the_machine_exits_2_before_the_run_directory(tmp_path, monkeypatch,
                                                                   capsys, key):
     """10^15 of anything is more than numpy will allocate: the scenes' points,
-    the model's raster or the AP's recall levels (bounded at load)."""
+    the model's raster, or the AP's recall levels and the scene count (both
+    bounded at load; the scenes are built one by one, so no allocation fails)."""
     monkeypatch.setenv("BEVFUSE_OPTIMIZER__STEPS", "1")
     monkeypatch.setenv(f"BEVFUSE_{key}", str(10 ** 15))
     assert _train_exit(tmp_path) == (EXIT_CONFIG, False)
@@ -441,7 +442,7 @@ def test_bad_group_channels_rejected_at_load(tmp_path, stream, channels):
         (EXIT_CONFIG, False)
 
 
-@pytest.mark.parametrize("layers", [-5, 0, 3])
+@pytest.mark.parametrize("layers", [-5, 0, 3, 10 ** 9])
 def test_bad_group_layers_rejected_at_load(tmp_path, layers):
     cfg = miniature_config()
     cfg.backbone.bev_groups[0].layers = layers
